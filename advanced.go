@@ -74,45 +74,36 @@ func ReportResult(p *Problem, h *History, params map[string]interface{}, y float
 // BatchTuneOptions extends TuneOptions with batching controls.
 type BatchTuneOptions struct {
 	TuneOptions
-	// BatchSize proposals are generated per round with the
-	// constant-liar strategy and evaluated concurrently.
+	// BatchSize proposals are generated per round (default 2), spread
+	// by TuneOptions.BatchStrategy, and evaluated concurrently.
 	BatchSize int
 	// Workers caps concurrent evaluations (default BatchSize).
 	Workers int
 }
 
 // TuneBatch runs the batched tuning loop: useful when the allocation
-// can evaluate several trial configurations at once.
+// can evaluate several trial configurations at once. Thin wrapper over
+// TuneBatchContext with context.Background().
 func TuneBatch(p *Problem, task map[string]interface{}, opts BatchTuneOptions) (*Result, error) {
-	alg := opts.Algorithm
-	if alg == "" {
-		if len(opts.Sources) > 0 {
-			alg = "Ensemble(proposed)"
-		} else {
-			alg = "NoTLA"
-		}
+	return TuneBatchContext(context.Background(), p, task, opts)
+}
+
+// TuneBatchContext is TuneBatch with cooperative cancellation: the same
+// session as TuneContext, driven by TuningSession.RunBatchContext, so
+// every TuneOptions field applies and a cancel returns a partial Result
+// with a resumable Checkpoint.
+func TuneBatchContext(ctx context.Context, p *Problem, task map[string]interface{}, opts BatchTuneOptions) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	prop, err := NewProposer(alg, opts.Sources, opts.MaxSourceSamples)
+	s, err := NewTuningSession(p, task, opts.TuneOptions)
 	if err != nil {
 		return nil, err
 	}
-	h, err := core.RunLoopBatch(p, task, prop, core.BatchOptions{
-		Budget:    opts.Budget,
-		BatchSize: opts.BatchSize,
-		Workers:   opts.Workers,
-		Seed:      opts.Seed,
-		OnSample:  opts.OnSample,
-	})
-	if err != nil {
-		return nil, err
+	if opts.BatchSize <= 0 {
+		opts.BatchSize = 2
 	}
-	res := &Result{History: h, Algorithm: alg}
-	if best, ok := h.Best(); ok {
-		res.BestParams = best.Params
-		res.BestY = best.Y
-		return res, nil
-	}
-	return res, fmt.Errorf("gptunecrowd: no successful evaluation within the budget of %d", opts.Budget)
+	return s.RunBatchContext(ctx, opts.BatchSize, opts.Workers)
 }
 
 // --- Performance-variability detection (the paper's stated future

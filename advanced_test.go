@@ -1,8 +1,10 @@
 package gptunecrowd
 
 import (
+	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 )
 
@@ -61,7 +63,8 @@ func TestSuggestNextWithSources(t *testing.T) {
 
 func TestTuneBatch(t *testing.T) {
 	p := demoProblem()
-	res, err := TuneBatch(p, map[string]interface{}{"t": 1.0}, BatchTuneOptions{
+	task := map[string]interface{}{"t": 1.0}
+	res, err := TuneBatch(p, task, BatchTuneOptions{
 		TuneOptions: TuneOptions{Budget: 9, Seed: 2},
 		BatchSize:   3,
 	})
@@ -73,6 +76,56 @@ func TestTuneBatch(t *testing.T) {
 	}
 	if res.Algorithm != "NoTLA" || res.BestParams == nil {
 		t.Fatalf("result %+v", res)
+	}
+
+	// TuneBatch is the same session as Tune, so every TuneOptions field
+	// applies to it.
+	res, err = TuneBatch(p, task, BatchTuneOptions{
+		TuneOptions: TuneOptions{Budget: 6, Seed: 2, Surrogate: "gp", BatchStrategy: "lp"},
+		BatchSize:   3,
+	})
+	if err != nil || res.Algorithm != "Surrogate(gp)" {
+		t.Fatalf("Surrogate gp: algorithm %v, err %v", res, err)
+	}
+	if _, err := TuneBatch(p, task, BatchTuneOptions{
+		TuneOptions: TuneOptions{Budget: 6, Algorithm: "NoTLA", Surrogate: "gp"},
+	}); err == nil {
+		t.Fatal("Algorithm and Surrogate together accepted")
+	}
+
+	var evals atomic.Int64
+	nan := *p
+	nan.Evaluator = EvaluatorFunc(func(task, params map[string]interface{}) (float64, error) {
+		if evals.Add(1) == 2 {
+			return math.NaN(), nil
+		}
+		return p.Evaluator.Evaluate(task, params)
+	})
+	res, err = TuneBatch(&nan, task, BatchTuneOptions{TuneOptions: TuneOptions{Budget: 6, Seed: 2}, BatchSize: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.History.Samples[1]; !s.Failed || res.History.NumOK() != 5 {
+		t.Fatalf("NaN evaluation recorded as %+v (%d ok)", s, res.History.NumOK())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := BatchTuneOptions{BatchSize: 2, TuneOptions: TuneOptions{Budget: 8, Seed: 2,
+		OnSample: func(i int, _ Sample) {
+			if i == 3 {
+				cancel()
+			}
+		}}}
+	res, err = TuneBatchContext(ctx, p, task, opts)
+	if !errors.Is(err, context.Canceled) || res == nil || res.Checkpoint == nil || res.History.Len() != 4 {
+		t.Fatalf("cancelled TuneBatch: result %+v, err %v", res, err)
+	}
+	resumed, err := ResumeTuningSession(p, task, opts.TuneOptions, res.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = resumed.RunBatchContext(context.Background(), 2, 0); err != nil || res.History.Len() != 8 {
+		t.Fatalf("resumed batch run: %+v, err %v", res, err)
 	}
 }
 

@@ -24,9 +24,7 @@ type (
 // TuneMultiFidelity runs the GPTuneBand-style bandit tuner over the
 // parameter space. Budget is counted in full-fidelity-evaluation
 // units, so Budget=20 buys the same compute as 20 full runs but
-// typically screens several times more configurations. (TotalCost is
-// the deprecated name of the same knob and is honored when Budget is
-// zero.)
+// typically screens several times more configurations.
 func TuneMultiFidelity(ps *Space, task map[string]interface{}, eval FidelityEvaluator, opts BanditOptions) (*BanditResult, error) {
 	return bandit.Run(ps, task, eval, opts)
 }

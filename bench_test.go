@@ -213,11 +213,11 @@ func BenchmarkAblationEnsembleSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		finals := map[string]float64{}
 		for _, alg := range []string{"Ensemble(proposed)", "Ensemble(toggling)", "Ensemble(prob)"} {
-			prop, err := experiments.NewProposer(alg, sources, benchScale.MaxSourceSamples)
+			prop, err := NewProposer(alg, sources, benchScale.MaxSourceSamples)
 			if err != nil {
 				b.Fatal(err)
 			}
-			h, err := core.RunLoop(p, task, prop, core.LoopOptions{Budget: benchScale.Budget, Seed: int64(i + 1), Search: benchScale.Search})
+			h, err := core.RunLoop(p, task, prop, core.SessionOptions{Budget: benchScale.Budget, Seed: int64(i + 1), Search: benchScale.Search})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 		for _, acq := range []core.Acquisition{core.EI{}, core.LCB{}} {
 			tuner := core.NewGPTuner()
 			tuner.Acquisition = acq
-			h, err := core.RunLoop(p, task, tuner, core.LoopOptions{Budget: benchScale.Budget + 4, Seed: int64(i + 1), Search: benchScale.Search})
+			h, err := core.RunLoop(p, task, tuner, core.SessionOptions{Budget: benchScale.Budget + 4, Seed: int64(i + 1), Search: benchScale.Search})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -263,11 +263,11 @@ func BenchmarkAblationSourceCap(b *testing.B) {
 	for _, srcCap := range []int{10, 20, 40} {
 		b.Run(itoa(srcCap), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				prop, err := experiments.NewProposer("Multitask(TS)", sources, srcCap)
+				prop, err := NewProposer("Multitask(TS)", sources, srcCap)
 				if err != nil {
 					b.Fatal(err)
 				}
-				h, err := core.RunLoop(p, task, prop, core.LoopOptions{Budget: benchScale.Budget, Seed: int64(i + 1), Search: benchScale.Search})
+				h, err := core.RunLoop(p, task, prop, core.SessionOptions{Budget: benchScale.Budget, Seed: int64(i + 1), Search: benchScale.Search})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -577,7 +577,7 @@ func BenchmarkExtensionMultiFidelityNIMROD(b *testing.B) {
 	task := map[string]interface{}{"mx": 5, "my": 7, "lphi": 1}
 	for i := 0; i < b.N; i++ {
 		res, err := bandit.Run(app.ParamSpace(), task, app, bandit.Options{
-			TotalCost: 6, Seed: int64(i + 1),
+			Budget: 6, Seed: int64(i + 1),
 			Search: core.SearchOptions{Candidates: 32, DEGens: 5},
 		})
 		if err != nil {
@@ -597,11 +597,15 @@ func BenchmarkExtensionMultiFidelityNIMROD(b *testing.B) {
 func BenchmarkExtensionBatchTuning(b *testing.B) {
 	p, task, _ := fig3Fixture(b)
 	for i := 0; i < b.N; i++ {
-		seq, err := core.RunLoop(p, task, core.NewGPTuner(), core.LoopOptions{Budget: 8, Seed: int64(i + 1), Search: benchScale.Search})
+		seq, err := core.RunLoop(p, task, core.NewGPTuner(), core.SessionOptions{Budget: 8, Seed: int64(i + 1), Search: benchScale.Search})
 		if err != nil {
 			b.Fatal(err)
 		}
-		bat, err := core.RunLoopBatch(p, task, core.NewGPTuner(), core.BatchOptions{Budget: 8, BatchSize: 4, Seed: int64(i + 1), Search: benchScale.Search})
+		sess, err := core.NewSession(p, task, core.NewGPTuner(), core.SessionOptions{Budget: 8, Seed: int64(i + 1), Search: benchScale.Search})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bat, err := sess.RunBatchContext(context.Background(), 4, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,9 +9,7 @@
 //
 //   - Node (default): one replica of one shard. Every durable state
 //     machine (the document collections and the task pool) sits on an
-//     internal/replog segmented log under <data>/logs; pre-cluster
-//     JSONL files in <data> are absorbed as base snapshots on first
-//     start. A leader (-role leader, the default) accepts writes and
+//     internal/replog segmented log under <data>/logs. A leader (-role leader, the default) accepts writes and
 //     streams its logs to the followers named by -replicas; a follower
 //     (-role follower) applies the stream, serves bounded-staleness
 //     reads, and bounces writes to its leader with 307. A standalone
@@ -290,10 +288,7 @@ func main() {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("crowdserver: create data dir: %v", err)
 		}
-		// Logs live under <data>/logs; pre-cluster JSONL files directly
-		// in <data> are absorbed as base snapshots on first start.
 		nodeCfg.DataDir = *dataDir + "/logs"
-		nodeCfg.LegacyDir = *dataDir
 	}
 	node, err := cluster.NewNode(nodeCfg)
 	if err != nil {

@@ -41,7 +41,7 @@ func main() {
 		matrix    = flag.String("matrix", "", "matrix for superlu (Si5H12 or H2O)")
 		metaPath  = flag.String("meta", "", "meta-description file for crowd integration")
 		maxSrc    = flag.Int("max-source-samples", 100, "per-source sample cap for LCM algorithms")
-		batch     = flag.Int("batch", 0, "evaluate N proposals per round concurrently (constant liar)")
+		batch     = flag.Int("batch", 0, "evaluate N proposals per round concurrently")
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel  = flag.String("log-level", "warn", "minimum log level: debug, info, warn or error")
 		dumpStats = flag.Bool("dump-metrics", false, "print the tuner's Prometheus metrics to stderr after the run")
@@ -119,14 +119,9 @@ func main() {
 	}
 
 	fmt.Printf("tuning %s (%s), budget %d\n", *appName, inst.Description, *budget)
-	var res *gptunecrowd.Result
-	if *batch > 1 {
-		res, err = gptunecrowd.TuneBatch(inst.Problem, task, gptunecrowd.BatchTuneOptions{
-			TuneOptions: opts, BatchSize: *batch,
-		})
-	} else {
-		res, err = gptunecrowd.TuneContext(ctx, inst.Problem, task, opts)
-	}
+	res, err := gptunecrowd.TuneBatchContext(ctx, inst.Problem, task, gptunecrowd.BatchTuneOptions{
+		TuneOptions: opts, BatchSize: max(*batch, 1),
+	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) && res != nil {
 			fmt.Printf("\ninterrupted after %d evaluation(s); reporting the best so far\n", res.History.Len())

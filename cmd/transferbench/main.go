@@ -208,7 +208,7 @@ func main() {
 }
 
 func raceBest(p *core.Problem, prop core.Proposer, budget int, seed int64) float64 {
-	h, err := core.RunLoop(p, map[string]interface{}{"t": 1.0}, prop, core.LoopOptions{
+	h, err := core.RunLoop(p, map[string]interface{}{"t": 1.0}, prop, core.SessionOptions{
 		Budget: budget, Seed: seed,
 		Search: core.SearchOptions{Candidates: 128, DEGens: 15},
 	})

@@ -158,64 +158,13 @@ type Result struct {
 
 // Algorithms lists the supported algorithm names (Table I plus the
 // NoTLA baseline and the two naive ensembles).
-func Algorithms() []string {
-	return []string{
-		"NoTLA",
-		"Multitask(PS)",
-		"Multitask(TS)",
-		"WeightedSum(equal)",
-		"WeightedSum(dynamic)",
-		"Stacking",
-		"Ensemble(proposed)",
-		"Ensemble(toggling)",
-		"Ensemble(prob)",
-	}
-}
+func Algorithms() []string { return tla.Algorithms() }
 
 // NewProposer constructs a proposer by algorithm name. Sources may be
-// nil only for "NoTLA".
+// nil only for "NoTLA"; the empty name means "NoTLA" without sources
+// and "Ensemble(proposed)" with them.
 func NewProposer(algorithm string, sources []*SourceTask, maxSourceSamples int) (Proposer, error) {
-	switch algorithm {
-	case "", "NoTLA":
-		return core.NewGPTuner(), nil
-	}
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("gptunecrowd: algorithm %q requires source tasks", algorithm)
-	}
-	switch algorithm {
-	case "Multitask(PS)":
-		return tla.NewMultitaskPS(sources), nil
-	case "Multitask(TS)":
-		p := tla.NewMultitaskTS(sources)
-		if maxSourceSamples > 0 {
-			p.MaxSourceSamples = maxSourceSamples
-		}
-		return p, nil
-	case "WeightedSum(equal)":
-		return tla.NewWeightedSumEqual(sources), nil
-	case "WeightedSum(dynamic)":
-		return tla.NewWeightedSumDynamic(sources), nil
-	case "Stacking":
-		return tla.NewStacking(sources), nil
-	case "Ensemble(proposed)", "Ensemble(toggling)", "Ensemble(prob)":
-		mode := tla.EnsembleProposed
-		if algorithm == "Ensemble(toggling)" {
-			mode = tla.EnsembleToggling
-		}
-		if algorithm == "Ensemble(prob)" {
-			mode = tla.EnsembleProb
-		}
-		e := tla.NewEnsemble(sources, mode)
-		if maxSourceSamples > 0 {
-			for _, p := range e.Pool {
-				if mt, ok := p.(*tla.MultitaskTS); ok {
-					mt.MaxSourceSamples = maxSourceSamples
-				}
-			}
-		}
-		return e, nil
-	}
-	return nil, fmt.Errorf("gptunecrowd: unknown algorithm %q (see Algorithms())", algorithm)
+	return tla.NewProposer(algorithm, sources, maxSourceSamples)
 }
 
 // Tune runs the tuning loop for the given task and returns the best
@@ -233,14 +182,7 @@ func Tune(p *Problem, task map[string]interface{}, opts TuneOptions) (*Result, e
 // the wrapped context error together with a partial Result whose
 // Checkpoint field resumes the run via ResumeTuningSession.
 func TuneContext(ctx context.Context, p *Problem, task map[string]interface{}, opts TuneOptions) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := NewTuningSession(p, task, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunContext(ctx)
+	return TuneBatchContext(ctx, p, task, BatchTuneOptions{TuneOptions: opts, BatchSize: 1})
 }
 
 // LoadMeta parses a meta-description file (Section IV-A of the paper).

@@ -138,7 +138,7 @@ func TestProblemIntegrationWithFailures(t *testing.T) {
 	a := New(machine.CoriHaswell(64))
 	p := a.Problem()
 	h, err := core.RunLoop(p, task(6, 8, 1), core.NewGPTuner(),
-		core.LoopOptions{Budget: 8, Seed: 2, Search: core.SearchOptions{Candidates: 64, DEGens: 10}})
+		core.SessionOptions{Budget: 8, Seed: 2, Search: core.SearchOptions{Candidates: 64, DEGens: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}

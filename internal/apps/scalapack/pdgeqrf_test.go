@@ -166,7 +166,7 @@ func TestProblemIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, err := core.RunLoop(p, map[string]interface{}{"m": 10000, "n": 10000},
-		core.NewGPTuner(), core.LoopOptions{Budget: 6, Seed: 3,
+		core.NewGPTuner(), core.SessionOptions{Budget: 6, Seed: 3,
 			Search: core.SearchOptions{Candidates: 64, DEGens: 10}})
 	if err != nil {
 		t.Fatal(err)

@@ -70,12 +70,6 @@ type Options struct {
 	Logger *slog.Logger
 	// OnObservation observes evaluations as they land.
 	OnObservation func(o Observation)
-
-	// TotalCost is the deprecated name of Budget; it is honored only
-	// when Budget is zero.
-	//
-	// Deprecated: use Budget.
-	TotalCost float64
 }
 
 // Result reports a bandit run.
@@ -104,9 +98,6 @@ func Run(ps *space.Space, task map[string]interface{}, eval FidelityEvaluator, o
 		minFid = 1.0 / float64(eta*eta)
 	}
 	totalCost := opts.Budget
-	if totalCost <= 0 {
-		totalCost = opts.TotalCost
-	}
 	if totalCost <= 0 {
 		totalCost = 20
 	}

@@ -30,7 +30,7 @@ func quadraticFidelity() (FidelityEvaluator, *space.Space) {
 
 func TestBanditFindsOptimum(t *testing.T) {
 	f, ps := quadraticFidelity()
-	res, err := Run(ps, nil, f, Options{TotalCost: 15, Seed: 1,
+	res, err := Run(ps, nil, f, Options{Budget: 15, Seed: 1,
 		Search: core.SearchOptions{Candidates: 64, DEGens: 10}})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestBanditFindsOptimum(t *testing.T) {
 
 func TestBanditUsesLowFidelityScreening(t *testing.T) {
 	f, ps := quadraticFidelity()
-	res, err := Run(ps, nil, f, Options{TotalCost: 10, Seed: 2,
+	res, err := Run(ps, nil, f, Options{Budget: 10, Seed: 2,
 		Search: core.SearchOptions{Candidates: 32, DEGens: 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestBanditUsesLowFidelityScreening(t *testing.T) {
 
 func TestBanditBestIsHighFidelity(t *testing.T) {
 	f, ps := quadraticFidelity()
-	res, err := Run(ps, nil, f, Options{TotalCost: 18, Seed: 3,
+	res, err := Run(ps, nil, f, Options{Budget: 18, Seed: 3,
 		Search: core.SearchOptions{Candidates: 32, DEGens: 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestBanditHandlesFailures(t *testing.T) {
 		}
 		return params["x"].(float64), nil
 	})
-	res, err := Run(ps, nil, f, Options{TotalCost: 6, Seed: 4,
+	res, err := Run(ps, nil, f, Options{Budget: 6, Seed: 4,
 		Search: core.SearchOptions{Candidates: 32, DEGens: 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestBanditValidation(t *testing.T) {
 func TestNIMRODFidelityIntegration(t *testing.T) {
 	app := nimrod.New(machine.CoriHaswell(32))
 	task := map[string]interface{}{"mx": 5, "my": 7, "lphi": 1}
-	res, err := Run(app.ParamSpace(), task, app, Options{TotalCost: 8, Seed: 5,
+	res, err := Run(app.ParamSpace(), task, app, Options{Budget: 8, Seed: 5,
 		Search: core.SearchOptions{Candidates: 32, DEGens: 5}})
 	if err != nil {
 		t.Fatal(err)

@@ -148,31 +148,6 @@ func TestSelectorIgnoresNonFiniteRewards(t *testing.T) {
 	}
 }
 
-// TestBudgetAliasPrecedence pins the TuneOptions-style naming
-// reconcile: Budget is authoritative, the deprecated TotalCost is
-// honored only when Budget is unset.
-func TestBudgetAliasPrecedence(t *testing.T) {
-	p := synth.DemoProblem()
-	task := map[string]interface{}{"t": 1.0}
-	eval := FidelityEvaluatorFunc(func(task, params map[string]interface{}, fid float64) (float64, error) {
-		return p.Evaluator.Evaluate(task, params)
-	})
-	res, err := Run(p.ParamSpace, task, eval, Options{Budget: 3, TotalCost: 50, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CostSpent > 4 { // one in-flight eval may overshoot the cap
-		t.Fatalf("Budget=3 ignored: spent %v", res.CostSpent)
-	}
-	res2, err := Run(p.ParamSpace, task, eval, Options{TotalCost: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.CostSpent > 4 {
-		t.Fatalf("deprecated TotalCost=3 ignored: spent %v", res2.CostSpent)
-	}
-}
-
 func TestRunLogsBrackets(t *testing.T) {
 	p := synth.DemoProblem()
 	task := map[string]interface{}{"t": 1.0}

@@ -82,12 +82,6 @@ type NodeConfig struct {
 	// DataDir holds the replicated logs (one subdirectory per state
 	// machine). Empty runs memory-only — tests and ephemeral replicas.
 	DataDir string
-	// LegacyDir, when set, names the directory of a pre-cluster
-	// single-node deployment (users.jsonl, func_evals.jsonl, ...,
-	// taskpool.jsonl). Each file is absorbed as its log's base snapshot
-	// the first time the log is empty; the legacy files are never
-	// written again.
-	LegacyDir string
 	// Leader starts the node as its shard's leader. Followers become
 	// leaders only via Promote.
 	Leader bool
@@ -182,14 +176,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if cfg.DataDir != "" {
 			dir = filepath.Join(cfg.DataDir, name)
 		}
-		legacy := ""
-		if cfg.LegacyDir != "" {
-			if name == "tasks" {
-				legacy = filepath.Join(cfg.LegacyDir, "taskpool.jsonl")
-			} else {
-				legacy = filepath.Join(cfg.LegacyDir, name+".jsonl")
-			}
-		}
 		o := opts
 		o.Name = name
 		var (
@@ -197,11 +183,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			err error
 		)
 		if name == "tasks" {
-			lg, err = srv.TaskPool().OpenLog(dir, legacy, o)
+			lg, err = srv.TaskPool().OpenLog(dir, o)
 			n.machines[name] = srv.TaskPool()
 		} else {
 			coll := srv.Store().Collection(name)
-			lg, err = coll.OpenLog(dir, legacy, o)
+			lg, err = coll.OpenLog(dir, o)
 			n.machines[name] = coll
 		}
 		if err != nil {

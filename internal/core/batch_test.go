@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -9,9 +10,19 @@ import (
 	"gptunecrowd/internal/space"
 )
 
+// runLoopBatch drives a fresh GP-tuner session in rounds of k proposals
+// evaluated on up to workers goroutines.
+func runLoopBatch(p *Problem, opts SessionOptions, k, workers int) (*History, error) {
+	s, err := NewSession(p, nil, NewGPTuner(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunBatchContext(context.Background(), k, workers)
+}
+
 func TestRunLoopBatchConsumesBudget(t *testing.T) {
 	p := quadProblem(t)
-	h, err := RunLoopBatch(p, nil, NewGPTuner(), BatchOptions{Budget: 11, BatchSize: 4, Seed: 1})
+	h, err := runLoopBatch(p, SessionOptions{Budget: 11, Seed: 1}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +38,7 @@ func TestRunLoopBatchProposesDistinctPoints(t *testing.T) {
 	// Constant-liar batching must not propose the same point several
 	// times in one round.
 	p := quadProblem(t)
-	h, err := RunLoopBatch(p, nil, NewGPTuner(), BatchOptions{Budget: 8, BatchSize: 4, Seed: 2})
+	h, err := runLoopBatch(p, SessionOptions{Budget: 8, Seed: 2}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +73,7 @@ func TestRunLoopBatchActuallyParallel(t *testing.T) {
 			return params["x"].(float64), nil
 		}),
 	}
-	_, err := RunLoopBatch(p, nil, NewGPTuner(), BatchOptions{Budget: 8, BatchSize: 4, Workers: 4, Seed: 3})
+	_, err := runLoopBatch(p, SessionOptions{Budget: 8, Seed: 3}, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +85,7 @@ func TestRunLoopBatchActuallyParallel(t *testing.T) {
 func TestRunLoopBatchDeterministicOrder(t *testing.T) {
 	p := quadProblem(t)
 	run := func() []float64 {
-		h, err := RunLoopBatch(p, nil, NewGPTuner(), BatchOptions{Budget: 9, BatchSize: 3, Seed: 4})
+		h, err := runLoopBatch(p, SessionOptions{Budget: 9, Seed: 4}, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +116,7 @@ func TestRunLoopBatchFailuresRecorded(t *testing.T) {
 			return params["x"].(float64), nil
 		}),
 	}
-	h, err := RunLoopBatch(p, nil, NewGPTuner(), BatchOptions{Budget: 9, BatchSize: 3, Seed: 5})
+	h, err := runLoopBatch(p, SessionOptions{Budget: 9, Seed: 5}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +130,7 @@ func TestRunLoopBatchFailuresRecorded(t *testing.T) {
 
 func TestRunLoopBatchValidation(t *testing.T) {
 	p := quadProblem(t)
-	if _, err := RunLoopBatch(p, nil, NewGPTuner(), BatchOptions{}); err == nil {
+	if _, err := runLoopBatch(p, SessionOptions{}, 2, 0); err == nil {
 		t.Fatal("expected budget error")
 	}
 }
@@ -127,15 +138,13 @@ func TestRunLoopBatchValidation(t *testing.T) {
 func TestOnSampleOrderInBatch(t *testing.T) {
 	p := quadProblem(t)
 	next := 0
-	_, err := RunLoopBatch(p, nil, NewGPTuner(), BatchOptions{
-		Budget: 6, BatchSize: 3, Seed: 6,
+	_, err := runLoopBatch(p, SessionOptions{Budget: 6, Seed: 6,
 		OnSample: func(i int, s Sample) {
 			if i != next {
 				t.Fatalf("callback out of order: %d want %d", i, next)
 			}
 			next++
-		},
-	})
+		}}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

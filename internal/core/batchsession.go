@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -277,6 +278,84 @@ func (s *Session) proposeOne(rctx context.Context) (*pendingEntry, error) {
 	return e, nil
 }
 
+// RunBatchContext is the one tuning-loop driver: rounds of up to k
+// proposals (ProposeBatchContext), evaluated on at most workers
+// goroutines (0 means k) and reported by id (ObserveProposal), until the
+// budget is consumed. RunContext is the k=1 case. Results commit in
+// proposal-id order whichever evaluation finishes first, so a fixed
+// seed gives one history at any worker count. On cancellation it
+// returns the history so far with the wrapped context error; results
+// that landed stay buffered in the ledger and the rest stay pending, so
+// the session remains checkpointable and resumable.
+func (s *Session) RunBatchContext(ctx context.Context, k, workers int) (*History, error) {
+	for !s.Done() {
+		if err := s.stepBatch(ctx, k, workers); err != nil {
+			return s.h, err
+		}
+	}
+	return s.h, nil
+}
+
+// stepBatch runs one round: up to k pending proposals (left by a
+// cancelled round or a resume) or else k fresh ones are evaluated with
+// the problem's Evaluator, each raced against the context so a hung
+// evaluation cannot outlive a cancelled session.
+func (s *Session) stepBatch(ctx context.Context, k, workers int) error {
+	if s.problem.Evaluator == nil {
+		return fmt.Errorf("core: problem %q has no evaluator; use Propose/Observe", s.problem.Name)
+	}
+	if k <= 0 {
+		return fmt.Errorf("core: non-positive batch size %d", k)
+	}
+	batch := s.PendingProposals()
+	if len(batch) > k {
+		batch = batch[:k]
+	}
+	if len(batch) == 0 {
+		var err error
+		if batch, err = s.ProposeBatchContext(ctx, k); err != nil {
+			return err
+		}
+	}
+	if workers <= 0 || workers > len(batch) {
+		workers = len(batch)
+	}
+	type result struct {
+		id  uint64
+		y   float64
+		err error
+	}
+	// One slot per point: a result landing after cancellation is
+	// dropped, its goroutine never blocks.
+	results := make(chan result, len(batch))
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		go func() {
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(batch) {
+					return
+				}
+				start := time.Now()
+				y, err := s.problem.Evaluator.Evaluate(s.task, batch[i].Params)
+				s.timers.ObserveEvaluate(time.Since(start))
+				results <- result{batch[i].ID, y, err}
+			}
+		}()
+	}
+	for range batch {
+		select {
+		case r := <-results:
+			if err := s.ObserveProposal(r.id, r.y, r.err); err != nil {
+				return err
+			}
+		case <-ctx.Done():
+			return fmt.Errorf("core: evaluation cancelled at iteration %d: %w", s.iter, ctx.Err())
+		}
+	}
+	return nil
+}
+
 // ObserveProposal records the result for proposal id, wherever it sits
 // in the batch. The result is buffered in the ledger and committed to
 // the history only once every earlier proposal has a result too —
@@ -359,3 +438,14 @@ func (s *Session) PendingProposals() []PendingProposal {
 // InFlight returns the number of proposals issued but not yet committed
 // (observed-but-buffered entries count: their budget is spoken for).
 func (s *Session) InFlight() int { return len(s.ledger) }
+
+// lieValue is the constant-liar target: the incumbent when one exists
+// (the "max lie" variant would use the worst), otherwise zero — the
+// surrogate standardizes targets, so the absolute level only matters
+// relative to the observed samples.
+func lieValue(h *History) float64 {
+	if best, ok := h.Best(); ok {
+		return best.Y
+	}
+	return 0
+}

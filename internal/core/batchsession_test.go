@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -294,80 +293,6 @@ func TestBatchCheckpointResumePending(t *testing.T) {
 	if !bytes.Equal(finish(s), finish(r)) {
 		t.Fatal("original and resumed sessions diverged after identical results")
 	}
-}
-
-// TestBatchCheckpointV1Compat: a version-1 checkpoint (single pending
-// point, pre-ledger format) must load into a one-entry ledger.
-func TestBatchCheckpointV1Compat(t *testing.T) {
-	p := quadProblem(t)
-	opts := SessionOptions{Budget: 6, Seed: 3}
-	s, err := NewSession(p, nil, NewGPTuner(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Propose(); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v2 checkpoint into its v1 shape: version 1, single
-	// Pending point, no ledger.
-	v1 := bytes.Replace(cp, []byte(`"version":2`), []byte(`"version":1`), 1)
-	v1 = downgradeLedgerToPending(t, v1)
-	r, err := ResumeSession(p, nil, NewGPTuner(), opts, v1)
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	if r.InFlight() != 1 {
-		t.Fatalf("in flight %d after v1 resume, want 1", r.InFlight())
-	}
-	want, err := s.Propose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Propose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("pending point drifted: %v vs %v", want, got)
-		}
-	}
-}
-
-// downgradeLedgerToPending rewrites a v2 checkpoint's one-entry ledger
-// into the v1 single-pending-point field, emulating a checkpoint taken
-// by the pre-batch code.
-func downgradeLedgerToPending(t *testing.T, cp []byte) []byte {
-	t.Helper()
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(cp, &m); err != nil {
-		t.Fatal(err)
-	}
-	var ledger []struct {
-		U []float64 `json:"u"`
-	}
-	if err := json.Unmarshal(m["ledger"], &ledger); err != nil {
-		t.Fatal(err)
-	}
-	if len(ledger) != 1 {
-		t.Fatalf("expected a one-entry ledger, got %d", len(ledger))
-	}
-	pending, err := json.Marshal(ledger[0].U)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m["pending"] = pending
-	delete(m, "ledger")
-	delete(m, "next_proposal_id")
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // TestProposeBatchBudget pins budget accounting: k clamps to the

@@ -150,7 +150,7 @@ func TestSearchNextAvoidsDuplicates(t *testing.T) {
 
 func TestRunLoopConvergesOnQuadratic(t *testing.T) {
 	p := quadProblem(t)
-	h, err := RunLoop(p, nil, NewGPTuner(), LoopOptions{Budget: 25, Seed: 3})
+	h, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRunLoopRecordsFailures(t *testing.T) {
 			return params["x"].(float64), nil
 		}),
 	}
-	h, err := RunLoop(p, nil, NewGPTuner(), LoopOptions{Budget: 10, Seed: 4})
+	h, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestRunLoopRecordsFailures(t *testing.T) {
 
 func TestRunLoopDeterministic(t *testing.T) {
 	p := quadProblem(t)
-	h1, err := RunLoop(p, nil, NewGPTuner(), LoopOptions{Budget: 8, Seed: 5})
+	h1, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := RunLoop(p, nil, NewGPTuner(), LoopOptions{Budget: 8, Seed: 5})
+	h2, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestRunLoopDeterministic(t *testing.T) {
 
 func TestRunLoopValidation(t *testing.T) {
 	p := quadProblem(t)
-	if _, err := RunLoop(p, nil, NewGPTuner(), LoopOptions{Budget: 0}); err == nil {
+	if _, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 0}); err == nil {
 		t.Fatal("expected budget error")
 	}
 	bad := &Problem{Name: "x"}
-	if _, err := RunLoop(bad, nil, NewGPTuner(), LoopOptions{Budget: 1}); err == nil {
+	if _, err := RunLoop(bad, nil, NewGPTuner(), SessionOptions{Budget: 1}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -234,7 +234,7 @@ func TestRunLoopValidation(t *testing.T) {
 func TestOnSampleCallback(t *testing.T) {
 	p := quadProblem(t)
 	var seen int
-	_, err := RunLoop(p, nil, NewGPTuner(), LoopOptions{
+	_, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{
 		Budget: 5, Seed: 6,
 		OnSample: func(i int, s Sample) {
 			if i != seen {
@@ -290,7 +290,7 @@ func TestConstraintsRespected(t *testing.T) {
 			return 100/(a*b) + a + b, nil
 		}),
 	}
-	h, err := RunLoop(p, nil, NewGPTuner(), LoopOptions{Budget: 15, Seed: 7,
+	h, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 15, Seed: 7,
 		Search: SearchOptions{Candidates: 64, DEGens: 10}})
 	if err != nil {
 		t.Fatal(err)
@@ -341,8 +341,8 @@ func TestBatchLoopRespectsConstraints(t *testing.T) {
 			return float64(params["a"].(int)), nil
 		}),
 	}
-	h, err := RunLoopBatch(p, nil, NewGPTuner(), BatchOptions{Budget: 8, BatchSize: 2, Seed: 8,
-		Search: SearchOptions{Candidates: 64, DEGens: 8}})
+	h, err := runLoopBatch(p, SessionOptions{Budget: 8, Seed: 8,
+		Search: SearchOptions{Candidates: 64, DEGens: 8}}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

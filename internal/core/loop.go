@@ -2,12 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"math/rand"
-	"time"
-
-	"gptunecrowd/internal/obs"
 )
 
 // Proposer suggests the next tuning-parameter point given the target
@@ -99,92 +94,17 @@ func (ctx *ProposeContext) RandomFeasible() []float64 {
 	return RandomPoint(sp, ctx.Rng)
 }
 
-// LoopOptions configures one tuning run.
-type LoopOptions struct {
-	Budget int   // NS, the number of function evaluations
-	Seed   int64 // RNG seed; runs are deterministic given the seed
-	Search SearchOptions
-	// OnSample, when set, observes every evaluation as it lands.
-	OnSample func(i int, s Sample)
-	// Metrics, when non-nil, receives the tuner_* stage histograms
-	// (fit, search, propose, evaluate durations).
-	Metrics *obs.Registry
-}
-
-// RunLoop executes the iterative tuning loop: propose → evaluate →
-// record, for Budget evaluations. Failed evaluations are recorded and
-// count against the budget but are invisible to surrogate fits (the
-// History.XY accessor skips them).
-func RunLoop(p *Problem, task map[string]interface{}, proposer Proposer, opts LoopOptions) (*History, error) {
-	return RunLoopContext(context.Background(), p, task, proposer, opts)
-}
-
-// RunLoopContext is RunLoop with cooperative cancellation: the context
-// is checked before every iteration and between proposal stages, and
-// cancellation returns the history accumulated so far alongside the
-// context's error.
-func RunLoopContext(rctx context.Context, p *Problem, task map[string]interface{}, proposer Proposer, opts LoopOptions) (*History, error) {
+// RunLoop executes the iterative tuning loop — propose → evaluate →
+// record for opts.Budget evaluations — on a fresh Session. Failed
+// evaluations are recorded and count against the budget but are
+// invisible to surrogate fits (the History.XY accessor skips them).
+func RunLoop(p *Problem, task map[string]interface{}, proposer Proposer, opts SessionOptions) (*History, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Budget <= 0 {
-		return nil, fmt.Errorf("core: non-positive budget %d", opts.Budget)
+	s, err := NewSession(p, task, proposer, opts)
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	h := &History{}
-	timers := NewTimers(opts.Metrics)
-	search := opts.Search
-	if len(p.Constraints) > 0 {
-		search.Feasible = func(u []float64) bool {
-			return p.Feasible(task, p.ParamSpace.Decode(u))
-		}
-	}
-	for i := 0; i < opts.Budget; i++ {
-		if err := rctx.Err(); err != nil {
-			return h, fmt.Errorf("core: tuning loop cancelled at iteration %d: %w", i, err)
-		}
-		ctx := &ProposeContext{
-			Problem: p,
-			Task:    task,
-			History: h,
-			Rng:     rng,
-			Iter:    i,
-			Budget:  opts.Budget,
-			Search:  search,
-			Ctx:     rctx,
-			Timers:  timers,
-		}
-		proposeStart := time.Now()
-		u, err := proposer.Propose(ctx)
-		timers.ObservePropose(time.Since(proposeStart))
-		if err != nil {
-			return h, fmt.Errorf("core: proposer %s failed at iteration %d: %w", proposer.Name(), i, err)
-		}
-		if len(u) != p.ParamSpace.Dim() {
-			return h, fmt.Errorf("core: proposer %s returned a %d-dim point, want %d", proposer.Name(), len(u), p.ParamSpace.Dim())
-		}
-		u = p.ParamSpace.Canonicalize(u)
-		params := p.ParamSpace.Decode(u)
-		s := Sample{ParamU: u, Params: params, Proposer: proposer.Name()}
-		evalStart := time.Now()
-		y, err := p.Evaluator.Evaluate(task, params)
-		timers.ObserveEvaluate(time.Since(evalStart))
-		switch {
-		case err != nil:
-			s.Failed = true
-			s.Err = err.Error()
-		case math.IsNaN(y) || math.IsInf(y, 0):
-			// Mirror Session.Observe: a non-finite objective is recorded
-			// as a failure so it can never reach a surrogate fit.
-			s.Failed = true
-			s.Err = fmt.Sprintf("non-finite objective %v", y)
-		default:
-			s.Y = y
-		}
-		h.Append(s)
-		if opts.OnSample != nil {
-			opts.OnSample(i, s)
-		}
-	}
-	return h, nil
+	return s.Run()
 }

@@ -5,7 +5,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"gptunecrowd/internal/space"
@@ -63,14 +62,8 @@ func (p *Problem) Feasible(task, params map[string]interface{}) bool {
 
 // Validate checks that the problem is runnable.
 func (p *Problem) Validate() error {
-	if p == nil {
-		return errors.New("core: nil problem")
-	}
-	if p.Name == "" {
-		return errors.New("core: problem needs a name")
-	}
-	if p.ParamSpace == nil || p.ParamSpace.Dim() == 0 {
-		return fmt.Errorf("core: problem %q needs a non-empty parameter space", p.Name)
+	if err := validateSessionProblem(p); err != nil {
+		return err
 	}
 	if p.Evaluator == nil {
 		return fmt.Errorf("core: problem %q needs an evaluator", p.Name)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"gptunecrowd/internal/obs"
 )
@@ -153,29 +152,21 @@ func (s *Session) Propose() (map[string]interface{}, error) {
 //
 // Propose/Observe are the k=1 special case of the batch ledger: an
 // outstanding unobserved proposal (from either path) is returned as-is.
-func (s *Session) ProposeContext(rctx context.Context) (map[string]interface{}, error) {
-	for _, e := range s.ledger {
-		if !e.observed {
-			return s.problem.ParamSpace.Decode(e.u), nil
+func (s *Session) ProposeContext(ctx context.Context) (map[string]interface{}, error) {
+	batch := s.PendingProposals()
+	if len(batch) == 0 {
+		var err error
+		if batch, err = s.ProposeBatchContext(ctx, 1); err != nil {
+			return nil, err
 		}
 	}
-	if s.iter+len(s.ledger) >= s.opts.Budget {
-		return nil, fmt.Errorf("core: session budget of %d consumed: %w", s.opts.Budget, ErrBudgetExhausted)
-	}
-	if err := rctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: proposal cancelled at iteration %d: %w", s.iter, err)
-	}
-	e, err := s.proposeOne(rctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.problem.ParamSpace.Decode(e.u), nil
+	return batch[0].Params, nil
 }
 
 // Observe records the result of the oldest outstanding proposal. Pass a
 // non-nil evalErr to record a failed evaluation (it consumes budget but
-// is invisible to surrogate fits, like in RunLoop). Drivers juggling a
-// whole batch report by id with ObserveProposal instead.
+// is invisible to surrogate fits). Drivers juggling a whole batch report
+// by id with ObserveProposal instead.
 func (s *Session) Observe(y float64, evalErr error) error {
 	for _, e := range s.ledger {
 		if !e.observed {
@@ -198,47 +189,7 @@ func (s *Session) Step() error {
 // proposal outstanding, so a resumed session re-evaluates the same
 // point instead of losing it.
 func (s *Session) StepContext(ctx context.Context) error {
-	if s.problem.Evaluator == nil {
-		return fmt.Errorf("core: problem %q has no evaluator; use Propose/Observe", s.problem.Name)
-	}
-	params, err := s.ProposeContext(ctx)
-	if err != nil {
-		return err
-	}
-	evalStart := time.Now()
-	y, evalErr, err := s.evaluate(ctx, params)
-	s.timers.ObserveEvaluate(time.Since(evalStart))
-	if err != nil {
-		return err
-	}
-	return s.Observe(y, evalErr)
-}
-
-// evaluate runs the problem's Evaluator, racing it against the context
-// so a hung or slow evaluation cannot outlive a cancelled session. The
-// channel is buffered: a late result is dropped, not leaked on.
-func (s *Session) evaluate(ctx context.Context, params map[string]interface{}) (float64, error, error) {
-	if ctx.Done() == nil {
-		// No cancellation possible (context.Background()): evaluate
-		// inline and skip the goroutine handoff.
-		y, evalErr := s.problem.Evaluator.Evaluate(s.task, params)
-		return y, evalErr, nil
-	}
-	type result struct {
-		y   float64
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		y, evalErr := s.problem.Evaluator.Evaluate(s.task, params)
-		ch <- result{y, evalErr}
-	}()
-	select {
-	case r := <-ch:
-		return r.y, r.err, nil
-	case <-ctx.Done():
-		return 0, nil, fmt.Errorf("core: evaluation cancelled at iteration %d: %w", s.iter, ctx.Err())
-	}
+	return s.stepBatch(ctx, 1, 1)
 }
 
 // Run steps until the budget is consumed and returns the history. A
@@ -252,12 +203,7 @@ func (s *Session) Run() (*History, error) {
 // returns the history accumulated so far with the wrapped context
 // error, and the session remains checkpointable and resumable.
 func (s *Session) RunContext(ctx context.Context) (*History, error) {
-	for !s.Done() {
-		if err := s.StepContext(ctx); err != nil {
-			return s.h, err
-		}
-	}
-	return s.h, nil
+	return s.RunBatchContext(ctx, 1, 1)
 }
 
 // sessionCheckpoint is the serialized session state. Decoded parameter
@@ -265,19 +211,16 @@ func (s *Session) RunContext(ctx context.Context) (*History, error) {
 // via Space.Decode, which restores the exact typed values and keeps the
 // checkpoint compact.
 type sessionCheckpoint struct {
-	Version  int    `json:"version"`
-	Problem  string `json:"problem"`
-	Proposer string `json:"proposer"`
-	Budget   int    `json:"budget"`
-	Seed     int64  `json:"seed"`
-	Iter     int    `json:"iter"`
-	RNGState uint64 `json:"rng_state"`
-	// Pending is the version-1 single outstanding proposal; version-2
-	// checkpoints carry the full ledger instead.
-	Pending []float64          `json:"pending,omitempty"`
-	Samples []checkpointSample `json:"samples,omitempty"`
-	// Ledger holds the issued-but-uncommitted batch proposals (version
-	// 2), in strictly increasing id order.
+	Version  int                `json:"version"`
+	Problem  string             `json:"problem"`
+	Proposer string             `json:"proposer"`
+	Budget   int                `json:"budget"`
+	Seed     int64              `json:"seed"`
+	Iter     int                `json:"iter"`
+	RNGState uint64             `json:"rng_state"`
+	Samples  []checkpointSample `json:"samples,omitempty"`
+	// Ledger holds the issued-but-uncommitted batch proposals, in
+	// strictly increasing id order.
 	Ledger         []checkpointPending `json:"ledger,omitempty"`
 	NextProposalID uint64              `json:"next_proposal_id,omitempty"`
 	// ProposerState carries the opaque private state of a stateful
@@ -290,8 +233,9 @@ type sessionCheckpoint struct {
 
 // StatefulProposer is a Proposer whose decisions depend on state that
 // is not a pure function of the history and the RNG stream (the
-// surrogate pool's bandit statistics). Sessions serialize that state
-// into checkpoints and restore it on resume, so a resumed run remains
+// surrogate pool's bandit statistics, the ensemble's selection record,
+// a once-per-run source subsample). Sessions serialize that state into
+// checkpoints and restore it on resume, so a resumed run remains
 // bit-identical to an uninterrupted one.
 type StatefulProposer interface {
 	Proposer
@@ -370,16 +314,17 @@ func (s *Session) Checkpoint() ([]byte, error) {
 // run — otherwise the checkpointed budget is kept, so passing the
 // original options verbatim resumes exactly.
 //
-// Resume is bit-identical for proposers whose state is a deterministic
-// function of the history and the RNG stream (the GP tuner and every
-// stateless TLA algorithm): the continued run produces exactly the
-// samples the uninterrupted run would have.
+// Resume is bit-identical — the continued run produces exactly the
+// samples the uninterrupted run would have — for every proposer whose
+// decisions are a function of the history, the RNG stream and whatever
+// it carries through StatefulProposer: the GP tuner, every Table-I
+// algorithm and every surrogate kind.
 func ResumeSession(p *Problem, task map[string]interface{}, proposer Proposer, opts SessionOptions, checkpoint []byte) (*Session, error) {
 	var cp sessionCheckpoint
 	if err := json.Unmarshal(checkpoint, &cp); err != nil {
 		return nil, fmt.Errorf("core: bad session checkpoint: %w", err)
 	}
-	if cp.Version != 1 && cp.Version != sessionCheckpointVersion {
+	if cp.Version != sessionCheckpointVersion {
 		return nil, fmt.Errorf("core: unsupported checkpoint version %d", cp.Version)
 	}
 	if err := validateSessionProblem(p); err != nil {
@@ -431,14 +376,6 @@ func ResumeSession(p *Problem, task map[string]interface{}, proposer Proposer, o
 		return nil, fmt.Errorf("core: checkpoint iter %d does not match %d samples", cp.Iter, len(cp.Samples))
 	}
 	s.iter = cp.Iter
-	if cp.Version == 1 && cp.Pending != nil {
-		// A v1 checkpoint's single outstanding proposal becomes a
-		// one-entry ledger.
-		cp.Ledger = []checkpointPending{{ID: 1, U: cp.Pending, Lie: lieValue(s.h)}}
-		if cp.NextProposalID == 0 {
-			cp.NextProposalID = 2
-		}
-	}
 	var maxID uint64
 	for i, pe := range cp.Ledger {
 		if pe.ID == 0 || pe.ID <= maxID {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -247,6 +248,10 @@ func TestResumeSessionRejectsMismatches(t *testing.T) {
 	wrong := &GPTuner{Acquisition: EI{}, MinSamples: 2, label: "Other"}
 	if _, err := ResumeSession(p, nil, wrong, SessionOptions{}, cp); err == nil {
 		t.Fatal("proposer mismatch accepted")
+	}
+	v1 := bytes.Replace(cp, []byte(`"version":2`), []byte(`"version":1`), 1)
+	if _, err := ResumeSession(p, nil, NewGPTuner(), SessionOptions{}, v1); err == nil {
+		t.Fatal("version-1 checkpoint accepted")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -34,12 +33,6 @@ type Config struct {
 	// MaxRememberedBatches bounds the idempotency cache of completed
 	// upload batch ids (oldest completed entries are evicted first).
 	MaxRememberedBatches int
-	// Logger receives one line per served request:
-	// "method path status bytes duration". nil disables request logging.
-	//
-	// Deprecated: prefer Slog; Logger is kept for compatibility and
-	// still receives the same lines when set.
-	Logger *log.Logger
 	// Slog receives one structured record per served request (method,
 	// path, status, bytes, duration, trace). nil disables structured
 	// request logging.
@@ -317,10 +310,6 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		s.slog.InfoContext(r.Context(), "request",
 			"method", r.Method, "path", r.URL.Path, "status", rec.status,
 			"bytes", rec.bytes, "dur", dur.Round(time.Microsecond))
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Printf("%s %s status=%d bytes=%d dur=%s",
-				r.Method, r.URL.Path, rec.status, rec.bytes, dur.Round(time.Microsecond))
-		}
 	})
 }
 

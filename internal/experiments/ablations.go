@@ -46,23 +46,19 @@ func AblationAcquisition(sc Scale) (*FigureResult, error) {
 	app := scalapack.New(machine.CoriHaswell(8))
 	p := app.Problem()
 	task := map[string]interface{}{"m": 10000, "n": 10000}
-	budget := sc.Budget
-	repeats := sc.Repeats
-	res := &FigureResult{ID: "ablation-acquisition", Title: "acquisition function on PDGEQRF (NoTLA)", Budget: budget}
+	spec := CompareSpec{Problem: p, Task: task, Budget: sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search}
+	res := &FigureResult{ID: "ablation-acquisition", Title: "acquisition function on PDGEQRF (NoTLA)", Budget: sc.Budget}
 	for _, acq := range []core.Acquisition{core.EI{}, core.LCB{}, core.PI{}} {
-		trajectories := make([][]float64, 0, repeats)
-		for r := 0; r < repeats; r++ {
+		acq := acq
+		s, err := runSeries(acq.Name(), spec, func() (core.Proposer, error) {
 			tuner := core.NewGPTuner()
 			tuner.Acquisition = acq
-			h, err := core.RunLoop(p, task, tuner, core.LoopOptions{
-				Budget: budget, Seed: sc.Seed + int64(r)*7919, Search: sc.Search,
-			})
-			if err != nil {
-				return nil, err
-			}
-			trajectories = append(trajectories, h.BestSoFar())
+			return tuner, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		res.Series = append(res.Series, aggregate(acq.Name(), trajectories, budget))
+		res.Series = append(res.Series, s)
 	}
 	return res, nil
 }
@@ -75,26 +71,19 @@ func AblationSourceCap(sc Scale) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	task := map[string]interface{}{"t": 1.0}
+	spec := CompareSpec{Problem: p, Task: map[string]interface{}{"t": 1.0}, Budget: sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search}
 	res := &FigureResult{ID: "ablation-sourcecap", Title: "Multitask(TS) source-sample cap", Budget: sc.Budget}
-	caps := []int{10, 25, 50, 100}
-	for _, c := range caps {
-		if c > src.Len() {
-			c = src.Len()
-		}
-		trajectories := make([][]float64, 0, sc.Repeats)
-		for r := 0; r < sc.Repeats; r++ {
+	for _, c := range []int{10, 25, 50, 100} {
+		c := min(c, src.Len())
+		s, err := runSeries(fmt.Sprintf("cap=%d", c), spec, func() (core.Proposer, error) {
 			prop := tla.NewMultitaskTS([]*tla.Source{src})
 			prop.MaxSourceSamples = c
-			h, err := core.RunLoop(p, task, prop, core.LoopOptions{
-				Budget: sc.Budget, Seed: sc.Seed + int64(r)*7919, Search: sc.Search,
-			})
-			if err != nil {
-				return nil, err
-			}
-			trajectories = append(trajectories, h.BestSoFar())
+			return prop, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		res.Series = append(res.Series, aggregate(fmt.Sprintf("cap=%d", c), trajectories, sc.Budget))
+		res.Series = append(res.Series, s)
 	}
 	return res, nil
 }
@@ -144,7 +133,7 @@ func AblationRobustEval(sc Scale) (*FigureResult, error) {
 					Evaluator:  &variability.RobustEvaluator{Inner: p.Evaluator, Repeats: v.repeats, CVLimit: 1e9},
 				}
 			}
-			h, err := core.RunLoop(p, task, core.NewGPTuner(), core.LoopOptions{
+			h, err := core.RunLoop(p, task, core.NewGPTuner(), core.SessionOptions{
 				Budget: budgetRuns / v.repeats, Seed: sc.Seed + int64(r)*7919, Search: sc.Search,
 			})
 			if err != nil {

@@ -88,7 +88,7 @@ func (f *FigureResult) BestAt(name string, n int) float64 {
 type CompareSpec struct {
 	Problem    *core.Problem
 	Task       map[string]interface{}
-	Algorithms []string // names resolved by NewProposer
+	Algorithms []string // names resolved by tla.NewProposer
 	// Sources for the TLA algorithms (ignored by NoTLA).
 	Sources          []*tla.Source
 	MaxSourceSamples int
@@ -96,60 +96,6 @@ type CompareSpec struct {
 	Repeats          int
 	Seed             int64
 	Search           core.SearchOptions
-}
-
-// NewProposer builds a fresh proposer instance (proposers are stateful
-// within a run, so every repeat needs its own).
-func NewProposer(name string, sources []*tla.Source, maxSourceSamples int) (core.Proposer, error) {
-	switch name {
-	case "NoTLA":
-		return core.NewGPTuner(), nil
-	case "Multitask(PS)":
-		return tla.NewMultitaskPS(sources), nil
-	case "Multitask(TS)":
-		p := tla.NewMultitaskTS(sources)
-		if maxSourceSamples > 0 {
-			p.MaxSourceSamples = maxSourceSamples
-		}
-		return p, nil
-	case "WeightedSum(equal)":
-		return tla.NewWeightedSumEqual(sources), nil
-	case "WeightedSum(dynamic)":
-		return tla.NewWeightedSumDynamic(sources), nil
-	case "Stacking":
-		return tla.NewStacking(sources), nil
-	case "Ensemble(proposed)", "Ensemble(toggling)", "Ensemble(prob)":
-		mode := tla.EnsembleProposed
-		switch name {
-		case "Ensemble(toggling)":
-			mode = tla.EnsembleToggling
-		case "Ensemble(prob)":
-			mode = tla.EnsembleProb
-		}
-		e := tla.NewEnsemble(sources, mode)
-		if maxSourceSamples > 0 {
-			for _, p := range e.Pool {
-				if mt, ok := p.(*tla.MultitaskTS); ok {
-					mt.MaxSourceSamples = maxSourceSamples
-				}
-			}
-		}
-		return e, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown algorithm %q", name)
-}
-
-// DefaultTuners is the nine-tuner lineup of Fig. 3.
-var DefaultTuners = []string{
-	"NoTLA",
-	"Multitask(PS)",
-	"Multitask(TS)",
-	"WeightedSum(equal)",
-	"WeightedSum(dynamic)",
-	"Stacking",
-	"Ensemble(proposed)",
-	"Ensemble(toggling)",
-	"Ensemble(prob)",
 }
 
 // CaseStudyTuners is the lineup used in the real-application figures.
@@ -170,26 +116,39 @@ func RunCompare(spec CompareSpec) (*FigureResult, error) {
 	}
 	res := &FigureResult{Budget: spec.Budget}
 	for _, alg := range spec.Algorithms {
-		trajectories := make([][]float64, 0, spec.Repeats)
-		for r := 0; r < spec.Repeats; r++ {
-			prop, err := NewProposer(alg, spec.Sources, spec.MaxSourceSamples)
-			if err != nil {
-				return nil, err
-			}
-			seed := spec.Seed + int64(r)*7919
-			h, err := core.RunLoop(spec.Problem, spec.Task, prop, core.LoopOptions{
-				Budget: spec.Budget,
-				Seed:   seed,
-				Search: spec.Search,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s repeat %d: %w", alg, r, err)
-			}
-			trajectories = append(trajectories, h.BestSoFar())
+		alg := alg
+		s, err := runSeries(alg, spec, func() (core.Proposer, error) {
+			return tla.NewProposer(alg, spec.Sources, spec.MaxSourceSamples)
+		})
+		if err != nil {
+			return nil, err
 		}
-		res.Series = append(res.Series, aggregate(alg, trajectories, spec.Budget))
+		res.Series = append(res.Series, s)
 	}
 	return res, nil
+}
+
+// runSeries runs one tuner spec.Repeats times on spec's problem, budget
+// and seeds and aggregates the best-so-far trajectories under name.
+// newProposer is called per repeat: proposers carry per-run state.
+func runSeries(name string, spec CompareSpec, newProposer func() (core.Proposer, error)) (Series, error) {
+	trajectories := make([][]float64, 0, spec.Repeats)
+	for r := 0; r < spec.Repeats; r++ {
+		prop, err := newProposer()
+		if err != nil {
+			return Series{}, err
+		}
+		h, err := core.RunLoop(spec.Problem, spec.Task, prop, core.SessionOptions{
+			Budget: spec.Budget,
+			Seed:   spec.Seed + int64(r)*7919,
+			Search: spec.Search,
+		})
+		if err != nil {
+			return Series{}, fmt.Errorf("experiments: %s repeat %d: %w", name, r, err)
+		}
+		trajectories = append(trajectories, h.BestSoFar())
+	}
+	return aggregate(name, trajectories, spec.Budget), nil
 }
 
 // aggregate averages trajectories; an evaluation where any repeat is

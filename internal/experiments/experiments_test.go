@@ -81,7 +81,7 @@ func TestFig3Variants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fig3%s: %v", v, err)
 		}
-		if len(res.Series) != len(DefaultTuners) {
+		if len(res.Series) != len(tla.Algorithms()) {
 			t.Fatalf("fig3%s: %d series", v, len(res.Series))
 		}
 		var sb strings.Builder
@@ -100,7 +100,7 @@ func TestFig4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != "fig4a" || len(res.Series) != len(DefaultTuners) {
+	if res.ID != "fig4a" || len(res.Series) != len(tla.Algorithms()) {
 		t.Fatalf("res = %s with %d series", res.ID, len(res.Series))
 	}
 	if _, err := Fig4("q", tiny); err == nil {

@@ -74,7 +74,7 @@ func Fig3(variant string, sc Scale) (*FigureResult, error) {
 		}
 		res, err := RunCompare(CompareSpec{
 			Problem: p, Task: target,
-			Algorithms:       DefaultTuners,
+			Algorithms:       tla.Algorithms(),
 			Sources:          []*tla.Source{src},
 			MaxSourceSamples: sc.MaxSourceSamples,
 			Budget:           sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search,
@@ -107,7 +107,7 @@ func Fig3(variant string, sc Scale) (*FigureResult, error) {
 		}
 		res, err := RunCompare(CompareSpec{
 			Problem: p, Task: target,
-			Algorithms:       DefaultTuners,
+			Algorithms:       tla.Algorithms(),
 			Sources:          sources,
 			MaxSourceSamples: sc.MaxSourceSamples,
 			Budget:           sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search,
@@ -152,7 +152,7 @@ func Fig4(variant string, sc Scale) (*FigureResult, error) {
 	repeats := min(sc.Repeats, 3)
 	res, err := RunCompare(CompareSpec{
 		Problem: p, Task: map[string]interface{}{"m": 12000, "n": 12000},
-		Algorithms:       DefaultTuners,
+		Algorithms:       tla.Algorithms(),
 		Sources:          sources,
 		MaxSourceSamples: sc.MaxSourceSamples,
 		Budget:           budget, Repeats: repeats, Seed: sc.Seed, Search: sc.Search,
@@ -358,34 +358,19 @@ func Fig7(sc Scale) (*FigureResult, error) {
 // compareSpaces runs NoTLA tuning on the original and reduced problems
 // and merges the two series into one figure.
 func compareSpaces(id, title string, original, reduced *core.Problem, task map[string]interface{}, sc Scale, maxRepeats int) (*FigureResult, error) {
-	budget := min(sc.Budget, 20)
-	repeats := min(sc.Repeats, maxRepeats)
-	full, err := RunCompare(CompareSpec{
-		Problem: original, Task: task,
-		Algorithms: []string{"NoTLA"},
-		Budget:     budget, Repeats: repeats, Seed: sc.Seed, Search: sc.Search,
-	})
-	if err != nil {
-		return nil, err
+	res := &FigureResult{ID: id, Title: title, Budget: min(sc.Budget, 20)}
+	for _, v := range []struct {
+		name string
+		p    *core.Problem
+	}{{"original space", original}, {"reduced space", reduced}} {
+		s, err := runSeries(v.name, CompareSpec{
+			Problem: v.p, Task: task,
+			Budget: res.Budget, Repeats: min(sc.Repeats, maxRepeats), Seed: sc.Seed, Search: sc.Search,
+		}, func() (core.Proposer, error) { return core.NewGPTuner(), nil })
+		if err != nil {
+			return nil, err
+		}
+		res.Series = append(res.Series, s)
 	}
-	red, err := RunCompare(CompareSpec{
-		Problem: reduced, Task: task,
-		Algorithms: []string{"NoTLA"},
-		Budget:     budget, Repeats: repeats, Seed: sc.Seed, Search: sc.Search,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{ID: id, Title: title, Budget: budget}
-	full.Series[0].Name = "original space"
-	red.Series[0].Name = "reduced space"
-	res.Series = []Series{full.Series[0], red.Series[0]}
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

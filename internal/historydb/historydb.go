@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -282,26 +281,6 @@ func (c *Collection) ReadJSONL(r io.Reader) error {
 		c.nextID = watermark
 	}
 	return nil
-}
-
-// SaveFile persists the collection to path.
-func (c *Collection) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.WriteJSONL(f)
-}
-
-// LoadFile loads the collection from path.
-func (c *Collection) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.ReadJSONL(f)
 }
 
 // Store is a set of named collections. Each collection carries its own

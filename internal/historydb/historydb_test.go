@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -147,24 +145,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	id, _ := c2.Insert(Document{"new": true})
 	if c2.Count(Eq("_id", id)) != 1 {
 		t.Fatal("new id after reload not unique")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	c := sampleDocs(t)
-	path := filepath.Join(t.TempDir(), "db.jsonl")
-	if err := c.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCollection("copy")
-	if err := c2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 4 {
-		t.Fatalf("loaded %d docs", c2.Len())
-	}
-	if err := c2.LoadFile(filepath.Join(t.TempDir(), "missing.jsonl")); !os.IsNotExist(err) {
-		t.Fatalf("expected not-exist error, got %v", err)
 	}
 }
 

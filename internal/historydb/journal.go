@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"gptunecrowd/internal/replog"
 )
@@ -192,32 +191,15 @@ func (c *Collection) CompactLog() error {
 }
 
 // OpenLog opens the collection's replicated log at dir and loads the
-// collection from it. When the log is empty and legacyPath names a
-// pre-replog JSONL file (the SaveFile format), that file is absorbed as
-// the log's base snapshot first — old on-disk databases keep loading,
-// and their state becomes replicable. The returned log is bound to the
-// collection; the caller closes it on shutdown.
-func (c *Collection) OpenLog(dir, legacyPath string, opts replog.Options) (*replog.Log, error) {
+// collection from it. The returned log is bound to the collection; the
+// caller closes it on shutdown.
+func (c *Collection) OpenLog(dir string, opts replog.Options) (*replog.Log, error) {
 	if opts.Name == "" {
 		opts.Name = c.name
 	}
 	lg, err := replog.Open(dir, opts)
 	if err != nil {
 		return nil, err
-	}
-	if !lg.HasState() && legacyPath != "" {
-		f, err := os.Open(legacyPath)
-		if err == nil {
-			berr := lg.Bootstrap(f)
-			f.Close()
-			if berr != nil {
-				lg.Close()
-				return nil, fmt.Errorf("historydb: bootstrap %s from %s: %w", c.name, legacyPath, berr)
-			}
-		} else if !os.IsNotExist(err) {
-			lg.Close()
-			return nil, err
-		}
 	}
 	if err := c.ReplayLog(lg); err != nil {
 		lg.Close()

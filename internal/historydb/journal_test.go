@@ -2,7 +2,6 @@ package historydb
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -24,7 +23,7 @@ func snapshotBytes(t *testing.T, c *Collection) []byte {
 func TestJournalReplayMatchesLive(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "evals-log")
 	live := NewCollection("func_evals")
-	lg, err := live.OpenLog(dir, "", replog.Options{})
+	lg, err := live.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestJournalReplayMatchesLive(t *testing.T) {
 	lg.Close()
 
 	restored := NewCollection("func_evals")
-	lg2, err := restored.OpenLog(dir, "", replog.Options{})
+	lg2, err := restored.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestJournalReplayMatchesLive(t *testing.T) {
 // byte-identical convergence.
 func TestJournalFollowerApply(t *testing.T) {
 	leader := NewCollection("c")
-	lg, err := leader.OpenLog("", "", replog.Options{}) // memory-only
+	lg, err := leader.OpenLog("", replog.Options{}) // memory-only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func TestJournalFollowerApply(t *testing.T) {
 func TestJournalCompaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log")
 	c := NewCollection("c")
-	lg, err := c.OpenLog(dir, "", replog.Options{})
+	lg, err := c.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,60 +135,13 @@ func TestJournalCompaction(t *testing.T) {
 	lg.Close()
 
 	r := NewCollection("c")
-	lg2, err := r.OpenLog(dir, "", replog.Options{})
+	lg2, err := r.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lg2.Close()
 	if !bytes.Equal(snapshotBytes(t, c), snapshotBytes(t, r)) {
 		t.Fatal("post-compaction replay differs")
-	}
-}
-
-// TestJournalBootstrapsLegacyFile proves old SaveFile databases keep
-// loading: the legacy JSONL becomes the log's base snapshot and the
-// legacy file is never written again.
-func TestJournalBootstrapsLegacyFile(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "func_evals.jsonl")
-
-	old := NewCollection("func_evals")
-	for i := 0; i < 5; i++ {
-		if _, err := old.Insert(Document{"i": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := old.SaveFile(legacy); err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewCollection("func_evals")
-	lg, err := c.OpenLog(filepath.Join(dir, "log"), legacy, replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapshotBytes(t, old), snapshotBytes(t, c)) {
-		t.Fatal("bootstrap lost legacy documents")
-	}
-	before, _ := os.ReadFile(legacy)
-	if id, err := c.Insert(Document{"i": 5}); err != nil || id != "6" {
-		t.Fatalf("insert after bootstrap: id=%s err=%v", id, err)
-	}
-	after, _ := os.ReadFile(legacy)
-	if !bytes.Equal(before, after) {
-		t.Fatal("legacy file mutated after migration")
-	}
-	lg.Close()
-
-	// Restart replays from the log alone (legacy file now stale).
-	r := NewCollection("func_evals")
-	lg2, err := r.OpenLog(filepath.Join(dir, "log"), legacy, replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lg2.Close()
-	if r.Len() != 6 {
-		t.Fatalf("restart has %d docs, want 6", r.Len())
 	}
 }
 
@@ -210,7 +162,7 @@ func TestJournalUnknownOpRejected(t *testing.T) {
 func TestCompactionPreservesIDWatermark(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wm-log")
 	live := NewCollection("c")
-	lg, err := live.OpenLog(dir, "", replog.Options{})
+	lg, err := live.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +187,7 @@ func TestCompactionPreservesIDWatermark(t *testing.T) {
 	lg.Close()
 
 	restored := NewCollection("c")
-	lg2, err := restored.OpenLog(dir, "", replog.Options{})
+	lg2, err := restored.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

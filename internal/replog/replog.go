@@ -680,44 +680,6 @@ func (l *Log) Reset(index uint64, snapshot io.Reader) error {
 	return nil
 }
 
-// Bootstrap seeds an empty log with a base snapshot at index 0 — the
-// migration path for legacy single-file WALs: the old file's contents
-// become the pre-log state and the log starts at index 1. It is a no-op
-// error on a non-empty log.
-func (l *Log) Bootstrap(snapshot io.Reader) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.last != 0 || l.snapIndex != 0 || len(l.recs) != 0 {
-		return fmt.Errorf("%s: bootstrap on a non-empty log", l.opts.name())
-	}
-	if l.dir == "" {
-		_, err := io.Copy(io.Discard, snapshot)
-		return err
-	}
-	return l.writeSnapshotLocked(0, func(w io.Writer) error {
-		_, err := io.Copy(w, snapshot)
-		return err
-	})
-}
-
-// HasState reports whether the log carries any state to replay (a
-// snapshot or at least one entry).
-func (l *Log) HasState() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.last != 0 || len(l.recs) != 0 {
-		return true
-	}
-	if l.dir == "" {
-		return false
-	}
-	_, err := os.Stat(filepath.Join(l.dir, snapName(l.snapIndex)))
-	return err == nil
-}
-
 // writeSnapshotLocked writes the snapshot stream crash-safely: temp
 // file in the same directory, fsync, atomic rename, directory fsync.
 func (l *Log) writeSnapshotLocked(index uint64, write func(io.Writer) error) error {

@@ -352,58 +352,6 @@ func TestKillDuringCompaction(t *testing.T) {
 	})
 }
 
-func TestLegacyFileBootstrap(t *testing.T) {
-	// A legacy single-file JSONL WAL (no framing) becomes the seed
-	// snapshot of a fresh log and new entries continue from index 1.
-	legacy := "{\"op\":\"task\",\"task\":{\"id\":\"t1\"}}\n{\"op\":\"counters\",\"counters\":{\"submitted\":1}}\n"
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.HasState() {
-		t.Fatal("fresh log reports state")
-	}
-	if err := l.Bootstrap(strings.NewReader(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	if !l.HasState() {
-		t.Fatal("bootstrapped log reports no state")
-	}
-	mustAppend(t, l, `{"op":"task","task":{"id":"t2"}}`)
-	l.Close()
-
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var restored string
-	var applied []string
-	err = l2.Replay(
-		func(r io.Reader) error {
-			b, _ := io.ReadAll(r)
-			restored = string(b)
-			return nil
-		},
-		func(rec Record) error {
-			applied = append(applied, string(rec.Payload))
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != legacy {
-		t.Fatalf("restored snapshot = %q, want the legacy bytes", restored)
-	}
-	if len(applied) != 1 || applied[0] != `{"op":"task","task":{"id":"t2"}}` {
-		t.Fatalf("applied = %v", applied)
-	}
-	if err := l2.Bootstrap(strings.NewReader(legacy)); err == nil {
-		t.Fatal("Bootstrap on non-empty log succeeded")
-	}
-}
-
 func TestParseRecordsLegacyLines(t *testing.T) {
 	stream := "{\"a\":1}\n{\"a\":2}\n"
 	recs, err := ParseRecords(strings.NewReader(stream), 7, true)

@@ -46,7 +46,7 @@ type Pool struct {
 	lastArm  int
 	prevBest float64 // incumbent at the previous proposal (NaN = none)
 
-	pendingState []byte // RestoreState before lazy build
+	pending *poolState // RestoreState before lazy build
 
 	selected    []*obs.Counter
 	fitSeconds  []*obs.Histogram
@@ -112,11 +112,8 @@ func (p *Pool) ensureBuilt(dim int, categorical []bool) error {
 		arms = append(arms, bandit.Arm{Name: s.Name(), Cost: s.Cost})
 	}
 	p.sel = bandit.NewSelector(arms, p.cfg.Selector)
-	if p.pendingState != nil {
-		if err := p.sel.Restore(p.pendingState); err != nil {
-			return err
-		}
-		p.pendingState = nil
+	if err := p.applyPending(); err != nil {
+		return err
 	}
 	if reg := p.cfg.Metrics; reg != nil {
 		for _, name := range p.names {
@@ -248,11 +245,13 @@ func proposeWith(ctx *core.ProposeContext, surr core.Surrogate, onFit func(time.
 	return u, nil
 }
 
-// poolState is the Pool's checkpoint payload.
+// poolState is the Pool's checkpoint payload. Arms holds the private
+// state of the stateful arms (the LCM's source subsample) by arm name.
 type poolState struct {
-	Selector json.RawMessage `json:"selector,omitempty"`
-	LastArm  int             `json:"last_arm"`
-	PrevBest *float64        `json:"prev_best,omitempty"`
+	Selector json.RawMessage            `json:"selector,omitempty"`
+	LastArm  int                        `json:"last_arm"`
+	PrevBest *float64                   `json:"prev_best,omitempty"`
+	Arms     map[string]json.RawMessage `json:"arms,omitempty"`
 }
 
 // StateCheckpoint implements core.StatefulProposer.
@@ -262,20 +261,34 @@ func (p *Pool) StateCheckpoint() ([]byte, error) {
 		v := p.prevBest
 		st.PrevBest = &v
 	}
-	if p.sel != nil {
-		snap, err := p.sel.Snapshot()
-		if err != nil {
-			return nil, err
+	if p.sel == nil {
+		if p.pending != nil {
+			st.Selector, st.Arms = p.pending.Selector, p.pending.Arms
 		}
-		st.Selector = snap
-	} else if p.pendingState != nil {
-		st.Selector = p.pendingState
+		return json.Marshal(st)
+	}
+	snap, err := p.sel.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	st.Selector = snap
+	for i, arm := range p.arms {
+		if sa, ok := arm.(stateful); ok {
+			raw, err := sa.StateCheckpoint()
+			if err != nil {
+				return nil, fmt.Errorf("surrogate: arm %s state: %w", p.names[i], err)
+			}
+			if st.Arms == nil {
+				st.Arms = map[string]json.RawMessage{}
+			}
+			st.Arms[p.names[i]] = raw
+		}
 	}
 	return json.Marshal(st)
 }
 
-// RestoreState implements core.StatefulProposer. The selector portion
-// is applied lazily if the arm set has not been built yet.
+// RestoreState implements core.StatefulProposer. The selector and arm
+// portions are applied lazily if the arm set has not been built yet.
 func (p *Pool) RestoreState(data []byte) error {
 	var st poolState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -286,11 +299,34 @@ func (p *Pool) RestoreState(data []byte) error {
 	if st.PrevBest != nil {
 		p.prevBest = *st.PrevBest
 	}
+	p.pending = &st
+	if p.sel != nil {
+		return p.applyPending()
+	}
+	return nil
+}
+
+// applyPending hands a restored checkpoint's selector and arm state to
+// the built arm set.
+func (p *Pool) applyPending() error {
+	st := p.pending
+	p.pending = nil
+	if st == nil {
+		return nil
+	}
 	if len(st.Selector) > 0 {
-		if p.sel != nil {
-			return p.sel.Restore(st.Selector)
+		if err := p.sel.Restore(st.Selector); err != nil {
+			return err
 		}
-		p.pendingState = append([]byte(nil), st.Selector...)
+	}
+	for i, arm := range p.arms {
+		if raw, ok := st.Arms[p.names[i]]; ok {
+			if sa, ok := arm.(stateful); ok {
+				if err := sa.RestoreState(raw); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -300,9 +336,10 @@ func (p *Pool) RestoreState(data []byte) error {
 // and maximizes EI over it, with the same warmup and degradation
 // behavior as the pool.
 type Fixed struct {
-	cfg  PoolConfig
-	kind string
-	surr core.Surrogate
+	cfg     PoolConfig
+	kind    string
+	surr    core.Surrogate
+	pending []byte // RestoreState before lazy build
 }
 
 // NewFixed returns a proposer that always uses the given surrogate
@@ -335,7 +372,12 @@ func (f *Fixed) Propose(ctx *core.ProposeContext) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.surr = s
+		if sa, ok := s.(stateful); ok && f.pending != nil {
+			if err := sa.RestoreState(f.pending); err != nil {
+				return nil, err
+			}
+		}
+		f.surr, f.pending = s, nil
 	}
 	X, _, info := ctx.History.RobustXY(core.RobustOptions{})
 	ctx.NoteRobustIngestion(info)
@@ -343,6 +385,23 @@ func (f *Fixed) Propose(ctx *core.ProposeContext) ([]float64, error) {
 		return ctx.RandomFeasible(), nil
 	}
 	return proposeWith(ctx, f.surr, nil, nil, f.Name())
+}
+
+// StateCheckpoint implements core.StatefulProposer with the state of
+// the surrogate, when its kind has any.
+func (f *Fixed) StateCheckpoint() ([]byte, error) {
+	if sa, ok := f.surr.(stateful); ok {
+		return sa.StateCheckpoint()
+	}
+	return f.pending, nil
+}
+
+// RestoreState implements core.StatefulProposer; the state is applied
+// when the next Propose (re)builds the surrogate, which refits from the
+// history on every proposal anyway.
+func (f *Fixed) RestoreState(data []byte) error {
+	f.surr, f.pending = nil, append([]byte(nil), data...)
+	return nil
 }
 
 // NewProposer builds the proposer for a TuneOptions.Surrogate value:
@@ -360,5 +419,5 @@ func NewProposer(kind string, cfg PoolConfig) (core.Proposer, error) {
 var (
 	_ core.Proposer         = (*Pool)(nil)
 	_ core.StatefulProposer = (*Pool)(nil)
-	_ core.Proposer         = (*Fixed)(nil)
+	_ core.StatefulProposer = (*Fixed)(nil)
 )

@@ -13,6 +13,7 @@
 package surrogate
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -68,6 +69,14 @@ func (c *Config) defaults() {
 	if c.MaxSourceSamples <= 0 {
 		c.MaxSourceSamples = 60
 	}
+}
+
+// stateful is implemented by surrogates with private state that is not
+// a function of the history and the RNG stream; the proposers nest it
+// in their own core.StatefulProposer checkpoints.
+type stateful interface {
+	StateCheckpoint() ([]byte, error)
+	RestoreState(data []byte) error
 }
 
 // seedSetter is implemented by surrogates whose Fit consumes
@@ -171,7 +180,7 @@ func (g *GPSurrogate) PredictBatchInto(X [][]float64, means, stds []float64, wor
 type LCMSurrogate struct {
 	cfg   Config
 	seed  int64
-	sub   []*tla.Source
+	sub   *tla.CappedSources
 	model *lcm.Model
 	tx    [][]float64
 	ty    []float64
@@ -206,16 +215,12 @@ func (l *LCMSurrogate) Fit(X [][]float64, Y []float64) error {
 	if l.sub == nil {
 		// Deterministic subsample: seeded from the first fit's seed and
 		// cached, so later refits see the same source rows.
-		rng := newSubsampleRng(l.seed)
-		l.sub = make([]*tla.Source, len(l.cfg.Sources))
-		for i, s := range l.cfg.Sources {
-			l.sub[i] = s.Subsample(l.cfg.MaxSourceSamples, rng)
-		}
+		l.sub = tla.CapSources(l.cfg.Sources, l.cfg.MaxSourceSamples, rand.New(rand.NewSource(l.seed)))
 	}
-	nTasks := len(l.sub) + 1
+	nTasks := len(l.cfg.Sources) + 1
 	tasksX := make([][][]float64, nTasks)
 	tasksY := make([][]float64, nTasks)
-	for i, s := range l.sub {
+	for i, s := range l.sub.Views {
 		tasksX[i] = s.X
 		tasksY[i] = s.Y
 	}
@@ -236,6 +241,16 @@ func (l *LCMSurrogate) Fit(X [][]float64, Y []float64) error {
 	return nil
 }
 
+// StateCheckpoint serializes the source subsample: it depends on which
+// fit came first in the run, so a resumed run cannot redraw it.
+func (l *LCMSurrogate) StateCheckpoint() ([]byte, error) { return json.Marshal(l.sub) }
+
+// RestoreState restores a subsample serialized by StateCheckpoint.
+func (l *LCMSurrogate) RestoreState(data []byte) (err error) {
+	l.sub, err = tla.RestoreCappedSources(l.cfg.Sources, data)
+	return err
+}
+
 // Observe appends the evaluation to the target task and refits.
 func (l *LCMSurrogate) Observe(x []float64, y float64) error {
 	if l.model == nil {
@@ -252,7 +267,7 @@ func (l *LCMSurrogate) Predict(x []float64) (float64, float64) {
 	if l.model == nil {
 		return 0, 1
 	}
-	mean, std, err := l.model.Predict(len(l.sub), x)
+	mean, std, err := l.model.Predict(len(l.cfg.Sources), x)
 	if err != nil {
 		return math.Inf(1), 0
 	}
@@ -344,8 +359,6 @@ func (s *SGPSurrogate) PredictBatchInto(X [][]float64, means, stds []float64, wo
 	}
 	s.model.PredictBatchInto(X, means, stds, workers)
 }
-
-func newSubsampleRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 var (
 	_ core.Surrogate = (*GPSurrogate)(nil)

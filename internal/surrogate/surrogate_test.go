@@ -25,7 +25,7 @@ func demoSetup(t *testing.T, nSrc int, seed int64) (*core.Problem, map[string]in
 
 func runProposer(t *testing.T, p *core.Problem, task map[string]interface{}, prop core.Proposer, budget int, seed int64) *core.History {
 	t.Helper()
-	h, err := core.RunLoop(p, task, prop, core.LoopOptions{Budget: budget, Seed: seed,
+	h, err := core.RunLoop(p, task, prop, core.SessionOptions{Budget: budget, Seed: seed,
 		Search: core.SearchOptions{Candidates: 128, DEGens: 15}})
 	if err != nil {
 		t.Fatalf("%s: %v", prop.Name(), err)

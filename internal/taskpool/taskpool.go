@@ -15,12 +15,11 @@
 // worker took over) are rejected.
 //
 // Persistence follows historydb's JSONL style: every mutation appends
-// one JSON record to an attached write-ahead log, and a snapshot is the
-// same record stream compacted to one record per task, so loading a
-// snapshot and replaying a WAL are the same operation. Durable pools
-// sit on an internal/replog segmented log (OpenLog/BindLog), which adds
-// compaction, crash safety and leader→follower replication; legacy
-// single-file WALs are absorbed as the log's base snapshot.
+// its JSON records to a bound internal/replog segmented log
+// (OpenLog/BindLog), and a snapshot is the same record stream compacted
+// to one record per task, so loading a snapshot and replaying the log
+// are the same operation. The log adds compaction, crash safety and
+// leader→follower replication.
 package taskpool
 
 import (
@@ -29,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -313,7 +311,6 @@ type Pool struct {
 	nextID   int64
 	nextSeq  int64
 	counters Counters
-	wal      io.Writer
 	log      *replog.Log
 	walErr   error
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -24,23 +23,12 @@ type walRecord struct {
 }
 
 // logLocked appends the task's current state (and the counters) to the
-// attached WAL sink and/or replicated log. Called with p.mu held, so
-// records land in mutation order. The first write error sticks and
-// disables further writes.
+// bound replicated log. Called with p.mu held, so records land in
+// mutation order. The first write error sticks and disables further
+// writes.
 func (p *Pool) logLocked(t *Task) {
-	if p.walErr != nil {
-		return
-	}
-	if p.wal != nil {
-		if err := writeRecords(p.wal, t, &p.counters); err != nil {
-			p.walErr = err
-			return
-		}
-	}
-	if p.log != nil {
-		if err := p.appendLogLocked(t); err != nil {
-			p.walErr = err
-		}
+	if p.walErr == nil && p.log != nil {
+		p.walErr = p.appendLogLocked(t)
 	}
 }
 
@@ -79,17 +67,6 @@ func writeRecords(w io.Writer, t *Task, c *Counters) error {
 	return nil
 }
 
-// SetWAL attaches (or with nil detaches) a plain write-ahead sink:
-// every subsequent mutation appends its records to w. The caller owns w
-// and any buffering/syncing policy. Durable deployments should prefer
-// OpenLog/BindLog, which put the pool on a segmented replicated log.
-func (p *Pool) SetWAL(w io.Writer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.wal = w
-	p.walErr = nil
-}
-
 // BindLog attaches a replicated log: every subsequent mutation appends
 // its records as log entries (replicable to followers and compactable
 // in place). Pass nil to detach.
@@ -107,7 +84,7 @@ func (p *Pool) Log() *replog.Log {
 	return p.log
 }
 
-// WALError returns the first write error the attached WAL produced, if
+// WALError returns the first write error the bound log produced, if
 // any. Persistence failure does not block the pool; the operator is
 // expected to surface this.
 func (p *Pool) WALError() error {
@@ -216,8 +193,8 @@ func (p *Pool) ReadJSONL(r io.Reader) error {
 
 // ApplyLogRecord applies one replicated-log entry to the pool — the
 // follower path, and the incremental half of ReplayLog. Entries carry
-// the same walRecord payloads the legacy WAL used, so replaying a log
-// and reading a legacy file converge on the same state.
+// the same walRecord payloads a snapshot does, so replaying a log and
+// reading a snapshot converge on the same state.
 func (p *Pool) ApplyLogRecord(rec replog.Record) error {
 	var wr walRecord
 	if err := json.Unmarshal(rec.Payload, &wr); err != nil {
@@ -293,32 +270,15 @@ func (p *Pool) CompactLog() error {
 }
 
 // OpenLog opens the pool's replicated log at dir and loads the pool
-// from it. When the log is empty and legacyPath names a pre-replog
-// single-file WAL, that file is absorbed as the log's base snapshot
-// first — old on-disk pools keep loading, and their state becomes
-// replicable. The returned log is bound to the pool; the caller closes
-// it on shutdown.
-func (p *Pool) OpenLog(dir, legacyPath string, opts replog.Options) (*replog.Log, error) {
+// from it. The returned log is bound to the pool; the caller closes it
+// on shutdown.
+func (p *Pool) OpenLog(dir string, opts replog.Options) (*replog.Log, error) {
 	if opts.Name == "" {
 		opts.Name = "taskpool"
 	}
 	lg, err := replog.Open(dir, opts)
 	if err != nil {
 		return nil, err
-	}
-	if !lg.HasState() && legacyPath != "" {
-		f, err := os.Open(legacyPath)
-		if err == nil {
-			berr := lg.Bootstrap(f)
-			f.Close()
-			if berr != nil {
-				lg.Close()
-				return nil, fmt.Errorf("taskpool: bootstrap from %s: %w", legacyPath, berr)
-			}
-		} else if !os.IsNotExist(err) {
-			lg.Close()
-			return nil, err
-		}
 	}
 	if err := p.ReplayLog(lg); err != nil {
 		lg.Close()

@@ -3,7 +3,6 @@ package taskpool
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -53,11 +52,33 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// walStream binds the pool to a memory-only log and returns a reader of
+// every record appended since, one JSON line each.
+func walStream(t *testing.T, p *Pool) func() *bytes.Buffer {
+	t.Helper()
+	lg, err := p.OpenLog("", replog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lg.Close() })
+	return func() *bytes.Buffer {
+		recs, err := lg.Entries(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wal bytes.Buffer
+		for _, rec := range recs {
+			wal.Write(rec.Payload)
+			wal.WriteByte('\n')
+		}
+		return &wal
+	}
+}
+
 func TestWALReplayEqualsLiveState(t *testing.T) {
 	clk := newFakeClock()
 	p := testPool(clk, 30*time.Second, 3)
-	var wal bytes.Buffer
-	p.SetWAL(&wal)
+	wal := walStream(t, p)
 
 	for i := 0; i < 5; i++ {
 		mustSubmit(t, p, "alice", demoSpec(int64(i)))
@@ -74,7 +95,7 @@ func TestWALReplayEqualsLiveState(t *testing.T) {
 	}
 
 	q := New(Config{LeaseTTL: 30 * time.Second, MaxAttempts: 3, Now: clk.Now})
-	if err := q.ReadJSONL(&wal); err != nil {
+	if err := q.ReadJSONL(wal()); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if ps, qs := p.Stats(), q.Stats(); ps != qs {
@@ -138,7 +159,7 @@ func TestOpenLogAndCompact(t *testing.T) {
 	clk := newFakeClock()
 
 	p := testPool(clk, time.Minute, 3)
-	lg, err := p.OpenLog(dir, "", replog.Options{})
+	lg, err := p.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -153,7 +174,7 @@ func TestOpenLogAndCompact(t *testing.T) {
 
 	// Simulate restart: a fresh pool replays the log directory.
 	q := testPool(clk, time.Minute, 3)
-	lg2, err := q.OpenLog(dir, "", replog.Options{})
+	lg2, err := q.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -180,69 +201,13 @@ func TestOpenLogAndCompact(t *testing.T) {
 	lg2.Close()
 
 	r := testPool(clk, time.Minute, 3)
-	lg3, err := r.OpenLog(dir, "", replog.Options{})
+	lg3, err := r.OpenLog(dir, replog.Options{})
 	if err != nil {
 		t.Fatalf("open after compact: %v", err)
 	}
 	defer lg3.Close()
 	if r.Len() != 3 {
 		t.Fatalf("post-compact replay has %d tasks, want 3", r.Len())
-	}
-}
-
-// TestOpenLogBootstrapsLegacyWAL proves WAL-format read compatibility:
-// a pre-replog single-file pool WAL is absorbed as the log's base
-// snapshot, and later opens ignore the legacy file.
-func TestOpenLogBootstrapsLegacyWAL(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "taskpool.jsonl")
-	clk := newFakeClock()
-
-	// Produce a legacy WAL the old way: raw walRecord lines, including
-	// redundant intermediate states and a torn tail.
-	p := testPool(clk, time.Minute, 3)
-	var wal bytes.Buffer
-	p.SetWAL(&wal)
-	id := mustSubmit(t, p, "alice", demoSpec(1))
-	mustSubmit(t, p, "bob", demoSpec(2))
-	l, _ := p.Lease("w1", MachineConstraint{})
-	p.Complete(l.ID, l.LeaseToken, Result{BestY: 4.5})
-	wal.WriteString(`{"op":"task","task":{"id":"t9","st`) // crash mid-append
-	if err := os.WriteFile(legacy, wal.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	q := testPool(clk, time.Minute, 3)
-	lg, err := q.OpenLog(filepath.Join(dir, "tasklog"), legacy, replog.Options{})
-	if err != nil {
-		t.Fatalf("bootstrap open: %v", err)
-	}
-	got, ok := q.Get(id)
-	if !ok || got.State != StateCompleted || got.Result.BestY != 4.5 {
-		t.Fatalf("legacy state lost: %+v", got)
-	}
-	if ps, qs := p.Stats(), q.Stats(); ps != qs {
-		t.Fatalf("stats drift after bootstrap: %+v vs %+v", ps, qs)
-	}
-	// New mutations land in the log, not the legacy file.
-	before, _ := os.ReadFile(legacy)
-	mustSubmit(t, q, "carol", demoSpec(3))
-	after, _ := os.ReadFile(legacy)
-	if !bytes.Equal(before, after) {
-		t.Fatal("legacy WAL mutated after migration")
-	}
-	lg.Close()
-
-	// A restart replays from the log alone; the (stale) legacy file no
-	// longer wins even though it is still passed in.
-	r := testPool(clk, time.Minute, 3)
-	lg2, err := r.OpenLog(filepath.Join(dir, "tasklog"), legacy, replog.Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer lg2.Close()
-	if r.Len() != 3 {
-		t.Fatalf("restart after migration has %d tasks, want 3", r.Len())
 	}
 }
 
@@ -253,7 +218,7 @@ func TestOpenLogBootstrapsLegacyWAL(t *testing.T) {
 func TestApplyLogRecordFollowsLeader(t *testing.T) {
 	clk := newFakeClock()
 	leader := testPool(clk, 30*time.Second, 3)
-	lg, err := leader.OpenLog("", "", replog.Options{}) // memory-only log
+	lg, err := leader.OpenLog("", replog.Options{}) // memory-only log
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,12 +284,11 @@ func TestApplyLogRecordFollowsLeader(t *testing.T) {
 func TestWALRecordsAreValidJSONLines(t *testing.T) {
 	clk := newFakeClock()
 	p := testPool(clk, time.Minute, 3)
-	var wal bytes.Buffer
-	p.SetWAL(&wal)
+	wal := walStream(t, p)
 	mustSubmit(t, p, "alice", demoSpec(1))
 	l, _ := p.Lease("w", MachineConstraint{})
 	p.Complete(l.ID, l.LeaseToken, Result{})
-	for i, line := range strings.Split(strings.TrimSpace(wal.String()), "\n") {
+	for i, line := range strings.Split(strings.TrimSpace(wal().String()), "\n") {
 		if !json.Valid([]byte(line)) {
 			t.Fatalf("WAL line %d is not valid JSON: %q", i, line)
 		}

@@ -1,6 +1,7 @@
 package tla
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -165,6 +166,71 @@ func (e *Ensemble) Propose(ctx *core.ProposeContext) ([]float64, error) {
 	}
 	e.chosen = append(e.chosen, alg)
 	return u, nil
+}
+
+// ensembleState is the Ensemble's checkpoint payload: the selection
+// record Eq. 3 credits, plus the private state of stateful pool members
+// (absent for stateless ones). A best output of +Inf — no credited
+// success yet — is encoded as null.
+type ensembleState struct {
+	Chosen   []int             `json:"chosen,omitempty"`
+	BestOut  []*float64        `json:"best_out,omitempty"`
+	Credited int               `json:"credited,omitempty"`
+	Members  []json.RawMessage `json:"members"`
+}
+
+// StateCheckpoint implements core.StatefulProposer.
+func (e *Ensemble) StateCheckpoint() ([]byte, error) {
+	st := ensembleState{Chosen: e.chosen, Credited: e.credited, Members: make([]json.RawMessage, len(e.Pool))}
+	for i := range e.bestOut {
+		st.BestOut = append(st.BestOut, nil)
+		if v := e.bestOut[i]; !math.IsInf(v, 1) {
+			st.BestOut[i] = &v
+		}
+	}
+	for i, p := range e.Pool {
+		if sp, ok := p.(core.StatefulProposer); ok {
+			raw, err := sp.StateCheckpoint()
+			if err != nil {
+				return nil, fmt.Errorf("tla: ensemble member %s: %w", p.Name(), err)
+			}
+			st.Members[i] = raw
+		}
+	}
+	return json.Marshal(st)
+}
+
+// RestoreState implements core.StatefulProposer.
+func (e *Ensemble) RestoreState(data []byte) error {
+	var st ensembleState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("tla: ensemble state: %w", err)
+	}
+	if len(st.Members) != len(e.Pool) || (st.BestOut != nil && len(st.BestOut) != len(e.Pool)) ||
+		st.Credited < 0 || st.Credited > len(st.Chosen) {
+		return fmt.Errorf("tla: ensemble state does not fit a pool of %d", len(e.Pool))
+	}
+	for _, alg := range st.Chosen {
+		if alg < 0 || alg >= len(e.Pool) {
+			return fmt.Errorf("tla: ensemble state names pool member %d of %d", alg, len(e.Pool))
+		}
+	}
+	for i, raw := range st.Members {
+		if sp, ok := e.Pool[i].(core.StatefulProposer); ok {
+			if err := sp.RestoreState(raw); err != nil {
+				return err
+			}
+		}
+	}
+	e.chosen, e.credited, e.bestOut = st.Chosen, st.Credited, nil
+	for _, v := range st.BestOut {
+		if v == nil {
+			e.bestOut = append(e.bestOut, math.Inf(1))
+		} else {
+			e.bestOut = append(e.bestOut, *v)
+		}
+	}
+	return nil
 }
 
 // ChosenCounts reports how often each pool member was selected — a

@@ -1,6 +1,8 @@
 package tla
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -46,7 +48,7 @@ type MultitaskTS struct {
 	LCMMaxIter       int
 	Acquisition      core.Acquisition
 
-	sub []*Source // cached subsampled views
+	sub *CappedSources // drawn on first use
 }
 
 // NewMultitaskTS returns the Multitask(TS) proposer with a sample cap
@@ -69,15 +71,12 @@ func (m *MultitaskTS) Propose(ctx *core.ProposeContext) ([]float64, error) {
 		return equalWeightFirstEval(ctx, m.Sources, m.Kernel)
 	}
 	if m.sub == nil {
-		m.sub = make([]*Source, len(m.Sources))
-		for i, s := range m.Sources {
-			m.sub[i] = s.Subsample(m.MaxSourceSamples, ctx.Rng)
-		}
+		m.sub = CapSources(m.Sources, m.MaxSourceSamples, ctx.Rng)
 	}
-	nTasks := len(m.sub) + 1
+	nTasks := len(m.Sources) + 1
 	tasksX := make([][][]float64, nTasks)
 	tasksY := make([][]float64, nTasks)
-	for i, s := range m.sub {
+	for i, s := range m.sub.Views {
 		tasksX[i] = s.X
 		tasksY[i] = s.Y
 	}
@@ -99,6 +98,16 @@ func (m *MultitaskTS) Propose(ctx *core.ProposeContext) ([]float64, error) {
 	}
 	surr := lcmSlice{m: model, task: nTasks - 1}
 	return core.SearchNext(surr, ctx.Problem.ParamSpace, acq, ctx.History, ctx.Rng, ctx.Search), nil
+}
+
+// StateCheckpoint implements core.StatefulProposer: the source
+// subsample is drawn from the session RNG once, not per proposal.
+func (m *MultitaskTS) StateCheckpoint() ([]byte, error) { return json.Marshal(m.sub) }
+
+// RestoreState implements core.StatefulProposer.
+func (m *MultitaskTS) RestoreState(data []byte) (err error) {
+	m.sub, err = RestoreCappedSources(m.Sources, data)
+	return err
 }
 
 // MultitaskPS is the 2021-GPTune multitask proposer (Section V-A-1):
@@ -181,6 +190,36 @@ func (m *MultitaskPS) Propose(ctx *core.ProposeContext) ([]float64, error) {
 	}
 	surr := lcmSlice{m: model, task: nTasks - 1}
 	return core.SearchNext(surr, ctx.Problem.ParamSpace, acq, ctx.History, ctx.Rng, ctx.Search), nil
+}
+
+// pseudoState is MultitaskPS's checkpoint payload: the pseudo samples
+// accumulate across proposals and are not derivable from the history.
+type pseudoState struct {
+	X [][][]float64 `json:"x"`
+	Y [][]float64   `json:"y"`
+}
+
+// StateCheckpoint implements core.StatefulProposer.
+func (m *MultitaskPS) StateCheckpoint() ([]byte, error) {
+	return json.Marshal(pseudoState{X: m.pseudoX, Y: m.pseudoY})
+}
+
+// RestoreState implements core.StatefulProposer.
+func (m *MultitaskPS) RestoreState(data []byte) error {
+	var st pseudoState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("tla: Multitask(PS) state: %w", err)
+	}
+	if st.X != nil && (len(st.X) != len(m.Sources) || len(st.Y) != len(m.Sources)) {
+		return fmt.Errorf("tla: Multitask(PS) state has pseudo samples for %d/%d sources, want %d", len(st.X), len(st.Y), len(m.Sources))
+	}
+	for i := range st.X {
+		if len(st.X[i]) != len(st.Y[i]) {
+			return fmt.Errorf("tla: Multitask(PS) state source %d has %d inputs but %d outputs", i, len(st.X[i]), len(st.Y[i]))
+		}
+	}
+	m.pseudoX, m.pseudoY = st.X, st.Y
+	return nil
 }
 
 // seedPseudo initializes the per-source pseudo-sample sets from a Latin

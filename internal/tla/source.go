@@ -7,6 +7,7 @@
 package tla
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -57,8 +58,13 @@ func (s *Source) Model(mask []bool, kern kernel.Type, seed int64) (*gp.GP, error
 // uniformly at random but always including the best observation (losing
 // the source optimum would throw away the most transferable knowledge).
 func (s *Source) Subsample(n int, rng *rand.Rand) *Source {
+	return s.pick(s.subsampleIndices(n, rng))
+}
+
+// subsampleIndices draws the samples Subsample keeps; nil keeps all.
+func (s *Source) subsampleIndices(n int, rng *rand.Rand) []int {
 	if n <= 0 || s.Len() <= n {
-		return s
+		return nil
 	}
 	bestIdx := 0
 	for i, v := range s.Y {
@@ -77,6 +83,15 @@ func (s *Source) Subsample(n int, rng *rand.Rand) *Source {
 			idx = append(idx, p)
 		}
 	}
+	return idx
+}
+
+// pick returns the source restricted to the samples at idx (nil keeps
+// the source whole).
+func (s *Source) pick(idx []int) *Source {
+	if idx == nil {
+		return s
+	}
 	X := make([][]float64, len(idx))
 	Y := make([]float64, len(idx))
 	for i, p := range idx {
@@ -84,6 +99,53 @@ func (s *Source) Subsample(n int, rng *rand.Rand) *Source {
 		Y[i] = s.Y[p]
 	}
 	return NewSource(s.Name, X, Y)
+}
+
+// CappedSources is a source list with every source capped at n samples
+// (see Subsample). The LCM-based tuners draw it once per run, so it is
+// state their checkpoints carry: it marshals to the kept sample indices
+// (null where a source was kept whole) and RestoreCappedSources rebuilds
+// the same views from them.
+type CappedSources struct {
+	Views []*Source
+	idx   [][]int
+}
+
+// CapSources draws the capped view of sources.
+func CapSources(sources []*Source, n int, rng *rand.Rand) *CappedSources {
+	c := &CappedSources{Views: make([]*Source, len(sources)), idx: make([][]int, len(sources))}
+	for i, s := range sources {
+		c.idx[i] = s.subsampleIndices(n, rng)
+		c.Views[i] = s.pick(c.idx[i])
+	}
+	return c
+}
+
+// MarshalJSON implements json.Marshaler.
+func (c *CappedSources) MarshalJSON() ([]byte, error) { return json.Marshal(c.idx) }
+
+// RestoreCappedSources rebuilds a marshaled CappedSources over the same
+// sources; JSON null (nothing drawn yet) restores nil. Index sets that
+// do not fit the sources are rejected: checkpoints arrive through the
+// crowd task pool, so their content is untrusted.
+func RestoreCappedSources(sources []*Source, data []byte) (*CappedSources, error) {
+	var idx [][]int
+	if err := json.Unmarshal(data, &idx); err != nil || idx == nil {
+		return nil, err
+	}
+	if len(idx) != len(sources) {
+		return nil, fmt.Errorf("tla: subsample of %d sources restored onto %d", len(idx), len(sources))
+	}
+	c := &CappedSources{Views: make([]*Source, len(sources)), idx: idx}
+	for i, s := range sources {
+		for _, p := range idx[i] {
+			if p < 0 || p >= s.Len() {
+				return nil, fmt.Errorf("tla: subsample index %d outside source %q of %d samples", p, s.Name, s.Len())
+			}
+		}
+		c.Views[i] = s.pick(idx[i])
+	}
+	return c, nil
 }
 
 // ErrNoSources is returned when a TLA proposer is constructed without

@@ -174,7 +174,7 @@ func TestRobustEvaluatorInTuningLoop(t *testing.T) {
 		ParamSpace: ps,
 		Evaluator:  &RobustEvaluator{Inner: inner, Repeats: 3},
 	}
-	h, err := core.RunLoop(p, nil, core.NewGPTuner(), core.LoopOptions{Budget: 10, Seed: 4})
+	h, err := core.RunLoop(p, nil, core.NewGPTuner(), core.SessionOptions{Budget: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"math"
 	"sync/atomic"
@@ -35,13 +34,8 @@ type Options struct {
 	// PollInterval is the sleep between lease attempts when the pool is
 	// empty or the server unreachable. Default 2s.
 	PollInterval time.Duration
-	// Logger receives progress lines; nil disables logging.
-	//
-	// Deprecated: prefer Slog; Logger is kept for compatibility and
-	// still receives the same lines when set.
-	Logger *log.Logger
-	// Slog receives structured progress records stamped with each
-	// task's trace ID; nil disables structured logging.
+	// Slog receives progress records, the per-task ones stamped with
+	// the task's trace ID; nil disables logging.
 	Slog *slog.Logger
 	// Registry, when non-nil, exposes the worker's cumulative counters
 	// as worker_* metric families (served on the daemon's -debug-addr).
@@ -142,9 +136,7 @@ func (w *Worker) Stats() Stats {
 }
 
 func (w *Worker) logf(format string, args ...interface{}) {
-	if w.opts.Logger != nil {
-		w.opts.Logger.Printf("worker %s: "+format, append([]interface{}{w.opts.Name}, args...)...)
-	}
+	w.slog.Info(fmt.Sprintf(format, args...))
 }
 
 // Run leases and executes tasks until ctx is cancelled. Cancellation
@@ -201,9 +193,6 @@ func sleep(ctx context.Context, d time.Duration) error {
 
 // runTask executes one leased task to completion, drain, or failure.
 func (w *Worker) runTask(ctx context.Context, task *taskpool.Task, ttl time.Duration) {
-	w.logf("leased %s (app=%s budget=%d attempt=%d/%d)",
-		task.ID, task.Spec.App, task.Spec.Budget, task.Attempts, task.MaxAttempts)
-
 	// leaseCtx dies when the heartbeat loop learns the lease is lost;
 	// the step loop checks it between evaluations. It adopts the trace
 	// the submitter stamped on the spec, so every heartbeat, upload and
@@ -313,7 +302,6 @@ func (w *Worker) runTask(ctx context.Context, task *taskpool.Task, ttl time.Dura
 		return
 	}
 	w.completed.Add(1)
-	w.logf("completed %s (best %.6g in %d evals)", task.ID, res.BestY, sess.Iter())
 	w.slog.InfoContext(leaseCtx, "completed task",
 		"task", task.ID, "best_y", res.BestY, "evals", sess.Iter())
 }
@@ -393,7 +381,6 @@ func (w *Worker) runEvalTask(ctx, leaseCtx context.Context, task *taskpool.Task)
 		return
 	}
 	w.completed.Add(1)
-	w.logf("completed eval %s (proposal %d, y=%.6g failed=%v)", task.ID, spec.ProposalID, y, failed)
 	w.slog.InfoContext(leaseCtx, "completed eval task",
 		"task", task.ID, "proposal_id", spec.ProposalID, "y", y, "failed", failed)
 }

@@ -1,57 +1,21 @@
 #!/usr/bin/env bash
-# Suggestion-service performance benchmark: runs the sustained-QPS
-# harness (cmd/suggestbench) three times — single-proposal, batch-8,
-# and a 3-shard cluster behind the routing coordinator — and writes the
-# repo's perf-trajectory file BENCH_suggest.json (a JSON array, one
-# entry per workload), then prints the Go micro-benchmarks behind the
-# CI allocation guards for comparison. A fourth pass runs the
-# cheap-transfer surrogate benchmark (cmd/transferbench) and writes
-# BENCH_transfer.json; it exits nonzero if copula/sgp are not >= 10x
-# faster to fit than LCM or the auto pool misses the LCM incumbent.
+# Development benchmarks beside the repo benchmark (bench/, run with
+# `bash bench/run.sh`): the cheap-transfer surrogate benchmark
+# (cmd/transferbench) writes BENCH_transfer.json and exits nonzero if
+# copula/sgp are not >= 10x faster to fit than LCM or the auto pool
+# misses the LCM incumbent; then the Go micro-benchmarks behind the CI
+# allocation guards are printed for comparison.
 #
 # Environment knobs (defaults in parentheses):
-#   SEED (9)  DURATION (5s)  CLIENTS (16)  HISTORY (64)  BATCH (8)
-#   OUT (BENCH_suggest.json)  TRANSFER_OUT (BENCH_transfer.json)
+#   SEED (9)  TRANSFER_OUT (BENCH_transfer.json)
 #   BENCHTIME (500x)  COUNT (3)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SEED="${SEED:-9}"
-DURATION="${DURATION:-5s}"
-CLIENTS="${CLIENTS:-16}"
-HISTORY="${HISTORY:-64}"
-BATCH="${BATCH:-8}"
-OUT="${OUT:-BENCH_suggest.json}"
 TRANSFER_OUT="${TRANSFER_OUT:-BENCH_transfer.json}"
 BENCHTIME="${BENCHTIME:-500x}"
 COUNT="${COUNT:-3}"
-
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
-
-echo "== suggestbench (sustained QPS, batch 1)"
-go run ./cmd/suggestbench \
-    -seed "$SEED" -duration "$DURATION" -clients "$CLIENTS" \
-    -history "$HISTORY" -out "$tmpdir/single.json"
-
-echo "== suggestbench (sustained QPS, batch $BATCH)"
-go run ./cmd/suggestbench \
-    -seed "$SEED" -duration "$DURATION" -clients "$CLIENTS" \
-    -history "$HISTORY" -batch "$BATCH" -out "$tmpdir/batch.json"
-
-echo "== suggestbench (sustained QPS, 3-shard cluster + coordinator)"
-go run ./cmd/suggestbench \
-    -seed "$SEED" -duration "$DURATION" -clients "$CLIENTS" \
-    -history "$HISTORY" -cluster -out "$tmpdir/cluster.json"
-
-{
-    printf '[\n'
-    sed 's/^/  /' "$tmpdir/single.json" | sed '$s/}/},/'
-    sed 's/^/  /' "$tmpdir/batch.json" | sed '$s/}/},/'
-    sed 's/^/  /' "$tmpdir/cluster.json"
-    printf ']\n'
-} > "$OUT"
-echo "wrote $OUT"
 
 echo "== transferbench (cheap-transfer surrogate pool, 3 source tasks, 10k crowd samples)"
 go run ./cmd/transferbench -seed "$SEED" -out "$TRANSFER_OUT"

@@ -22,6 +22,22 @@ scripts/metrics_lint.sh
 echo "== go build"
 go build ./...
 
+# Net non-test Go outside bench/ may only shrink: the ceiling is the
+# count the last simplification PR reached. Lower it when you delete
+# code; raise it only with a reason in CHANGES.md.
+ceiling=$(cat scripts/loc_ceiling)
+echo "== non-test LoC ratchet (<= $ceiling)"
+loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+if [ "$loc" -gt "$ceiling" ]; then
+    echo "FAIL: $loc non-test Go lines > ceiling $ceiling" >&2
+    exit 1
+fi
+
+# The repo benchmark is a nested module that compiles against internal
+# packages; tier-1 `go test ./...` does not enter it.
+echo "== bench module (vet + smoke test)"
+(cd bench && go vet . && go test .)
+
 echo "== go test -race (engine default workers)"
 go test -race ./...
 

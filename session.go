@@ -6,6 +6,7 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/surrogate"
+	"gptunecrowd/internal/tla"
 )
 
 // sessionOptions lowers the public TuneOptions into the core session
@@ -52,7 +53,7 @@ type TuningSession struct {
 // resolution matches Tune: empty means NoTLA without sources and
 // Ensemble(proposed) with them.
 func NewTuningSession(p *Problem, task map[string]interface{}, opts TuneOptions) (*TuningSession, error) {
-	alg, prop, err := resolveProposer(opts)
+	prop, err := resolveProposer(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +61,7 @@ func NewTuningSession(p *Problem, task map[string]interface{}, opts TuneOptions)
 	if err != nil {
 		return nil, err
 	}
-	return &TuningSession{inner: s, algorithm: alg}, nil
+	return &TuningSession{inner: s, algorithm: prop.Name()}, nil
 }
 
 // ResumeTuningSession restores a session from a checkpoint taken with
@@ -68,7 +69,7 @@ func NewTuningSession(p *Problem, task map[string]interface{}, opts TuneOptions)
 // checkpoint records the problem and algorithm names and rejects
 // mismatches); a larger opts.Budget extends the run.
 func ResumeTuningSession(p *Problem, task map[string]interface{}, opts TuneOptions, checkpoint []byte) (*TuningSession, error) {
-	alg, prop, err := resolveProposer(opts)
+	prop, err := resolveProposer(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -76,39 +77,26 @@ func ResumeTuningSession(p *Problem, task map[string]interface{}, opts TuneOptio
 	if err != nil {
 		return nil, err
 	}
-	return &TuningSession{inner: s, algorithm: alg}, nil
+	return &TuningSession{inner: s, algorithm: prop.Name()}, nil
 }
 
-func resolveProposer(opts TuneOptions) (string, Proposer, error) {
-	if opts.Surrogate != "" {
-		if opts.Algorithm != "" {
-			return "", nil, fmt.Errorf("gptunecrowd: Algorithm %q and Surrogate %q are mutually exclusive", opts.Algorithm, opts.Surrogate)
-		}
-		if !surrogate.ValidKind(opts.Surrogate) {
-			return "", nil, fmt.Errorf("gptunecrowd: unknown surrogate %q (want one of %v)", opts.Surrogate, surrogate.Kinds())
-		}
-		prop, err := surrogate.NewProposer(opts.Surrogate, surrogate.PoolConfig{
-			Config: surrogate.Config{
-				Sources:          opts.Sources,
-				MaxSourceSamples: opts.MaxSourceSamples,
-			},
-			Metrics: opts.Metrics,
-		})
-		if err != nil {
-			return "", nil, err
-		}
-		return prop.Name(), prop, nil
+func resolveProposer(opts TuneOptions) (Proposer, error) {
+	if opts.Surrogate == "" {
+		return tla.NewProposer(opts.Algorithm, opts.Sources, opts.MaxSourceSamples)
 	}
-	alg := opts.Algorithm
-	if alg == "" {
-		if len(opts.Sources) > 0 {
-			alg = "Ensemble(proposed)"
-		} else {
-			alg = "NoTLA"
-		}
+	if opts.Algorithm != "" {
+		return nil, fmt.Errorf("gptunecrowd: Algorithm %q and Surrogate %q are mutually exclusive", opts.Algorithm, opts.Surrogate)
 	}
-	prop, err := NewProposer(alg, opts.Sources, opts.MaxSourceSamples)
-	return alg, prop, err
+	if !surrogate.ValidKind(opts.Surrogate) {
+		return nil, fmt.Errorf("gptunecrowd: unknown surrogate %q (want one of %v)", opts.Surrogate, surrogate.Kinds())
+	}
+	return surrogate.NewProposer(opts.Surrogate, surrogate.PoolConfig{
+		Config: surrogate.Config{
+			Sources:          opts.Sources,
+			MaxSourceSamples: opts.MaxSourceSamples,
+		},
+		Metrics: opts.Metrics,
+	})
 }
 
 // Propose returns the next configuration to evaluate. It is idempotent
@@ -222,28 +210,36 @@ func (s *TuningSession) Run() (*Result, error) {
 // returns the wrapped context error together with a partial Result
 // whose Checkpoint field resumes the run via ResumeTuningSession.
 func (s *TuningSession) RunContext(ctx context.Context) (*Result, error) {
-	h, err := s.inner.RunContext(ctx)
+	return s.RunBatchContext(ctx, 1, 1)
+}
+
+// RunBatchContext is RunContext in rounds of batchSize proposals (spread
+// by TuneOptions.BatchStrategy) evaluated on up to workers goroutines
+// (0 means batchSize) — for an allocation that can run several trial
+// configurations at once. Results commit in proposal order whichever
+// evaluation finishes first, so a fixed seed gives one history at any
+// worker count; batchSize 1 is exactly RunContext.
+func (s *TuningSession) RunBatchContext(ctx context.Context, batchSize, workers int) (*Result, error) {
+	h, err := s.inner.RunBatchContext(ctx, batchSize, workers)
+	if err != nil && ctx.Err() == nil {
+		return nil, err
+	}
+	res := &Result{History: h, Algorithm: s.algorithm}
+	best, ok := h.Best()
+	if ok {
+		res.BestParams = best.Params
+		res.BestY = best.Y
+	}
 	if err != nil {
-		if ctx.Err() == nil {
-			return nil, err
-		}
-		res := &Result{History: h, Algorithm: s.algorithm}
-		if best, ok := h.Best(); ok {
-			res.BestParams = best.Params
-			res.BestY = best.Y
-		}
 		if cp, cperr := s.Checkpoint(); cperr == nil {
 			res.Checkpoint = cp
 		}
 		return res, err
 	}
-	res := &Result{History: h, Algorithm: s.algorithm}
-	if best, ok := h.Best(); ok {
-		res.BestParams = best.Params
-		res.BestY = best.Y
-		return res, nil
+	if !ok {
+		return res, fmt.Errorf("gptunecrowd: no successful evaluation within the budget of %d", s.inner.Budget())
 	}
-	return res, fmt.Errorf("gptunecrowd: no successful evaluation within the budget of %d", s.inner.Budget())
+	return res, nil
 }
 
 // Checkpoint serializes the session's complete state. The session

@@ -2,6 +2,8 @@ package gptunecrowd
 
 import (
 	"testing"
+
+	"gptunecrowd/internal/core"
 )
 
 func sessionProblem(t *testing.T) *Problem {
@@ -24,6 +26,9 @@ func sessionProblem(t *testing.T) *Problem {
 	}
 }
 
+// TestTuningSessionMatchesTune pins the one-driver property: for one
+// seed and proposer, Tune, a TuningSession, TuneBatch at batch size 1
+// and core.RunLoop produce the same history bit for bit.
 func TestTuningSessionMatchesTune(t *testing.T) {
 	p := sessionProblem(t)
 	opts := TuneOptions{Budget: 6, Seed: 11}
@@ -41,6 +46,22 @@ func TestTuningSessionMatchesTune(t *testing.T) {
 	if res.History.Len() != 6 || res.BestParams == nil {
 		t.Fatalf("result: %+v", res)
 	}
+
+	tuned, err := Tune(p, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameHistory(t, "Tune vs TuningSession.Run", res.History, tuned.History)
+	batched, err := TuneBatch(p, nil, BatchTuneOptions{TuneOptions: opts, BatchSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameHistory(t, "TuneBatch{BatchSize: 1} vs Tune", tuned.History, batched.History)
+	looped, err := core.RunLoop(p, nil, core.NewGPTuner(), core.SessionOptions{Budget: opts.Budget, Seed: opts.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameHistory(t, "core.RunLoop vs Tune", tuned.History, looped)
 }
 
 func TestTuningSessionCheckpointResume(t *testing.T) {

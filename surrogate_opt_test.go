@@ -1,6 +1,8 @@
 package gptunecrowd
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,46 +46,77 @@ func TestTuneSurrogateConflictsAndValidation(t *testing.T) {
 	}
 }
 
-// TestTuneSurrogateCheckpointResume runs the public checkpoint/resume
-// flow with a non-default surrogate active and checks bit-identity
-// against an uninterrupted run.
+// TestTuneSurrogateCheckpointResume checks that checkpoint → resume is
+// bit-identical to an uninterrupted run for every Table-I algorithm and
+// every surrogate kind at every split point. The sources hold more
+// samples than MaxSourceSamples, so the LCM-based tuners subsample them
+// — hidden proposer state the checkpoint has to carry.
 func TestTuneSurrogateCheckpointResume(t *testing.T) {
 	task := map[string]interface{}{"t": 1.0}
-	opts := TuneOptions{Budget: 8, Seed: 7, Surrogate: "sgp"}
+	X, Y := collectDemo(t, 0.8, 30, 5)
+	X2, Y2 := collectDemo(t, 1.2, 30, 6)
+	sources := []*SourceTask{NewSource("t=0.8", X, Y), NewSource("t=1.2", X2, Y2)}
 
-	full, err := Tune(demoProblem(), task, opts)
-	if err != nil {
-		t.Fatal(err)
+	var cases []TuneOptions
+	for _, alg := range Algorithms() {
+		cases = append(cases, TuneOptions{Budget: 7, Algorithm: alg})
 	}
+	for _, kind := range []string{"gp", "lcm", "copula", "sgp"} {
+		cases = append(cases, TuneOptions{Budget: 7, Surrogate: kind})
+	}
+	// The pool tries each of its five arms once after a three-sample
+	// warm-up; the budget leaves room for the lcm arm to be refitted.
+	cases = append(cases, TuneOptions{Budget: 14, Surrogate: "auto"})
 
-	s, err := NewTuningSession(demoProblem(), task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := s.Step(); err != nil {
-			t.Fatal(err)
+	for _, opts := range cases {
+		opts := opts
+		opts.Seed = 7
+		opts.MaxSourceSamples = 12
+		if opts.Algorithm != "NoTLA" {
+			opts.Sources = sources
 		}
+		t.Run(opts.Algorithm+opts.Surrogate, func(t *testing.T) {
+			t.Parallel()
+			full, err := Tune(demoProblem(), task, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewTuningSession(demoProblem(), task, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for split := 1; split < opts.Budget; split++ {
+				if err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+				cp, err := s.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := ResumeTuningSession(demoProblem(), task, opts, cp)
+				if err != nil {
+					t.Fatalf("split %d: %v", split, err)
+				}
+				res, err := resumed.Run()
+				if err != nil {
+					t.Fatalf("split %d: %v", split, err)
+				}
+				assertSameHistory(t, fmt.Sprintf("resumed at %d", split), full.History, res.History)
+			}
+		})
 	}
-	cp, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// assertSameHistory fails unless got repeats want bit for bit.
+func assertSameHistory(t *testing.T, label string, want, got *History) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: history %d, want %d", label, got.Len(), want.Len())
 	}
-	resumed, err := ResumeTuningSession(demoProblem(), task, opts, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := resumed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.History.Len() != full.History.Len() {
-		t.Fatalf("resumed history %d, want %d", res.History.Len(), full.History.Len())
-	}
-	for i := range full.History.Samples {
-		a, b := full.History.Samples[i], res.History.Samples[i]
-		if a.Y != b.Y {
-			t.Fatalf("sample %d objective %v != %v", i, b.Y, a.Y)
+	for i, a := range want.Samples {
+		b := got.Samples[i]
+		if a.Y != b.Y || a.Failed != b.Failed || !reflect.DeepEqual(a.ParamU, b.ParamU) {
+			t.Fatalf("%s: sample %d is %v → %v, want %v → %v", label, i, b.ParamU, b.Y, a.ParamU, a.Y)
 		}
 	}
 }
