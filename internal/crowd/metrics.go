@@ -27,6 +27,7 @@ type serverMetrics struct {
 	queries            *obs.Counter
 	samplesAccepted    *obs.Counter
 	samplesQuarantined *obs.Counter
+	docsScanned        map[string]*obs.Counter // crowd_store_docs_scanned_total{op=...}
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -35,6 +36,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 	const reqName = "crowd_http_requests_total"
 	const reqHelp = "HTTP requests served, by status class."
+	docsScanned := make(map[string]*obs.Counter)
+	for _, op := range []string{"upload", "query", "problems", "suggest"} {
+		docsScanned[op] = reg.Counter("crowd_store_docs_scanned_total",
+			"Stored func_evals documents examined by the read paths, by operation.", obs.L("op", op))
+	}
 	return &serverMetrics{
 		reg:       reg,
 		status2xx: reg.Counter(reqName, reqHelp, obs.L("code", "2xx")),
@@ -57,8 +63,13 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Individual samples accepted through the trust layer."),
 		samplesQuarantined: reg.Counter("crowd_samples_quarantined_total",
 			"Individual samples routed to quarantine by validation."),
+		docsScanned: docsScanned,
 	}
 }
+
+// scanned adds one scan's examined-document count (what
+// historydb.Collection.Scan returns) to its operation's counter.
+func (m *serverMetrics) scanned(op string, docs int) { m.docsScanned[op].Add(int64(docs)) }
 
 // observeStatus records one finished request.
 func (m *serverMetrics) observeStatus(status int, seconds float64) {

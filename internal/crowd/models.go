@@ -144,28 +144,22 @@ func (s *Server) handleModelQuery(w http.ResponseWriter, r *http.Request, user s
 		writeErr(w, http.StatusBadRequest, "tuning_problem_name required")
 		return
 	}
-	docs, err := s.models().FindContext(r.Context(), historydb.Eq("tuning_problem_name", req.TuningProblemName))
+	var resp ModelQueryResponse
+	_, err := s.models().Scan(r.Context(), historydb.Eq(problemField, req.TuningProblemName), func(d historydb.Document) bool {
+		b, err := json.Marshal(d)
+		if err != nil {
+			return true
+		}
+		var m SurrogateModelDoc
+		if json.Unmarshal(b, &m) != nil || !canSee(&FuncEval{Accessibility: m.Accessibility, Owner: m.Owner}, user) {
+			return true
+		}
+		resp.Models = append(resp.Models, m)
+		return req.Limit <= 0 || len(resp.Models) < req.Limit
+	})
 	if err != nil {
 		writeStoreErr(w, err)
 		return
-	}
-	var resp ModelQueryResponse
-	for _, d := range docs {
-		b, err := json.Marshal(d)
-		if err != nil {
-			continue
-		}
-		var m SurrogateModelDoc
-		if err := json.Unmarshal(b, &m); err != nil {
-			continue
-		}
-		if !canSee(&FuncEval{Accessibility: m.Accessibility, Owner: m.Owner}, user) {
-			continue
-		}
-		resp.Models = append(resp.Models, m)
-		if req.Limit > 0 && len(resp.Models) >= req.Limit {
-			break
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

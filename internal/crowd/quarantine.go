@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -100,36 +101,31 @@ func (s *Server) quarantineSample(fe *FuncEval, user string, reason QuarantineRe
 // collections. Call it after loading persisted collections into the
 // store (cmd/crowdserver does), alongside RebuildUserIndex.
 func (s *Server) RebuildTrustState() error {
-	qdocs, err := s.quarantine().Find(nil)
-	if err != nil {
-		return err
-	}
 	qc := &quarantineCounters{byReason: make(map[string]int64)}
 	rep := newReputationStore()
-	for _, d := range qdocs {
-		qs, err := quarantineFromDocument(d)
-		if err != nil {
-			continue
+	// A background context cannot expire, so these scans cannot fail.
+	s.quarantine().Scan(context.Background(), nil, func(d historydb.Document) bool {
+		reason, ok1 := field[string](d, "reason")
+		uploader, ok2 := field[string](d, "uploader")
+		released, ok3 := field[bool](d, "released")
+		if !ok1 || !ok2 || !ok3 {
+			return true
 		}
 		qc.total++
-		qc.byReason[string(qs.Reason)]++
-		if qs.Released {
+		qc.byReason[reason]++
+		rep.recordQuarantined(uploader)
+		if released {
 			qc.released++
+			rep.recordReleased(uploader)
 		}
-		rep.recordQuarantined(qs.Uploader)
-		if qs.Released {
-			rep.recordReleased(qs.Uploader)
-		}
-	}
-	fdocs, err := s.funcEvals().Find(nil)
-	if err != nil {
-		return err
-	}
-	for _, d := range fdocs {
+		return true
+	})
+	s.funcEvals().Scan(context.Background(), nil, func(d historydb.Document) bool {
 		if owner, _ := d["owner"].(string); owner != "" {
 			rep.recordAccepted(owner)
 		}
-	}
+		return true
+	})
 	s.qCounters.mu.Lock()
 	s.qCounters.total = qc.total
 	s.qCounters.released = qc.released

@@ -1,9 +1,12 @@
 package crowd
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
+
+	"gptunecrowd/internal/historydb"
 )
 
 // Reputation is one uploader's standing, derived from how their samples
@@ -124,27 +127,22 @@ func (s *Server) consensusCheck(fe *FuncEval, user string) {
 	if fe.Failed {
 		return
 	}
-	docs, err := s.funcEvals().Find(nil)
-	if err != nil {
-		return
-	}
 	var peers []float64
-	for _, d := range docs {
-		other, err := fromDocument(d)
-		if err != nil || other.Failed || other.Owner == user {
-			continue
+	// A background context cannot expire, so the scan cannot fail.
+	scanned, _ := s.funcEvals().Scan(context.Background(), historydb.Eq(problemField, fe.TuningProblemName), func(d historydb.Document) bool {
+		other, ok := readMeasurement(d)
+		if !ok || other.failed || other.owner == user {
+			return true
 		}
-		if other.TuningProblemName != fe.TuningProblemName {
-			continue
+		if !sameParams(other.tuning, fe.TuningParams) || !sameParams(other.task, fe.TaskParams) {
+			return true
 		}
-		if !sameParams(other.TuningParams, fe.TuningParams) || !sameParams(other.TaskParams, fe.TaskParams) {
-			continue
+		if !math.IsNaN(other.y) && !math.IsInf(other.y, 0) {
+			peers = append(peers, other.y)
 		}
-		if math.IsNaN(other.Output) || math.IsInf(other.Output, 0) {
-			continue
-		}
-		peers = append(peers, other.Output)
-	}
+		return true
+	})
+	s.metrics.scanned("upload", scanned)
 	if len(peers) == 0 {
 		return
 	}

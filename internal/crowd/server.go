@@ -184,6 +184,11 @@ func NewServerWith(cfg Config) *Server {
 		metrics:    newServerMetrics(cfg.Registry),
 		slog:       obs.Or(cfg.Slog),
 	}
+	// Every read of these two collections pins the problem name, so they
+	// are partitioned by it: a request walks its own problem's documents
+	// and none of the others'.
+	s.funcEvals().IndexBy(problemField)
+	s.models().IndexBy(problemField)
 	s.registerDerivedMetrics()
 	s.suggest = suggest.New(storeSource{s}, suggest.Config{
 		CacheSize:  cfg.SuggestCacheSize,
@@ -254,6 +259,10 @@ func (s *Server) NotifyProblemAppend(problem string, n int) {
 
 func (s *Server) users() *historydb.Collection     { return s.store.Collection("users") }
 func (s *Server) funcEvals() *historydb.Collection { return s.store.Collection("func_evals") }
+
+// problemField is the document field func_evals and surrogate_models
+// are partitioned by.
+const problemField = "tuning_problem_name"
 
 // statusRecorder captures the response status and size for logging and
 // metrics.
@@ -665,64 +674,126 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 		}
 		paramQuery = q
 	}
-	base := historydb.And(
-		historydb.Eq("tuning_problem_name", req.TuningProblemName),
-	)
-	docs, err := s.funcEvals().FindContext(r.Context(), base)
-	if err != nil {
-		writeStoreErr(w, err)
-		return
+	q := historydb.Eq(problemField, req.TuningProblemName)
+	if paramQuery != nil {
+		q = historydb.And(q, paramQuery)
 	}
-	s.metrics.queries.Inc()
+	// The filters that read the stored document (problem, param_query,
+	// visibility) run first; only survivors pay fromDocument. Every
+	// filter is a pure predicate of one sample, so the order changes
+	// what a query costs, not which samples it returns or their order.
 	resp := QueryResponse{}
-	for _, d := range docs {
+	scanned, err := s.funcEvals().Scan(r.Context(), q, func(d historydb.Document) bool {
+		if !docVisible(d, user) {
+			return true
+		}
 		fe, err := fromDocument(d)
-		if err != nil {
-			continue // skip malformed documents rather than failing the query
-		}
-		if !canSee(fe, user) {
-			continue
-		}
-		if !matchesConfiguration(fe, req.Configuration) {
-			continue
-		}
-		if paramQuery != nil && !paramQuery.Match(d) {
-			continue
+		// Malformed documents are skipped rather than failing the query;
+		// canSee on the decoded sample stays the authority on access.
+		if err != nil || !canSee(fe, user) || !matchesConfiguration(fe, req.Configuration) {
+			return true
 		}
 		// Private metadata is stripped for non-owners.
 		if fe.Owner != user {
 			fe.SharedWith = nil
 		}
 		resp.FuncEvals = append(resp.FuncEvals, *fe)
-		if req.Limit > 0 && len(resp.FuncEvals) >= req.Limit {
-			break
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleProblems lists problem names with at least one sample visible
-// to the caller.
-func (s *Server) handleProblems(w http.ResponseWriter, r *http.Request, user string) {
-	docs, err := s.funcEvals().FindContext(r.Context(), nil)
+		return req.Limit <= 0 || len(resp.FuncEvals) < req.Limit
+	})
+	s.metrics.scanned("query", scanned)
 	if err != nil {
 		writeStoreErr(w, err)
 		return
 	}
-	set := map[string]bool{}
-	for _, d := range docs {
-		fe, err := fromDocument(d)
-		if err != nil || !canSee(fe, user) {
+	s.metrics.queries.Inc()
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleProblems lists problem names with at least one sample visible
+// to the caller: per partition of func_evals, a scan that stops at the
+// first visible sample.
+func (s *Server) handleProblems(w http.ResponseWriter, r *http.Request, user string) {
+	resp := ProblemsResponse{}
+	for _, v := range s.funcEvals().IndexValues() {
+		name, ok := v.(string)
+		if !ok {
 			continue
 		}
-		set[fe.TuningProblemName] = true
-	}
-	resp := ProblemsResponse{}
-	for name := range set {
-		resp.Problems = append(resp.Problems, name)
+		visible := false
+		scanned, err := s.funcEvals().Scan(r.Context(), historydb.Eq(problemField, name), func(d historydb.Document) bool {
+			visible = docVisible(d, user)
+			return !visible
+		})
+		s.metrics.scanned("problems", scanned)
+		if err != nil {
+			writeStoreErr(w, err)
+			return
+		}
+		if visible {
+			resp.Problems = append(resp.Problems, name)
+		}
 	}
 	sort.Strings(resp.Problems)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// field reads one typed field straight off a stored document. Absent
+// and null read as the zero value, the way json.Unmarshal leaves them;
+// a value of any other type is malformed (ok false), and the read paths
+// skip such a document as they skip one fromDocument cannot decode.
+func field[T any](d historydb.Document, key string) (v T, ok bool) {
+	raw := d[key]
+	if raw == nil {
+		return v, true
+	}
+	v, ok = raw.(T)
+	return v, ok
+}
+
+// docVisible is canSee read off the stored document, for the paths that
+// need no other part of the sample.
+func docVisible(d historydb.Document, user string) bool {
+	access, ok1 := field[string](d, "accessibility")
+	owner, ok2 := field[string](d, "owner")
+	shared, ok3 := field[[]interface{}](d, "shared_with")
+	if !ok1 || !ok2 || !ok3 {
+		return false
+	}
+	switch access {
+	case "public", "":
+		return true
+	case "private":
+		return owner == user
+	case "shared":
+		if owner == user {
+			return true
+		}
+		for _, u := range shared {
+			if u == user {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// measurement is what the model-facing read paths (consensus scoring,
+// surrogate history) take from a stored sample.
+type measurement struct {
+	owner        string
+	failed       bool
+	task, tuning map[string]interface{}
+	y            float64
+}
+
+func readMeasurement(d historydb.Document) (m measurement, ok bool) {
+	var ok1, ok2, ok3, ok4, ok5 bool
+	m.owner, ok1 = field[string](d, "owner")
+	m.failed, ok2 = field[bool](d, "failed")
+	m.task, ok3 = field[map[string]interface{}](d, "task_parameters")
+	m.tuning, ok4 = field[map[string]interface{}](d, "tuning_parameters")
+	m.y, ok5 = field[float64](d, "evaluation_result")
+	return m, ok1 && ok2 && ok3 && ok4 && ok5
 }
 
 // canSee implements the access-control levels of Section III.

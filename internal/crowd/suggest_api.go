@@ -68,30 +68,27 @@ func (src storeSource) History(ctx context.Context, problem string, task map[str
 	if !ok || policy.Space == nil {
 		return nil, suggest.ErrUnknownProblem
 	}
-	docs, err := src.s.funcEvals().FindContext(ctx, historydb.Eq("tuning_problem_name", problem))
-	if err != nil {
-		return nil, err
-	}
 	want := canonTask(task)
 	snap := &suggest.Snapshot{Space: policy.Space}
-	for _, d := range docs {
-		fe, err := fromDocument(d)
-		if err != nil {
-			continue
-		}
-		if canonTask(fe.TaskParams) != want {
-			continue
+	scanned, err := src.s.funcEvals().Scan(ctx, historydb.Eq(problemField, problem), func(d historydb.Document) bool {
+		m, ok := readMeasurement(d)
+		if !ok || canonTask(m.task) != want {
+			return true
 		}
 		snap.Version++
-		if fe.Failed {
-			continue
+		if m.failed {
+			return true
 		}
-		u, err := policy.Space.Encode(fe.TuningParams)
-		if err != nil {
-			continue // legacy sample outside the declared space
+		// A legacy sample outside the declared space does not encode.
+		if u, err := policy.Space.Encode(m.tuning); err == nil {
+			snap.X = append(snap.X, u)
+			snap.Y = append(snap.Y, m.y)
 		}
-		snap.X = append(snap.X, u)
-		snap.Y = append(snap.Y, fe.Output)
+		return true
+	})
+	src.s.metrics.scanned("suggest", scanned)
+	if err != nil {
+		return nil, err
 	}
 	return snap, nil
 }

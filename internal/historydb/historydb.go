@@ -11,9 +11,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"gptunecrowd/internal/replog"
 )
@@ -29,31 +32,71 @@ type Document = map[string]interface{}
 // Concurrency model: stored documents are immutable — Insert stores a
 // deep copy, Update replaces a document with a mutated copy, and Delete
 // rebuilds the slice. Readers therefore only need the lock long enough
-// to snapshot the slice header; matching and result copying run outside
-// the lock, so large scans never starve writers.
+// to pick the slice to walk (the whole collection, one index bucket or
+// one document by id); matching runs outside the lock, so large scans
+// never starve writers.
+//
+// Every slice a reader can hold — docs and each index bucket — is
+// append-only between rebuilds: an append past a reader's length is
+// invisible to it, and anything that would move or replace an element
+// (Delete, Update, ReadJSONL, a replayed upsert) builds fresh slices
+// and a fresh index instead of touching the ones readers may still be
+// walking.
 type Collection struct {
 	mu     sync.RWMutex
 	name   string
 	docs   []Document
+	byID   map[string]int // _id → position in docs (first one, should ids repeat)
+	dupIDs bool           // a loaded file repeated an _id: byID cannot answer Eq("_id")
+	index  *partition     // nil until IndexBy
 	nextID int64
 	log    *replog.Log
 	logErr error
 }
 
-// snapshot returns the current document slice. The header copy is done
-// under the read lock; the documents themselves are immutable, and
-// appends past the snapshot's length are invisible to it, so the caller
-// may iterate without holding any lock.
-func (c *Collection) snapshot() []Document {
-	c.mu.RLock()
-	docs := c.docs
-	c.mu.RUnlock()
-	return docs
+// partition is the collection's one secondary index: the stored
+// documents grouped by the scalar value of one field, each bucket in
+// insertion order. Documents without the field, or holding a
+// non-scalar there, are in no bucket — Eq never matches them.
+type partition struct {
+	field   string
+	buckets map[interface{}][]Document
+	values  []interface{} // bucket keys in order of first appearance
+}
+
+func (p *partition) add(d Document) {
+	v, ok := Lookup(d, p.field)
+	if !ok {
+		return
+	}
+	k, ok := indexKey(v)
+	if !ok {
+		return
+	}
+	b, seen := p.buckets[k]
+	if !seen {
+		p.values = append(p.values, k)
+	}
+	p.buckets[k] = append(b, d)
+}
+
+// indexKey folds a scalar to the form buckets are keyed by, so that a
+// map lookup agrees with scalarEqual: every numeric type is a float64.
+// Non-scalars have no key (and equal nothing).
+func indexKey(v interface{}) (interface{}, bool) {
+	if f, ok := numeric(v); ok {
+		return f, true
+	}
+	switch v.(type) {
+	case string, bool, nil:
+		return v, true
+	}
+	return nil, false
 }
 
 // NewCollection returns an empty collection.
 func NewCollection(name string) *Collection {
-	return &Collection{name: name, nextID: 1}
+	return &Collection{name: name, nextID: 1, byID: make(map[string]int)}
 }
 
 // Name returns the collection name.
@@ -66,27 +109,80 @@ func (c *Collection) Len() int {
 	return len(c.docs)
 }
 
-// Insert stores a deep copy of doc and returns its assigned id.
-func (c *Collection) Insert(doc Document) (string, error) {
-	cp, err := deepCopy(doc)
-	if err != nil {
-		return "", fmt.Errorf("historydb: insert into %s: %w", c.name, err)
-	}
+// IndexBy partitions the collection by the scalar value of field (a
+// dotted path), now and through every later mutation. A query that pins
+// the field with Eq — alone or inside And — then walks one bucket
+// instead of the collection. A collection has one partition index; a
+// second call replaces it.
+func (c *Collection) IndexBy(field string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := fmt.Sprintf("%d", c.nextID)
-	c.nextID++
-	cp["_id"] = id
-	c.docs = append(c.docs, cp)
-	c.journalLocked(logRecord{Op: "insert", Docs: []Document{cp}, NextID: c.nextID})
-	return id, nil
+	c.index = &partition{field: field}
+	c.setDocsLocked(c.docs)
+}
+
+// IndexValues returns the distinct values the indexed field takes
+// across the collection, in order of first appearance (nil without an
+// index). It reads the bucket keys and visits no document.
+func (c *Collection) IndexValues() []interface{} {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.index == nil {
+		return nil
+	}
+	return append([]interface{}(nil), c.index.values...)
+}
+
+// appendLocked stores one more (already copied, id-carrying) document.
+func (c *Collection) appendLocked(d Document) {
+	c.docs = append(c.docs, d)
+	c.noteLocked(len(c.docs)-1, d)
+}
+
+// noteLocked enters the document at position i into the id map and the
+// partition index.
+func (c *Collection) noteLocked(i int, d Document) {
+	if id := docID(d); id != "" {
+		if _, dup := c.byID[id]; dup {
+			c.dupIDs = true
+		} else {
+			c.byID[id] = i
+		}
+	}
+	if c.index != nil {
+		c.index.add(d)
+	}
+}
+
+// setDocsLocked swaps in a new document slice and rebuilds the id map
+// and the partition index from it. Both are built fresh — readers that
+// picked up the old slice or an old bucket keep walking it untouched.
+func (c *Collection) setDocsLocked(docs []Document) {
+	c.docs = docs
+	c.byID = make(map[string]int, len(docs))
+	c.dupIDs = false
+	if c.index != nil {
+		c.index = &partition{field: c.index.field, buckets: make(map[interface{}][]Document)}
+	}
+	for i, d := range docs {
+		c.noteLocked(i, d)
+	}
+}
+
+// Insert stores a deep copy of doc and returns its assigned id.
+func (c *Collection) Insert(doc Document) (string, error) {
+	ids, err := c.InsertMany([]Document{doc})
+	if err != nil {
+		return "", err
+	}
+	return ids[0], nil
 }
 
 // InsertMany stores deep copies of docs atomically: either every
 // document is inserted (with consecutive ids, in order) or none is, and
 // no concurrent reader ever observes a partially applied batch. The
-// deep copies are taken before the write lock so serialization cost is
-// not paid under contention.
+// deep copies are taken before the write lock so their cost is not paid
+// under contention.
 func (c *Collection) InsertMany(docs []Document) ([]string, error) {
 	cps := make([]Document, len(docs))
 	for i, d := range docs {
@@ -100,16 +196,79 @@ func (c *Collection) InsertMany(docs []Document) ([]string, error) {
 	defer c.mu.Unlock()
 	ids := make([]string, len(cps))
 	for i, cp := range cps {
-		id := fmt.Sprintf("%d", c.nextID)
+		id := strconv.FormatInt(c.nextID, 10)
 		c.nextID++
 		cp["_id"] = id
 		ids[i] = id
-		c.docs = append(c.docs, cp)
+		c.appendLocked(cp)
 	}
 	if len(cps) > 0 {
 		c.journalLocked(logRecord{Op: "insert", Docs: cps, NextID: c.nextID})
 	}
 	return ids, nil
+}
+
+// planLocked is the query planner: the smallest stored slice guaranteed
+// to hold every match of q — one document for Eq("_id"), one bucket for
+// Eq on the indexed field, either of those found inside an And — or
+// false for "walk the collection". The caller still runs q.Match on
+// each candidate.
+func (c *Collection) planLocked(q Query) ([]Document, bool) {
+	switch q := q.(type) {
+	case eqQuery:
+		if id, isStr := q.value.(string); isStr && q.field == "_id" && !c.dupIDs {
+			if i, ok := c.byID[id]; ok {
+				return c.docs[i : i+1 : i+1], true
+			}
+			return nil, true
+		}
+		if c.index != nil && q.field == c.index.field {
+			if k, ok := indexKey(q.value); ok {
+				return c.index.buckets[k], true
+			}
+			return nil, true // Eq on a non-scalar matches nothing
+		}
+	case andQuery:
+		for _, sub := range q.subs {
+			if docs, ok := c.planLocked(sub); ok {
+				return docs, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// Scan calls fn with every stored document matching q, in insertion
+// order, until fn returns false. A nil query matches everything. It
+// returns how many stored documents it examined (matching or not) —
+// what the query cost, as opposed to what it returned.
+//
+// fn receives the stored document itself, not a copy: it must not
+// modify it, nor anything reachable from it, and may keep references
+// only as long as it keeps that promise. The scan runs outside the
+// collection lock on slices no writer touches, checks ctx every 256
+// documents, and sees each InsertMany batch entirely or not at all.
+func (c *Collection) Scan(ctx context.Context, q Query, fn func(Document) bool) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	c.mu.RLock()
+	docs, planned := c.planLocked(q)
+	if !planned {
+		docs = c.docs
+	}
+	c.mu.RUnlock()
+	for i, d := range docs {
+		if i&255 == 255 {
+			if err := ctx.Err(); err != nil {
+				return i, err
+			}
+		}
+		if (q == nil || q.Match(d)) && !fn(d) {
+			return i + 1, nil
+		}
+	}
+	return len(docs), nil
 }
 
 // Find returns deep copies of all documents matching q, in insertion
@@ -118,64 +277,54 @@ func (c *Collection) Find(q Query) ([]Document, error) {
 	return c.FindContext(context.Background(), q)
 }
 
-// FindContext is Find with cancellation: the scan checks ctx
-// periodically so an expired request deadline aborts instead of
-// copying the rest of a large collection. The whole scan runs on an
-// immutable snapshot, outside the collection lock.
+// FindContext is Find with cancellation: an expired request deadline
+// aborts the scan instead of copying the rest of a large collection.
 func (c *Collection) FindContext(ctx context.Context, q Query) ([]Document, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	var out []Document
-	for i, d := range c.snapshot() {
-		if i&255 == 255 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if q == nil || q.Match(d) {
-			cp, err := deepCopy(d)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cp)
-		}
+	var copyErr error
+	_, err := c.Scan(ctx, q, func(d Document) bool {
+		var cp Document
+		cp, copyErr = deepCopy(d)
+		out = append(out, cp)
+		return copyErr == nil
+	})
+	if err == nil {
+		err = copyErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// FindOne returns the first match, or nil.
+// FindOne returns a deep copy of the first match, or nil.
 func (c *Collection) FindOne(q Query) (Document, error) {
-	docs, err := c.Find(q)
-	if err != nil || len(docs) == 0 {
-		return nil, err
+	var first Document
+	// A background context cannot expire, so these scans cannot fail.
+	c.Scan(context.Background(), q, func(d Document) bool { first = d; return false })
+	if first == nil {
+		return nil, nil
 	}
-	return docs[0], nil
+	return deepCopy(first)
 }
 
 // Count returns the number of matching documents.
 func (c *Collection) Count(q Query) int {
 	n := 0
-	for _, d := range c.snapshot() {
-		if q == nil || q.Match(d) {
-			n++
-		}
-	}
+	c.Scan(context.Background(), q, func(Document) bool { n++; return true })
 	return n
 }
 
 // Delete removes matching documents and returns how many were removed.
-// The kept documents move to a fresh slice so concurrent snapshot
-// readers keep seeing the pre-delete state.
+// The kept documents move to a fresh slice so concurrent readers keep
+// seeing the pre-delete state.
 func (c *Collection) Delete(q Query) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	kept := make([]Document, 0, len(c.docs))
-	removed := 0
 	var removedIDs []string
 	for _, d := range c.docs {
 		if q != nil && q.Match(d) {
-			removed++
 			if id := docID(d); id != "" {
 				removedIDs = append(removedIDs, id)
 			}
@@ -183,8 +332,9 @@ func (c *Collection) Delete(q Query) int {
 		}
 		kept = append(kept, d)
 	}
-	c.docs = kept
+	removed := len(c.docs) - len(kept)
 	if removed > 0 {
+		c.setDocsLocked(kept)
 		c.journalLocked(logRecord{Op: "delete", IDs: removedIDs})
 	}
 	return removed
@@ -192,16 +342,15 @@ func (c *Collection) Delete(q Query) int {
 
 // Update applies fn to a copy of every matching document and swaps the
 // copy in (copy-on-write), returning the number updated. Stored
-// documents stay immutable, so concurrent snapshot readers see either
-// the old or the new version, never a half-applied mutation.
+// documents stay immutable, so concurrent readers see either the old or
+// the new version, never a half-applied mutation.
 func (c *Collection) Update(q Query, fn func(Document)) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A fresh slice, not in-place writes: outstanding snapshots share
-	// the old backing array and must not observe element swaps.
+	// A fresh slice, not in-place writes: outstanding readers share the
+	// old backing array and must not observe element swaps.
 	next := make([]Document, len(c.docs))
 	copy(next, c.docs)
-	n := 0
 	var updated []Document
 	for i, d := range next {
 		if q == nil || q.Match(d) {
@@ -211,15 +360,14 @@ func (c *Collection) Update(q Query, fn func(Document)) int {
 			}
 			fn(cp)
 			next[i] = cp
-			n++
 			updated = append(updated, cp)
 		}
 	}
-	c.docs = next
-	if n > 0 {
+	if len(updated) > 0 {
+		c.setDocsLocked(next)
 		c.journalLocked(logRecord{Op: "update", Docs: updated})
 	}
-	return n
+	return len(updated)
 }
 
 // WriteJSONL serializes the collection, one document per line. It
@@ -227,10 +375,13 @@ func (c *Collection) Update(q Query, fn func(Document)) int {
 func (c *Collection) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, d := range c.snapshot() {
-		if err := enc.Encode(d); err != nil {
-			return err
-		}
+	var encErr error
+	c.Scan(context.Background(), nil, func(d Document) bool {
+		encErr = enc.Encode(d)
+		return encErr == nil
+	})
+	if encErr != nil {
+		return encErr
 	}
 	return bw.Flush()
 }
@@ -275,7 +426,7 @@ func (c *Collection) ReadJSONL(r io.Reader) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.docs = docs
+	c.setDocsLocked(docs)
 	c.nextID = maxID + 1
 	if watermark > c.nextID {
 		c.nextID = watermark
@@ -327,14 +478,77 @@ func (s *Store) Names() []string {
 	return out
 }
 
-// deepCopy clones a document via JSON, which also normalizes numeric
-// types to float64 — matching what a wire round trip would produce.
+// deepCopy clones a document into the normal form a JSON round trip
+// gives it — what a wire round trip would produce: numbers are float64,
+// nil maps and slices are null, NaN and ±Inf are json.Marshal's error.
+// Values already in the JSON family (what json.Unmarshal produces, plus
+// int and int64) are copied structurally; anything else — structs,
+// typed slices, json.Number, float32, strings that are not valid UTF-8
+// — takes the real round trip.
 func deepCopy(d Document) (Document, error) {
-	b, err := json.Marshal(d)
+	v, err := copyValue(d)
 	if err != nil {
 		return nil, err
 	}
-	var out Document
+	out, _ := v.(Document)
+	return out, nil
+}
+
+func copyValue(v interface{}) (interface{}, error) {
+	switch x := v.(type) {
+	case nil, bool:
+		return x, nil
+	case string:
+		if utf8.ValidString(x) {
+			return x, nil
+		}
+	case float64:
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			return x, nil
+		}
+	case int:
+		return float64(x), nil
+	case int64:
+		return float64(x), nil
+	case map[string]interface{}:
+		if x == nil {
+			return nil, nil
+		}
+		out := make(map[string]interface{}, len(x))
+		for k, e := range x {
+			if !utf8.ValidString(k) {
+				return jsonRoundTrip(v)
+			}
+			ce, err := copyValue(e)
+			if err != nil {
+				return nil, err
+			}
+			out[k] = ce
+		}
+		return out, nil
+	case []interface{}:
+		if x == nil {
+			return nil, nil
+		}
+		out := make([]interface{}, len(x))
+		for i, e := range x {
+			ce, err := copyValue(e)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = ce
+		}
+		return out, nil
+	}
+	return jsonRoundTrip(v)
+}
+
+func jsonRoundTrip(v interface{}) (interface{}, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	var out interface{}
 	if err := json.Unmarshal(b, &out); err != nil {
 		return nil, err
 	}

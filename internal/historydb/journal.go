@@ -93,13 +93,7 @@ func (c *Collection) ApplyLogRecord(rec replog.Record) error {
 	switch lr.Op {
 	case "insert":
 		// Upsert by _id so a duplicated delivery is harmless.
-		for _, d := range lr.Docs {
-			if i, ok := c.indexOfLocked(docID(d)); ok {
-				c.replaceLocked(i, d)
-			} else {
-				c.docs = append(c.docs, d)
-			}
-		}
+		c.upsertLocked(lr.Docs, true)
 		if lr.NextID > c.nextID {
 			c.nextID = lr.NextID
 		}
@@ -115,13 +109,9 @@ func (c *Collection) ApplyLogRecord(rec replog.Record) error {
 			}
 			kept = append(kept, d)
 		}
-		c.docs = kept
+		c.setDocsLocked(kept)
 	case "update":
-		for _, d := range lr.Docs {
-			if i, ok := c.indexOfLocked(docID(d)); ok {
-				c.replaceLocked(i, d)
-			}
-		}
+		c.upsertLocked(lr.Docs, false)
 	default:
 		return fmt.Errorf("historydb: %s log entry %d: unknown op %q", c.name, rec.Index, lr.Op)
 	}
@@ -133,25 +123,28 @@ func docID(d Document) string {
 	return id
 }
 
-func (c *Collection) indexOfLocked(id string) (int, bool) {
-	if id == "" {
-		return 0, false
-	}
-	for i, d := range c.docs {
-		if docID(d) == id {
-			return i, true
+// upsertLocked swaps each document in for the stored one carrying its
+// _id and, when insert is set, appends those no stored document
+// carries. The first replacement moves the collection to a fresh copy
+// of the slice (copy-on-write: concurrent readers never observe an
+// element change); plain appends — the follower and restart-replay hot
+// path — cost one map lookup each.
+func (c *Collection) upsertLocked(docs []Document, insert bool) {
+	replaced := false
+	for _, d := range docs {
+		if i, ok := c.byID[docID(d)]; ok {
+			if !replaced {
+				c.docs = append([]Document(nil), c.docs...)
+				replaced = true
+			}
+			c.docs[i] = d
+		} else if insert {
+			c.appendLocked(d)
 		}
 	}
-	return 0, false
-}
-
-// replaceLocked swaps in a new document version copy-on-write style, so
-// concurrent snapshot readers never observe an element mutate.
-func (c *Collection) replaceLocked(i int, d Document) {
-	next := make([]Document, len(c.docs))
-	copy(next, c.docs)
-	next[i] = d
-	c.docs = next
+	if replaced {
+		c.setDocsLocked(c.docs)
+	}
 }
 
 // ReplayLog replaces the collection contents from the log (snapshot

@@ -72,6 +72,7 @@ FuzzTaskHeartbeatDecode ./internal/crowd
 FuzzBatchObserve ./internal/core
 FuzzUnmarshalQuery ./internal/historydb
 FuzzReadJSONL ./internal/historydb
+FuzzDeepCopy ./internal/historydb
 FuzzParseSpackSpec ./internal/envparse
 FuzzParseVersion ./internal/envparse
 FuzzParseCKMeta ./internal/envparse
@@ -93,6 +94,10 @@ END { exit bad }' /tmp/cover.txt
 echo "== bench smoke"
 go test -run '^$' -bench 'Parallel|GPFit100|LCMFitTwoTasks|SaltelliSensitivity' \
     -benchtime 1x -benchmem .
+
+echo "== repository read-path bench smoke (stores of 1k and 10k documents)"
+go test -run '^$' -bench '^(BenchmarkUpload|BenchmarkQueryByProblem)$' \
+    -benchtime 1x -benchmem ./internal/crowd
 
 echo "== suggest hot-path allocation guard (<= ${SUGGEST_MAX_ALLOCS:=80} allocs/op)"
 go test -run '^$' -bench '^BenchmarkSuggestHotPath$' -benchtime 200x -benchmem . \
