@@ -153,7 +153,7 @@ func UploadSurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaDes
 		return "", fmt.Errorf("gptunecrowd: need at least 2 successful samples to fit a model")
 	}
 	ps := d.ProblemSpace.ParameterSpace
-	model, err := gp.Fit(X, Y, gp.Options{Categorical: categoricalMask(ps), Seed: 1})
+	model, err := gp.Fit(X, Y, gp.Options{Categorical: ps.CategoricalMask(), Seed: 1})
 	if err != nil {
 		return "", err
 	}

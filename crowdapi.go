@@ -13,7 +13,6 @@ import (
 	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/meta"
 	"gptunecrowd/internal/sensitivity"
-	"gptunecrowd/internal/space"
 )
 
 // Crowd-facing re-exports.
@@ -181,28 +180,11 @@ func fitFromEvalsKernel(ps *Space, evals []FuncEval, kt kernel.Type, seed int64)
 	if len(X) < 2 {
 		return nil, nil, fmt.Errorf("gptunecrowd: only %d encodable samples; need at least 2", len(X))
 	}
-	mask := categoricalMask(ps)
-	model, err := gp.Fit(X, Y, gp.Options{Kernel: kt, Categorical: mask, Seed: seed})
+	model, err := gp.Fit(X, Y, gp.Options{Kernel: kt, Categorical: ps.CategoricalMask(), Seed: seed})
 	if err != nil {
 		return nil, nil, err
 	}
 	return model, ps, nil
-}
-
-func categoricalMask(ps *Space) []bool {
-	kinds := ps.Kinds()
-	mask := make([]bool, len(kinds))
-	any := false
-	for i, k := range kinds {
-		if k == space.Categorical {
-			mask[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return mask
 }
 
 // QuerySurrogateModel downloads the selected samples and returns a

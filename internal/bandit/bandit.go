@@ -115,7 +115,7 @@ func Run(ps *space.Space, task map[string]interface{}, eval FidelityEvaluator, o
 	propose := func() []float64 {
 		X, Y := bestFidelityData(res.Observations)
 		if len(X) >= 3 {
-			model, err := gp.Fit(X, Y, gp.Options{Seed: rng.Int63(), Categorical: categoricalMask(ps)})
+			model, err := gp.Fit(X, Y, gp.Options{Seed: rng.Int63(), Categorical: ps.CategoricalMask()})
 			if err == nil {
 				h := &core.History{}
 				for i := range X {
@@ -237,20 +237,4 @@ func bestFidelityData(obs []Observation) ([][]float64, []float64) {
 		}
 	}
 	return X, Y
-}
-
-func categoricalMask(ps *space.Space) []bool {
-	kinds := ps.Kinds()
-	mask := make([]bool, len(kinds))
-	any := false
-	for i, k := range kinds {
-		if k == space.Categorical {
-			mask[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return mask
 }

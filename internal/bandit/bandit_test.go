@@ -1,11 +1,14 @@
 package bandit
 
 import (
+	"bytes"
 	"errors"
+	"log/slog"
 	"math"
 	"testing"
 
 	"gptunecrowd/internal/apps/nimrod"
+	"gptunecrowd/internal/apps/synth"
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/machine"
 	"gptunecrowd/internal/space"
@@ -161,5 +164,21 @@ func TestNIMRODFidelityExtrapolation(t *testing.T) {
 	}
 	if _, err := app.EvaluateAtFidelity(task, params, 0); err == nil {
 		t.Fatal("expected fidelity range error")
+	}
+}
+
+func TestRunLogsBrackets(t *testing.T) {
+	p := synth.DemoProblem()
+	task := map[string]interface{}{"t": 1.0}
+	eval := FidelityEvaluatorFunc(func(task, params map[string]interface{}, fid float64) (float64, error) {
+		return p.Evaluator.Evaluate(task, params)
+	})
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&buf, nil))
+	if _, err := Run(p.ParamSpace, task, eval, Options{Budget: 3, Seed: 2, Logger: logger}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("bandit bracket")) {
+		t.Fatal("logger received no bracket diagnostics")
 	}
 }

@@ -73,18 +73,4 @@ func (p *Problem) Validate() error {
 
 // CategoricalMask returns the per-dimension categorical flags of the
 // parameter space, for kernel construction.
-func (p *Problem) CategoricalMask() []bool {
-	kinds := p.ParamSpace.Kinds()
-	mask := make([]bool, len(kinds))
-	any := false
-	for i, k := range kinds {
-		if k == space.Categorical {
-			mask[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return mask
-}
+func (p *Problem) CategoricalMask() []bool { return p.ParamSpace.CategoricalMask() }

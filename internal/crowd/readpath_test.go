@@ -133,14 +133,14 @@ func refHistory(t *testing.T, s *Server, problem string, task map[string]interfa
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonTask(task)
+	want := suggest.TaskKey(task)
 	snap := &suggest.Snapshot{Space: policy.Space}
 	for _, d := range docs {
 		fe, err := fromDocument(d)
 		if err != nil {
 			continue
 		}
-		if canonTask(fe.TaskParams) != want {
+		if suggest.TaskKey(fe.TaskParams) != want {
 			continue
 		}
 		snap.Version++

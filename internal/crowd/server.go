@@ -52,14 +52,11 @@ type Config struct {
 	AdminUsers []string
 
 	// Suggestion-service tuning (zero values select the suggest package
-	// defaults): fitted-model cache capacity, how many appended samples a
-	// model absorbs incrementally before a full refit, how far behind the
-	// history a served model may lag, search parallelism and the fit /
-	// search RNG seed.
-	SuggestCacheSize  int
+	// defaults): how many appended samples a model absorbs incrementally
+	// before a full refit, how far behind the history a served model may
+	// lag, and the fit / search RNG seed.
 	SuggestRefitEvery int
 	SuggestMaxStale   int
-	SuggestWorkers    int
 	SuggestSeed       int64
 }
 
@@ -191,10 +188,8 @@ func NewServerWith(cfg Config) *Server {
 	s.models().IndexBy(problemField)
 	s.registerDerivedMetrics()
 	s.suggest = suggest.New(storeSource{s}, suggest.Config{
-		CacheSize:  cfg.SuggestCacheSize,
 		RefitEvery: cfg.SuggestRefitEvery,
 		MaxStale:   cfg.SuggestMaxStale,
-		Workers:    cfg.SuggestWorkers,
 		Seed:       cfg.SuggestSeed,
 		Registry:   s.metrics.reg,
 		Logger:     s.slog,

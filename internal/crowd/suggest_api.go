@@ -68,11 +68,11 @@ func (src storeSource) History(ctx context.Context, problem string, task map[str
 	if !ok || policy.Space == nil {
 		return nil, suggest.ErrUnknownProblem
 	}
-	want := canonTask(task)
+	want := suggest.TaskKey(task)
 	snap := &suggest.Snapshot{Space: policy.Space}
 	scanned, err := src.s.funcEvals().Scan(ctx, historydb.Eq(problemField, problem), func(d historydb.Document) bool {
 		m, ok := readMeasurement(d)
-		if !ok || canonTask(m.task) != want {
+		if !ok || suggest.TaskKey(m.task) != want {
 			return true
 		}
 		snap.Version++
@@ -91,20 +91,6 @@ func (src storeSource) History(ctx context.Context, problem string, task map[str
 		return nil, err
 	}
 	return snap, nil
-}
-
-// canonTask canonicalizes task parameters for matching: JSON with
-// sorted keys, nil and empty identical. Values arrive through JSON on
-// both sides (upload and suggest request), so their types agree.
-func canonTask(task map[string]interface{}) string {
-	if len(task) == 0 {
-		return "{}"
-	}
-	b, err := json.Marshal(task)
-	if err != nil {
-		return fmt.Sprintf("!%v", task)
-	}
-	return string(b)
 }
 
 // handleSuggest serves POST /api/v1/suggest. Rate limiting (429),

@@ -287,6 +287,22 @@ func (s *Space) Kinds() []Kind {
 	return out
 }
 
+// CategoricalMask returns the per-dimension categorical flags kernels
+// take (Hamming rather than Euclidean distance on those dimensions), or
+// nil when no parameter is categorical.
+func (s *Space) CategoricalMask() []bool {
+	var mask []bool
+	for i, p := range s.Params {
+		if p.Kind == Categorical {
+			if mask == nil {
+				mask = make([]bool, len(s.Params))
+			}
+			mask[i] = true
+		}
+	}
+	return mask
+}
+
 // Index returns the position of the named parameter, or -1.
 func (s *Space) Index(name string) int {
 	for i, p := range s.Params {

@@ -3,6 +3,7 @@ package suggest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -10,7 +11,8 @@ import (
 // batchService builds a service whose every request fully syncs first
 // (MaxStale 1), so liar bookkeeping is deterministic in tests.
 func batchService(src Source, ttl int) *Service {
-	return New(src, Config{Seed: 1, MaxStale: 1, LiarTTL: ttl})
+	s, _ := newKindService(src, Config{Seed: 1, MaxStale: 1, LiarTTL: ttl})
+	return s
 }
 
 func distinct(t *testing.T, props []Proposal) {
@@ -25,40 +27,42 @@ func distinct(t *testing.T, props []Proposal) {
 }
 
 func TestSuggestBatchDistinctProposals(t *testing.T) {
-	src := newFakeSource()
-	seedHistory(src, "app", 10)
-	s := batchService(src, 0)
-	ctx := context.Background()
+	forEachKind(t, func(t *testing.T, k servedKind) {
+		src := newFakeSource()
+		seedHistory(src, "app", 10)
+		s := batchService(src, 0)
+		ctx := context.Background()
 
-	r, err := s.Suggest(ctx, Request{Problem: "app", Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Proposals) != 4 {
-		t.Fatalf("got %d proposals, want 4", len(r.Proposals))
-	}
-	distinct(t, r.Proposals)
-	if r.ParamU == nil || !pointsClose(r.ParamU, r.Proposals[0].ParamU, 0) {
-		t.Fatalf("legacy ParamU %v does not mirror Proposals[0] %v", r.ParamU, r.Proposals[0].ParamU)
-	}
-	if r.ModelSamples != 10 {
-		t.Fatalf("ModelSamples = %d, want 10", r.ModelSamples)
-	}
-	st := s.Stats()
-	if st.BatchRequests != 1 || st.BatchProposals != 4 || st.LiarsActive != 4 {
-		t.Fatalf("stats = %+v, want 1 batch request, 4 proposals, 4 active liars", st)
-	}
-
-	// A follow-up single suggestion must steer clear of the liars.
-	r2, err := s.Suggest(ctx, Request{Problem: "app"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range r.Proposals {
-		if pointsClose(r2.ParamU, p.ParamU, 1e-9) {
-			t.Fatalf("single follow-up collided with outstanding liar %d at %v", i, p.ParamU)
+		r, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name, Batch: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(r.Proposals) != 4 {
+			t.Fatalf("got %d proposals, want 4", len(r.Proposals))
+		}
+		distinct(t, r.Proposals)
+		if r.ParamU == nil || !pointsClose(r.ParamU, r.Proposals[0].ParamU, 0) {
+			t.Fatalf("legacy ParamU %v does not mirror Proposals[0] %v", r.ParamU, r.Proposals[0].ParamU)
+		}
+		if r.ModelSamples != 10 {
+			t.Fatalf("ModelSamples = %d, want 10", r.ModelSamples)
+		}
+		st := s.Stats()
+		if st.BatchRequests != 1 || st.BatchProposals != 4 || st.LiarsActive != 4 {
+			t.Fatalf("stats = %+v, want 1 batch request, 4 proposals, 4 active liars", st)
+		}
+
+		// A follow-up single suggestion must steer clear of the liars.
+		r2, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range r.Proposals {
+			if pointsClose(r2.ParamU, p.ParamU, 1e-9) {
+				t.Fatalf("single follow-up collided with outstanding liar %d at %v", i, p.ParamU)
+			}
+		}
+	})
 }
 
 func TestSuggestBatchOversizeRejected(t *testing.T) {
@@ -95,72 +99,130 @@ func TestSuggestBatchColdStartSpaceFill(t *testing.T) {
 // exactly one liar retires — and a duplicate upload of the same point
 // retires nothing further.
 func TestSuggestLiarRetiredExactlyOnce(t *testing.T) {
-	src := newFakeSource()
-	seedHistory(src, "app", 10)
-	s := batchService(src, 1000)
-	ctx := context.Background()
+	forEachKind(t, func(t *testing.T, k servedKind) {
+		src := newFakeSource()
+		seedHistory(src, "app", 10)
+		s := batchService(src, 1000)
+		ctx := context.Background()
 
-	r, err := s.Suggest(ctx, Request{Problem: "app", Batch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.LiarsActive != 3 {
-		t.Fatalf("active liars = %d, want 3", st.LiarsActive)
-	}
+		r, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name, Batch: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.LiarsActive != 3 {
+			t.Fatalf("active liars = %d, want 3", st.LiarsActive)
+		}
 
-	// The worker reports the middle proposal: its liar must retire on
-	// the next sync, the other two must stay.
-	evaluated := r.Proposals[1].ParamU
-	src.add("app", append([]float64(nil), evaluated...), 0.25)
-	s.NotifyAppend("app", 1)
-	if _, err := s.Suggest(ctx, Request{Problem: "app"}); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.LiarsRetired != 1 || st.LiarsActive != 2 {
-		t.Fatalf("after one matching upload: %+v, want 1 retired / 2 active", st)
-	}
+		// The worker reports the middle proposal: its liar must retire on
+		// the next sync, the other two must stay.
+		evaluated := r.Proposals[1].ParamU
+		src.add("app", append([]float64(nil), evaluated...), 0.25)
+		s.NotifyAppend("app", 1)
+		if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name}); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.LiarsRetired != 1 || st.LiarsActive != 2 {
+			t.Fatalf("after one matching upload: %+v, want 1 retired / 2 active", st)
+		}
 
-	// A duplicate upload of the same point must not retire a second
-	// liar: the slot is already gone.
-	src.add("app", append([]float64(nil), evaluated...), 0.27)
-	s.NotifyAppend("app", 1)
-	if _, err := s.Suggest(ctx, Request{Problem: "app"}); err != nil {
-		t.Fatal(err)
-	}
-	st = s.Stats()
-	if st.LiarsRetired != 1 || st.LiarsActive != 2 {
-		t.Fatalf("after duplicate upload: %+v, want still 1 retired / 2 active", st)
-	}
+		// A duplicate upload of the same point must not retire a second
+		// liar: the slot is already gone.
+		src.add("app", append([]float64(nil), evaluated...), 0.27)
+		s.NotifyAppend("app", 1)
+		if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name}); err != nil {
+			t.Fatal(err)
+		}
+		st = s.Stats()
+		if st.LiarsRetired != 1 || st.LiarsActive != 2 {
+			t.Fatalf("after duplicate upload: %+v, want still 1 retired / 2 active", st)
+		}
+	})
 }
 
 // TestSuggestLiarExpiry: liars the crowd never reports back expire
 // after LiarTTL problem generations instead of haunting every batch.
 func TestSuggestLiarExpiry(t *testing.T) {
-	src := newFakeSource()
-	seedHistory(src, "app", 10)
-	s := batchService(src, 2) // expire after 2 generations
-	ctx := context.Background()
+	forEachKind(t, func(t *testing.T, k servedKind) {
+		src := newFakeSource()
+		seedHistory(src, "app", 10)
+		s := batchService(src, 2) // expire after 2 generations
+		ctx := context.Background()
 
-	if _, err := s.Suggest(ctx, Request{Problem: "app", Batch: 3}); err != nil {
-		t.Fatal(err)
+		if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name, Batch: 3}); err != nil {
+			t.Fatal(err)
+		}
+		// Advance the generation clock with unrelated uploads, far from the
+		// proposals, syncing each time.
+		for i := 0; i < 4; i++ {
+			src.add("app", []float64{0.01 * float64(i+1), 0.97}, 2+float64(i))
+			s.NotifyAppend("app", 1)
+			if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.Stats()
+		if st.LiarsActive != 0 {
+			t.Fatalf("liars never expired: %+v", st)
+		}
+		if st.LiarsExpired != 3 || st.LiarsRetired != 0 {
+			t.Fatalf("expiry accounting: %+v, want 3 expired / 0 retired", st)
+		}
+	})
+}
+
+// auditLiarBooks checks the two ledger invariants: every issued batch
+// point is active, retired or expired, and the active gauge is exactly
+// what the cached entries hold.
+func auditLiarBooks(t *testing.T, s *Service) {
+	t.Helper()
+	st := s.Stats()
+	if st.LiarsActive+st.LiarsRetired+st.LiarsExpired != st.BatchProposals {
+		t.Fatalf("liar books do not balance: active %d + retired %d + expired %d != issued %d",
+			st.LiarsActive, st.LiarsRetired, st.LiarsExpired, st.BatchProposals)
 	}
-	// Advance the generation clock with unrelated uploads, far from the
-	// proposals, syncing each time.
+	held := 0
+	s.mu.Lock()
+	for _, e := range s.entries {
+		e.mu.RLock()
+		held += len(e.liars)
+		e.mu.RUnlock()
+	}
+	s.mu.Unlock()
+	if st.LiarsActive != int64(held) {
+		t.Fatalf("liar gauge %d != %d liars held by cached entries", st.LiarsActive, held)
+	}
+}
+
+// TestSuggestEvictionSettlesLiars: an evicted entry takes its ledger
+// with it, so its liars must leave the active gauge — as expired, since
+// nothing can retire them any more.
+func TestSuggestEvictionSettlesLiars(t *testing.T) {
+	src := newFakeSource()
+	s := New(src, Config{Seed: 1, CacheSize: 2})
 	for i := 0; i < 4; i++ {
-		src.add("app", []float64{0.01 * float64(i+1), 0.97}, 2+float64(i))
-		s.NotifyAppend("app", 1)
-		if _, err := s.Suggest(ctx, Request{Problem: "app"}); err != nil {
+		problem := fmt.Sprintf("app%d", i)
+		seedHistory(src, problem, 6)
+		if _, err := s.Suggest(context.Background(), Request{Problem: problem, Batch: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := s.Stats()
-	if st.LiarsActive != 0 {
-		t.Fatalf("liars never expired: %+v", st)
+	if st.Evictions != 2 || st.LiarsActive != 8 || st.LiarsExpired != 8 {
+		t.Fatalf("evictions=%d active=%d expired=%d, want 2 evictions, 8 liars cached, 8 expired with their entries",
+			st.Evictions, st.LiarsActive, st.LiarsExpired)
 	}
-	if st.LiarsExpired != 3 || st.LiarsRetired != 0 {
-		t.Fatalf("expiry accounting: %+v, want 3 expired / 0 retired", st)
+	auditLiarBooks(t, s)
+
+	// A request that was still searching when its entry got evicted
+	// books its points as expired too.
+	evicted := &entry{problem: "app0", evicted: true}
+	s.batchProps.Add(2)
+	s.recordLiars(evicted, []liar{{u: []float64{0.1, 0.2}}, {u: []float64{0.3, 0.4}}})
+	if len(evicted.liars) != 0 {
+		t.Fatalf("evicted entry kept %d liars", len(evicted.liars))
 	}
+	auditLiarBooks(t, s)
 }
 
 // TestSuggestStalenessClockMonotone is the double-count regression pin:
@@ -179,7 +241,7 @@ func TestSuggestStalenessClockMonotone(t *testing.T) {
 	if _, err := s.Suggest(ctx, Request{Problem: "app"}); err != nil {
 		t.Fatal(err)
 	}
-	e := s.entryFor("app\x1f{}", "app", nil, "gp")
+	e := s.entries["app\x1f{}\x1fgp"]
 	e.mu.RLock()
 	v0, seen0 := e.version, e.lastSeen
 	e.mu.RUnlock()
@@ -199,12 +261,17 @@ func TestSuggestStalenessClockMonotone(t *testing.T) {
 }
 
 // TestSuggestConcurrentUploadsAndBatches hammers the upload-notify-
-// suggest triangle under the race detector: generations only advance,
-// the liar gauge matches the ledgers, and nothing double-counts.
+// suggest triangle under the race detector, over more problems than the
+// cache holds so entries are evicted under the requests using them:
+// generations only advance, the liar gauge matches the ledgers, and
+// nothing double-counts.
 func TestSuggestConcurrentUploadsAndBatches(t *testing.T) {
 	src := newFakeSource()
-	seedHistory(src, "app", 10)
-	s := New(src, Config{Seed: 1, MaxStale: 4, LiarTTL: 1000})
+	problems := []string{"app", "app1", "app2"}
+	for _, p := range problems {
+		seedHistory(src, p, 10)
+	}
+	s := New(src, Config{Seed: 1, MaxStale: 4, LiarTTL: 1000, CacheSize: 2})
 	ctx := context.Background()
 	if _, err := s.Suggest(ctx, Request{Problem: "app"}); err != nil {
 		t.Fatal(err)
@@ -223,7 +290,7 @@ func TestSuggestConcurrentUploadsAndBatches(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				if _, err := s.Suggest(ctx, Request{Problem: "app", Batch: 1 + (g+i)%3}); err != nil {
+				if _, err := s.Suggest(ctx, Request{Problem: problems[(g+i)%3], Batch: 1 + (g+i)%3}); err != nil {
 					t.Errorf("suggest: %v", err)
 					return
 				}
@@ -236,19 +303,14 @@ func TestSuggestConcurrentUploadsAndBatches(t *testing.T) {
 	if _, err := s.Suggest(ctx, Request{Problem: "app", Batch: 2}); err != nil {
 		t.Fatal(err)
 	}
-	e := s.entryFor("app\x1f{}", "app", nil, "gp")
+	if st := s.Stats(); st.Evictions == 0 {
+		t.Fatal("no entry was evicted; the audit below would not cover eviction")
+	}
+	auditLiarBooks(t, s)
+	e := s.entries["app\x1f{}\x1fgp"]
 	e.mu.RLock()
-	ledger := len(e.liars)
 	seen := e.lastSeen
 	e.mu.RUnlock()
-	st := s.Stats()
-	if st.LiarsActive != int64(ledger) {
-		t.Fatalf("liar gauge %d != ledger size %d", st.LiarsActive, ledger)
-	}
-	if issued := st.BatchProposals; st.LiarsActive+st.LiarsRetired+st.LiarsExpired != issued {
-		t.Fatalf("liar books do not balance: active %d + retired %d + expired %d != issued %d",
-			st.LiarsActive, st.LiarsRetired, st.LiarsExpired, issued)
-	}
 	if gen := s.gen("app").Load(); seen > gen {
 		t.Fatalf("lastSeen %d ran ahead of the generation counter %d", seen, gen)
 	}

@@ -1,10 +1,11 @@
 // Package suggest turns proposal generation into a server-side hot
-// path: an LRU cache of fitted GP surrogates keyed by (tuning problem,
-// task), kept fresh by single-flight background fits against the
-// snapshot-isolated history store, with incremental O(n²) posterior
-// updates (gp.Observe) between periodic full refits. Thin crowd clients
-// then need no numerics at all — they POST /api/v1/suggest and receive
-// the next configuration to evaluate, the Collective-Mind-style
+// path: an LRU cache of fitted core.Surrogates keyed by (tuning problem,
+// task, kind), kept fresh by single-flight background syncs against the
+// snapshot-isolated history store. One rule serves every kind: a model
+// that can hand out a copy of itself absorbs new rows by Observe on the
+// copy between periodic full fits, any other is rebuilt. Thin crowd
+// clients then need no numerics at all — they POST /api/v1/suggest and
+// receive the next configuration to evaluate, the Collective-Mind-style
 // "repository serves the models" division of labor.
 //
 // Consistency contract: a served proposal may lag the newest uploads by
@@ -28,9 +29,9 @@ import (
 	"time"
 
 	"gptunecrowd/internal/core"
-	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/obs"
 	"gptunecrowd/internal/space"
+	"gptunecrowd/internal/stat"
 	"gptunecrowd/internal/surrogate"
 )
 
@@ -79,13 +80,11 @@ type Source interface {
 
 // Config tunes the service.
 type Config struct {
-	CacheSize   int // fitted-model LRU capacity (default 64)
-	RefitEvery  int // full refit after this many incremental updates (default 16)
-	MaxStale    int // block when a model lags this many uploads (default RefitEvery)
-	Workers     int // parallelism for fits and acquisition scoring (<=0: engine default)
-	Candidates  int // acquisition prescreen pool (default 128)
-	DEGens      int // DE generations per suggestion (default 12)
-	FitRestarts int // hyperparameter multi-starts per full fit (default 2)
+	CacheSize  int // fitted-model LRU capacity (default 64)
+	RefitEvery int // full refit after this many incremental updates (default 16)
+	MaxStale   int // block when a model lags this many uploads (default RefitEvery)
+	Candidates int // acquisition prescreen pool (default 128)
+	DEGens     int // DE generations per suggestion (default 12)
 	// MaxBatch caps Request.Batch (default 16, hard limit 64).
 	MaxBatch int
 	// LiarTTL is how many problem generations an unretired liar point
@@ -113,9 +112,6 @@ func (c *Config) defaults() {
 	if c.DEGens <= 0 {
 		c.DEGens = 12
 	}
-	if c.FitRestarts <= 0 {
-		c.FitRestarts = 2
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
@@ -142,29 +138,14 @@ type Request struct {
 	// each point is remembered as a liar until a matching real sample is
 	// uploaded (retired via NotifyAppend) or it expires.
 	Batch int
-	// Surrogate optionally picks the model family serving the request:
-	// "gp" (default, the exact GP), "copula" (Gaussian-copula quantile
-	// model) or "sgp" (sparse inducing-point GP — the crowd-scale
-	// choice). Absent keeps the pre-hint behavior exactly; each kind has
-	// its own cache entry. Unknown or unservable kinds ("auto", "lcm")
-	// fail with ErrBadRequest.
+	// Surrogate optionally picks the model family serving the request,
+	// by surrogate kind name: "gp" (the default when absent, the exact
+	// GP), "copula" (Gaussian-copula quantile model) or "sgp" (sparse
+	// inducing-point GP — the crowd-scale choice). Each kind has its own
+	// cache entry. A kind surrogate.New cannot build from the target
+	// history alone ("lcm" needs source tasks; "auto" is a selector, not
+	// a kind) fails with ErrBadRequest.
 	Surrogate string
-}
-
-// parseSurrogateKind validates the request's surrogate hint and
-// resolves the default.
-func parseSurrogateKind(name string) (string, error) {
-	switch strings.ToLower(name) {
-	case "", surrogate.KindGP:
-		return surrogate.KindGP, nil
-	case surrogate.KindCopula:
-		return surrogate.KindCopula, nil
-	case surrogate.KindSGP:
-		return surrogate.KindSGP, nil
-	case surrogate.KindAuto, surrogate.KindLCM:
-		return "", fmt.Errorf("%w: surrogate %q is not servable by /suggest (want gp, copula or sgp)", ErrBadRequest, name)
-	}
-	return "", fmt.Errorf("%w: unknown surrogate %q (want gp, copula or sgp)", ErrBadRequest, name)
 }
 
 // Proposal is one point of a (possibly batched) response.
@@ -203,34 +184,11 @@ type Stats struct {
 	LiarsExpired        int64 `json:"liars_expired"`
 }
 
-// servingModel is what the acquisition search needs from a cached
-// surrogate: batched posterior prediction plus its training size.
-type servingModel interface {
-	core.BatchPredictor
-	NumSamples() int
-}
-
-// batchModel additionally absorbs constant-liar pseudo-observations for
-// the batch-proposal path.
-type batchModel interface {
-	core.BatchPredictor
-	Observe(x []float64, y float64) error
-}
-
-// fittedSurrogate adapts a non-GP core.Surrogate to servingModel.
-type fittedSurrogate struct {
-	core.Surrogate
-	n int
-}
-
-func (f *fittedSurrogate) NumSamples() int { return f.n }
-
-// readonlyModel serves a shared model in the batch path when a private
-// copy could not be built: liar observations become no-ops, and spread
-// relies on the scratch history's duplicate penalty alone.
-type readonlyModel struct{ servingModel }
-
-func (readonlyModel) Observe([]float64, float64) error { return nil }
+// cloner is the one capability the sync and private-copy rules look
+// for: a fitted surrogate that can hand out an independent copy of
+// itself, so new rows (or liars) are folded into the copy while
+// requests keep searching the original.
+type cloner interface{ Clone() core.Surrogate }
 
 // entry is one cached surrogate. mu guards the model state (RLock for
 // prediction/search, Lock for swap/incremental update); fitMu guards
@@ -239,21 +197,27 @@ type entry struct {
 	key     string
 	problem string
 	task    map[string]interface{}
-	kind    string // surrogate family ("gp", "copula", "sgp")
+	kind    string // surrogate kind the entry is built with
 
-	mu       sync.RWMutex
-	model    servingModel
-	space    *space.Space
-	hist     *core.History
-	version  uint64 // snapshot version the model covers
-	succN    int    // successful rows absorbed by the model
-	lastSeen uint64 // problem generation at the last completed sync
-	fetched  bool   // at least one snapshot applied
-	lastErr  error
+	mu      sync.RWMutex
+	model   core.Surrogate
+	space   *space.Space
+	hist    *core.History
+	version uint64 // snapshot version the model covers
+	succN   int    // successful rows absorbed by the model
+	// Refit budget and drift reference, reset by every full fit: rows
+	// observed incrementally since, and the mean and (population)
+	// standard deviation of the targets that fit saw.
+	sinceFit    int
+	yMean, yStd float64
+	lastSeen    uint64 // problem generation at the last completed sync
+	fetched     bool   // at least one snapshot applied
+	lastErr     error
 	// liars are batch-served points awaiting their real sample: future
 	// proposals are pushed away from them, and each is retired exactly
 	// once when a matching upload is absorbed (or expired by TTL).
-	liars []liar
+	liars   []liar
+	evicted bool // dropped from the cache: late liars are booked as expired
 
 	fitMu   sync.Mutex
 	fitting bool
@@ -267,6 +231,9 @@ type entry struct {
 type Service struct {
 	cfg Config
 	src Source
+	// newModel builds an unfitted surrogate of a kind (surrogate.New;
+	// tests substitute stubs).
+	newModel func(kind string, cfg surrogate.Config) (core.Surrogate, error)
 
 	mu      sync.Mutex // guards entries + LRU list
 	entries map[string]*entry
@@ -299,7 +266,7 @@ type liar struct {
 // under the suggest_* families.
 func New(src Source, cfg Config) *Service {
 	cfg.defaults()
-	s := &Service{cfg: cfg, src: src, entries: make(map[string]*entry), log: cfg.Logger}
+	s := &Service{cfg: cfg, src: src, newModel: surrogate.New, entries: make(map[string]*entry), log: cfg.Logger}
 	r := cfg.Registry
 	s.latency = r.Histogram("suggest_latency_seconds", "Suggestion latency from request to proposal.", nil)
 	s.fitSeconds = r.Histogram("suggest_fit_seconds", "Wall time of surrogate fits (full and incremental syncs).", nil)
@@ -363,9 +330,11 @@ func (s *Service) gen(problem string) *atomic.Uint64 {
 	return v.(*atomic.Uint64)
 }
 
-// taskKey canonicalizes a task for cache keying: JSON with sorted map
-// keys, nil and empty tasks identical.
-func taskKey(task map[string]interface{}) string {
+// TaskKey canonicalizes task parameters: JSON with sorted map keys, nil
+// and empty tasks identical. It keys the cache entry, and a Source must
+// match stored rows to a request's task with it, so the entry's history
+// is exactly the rows its key names.
+func TaskKey(task map[string]interface{}) string {
 	if len(task) == 0 {
 		return "{}"
 	}
@@ -379,7 +348,8 @@ func taskKey(task map[string]interface{}) string {
 }
 
 // entryFor returns the cache entry for key, creating it and evicting
-// the LRU tail past capacity.
+// the LRU tail past capacity. A victim's outstanding liars are settled
+// as expired (lock order Service.mu → entry.mu, never the reverse).
 func (s *Service) entryFor(key, problem string, task map[string]interface{}, kind string) *entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -393,6 +363,12 @@ func (s *Service) entryFor(key, problem string, task map[string]interface{}, kin
 			s.lruRemove(victim)
 			delete(s.entries, victim.key)
 			s.evictions.Add(1)
+			victim.mu.Lock()
+			dropped := int64(len(victim.liars))
+			victim.liars, victim.evicted = nil, true
+			victim.mu.Unlock()
+			s.liarsActive.Add(-dropped)
+			s.liarsExpired.Add(dropped)
 		}
 	} else {
 		s.lruRemove(e)
@@ -452,9 +428,15 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, err := parseSurrogateKind(req.Surrogate)
-	if err != nil {
-		return nil, err
+	// A kind is servable iff it can be built from the target history
+	// alone; decided here, before a cache entry exists, so a junk hint
+	// cannot evict a good model.
+	kind := strings.ToLower(req.Surrogate)
+	if kind == "" {
+		kind = surrogate.KindGP
+	}
+	if _, err := s.newModel(kind, surrogate.Config{}); err != nil {
+		return nil, fmt.Errorf("%w: surrogate %q is not servable by /suggest: %v", ErrBadRequest, req.Surrogate, err)
 	}
 	k := req.Batch
 	if k <= 0 {
@@ -463,12 +445,7 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 	if k > s.cfg.MaxBatch {
 		return nil, fmt.Errorf("%w: batch size %d exceeds the maximum %d", ErrBadRequest, k, s.cfg.MaxBatch)
 	}
-	// Non-default kinds get their own cache entries; the default keeps
-	// the pre-hint key so existing caches stay warm across upgrades.
-	key := req.Problem + "\x1f" + taskKey(req.Task)
-	if kind != surrogate.KindGP {
-		key += "\x1f" + kind
-	}
+	key := req.Problem + "\x1f" + TaskKey(req.Task) + "\x1f" + kind
 	e := s.entryFor(key, req.Problem, req.Task, kind)
 	gen := s.gen(req.Problem)
 
@@ -516,7 +493,7 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 	// mutates in place), so the snapshot stays internally consistent and
 	// concurrent syncs are never blocked by a long acquisition search.
 	e.mu.RLock()
-	model, sp, hist, version := e.model, e.space, e.hist, e.version
+	model, sp, hist, version, samples := e.model, e.space, e.hist, e.version, e.succN
 	lastErr = e.lastErr
 	var pendingLiars []liar
 	if model != nil && (k > 1 || len(e.liars) > 0) {
@@ -531,21 +508,12 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	resp := &Response{ModelVersion: version, CacheHit: hit}
-	searchOpts := core.SearchOptions{
-		Candidates: s.cfg.Candidates,
-		DEGens:     s.cfg.DEGens,
-		Workers:    s.cfg.Workers,
-	}
+	searchOpts := core.SearchOptions{Candidates: s.cfg.Candidates, DEGens: s.cfg.DEGens}
 	switch {
 	case model == nil:
 		// Cold start: too little history for a surrogate; space-fill.
-		// Batched space-fill appends each draw to a scratch history so
-		// the k points are distinct.
+		// Each draw joins a scratch history so the k points are distinct.
 		resp.Proposer = "suggest/space-fill"
-		if k == 1 {
-			resp.Proposals = []Proposal{proposalFor(sp, randomFresh(sp, hist, rng))}
-			break
-		}
 		scratch := scratchHist(hist, k)
 		for j := 0; j < k; j++ {
 			u := randomFresh(sp, scratch, rng)
@@ -556,21 +524,25 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 		// The allocation-flat hot path: one search over the shared model.
 		u := core.SearchNext(model, sp, acq, hist, rng, searchOpts)
 		resp.Proposals = []Proposal{proposalFor(sp, u)}
-		resp.ModelSamples = model.NumSamples()
+		resp.ModelSamples = samples
 		resp.Proposer = "suggest/" + strings.ToLower(acq.Name())
 	default:
 		// Batch (or liar-aware single) path: pretend-observe the pending
-		// liars and each new point on a throwaway clone, so proposals
-		// spread out instead of collapsing onto the acquisition optimum.
-		resp.ModelSamples = model.NumSamples()
+		// liars and each new point on a private copy, so proposals spread
+		// out instead of collapsing onto the acquisition optimum. Without
+		// a copy the shared model is searched read-only and the spread
+		// rests on the scratch history's duplicate penalty alone.
+		resp.ModelSamples = samples
 		resp.Proposer = "suggest/" + strings.ToLower(acq.Name())
-		work := s.batchModelFor(e.kind, model, sp, hist)
+		work, private := s.privateCopy(e.kind, model, sp, hist)
 		scratch := scratchHist(hist, len(pendingLiars)+k)
 		for _, l := range pendingLiars {
 			// A liar that breaks positive definiteness (e.g. a duplicate
 			// point) is skipped for repulsion but still blocks re-proposal
 			// through the scratch history.
-			_ = work.Observe(l.u, l.y)
+			if private {
+				_ = work.Observe(l.u, l.y)
+			}
 			scratch.Append(core.Sample{ParamU: l.u, Y: l.y, Proposer: "suggest/liar"})
 		}
 		lie := incumbent(scratch)
@@ -579,7 +551,7 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 			u := core.SearchNext(work, sp, acq, scratch, rng, searchOpts)
 			resp.Proposals = append(resp.Proposals, proposalFor(sp, u))
 			newLiars = append(newLiars, liar{u: u, y: lie})
-			if j < k-1 {
+			if private && j < k-1 {
 				_ = work.Observe(u, lie)
 			}
 			scratch.Append(core.Sample{ParamU: u, Y: lie, Proposer: "suggest/liar"})
@@ -600,58 +572,43 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 	return resp, nil
 }
 
-// batchModelFor returns a private copy of the serving model that can
-// absorb liar pseudo-observations. The GP clones its posterior in
-// O(n²); the cheap kinds (copula, sgp) refit a fresh model from the
-// serving history — their fit is the cheap part by design. If the
-// refit fails the shared model is served read-only.
-func (s *Service) batchModelFor(kind string, model servingModel, sp *space.Space, hist *core.History) batchModel {
-	if g, ok := model.(*gp.GP); ok {
-		return g.Clone()
+// privateCopy returns a copy of the serving model that may absorb liar
+// pseudo-observations: its Clone when it offers one, else a fresh model
+// fitted on the serving history. If neither works it returns the shared
+// model and false: search it, never Observe on it.
+func (s *Service) privateCopy(kind string, model core.Surrogate, sp *space.Space, hist *core.History) (core.Surrogate, bool) {
+	if c, ok := model.(cloner); ok {
+		return c.Clone(), true
 	}
-	surr, err := s.newSurrogate(kind, sp)
-	if err == nil {
-		X := make([][]float64, hist.Len())
-		Y := make([]float64, hist.Len())
-		for i, smp := range hist.Samples {
-			X[i] = smp.ParamU
-			Y[i] = smp.Y
-		}
-		err = surr.Fit(X, Y)
+	X := make([][]float64, hist.Len())
+	Y := make([]float64, hist.Len())
+	for i, smp := range hist.Samples {
+		X[i] = smp.ParamU
+		Y[i] = smp.Y
 	}
+	private, err := s.fit(kind, sp, X, Y)
 	if err != nil {
 		s.log.Warn("suggest batch: private surrogate refit failed, serving read-only",
 			"kind", kind, "error", err)
-		return readonlyModel{model}
+		return model, false
 	}
-	return surr
+	return private, true
 }
 
-// newSurrogate builds an unfitted non-GP surrogate for the space.
-func (s *Service) newSurrogate(kind string, sp *space.Space) (core.Surrogate, error) {
-	mask := make([]bool, sp.Dim())
-	anyCat := false
-	for i, k := range sp.Kinds() {
-		if k == space.Categorical {
-			mask[i] = true
-			anyCat = true
-		}
-	}
-	if !anyCat {
-		mask = nil
-	}
-	surr, err := surrogate.New(kind, surrogate.Config{
-		Dim:         sp.Dim(),
-		Categorical: mask,
-		Workers:     s.cfg.Workers,
-	})
+// fit builds a fresh surrogate of the kind for the space and trains it
+// on (X, Y).
+func (s *Service) fit(kind string, sp *space.Space, X [][]float64, Y []float64) (core.Surrogate, error) {
+	m, err := s.newModel(kind, surrogate.Config{Dim: sp.Dim(), Categorical: sp.CategoricalMask()})
 	if err != nil {
 		return nil, err
 	}
-	if ss, ok := surr.(interface{ SetSeed(int64) }); ok {
+	if ss, ok := m.(interface{ SetSeed(int64) }); ok {
 		ss.SetSeed(s.cfg.Seed)
 	}
-	return surr, nil
+	if err := m.Fit(X, Y); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // proposalFor decodes one canonical point.
@@ -684,7 +641,8 @@ func incumbent(h *core.History) float64 {
 
 // recordLiars appends freshly served batch points to the entry's liar
 // ledger, stamped with the current problem generation, and enforces the
-// ledger cap (oldest out first, counted as expired).
+// ledger cap (oldest out first, counted as expired). An entry evicted
+// while the request was searching keeps no ledger: its points expire.
 func (s *Service) recordLiars(e *entry, newLiars []liar) {
 	if len(newLiars) == 0 {
 		return
@@ -694,6 +652,11 @@ func (s *Service) recordLiars(e *entry, newLiars []liar) {
 		newLiars[i].born = born
 	}
 	e.mu.Lock()
+	if e.evicted {
+		e.mu.Unlock()
+		s.liarsExpired.Add(int64(len(newLiars)))
+		return
+	}
 	e.liars = append(e.liars, newLiars...)
 	dropped := len(e.liars) - maxLiarsPerEntry
 	if dropped > 0 {
@@ -765,8 +728,11 @@ func (s *Service) runFlight(ctx context.Context, e *entry, done chan struct{}) {
 	}
 }
 
-// apply folds one snapshot into the entry: an incremental gp.Observe
-// per new row while under the refit budget, a full gp.Fit otherwise.
+// apply folds one snapshot into the entry. The sync rule is the same
+// for every kind: a model that offers a copy absorbs the new rows by
+// Observe on that copy while the entry is inside its refit budget and
+// the rows have not drifted; otherwise a fresh model is built and
+// fitted on the whole snapshot.
 func (s *Service) apply(ctx context.Context, e *entry, snap *Snapshot, g0 uint64) {
 	nsucc := len(snap.X)
 	hist := &core.History{Samples: make([]core.Sample, nsucc)}
@@ -775,84 +741,51 @@ func (s *Service) apply(ctx context.Context, e *entry, snap *Snapshot, g0 uint64
 	}
 
 	e.mu.RLock()
-	model, prevN := e.model, e.succN
+	model, prevN, sinceFit := e.model, e.succN, e.sinceFit
+	yMean, yStd := e.yMean, e.yStd
 	e.mu.RUnlock()
 
 	fitStart := time.Now()
-	gpModel, _ := model.(*gp.GP)
-	incremental := gpModel != nil && nsucc > prevN &&
-		gpModel.ObservedSinceFit()+(nsucc-prevN) < s.cfg.RefitEvery &&
-		!drifted(gpModel, snap.Y[prevN:])
-	refit := func() (*gp.GP, error) {
-		return gp.Fit(snap.X, snap.Y, gp.Options{
-			Seed:     s.cfg.Seed,
-			Restarts: s.cfg.FitRestarts,
-			Workers:  s.cfg.Workers,
-			Ctx:      ctx,
-		})
-	}
 	// All model construction happens outside the entry lock, and the
-	// incremental path updates a clone: concurrent requests may be
-	// mid-search on the serving model, whose Cholesky factor gp.Observe
-	// would otherwise rewrite under their feet. The finished model swaps
-	// in wholesale below.
-	var next servingModel
+	// incremental path updates a copy: concurrent requests may be
+	// mid-search on the serving model, whose state Observe would
+	// otherwise rewrite under their feet. The finished model swaps in
+	// wholesale below.
+	var next core.Surrogate
 	var fitErr error
 	fitKind := "none"
 	switch {
 	case model != nil && nsucc == prevN:
 		// No new successful rows; keep serving the current model.
-	case e.kind != "" && e.kind != surrogate.KindGP:
-		// Cheap-refit path: the non-GP kinds refit from scratch on every
-		// sync — their full fit is cheaper than the GP's incremental
-		// update at crowd scale, so there is nothing to amortize.
-		if nsucc >= 2 {
-			var surr core.Surrogate
-			if surr, fitErr = s.newSurrogate(e.kind, snap.Space); fitErr == nil {
-				fitErr = surr.Fit(snap.X, snap.Y)
-			}
-			if fitErr == nil {
-				next = &fittedSurrogate{Surrogate: surr, n: nsucc}
-				fitKind = "full"
-				s.fullFits.Add(1)
-			} else {
-				s.log.ErrorContext(ctx, "suggest fit: surrogate refit failed",
-					"problem", e.problem, "surrogate", e.kind, "samples", nsucc, "error", fitErr)
-			}
-		}
-	case incremental:
-		fitKind = "incremental"
-		work := gpModel.Clone()
-		for i := prevN; i < nsucc; i++ {
-			if err := work.Observe(snap.X[i], snap.Y[i]); err != nil {
-				// Lost positive definiteness mid-stream: refit from
-				// scratch rather than serve a broken posterior.
-				s.log.WarnContext(ctx, "suggest fit: incremental update failed, forcing refit",
-					"problem", e.problem, "error", err)
-				work = nil
-				break
-			}
-			s.incrObs.Add(1)
-		}
-		if work == nil {
-			fitKind = "none"
-			if work, fitErr = refit(); fitErr == nil {
-				fitKind = "full"
-				s.fullFits.Add(1)
+	case nsucc < 2:
+		// Not enough history for a surrogate; space-fill (below).
+	default:
+		if c, ok := model.(cloner); ok && nsucc > prevN &&
+			sinceFit+(nsucc-prevN) < s.cfg.RefitEvery && !drifted(yMean, yStd, snap.Y[prevN:]) {
+			next = c.Clone()
+			for i := prevN; i < nsucc; i++ {
+				if err := next.Observe(snap.X[i], snap.Y[i]); err != nil {
+					// E.g. lost positive definiteness mid-stream: refit from
+					// scratch rather than serve a broken posterior.
+					s.log.WarnContext(ctx, "suggest fit: incremental update failed, forcing refit",
+						"problem", e.problem, "surrogate", e.kind, "error", err)
+					next = nil
+					break
+				}
+				s.incrObs.Add(1)
 			}
 		}
-		if work != nil {
-			next = work
-		}
-	case nsucc >= 2:
-		var work *gp.GP
-		if work, fitErr = refit(); fitErr == nil {
+		if next != nil {
+			fitKind = "incremental"
+			sinceFit += nsucc - prevN
+		} else if next, fitErr = s.fit(e.kind, snap.Space, snap.X, snap.Y); fitErr == nil {
 			fitKind = "full"
 			s.fullFits.Add(1)
-			next = work
+			sinceFit = 0
+			yMean, yStd = stat.Mean(snap.Y), stat.StdDev(snap.Y)
 		} else {
 			s.log.ErrorContext(ctx, "suggest fit: full refit failed",
-				"problem", e.problem, "samples", nsucc, "error", fitErr)
+				"problem", e.problem, "surrogate", e.kind, "samples", nsucc, "error", fitErr)
 		}
 	}
 
@@ -862,6 +795,7 @@ func (s *Service) apply(ctx context.Context, e *entry, snap *Snapshot, g0 uint64
 	case next != nil:
 		e.model = next
 		e.succN = nsucc
+		e.sinceFit, e.yMean, e.yStd = sinceFit, yMean, yStd
 	case nsucc < 2:
 		// Not enough history for a surrogate yet; serve space-fill.
 		e.model = nil
@@ -958,12 +892,15 @@ func pointsClose(a, b []float64, tol float64) bool {
 }
 
 // drifted reports whether any incoming target sits far outside the
-// model's frozen standardization — the hyperparameter-drift trigger for
-// a full refit.
-func drifted(model *gp.GP, newY []float64) bool {
-	m, sd := model.Standardization()
+// targets of the last full fit (their mean and population deviation, a
+// degenerate spread counting as 1 — the standardization a GP freezes):
+// the hyperparameter-drift trigger for a full refit.
+func drifted(mean, sd float64, newY []float64) bool {
+	if sd < 1e-12 {
+		sd = 1
+	}
 	for _, y := range newY {
-		if math.Abs(y-m)/sd > driftSigma {
+		if math.Abs(y-mean)/sd > driftSigma {
 			return true
 		}
 	}

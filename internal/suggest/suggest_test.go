@@ -21,6 +21,7 @@ var testSpace = space.MustNew(
 // that blocks History calls until released.
 type fakeSource struct {
 	mu    sync.Mutex
+	space *space.Space     // served with every snapshot (default testSpace)
 	rows  map[string][]row // problem → rows
 	calls atomic.Int64
 	gate  chan struct{} // when non-nil, History blocks on it
@@ -33,7 +34,7 @@ type row struct {
 }
 
 func newFakeSource() *fakeSource {
-	return &fakeSource{rows: map[string][]row{}}
+	return &fakeSource{space: testSpace, rows: map[string][]row{}}
 }
 
 func (f *fakeSource) add(problem string, x []float64, y float64) {
@@ -60,7 +61,7 @@ func (f *fakeSource) History(ctx context.Context, problem string, task map[strin
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	rows := f.rows[problem]
-	snap := &Snapshot{Space: testSpace, Version: uint64(len(rows))}
+	snap := &Snapshot{Space: f.space, Version: uint64(len(rows))}
 	for _, r := range rows {
 		snap.X = append(snap.X, append([]float64(nil), r.x...))
 		snap.Y = append(snap.Y, r.y)
@@ -131,82 +132,130 @@ func TestSuggestServesAndCaches(t *testing.T) {
 }
 
 func TestSuggestSingleFlight(t *testing.T) {
-	src := newFakeSource()
-	seedHistory(src, "app", 8)
-	gate := make(chan struct{})
-	src.gate = gate
-	s := New(src, Config{Seed: 1})
+	forEachKind(t, func(t *testing.T, k servedKind) {
+		src := newFakeSource()
+		seedHistory(src, "app", 8)
+		gate := make(chan struct{})
+		src.gate = gate
+		s, _ := newKindService(src, Config{Seed: 1})
 
-	const clients = 16
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	resps := make([]*Response, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], errs[i] = s.Suggest(context.Background(), Request{Problem: "app"})
-		}(i)
-	}
-	// All clients are now blocked on the same cold-entry flight; release
-	// the source and let them drain.
-	time.Sleep(50 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("client %d: %v", i, errs[i])
+		const clients = 16
+		var wg sync.WaitGroup
+		errs := make([]error, clients)
+		resps := make([]*Response, clients)
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resps[i], errs[i] = s.Suggest(context.Background(), Request{Problem: "app", Surrogate: k.name})
+			}(i)
 		}
-		if resps[i].ModelSamples != 8 {
-			t.Fatalf("client %d: ModelSamples = %d, want 8", i, resps[i].ModelSamples)
+		// All clients are now blocked on the same cold-entry flight; release
+		// the source and let them drain.
+		time.Sleep(50 * time.Millisecond)
+		close(gate)
+		wg.Wait()
+		for i := range errs {
+			if errs[i] != nil {
+				t.Fatalf("client %d: %v", i, errs[i])
+			}
+			if resps[i].ModelSamples != 8 {
+				t.Fatalf("client %d: ModelSamples = %d, want 8", i, resps[i].ModelSamples)
+			}
 		}
-	}
-	if calls := src.calls.Load(); calls != 1 {
-		t.Fatalf("History called %d times for one history version, want 1 (single-flight)", calls)
-	}
-	if st := s.Stats(); st.FullFits != 1 {
-		t.Fatalf("FullFits = %d, want 1", st.FullFits)
-	}
+		if calls := src.calls.Load(); calls != 1 {
+			t.Fatalf("History called %d times for one history version, want 1 (single-flight)", calls)
+		}
+		if st := s.Stats(); st.FullFits != 1 {
+			t.Fatalf("FullFits = %d, want 1", st.FullFits)
+		}
+	})
 }
 
+// TestSuggestIncrementalThenPeriodicRefit pins the sync rule: a model
+// that offers a copy observes new rows on it until the RefitEvery
+// budget is spent, any other is rebuilt on every sync — and either way
+// a request at the MaxStale bound waits for the sync.
 func TestSuggestIncrementalThenPeriodicRefit(t *testing.T) {
-	src := newFakeSource()
-	seedHistory(src, "app", 6)
-	// MaxStale=1 makes every post-upload request block on a sync, so the
-	// fit kinds are deterministic.
-	s := New(src, Config{Seed: 1, RefitEvery: 3, MaxStale: 1})
-	ctx := context.Background()
+	forEachKind(t, func(t *testing.T, k servedKind) {
+		src := newFakeSource()
+		seedHistory(src, "app", 6)
+		// MaxStale=1 makes every post-upload request block on a sync, so the
+		// fit kinds are deterministic.
+		s, _ := newKindService(src, Config{Seed: 1, RefitEvery: 3, MaxStale: 1})
+		ctx := context.Background()
 
-	if _, err := s.Suggest(ctx, Request{Problem: "app"}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.FullFits != 1 || st.IncrementalObserves != 0 {
-		t.Fatalf("after cold fit: %+v", st)
-	}
+		if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name}); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.FullFits != 1 || st.IncrementalObserves != 0 {
+			t.Fatalf("after cold fit: %+v", st)
+		}
 
-	wantIncr := []int64{1, 2, 2} // third upload crosses RefitEvery=3 → full refit
-	wantFull := []int64{1, 1, 2}
-	for i := 0; i < 3; i++ {
-		x := []float64{0.15 + 0.1*float64(i), 0.85 - 0.1*float64(i)}
-		src.add("app", x, math.Sin(3*x[0])+x[1]*x[1])
-		s.NotifyAppend("app", 1)
-		r, err := s.Suggest(ctx, Request{Problem: "app"})
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
+		wantIncr := []int64{0, 0, 0}
+		wantFull := []int64{2, 3, 4}
+		if k.clones {
+			wantIncr = []int64{1, 2, 2} // third upload crosses RefitEvery=3 → full refit
+			wantFull = []int64{1, 1, 2}
 		}
-		if want := uint64(7 + i); r.ModelVersion != want {
-			t.Fatalf("round %d: ModelVersion = %d, want %d (no stale serving under MaxStale=1)", i, r.ModelVersion, want)
+		for i := 0; i < 3; i++ {
+			x := []float64{0.15 + 0.1*float64(i), 0.85 - 0.1*float64(i)}
+			src.add("app", x, math.Sin(3*x[0])+x[1]*x[1])
+			s.NotifyAppend("app", 1)
+			r, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name})
+			if err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+			if want := uint64(7 + i); r.ModelVersion != want {
+				t.Fatalf("round %d: ModelVersion = %d, want %d (no stale serving under MaxStale=1)", i, r.ModelVersion, want)
+			}
+			if r.ModelSamples != 7+i {
+				t.Fatalf("round %d: ModelSamples = %d, want %d", i, r.ModelSamples, 7+i)
+			}
+			st := s.Stats()
+			if st.IncrementalObserves != wantIncr[i] || st.FullFits != wantFull[i] {
+				t.Fatalf("round %d: incr=%d full=%d, want %d/%d", i, st.IncrementalObserves, st.FullFits, wantIncr[i], wantFull[i])
+			}
 		}
-		if r.ModelSamples != 7+i {
-			t.Fatalf("round %d: ModelSamples = %d, want %d", i, r.ModelSamples, 7+i)
+		if st := s.Stats(); st.StaleWaits != 3 {
+			t.Fatalf("StaleWaits = %d, want 3", st.StaleWaits)
 		}
-		st := s.Stats()
-		if st.IncrementalObserves != wantIncr[i] || st.FullFits != wantFull[i] {
-			t.Fatalf("round %d: incr=%d full=%d, want %d/%d", i, st.IncrementalObserves, st.FullFits, wantIncr[i], wantFull[i])
-		}
-	}
-	if st := s.Stats(); st.StaleWaits != 3 {
-		t.Fatalf("StaleWaits = %d, want 3", st.StaleWaits)
+	})
+}
+
+// TestSuggestDriftAndFailedObserveForceFullFit: inside the refit budget
+// two things still rebuild the model — a new target more than 6σ from
+// the targets of the last full fit, and an Observe that fails.
+func TestSuggestDriftAndFailedObserveForceFullFit(t *testing.T) {
+	for _, tc := range []struct {
+		name, kind string
+		y          float64
+		failObs    bool
+	}{
+		{name: "drift", kind: "gp", y: 1e3},
+		{name: "drift", kind: "stub-clone", y: 1e3},
+		{name: "observe fails", kind: "stub-clone", y: 1, failObs: true},
+	} {
+		t.Run(tc.name+"/"+tc.kind, func(t *testing.T) {
+			src := newFakeSource()
+			seedHistory(src, "app", 10)
+			s, ctl := newKindService(src, Config{Seed: 1, MaxStale: 1})
+			ctx := context.Background()
+			if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: tc.kind}); err != nil {
+				t.Fatal(err)
+			}
+			ctl.failObserve.Store(tc.failObs)
+			src.add("app", []float64{0.31, 0.77}, tc.y)
+			s.NotifyAppend("app", 1)
+			r, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: tc.kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.FullFits != 2 || st.IncrementalObserves != 0 || r.ModelSamples != 11 {
+				t.Fatalf("full=%d incr=%d samples=%d, want a second full fit over 11 samples and no incremental update",
+					st.FullFits, st.IncrementalObserves, r.ModelSamples)
+			}
+		})
 	}
 }
 
@@ -337,15 +386,15 @@ func TestSuggestContextCancelledWhileWaiting(t *testing.T) {
 }
 
 func TestTaskKeyCanonicalization(t *testing.T) {
-	a := taskKey(map[string]interface{}{"m": 100, "n": 200})
-	b := taskKey(map[string]interface{}{"n": 200, "m": 100})
+	a := TaskKey(map[string]interface{}{"m": 100, "n": 200})
+	b := TaskKey(map[string]interface{}{"n": 200, "m": 100})
 	if a != b {
 		t.Fatalf("key order-sensitive: %q vs %q", a, b)
 	}
-	if taskKey(nil) != taskKey(map[string]interface{}{}) {
+	if TaskKey(nil) != TaskKey(map[string]interface{}{}) {
 		t.Fatal("nil and empty tasks keyed differently")
 	}
-	if taskKey(nil) == a {
+	if TaskKey(nil) == a {
 		t.Fatal("empty task collides with non-empty task")
 	}
 }

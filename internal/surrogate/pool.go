@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"gptunecrowd/internal/bandit"
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/obs"
 )
@@ -19,7 +18,7 @@ type PoolConfig struct {
 	// it).
 	MinSamples int
 	// Selector tunes the cost-penalized UCB rule.
-	Selector bandit.SelectorOptions
+	Selector SelectorOptions
 	// Metrics, when non-nil, receives the surrogate_* families
 	// (selections, fit durations, fit failures, mean rewards per arm).
 	Metrics *obs.Registry
@@ -40,7 +39,7 @@ const armSpace = "space"
 type Pool struct {
 	cfg PoolConfig
 
-	sel      *bandit.Selector
+	sel      *Selector
 	arms     []core.Surrogate // nil entry = space-filling arm
 	names    []string
 	lastArm  int
@@ -95,12 +94,12 @@ func (p *Pool) ensureBuilt(dim int, categorical []bool) error {
 	}
 	kinds = append(kinds, KindCopula, KindSGP, armSpace)
 
-	var arms []bandit.Arm
+	var arms []Arm
 	for _, k := range kinds {
 		if k == armSpace {
 			p.arms = append(p.arms, nil)
 			p.names = append(p.names, armSpace)
-			arms = append(arms, bandit.Arm{Name: armSpace, Cost: func(int) float64 { return 0 }})
+			arms = append(arms, Arm{Name: armSpace, Cost: func(int) float64 { return 0 }})
 			continue
 		}
 		s, err := New(k, cfg)
@@ -109,9 +108,9 @@ func (p *Pool) ensureBuilt(dim int, categorical []bool) error {
 		}
 		p.arms = append(p.arms, s)
 		p.names = append(p.names, k)
-		arms = append(arms, bandit.Arm{Name: s.Name(), Cost: s.Cost})
+		arms = append(arms, Arm{Name: s.Name(), Cost: s.Cost})
 	}
-	p.sel = bandit.NewSelector(arms, p.cfg.Selector)
+	p.sel = NewSelector(arms, p.cfg.Selector)
 	if err := p.applyPending(); err != nil {
 		return err
 	}

@@ -1,4 +1,4 @@
-package bandit
+package surrogate
 
 import (
 	"encoding/json"

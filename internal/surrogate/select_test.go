@@ -1,12 +1,8 @@
-package bandit
+package surrogate
 
 import (
-	"bytes"
-	"log/slog"
 	"math"
 	"testing"
-
-	"gptunecrowd/internal/apps/synth"
 )
 
 func threeArms() []Arm {
@@ -145,21 +141,5 @@ func TestSelectorIgnoresNonFiniteRewards(t *testing.T) {
 	s.Reward(a, math.NaN())
 	if got := s.MeanReward(a); got != 0 {
 		t.Fatalf("NaN reward leaked into mean: %v", got)
-	}
-}
-
-func TestRunLogsBrackets(t *testing.T) {
-	p := synth.DemoProblem()
-	task := map[string]interface{}{"t": 1.0}
-	eval := FidelityEvaluatorFunc(func(task, params map[string]interface{}, fid float64) (float64, error) {
-		return p.Evaluator.Evaluate(task, params)
-	})
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	if _, err := Run(p.ParamSpace, task, eval, Options{Budget: 3, Seed: 2, Logger: logger}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("bandit bracket")) {
-		t.Fatal("logger received no bracket diagnostics")
 	}
 }

@@ -154,6 +154,16 @@ func (g *GPSurrogate) Observe(x []float64, y float64) error {
 	return g.model.Observe(x, y)
 }
 
+// Clone returns an independent copy of the fitted model (O(n²)): Observe
+// on the copy leaves the original, and searches running on it, untouched.
+func (g *GPSurrogate) Clone() core.Surrogate {
+	c := *g
+	if g.model != nil {
+		c.model = g.model.Clone()
+	}
+	return &c
+}
+
 // Predict implements core.Surrogate.
 func (g *GPSurrogate) Predict(x []float64) (float64, float64) {
 	if g.model == nil {

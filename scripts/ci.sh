@@ -33,6 +33,14 @@ if [ "$loc" -gt "$ceiling" ]; then
     exit 1
 fi
 
+# The serving tier reaches every model through core.Surrogate and
+# surrogate.New; a model-family import means a per-kind branch is back.
+echo "== internal/suggest imports no model family"
+if go list -f '{{join .Imports "\n"}}' ./internal/suggest | grep -E 'internal/(gp|sgp|copula|lcm)$'; then
+    echo "FAIL: internal/suggest imports a model-family package" >&2
+    exit 1
+fi
+
 # The repo benchmark is a nested module that compiles against internal
 # packages; tier-1 `go test ./...` does not enter it.
 echo "== bench module (vet + smoke test)"
