@@ -23,10 +23,12 @@ func SuggestNext(p *Problem, h *History, algorithm string, sources []*SourceTask
 	return SuggestNextContext(context.Background(), p, h, algorithm, sources, seed)
 }
 
-// SuggestNextContext is SuggestNext with cooperative cancellation: the
-// context threads into surrogate fitting and acquisition search, so a
-// cancel interrupts even an expensive multi-source fit and surfaces as
-// the wrapped context error.
+// SuggestNextContext is SuggestNext with cooperative cancellation,
+// checked between the proposal's stages for every algorithm: before
+// the surrogate fit and between the fit and the acquisition search. A
+// stage that has started runs to its end (only NoTLA's GP fit also
+// polls the context between optimizer restarts), so a cancel costs at
+// most one fit or one search before it surfaces as the context error.
 func SuggestNextContext(ctx context.Context, p *Problem, h *History, algorithm string, sources []*SourceTask, seed int64) (map[string]interface{}, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

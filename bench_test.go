@@ -163,8 +163,8 @@ func benchReduced(b *testing.B, run func(experiments.Scale) (*experiments.Figure
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(res.FinalBest("original space"), "best_original")
-			b.ReportMetric(res.FinalBest("reduced space"), "best_reduced")
+			b.ReportMetric(res.BestAt("original space", res.Budget), "best_original")
+			b.ReportMetric(res.BestAt("reduced space", res.Budget), "best_reduced")
 		}
 	}
 }

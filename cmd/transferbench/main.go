@@ -166,14 +166,9 @@ func main() {
 			rsrc = append(rsrc, tla.NewSource(fmt.Sprintf("t=%.1f", tv), X, Y))
 		}
 		rcfg := surrogate.PoolConfig{Config: surrogate.Config{Sources: rsrc}}
-		pool := surrogate.NewPool(rcfg)
-		lcmProp, err := surrogate.NewFixed(surrogate.KindLCM, rcfg)
-		if err != nil {
-			fatal(err)
-		}
 		runSeed := *seed + int64(200+r)
-		reg.PoolBest = append(reg.PoolBest, raceBest(p, pool, *budget, runSeed))
-		reg.LCMBest = append(reg.LCMBest, raceBest(p, lcmProp, *budget, runSeed))
+		reg.PoolBest = append(reg.PoolBest, raceBest(p, surrogate.KindAuto, rcfg, *budget, runSeed))
+		reg.LCMBest = append(reg.LCMBest, raceBest(p, surrogate.KindLCM, rcfg, *budget, runSeed))
 		fmt.Fprintf(os.Stderr, "regret repeat %d: pool %.4f vs lcm %.4f\n",
 			r, reg.PoolBest[r], reg.LCMBest[r])
 	}
@@ -207,7 +202,11 @@ func main() {
 	fmt.Fprintln(os.Stderr, "transferbench passed: cheap arms >= 10x faster, pool reached the LCM incumbent")
 }
 
-func raceBest(p *core.Problem, prop core.Proposer, budget int, seed int64) float64 {
+func raceBest(p *core.Problem, tuner string, cfg surrogate.PoolConfig, budget int, seed int64) float64 {
+	prop, err := surrogate.NewProposer(tuner, cfg)
+	if err != nil {
+		fatal(err)
+	}
 	h, err := core.RunLoop(p, map[string]interface{}{"t": 1.0}, prop, core.SessionOptions{
 		Budget: budget, Seed: seed,
 		Search: core.SearchOptions{Candidates: 128, DEGens: 15},

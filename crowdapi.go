@@ -8,11 +8,12 @@ import (
 	"sort"
 	"time"
 
+	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/crowd"
-	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/meta"
 	"gptunecrowd/internal/sensitivity"
+	"gptunecrowd/internal/surrogate"
 )
 
 // Crowd-facing re-exports.
@@ -141,7 +142,7 @@ func QuerySurrogateModelOpts(c *CrowdClient, d *MetaDescription, opts SurrogateO
 		return nil, err
 	}
 	ps := d.ProblemSpace.ParameterSpace
-	model, _, err := fitFromEvalsKernel(ps, evals, kt, opts.Seed+1)
+	model, err := fitFromEvals(ps, evals, kt, opts.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -155,14 +156,10 @@ func QuerySurrogateModelOpts(c *CrowdClient, d *MetaDescription, opts SurrogateO
 }
 
 // fitFromEvals fits a GP on downloaded crowd samples over the given
-// parameter space.
-func fitFromEvals(ps *Space, evals []FuncEval, seed int64) (*gp.GP, *Space, error) {
-	return fitFromEvalsKernel(ps, evals, kernel.Matern52, seed)
-}
-
-func fitFromEvalsKernel(ps *Space, evals []FuncEval, kt kernel.Type, seed int64) (*gp.GP, *Space, error) {
+// parameter space, through the same door every other model is built by.
+func fitFromEvals(ps *Space, evals []FuncEval, kt kernel.Type, seed int64) (core.Surrogate, error) {
 	if len(evals) == 0 {
-		return nil, nil, fmt.Errorf("gptunecrowd: no samples to model")
+		return nil, fmt.Errorf("gptunecrowd: no samples to model")
 	}
 	var X [][]float64
 	var Y []float64
@@ -178,35 +175,24 @@ func fitFromEvalsKernel(ps *Space, evals []FuncEval, kt kernel.Type, seed int64)
 		Y = append(Y, e.Output)
 	}
 	if len(X) < 2 {
-		return nil, nil, fmt.Errorf("gptunecrowd: only %d encodable samples; need at least 2", len(X))
+		return nil, fmt.Errorf("gptunecrowd: only %d encodable samples; need at least 2", len(X))
 	}
-	model, err := gp.Fit(X, Y, gp.Options{Kernel: kt, Categorical: ps.CategoricalMask(), Seed: seed})
+	model, err := surrogate.New(surrogate.KindGP, surrogate.Config{Dim: ps.Dim(), Kernel: kt, Categorical: ps.CategoricalMask()})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return model, ps, nil
+	model.(interface{ SetSeed(int64) }).SetSeed(seed)
+	if err := model.Fit(X, Y); err != nil {
+		return nil, err
+	}
+	return model, nil
 }
 
 // QuerySurrogateModel downloads the selected samples and returns a
 // black-box surrogate over decoded configurations — the paper's
 // QuerySurrogateModel utility.
 func QuerySurrogateModel(c *CrowdClient, d *MetaDescription) (SurrogateModel, error) {
-	evals, err := QueryFunctionEvaluations(c, d)
-	if err != nil {
-		return nil, err
-	}
-	ps := d.ProblemSpace.ParameterSpace
-	model, _, err := fitFromEvals(ps, evals, 1)
-	if err != nil {
-		return nil, err
-	}
-	return func(cfg map[string]interface{}) (float64, float64) {
-		u, err := ps.Encode(cfg)
-		if err != nil {
-			return 0, 0
-		}
-		return model.Predict(ps.Canonicalize(u))
-	}, nil
+	return QuerySurrogateModelOpts(c, d, SurrogateOptions{})
 }
 
 // QueryPredictOutput predicts the output for one configuration using a
@@ -243,7 +229,7 @@ func QuerySensitivityAnalysis(c *CrowdClient, d *MetaDescription, opts Sensitivi
 // SensitivityFromEvals runs the same analysis on an in-memory sample
 // set (no server required).
 func SensitivityFromEvals(ps *Space, evals []FuncEval, opts SensitivityOptions) (*SensitivityResult, error) {
-	model, _, err := fitFromEvals(ps, evals, opts.Seed+1)
+	model, err := fitFromEvals(ps, evals, kernel.Matern52, opts.Seed+1)
 	if err != nil {
 		return nil, err
 	}

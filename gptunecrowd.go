@@ -28,6 +28,7 @@ import (
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/meta"
 	"gptunecrowd/internal/space"
+	"gptunecrowd/internal/surrogate"
 	"gptunecrowd/internal/tla"
 )
 
@@ -111,20 +112,21 @@ type TuneOptions struct {
 	Budget int
 	// Seed makes the run reproducible.
 	Seed int64
-	// Algorithm selects the proposer; empty means "NoTLA" when Sources
-	// is empty and "Ensemble(proposed)" otherwise. See Algorithms().
-	// Mutually exclusive with Surrogate.
+	// Algorithm and Surrogate are two spellings of one key into one
+	// table of tuners, each a policy that picks a model per evaluation
+	// over a set of models (DESIGN.md §13). Set at most one; setting
+	// both is an error. Algorithm names the paper's lineup — see
+	// Algorithms(); empty means "NoTLA" when Sources is empty and
+	// "Ensemble(proposed)" otherwise.
 	Algorithm string
-	// Surrogate routes the run through the unified surrogate pool
-	// instead of a Table-I algorithm: "auto" lets a budget-aware bandit
-	// pick per iteration from {gp, lcm, copula, sgp, space-filling};
-	// "gp", "lcm", "copula" or "sgp" pins one model. Empty keeps the
-	// Algorithm path. Setting both Algorithm and Surrogate is an error.
+	// Surrogate names the rest of the table: "auto" lets a budget-aware
+	// bandit pick per iteration from {gp, lcm, copula, sgp,
+	// space-filling}; "gp", "lcm", "copula" or "sgp" pins one model.
 	Surrogate string
 	// Sources are the transfer-learning datasets.
 	Sources []*SourceTask
-	// MaxSourceSamples caps per-source samples for the LCM-based
-	// algorithms (0 = algorithm default).
+	// MaxSourceSamples caps per-source samples for the LCM of
+	// Multitask(TS), the ensembles, "lcm" and "auto" (0 = 60).
 	MaxSourceSamples int
 	// OnSample observes evaluations as they land.
 	OnSample func(i int, s Sample)
@@ -158,13 +160,14 @@ type Result struct {
 
 // Algorithms lists the supported algorithm names (Table I plus the
 // NoTLA baseline and the two naive ensembles).
-func Algorithms() []string { return tla.Algorithms() }
+func Algorithms() []string { return surrogate.Algorithms() }
 
 // NewProposer constructs a proposer by algorithm name. Sources may be
 // nil only for "NoTLA"; the empty name means "NoTLA" without sources
-// and "Ensemble(proposed)" with them.
+// and "Ensemble(proposed)" with them. maxSourceSamples, when positive,
+// caps the per-source samples fed to an LCM.
 func NewProposer(algorithm string, sources []*SourceTask, maxSourceSamples int) (Proposer, error) {
-	return tla.NewProposer(algorithm, sources, maxSourceSamples)
+	return resolveProposer(TuneOptions{Algorithm: algorithm, Sources: sources, MaxSourceSamples: maxSourceSamples})
 }
 
 // Tune runs the tuning loop for the given task and returns the best

@@ -51,17 +51,26 @@ func (ctx *ProposeContext) Cancelled() error {
 	return ctx.Ctx.Err()
 }
 
-// DegradeToSpaceFill records that a surrogate fit failed and the
-// proposer is answering this iteration with space-filling sampling
-// instead of aborting the session, then draws the fallback point.
-func (ctx *ProposeContext) DegradeToSpaceFill(proposer string, fitErr error) []float64 {
+// NoteFitFailure counts and logs a surrogate fit failure that the
+// proposer survives by answering this iteration from fallback (named
+// for the log line) instead of aborting the session.
+func (ctx *ProposeContext) NoteFitFailure(proposer, fallback string, fitErr error) {
 	if ctx.Stats != nil {
 		ctx.Stats.FitFailures++
-		ctx.Stats.SpaceFill++
 	}
 	if ctx.Logf != nil {
-		ctx.Logf("%s: surrogate fit failed at iteration %d, degrading to space-filling sampling: %v",
-			proposer, ctx.Iter, fitErr)
+		ctx.Logf("%s: surrogate fit failed at iteration %d, degrading to %s: %v",
+			proposer, ctx.Iter, fallback, fitErr)
+	}
+}
+
+// DegradeToSpaceFill records that a surrogate fit failed and the
+// proposer is answering this iteration with space-filling sampling,
+// then draws the fallback point.
+func (ctx *ProposeContext) DegradeToSpaceFill(proposer string, fitErr error) []float64 {
+	ctx.NoteFitFailure(proposer, "space-filling sampling", fitErr)
+	if ctx.Stats != nil {
+		ctx.Stats.SpaceFill++
 	}
 	return ctx.RandomFeasible()
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"gptunecrowd/internal/gp"
-	"gptunecrowd/internal/kernel"
 )
 
 // GPTuner is the non-transfer-learning Bayesian-optimization proposer
@@ -13,14 +12,9 @@ import (
 // Until MinSamples successful evaluations exist it falls back to random
 // (Latin-hypercube-style) points.
 type GPTuner struct {
-	Kernel      kernel.Type
 	Acquisition Acquisition
 	MinSamples  int // successful samples required before modeling (default 2)
-	Restarts    int // GP fit restarts (default 2)
-	// Robust tunes the outlier filter / failure imputation applied to
-	// the history before each fit (zero value = defaults).
-	Robust RobustOptions
-	label  string
+	label       string
 
 	// fitFn substitutes the GP fit in tests (nil = gp.Fit).
 	fitFn func(X [][]float64, Y []float64, opts gp.Options) (*gp.GP, error)
@@ -50,7 +44,7 @@ func (t *GPTuner) Propose(ctx *ProposeContext) ([]float64, error) {
 	}
 	// Robust ingestion: MAD-filter outliers, impute failures at a
 	// penalty, and keep anything non-finite away from the fit.
-	X, Y, info := ctx.History.RobustXY(t.Robust)
+	X, Y, info := ctx.History.RobustXY()
 	ctx.NoteRobustIngestion(info)
 	if info.OK < minSamples {
 		return ctx.RandomFeasible(), nil
@@ -61,9 +55,7 @@ func (t *GPTuner) Propose(ctx *ProposeContext) ([]float64, error) {
 	}
 	fitStart := time.Now()
 	model, err := fit(X, Y, gp.Options{
-		Kernel:      t.Kernel,
 		Categorical: ctx.Problem.CategoricalMask(),
-		Restarts:    t.Restarts,
 		Seed:        ctx.Rng.Int63(),
 		Ctx:         ctx.Ctx,
 	})

@@ -5,23 +5,17 @@ import (
 	"sort"
 )
 
-// RobustOptions tunes the robust-ingestion step that runs before every
-// surrogate fit. The zero value selects the defaults below.
-type RobustOptions struct {
-	// MADThreshold is the outlier cutoff in robust standard deviations
-	// (1.4826·MAD): samples farther than this from the median objective
-	// are excluded from the fit. Default 6 — generous enough to keep
-	// genuinely bad-but-real configurations, tight enough to drop
-	// adversarial orders-of-magnitude values.
-	MADThreshold float64
-	// PenaltyFactor sets the imputed objective for failed evaluations:
-	// worst kept value + PenaltyFactor·(kept spread). Default 1.5.
-	PenaltyFactor float64
-}
-
+// The robust-ingestion step runs before every surrogate fit.
 const (
-	defaultMADThreshold  = 6.0
-	defaultPenaltyFactor = 1.5
+	// madThreshold is the outlier cutoff in robust standard deviations
+	// (1.4826·MAD): samples farther than this from the median objective
+	// are excluded from the fit. Generous enough to keep genuinely
+	// bad-but-real configurations, tight enough to drop adversarial
+	// orders-of-magnitude values.
+	madThreshold = 6.0
+	// penaltyFactor sets the imputed objective for failed evaluations:
+	// worst kept value + penaltyFactor·(kept spread).
+	penaltyFactor = 1.5
 )
 
 // RobustInfo reports what the robust-ingestion step did to one
@@ -40,23 +34,15 @@ type RobustInfo struct {
 //   - drops successful samples with a non-finite objective (defense in
 //     depth — Session.Observe already converts those to failures),
 //   - excludes successful samples whose objective is a MAD outlier
-//     (|y − median| > MADThreshold · 1.4826 · MAD), and
+//     (|y − median| > madThreshold · 1.4826 · MAD), and
 //   - imputes every failed evaluation at a penalty value (worst kept
-//     objective + PenaltyFactor · kept spread), so a crashed
+//     objective + penaltyFactor · kept spread), so a crashed
 //     configuration steers the model away instead of vanishing.
 //
 // The result is deterministic in the history contents. With no
 // successful finite samples it returns empty slices (there is no
 // baseline to impute against).
-func (h *History) RobustXY(opts RobustOptions) ([][]float64, []float64, RobustInfo) {
-	thr := opts.MADThreshold
-	if thr <= 0 {
-		thr = defaultMADThreshold
-	}
-	pen := opts.PenaltyFactor
-	if pen <= 0 {
-		pen = defaultPenaltyFactor
-	}
+func (h *History) RobustXY() ([][]float64, []float64, RobustInfo) {
 	var info RobustInfo
 
 	okY := make([]float64, 0, len(h.Samples))
@@ -79,7 +65,7 @@ func (h *History) RobustXY(opts RobustOptions) ([][]float64, []float64, RobustIn
 	// First pass: decide which successful samples survive the filter
 	// and find the kept min/max for the penalty value.
 	keep := func(y float64) bool {
-		return sigma == 0 || math.Abs(y-med) <= thr*sigma
+		return sigma == 0 || math.Abs(y-med) <= madThreshold*sigma
 	}
 	minKept, maxKept := math.Inf(1), math.Inf(-1)
 	for _, y := range okY {
@@ -96,7 +82,7 @@ func (h *History) RobustXY(opts RobustOptions) ([][]float64, []float64, RobustIn
 	if spread <= 0 {
 		spread = math.Max(math.Abs(maxKept)*0.1, 1)
 	}
-	penalty := maxKept + pen*spread
+	penalty := maxKept + penaltyFactor*spread
 
 	X := make([][]float64, 0, len(h.Samples))
 	Y := make([]float64, 0, len(h.Samples))

@@ -58,7 +58,7 @@ func TestRobustXYExcludesMADOutliers(t *testing.T) {
 		failed bool
 	}{pt(0.9), pt(1.0), pt(1.1), pt(0.95), pt(1.05), pt(1.2), pt(0.8), pt(1.0), pt(1.02), pt(1e6)}
 	h := robustHistory(pts...)
-	X, Y, info := h.RobustXY(RobustOptions{})
+	X, Y, info := h.RobustXY()
 	if info.OK != 9 || info.Outliers != 1 || info.Imputed != 0 || info.NonFinite != 0 {
 		t.Fatalf("info %+v, want 9 kept / 1 outlier", info)
 	}
@@ -81,7 +81,7 @@ func TestRobustXYKeepsBadButRealValues(t *testing.T) {
 		failed bool
 	}{pt(1.0), pt(1.2), pt(0.8), pt(1.1), pt(0.9), pt(2.0)}
 	h := robustHistory(pts...)
-	_, Y, info := h.RobustXY(RobustOptions{})
+	_, Y, info := h.RobustXY()
 	if info.Outliers != 0 {
 		t.Fatalf("excluded %d samples from an ordinary spread", info.Outliers)
 	}
@@ -102,7 +102,7 @@ func TestRobustXYImputesFailuresAtPenalty(t *testing.T) {
 		failed bool
 	}{pt(1.0), pt(3.0), pt(2.0), failedPt(), failedPt()}
 	h := robustHistory(pts...)
-	X, Y, info := h.RobustXY(RobustOptions{})
+	X, Y, info := h.RobustXY()
 	if info.OK != 3 || info.Imputed != 2 {
 		t.Fatalf("info %+v, want 3 kept / 2 imputed", info)
 	}
@@ -117,18 +117,6 @@ func TestRobustXYImputesFailuresAtPenalty(t *testing.T) {
 	}
 }
 
-func TestRobustXYPenaltyFactorOption(t *testing.T) {
-	pts := []struct {
-		y      float64
-		failed bool
-	}{pt(0.0), pt(2.0), failedPt()}
-	h := robustHistory(pts...)
-	_, Y, _ := h.RobustXY(RobustOptions{PenaltyFactor: 3})
-	if got := Y[len(Y)-1]; got != 2.0+3*2.0 {
-		t.Fatalf("penalty %v, want 8.0 with factor 3", got)
-	}
-}
-
 func TestRobustXYDropsNonFinite(t *testing.T) {
 	// Non-finite "successes" are defense in depth: Observe converts them
 	// to failures, but histories can be assembled programmatically.
@@ -137,7 +125,7 @@ func TestRobustXYDropsNonFinite(t *testing.T) {
 		failed bool
 	}{pt(1.0), pt(math.NaN()), pt(math.Inf(1)), pt(2.0)}
 	h := robustHistory(pts...)
-	_, Y, info := h.RobustXY(RobustOptions{})
+	_, Y, info := h.RobustXY()
 	if info.OK != 2 || info.NonFinite != 2 {
 		t.Fatalf("info %+v, want 2 kept / 2 non-finite", info)
 	}
@@ -150,7 +138,7 @@ func TestRobustXYDropsNonFinite(t *testing.T) {
 
 func TestRobustXYNoSuccessfulSamples(t *testing.T) {
 	h := robustHistory(failedPt(), failedPt())
-	X, Y, info := h.RobustXY(RobustOptions{})
+	X, Y, info := h.RobustXY()
 	if X != nil || Y != nil {
 		t.Fatalf("expected empty view with no baseline, got %d rows", len(Y))
 	}
@@ -167,7 +155,7 @@ func TestRobustXYConstantObjective(t *testing.T) {
 		failed bool
 	}{pt(5.0), pt(5.0), pt(5.0), failedPt()}
 	h := robustHistory(pts...)
-	_, Y, info := h.RobustXY(RobustOptions{})
+	_, Y, info := h.RobustXY()
 	if info.OK != 3 || info.Outliers != 0 || info.Imputed != 1 {
 		t.Fatalf("info %+v, want 3 kept / 1 imputed", info)
 	}

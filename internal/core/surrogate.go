@@ -27,10 +27,9 @@ type BatchPredictor interface {
 // Surrogate is a first-class posterior model with a full lifecycle:
 // fit on a history, absorb single observations incrementally, predict
 // (pointwise and batched), and report its identity and fit cost so a
-// budget-aware selector can choose between models. The exact GP, the
-// LCM slice, the Gaussian-copula transfer model and the sparse
-// inducing-point GP all satisfy it through the adapters in
-// internal/surrogate.
+// selector can choose between models. Every model family — the exact
+// GP, the LCM, the Gaussian copula, the sparse GP and the Table I
+// transfer models — is built by surrogate.New.
 type Surrogate interface {
 	BatchPredictor
 	// Fit (re)trains the model on inputs X (rows in the unit hypercube)
@@ -40,7 +39,8 @@ type Surrogate interface {
 	// Implementations without an incremental path may refit; callers
 	// treat an error as "refit me from scratch".
 	Observe(x []float64, y float64) error
-	// Name identifies the model family ("gp", "lcm", "copula", "sgp").
+	// Name identifies the model family: the kind surrogate.New built it
+	// from ("gp", "lcm", "Stacking", ...).
 	Name() string
 	// Cost estimates the fit cost for n samples in arbitrary but
 	// mutually comparable units (the exact GP is n³). The bandit
@@ -55,26 +55,3 @@ type SurrogateFunc func(x []float64) (float64, float64)
 
 // Predict implements Predictor.
 func (f SurrogateFunc) Predict(x []float64) (float64, float64) { return f(x) }
-
-// BatchSurrogateFunc pairs a pointwise function with a batched one, so
-// a function-backed model keeps its vectorized path instead of being
-// degraded to point-at-a-time Predict calls by the adapter. Batch may
-// be nil, in which case the pointwise function is fanned out.
-type BatchSurrogateFunc struct {
-	Point func(x []float64) (mean, std float64)
-	Batch func(X [][]float64, means, stds []float64, workers int)
-}
-
-// Predict implements Predictor.
-func (f BatchSurrogateFunc) Predict(x []float64) (float64, float64) { return f.Point(x) }
-
-// PredictBatchInto implements BatchPredictor.
-func (f BatchSurrogateFunc) PredictBatchInto(X [][]float64, means, stds []float64, workers int) {
-	if f.Batch != nil {
-		f.Batch(X, means, stds, workers)
-		return
-	}
-	for i, x := range X {
-		means[i], stds[i] = f.Point(x)
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/machine"
 	"gptunecrowd/internal/stat"
+	"gptunecrowd/internal/surrogate"
 	"gptunecrowd/internal/tla"
 	"gptunecrowd/internal/variability"
 )
@@ -76,9 +77,9 @@ func AblationSourceCap(sc Scale) (*FigureResult, error) {
 	for _, c := range []int{10, 25, 50, 100} {
 		c := min(c, src.Len())
 		s, err := runSeries(fmt.Sprintf("cap=%d", c), spec, func() (core.Proposer, error) {
-			prop := tla.NewMultitaskTS([]*tla.Source{src})
-			prop.MaxSourceSamples = c
-			return prop, nil
+			return surrogate.NewProposer("Multitask(TS)", surrogate.PoolConfig{
+				Config: surrogate.Config{Sources: []*tla.Source{src}, MaxSourceSamples: c},
+			})
 		})
 		if err != nil {
 			return nil, err

@@ -17,6 +17,7 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/stat"
+	"gptunecrowd/internal/surrogate"
 	"gptunecrowd/internal/tla"
 )
 
@@ -63,17 +64,6 @@ func (f *FigureResult) Render(w io.Writer) {
 	}
 }
 
-// FinalBest returns the mean best-so-far at the last evaluation for the
-// named series (NaN when absent).
-func (f *FigureResult) FinalBest(name string) float64 {
-	for _, s := range f.Series {
-		if s.Name == name && len(s.Mean) > 0 {
-			return s.Mean[len(s.Mean)-1]
-		}
-	}
-	return math.NaN()
-}
-
 // BestAt returns the mean best-so-far after n evaluations.
 func (f *FigureResult) BestAt(name string, n int) float64 {
 	for _, s := range f.Series {
@@ -88,7 +78,7 @@ func (f *FigureResult) BestAt(name string, n int) float64 {
 type CompareSpec struct {
 	Problem    *core.Problem
 	Task       map[string]interface{}
-	Algorithms []string // names resolved by tla.NewProposer
+	Algorithms []string // names resolved by surrogate.NewProposer
 	// Sources for the TLA algorithms (ignored by NoTLA).
 	Sources          []*tla.Source
 	MaxSourceSamples int
@@ -118,7 +108,9 @@ func RunCompare(spec CompareSpec) (*FigureResult, error) {
 	for _, alg := range spec.Algorithms {
 		alg := alg
 		s, err := runSeries(alg, spec, func() (core.Proposer, error) {
-			return tla.NewProposer(alg, spec.Sources, spec.MaxSourceSamples)
+			return surrogate.NewProposer(alg, surrogate.PoolConfig{
+				Config: surrogate.Config{Sources: spec.Sources, MaxSourceSamples: spec.MaxSourceSamples},
+			})
 		})
 		if err != nil {
 			return nil, err

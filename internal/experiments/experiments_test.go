@@ -8,6 +8,7 @@ import (
 	"gptunecrowd/internal/apps/synth"
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/space"
+	"gptunecrowd/internal/surrogate"
 	"gptunecrowd/internal/tla"
 )
 
@@ -53,8 +54,8 @@ func TestRunCompareBasics(t *testing.T) {
 			}
 		}
 	}
-	if got := res.BestAt("NoTLA", 4); got != res.FinalBest("NoTLA") {
-		t.Fatal("BestAt/FinalBest disagree")
+	if got := res.BestAt("NoTLA", res.Budget); got != res.Series[0].Mean[3] {
+		t.Fatal("BestAt disagrees with the series")
 	}
 	rank := res.RankAtBudget(4)
 	if len(rank) != 2 {
@@ -81,7 +82,7 @@ func TestFig3Variants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fig3%s: %v", v, err)
 		}
-		if len(res.Series) != len(tla.Algorithms()) {
+		if len(res.Series) != len(surrogate.Algorithms()) {
 			t.Fatalf("fig3%s: %d series", v, len(res.Series))
 		}
 		var sb strings.Builder
@@ -100,7 +101,7 @@ func TestFig4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != "fig4a" || len(res.Series) != len(tla.Algorithms()) {
+	if res.ID != "fig4a" || len(res.Series) != len(surrogate.Algorithms()) {
 		t.Fatalf("res = %s with %d series", res.ID, len(res.Series))
 	}
 	if _, err := Fig4("q", tiny); err == nil {
@@ -213,8 +214,8 @@ func TestFig6And7ReducedBeatsOrEqualsOriginal(t *testing.T) {
 	// The reduced space should not be dramatically worse at the final
 	// budget (the paper shows it is better at ~10 evals; at tiny scale
 	// we only assert sanity).
-	orig := res7.FinalBest("original space")
-	red := res7.FinalBest("reduced space")
+	orig := res7.BestAt("original space", res7.Budget)
+	red := res7.BestAt("reduced space", res7.Budget)
 	if math.IsNaN(orig) || math.IsNaN(red) {
 		t.Fatal("fig7 series missing")
 	}
@@ -224,7 +225,7 @@ func TestFig6And7ReducedBeatsOrEqualsOriginal(t *testing.T) {
 }
 
 func TestStaticTables(t *testing.T) {
-	if !strings.Contains(Table1(), "Ensemble (proposed)") {
+	if !strings.Contains(Table1(), "Ensemble(proposed)") {
 		t.Fatal("table1 incomplete")
 	}
 	if !strings.Contains(Table2(), "lg2npernode") {

@@ -16,6 +16,7 @@ import (
 	"gptunecrowd/internal/sensitivity"
 	"gptunecrowd/internal/space"
 	"gptunecrowd/internal/sparsemodel"
+	"gptunecrowd/internal/surrogate"
 	"gptunecrowd/internal/tla"
 )
 
@@ -74,7 +75,7 @@ func Fig3(variant string, sc Scale) (*FigureResult, error) {
 		}
 		res, err := RunCompare(CompareSpec{
 			Problem: p, Task: target,
-			Algorithms:       tla.Algorithms(),
+			Algorithms:       surrogate.Algorithms(),
 			Sources:          []*tla.Source{src},
 			MaxSourceSamples: sc.MaxSourceSamples,
 			Budget:           sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search,
@@ -107,7 +108,7 @@ func Fig3(variant string, sc Scale) (*FigureResult, error) {
 		}
 		res, err := RunCompare(CompareSpec{
 			Problem: p, Task: target,
-			Algorithms:       tla.Algorithms(),
+			Algorithms:       surrogate.Algorithms(),
 			Sources:          sources,
 			MaxSourceSamples: sc.MaxSourceSamples,
 			Budget:           sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search,
@@ -152,7 +153,7 @@ func Fig4(variant string, sc Scale) (*FigureResult, error) {
 	repeats := min(sc.Repeats, 3)
 	res, err := RunCompare(CompareSpec{
 		Problem: p, Task: map[string]interface{}{"m": 12000, "n": 12000},
-		Algorithms:       tla.Algorithms(),
+		Algorithms:       surrogate.Algorithms(),
 		Sources:          sources,
 		MaxSourceSamples: sc.MaxSourceSamples,
 		Budget:           budget, Repeats: repeats, Seed: sc.Seed, Search: sc.Search,

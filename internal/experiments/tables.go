@@ -8,24 +8,29 @@ import (
 	"gptunecrowd/internal/apps/scalapack"
 	"gptunecrowd/internal/machine"
 	"gptunecrowd/internal/space"
+	"gptunecrowd/internal/surrogate"
 )
 
 // Table1 renders the TLA algorithm pool (the paper's Table I) from the
-// live registry, so the printout cannot drift from the code.
+// live tuner table, so the printout cannot drift from the code: the
+// rows with a Table I entry, each with the selection policy, model arms
+// and warm-up rule surrogate.NewProposer runs it by.
 func Table1() string {
-	rows := []struct{ name, desc, origin string }{
-		{"Multitask (PS)", "LCM multitask learning with pseudo samples from black-box source surrogates", "GPTune 2021 [11]"},
-		{"Multitask (TS)", "LCM multitask learning with true samples of the source tasks", "GPTuneCrowd"},
-		{"WeightedSum (static/equal)", "weighted sum of source/target surrogates, static or equal weights", "HiPerBOt [6]"},
-		{"WeightedSum (dynamic)", "weighted sum with weights from a linear-regression fit each iteration", "GPTuneCrowd"},
-		{"Stacking", "residual-stacked source surrogates, sample-count-weighted std combination", "Vizier [12]"},
-		{"Ensemble (proposed)", "per-evaluation TLA selection by PDF (Eq. 3) with exploration rate (Eq. 4)", "GPTuneCrowd"},
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== table1: the TLA algorithm pool\n")
-	fmt.Fprintf(&b, "%-28s %-78s %s\n", "Naming", "Description", "First autotuner")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-28s %-78s %s\n", r.name, r.desc, r.origin)
+	fmt.Fprintf(&b, "%-22s %-82s %-18s %s\n", "Naming", "Description", "First autotuner", "Runs as: policy | arms | warm-up")
+	for _, r := range surrogate.Table() {
+		if r.Origin == "" {
+			continue
+		}
+		policy, warmup := "—", "equal-weight source mix, LCB"
+		if len(r.Arms) > 1 {
+			policy = r.Policy.String()
+		}
+		if r.Warmup > 0 {
+			warmup = fmt.Sprintf("%d random draws", r.Warmup)
+		}
+		fmt.Fprintf(&b, "%-22s %-82s %-18s %s | %s | %s\n", r.Name, r.Desc, r.Origin, policy, strings.Join(r.Arms, ", "), warmup)
 	}
 	return b.String()
 }

@@ -1,11 +1,12 @@
-// Package surrogate is the cheap-transfer algorithm pool behind the
-// unified core.Surrogate API: adapters that give the exact GP, the LCM
-// multitask model, the Gaussian-copula transfer model and the sparse
-// inducing-point GP a common Fit/Observe/Predict lifecycle, plus the
-// bandit-selected Pool proposer and the single-model Fixed proposer
-// that plug the pool into tuning sessions.
+// Package surrogate owns the two decisions of a model-based tuner:
+// which model proposes this evaluation, and how one propose step runs.
+// New builds any model family behind core.Surrogate (adapters for the
+// exact GP and the sparse GP, the Gaussian copula, the Table I models
+// of internal/tla), Pool is the one propose step over a row's arms,
+// Selector the rule that picks an arm, and NewProposer the table from
+// tuner name to (policy, arms, warm-up).
 //
-// Every adapter's Cost method returns a deterministic estimate (a pure
+// Every model's Cost method returns a deterministic estimate (a pure
 // function of the sample count) — never a wall-clock measurement — so
 // that arm selection, and therefore every proposal, stays a
 // deterministic function of the history and the session RNG. Observed
@@ -13,22 +14,21 @@
 package surrogate
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"math/rand"
+	"slices"
 
 	"gptunecrowd/internal/copula"
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/kernel"
-	"gptunecrowd/internal/lcm"
 	"gptunecrowd/internal/sgp"
+	"gptunecrowd/internal/space"
 	"gptunecrowd/internal/tla"
 )
 
 // Surrogate kind names, as accepted by TuneOptions.Surrogate and the
-// /api/v1/suggest "surrogate" field.
+// /api/v1/suggest "surrogate" field. KindAuto names a tuner (a row of
+// the NewProposer table), not a model.
 const (
 	KindAuto   = "auto"
 	KindGP     = "gp"
@@ -37,18 +37,15 @@ const (
 	KindSGP    = "sgp"
 )
 
-// Kinds lists the accepted surrogate kind names.
-func Kinds() []string { return []string{KindAuto, KindGP, KindLCM, KindCopula, KindSGP} }
-
-// ValidKind reports whether s names a surrogate kind ("" counts as
-// auto).
-func ValidKind(s string) bool {
-	switch s {
-	case "", KindAuto, KindGP, KindLCM, KindCopula, KindSGP:
-		return true
-	}
-	return false
-}
+// Model kinds of the paper's Table I, under their Table I names (the
+// model of Multitask(TS) is KindLCM). They exist only over source
+// tasks.
+const (
+	KindMultitaskPS        = "Multitask(PS)"
+	KindWeightedSumEqual   = "WeightedSum(equal)"
+	KindWeightedSumDynamic = "WeightedSum(dynamic)"
+	KindStacking           = "Stacking"
+)
 
 // Config carries everything needed to build any surrogate kind for one
 // problem.
@@ -57,12 +54,11 @@ type Config struct {
 	Kernel      kernel.Type
 	Categorical []bool
 	// Sources are the related-task histories feeding the transfer
-	// arms (LCM, copula). May be empty.
+	// models (everything but gp and sgp). May be empty for the copula.
 	Sources []*tla.Source
-	// MaxSourceSamples caps per-source samples for the LCM arm
-	// (default 60, matching Multitask(TS); cubic cost in the total).
+	// MaxSourceSamples caps per-source samples for the LCM (default 60;
+	// cubic cost in the total). Subsampling keeps the source optimum.
 	MaxSourceSamples int
-	Workers          int
 }
 
 func (c *Config) defaults() {
@@ -72,36 +68,57 @@ func (c *Config) defaults() {
 }
 
 // stateful is implemented by surrogates with private state that is not
-// a function of the history and the RNG stream; the proposers nest it
-// in their own core.StatefulProposer checkpoints.
+// a function of the history and the RNG stream; the Pool nests it in
+// its core.StatefulProposer checkpoint.
 type stateful interface {
 	StateCheckpoint() ([]byte, error)
 	RestoreState(data []byte) error
 }
 
 // seedSetter is implemented by surrogates whose Fit consumes
-// randomness; the proposers reseed them from the session RNG before
-// every fit so runs stay reproducible.
+// randomness; the Pool reseeds them from the session RNG before every
+// fit so runs stay reproducible.
 type seedSetter interface{ SetSeed(seed int64) }
 
-// New builds an unfitted surrogate of the given kind ("auto" is not a
-// kind here — the Pool proposer owns auto-selection).
+// searchBinder is implemented by a model whose Fit itself searches the
+// parameter space — Multitask(PS) asks the joint model for one pseudo
+// sample per source — and so needs what core.SearchNext needs.
+type searchBinder interface {
+	BindSearch(sp *space.Space, opts core.SearchOptions)
+}
+
+// modelKinds lists what New builds.
+var modelKinds = []string{KindGP, KindLCM, KindCopula, KindSGP,
+	KindMultitaskPS, KindWeightedSumEqual, KindWeightedSumDynamic, KindStacking}
+
+// New builds an unfitted surrogate of the given kind. Kinds that exist
+// only over source tasks fail with an error wrapping tla.ErrNoSources
+// when cfg has none.
 func New(kind string, cfg Config) (core.Surrogate, error) {
 	cfg.defaults()
 	switch kind {
 	case KindGP:
 		return &GPSurrogate{cfg: cfg}, nil
-	case KindLCM:
-		if len(cfg.Sources) == 0 {
-			return nil, fmt.Errorf("surrogate: kind %q requires source tasks", kind)
-		}
-		return &LCMSurrogate{cfg: cfg}, nil
 	case KindCopula:
 		return copula.New(cfg.Dim, copulaSources(cfg.Sources), copula.Options{}), nil
 	case KindSGP:
 		return &SGPSurrogate{cfg: cfg}, nil
 	}
-	return nil, fmt.Errorf("surrogate: unknown kind %q (want one of %v)", kind, Kinds())
+	if !slices.Contains(modelKinds, kind) {
+		return nil, fmt.Errorf("surrogate: unknown kind %q (want one of %v)", kind, modelKinds)
+	}
+	if len(cfg.Sources) == 0 {
+		return nil, fmt.Errorf("surrogate: kind %q: %w", kind, tla.ErrNoSources)
+	}
+	switch kind {
+	case KindLCM:
+		return tla.NewTrueSampleLCM(cfg.Sources, cfg.MaxSourceSamples, cfg.Categorical), nil
+	case KindMultitaskPS:
+		return tla.NewMultitaskPS(cfg.Sources, cfg.Categorical), nil
+	case KindStacking:
+		return tla.NewStacking(cfg.Sources, cfg.Categorical), nil
+	}
+	return tla.NewWeightedSum(cfg.Sources, kind == KindWeightedSumDynamic, cfg.Categorical), nil
 }
 
 func copulaSources(srcs []*tla.Source) []copula.Source {
@@ -137,7 +154,6 @@ func (g *GPSurrogate) Fit(X [][]float64, Y []float64) error {
 		Kernel:      g.cfg.Kernel,
 		Categorical: g.cfg.Categorical,
 		Seed:        g.seed,
-		Workers:     g.cfg.Workers,
 	})
 	if err != nil {
 		return err
@@ -183,121 +199,11 @@ func (g *GPSurrogate) PredictBatchInto(X [][]float64, means, stds []float64, wor
 	g.model.PredictBatchInto(X, means, stds, workers)
 }
 
-// LCMSurrogate adapts the multitask LCM to core.Surrogate: sources
-// plus the target history form the task stack, and predictions come
-// from the target slice. Observe refits from scratch — the LCM has no
-// cheap update — so prefer Fit-per-round drivers for this arm.
-type LCMSurrogate struct {
-	cfg   Config
-	seed  int64
-	sub   *tla.CappedSources
-	model *lcm.Model
-	tx    [][]float64
-	ty    []float64
-}
-
-// SetSeed reseeds the next Fit.
-func (l *LCMSurrogate) SetSeed(seed int64) { l.seed = seed }
-
-// Name implements core.Surrogate.
-func (l *LCMSurrogate) Name() string { return KindLCM }
-
-// Cost estimates the O((Σnᵢ)³) stacked fit deterministically, using
-// the capped per-source counts actually fed to the LCM.
-func (l *LCMSurrogate) Cost(n int) float64 {
-	total := n
-	for _, s := range l.cfg.Sources {
-		c := s.Len()
-		if c > l.cfg.MaxSourceSamples {
-			c = l.cfg.MaxSourceSamples
-		}
-		total += c
-	}
-	ft := float64(total)
-	return 3e-9 * ft * ft * ft
-}
-
-// Fit implements core.Surrogate.
-func (l *LCMSurrogate) Fit(X [][]float64, Y []float64) error {
-	if len(l.cfg.Sources) == 0 {
-		return fmt.Errorf("surrogate: lcm requires source tasks")
-	}
-	if l.sub == nil {
-		// Deterministic subsample: seeded from the first fit's seed and
-		// cached, so later refits see the same source rows.
-		l.sub = tla.CapSources(l.cfg.Sources, l.cfg.MaxSourceSamples, rand.New(rand.NewSource(l.seed)))
-	}
-	nTasks := len(l.cfg.Sources) + 1
-	tasksX := make([][][]float64, nTasks)
-	tasksY := make([][]float64, nTasks)
-	for i, s := range l.sub.Views {
-		tasksX[i] = s.X
-		tasksY[i] = s.Y
-	}
-	tasksX[nTasks-1] = X
-	tasksY[nTasks-1] = Y
-	m, err := lcm.Fit(tasksX, tasksY, lcm.Options{
-		Kernel:      l.cfg.Kernel,
-		Categorical: l.cfg.Categorical,
-		Seed:        l.seed,
-		Workers:     l.cfg.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	l.model = m
-	l.tx = X
-	l.ty = Y
-	return nil
-}
-
-// StateCheckpoint serializes the source subsample: it depends on which
-// fit came first in the run, so a resumed run cannot redraw it.
-func (l *LCMSurrogate) StateCheckpoint() ([]byte, error) { return json.Marshal(l.sub) }
-
-// RestoreState restores a subsample serialized by StateCheckpoint.
-func (l *LCMSurrogate) RestoreState(data []byte) (err error) {
-	l.sub, err = tla.RestoreCappedSources(l.cfg.Sources, data)
-	return err
-}
-
-// Observe appends the evaluation to the target task and refits.
-func (l *LCMSurrogate) Observe(x []float64, y float64) error {
-	if l.model == nil {
-		return fmt.Errorf("surrogate: lcm Observe before Fit")
-	}
-	tx := append(append([][]float64(nil), l.tx...), append([]float64(nil), x...))
-	ty := append(append([]float64(nil), l.ty...), y)
-	return l.Fit(tx, ty)
-}
-
-// Predict implements core.Surrogate. Prediction errors answer +Inf
-// mean so acquisition search skips the point instead of crashing.
-func (l *LCMSurrogate) Predict(x []float64) (float64, float64) {
-	if l.model == nil {
-		return 0, 1
-	}
-	mean, std, err := l.model.Predict(len(l.cfg.Sources), x)
-	if err != nil {
-		return math.Inf(1), 0
-	}
-	return mean, std
-}
-
-// PredictBatchInto implements core.Surrogate.
-func (l *LCMSurrogate) PredictBatchInto(X [][]float64, means, stds []float64, workers int) {
-	for i, x := range X {
-		means[i], stds[i] = l.Predict(x)
-	}
-}
-
 // SGPSurrogate adapts the sparse inducing-point GP to core.Surrogate.
 type SGPSurrogate struct {
-	cfg Config
-	// MaxInducing caps the inducing set (0 = sgp default 128).
-	MaxInducing int
-	seed        int64
-	model       *sgp.SGP
+	cfg   Config
+	seed  int64
+	model *sgp.SGP
 }
 
 // SetSeed reseeds the next Fit.
@@ -306,13 +212,11 @@ func (s *SGPSurrogate) SetSeed(seed int64) { s.seed = seed }
 // Name implements core.Surrogate.
 func (s *SGPSurrogate) Name() string { return KindSGP }
 
-// Cost estimates the O(n·m²) sparse fit plus the capped-subsample
-// hyperparameter fit deterministically.
+// Cost estimates the O(n·m²) sparse fit over the sgp default of m = 128
+// inducing points plus the capped-subsample hyperparameter fit
+// deterministically.
 func (s *SGPSurrogate) Cost(n int) float64 {
-	m := float64(s.MaxInducing)
-	if m <= 0 {
-		m = 128
-	}
+	const m = 128.0
 	sub := float64(n)
 	if sub > 256 {
 		sub = 256
@@ -326,14 +230,12 @@ func (s *SGPSurrogate) Cost(n int) float64 {
 // posterior over all n rows, not from a polished length-scale estimate.
 func (s *SGPSurrogate) Fit(X [][]float64, Y []float64) error {
 	m, err := sgp.Fit(X, Y, sgp.Options{
-		MaxInducing:    s.MaxInducing,
 		HyperSubsample: 128,
 		Restarts:       1,
 		MaxIter:        40,
 		Kernel:         s.cfg.Kernel,
 		Categorical:    s.cfg.Categorical,
 		Seed:           s.seed,
-		Workers:        s.cfg.Workers,
 	})
 	if err != nil {
 		return err
@@ -372,7 +274,9 @@ func (s *SGPSurrogate) PredictBatchInto(X [][]float64, means, stds []float64, wo
 
 var (
 	_ core.Surrogate = (*GPSurrogate)(nil)
-	_ core.Surrogate = (*LCMSurrogate)(nil)
 	_ core.Surrogate = (*SGPSurrogate)(nil)
 	_ core.Surrogate = (*copula.Model)(nil)
+	_ searchBinder   = (*tla.MultitaskPS)(nil)
+	_ stateful       = (*tla.MultitaskPS)(nil)
+	_ stateful       = (*tla.TrueSampleLCM)(nil)
 )

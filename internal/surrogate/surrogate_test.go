@@ -1,26 +1,32 @@
 package surrogate
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"gptunecrowd/internal/apps/synth"
 	"gptunecrowd/internal/core"
-	"gptunecrowd/internal/obs"
 	"gptunecrowd/internal/tla"
 )
 
-func demoSetup(t *testing.T, nSrc int, seed int64) (*core.Problem, map[string]interface{}, []*tla.Source) {
+// demoSource samples the demo function at task tv as a source dataset.
+func demoSource(t *testing.T, tv float64, n int, seed int64) *tla.Source {
 	t.Helper()
-	p := synth.DemoProblem()
-	rng := rand.New(rand.NewSource(seed))
-	X, Y, err := synth.CollectSamples(p, map[string]interface{}{"t": 0.8}, nSrc, rng)
+	X, Y, err := synth.CollectSamples(synth.DemoProblem(), map[string]interface{}{"t": tv}, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, map[string]interface{}{"t": 1.0}, []*tla.Source{tla.NewSource("t=0.8", X, Y)}
+	return tla.NewSource(fmt.Sprintf("t=%v", tv), X, Y)
+}
+
+// demoSetup is the paper's Fig. 3(a) scenario: source task t=0.8,
+// target task t=1.0.
+func demoSetup(t *testing.T, nSrc int, seed int64) (*core.Problem, map[string]interface{}, []*tla.Source) {
+	t.Helper()
+	return synth.DemoProblem(), map[string]interface{}{"t": 1.0}, []*tla.Source{demoSource(t, 0.8, nSrc, seed)}
 }
 
 func runProposer(t *testing.T, p *core.Problem, task map[string]interface{}, prop core.Proposer, budget int, seed int64) *core.History {
@@ -43,22 +49,24 @@ func bestY(t *testing.T, h *core.History) float64 {
 }
 
 func TestKindValidation(t *testing.T) {
-	for _, k := range Kinds() {
-		if !ValidKind(k) {
-			t.Fatalf("kind %q should validate", k)
-		}
-	}
-	if !ValidKind("") {
-		t.Fatal("empty kind means auto and should validate")
-	}
-	if ValidKind("nonsense") {
-		t.Fatal("unknown kind validated")
-	}
 	if _, err := New("nonsense", Config{Dim: 1}); err == nil {
 		t.Fatal("New with unknown kind should fail")
 	}
-	if _, err := New(KindLCM, Config{Dim: 1}); err == nil {
-		t.Fatal("LCM without sources should fail")
+	if _, err := New(KindAuto, Config{Dim: 1}); err == nil {
+		t.Fatal("auto is a tuner, not a model kind")
+	}
+	for _, kind := range modelKinds {
+		_, err := New(kind, Config{Dim: 1})
+		switch kind {
+		case KindGP, KindCopula, KindSGP:
+			if err != nil {
+				t.Fatalf("%s without sources: %v", kind, err)
+			}
+		default:
+			if !errors.Is(err, tla.ErrNoSources) {
+				t.Fatalf("%s without sources: %v, want ErrNoSources", kind, err)
+			}
+		}
 	}
 }
 
@@ -71,10 +79,13 @@ func TestAdaptersSatisfyLifecycle(t *testing.T) {
 		X[i] = []float64{rng.Float64()}
 		Y[i] = synth.Demo(1.0, X[i][0])
 	}
-	for _, kind := range []string{KindGP, KindLCM, KindCopula, KindSGP} {
+	for _, kind := range modelKinds {
 		s, err := New(kind, Config{Dim: 1, Sources: sources})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if b, ok := s.(searchBinder); ok {
+			b.BindSearch(synth.DemoProblem().ParamSpace, core.SearchOptions{Candidates: 32, DEGens: 3})
 		}
 		if s.Name() != kind {
 			t.Fatalf("Name = %q, want %q", s.Name(), kind)
@@ -112,7 +123,10 @@ func TestAdaptersSatisfyLifecycle(t *testing.T) {
 
 func TestObserveBeforeFitErrors(t *testing.T) {
 	_, _, sources := demoSetup(t, 10, 3)
-	for _, kind := range []string{KindGP, KindLCM, KindSGP} {
+	for _, kind := range modelKinds {
+		if kind == KindCopula {
+			continue // observes into its source-only prior
+		}
 		s, err := New(kind, Config{Dim: 1, Sources: sources})
 		if err != nil {
 			t.Fatal(err)
@@ -145,237 +159,5 @@ func TestCheapArmsAreCheaper(t *testing.T) {
 		if lcmArm.Cost(n) < 10*cheap.Cost(n) {
 			t.Fatalf("lcm cost %v not >= 10x %s cost %v", lcmArm.Cost(n), cheap.Name(), cheap.Cost(n))
 		}
-	}
-}
-
-func TestPoolArmsAndMetrics(t *testing.T) {
-	p, task, sources := demoSetup(t, 40, 5)
-	reg := obs.NewRegistry()
-	pool := NewPool(PoolConfig{Config: Config{Sources: sources}, Metrics: reg})
-	runProposer(t, p, task, pool, 8, 6)
-	names := strings.Join(pool.ArmNames(), ",")
-	for _, want := range []string{KindGP, KindLCM, KindCopula, KindSGP, armSpace} {
-		if !strings.Contains(names, want) {
-			t.Fatalf("arm %q missing from %q", want, names)
-		}
-	}
-	total := 0
-	for _, c := range pool.SelectedCounts() {
-		total += c
-	}
-	if total == 0 {
-		t.Fatal("no arm was ever selected")
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, fam := range []string{"surrogate_selected_total", "surrogate_fit_seconds", "surrogate_fit_failures_total", "surrogate_arm_mean_reward"} {
-		if !strings.Contains(out, fam) {
-			t.Fatalf("metric family %q not exported", fam)
-		}
-	}
-}
-
-func TestPoolWithoutSourcesSkipsLCM(t *testing.T) {
-	p, task, _ := demoSetup(t, 10, 7)
-	pool := NewPool(PoolConfig{})
-	runProposer(t, p, task, pool, 6, 8)
-	for _, n := range pool.ArmNames() {
-		if n == KindLCM {
-			t.Fatal("LCM arm present without sources")
-		}
-	}
-}
-
-// TestPoolBeatsAlwaysLCM is the regret test: on a seeded transfer
-// workload the auto pool must reach (or beat) the always-LCM incumbent
-// within the same evaluation budget, averaged over seeds.
-func TestPoolBeatsAlwaysLCM(t *testing.T) {
-	var poolSum, lcmSum float64
-	const repeats = 3
-	const budget = 8
-	for r := 0; r < repeats; r++ {
-		p, task, sources := demoSetup(t, 60, int64(20+r))
-		pool := NewPool(PoolConfig{Config: Config{Sources: sources}})
-		lcmProp, err := NewFixed(KindLCM, PoolConfig{Config: Config{Sources: sources}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		poolSum += bestY(t, runProposer(t, p, task, pool, budget, int64(30+r)))
-		lcmSum += bestY(t, runProposer(t, p, task, lcmProp, budget, int64(30+r)))
-	}
-	if poolSum/repeats > lcmSum/repeats+0.1 {
-		t.Fatalf("pool (%v) clearly worse than always-LCM (%v) at equal budget",
-			poolSum/repeats, lcmSum/repeats)
-	}
-}
-
-func TestPoolStateRoundTrip(t *testing.T) {
-	p, task, sources := demoSetup(t, 40, 9)
-	pool := NewPool(PoolConfig{Config: Config{Sources: sources}})
-	runProposer(t, p, task, pool, 8, 10)
-	state, err := pool.StateCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Restore before the arm set exists (the ResumeSession order).
-	fresh := NewPool(PoolConfig{Config: Config{Sources: sources}})
-	if err := fresh.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	runProposer(t, p, task, fresh, 2, 11) // forces lazy build + pending apply
-	if got := fresh.SelectedCounts(); len(got) == 0 {
-		t.Fatal("restored pool lost selector state")
-	}
-	// Counts carried over: total pulls of fresh >= pulls of original.
-	orig, cont := 0, 0
-	for _, c := range pool.SelectedCounts() {
-		orig += c
-	}
-	for _, c := range fresh.SelectedCounts() {
-		cont += c
-	}
-	if cont < orig {
-		t.Fatalf("restored pulls %d < original %d", cont, orig)
-	}
-	if err := fresh.RestoreState([]byte("{")); err == nil {
-		t.Fatal("corrupt state should fail")
-	}
-}
-
-// TestFixedCheckpointBitIdentical is the satellite requirement:
-// checkpoint/resume with a non-default surrogate active must replay
-// bit-identically to an uninterrupted run.
-func TestFixedCheckpointBitIdentical(t *testing.T) {
-	for _, kind := range []string{KindCopula, KindSGP} {
-		p, task, sources := demoSetup(t, 40, 12)
-		opts := core.SessionOptions{Budget: 8, Seed: 13,
-			Search: core.SearchOptions{Candidates: 64, DEGens: 10}}
-		mkProp := func() core.Proposer {
-			prop, err := NewProposer(kind, PoolConfig{Config: Config{Sources: sources}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return prop
-		}
-
-		full, err := core.NewSession(p, task, mkProp(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := full.Run(); err != nil {
-			t.Fatal(err)
-		}
-
-		half, err := core.NewSession(p, task, mkProp(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			if err := half.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cp, err := half.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := core.ResumeSession(p, task, mkProp(), opts, cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !resumed.Done() {
-			if err := resumed.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		a, b := full.History(), resumed.History()
-		if a.Len() != b.Len() {
-			t.Fatalf("%s: resumed %d samples, want %d", kind, b.Len(), a.Len())
-		}
-		for i := range a.Samples {
-			sa, sb := a.Samples[i], b.Samples[i]
-			if sa.Y != sb.Y {
-				t.Fatalf("%s: sample %d objective %v != %v", kind, i, sb.Y, sa.Y)
-			}
-			for d := range sa.ParamU {
-				if sa.ParamU[d] != sb.ParamU[d] {
-					t.Fatalf("%s: sample %d coord %d differs", kind, i, d)
-				}
-			}
-		}
-	}
-}
-
-// TestPoolCheckpointBitIdentical extends the bit-identity wall to the
-// stateful auto pool (selector state rides the proposer checkpoint).
-func TestPoolCheckpointBitIdentical(t *testing.T) {
-	p, task, sources := demoSetup(t, 40, 14)
-	opts := core.SessionOptions{Budget: 8, Seed: 15,
-		Search: core.SearchOptions{Candidates: 64, DEGens: 10}}
-	mkPool := func() core.Proposer {
-		return NewPool(PoolConfig{Config: Config{Sources: sources}})
-	}
-
-	full, err := core.NewSession(p, task, mkPool(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := full.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	half, err := core.NewSession(p, task, mkPool(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := half.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cp, err := half.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := core.ResumeSession(p, task, mkPool(), opts, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !resumed.Done() {
-		if err := resumed.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, b := full.History(), resumed.History()
-	if a.Len() != b.Len() {
-		t.Fatalf("resumed %d samples, want %d", b.Len(), a.Len())
-	}
-	for i := range a.Samples {
-		if a.Samples[i].Y != b.Samples[i].Y {
-			t.Fatalf("sample %d objective %v != %v", i, b.Samples[i].Y, a.Samples[i].Y)
-		}
-	}
-}
-
-func TestNewProposerRouting(t *testing.T) {
-	cfg := PoolConfig{}
-	if prop, err := NewProposer("", cfg); err != nil || prop.Name() != "Surrogate(auto)" {
-		t.Fatalf("empty kind → %v, %v", prop, err)
-	}
-	if prop, err := NewProposer(KindAuto, cfg); err != nil || prop.Name() != "Surrogate(auto)" {
-		t.Fatalf("auto kind → %v, %v", prop, err)
-	}
-	if prop, err := NewProposer(KindGP, cfg); err != nil || prop.Name() != "Surrogate(gp)" {
-		t.Fatalf("gp kind → %v, %v", prop, err)
-	}
-	if _, err := NewProposer("bogus", cfg); err == nil {
-		t.Fatal("bogus kind should fail")
-	}
-	if _, err := NewFixed(KindAuto, cfg); err == nil {
-		t.Fatal("Fixed(auto) should fail")
 	}
 }

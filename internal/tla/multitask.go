@@ -8,13 +8,10 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/gp"
-	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/lcm"
 	"gptunecrowd/internal/sample"
+	"gptunecrowd/internal/space"
 )
-
-// lcmFit substitutes the LCM fit in tests (fit-degradation coverage).
-var lcmFit = lcm.Fit
 
 // lcmSlice exposes one task of a fitted LCM as a core.Predictor.
 type lcmSlice struct {
@@ -33,185 +30,142 @@ func (s lcmSlice) Predict(x []float64) (float64, float64) {
 	return mean, std
 }
 
-// MultitaskTS is GPTuneCrowd's improved multitask proposer
-// (Section V-A-2): it feeds the true source samples into the LCM,
-// exploiting unequal per-task sample counts, and asks the joint model to
-// propose points only for the target task.
-type MultitaskTS struct {
-	Sources []*Source
-	Kernel  kernel.Type
-	// MaxSourceSamples caps the per-source sample count fed to the LCM
-	// (cubic cost in the total count). 0 means no cap. Subsampling
-	// always keeps the source optimum.
-	MaxSourceSamples int
-	Q                int // latent processes (default: LCM heuristic)
-	LCMMaxIter       int
-	Acquisition      core.Acquisition
-
-	sub *CappedSources // drawn on first use
+// TrueSampleLCM is the model of Multitask(TS), GPTuneCrowd's improved
+// multitask learner (Section V-A-2): the true samples of every source —
+// capped per source, cubic cost in the total — plus the target rows
+// form the LCM's task stack, target last, so unequal per-task counts
+// are exploited; predictions come from the target slice.
+type TrueSampleLCM struct {
+	*Model
+	sources []*Source
+	sub     *CappedSources // drawn at the first fit
 }
 
-// NewMultitaskTS returns the Multitask(TS) proposer with a sample cap
-// suited to interactive runs.
-func NewMultitaskTS(sources []*Source) *MultitaskTS {
-	return &MultitaskTS{Sources: sources, MaxSourceSamples: 60}
+// NewTrueSampleLCM returns the model over sources capped at maxSamples
+// each (see Source.Subsample).
+func NewTrueSampleLCM(sources []*Source, maxSamples int, mask []bool) *TrueSampleLCM {
+	m := &TrueSampleLCM{sources: sources}
+	m.Model = &Model{name: "lcm", fit: func(X [][]float64, Y []float64, seed int64) (core.Predictor, error) {
+		if m.sub == nil {
+			// Deterministic subsample: seeded from the first fit's seed and
+			// cached, so later refits see the same source rows.
+			m.sub = CapSources(sources, maxSamples, rand.New(rand.NewSource(seed)))
+		}
+		tasksX := make([][][]float64, 0, len(sources)+1)
+		tasksY := make([][]float64, 0, len(sources)+1)
+		for _, s := range m.sub.Views {
+			tasksX = append(tasksX, s.X)
+			tasksY = append(tasksY, s.Y)
+		}
+		model, err := lcmFit(append(tasksX, X), append(tasksY, Y), lcm.Options{Categorical: mask, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		return lcmSlice{m: model, task: len(sources)}, nil
+	}}
+	// The O((Σnᵢ)³) stacked fit, over the capped per-source counts
+	// actually fed to the LCM.
+	m.cost = func(n int) float64 {
+		total := float64(n)
+		for _, s := range sources {
+			total += float64(min(s.Len(), maxSamples))
+		}
+		return 3e-9 * total * total * total
+	}
+	return m
 }
 
-// Name implements core.Proposer.
-func (m *MultitaskTS) Name() string { return "Multitask(TS)" }
+// StateCheckpoint serializes the source subsample: it depends on which
+// fit came first in the run, so a resumed run cannot redraw it.
+func (m *TrueSampleLCM) StateCheckpoint() ([]byte, error) { return json.Marshal(m.sub) }
 
-// Propose implements core.Proposer.
-func (m *MultitaskTS) Propose(ctx *core.ProposeContext) ([]float64, error) {
-	if len(m.Sources) == 0 {
-		return nil, ErrNoSources
-	}
-	X, Y, info := ctx.History.RobustXY(core.RobustOptions{})
-	ctx.NoteRobustIngestion(info)
-	if len(X) == 0 {
-		return equalWeightFirstEval(ctx, m.Sources, m.Kernel)
-	}
-	if m.sub == nil {
-		m.sub = CapSources(m.Sources, m.MaxSourceSamples, ctx.Rng)
-	}
-	nTasks := len(m.Sources) + 1
-	tasksX := make([][][]float64, nTasks)
-	tasksY := make([][]float64, nTasks)
-	for i, s := range m.sub.Views {
-		tasksX[i] = s.X
-		tasksY[i] = s.Y
-	}
-	tasksX[nTasks-1] = X
-	tasksY[nTasks-1] = Y
-	model, err := lcmFit(tasksX, tasksY, lcm.Options{
-		Q:           m.Q,
-		Kernel:      m.Kernel,
-		Categorical: ctx.Problem.CategoricalMask(),
-		MaxIter:     m.LCMMaxIter,
-		Seed:        ctx.Rng.Int63(),
-	})
-	if err != nil {
-		return ctx.DegradeToSpaceFill(m.Name(), err), nil
-	}
-	acq := m.Acquisition
-	if acq == nil {
-		acq = core.EI{}
-	}
-	surr := lcmSlice{m: model, task: nTasks - 1}
-	return core.SearchNext(surr, ctx.Problem.ParamSpace, acq, ctx.History, ctx.Rng, ctx.Search), nil
-}
-
-// StateCheckpoint implements core.StatefulProposer: the source
-// subsample is drawn from the session RNG once, not per proposal.
-func (m *MultitaskTS) StateCheckpoint() ([]byte, error) { return json.Marshal(m.sub) }
-
-// RestoreState implements core.StatefulProposer.
-func (m *MultitaskTS) RestoreState(data []byte) (err error) {
-	m.sub, err = RestoreCappedSources(m.Sources, data)
+// RestoreState restores a subsample serialized by StateCheckpoint.
+func (m *TrueSampleLCM) RestoreState(data []byte) (err error) {
+	m.sub, err = RestoreCappedSources(m.sources, data)
 	return err
 }
 
-// MultitaskPS is the 2021-GPTune multitask proposer (Section V-A-1):
-// the source tasks contribute *pseudo samples* drawn from their
-// pre-trained black-box surrogate models rather than raw data. Each
-// iteration the LCM proposes a point for every task; source proposals
-// are "evaluated" by the source surrogate mean and appended as pseudo
-// samples, while the target proposal is evaluated for real.
+// MultitaskPS is the 2021-GPTune multitask model (Section V-A-1): the
+// source tasks contribute *pseudo samples* drawn from their pre-trained
+// black-box surrogate models rather than raw data. Every fit the LCM
+// also proposes a point for each source task; those are "evaluated" by
+// the source surrogate mean and appended as pseudo samples for the next
+// fit, while the target slice is what the caller searches.
 type MultitaskPS struct {
-	Sources []*Source
-	Kernel  kernel.Type
-	// InitPseudo is the number of pseudo samples seeded per source
-	// before the first LCM fit (default max(4, dim+2)).
-	InitPseudo  int
-	Q           int
-	LCMMaxIter  int
-	Acquisition core.Acquisition
+	*Model
+	sources []*Source
+	mask    []bool
+	space   *space.Space
+	search  core.SearchOptions
 
 	pseudoX [][][]float64
 	pseudoY [][]float64
 }
 
-// NewMultitaskPS returns the Multitask(PS) proposer.
-func NewMultitaskPS(sources []*Source) *MultitaskPS {
-	return &MultitaskPS{Sources: sources}
+// NewMultitaskPS returns the Multitask(PS) model. BindSearch must be
+// called before the first Fit.
+func NewMultitaskPS(sources []*Source, mask []bool) *MultitaskPS {
+	m := &MultitaskPS{sources: sources, mask: mask}
+	m.Model = &Model{name: "Multitask(PS)", fit: m.fitPseudo}
+	return m
 }
 
-// Name implements core.Proposer.
-func (m *MultitaskPS) Name() string { return "Multitask(PS)" }
+// BindSearch hands the model what its per-source pseudo-sample searches
+// need: the parameter space and the caller's acquisition-search
+// options.
+func (m *MultitaskPS) BindSearch(sp *space.Space, opts core.SearchOptions) {
+	m.space, m.search = sp, opts
+}
 
-// Propose implements core.Proposer.
-func (m *MultitaskPS) Propose(ctx *core.ProposeContext) ([]float64, error) {
-	if len(m.Sources) == 0 {
-		return nil, ErrNoSources
+func (m *MultitaskPS) fitPseudo(X [][]float64, Y []float64, seed int64) (core.Predictor, error) {
+	if m.space == nil {
+		return nil, fmt.Errorf("tla: Multitask(PS) fitted before BindSearch")
 	}
-	X, Y, info := ctx.History.RobustXY(core.RobustOptions{})
-	ctx.NoteRobustIngestion(info)
-	if len(X) == 0 {
-		return equalWeightFirstEval(ctx, m.Sources, m.Kernel)
-	}
-	mask := ctx.Problem.CategoricalMask()
-	models, err := sourceModels(m.Sources, mask, m.Kernel, 1)
+	models, err := sourceModels(m.sources, m.mask)
 	if err != nil {
 		return nil, err
 	}
-	dim := ctx.Problem.ParamSpace.Dim()
+	rng := rand.New(rand.NewSource(seed))
 	if m.pseudoX == nil {
-		m.seedPseudo(dim, models, ctx.Rng)
+		m.seedPseudo(models, rng)
 	}
-	nTasks := len(m.Sources) + 1
-	tasksX := make([][][]float64, nTasks)
-	tasksY := make([][]float64, nTasks)
-	for i := range m.Sources {
-		tasksX[i] = m.pseudoX[i]
-		tasksY[i] = m.pseudoY[i]
-	}
-	tasksX[nTasks-1] = X
-	tasksY[nTasks-1] = Y
-	model, err := lcmFit(tasksX, tasksY, lcm.Options{
-		Q:           m.Q,
-		Kernel:      m.Kernel,
-		Categorical: mask,
-		MaxIter:     m.LCMMaxIter,
-		Seed:        ctx.Rng.Int63(),
-	})
+	tasksX := append(append([][][]float64(nil), m.pseudoX...), X)
+	tasksY := append(append([][]float64(nil), m.pseudoY...), Y)
+	model, err := lcmFit(tasksX, tasksY, lcm.Options{Categorical: m.mask, Seed: rng.Int63()})
 	if err != nil {
-		return ctx.DegradeToSpaceFill(m.Name(), err), nil
-	}
-	acq := m.Acquisition
-	if acq == nil {
-		acq = core.EI{}
+		return nil, err
 	}
 	// Advance each source with one new pseudo sample proposed by the
 	// joint model and answered by the source's black-box surrogate mean.
 	for i, srcModel := range models {
 		hist := pseudoHistory(m.pseudoX[i], m.pseudoY[i])
-		u := core.SearchNext(lcmSlice{m: model, task: i}, ctx.Problem.ParamSpace, acq, hist, ctx.Rng, ctx.Search)
+		u := core.SearchNext(lcmSlice{m: model, task: i}, m.space, core.EI{}, hist, rng, m.search)
 		m.pseudoX[i] = append(m.pseudoX[i], u)
 		m.pseudoY[i] = append(m.pseudoY[i], srcModel.PredictMean(u))
 	}
-	surr := lcmSlice{m: model, task: nTasks - 1}
-	return core.SearchNext(surr, ctx.Problem.ParamSpace, acq, ctx.History, ctx.Rng, ctx.Search), nil
+	return lcmSlice{m: model, task: len(models)}, nil
 }
 
 // pseudoState is MultitaskPS's checkpoint payload: the pseudo samples
-// accumulate across proposals and are not derivable from the history.
+// accumulate across fits and are not derivable from the history.
 type pseudoState struct {
 	X [][][]float64 `json:"x"`
 	Y [][]float64   `json:"y"`
 }
 
-// StateCheckpoint implements core.StatefulProposer.
+// StateCheckpoint serializes the pseudo samples.
 func (m *MultitaskPS) StateCheckpoint() ([]byte, error) {
 	return json.Marshal(pseudoState{X: m.pseudoX, Y: m.pseudoY})
 }
 
-// RestoreState implements core.StatefulProposer.
+// RestoreState restores pseudo samples serialized by StateCheckpoint.
 func (m *MultitaskPS) RestoreState(data []byte) error {
 	var st pseudoState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("tla: Multitask(PS) state: %w", err)
 	}
-	if st.X != nil && (len(st.X) != len(m.Sources) || len(st.Y) != len(m.Sources)) {
-		return fmt.Errorf("tla: Multitask(PS) state has pseudo samples for %d/%d sources, want %d", len(st.X), len(st.Y), len(m.Sources))
+	if st.X != nil && (len(st.X) != len(m.sources) || len(st.Y) != len(m.sources)) {
+		return fmt.Errorf("tla: Multitask(PS) state has pseudo samples for %d/%d sources, want %d", len(st.X), len(st.Y), len(m.sources))
 	}
 	for i := range st.X {
 		if len(st.X[i]) != len(st.Y[i]) {
@@ -223,15 +177,11 @@ func (m *MultitaskPS) RestoreState(data []byte) error {
 }
 
 // seedPseudo initializes the per-source pseudo-sample sets from a Latin
-// hypercube answered by each source surrogate's mean.
-func (m *MultitaskPS) seedPseudo(dim int, models []*gp.GP, rng *rand.Rand) {
-	nInit := m.InitPseudo
-	if nInit <= 0 {
-		nInit = dim + 2
-		if nInit < 4 {
-			nInit = 4
-		}
-	}
+// hypercube of max(4, dim+2) points answered by each source surrogate's
+// mean.
+func (m *MultitaskPS) seedPseudo(models []*gp.GP, rng *rand.Rand) {
+	dim := m.space.Dim()
+	nInit := max(4, dim+2)
 	m.pseudoX = make([][][]float64, len(models))
 	m.pseudoY = make([][]float64, len(models))
 	for i, model := range models {

@@ -1,9 +1,10 @@
-// Package tla implements GPTuneCrowd's transfer-learning algorithm pool
-// (Table I of the paper): Multitask(PS), Multitask(TS),
-// WeightedSum(static/equal), WeightedSum(dynamic), Stacking, and the
-// proposed Ensemble, plus the simpler Ensemble(toggling) and
-// Ensemble(prob) baselines. Every algorithm is a core.Proposer that can
-// be dropped into the tuning loop.
+// Package tla holds the source datasets of transfer learning and the
+// model math of the paper's Table I: the capped source views the LCM
+// of Multitask(TS) is fitted on, Multitask(PS), WeightedSum(equal) and
+// WeightedSum(dynamic) (Eqs. 1-2), and Stacking. Every model is a
+// core.Surrogate — a fit rule from the target rows to a predictor —
+// and none proposes anything: internal/surrogate owns the propose step
+// and the rule that picks a model per evaluation (Eqs. 3-4).
 package tla
 
 import (
@@ -15,7 +16,6 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/gp"
-	"gptunecrowd/internal/kernel"
 )
 
 // Source is a pre-collected dataset for one source task: parameter
@@ -41,18 +41,6 @@ func NewSource(name string, X [][]float64, Y []float64) *Source {
 
 // Len returns the number of samples.
 func (s *Source) Len() int { return len(s.X) }
-
-// Model lazily fits (and caches) a GP surrogate on the source data.
-func (s *Source) Model(mask []bool, kern kernel.Type, seed int64) (*gp.GP, error) {
-	if s.model == nil && s.modelErr == nil {
-		s.model, s.modelErr = gp.Fit(s.X, s.Y, gp.Options{
-			Kernel:      kern,
-			Categorical: mask,
-			Seed:        seed,
-		})
-	}
-	return s.model, s.modelErr
-}
 
 // Subsample returns a source restricted to at most n samples, chosen
 // uniformly at random but always including the best observation (losing
@@ -102,10 +90,10 @@ func (s *Source) pick(idx []int) *Source {
 }
 
 // CappedSources is a source list with every source capped at n samples
-// (see Subsample). The LCM-based tuners draw it once per run, so it is
-// state their checkpoints carry: it marshals to the kept sample indices
-// (null where a source was kept whole) and RestoreCappedSources rebuilds
-// the same views from them.
+// (see Subsample). TrueSampleLCM draws it once per run, so it is state
+// the checkpoint carries: it marshals to the kept sample indices (null
+// where a source was kept whole) and RestoreCappedSources rebuilds the
+// same views from them.
 type CappedSources struct {
 	Views []*Source
 	idx   [][]int
@@ -148,42 +136,25 @@ func RestoreCappedSources(sources []*Source, data []byte) (*CappedSources, error
 	return c, nil
 }
 
-// ErrNoSources is returned when a TLA proposer is constructed without
-// source data.
+// ErrNoSources is returned when a source-fed model or tuner is built
+// without source data.
 var ErrNoSources = errors.New("tla: transfer learning requires at least one source task")
 
-// sourceModels fits every source surrogate, returning an error when any
-// fit fails.
-func sourceModels(sources []*Source, mask []bool, kern kernel.Type, seed int64) ([]*gp.GP, error) {
+// sourceModels returns the GP surrogate of every source, fitted on first
+// use and cached on the Source (sources are static during a run, and
+// one dataset often feeds several tuners).
+func sourceModels(sources []*Source, mask []bool) ([]*gp.GP, error) {
 	models := make([]*gp.GP, len(sources))
 	for i, s := range sources {
-		m, err := s.Model(mask, kern, seed+int64(i))
-		if err != nil {
-			return nil, fmt.Errorf("tla: source %q surrogate: %w", s.Name, err)
+		if s.model == nil && s.modelErr == nil {
+			s.model, s.modelErr = gp.Fit(s.X, s.Y, gp.Options{Categorical: mask, Seed: int64(1 + i)})
 		}
-		models[i] = m
+		if s.modelErr != nil {
+			return nil, fmt.Errorf("tla: source %q surrogate: %w", s.Name, s.modelErr)
+		}
+		models[i] = s.model
 	}
 	return models, nil
-}
-
-// equalWeightFirstEval implements the paper's convention for the very
-// first target evaluation: with no target information, search the
-// equal-weight combination of the source surrogates. Exploitation is
-// appropriate here (there is no incumbent for EI), so we minimize the
-// combined LCB.
-func equalWeightFirstEval(ctx *core.ProposeContext, sources []*Source, kern kernel.Type) ([]float64, error) {
-	models, err := sourceModels(sources, ctx.Problem.CategoricalMask(), kern, 1)
-	if err != nil {
-		return nil, err
-	}
-	w := make([]float64, len(models))
-	surrs := make([]core.Predictor, len(models))
-	for i := range w {
-		w[i] = 1.0 / float64(len(models))
-		surrs[i] = models[i]
-	}
-	comb := &weightedSurrogate{models: surrs, weights: w}
-	return core.SearchNext(comb, ctx.Problem.ParamSpace, core.LCB{Kappa: 1.0}, ctx.History, ctx.Rng, ctx.Search), nil
 }
 
 // weightedSurrogate combines surrogates per the paper's Eqs. (1)–(2):

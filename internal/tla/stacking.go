@@ -7,30 +7,39 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/gp"
-	"gptunecrowd/internal/kernel"
 )
 
-// Stacking is the Vizier-style transfer proposer (Section V-D): source
-// tasks are ordered by sample count (largest first), each successive
-// task gets a GP fitted on the *residuals* against the accumulated mean,
-// and the target's residual model is stacked last. Posterior means add;
-// posterior standard deviations combine by sample-count-weighted
-// geometric means.
-type Stacking struct {
-	Sources     []*Source
-	Kernel      kernel.Type
-	Acquisition core.Acquisition
-
-	chain *stackChain // cached source chain
+// NewStacking returns the Vizier-style transfer model (Section V-D):
+// source tasks are ordered by sample count (largest first), each
+// successive task gets a GP fitted on the *residuals* against the
+// accumulated mean, and the target's residual model — from two target
+// rows on — is stacked last. Posterior means add; posterior standard
+// deviations combine by sample-count-weighted geometric means.
+func NewStacking(sources []*Source, mask []bool) *Model {
+	var chain *stackChain // fitted at the first Fit: sources are static during a run
+	return &Model{name: "Stacking", fit: func(X [][]float64, Y []float64, seed int64) (core.Predictor, error) {
+		if chain == nil {
+			var err error
+			if chain, err = buildChain(sources, mask); err != nil {
+				return nil, err
+			}
+		}
+		surr := &stackedSurrogate{chain: chain, nTgt: len(X)}
+		if len(X) < 2 {
+			return surr, nil
+		}
+		resid := make([]float64, len(Y))
+		for j := range Y {
+			resid[j] = Y[j] - chain.meanAt(X[j])
+		}
+		g, err := targetFit(X, resid, gp.Options{Categorical: mask, Seed: seed})
+		if err != nil {
+			return surr, fmt.Errorf("%w: %v", ErrSourceOnly, err)
+		}
+		surr.target = g
+		return surr, nil
+	}}
 }
-
-// NewStacking returns the Stacking proposer.
-func NewStacking(sources []*Source) *Stacking {
-	return &Stacking{Sources: sources}
-}
-
-// Name implements core.Proposer.
-func (s *Stacking) Name() string { return "Stacking" }
 
 // stackChain is the fitted source part of the stack.
 type stackChain struct {
@@ -67,10 +76,9 @@ func (c *stackChain) stdAt(x []float64) float64 {
 	return std
 }
 
-// buildChain fits the source residual chain once (sources are static
-// during a run).
-func (s *Stacking) buildChain(mask []bool) (*stackChain, error) {
-	ordered := append([]*Source(nil), s.Sources...)
+// buildChain fits the source residual chain.
+func buildChain(sources []*Source, mask []bool) (*stackChain, error) {
+	ordered := append([]*Source(nil), sources...)
 	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Len() > ordered[b].Len() })
 	chain := &stackChain{}
 	for i, src := range ordered {
@@ -81,7 +89,7 @@ func (s *Stacking) buildChain(mask []bool) (*stackChain, error) {
 				ys[j] = y - chain.meanAt(src.X[j])
 			}
 		}
-		g, err := gp.Fit(src.X, ys, gp.Options{Kernel: s.Kernel, Categorical: mask, Seed: int64(i + 1)})
+		g, err := gp.Fit(src.X, ys, gp.Options{Categorical: mask, Seed: int64(i + 1)})
 		if err != nil {
 			return nil, fmt.Errorf("tla: stacking source %q: %w", src.Name, err)
 		}
@@ -113,39 +121,4 @@ func (s *stackedSurrogate) Predict(x []float64) (float64, float64) {
 	nSrcLast := s.chain.counts[len(s.chain.counts)-1]
 	beta := float64(s.nTgt) / float64(s.nTgt+nSrcLast)
 	return mean, math.Pow(ts, beta) * math.Pow(srcStd, 1-beta)
-}
-
-// Propose implements core.Proposer.
-func (s *Stacking) Propose(ctx *core.ProposeContext) ([]float64, error) {
-	if len(s.Sources) == 0 {
-		return nil, ErrNoSources
-	}
-	X, Y := ctx.History.XY()
-	if len(X) == 0 {
-		return equalWeightFirstEval(ctx, s.Sources, s.Kernel)
-	}
-	mask := ctx.Problem.CategoricalMask()
-	if s.chain == nil {
-		chain, err := s.buildChain(mask)
-		if err != nil {
-			return nil, err
-		}
-		s.chain = chain
-	}
-	surr := &stackedSurrogate{chain: s.chain, nTgt: len(X)}
-	if len(X) >= 2 {
-		resid := make([]float64, len(Y))
-		for j := range Y {
-			resid[j] = Y[j] - s.chain.meanAt(X[j])
-		}
-		g, err := gp.Fit(X, resid, gp.Options{Kernel: s.Kernel, Categorical: mask, Seed: ctx.Rng.Int63()})
-		if err == nil {
-			surr.target = g
-		}
-	}
-	acq := s.Acquisition
-	if acq == nil {
-		acq = core.EI{}
-	}
-	return core.SearchNext(surr, ctx.Problem.ParamSpace, acq, ctx.History, ctx.Rng, ctx.Search), nil
 }

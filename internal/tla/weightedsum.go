@@ -1,113 +1,66 @@
 package tla
 
 import (
+	"fmt"
 	"math"
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/gp"
-	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/linalg"
 )
 
-// WeightedSum is the HiPerBOt-style transfer proposer: a weighted
-// combination of per-task GP surrogates (paper Section V-B/V-C).
-//
-// With Dynamic=false it reproduces WeightedSum(static) when
-// StaticWeights is set — weights ordered [src_1 … src_n, target] — and
-// WeightedSum(equal) otherwise. With Dynamic=true the weights are
-// re-estimated before every proposal by the linear-regression scheme of
-// Section V-C (GPTuneCrowd's improvement).
-type WeightedSum struct {
-	Sources       []*Source
-	Dynamic       bool
-	StaticWeights []float64 // optional; length len(Sources)+1
-	Kernel        kernel.Type
-	Acquisition   core.Acquisition
-	// Ridge is the regularization of the dynamic weight solve
-	// (default 1e-6).
-	Ridge float64
-}
-
-// NewWeightedSumEqual returns the WeightedSum(equal) proposer.
-func NewWeightedSumEqual(sources []*Source) *WeightedSum {
-	return &WeightedSum{Sources: sources}
-}
-
-// NewWeightedSumDynamic returns the WeightedSum(dynamic) proposer.
-func NewWeightedSumDynamic(sources []*Source) *WeightedSum {
-	return &WeightedSum{Sources: sources, Dynamic: true}
-}
-
-// Name implements core.Proposer.
-func (w *WeightedSum) Name() string {
-	if w.Dynamic {
-		return "WeightedSum(dynamic)"
+// NewWeightedSum returns the HiPerBOt-style transfer model: a weighted
+// combination of per-task GP surrogates (paper Section V-B/V-C, Eqs.
+// 1-2). WeightedSum(equal) weighs every task alike; with dynamic set
+// the weights are re-estimated at every fit by the linear-regression
+// scheme of Section V-C (GPTuneCrowd's improvement). The target
+// surrogate joins the mix from two target rows on.
+func NewWeightedSum(sources []*Source, dynamic bool, mask []bool) *Model {
+	name := "WeightedSum(equal)"
+	if dynamic {
+		name = "WeightedSum(dynamic)"
 	}
-	if w.StaticWeights != nil {
-		return "WeightedSum(static)"
-	}
-	return "WeightedSum(equal)"
-}
-
-// Propose implements core.Proposer.
-func (w *WeightedSum) Propose(ctx *core.ProposeContext) ([]float64, error) {
-	if len(w.Sources) == 0 {
-		return nil, ErrNoSources
-	}
-	X, Y := ctx.History.XY()
-	if len(X) == 0 {
-		return equalWeightFirstEval(ctx, w.Sources, w.Kernel)
-	}
-	mask := ctx.Problem.CategoricalMask()
-	srcModels, err := sourceModels(w.Sources, mask, w.Kernel, 1)
-	if err != nil {
-		return nil, err
-	}
-	// Target surrogate (needs >=2 samples to be meaningful).
-	var tgtModel *gp.GP
-	if len(X) >= 2 {
-		tgtModel, err = gp.Fit(X, Y, gp.Options{Kernel: w.Kernel, Categorical: mask, Seed: ctx.Rng.Int63()})
+	return &Model{name: name, fit: func(X [][]float64, Y []float64, seed int64) (core.Predictor, error) {
+		models, err := sourceModels(sources, mask)
 		if err != nil {
-			tgtModel = nil // degrade gracefully to a source-only mix
+			return nil, err
 		}
-	}
-	models := make([]core.Predictor, 0, len(srcModels)+1)
-	for _, m := range srcModels {
-		models = append(models, m)
-	}
-	meanModels := make([]*gp.GP, len(srcModels))
-	copy(meanModels, srcModels)
-	if tgtModel != nil {
-		models = append(models, tgtModel)
-		meanModels = append(meanModels, tgtModel)
-	}
-	weights := w.weightsFor(meanModels, tgtModel != nil, X, Y)
-	comb := &weightedSurrogate{models: models, weights: weights}
-	acq := w.Acquisition
-	if acq == nil {
-		acq = core.EI{}
-	}
-	return core.SearchNext(comb, ctx.Problem.ParamSpace, acq, ctx.History, ctx.Rng, ctx.Search), nil
+		var soft error
+		if len(X) >= 2 {
+			tgt, err := targetFit(X, Y, gp.Options{Categorical: mask, Seed: seed})
+			if err != nil {
+				soft = fmt.Errorf("%w: %v", ErrSourceOnly, err)
+			} else {
+				models = append(models, tgt)
+			}
+		}
+		weights := equalWeights(len(models))
+		if dynamic {
+			weights = dynamicWeights(models, X, Y)
+		}
+		comb := &weightedSurrogate{weights: weights}
+		for _, m := range models {
+			comb.models = append(comb.models, m)
+		}
+		return comb, soft
+	}}
 }
 
-// weightsFor produces normalized weights aligned with models
-// ([sources..., target?]).
-func (w *WeightedSum) weightsFor(models []*gp.GP, hasTarget bool, X [][]float64, Y []float64) []float64 {
+func equalWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1.0 / float64(n)
+	}
+	return w
+}
+
+// dynamicWeights estimates normalized weights aligned with models
+// ([sources..., target?]) by the scheme of Section V-C, falling back to
+// equal weights when the regression has nothing to work with. It needs
+// at least two target samples to form non-trivial rows.
+func dynamicWeights(models []*gp.GP, X [][]float64, Y []float64) []float64 {
 	n := len(models)
-	equal := make([]float64, n)
-	for i := range equal {
-		equal[i] = 1.0 / float64(n)
-	}
-	if !w.Dynamic {
-		if w.StaticWeights != nil && len(w.StaticWeights) >= n {
-			out := append([]float64(nil), w.StaticWeights[:n]...)
-			normalizeWeights(out)
-			return out
-		}
-		return equal
-	}
-	// Dynamic scheme (Section V-C). Needs at least two target samples to
-	// form non-trivial rows.
+	equal := equalWeights(n)
 	if len(X) < 2 {
 		return equal
 	}
@@ -130,13 +83,13 @@ func (w *WeightedSum) weightsFor(models []*gp.GP, hasTarget bool, X [][]float64,
 	}
 	// Design matrix: one row per observed target sample (excluding the
 	// incumbent row, which is identically zero).
-	rows := make([][]float64, 0, len(X)-1)
+	A := linalg.NewMatrix(len(X)-1, n)
 	rhs := make([]float64, 0, len(X)-1)
 	for j := range X {
 		if j == bestIdx {
 			continue
 		}
-		row := make([]float64, n)
+		row := A.Row(len(rhs))
 		for i, m := range models {
 			scale := math.Abs(muStar[i])
 			if scale < 1e-12 {
@@ -144,21 +97,9 @@ func (w *WeightedSum) weightsFor(models []*gp.GP, hasTarget bool, X [][]float64,
 			}
 			row[i] = (muStar[i] - m.PredictMean(X[j])) / scale
 		}
-		rows = append(rows, row)
 		rhs = append(rhs, (yStar-Y[j])/yScale)
 	}
-	if len(rows) == 0 {
-		return equal
-	}
-	A := linalg.NewMatrix(len(rows), n)
-	for i, r := range rows {
-		copy(A.Row(i), r)
-	}
-	ridge := w.Ridge
-	if ridge == 0 {
-		ridge = 1e-6
-	}
-	sol, err := linalg.RidgeLeastSquares(A, rhs, ridge)
+	sol, err := linalg.RidgeLeastSquares(A, rhs, 1e-6)
 	if err != nil {
 		return equal
 	}

@@ -1,14 +1,11 @@
 package gptunecrowd
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,18 +65,7 @@ func TestTuneRecordsStageTimers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]float64{}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && strings.HasSuffix(fields[0], "_count") {
-			v, _ := strconv.ParseFloat(fields[1], 64)
-			counts[fields[0]] = v
-		}
-	}
+	counts := stageCounts(t, m)
 	for _, name := range []string{
 		"tuner_fit_seconds_count",
 		"tuner_search_seconds_count",
@@ -87,7 +73,7 @@ func TestTuneRecordsStageTimers(t *testing.T) {
 		"tuner_evaluate_seconds_count",
 	} {
 		if counts[name] < 1 {
-			t.Fatalf("%s = %v, want >= 1\n%s", name, counts[name], buf.String())
+			t.Fatalf("%s = %v, want >= 1", name, counts[name])
 		}
 	}
 	if counts["tuner_propose_seconds_count"] != 6 || counts["tuner_evaluate_seconds_count"] != 6 {

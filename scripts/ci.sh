@@ -41,6 +41,22 @@ if go list -f '{{join .Imports "\n"}}' ./internal/suggest | grep -E 'internal/(g
     exit 1
 fi
 
+# One propose step, one selector: besides NoTLA's core.GPTuner only the
+# surrogate driver implements core.Proposer; a third implementation
+# means a private propose loop (its own ingestion, warm-up, degradation
+# and stage timers) is back. internal/tla is model math only.
+echo "== Propose(ctx *core.ProposeContext) has exactly two implementations"
+proposers=$(grep -rlE 'func \([^)]*\) Propose\(ctx \*(core\.)?ProposeContext\)' --include='*.go' --exclude-dir=.bench_build . \
+    | grep -v '_test\.go$' | sort | tr '\n' ' ')
+if [ "$proposers" != "./internal/core/notla.go ./internal/surrogate/pool.go " ]; then
+    echo "FAIL: core.Proposer is implemented in: $proposers" >&2
+    exit 1
+fi
+if grep -rnE 'type (Ensemble|MultitaskTS|Fixed) |func (NewFixed|NewEnsemble|equalWeightFirstEval)\(' internal/tla internal/surrogate; then
+    echo "FAIL: a deleted tuner type is back" >&2
+    exit 1
+fi
+
 # The repo benchmark is a nested module that compiles against internal
 # packages; tier-1 `go test ./...` does not enter it.
 echo "== bench module (vet + smoke test)"
@@ -90,8 +106,8 @@ echo "$fuzz_targets" | while read -r target pkg; do
     go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime=10s "$pkg"
 done
 
-echo "== coverage floor (crowd + historydb + taskpool + core + suggest + replog + shardring + chaos + copula + sgp + surrogate + bandit >= 80%)"
-go test -count=1 -cover ./internal/crowd ./internal/historydb ./internal/taskpool ./internal/core ./internal/suggest ./internal/replog ./internal/shardring ./internal/chaos ./internal/copula ./internal/sgp ./internal/surrogate ./internal/bandit | tee /tmp/cover.txt
+echo "== coverage floor (crowd + historydb + taskpool + core + suggest + replog + shardring + chaos + copula + sgp + surrogate + tla + bandit >= 80%)"
+go test -count=1 -cover ./internal/crowd ./internal/historydb ./internal/taskpool ./internal/core ./internal/suggest ./internal/replog ./internal/shardring ./internal/chaos ./internal/copula ./internal/sgp ./internal/surrogate ./internal/tla ./internal/bandit | tee /tmp/cover.txt
 awk '
 /coverage:/ {
     for (i = 1; i <= NF; i++) if ($i == "coverage:") pct = $(i+1) + 0

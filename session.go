@@ -6,7 +6,6 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/surrogate"
-	"gptunecrowd/internal/tla"
 )
 
 // sessionOptions lowers the public TuneOptions into the core session
@@ -80,17 +79,17 @@ func ResumeTuningSession(p *Problem, task map[string]interface{}, opts TuneOptio
 	return &TuningSession{inner: s, algorithm: prop.Name()}, nil
 }
 
+// resolveProposer looks the tuner up in the one table of names:
+// Algorithm and Surrogate are two spellings of the same key.
 func resolveProposer(opts TuneOptions) (Proposer, error) {
-	if opts.Surrogate == "" {
-		return tla.NewProposer(opts.Algorithm, opts.Sources, opts.MaxSourceSamples)
+	name := opts.Algorithm
+	if opts.Surrogate != "" {
+		if opts.Algorithm != "" {
+			return nil, fmt.Errorf("gptunecrowd: Algorithm %q and Surrogate %q are mutually exclusive", opts.Algorithm, opts.Surrogate)
+		}
+		name = opts.Surrogate
 	}
-	if opts.Algorithm != "" {
-		return nil, fmt.Errorf("gptunecrowd: Algorithm %q and Surrogate %q are mutually exclusive", opts.Algorithm, opts.Surrogate)
-	}
-	if !surrogate.ValidKind(opts.Surrogate) {
-		return nil, fmt.Errorf("gptunecrowd: unknown surrogate %q (want one of %v)", opts.Surrogate, surrogate.Kinds())
-	}
-	return surrogate.NewProposer(opts.Surrogate, surrogate.PoolConfig{
+	return surrogate.NewProposer(name, surrogate.PoolConfig{
 		Config: surrogate.Config{
 			Sources:          opts.Sources,
 			MaxSourceSamples: opts.MaxSourceSamples,

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"gptunecrowd/internal/surrogate"
 )
 
 // TestTuneSurrogateOption covers the TuneOptions.Surrogate routing:
@@ -57,24 +59,15 @@ func TestTuneSurrogateCheckpointResume(t *testing.T) {
 	X2, Y2 := collectDemo(t, 1.2, 30, 6)
 	sources := []*SourceTask{NewSource("t=0.8", X, Y), NewSource("t=1.2", X2, Y2)}
 
-	var cases []TuneOptions
-	for _, alg := range Algorithms() {
-		cases = append(cases, TuneOptions{Budget: 7, Algorithm: alg})
-	}
-	for _, kind := range []string{"gp", "lcm", "copula", "sgp"} {
-		cases = append(cases, TuneOptions{Budget: 7, Surrogate: kind})
-	}
-	// The pool tries each of its five arms once after a three-sample
-	// warm-up; the budget leaves room for the lcm arm to be refitted.
-	cases = append(cases, TuneOptions{Budget: 14, Surrogate: "auto"})
-
-	for _, opts := range cases {
-		opts := opts
+	for _, opts := range everyTuner(sources) {
+		opts.Budget = 7
+		if opts.Surrogate == "auto" {
+			// The pool tries each of its five arms once after a three-sample
+			// warm-up; the budget leaves room for the lcm arm to be refitted.
+			opts.Budget = 14
+		}
 		opts.Seed = 7
 		opts.MaxSourceSamples = 12
-		if opts.Algorithm != "NoTLA" {
-			opts.Sources = sources
-		}
 		t.Run(opts.Algorithm+opts.Surrogate, func(t *testing.T) {
 			t.Parallel()
 			full, err := Tune(demoProblem(), task, opts)
@@ -105,6 +98,21 @@ func TestTuneSurrogateCheckpointResume(t *testing.T) {
 			}
 		})
 	}
+}
+
+// everyTuner spells every row of the tuner table as TuneOptions: the
+// Algorithms() names, then the surrogate kinds; all but NoTLA are given
+// the sources.
+func everyTuner(sources []*SourceTask) []TuneOptions {
+	cases := []TuneOptions{}
+	for _, alg := range Algorithms() {
+		cases = append(cases, TuneOptions{Algorithm: alg, Sources: sources})
+	}
+	cases[0].Sources = nil // NoTLA
+	for _, kind := range surrogate.Kinds() {
+		cases = append(cases, TuneOptions{Surrogate: kind, Sources: sources})
+	}
+	return cases
 }
 
 // assertSameHistory fails unless got repeats want bit for bit.
