@@ -263,15 +263,15 @@ func TestClusterStressFailover(t *testing.T) {
 				default:
 				}
 				p := problems[(w+k)%len(problems)]
-				id, err := c.SubmitTask(taskpool.Spec{App: p, Budget: 2})
+				id, err := c.SubmitTaskContext(context.Background(), taskpool.Spec{App: p, Budget: 2})
 				if err == nil {
 					taskMu.Lock()
 					submittedTasks = append(submittedTasks, id)
 					taskMu.Unlock()
 				}
-				task, _, err := c.LeaseTask(fmt.Sprintf("worker-%d", w), taskpool.MachineConstraint{})
+				task, _, err := c.LeaseTaskContext(context.Background(), fmt.Sprintf("worker-%d", w), taskpool.MachineConstraint{})
 				if err == nil && task != nil {
-					if err := c.CompleteTask(task.ID, task.LeaseToken, taskpool.Result{BestY: 1, NumEvals: 2}); err == nil {
+					if err := c.CompleteTaskContext(context.Background(), task.ID, task.LeaseToken, taskpool.Result{BestY: 1, NumEvals: 2}); err == nil {
 						taskMu.Lock()
 						completedTasks = append(completedTasks, task.ID)
 						taskMu.Unlock()
@@ -344,7 +344,7 @@ func TestClusterStressFailover(t *testing.T) {
 
 	// Zero lost acknowledged tasks: submissions and completions both
 	// survived.
-	tasks, err := admin.ListTasks("")
+	tasks, err := admin.ListTasksContext(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

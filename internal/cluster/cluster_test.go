@@ -5,7 +5,9 @@ package cluster
 // full-system behavior lives in cluster_e2e_test.go.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -145,6 +147,43 @@ func TestCoordinatorSplitsUploadAcrossShards(t *testing.T) {
 	if len(got) != len(problems) {
 		t.Fatalf("problems fan-out returned %v, want all of %v", got, problems)
 	}
+
+	// A split batch travels under derived per-shard ids ("<id>-<shard>"),
+	// so the same client batch replayed through the coordinator stores
+	// nothing twice, and quarantine reports keep the client's indices.
+	// Counters: a split or an every-shard request is one fan-out, a
+	// single-owner request one routed.
+	coord := coordTS.Config.Handler.(*Coordinator)
+	bad := stressEval("p0", "split-bad", 0)
+	bad.TuningParams["x"] = 7.0
+	retry, err := json.Marshal(crowd.UploadRequest{FuncEvals: append(batch[1:], bad), BatchID: "client-batch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanouts, routed := coord.metrics.fanouts.Value(), coord.metrics.routed.Value()
+	for attempt := 0; attempt < 2; attempt++ {
+		rec := wireCall(coord, http.MethodPost, crowd.PathFuncEvalUpload, c.APIKey, bytes.NewReader(retry))
+		var resp crowd.UploadResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("attempt %d: %d %s (%v)", attempt, rec.Code, rec.Body, err)
+		}
+		if len(resp.IDs) != len(batch)-1 || len(resp.Quarantined) != 1 || resp.Quarantined[0].Index != len(batch)-1 {
+			t.Fatalf("attempt %d: %d ids, quarantined %+v", attempt, len(resp.IDs), resp.Quarantined)
+		}
+	}
+	after := 0
+	for _, s := range shards {
+		after += s.leader.Server().Store().Collection("func_evals").Len()
+	}
+	if after != total+len(batch)-1 {
+		t.Fatalf("replayed split batch stored %d new evals, want %d", after-total, len(batch)-1)
+	}
+	if _, err := c.Query(crowd.QueryRequest{TuningProblemName: "p0"}); err != nil {
+		t.Fatal(err)
+	}
+	if f, r := coord.metrics.fanouts.Value()-fanouts, coord.metrics.routed.Value()-routed; f != 2 || r != 1 {
+		t.Fatalf("two split uploads and a query counted %d fan-outs and %d routed, want 2 and 1", f, r)
+	}
 }
 
 // TestStaleLeaderStepsDownWhenFenced: promoting a follower while the
@@ -252,7 +291,7 @@ func TestClientFollowsLocationOnlyRedirect(t *testing.T) {
 	var gotPath string
 	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotPath = r.URL.Path
-		writeJSON(w, http.StatusOK, crowd.RegisterResponse{APIKey: "k"})
+		crowd.WriteJSON(w, http.StatusOK, crowd.RegisterResponse{APIKey: "k"})
 	}))
 	defer leader.Close()
 	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

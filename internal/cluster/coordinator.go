@@ -5,21 +5,18 @@ package cluster
 // (internal/shardring), and serves the same /api/v1 surface as a
 // single crowd server by proxying: single-shard requests go to the
 // owning shard (writes to its leader, reads to a replica with a
-// leader fallback), cross-shard requests fan out and merge. Task and
-// quarantine ids gain a "shard/" prefix on the way out so later
-// by-id requests route without a lookup.
+// leader fallback), cross-shard requests fan out and merge (proxy.go).
 
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	mrand "math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -173,25 +170,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.metrics = newCoordMetrics(reg, c)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/v1/register", c.handleRegister)
-	mux.HandleFunc("/api/v1/func_eval/upload", c.handleUpload)
-	mux.HandleFunc("/api/v1/func_eval/query", c.routeByProblem(false))
-	mux.HandleFunc("/api/v1/problems", c.handleProblems)
-	mux.HandleFunc("/api/v1/surrogate/upload", c.handleModelUpload)
-	mux.HandleFunc("/api/v1/surrogate/query", c.routeByProblem(false))
-	mux.HandleFunc("/api/v1/suggest", c.routeByProblem(false))
-	mux.HandleFunc("/api/v1/tasks/submit", c.handleTaskSubmit)
-	mux.HandleFunc("/api/v1/tasks/lease", c.handleTaskLease)
-	mux.HandleFunc("/api/v1/tasks/heartbeat", c.routeByTaskID)
-	mux.HandleFunc("/api/v1/tasks/complete", c.routeByTaskID)
-	mux.HandleFunc("/api/v1/tasks/fail", c.routeByTaskID)
-	mux.HandleFunc("/api/v1/tasks/list", c.handleTaskList)
-	mux.HandleFunc("/api/v1/quarantine", c.handleQuarantineList)
-	mux.HandleFunc("/api/v1/quarantine/release", c.handleQuarantineRelease)
-	mux.HandleFunc("/api/v1/stats", c.handleStats)
-	mux.HandleFunc("/api/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	for _, e := range crowd.Endpoints() {
+		mux.HandleFunc(e.Path, e.Guard(c.proxy(e)))
+	}
 	mux.HandleFunc("/api/v1/cluster/topology", c.handleTopology)
 	mux.HandleFunc("/api/v1/cluster/join", c.handleJoin)
 	mux.Handle("/metrics", reg.Handler())
@@ -387,7 +368,7 @@ func (c *Coordinator) doCtx(ctx context.Context, orig *http.Request, base, path 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<26))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, crowd.MaxBodyBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -566,535 +547,6 @@ func (c *Coordinator) readFromShard(orig *http.Request, id, path string, body []
 	return rep, nil
 }
 
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	// GET is allowed (the node endpoints accept it for reads); the
-	// forwarded shard request is always a POST with a JSON body, which
-	// every node endpoint equally accepts.
-	if r.Method != http.MethodPost && r.Method != http.MethodGet {
-		writeErrCode(w, http.StatusMethodNotAllowed, "", "GET or POST required")
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26))
-	if err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "read body: %v", err)
-		return nil, false
-	}
-	if len(bytes.TrimSpace(body)) == 0 {
-		body = []byte("{}")
-	}
-	return body, true
-}
-
-func (c *Coordinator) routeErr(w http.ResponseWriter, err error) {
-	writeErrCode(w, http.StatusBadGateway, "route_failed", "%v", err)
-}
-
-// routeByProblem proxies an endpoint whose request carries
-// tuning_problem_name to the owning shard (write=false reads from
-// replicas).
-func (c *Coordinator) routeByProblem(write bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		var probe struct {
-			Problem string `json:"tuning_problem_name"`
-		}
-		if err := json.Unmarshal(body, &probe); err != nil {
-			writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-			return
-		}
-		c.metrics.routed.Inc()
-		shard := c.ownerOf(probe.Problem)
-		var (
-			rep *shardReply
-			err error
-		)
-		if write {
-			rep, err = c.writeToShard(r, shard, r.URL.Path, body)
-		} else {
-			rep, err = c.readFromShard(r, shard, r.URL.Path, body)
-		}
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		relay(w, rep)
-	}
-}
-
-// newClusterKey mints the cluster-wide API key a fanned-out
-// registration presets on every shard.
-func newClusterKey() string {
-	var b [10]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand failure is unrecoverable
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// handleRegister creates the account on every shard with one preset
-// key, so the credential works wherever the user's problems hash.
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req crowd.RegisterRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	if req.APIKey == "" {
-		req.APIKey = newClusterKey()
-	}
-	fanBody, err := json.Marshal(req)
-	if err != nil {
-		writeErrCode(w, http.StatusInternalServerError, "", "%v", err)
-		return
-	}
-	c.metrics.fanouts.Inc()
-	for _, id := range c.shardIDs() {
-		rep, err := c.writeToShard(r, id, "/api/v1/register", fanBody)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		if rep.status < 200 || rep.status > 299 {
-			relay(w, rep)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, crowd.RegisterResponse{APIKey: req.APIKey})
-}
-
-// handleUpload splits a batch by owning shard, uploads each sub-batch
-// under a derived idempotency id, and merges ids and (index-remapped)
-// quarantine reports.
-func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req crowd.UploadRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	type group struct {
-		indices []int
-		evals   []crowd.FuncEval
-	}
-	groups := make(map[string]*group)
-	for i, ev := range req.FuncEvals {
-		id := c.ownerOf(ev.TuningProblemName)
-		g := groups[id]
-		if g == nil {
-			g = &group{}
-			groups[id] = g
-		}
-		g.indices = append(g.indices, i)
-		g.evals = append(g.evals, ev)
-	}
-	if len(groups) <= 1 {
-		// Single owning shard: forward the batch untouched (same
-		// idempotency id end to end).
-		c.metrics.routed.Inc()
-		shard := c.ownerOf("")
-		for id := range groups {
-			shard = id
-		}
-		rep, err := c.writeToShard(r, shard, r.URL.Path, body)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		relay(w, rep)
-		return
-	}
-	c.metrics.fanouts.Inc()
-	ids := make([]string, len(groups))
-	i := 0
-	for id := range groups {
-		ids[i] = id
-		i++
-	}
-	sort.Strings(ids)
-	var merged crowd.UploadResponse
-	for _, id := range ids {
-		g := groups[id]
-		sub := crowd.UploadRequest{FuncEvals: g.evals, BatchID: req.BatchID}
-		if sub.BatchID != "" {
-			// Derived per-shard idempotency id: a coordinator retry of
-			// the same client batch replays identically on every shard.
-			sub.BatchID = req.BatchID + "-" + id
-		}
-		subBody, err := json.Marshal(sub)
-		if err != nil {
-			writeErrCode(w, http.StatusInternalServerError, "", "%v", err)
-			return
-		}
-		rep, err := c.writeToShard(r, id, r.URL.Path, subBody)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		if rep.status < 200 || rep.status > 299 {
-			relay(w, rep)
-			return
-		}
-		var subResp crowd.UploadResponse
-		if err := json.Unmarshal(rep.body, &subResp); err != nil {
-			writeErrCode(w, http.StatusBadGateway, "route_failed", "decode shard %s response: %v", id, err)
-			return
-		}
-		merged.IDs = append(merged.IDs, subResp.IDs...)
-		for _, q := range subResp.Quarantined {
-			if q.Index >= 0 && q.Index < len(g.indices) {
-				q.Index = g.indices[q.Index]
-			}
-			merged.Quarantined = append(merged.Quarantined, q)
-		}
-	}
-	writeJSON(w, http.StatusOK, merged)
-}
-
-// handleModelUpload is handleUpload for surrogate models.
-func (c *Coordinator) handleModelUpload(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req crowd.ModelUploadRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	groups := make(map[string][]crowd.SurrogateModelDoc)
-	for _, m := range req.Models {
-		id := c.ownerOf(m.TuningProblemName)
-		groups[id] = append(groups[id], m)
-	}
-	if len(groups) <= 1 {
-		c.metrics.routed.Inc()
-		shard := c.ownerOf("")
-		for id := range groups {
-			shard = id
-		}
-		rep, err := c.writeToShard(r, shard, r.URL.Path, body)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		relay(w, rep)
-		return
-	}
-	c.metrics.fanouts.Inc()
-	ids := make([]string, 0, len(groups))
-	for id := range groups {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var merged crowd.ModelUploadResponse
-	for _, id := range ids {
-		sub := crowd.ModelUploadRequest{Models: groups[id], BatchID: req.BatchID}
-		if sub.BatchID != "" {
-			sub.BatchID = req.BatchID + "-" + id
-		}
-		subBody, err := json.Marshal(sub)
-		if err != nil {
-			writeErrCode(w, http.StatusInternalServerError, "", "%v", err)
-			return
-		}
-		rep, err := c.writeToShard(r, id, r.URL.Path, subBody)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		if rep.status < 200 || rep.status > 299 {
-			relay(w, rep)
-			return
-		}
-		var subResp crowd.ModelUploadResponse
-		if err := json.Unmarshal(rep.body, &subResp); err != nil {
-			writeErrCode(w, http.StatusBadGateway, "route_failed", "decode shard %s response: %v", id, err)
-			return
-		}
-		merged.IDs = append(merged.IDs, subResp.IDs...)
-	}
-	writeJSON(w, http.StatusOK, merged)
-}
-
-// handleProblems unions every shard's visible problem list.
-func (c *Coordinator) handleProblems(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	c.metrics.fanouts.Inc()
-	seen := make(map[string]bool)
-	for _, id := range c.shardIDs() {
-		rep, err := c.readFromShard(r, id, r.URL.Path, body)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		if rep.status < 200 || rep.status > 299 {
-			relay(w, rep)
-			return
-		}
-		var resp crowd.ProblemsResponse
-		if err := json.Unmarshal(rep.body, &resp); err != nil {
-			writeErrCode(w, http.StatusBadGateway, "route_failed", "decode shard %s response: %v", id, err)
-			return
-		}
-		for _, p := range resp.Problems {
-			seen[p] = true
-		}
-	}
-	problems := make([]string, 0, len(seen))
-	for p := range seen {
-		problems = append(problems, p)
-	}
-	sort.Strings(problems)
-	writeJSON(w, http.StatusOK, crowd.ProblemsResponse{Problems: problems})
-}
-
-// handleTaskSubmit routes a task to the shard owning its tuning
-// problem (falling back to the app name, matching the pool's
-// problem-defaulting) and prefixes the returned id with the shard.
-func (c *Coordinator) handleTaskSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req crowd.TaskSubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	problem := req.Spec.TuningProblemName
-	if problem == "" {
-		problem = req.Spec.App
-	}
-	c.metrics.routed.Inc()
-	shard := c.ownerOf(problem)
-	rep, err := c.writeToShard(r, shard, r.URL.Path, body)
-	if err != nil {
-		c.routeErr(w, err)
-		return
-	}
-	if rep.status < 200 || rep.status > 299 {
-		relay(w, rep)
-		return
-	}
-	var resp crowd.TaskSubmitResponse
-	if err := json.Unmarshal(rep.body, &resp); err != nil {
-		writeErrCode(w, http.StatusBadGateway, "route_failed", "decode shard %s response: %v", shard, err)
-		return
-	}
-	resp.ID = shard + "/" + resp.ID
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleTaskLease scans shards round-robin for a runnable task and
-// prefixes the leased task's id with its shard.
-func (c *Coordinator) handleTaskLease(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	ids := c.shardIDs()
-	if len(ids) == 0 {
-		writeJSON(w, http.StatusOK, crowd.TaskLeaseResponse{})
-		return
-	}
-	c.metrics.fanouts.Inc()
-	start := int(c.rr.Add(1)) % len(ids)
-	var empty *shardReply
-	for i := 0; i < len(ids); i++ {
-		id := ids[(start+i)%len(ids)]
-		rep, err := c.writeToShard(r, id, r.URL.Path, body)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		if rep.status < 200 || rep.status > 299 {
-			relay(w, rep)
-			return
-		}
-		var resp crowd.TaskLeaseResponse
-		if err := json.Unmarshal(rep.body, &resp); err != nil {
-			writeErrCode(w, http.StatusBadGateway, "route_failed", "decode shard %s response: %v", id, err)
-			return
-		}
-		if resp.Task != nil {
-			resp.Task.ID = id + "/" + resp.Task.ID
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		empty = rep
-	}
-	relay(w, empty)
-}
-
-// splitShardID separates the "shard/" prefix the coordinator stamped
-// on an id.
-func (c *Coordinator) splitShardID(full string) (shard, rest string, ok bool) {
-	shard, rest, found := strings.Cut(full, "/")
-	if !found || rest == "" {
-		return "", "", false
-	}
-	if _, known := c.shardInfo(shard); !known {
-		return "", "", false
-	}
-	return shard, rest, true
-}
-
-// rewriteID swaps the "id" field of a JSON body for the shard-local id.
-func rewriteID(body []byte, id string) ([]byte, error) {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, err
-	}
-	enc, err := json.Marshal(id)
-	if err != nil {
-		return nil, err
-	}
-	m["id"] = enc
-	return json.Marshal(m)
-}
-
-// routeByTaskID proxies heartbeat/complete/fail using the task id's
-// shard prefix.
-func (c *Coordinator) routeByTaskID(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var probe struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	shard, rest, ok := c.splitShardID(probe.ID)
-	if !ok {
-		writeErrCode(w, http.StatusNotFound, "wrong_shard", "task id %q carries no known shard prefix", probe.ID)
-		return
-	}
-	rewritten, err := rewriteID(body, rest)
-	if err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	c.metrics.routed.Inc()
-	rep, err := c.writeToShard(r, shard, r.URL.Path, rewritten)
-	if err != nil {
-		c.routeErr(w, err)
-		return
-	}
-	relay(w, rep)
-}
-
-// handleTaskList fans out, prefixes ids, and merges sorted by id.
-func (c *Coordinator) handleTaskList(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	c.metrics.fanouts.Inc()
-	var merged crowd.TaskListResponse
-	for _, id := range c.shardIDs() {
-		rep, err := c.readFromShard(r, id, r.URL.Path, body)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		if rep.status < 200 || rep.status > 299 {
-			relay(w, rep)
-			return
-		}
-		var resp crowd.TaskListResponse
-		if err := json.Unmarshal(rep.body, &resp); err != nil {
-			writeErrCode(w, http.StatusBadGateway, "route_failed", "decode shard %s response: %v", id, err)
-			return
-		}
-		for i := range resp.Tasks {
-			resp.Tasks[i].ID = id + "/" + resp.Tasks[i].ID
-		}
-		merged.Tasks = append(merged.Tasks, resp.Tasks...)
-	}
-	sort.Slice(merged.Tasks, func(i, j int) bool { return merged.Tasks[i].ID < merged.Tasks[j].ID })
-	writeJSON(w, http.StatusOK, merged)
-}
-
-// handleQuarantineList fans out and prefixes quarantine ids so release
-// requests route back.
-func (c *Coordinator) handleQuarantineList(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	c.metrics.fanouts.Inc()
-	var merged crowd.QuarantineListResponse
-	for _, id := range c.shardIDs() {
-		rep, err := c.readFromShard(r, id, r.URL.Path, body)
-		if err != nil {
-			c.routeErr(w, err)
-			return
-		}
-		if rep.status < 200 || rep.status > 299 {
-			relay(w, rep)
-			return
-		}
-		var resp crowd.QuarantineListResponse
-		if err := json.Unmarshal(rep.body, &resp); err != nil {
-			writeErrCode(w, http.StatusBadGateway, "route_failed", "decode shard %s response: %v", id, err)
-			return
-		}
-		for i := range resp.Items {
-			resp.Items[i].ID = id + "/" + resp.Items[i].ID
-		}
-		merged.Items = append(merged.Items, resp.Items...)
-	}
-	writeJSON(w, http.StatusOK, merged)
-}
-
-// handleQuarantineRelease routes a release by its id's shard prefix.
-func (c *Coordinator) handleQuarantineRelease(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var probe struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	shard, rest, ok := c.splitShardID(probe.ID)
-	if !ok {
-		writeErrCode(w, http.StatusNotFound, "wrong_shard", "quarantine id %q carries no known shard prefix", probe.ID)
-		return
-	}
-	rewritten, err := rewriteID(body, rest)
-	if err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	c.metrics.routed.Inc()
-	rep, err := c.writeToShard(r, shard, r.URL.Path, rewritten)
-	if err != nil {
-		c.routeErr(w, err)
-		return
-	}
-	relay(w, rep)
-}
-
 // ReplicaStatus is one replica's reachability in the stats view.
 type ReplicaStatus struct {
 	URL     string `json:"url"`
@@ -1120,6 +572,10 @@ type ClusterStats struct {
 	Shards          []ShardStatus `json:"shards"`
 }
 
+func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	crowd.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
 // handleStats reports per-shard health: leader reachability, replica
 // roles, log replication positions, and the leader's own stats
 // snapshot. Shard probes fan out under a bounded worker group and
@@ -1142,7 +598,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}(i, topo.Shards[i])
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
+	crowd.WriteJSON(w, http.StatusOK, out)
 }
 
 // shardStatus probes one shard for the stats view (every probe under
@@ -1171,7 +627,7 @@ func (c *Coordinator) shardStatus(r *http.Request, s ShardInfo) ShardStatus {
 		}
 	}
 	if st.Healthy {
-		if rep, err := c.probeDo(r, st.Leader, "/api/v1/stats", []byte("{}")); err == nil && rep.status == http.StatusOK {
+		if rep, err := c.probeDo(r, st.Leader, crowd.PathStats, []byte("{}")); err == nil && rep.status == http.StatusOK {
 			st.Stats = json.RawMessage(rep.body)
 		}
 	}
@@ -1187,7 +643,7 @@ func (c *Coordinator) shardStatus(r *http.Request, s ShardInfo) ShardStatus {
 }
 
 func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.snapshotTopology())
+	crowd.WriteJSON(w, http.StatusOK, c.snapshotTopology())
 }
 
 // joinRequest registers a node with the coordinator.
@@ -1202,16 +658,17 @@ type joinRequest struct {
 // append to the replica list.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if c.token != "" && r.Header.Get(TokenHeader) != c.token {
-		writeErrCode(w, http.StatusUnauthorized, "bad_cluster_token", "cluster token required")
+		crowd.WriteErr(w, http.StatusUnauthorized, "bad_cluster_token", "cluster token required")
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, crowd.MaxBodyBytes)
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
 	var req joinRequest
 	if err := json.Unmarshal(body, &req); err != nil || req.Shard == "" || req.URL == "" {
-		writeErrCode(w, http.StatusBadRequest, "", "join needs shard and url")
+		crowd.WriteErr(w, http.StatusBadRequest, "", "join needs shard and url")
 		return
 	}
 	topo := c.snapshotTopology()
@@ -1224,26 +681,15 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		found = true
 		if req.Role == RoleLeader {
 			if s.Leader != req.URL {
-				keep := make([]string, 0, len(s.Replicas)+1)
-				for _, ru := range s.Replicas {
-					if ru != req.URL {
-						keep = append(keep, ru)
-					}
-				}
+				// topo is a private copy, so filtering in place is safe.
+				s.Replicas = slices.DeleteFunc(s.Replicas, func(ru string) bool { return ru == req.URL })
 				if s.Leader != "" {
-					keep = append(keep, s.Leader)
+					s.Replicas = append(s.Replicas, s.Leader)
 				}
-				s.Replicas = keep
 				s.Leader = req.URL
 			}
-		} else {
-			dup := s.Leader == req.URL
-			for _, ru := range s.Replicas {
-				dup = dup || ru == req.URL
-			}
-			if !dup {
-				s.Replicas = append(s.Replicas, req.URL)
-			}
+		} else if s.Leader != req.URL && !slices.Contains(s.Replicas, req.URL) {
+			s.Replicas = append(s.Replicas, req.URL)
 		}
 	}
 	if !found {
@@ -1257,9 +703,9 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	topo.Version++
 	if err := c.setTopology(topo); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "", "%v", err)
+		crowd.WriteErr(w, http.StatusBadRequest, "", "%v", err)
 		return
 	}
 	c.log.Info("node joined", "shard", req.Shard, "url", req.URL, "role", string(req.Role))
-	writeJSON(w, http.StatusOK, c.snapshotTopology())
+	crowd.WriteJSON(w, http.StatusOK, c.snapshotTopology())
 }

@@ -229,7 +229,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	mux.HandleFunc("/api/v1/cluster/demote", n.handleDemote)
 	mux.HandleFunc("/api/v1/cluster/attach", n.handleAttach)
 	mux.HandleFunc("/api/v1/readyz", n.handleReadyz)
-	mux.HandleFunc("/", n.route)
+	for _, e := range crowd.Endpoints() {
+		mux.HandleFunc(e.Path, e.Guard(n.route(e.Class)))
+	}
+	mux.Handle("/", srv) // /metrics and the server's own 404s
 	n.mux = mux
 	go n.probeLoop()
 	return n, nil
@@ -483,55 +486,36 @@ func (n *Node) setSuspect(v bool) {
 // ServeHTTP implements http.Handler.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.mux.ServeHTTP(w, r) }
 
-// writePaths are the public endpoints that mutate replicated state;
-// everything else is a read. tasks/lease and tasks/complete mutate too
-// (lease tokens, result samples), so workers always talk to leaders.
-var writePaths = map[string]bool{
-	"/api/v1/register":           true,
-	"/api/v1/func_eval/upload":   true,
-	"/api/v1/surrogate/upload":   true,
-	"/api/v1/tasks/submit":       true,
-	"/api/v1/tasks/lease":        true,
-	"/api/v1/tasks/heartbeat":    true,
-	"/api/v1/tasks/complete":     true,
-	"/api/v1/tasks/fail":         true,
-	"/api/v1/quarantine/release": true,
-}
-
-// gatedReads are follower-servable endpoints that still need fresh
-// data; they 412 when the replica is stale so the caller (coordinator
-// or redirect-following client) falls back to the leader. Diagnostics
-// (stats, healthz, metrics) are always served.
-var gatedReads = map[string]bool{
-	"/api/v1/func_eval/query": true,
-	"/api/v1/problems":        true,
-	"/api/v1/surrogate/query": true,
-	"/api/v1/suggest":         true,
-	"/api/v1/tasks/list":      true,
-	"/api/v1/quarantine":      true,
-}
-
-// route is the role gate in front of the wrapped crowd.Server.
-func (n *Node) route(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	if writePaths[path] {
-		if n.Role() != RoleLeader {
-			n.redirectToLeader(w, r)
-			return
+// route is the role gate in front of the wrapped crowd.Server, resolved
+// per row from its Class: writes run on the leader behind the commit
+// barrier and bounce off followers; fresh reads 412 on a stale follower
+// so the caller (coordinator or redirect-following client) falls back
+// to the leader; local diagnostics are always served.
+func (n *Node) route(class crowd.Class) http.HandlerFunc {
+	switch class {
+	case crowd.ClassWrite:
+		return func(w http.ResponseWriter, r *http.Request) {
+			if n.Role() != RoleLeader {
+				n.redirectToLeader(w, r)
+				return
+			}
+			n.serveWriteBarrier(w, r)
 		}
-		n.serveWriteBarrier(w, r)
-		return
-	}
-	if gatedReads[path] && n.Role() != RoleLeader && !n.freshEnough() {
-		n.metrics.staleRejects.Inc()
-		if leader := n.LeaderURL(); leader != "" {
-			w.Header().Set(crowd.ShardLeaderHeader, leader)
+	case crowd.ClassFreshRead:
+		return func(w http.ResponseWriter, r *http.Request) {
+			if n.Role() != RoleLeader && !n.freshEnough() {
+				n.metrics.staleRejects.Inc()
+				if leader := n.LeaderURL(); leader != "" {
+					w.Header().Set(crowd.ShardLeaderHeader, leader)
+				}
+				crowd.WriteErr(w, http.StatusPreconditionFailed, "stale_replica",
+					"replica lags its leader beyond the staleness bound")
+				return
+			}
+			n.srv.ServeHTTP(w, r)
 		}
-		writeErrCode(w, http.StatusPreconditionFailed, "stale_replica",
-			"replica lags its leader beyond the staleness bound")
-		return
 	}
-	n.srv.ServeHTTP(w, r)
+	return n.srv.ServeHTTP
 }
 
 // redirectToLeader bounces a write off a follower: 307 with the leader
@@ -539,13 +523,13 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 func (n *Node) redirectToLeader(w http.ResponseWriter, r *http.Request) {
 	leader := n.LeaderURL()
 	if leader == "" {
-		writeErrCode(w, http.StatusMisdirectedRequest, "wrong_shard",
+		crowd.WriteErr(w, http.StatusMisdirectedRequest, "wrong_shard",
 			"follower has no known leader for shard %s", n.cfg.Shard)
 		return
 	}
 	w.Header().Set(crowd.ShardLeaderHeader, leader)
 	w.Header().Set("Location", leader+r.URL.Path)
-	writeErrCode(w, http.StatusTemporaryRedirect, "wrong_shard",
+	crowd.WriteErr(w, http.StatusTemporaryRedirect, "wrong_shard",
 		"shard %s writes go to the leader at %s", n.cfg.Shard, leader)
 }
 
@@ -567,7 +551,7 @@ func (n *Node) serveWriteBarrier(w http.ResponseWriter, r *http.Request) {
 		}
 		if !n.waitCommitted(targets) {
 			n.metrics.commitTimeouts.Inc()
-			writeErrCode(w, http.StatusServiceUnavailable, "commit_timeout",
+			crowd.WriteErr(w, http.StatusServiceUnavailable, "commit_timeout",
 				"write applied locally but not replicated within %s; retry", n.commitTimeout())
 			return
 		}
@@ -795,7 +779,7 @@ func (n *Node) Demote(newLeader string, newEpoch uint64) error {
 // endpoints.
 func (n *Node) checkToken(w http.ResponseWriter, r *http.Request) bool {
 	if n.cfg.Token != "" && r.Header.Get(TokenHeader) != n.cfg.Token {
-		writeErrCode(w, http.StatusUnauthorized, "bad_cluster_token", "cluster token required")
+		crowd.WriteErr(w, http.StatusUnauthorized, "bad_cluster_token", "cluster token required")
 		return false
 	}
 	return true
@@ -816,16 +800,16 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	epoch, err := n.PromoteEpoch(body.Epoch)
 	if err != nil {
 		if errors.Is(err, ErrStaleEpoch) {
-			writeJSON(w, http.StatusConflict, fencedBody{
+			crowd.WriteJSON(w, http.StatusConflict, fencedBody{
 				Error: err.Error(), Code: "stale_epoch",
 				Epoch: epoch, Leader: n.LeaderURL(),
 			})
 			return
 		}
-		writeErrCode(w, http.StatusInternalServerError, "promote_failed", "%v", err)
+		crowd.WriteErr(w, http.StatusInternalServerError, "promote_failed", "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"role": string(RoleLeader), "epoch": epoch})
+	crowd.WriteJSON(w, http.StatusOK, map[string]interface{}{"role": string(RoleLeader), "epoch": epoch})
 }
 
 // handleDemote steps a (possibly recovered stale) leader down in favor
@@ -840,21 +824,21 @@ func (n *Node) handleDemote(w http.ResponseWriter, r *http.Request) {
 		Epoch  uint64 `json:"epoch"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "bad_demote", "bad demote body: %v", err)
+		crowd.WriteErr(w, http.StatusBadRequest, "bad_demote", "bad demote body: %v", err)
 		return
 	}
 	if err := n.Demote(body.Leader, body.Epoch); err != nil {
 		if errors.Is(err, ErrStaleEpoch) {
-			writeJSON(w, http.StatusConflict, fencedBody{
+			crowd.WriteJSON(w, http.StatusConflict, fencedBody{
 				Error: err.Error(), Code: "stale_epoch",
 				Epoch: n.Epoch(), Leader: n.LeaderURL(),
 			})
 			return
 		}
-		writeErrCode(w, http.StatusInternalServerError, "demote_failed", "%v", err)
+		crowd.WriteErr(w, http.StatusInternalServerError, "demote_failed", "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"role": string(n.Role()), "epoch": n.Epoch()})
+	crowd.WriteJSON(w, http.StatusOK, map[string]interface{}{"role": string(n.Role()), "epoch": n.Epoch()})
 }
 
 // handleAttach asks this (leader) node to start replicating to a
@@ -869,7 +853,7 @@ func (n *Node) handleAttach(w http.ResponseWriter, r *http.Request) {
 		Follower string `json:"follower"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Follower == "" {
-		writeErrCode(w, http.StatusBadRequest, "bad_attach", "attach body needs a follower URL")
+		crowd.WriteErr(w, http.StatusBadRequest, "bad_attach", "attach body needs a follower URL")
 		return
 	}
 	if n.Role() != RoleLeader {
@@ -889,7 +873,7 @@ func (n *Node) handleAttach(w http.ResponseWriter, r *http.Request) {
 	if !exists {
 		n.AttachFollower(url, nil)
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"attached": url, "existing": exists})
+	crowd.WriteJSON(w, http.StatusOK, map[string]interface{}{"attached": url, "existing": exists})
 }
 
 // handleReadyz is the readiness probe: distinguishes a usable node
@@ -924,7 +908,7 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		out.State = "stale"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, out)
+	crowd.WriteJSON(w, status, out)
 }
 
 // writeFenced answers an intra-cluster request with 409: the caller's
@@ -934,7 +918,7 @@ func (n *Node) writeFenced(w http.ResponseWriter, epoch uint64, leader string) {
 	if leader != "" {
 		w.Header().Set(crowd.ShardLeaderHeader, leader)
 	}
-	writeJSON(w, http.StatusConflict, fencedBody{
+	crowd.WriteJSON(w, http.StatusConflict, fencedBody{
 		Error:  fmt.Sprintf("superseded by leadership epoch %d", epoch),
 		Code:   "fenced",
 		Epoch:  epoch,
@@ -979,7 +963,7 @@ func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 		st := n.logs[name].Stats()
 		info.Logs[name] = LogInfo{Last: st.LastIndex, Commit: st.CommitIndex, Snap: st.SnapIndex}
 	}
-	writeJSON(w, http.StatusOK, info)
+	crowd.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleApply is the follower side of replication: append the leader's
@@ -1004,11 +988,11 @@ func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	var req applyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErrCode(w, http.StatusBadRequest, "bad_apply", "bad apply body: %v", err)
+		crowd.WriteErr(w, http.StatusBadRequest, "bad_apply", "bad apply body: %v", err)
 		return
 	}
 	if req.Shard != n.cfg.Shard {
-		writeErrCode(w, http.StatusMisdirectedRequest, "wrong_shard",
+		crowd.WriteErr(w, http.StatusMisdirectedRequest, "wrong_shard",
 			"apply for shard %q reached node of shard %q", req.Shard, n.cfg.Shard)
 		return
 	}
@@ -1050,7 +1034,7 @@ func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
 			resp.Acked[name] = n.logs[name].LastIndex()
 		}
 		n.noteLeaderContact(&req)
-		writeJSON(w, http.StatusOK, resp)
+		crowd.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	usersChanged := false
@@ -1148,7 +1132,7 @@ func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
 		n.metrics.resyncs.Inc()
 	}
 	n.noteLeaderContact(&req)
-	writeJSON(w, http.StatusOK, resp)
+	crowd.WriteJSON(w, http.StatusOK, resp)
 }
 
 // divergedFrom reports whether this follower's logs can have records
@@ -1277,19 +1261,4 @@ func (b *bufferedResponse) flush(w http.ResponseWriter) {
 	}
 	w.WriteHeader(b.status)
 	w.Write(b.buf.Bytes())
-}
-
-// writeJSON / writeErrCode mirror the crowd server's response helpers
-// (same errorResponse wire shape) for the cluster endpoints.
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErrCode(w http.ResponseWriter, status int, code, format string, args ...interface{}) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-		Code  string `json:"code,omitempty"`
-	}{Error: fmt.Sprintf(format, args...), Code: code})
 }

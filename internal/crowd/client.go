@@ -278,7 +278,7 @@ func (c *Client) Register(username, email string) (string, error) {
 // RegisterContext is Register with request-scoped cancellation.
 func (c *Client) RegisterContext(ctx context.Context, username, email string) (string, error) {
 	var resp RegisterResponse
-	if err := c.post(ctx, "/api/v1/register", RegisterRequest{Username: username, Email: email}, &resp); err != nil {
+	if err := c.post(ctx, PathRegister, RegisterRequest{Username: username, Email: email}, &resp); err != nil {
 		return "", err
 	}
 	c.APIKey = resp.APIKey
@@ -297,9 +297,8 @@ func (c *Client) Upload(evals []FuncEval) ([]string, error) {
 // ErrQuarantined (use UploadReportContext to see the per-sample
 // reasons).
 func (c *Client) UploadContext(ctx context.Context, evals []FuncEval) ([]string, error) {
-	var resp UploadResponse
-	req := UploadRequest{FuncEvals: evals, BatchID: newBatchID()}
-	if err := c.post(ctx, "/api/v1/func_eval/upload", req, &resp); err != nil {
+	resp, err := c.UploadReportContext(ctx, evals)
+	if err != nil {
 		return nil, err
 	}
 	if len(resp.IDs) == 0 && len(resp.Quarantined) > 0 {
@@ -314,7 +313,7 @@ func (c *Client) UploadContext(ctx context.Context, evals []FuncEval) ([]string,
 func (c *Client) UploadReportContext(ctx context.Context, evals []FuncEval) (*UploadResponse, error) {
 	var resp UploadResponse
 	req := UploadRequest{FuncEvals: evals, BatchID: newBatchID()}
-	if err := c.post(ctx, "/api/v1/func_eval/upload", req, &resp); err != nil {
+	if err := c.post(ctx, PathFuncEvalUpload, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -323,20 +322,16 @@ func (c *Client) UploadReportContext(ctx context.Context, evals []FuncEval) (*Up
 // QuarantineList fetches quarantined samples (admin).
 func (c *Client) QuarantineList(ctx context.Context, req QuarantineListRequest) ([]QuarantinedSample, error) {
 	var resp QuarantineListResponse
-	if err := c.post(ctx, "/api/v1/quarantine", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Items, nil
+	err := c.post(ctx, PathQuarantine, req, &resp)
+	return resp.Items, err
 }
 
 // QuarantineRelease releases one quarantined sample into the main
 // store (admin) and returns its new func_eval id.
 func (c *Client) QuarantineRelease(ctx context.Context, id string) (string, error) {
 	var resp QuarantineReleaseResponse
-	if err := c.post(ctx, "/api/v1/quarantine/release", QuarantineReleaseRequest{ID: id}, &resp); err != nil {
-		return "", err
-	}
-	return resp.FuncEvalID, nil
+	err := c.post(ctx, PathQuarantineRelease, QuarantineReleaseRequest{ID: id}, &resp)
+	return resp.FuncEvalID, err
 }
 
 // Query downloads the samples matching the request.
@@ -347,10 +342,8 @@ func (c *Client) Query(req QueryRequest) ([]FuncEval, error) {
 // QueryContext is Query with request-scoped cancellation.
 func (c *Client) QueryContext(ctx context.Context, req QueryRequest) ([]FuncEval, error) {
 	var resp QueryResponse
-	if err := c.post(ctx, "/api/v1/func_eval/query", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.FuncEvals, nil
+	err := c.post(ctx, PathFuncEvalQuery, req, &resp)
+	return resp.FuncEvals, err
 }
 
 // QueryWithParamFilter is Query with a typed historydb parameter filter
@@ -380,15 +373,13 @@ func (c *Client) Problems() ([]string, error) {
 // ProblemsContext is Problems with request-scoped cancellation.
 func (c *Client) ProblemsContext(ctx context.Context) ([]string, error) {
 	var resp ProblemsResponse
-	if err := c.post(ctx, "/api/v1/problems", struct{}{}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Problems, nil
+	err := c.post(ctx, PathProblems, struct{}{}, &resp)
+	return resp.Problems, err
 }
 
 // Stats fetches the server's request-counter snapshot.
 func (c *Client) Stats(ctx context.Context) (MetricsSnapshot, error) {
 	var resp MetricsSnapshot
-	err := c.post(ctx, "/api/v1/stats", struct{}{}, &resp)
+	err := c.post(ctx, PathStats, struct{}{}, &resp)
 	return resp, err
 }

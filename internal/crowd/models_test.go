@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -18,14 +19,14 @@ func fakeModel(problem, access string) SurrogateModelDoc {
 
 func TestModelUploadQueryRoundTrip(t *testing.T) {
 	_, alice, bob := testServer(t)
-	ids, err := alice.UploadModels([]SurrogateModelDoc{fakeModel("PDGEQRF", "public")})
+	ids, err := alice.UploadModelsContext(context.Background(), []SurrogateModelDoc{fakeModel("PDGEQRF", "public")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 1 {
 		t.Fatalf("ids = %v", ids)
 	}
-	models, err := bob.QueryModels("PDGEQRF", 0)
+	models, err := bob.QueryModelsContext(context.Background(), "PDGEQRF", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +51,14 @@ func TestModelUploadQueryRoundTrip(t *testing.T) {
 
 func TestModelAccessControl(t *testing.T) {
 	_, alice, bob := testServer(t)
-	if _, err := alice.UploadModels([]SurrogateModelDoc{fakeModel("secret", "private")}); err != nil {
+	if _, err := alice.UploadModelsContext(context.Background(), []SurrogateModelDoc{fakeModel("secret", "private")}); err != nil {
 		t.Fatal(err)
 	}
-	mine, err := alice.QueryModels("secret", 0)
+	mine, err := alice.QueryModelsContext(context.Background(), "secret", 0)
 	if err != nil || len(mine) != 1 {
 		t.Fatalf("owner should see own private model: %d, %v", len(mine), err)
 	}
-	theirs, err := bob.QueryModels("secret", 0)
+	theirs, err := bob.QueryModelsContext(context.Background(), "secret", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,20 +69,20 @@ func TestModelAccessControl(t *testing.T) {
 
 func TestModelUploadValidation(t *testing.T) {
 	_, alice, _ := testServer(t)
-	if _, err := alice.UploadModels(nil); err == nil {
+	if _, err := alice.UploadModelsContext(context.Background(), nil); err == nil {
 		t.Fatal("empty upload should fail")
 	}
 	bad := fakeModel("", "public")
-	if _, err := alice.UploadModels([]SurrogateModelDoc{bad}); err == nil {
+	if _, err := alice.UploadModelsContext(context.Background(), []SurrogateModelDoc{bad}); err == nil {
 		t.Fatal("missing problem name should fail")
 	}
 	noPayload := fakeModel("p", "public")
 	noPayload.Model = nil
-	if _, err := alice.UploadModels([]SurrogateModelDoc{noPayload}); err == nil {
+	if _, err := alice.UploadModelsContext(context.Background(), []SurrogateModelDoc{noPayload}); err == nil {
 		t.Fatal("missing payload should fail")
 	}
 	weird := fakeModel("p", "everyone")
-	if _, err := alice.UploadModels([]SurrogateModelDoc{weird}); err == nil {
+	if _, err := alice.UploadModelsContext(context.Background(), []SurrogateModelDoc{weird}); err == nil {
 		t.Fatal("bad accessibility should fail")
 	}
 }
@@ -89,22 +90,22 @@ func TestModelUploadValidation(t *testing.T) {
 func TestModelQueryLimitAndMissingProblem(t *testing.T) {
 	_, alice, _ := testServer(t)
 	for i := 0; i < 5; i++ {
-		if _, err := alice.UploadModels([]SurrogateModelDoc{fakeModel("p", "public")}); err != nil {
+		if _, err := alice.UploadModelsContext(context.Background(), []SurrogateModelDoc{fakeModel("p", "public")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	models, err := alice.QueryModels("p", 2)
+	models, err := alice.QueryModelsContext(context.Background(), "p", 2)
 	if err != nil || len(models) != 2 {
 		t.Fatalf("limit: %d, %v", len(models), err)
 	}
-	none, err := alice.QueryModels("unknown", 0)
+	none, err := alice.QueryModelsContext(context.Background(), "unknown", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(none) != 0 {
 		t.Fatal("unknown problem should be empty")
 	}
-	if _, err := alice.QueryModels("", 0); err == nil {
+	if _, err := alice.QueryModelsContext(context.Background(), "", 0); err == nil {
 		t.Fatal("empty problem name should fail")
 	}
 }

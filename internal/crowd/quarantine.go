@@ -2,7 +2,6 @@ package crowd
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -84,7 +83,7 @@ func (s *Server) quarantineSample(fe *FuncEval, user string, reason QuarantineRe
 		Detail:     detail,
 		ReceivedAt: time.Now().UTC().Format(time.RFC3339Nano),
 	}
-	doc, err := quarantineToDocument(&qs)
+	doc, err := toDocument(&qs)
 	if err != nil {
 		return err
 	}
@@ -176,30 +175,19 @@ func (s *Server) isAdmin(user string) bool {
 	return false
 }
 
-// handleQuarantineList serves POST /api/v1/quarantine: the quarantined
-// samples, newest-first is not guaranteed (store order), admin-gated.
-func (s *Server) handleQuarantineList(w http.ResponseWriter, r *http.Request, user string) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+// handleQuarantineList serves the quarantined samples, newest-first is
+// not guaranteed (store order), admin-gated.
+func (s *Server) handleQuarantineList(ctx context.Context, user string, req *QuarantineListRequest) (int, interface{}) {
 	if !s.isAdmin(user) {
-		writeErr(w, http.StatusForbidden, "user %q is not a quarantine admin", user)
-		return
+		return fail(http.StatusForbidden, "user %q is not a quarantine admin", user)
 	}
-	var req QuarantineListRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	docs, err := s.quarantine().FindContext(r.Context(), nil)
+	docs, err := s.quarantine().FindContext(ctx, nil)
 	if err != nil {
-		writeStoreErr(w, err)
-		return
+		return storeFail(err)
 	}
 	resp := QuarantineListResponse{Items: []QuarantinedSample{}}
 	for _, d := range docs {
-		qs, err := quarantineFromDocument(d)
+		qs, err := fromDocument[QuarantinedSample](d)
 		if err != nil {
 			continue
 		}
@@ -214,29 +202,18 @@ func (s *Server) handleQuarantineList(w http.ResponseWriter, r *http.Request, us
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
-// handleQuarantineRelease serves POST /api/v1/quarantine/release: an
-// admin override that moves a quarantined sample into func_evals (the
-// validation verdict stands, the human wins) and marks it released.
-func (s *Server) handleQuarantineRelease(w http.ResponseWriter, r *http.Request, user string) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+// handleQuarantineRelease is an admin override that moves a quarantined
+// sample into func_evals (the validation verdict stands, the human
+// wins) and marks it released.
+func (s *Server) handleQuarantineRelease(_ context.Context, user string, req *QuarantineReleaseRequest) (int, interface{}) {
 	if !s.isAdmin(user) {
-		writeErr(w, http.StatusForbidden, "user %q is not a quarantine admin", user)
-		return
-	}
-	var req QuarantineReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return fail(http.StatusForbidden, "user %q is not a quarantine admin", user)
 	}
 	if req.ID == "" {
-		writeErr(w, http.StatusBadRequest, "id required")
-		return
+		return fail(http.StatusBadRequest, "id required")
 	}
 	// Releases are serialized so a doubled release cannot insert the
 	// sample into func_evals twice.
@@ -244,33 +221,27 @@ func (s *Server) handleQuarantineRelease(w http.ResponseWriter, r *http.Request,
 	defer s.releaseMu.Unlock()
 	doc, err := s.quarantine().FindOne(historydb.Eq("_id", req.ID))
 	if err != nil {
-		writeStoreErr(w, err)
-		return
+		return storeFail(err)
 	}
 	if doc == nil {
-		writeErr(w, http.StatusNotFound, "quarantined sample %q not found", req.ID)
-		return
+		return fail(http.StatusNotFound, "quarantined sample %q not found", req.ID)
 	}
-	qs, err := quarantineFromDocument(doc)
+	qs, err := fromDocument[QuarantinedSample](doc)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "corrupt quarantine document: %v", err)
-		return
+		return fail(http.StatusInternalServerError, "corrupt quarantine document: %v", err)
 	}
 	if qs.Released {
 		// Idempotent replay: the sample is already in func_evals.
-		writeJSON(w, http.StatusOK, QuarantineReleaseResponse{FuncEvalID: qs.FuncEvalID})
-		return
+		return http.StatusOK, QuarantineReleaseResponse{FuncEvalID: qs.FuncEvalID}
 	}
 	fe := qs.Sample
 	feDoc, err := toDocument(&fe)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "encode sample: %v", err)
-		return
+		return fail(http.StatusInternalServerError, "encode sample: %v", err)
 	}
 	feID, err := s.funcEvals().Insert(feDoc)
 	if err != nil {
-		writeStoreErr(w, err)
-		return
+		return storeFail(err)
 	}
 	s.quarantine().Update(historydb.Eq("_id", req.ID), func(d historydb.Document) {
 		d["released"] = true
@@ -279,31 +250,5 @@ func (s *Server) handleQuarantineRelease(w http.ResponseWriter, r *http.Request,
 	s.qCounters.release()
 	s.reputation.recordReleased(qs.Uploader)
 	s.suggest.NotifyAppend(fe.TuningProblemName, 1)
-	writeJSON(w, http.StatusOK, QuarantineReleaseResponse{FuncEvalID: feID})
-}
-
-// quarantineToDocument converts via JSON, like toDocument.
-func quarantineToDocument(qs *QuarantinedSample) (historydb.Document, error) {
-	b, err := json.Marshal(qs)
-	if err != nil {
-		return nil, err
-	}
-	var d historydb.Document
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, err
-	}
-	delete(d, "_id")
-	return d, nil
-}
-
-func quarantineFromDocument(d historydb.Document) (*QuarantinedSample, error) {
-	b, err := json.Marshal(d)
-	if err != nil {
-		return nil, err
-	}
-	var qs QuarantinedSample
-	if err := json.Unmarshal(b, &qs); err != nil {
-		return nil, err
-	}
-	return &qs, nil
+	return http.StatusOK, QuarantineReleaseResponse{FuncEvalID: feID}
 }

@@ -32,7 +32,7 @@ func refDecodeAll(t *testing.T, s *Server) []*FuncEval {
 	}
 	var out []*FuncEval
 	for _, d := range docs {
-		if fe, err := fromDocument(d); err == nil {
+		if fe, err := fromDocument[FuncEval](d); err == nil {
 			out = append(out, fe)
 		}
 	}
@@ -82,7 +82,7 @@ func refQuery(t *testing.T, s *Server, req QueryRequest, user string) []FuncEval
 	}
 	var out []FuncEval
 	for _, d := range docs {
-		fe, err := fromDocument(d)
+		fe, err := fromDocument[FuncEval](d)
 		if err != nil {
 			continue
 		}
@@ -113,7 +113,7 @@ func refProblems(t *testing.T, s *Server, user string) []string {
 	}
 	set := map[string]bool{}
 	for _, d := range docs {
-		fe, err := fromDocument(d)
+		fe, err := fromDocument[FuncEval](d)
 		if err != nil || !canSee(fe, user) {
 			continue
 		}
@@ -136,7 +136,7 @@ func refHistory(t *testing.T, s *Server, problem string, task map[string]interfa
 	want := suggest.TaskKey(task)
 	snap := &suggest.Snapshot{Space: policy.Space}
 	for _, d := range docs {
-		fe, err := fromDocument(d)
+		fe, err := fromDocument[FuncEval](d)
 		if err != nil {
 			continue
 		}
@@ -370,11 +370,11 @@ func TestReadPathsMatchReference(t *testing.T) {
 	if _, err := alice.SuggestRemote(context.Background(), SuggestRequest{TuningProblemName: "g0", TaskParams: map[string]interface{}{"m": 1000}, Batch: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := alice.UploadModels([]SurrogateModelDoc{fakeModel("g0", "public"), fakeModel("g0", "private")}); err != nil {
+	if _, err := alice.UploadModelsContext(context.Background(), []SurrogateModelDoc{fakeModel("g0", "public"), fakeModel("g0", "private")}); err != nil {
 		t.Fatal(err)
 	}
 	modelsBefore := storedHashes(srv.models())
-	if models, err := bob.QueryModels("g0", 0); err != nil || len(models) != 1 {
+	if models, err := bob.QueryModelsContext(context.Background(), "g0", 0); err != nil || len(models) != 1 {
 		t.Fatalf("bob sees %d models of g0, %v", len(models), err)
 	}
 	outside := goldenSample(rng, "bob")

@@ -136,7 +136,6 @@ type batchEntry struct {
 type Server struct {
 	store   *historydb.Store
 	tasks   *taskpool.Pool
-	mux     *http.ServeMux
 	handler http.Handler
 	cfg     Config
 	sem     chan struct{}
@@ -195,25 +194,10 @@ func NewServerWith(cfg Config) *Server {
 		Logger:     s.slog,
 	})
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/v1/register", s.handleRegister)
-	mux.HandleFunc("/api/v1/func_eval/upload", s.auth(s.handleUpload))
-	mux.HandleFunc("/api/v1/func_eval/query", s.auth(s.handleQuery))
-	mux.HandleFunc("/api/v1/problems", s.auth(s.handleProblems))
-	mux.HandleFunc("/api/v1/surrogate/upload", s.auth(s.handleModelUpload))
-	mux.HandleFunc("/api/v1/surrogate/query", s.auth(s.handleModelQuery))
-	mux.HandleFunc("/api/v1/tasks/submit", s.auth(s.handleTaskSubmit))
-	mux.HandleFunc("/api/v1/tasks/lease", s.auth(s.handleTaskLease))
-	mux.HandleFunc("/api/v1/tasks/heartbeat", s.auth(s.handleTaskHeartbeat))
-	mux.HandleFunc("/api/v1/tasks/complete", s.auth(s.handleTaskComplete))
-	mux.HandleFunc("/api/v1/tasks/fail", s.auth(s.handleTaskFail))
-	mux.HandleFunc("/api/v1/tasks/list", s.auth(s.handleTaskList))
-	mux.HandleFunc("/api/v1/suggest", s.auth(s.handleSuggest))
-	mux.HandleFunc("/api/v1/quarantine", s.auth(s.handleQuarantineList))
-	mux.HandleFunc("/api/v1/quarantine/release", s.auth(s.handleQuarantineRelease))
-	mux.HandleFunc("/api/v1/stats", s.handleStats)
-	mux.HandleFunc("/api/v1/healthz", s.handleHealthz)
+	for _, e := range Endpoints() {
+		mux.HandleFunc(e.Path, e.Guard(s.auth(e)))
+	}
 	mux.Handle("/metrics", s.metrics.reg.Handler())
-	s.mux = mux
 	s.handler = s.trace(s.observe(s.limit(s.withDeadline(mux))))
 	return s
 }
@@ -332,7 +316,7 @@ func (s *Server) limit(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 		default:
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, "server overloaded, retry later")
+			WriteErr(w, http.StatusTooManyRequests, "", "server overloaded, retry later")
 		}
 	})
 }
@@ -346,29 +330,63 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// WriteJSON and WriteErr are the API's reply encoders on every tier. An
+// error body is a message plus an optional machine-readable code.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+func WriteErr(w http.ResponseWriter, status int, code, format string, args ...interface{}) {
+	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-// writeStoreErr maps store/scan failures to a status: an expired request
-// deadline becomes 503 (the client may retry), anything else 500.
-func writeStoreErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		writeErr(w, http.StatusServiceUnavailable, "request deadline exceeded")
-		return
+// serveFunc serves one row of Endpoints on a server; user is the
+// authenticated caller ("" on rows without Auth). Handlers themselves
+// are functions from a decoded request to (status, payload): with and
+// bodiless put them on the wire, so decoding and encoding happen once.
+type serveFunc func(s *Server, w http.ResponseWriter, r *http.Request, user string)
+
+// with decodes the body as a Req for h, answering 400 (413 past the
+// body cap) itself when it cannot.
+func with[Req any](h func(*Server, context.Context, string, *Req) (int, interface{})) serveFunc {
+	return func(s *Server, w http.ResponseWriter, r *http.Request, user string) {
+		var req Req
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			WriteErr(w, BodyErrStatus(err), "", "bad request body: %v", err)
+			return
+		}
+		status, payload := h(s, r.Context(), user, &req)
+		WriteJSON(w, status, payload)
 	}
-	writeErr(w, http.StatusInternalServerError, "store error: %v", err)
 }
 
-// newAPIKey generates the paper's default API-key form: a random string
+// bodiless serves a row that reads no request body.
+func bodiless(h func(*Server, context.Context, string) (int, interface{})) serveFunc {
+	return func(s *Server, w http.ResponseWriter, r *http.Request, user string) {
+		status, payload := h(s, r.Context(), user)
+		WriteJSON(w, status, payload)
+	}
+}
+
+// fail is a handler's error reply.
+func fail(status int, format string, args ...interface{}) (int, interface{}) {
+	return status, errorResponse{Error: fmt.Sprintf(format, args...)}
+}
+
+// storeFail maps store/scan failures to a reply: an expired request
+// deadline becomes 503 (the client may retry), anything else 500.
+func storeFail(err error) (int, interface{}) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return fail(http.StatusServiceUnavailable, "request deadline exceeded")
+	}
+	return fail(http.StatusInternalServerError, "store error: %v", err)
+}
+
+// NewAPIKey generates the paper's default API-key form: a random string
 // of 20 hex characters/digits.
-func newAPIKey() string {
+func NewAPIKey() string {
 	var b [10]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(err) // crypto/rand failure is unrecoverable
@@ -376,36 +394,25 @@ func newAPIKey() string {
 	return hex.EncodeToString(b[:])
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *Server) handleHealthz(context.Context, string) (int, interface{}) {
+	return http.StatusOK, map[string]string{"status": "ok"}
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+func (s *Server) handleStats(context.Context, string) (int, interface{}) {
+	return http.StatusOK, s.Metrics()
 }
 
 // handleRegister creates a user and returns a fresh API key. Usernames
 // are unique; uniqueness and the key index are maintained under one
 // write lock so concurrent registrations cannot race.
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+func (s *Server) handleRegister(_ context.Context, _ string, req *RegisterRequest) (int, interface{}) {
 	req.Username = strings.TrimSpace(req.Username)
 	if req.Username == "" {
-		writeErr(w, http.StatusBadRequest, "username required")
-		return
+		return fail(http.StatusBadRequest, "username required")
 	}
 	req.APIKey = strings.TrimSpace(req.APIKey)
 	if req.APIKey != "" && (len(req.APIKey) < 8 || len(req.APIKey) > 128) {
-		writeErr(w, http.StatusBadRequest, "preset api key must be 8..128 characters")
-		return
+		return fail(http.StatusBadRequest, "preset api key must be 8..128 characters")
 	}
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
@@ -414,18 +421,15 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// (the coordinator fans one registration out to every shard and
 		// may retry); anything else is a genuine conflict.
 		if req.APIKey != "" && s.keyToUser[req.APIKey] == req.Username {
-			writeJSON(w, http.StatusOK, RegisterResponse{APIKey: req.APIKey})
-			return
+			return http.StatusOK, RegisterResponse{APIKey: req.APIKey}
 		}
-		writeErr(w, http.StatusConflict, "username %q taken", req.Username)
-		return
+		return fail(http.StatusConflict, "username %q taken", req.Username)
 	}
 	key := req.APIKey
 	if key == "" {
-		key = newAPIKey()
+		key = NewAPIKey()
 	} else if owner, ok := s.keyToUser[key]; ok && owner != req.Username {
-		writeErr(w, http.StatusConflict, "api key already in use")
-		return
+		return fail(http.StatusConflict, "api key already in use")
 	}
 	_, err := s.users().Insert(historydb.Document{
 		"username": req.Username,
@@ -433,12 +437,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		"api_keys": []interface{}{key},
 	})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "store error: %v", err)
-		return
+		return fail(http.StatusInternalServerError, "store error: %v", err)
 	}
 	s.usernames[req.Username] = true
 	s.keyToUser[key] = req.Username
-	writeJSON(w, http.StatusOK, RegisterResponse{APIKey: key})
+	return http.StatusOK, RegisterResponse{APIKey: key}
 }
 
 // RebuildUserIndex rebuilds the in-memory API-key index from the users
@@ -471,41 +474,45 @@ func (s *Server) RebuildUserIndex() error {
 	return nil
 }
 
-// auth wraps a handler with API-key authentication; the resolved
-// username is passed as the third argument.
-func (s *Server) auth(next func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
+// auth resolves the caller for a row's handler: on rows that require
+// it, the username behind the request's API key (401 without one).
+func (s *Server) auth(e Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		key := r.Header.Get("X-Api-Key")
-		if key == "" {
-			writeErr(w, http.StatusUnauthorized, "missing X-Api-Key header")
-			return
+		user := ""
+		if e.Auth {
+			key := r.Header.Get("X-Api-Key")
+			if key == "" {
+				WriteErr(w, http.StatusUnauthorized, "", "missing X-Api-Key header")
+				return
+			}
+			s.idxMu.RLock()
+			name, ok := s.keyToUser[key]
+			s.idxMu.RUnlock()
+			if !ok {
+				WriteErr(w, http.StatusUnauthorized, "", "invalid API key")
+				return
+			}
+			user = name
 		}
-		s.idxMu.RLock()
-		user, ok := s.keyToUser[key]
-		s.idxMu.RUnlock()
-		if !ok {
-			writeErr(w, http.StatusUnauthorized, "invalid API key")
-			return
-		}
-		next(w, r, user)
+		e.serve(s, w, r, user)
 	}
 }
 
-// claimBatch resolves an upload batch id. For an empty id it returns
-// (nil, true): no idempotency tracking, the caller just processes the
-// request. Otherwise the first claimant gets (entry, true) and must
-// publish the outcome with finishBatch; duplicates block until the
-// owner finishes and get (entry, false) to replay the stored outcome.
-func (s *Server) claimBatch(kind, user, id string) (*batchEntry, bool) {
-	if id == "" {
-		return nil, true
+// once applies an upload batch at most once per (kind, user, batch id):
+// the first request to claim the id runs apply and publishes its outcome;
+// concurrent or later duplicates block until it has and replay that
+// outcome. An empty id opts out: the request is just processed.
+func (s *Server) once(kind, user, batchID string, apply func() (int, interface{})) (int, interface{}) {
+	if batchID == "" {
+		return apply()
 	}
-	key := kind + "\x00" + user + "\x00" + id
+	key := kind + "\x00" + user + "\x00" + batchID
 	s.batchMu.Lock()
 	if e, ok := s.batches[key]; ok {
 		s.batchMu.Unlock()
 		<-e.done
-		return e, false
+		s.metrics.replays.Inc()
+		return e.status, e.payload
 	}
 	e := &batchEntry{done: make(chan struct{})}
 	s.batches[key] = e
@@ -525,41 +532,17 @@ func (s *Server) claimBatch(kind, user, id string) (*batchEntry, bool) {
 		s.batchOrder = s.batchOrder[1:]
 	}
 	s.batchMu.Unlock()
-	return e, true
-}
-
-func finishBatch(e *batchEntry, status int, payload interface{}) {
-	if e == nil {
-		return
-	}
-	e.status = status
-	e.payload = payload
+	e.status, e.payload = apply()
 	close(e.done)
+	return e.status, e.payload
 }
 
 // handleUpload stores function evaluations under the caller's identity.
 // A batch either fully validates and is applied atomically, or nothing
 // is stored; batches carrying a batch_id are applied at most once per
 // user no matter how often the client retries.
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, user string) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req UploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	entry, owner := s.claimBatch("func_eval", user, req.BatchID)
-	if !owner {
-		s.metrics.replays.Inc()
-		writeJSON(w, entry.status, entry.payload)
-		return
-	}
-	status, payload := s.applyUpload(&req, user)
-	finishBatch(entry, status, payload)
-	writeJSON(w, status, payload)
+func (s *Server) handleUpload(_ context.Context, user string, req *UploadRequest) (int, interface{}) {
+	return s.once("func_eval", user, req.BatchID, func() (int, interface{}) { return s.applyUpload(req, user) })
 }
 
 // applyUpload is the trust boundary for crowd data. Structural defects
@@ -572,7 +555,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, user strin
 // records both outcomes.
 func (s *Server) applyUpload(req *UploadRequest, user string) (int, interface{}) {
 	if len(req.FuncEvals) == 0 {
-		return http.StatusBadRequest, errorResponse{Error: "no function evaluations in upload"}
+		return fail(http.StatusBadRequest, "no function evaluations in upload")
 	}
 	if dup := checkDuplicateIDs(req.FuncEvals); dup != nil {
 		return http.StatusBadRequest, errorResponse{Error: dup.Error(), Code: "duplicate_ids"}
@@ -580,7 +563,7 @@ func (s *Server) applyUpload(req *UploadRequest, user string) (int, interface{})
 	for i := range req.FuncEvals {
 		fe := &req.FuncEvals[i]
 		if err := fe.Validate(); err != nil {
-			return http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("sample %d: %v", i, err)}
+			return fail(http.StatusBadRequest, "sample %d: %v", i, err)
 		}
 		fe.Owner = user
 		if fe.Accessibility == "" {
@@ -599,14 +582,14 @@ func (s *Server) applyUpload(req *UploadRequest, user string) (int, interface{})
 		policy, hasPolicy := s.policies.get(fe.TuningProblemName)
 		if reason, detail := validateSample(fe, policy, hasPolicy); reason != "" {
 			if err := s.quarantineSample(fe, user, reason, detail); err != nil {
-				return http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("store error: %v", err)}
+				return fail(http.StatusInternalServerError, "store error: %v", err)
 			}
 			quarantined = append(quarantined, QuarantineReport{Index: i, Reason: reason, Detail: detail})
 			continue
 		}
 		doc, err := toDocument(fe)
 		if err != nil {
-			return http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("sample %d: %v", i, err)}
+			return fail(http.StatusBadRequest, "sample %d: %v", i, err)
 		}
 		docs = append(docs, doc)
 		accepted = append(accepted, fe)
@@ -621,7 +604,7 @@ func (s *Server) applyUpload(req *UploadRequest, user string) (int, interface{})
 		var err error
 		ids, err = s.funcEvals().InsertMany(docs)
 		if err != nil {
-			return http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("store error: %v", err)}
+			return fail(http.StatusInternalServerError, "store error: %v", err)
 		}
 		for range accepted {
 			s.reputation.recordAccepted(user)
@@ -646,26 +629,15 @@ func (s *Server) applyUpload(req *UploadRequest, user string) (int, interface{})
 // handleQuery returns samples matching the problem name, environment
 // filter and optional parameter query, restricted to what the caller
 // may see.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+func (s *Server) handleQuery(ctx context.Context, user string, req *QueryRequest) (int, interface{}) {
 	if req.TuningProblemName == "" {
-		writeErr(w, http.StatusBadRequest, "tuning_problem_name required")
-		return
+		return fail(http.StatusBadRequest, "tuning_problem_name required")
 	}
 	var paramQuery historydb.Query
 	if len(req.ParamQuery) > 0 {
 		q, err := historydb.UnmarshalQuery(req.ParamQuery)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad param_query: %v", err)
-			return
+			return fail(http.StatusBadRequest, "bad param_query: %v", err)
 		}
 		paramQuery = q
 	}
@@ -678,11 +650,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 	// filter is a pure predicate of one sample, so the order changes
 	// what a query costs, not which samples it returns or their order.
 	resp := QueryResponse{}
-	scanned, err := s.funcEvals().Scan(r.Context(), q, func(d historydb.Document) bool {
+	scanned, err := s.funcEvals().Scan(ctx, q, func(d historydb.Document) bool {
 		if !docVisible(d, user) {
 			return true
 		}
-		fe, err := fromDocument(d)
+		fe, err := fromDocument[FuncEval](d)
 		// Malformed documents are skipped rather than failing the query;
 		// canSee on the decoded sample stays the authority on access.
 		if err != nil || !canSee(fe, user) || !matchesConfiguration(fe, req.Configuration) {
@@ -697,17 +669,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, user string
 	})
 	s.metrics.scanned("query", scanned)
 	if err != nil {
-		writeStoreErr(w, err)
-		return
+		return storeFail(err)
 	}
 	s.metrics.queries.Inc()
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
 // handleProblems lists problem names with at least one sample visible
 // to the caller: per partition of func_evals, a scan that stops at the
 // first visible sample.
-func (s *Server) handleProblems(w http.ResponseWriter, r *http.Request, user string) {
+func (s *Server) handleProblems(ctx context.Context, user string) (int, interface{}) {
 	resp := ProblemsResponse{}
 	for _, v := range s.funcEvals().IndexValues() {
 		name, ok := v.(string)
@@ -715,21 +686,20 @@ func (s *Server) handleProblems(w http.ResponseWriter, r *http.Request, user str
 			continue
 		}
 		visible := false
-		scanned, err := s.funcEvals().Scan(r.Context(), historydb.Eq(problemField, name), func(d historydb.Document) bool {
+		scanned, err := s.funcEvals().Scan(ctx, historydb.Eq(problemField, name), func(d historydb.Document) bool {
 			visible = docVisible(d, user)
 			return !visible
 		})
 		s.metrics.scanned("problems", scanned)
 		if err != nil {
-			writeStoreErr(w, err)
-			return
+			return storeFail(err)
 		}
 		if visible {
 			resp.Problems = append(resp.Problems, name)
 		}
 	}
 	sort.Strings(resp.Problems)
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
 // field reads one typed field straight off a stored document. Absent
@@ -858,9 +828,10 @@ func matchesConfiguration(fe *FuncEval, cfg ConfigurationSpace) bool {
 	return true
 }
 
-// toDocument converts a FuncEval to a store document via JSON.
-func toDocument(fe *FuncEval) (historydb.Document, error) {
-	b, err := json.Marshal(fe)
+// toDocument converts a wire value (a FuncEval, a QuarantinedSample, a
+// SurrogateModelDoc) to a store document via JSON.
+func toDocument(v interface{}) (historydb.Document, error) {
+	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
@@ -872,15 +843,15 @@ func toDocument(fe *FuncEval) (historydb.Document, error) {
 	return d, nil
 }
 
-// fromDocument converts a store document back to a FuncEval.
-func fromDocument(d historydb.Document) (*FuncEval, error) {
+// fromDocument converts a store document back to its wire type.
+func fromDocument[T any](d historydb.Document) (*T, error) {
 	b, err := json.Marshal(d)
 	if err != nil {
 		return nil, err
 	}
-	var fe FuncEval
-	if err := json.Unmarshal(b, &fe); err != nil {
+	var v T
+	if err := json.Unmarshal(b, &v); err != nil {
 		return nil, err
 	}
-	return &fe, nil
+	return &v, nil
 }

@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -174,11 +175,11 @@ func TestStressMixedTraffic(t *testing.T) {
 					NumSamples:        batchSize,
 					Model:             json.RawMessage(`{"kind":"gp"}`),
 				}
-				if _, err := c.UploadModels([]SurrogateModelDoc{doc}); err != nil {
+				if _, err := c.UploadModelsContext(context.Background(), []SurrogateModelDoc{doc}); err != nil {
 					fail(fmt.Errorf("model upload: %w", err))
 					return
 				}
-				if _, err := c.QueryModels("stress-model", 0); err != nil {
+				if _, err := c.QueryModelsContext(context.Background(), "stress-model", 0); err != nil {
 					fail(fmt.Errorf("model query: %w", err))
 					return
 				}

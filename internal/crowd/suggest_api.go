@@ -2,7 +2,6 @@ package crowd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -93,20 +92,11 @@ func (src storeSource) History(ctx context.Context, problem string, task map[str
 	return snap, nil
 }
 
-// handleSuggest serves POST /api/v1/suggest. Rate limiting (429),
-// request deadlines and trace propagation come from the standard
+// handleSuggest proposes the next configuration(s). Rate limiting
+// (429), request deadlines and trace propagation come from the standard
 // middleware chain.
-func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, user string) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req SuggestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	resp, err := s.suggest.Suggest(r.Context(), suggest.Request{
+func (s *Server) handleSuggest(ctx context.Context, _ string, req *SuggestRequest) (int, interface{}) {
+	resp, err := s.suggest.Suggest(ctx, suggest.Request{
 		Problem:     req.TuningProblemName,
 		Task:        req.TaskParams,
 		Acquisition: req.Acquisition,
@@ -116,16 +106,14 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, user stri
 	if err != nil {
 		switch {
 		case errors.Is(err, suggest.ErrUnknownProblem):
-			writeJSON(w, http.StatusNotFound, errorResponse{
+			return http.StatusNotFound, errorResponse{
 				Error: fmt.Sprintf("no registered problem policy for %q", req.TuningProblemName),
 				Code:  "unknown_problem",
-			})
+			}
 		case errors.Is(err, suggest.ErrBadRequest):
-			writeErr(w, http.StatusBadRequest, "%v", err)
-		default:
-			writeStoreErr(w, err)
+			return fail(http.StatusBadRequest, "%v", err)
 		}
-		return
+		return storeFail(err)
 	}
 	out := SuggestResponse{
 		TuningParams: resp.Params,
@@ -141,7 +129,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, user stri
 			out.Proposals[i] = SuggestProposal{TuningParams: p.Params, ParamU: p.ParamU}
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return http.StatusOK, out
 }
 
 // SuggestService exposes the suggestion service (bench harness and
@@ -153,7 +141,7 @@ func (s *Server) SuggestService() *suggest.Service { return s.suggest }
 // request lines and background fit lines share one trace.
 func (c *Client) SuggestRemote(ctx context.Context, req SuggestRequest) (*SuggestResponse, error) {
 	var resp SuggestResponse
-	if err := c.post(ctx, "/api/v1/suggest", req, &resp); err != nil {
+	if err := c.post(ctx, PathSuggest, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

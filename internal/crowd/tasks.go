@@ -91,200 +91,119 @@ type TaskListResponse struct {
 // the background expiry sweeper in cmd/crowdserver).
 func (s *Server) TaskPool() *taskpool.Pool { return s.tasks }
 
-// writeTaskErr maps taskpool sentinel errors onto HTTP statuses:
-// unknown id → 404, stale lease token → 409 Conflict (the client must
-// not retry — the lease moved on), bad input → 400.
-func writeTaskErr(w http.ResponseWriter, err error) {
+// taskFail maps taskpool sentinel errors onto HTTP statuses: unknown
+// id → 404, stale lease token → 409 Conflict (the client must not
+// retry — the lease moved on), bad input → 400.
+func taskFail(err error) (int, interface{}) {
 	switch {
 	case errors.Is(err, taskpool.ErrNotFound):
-		writeErr(w, http.StatusNotFound, "%v", err)
+		return fail(http.StatusNotFound, "%v", err)
 	case errors.Is(err, taskpool.ErrLeaseLost):
-		writeErr(w, http.StatusConflict, "%v", err)
-	default:
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		return fail(http.StatusConflict, "%v", err)
 	}
+	return fail(http.StatusBadRequest, "%v", err)
 }
 
-// decodeTask decodes a task-endpoint request body, enforcing POST.
-func decodeTask(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleTaskSubmit(w http.ResponseWriter, r *http.Request, user string) {
-	var req TaskSubmitRequest
-	if !decodeTask(w, r, &req) {
-		return
-	}
+func (s *Server) handleTaskSubmit(ctx context.Context, user string, req *TaskSubmitRequest) (int, interface{}) {
 	// Stamp the submitting request's trace onto the spec (unless the
 	// submitter pinned one), so workers join the same trace.
 	if req.Spec.TraceID == "" {
-		req.Spec.TraceID = obs.TraceID(r.Context())
+		req.Spec.TraceID = obs.TraceID(ctx)
 	}
 	id, err := s.tasks.Submit(user, req.Spec)
 	if err != nil {
-		writeTaskErr(w, err)
-		return
+		return taskFail(err)
 	}
-	writeJSON(w, http.StatusOK, TaskSubmitResponse{ID: id})
+	return http.StatusOK, TaskSubmitResponse{ID: id}
 }
 
-func (s *Server) handleTaskLease(w http.ResponseWriter, r *http.Request, user string) {
-	var req TaskLeaseRequest
-	if !decodeTask(w, r, &req) {
-		return
-	}
+func (s *Server) handleTaskLease(_ context.Context, user string, req *TaskLeaseRequest) (int, interface{}) {
 	worker := req.Worker
 	if worker == "" {
 		worker = user
 	}
 	t, err := s.tasks.Lease(worker, req.Machine)
 	if err != nil {
-		writeTaskErr(w, err)
-		return
+		return taskFail(err)
 	}
-	writeJSON(w, http.StatusOK, TaskLeaseResponse{
-		Task:            t,
-		LeaseTTLSeconds: s.tasks.LeaseTTL().Seconds(),
-	})
+	return http.StatusOK, TaskLeaseResponse{Task: t, LeaseTTLSeconds: s.tasks.LeaseTTL().Seconds()}
 }
 
-func (s *Server) handleTaskHeartbeat(w http.ResponseWriter, r *http.Request, _ string) {
-	var req TaskHeartbeatRequest
-	if !decodeTask(w, r, &req) {
-		return
-	}
+func (s *Server) handleTaskHeartbeat(_ context.Context, _ string, req *TaskHeartbeatRequest) (int, interface{}) {
 	exp, err := s.tasks.Heartbeat(req.ID, req.LeaseToken)
 	if err != nil {
-		writeTaskErr(w, err)
-		return
+		return taskFail(err)
 	}
-	writeJSON(w, http.StatusOK, TaskHeartbeatResponse{LeaseExpires: exp})
+	return http.StatusOK, TaskHeartbeatResponse{LeaseExpires: exp}
 }
 
-func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request, _ string) {
-	var req TaskCompleteRequest
-	if !decodeTask(w, r, &req) {
-		return
-	}
+func (s *Server) handleTaskComplete(_ context.Context, _ string, req *TaskCompleteRequest) (int, interface{}) {
 	if err := s.tasks.Complete(req.ID, req.LeaseToken, req.Result); err != nil {
-		writeTaskErr(w, err)
-		return
+		return taskFail(err)
 	}
-	writeJSON(w, http.StatusOK, TaskCompleteResponse{OK: true})
+	return http.StatusOK, TaskCompleteResponse{OK: true}
 }
 
-func (s *Server) handleTaskFail(w http.ResponseWriter, r *http.Request, _ string) {
-	var req TaskFailRequest
-	if !decodeTask(w, r, &req) {
-		return
-	}
+func (s *Server) handleTaskFail(_ context.Context, _ string, req *TaskFailRequest) (int, interface{}) {
 	state, err := s.tasks.Fail(req.ID, req.LeaseToken, req.Reason, req.Checkpoint)
 	if err != nil {
-		writeTaskErr(w, err)
-		return
+		return taskFail(err)
 	}
-	writeJSON(w, http.StatusOK, TaskFailResponse{State: state})
+	return http.StatusOK, TaskFailResponse{State: state}
 }
 
-func (s *Server) handleTaskList(w http.ResponseWriter, r *http.Request, _ string) {
-	var req TaskListRequest
-	if !decodeTask(w, r, &req) {
-		return
-	}
+func (s *Server) handleTaskList(_ context.Context, _ string, req *TaskListRequest) (int, interface{}) {
 	tasks := s.tasks.List(req.State)
 	resp := TaskListResponse{Tasks: make([]taskpool.Task, len(tasks))}
 	for i, t := range tasks {
 		t.LeaseToken = "" // capability: only the lease holder sees it
 		resp.Tasks[i] = *t
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
-// SubmitTask queues a tuning job on the server and returns its id.
-func (c *Client) SubmitTask(spec taskpool.Spec) (string, error) {
-	return c.SubmitTaskContext(context.Background(), spec)
-}
-
-// SubmitTaskContext is SubmitTask with request-scoped cancellation.
+// SubmitTaskContext queues a tuning job on the server and returns its id.
 func (c *Client) SubmitTaskContext(ctx context.Context, spec taskpool.Spec) (string, error) {
 	var resp TaskSubmitResponse
-	if err := c.post(ctx, "/api/v1/tasks/submit", TaskSubmitRequest{Spec: spec}, &resp); err != nil {
-		return "", err
-	}
-	return resp.ID, nil
+	err := c.post(ctx, PathTaskSubmit, TaskSubmitRequest{Spec: spec}, &resp)
+	return resp.ID, err
 }
 
-// LeaseTask asks for the next runnable task matching the machine tags.
-// It returns (nil, ttl, nil) when the pool has nothing leasable.
-func (c *Client) LeaseTask(worker string, m taskpool.MachineConstraint) (*taskpool.Task, time.Duration, error) {
-	return c.LeaseTaskContext(context.Background(), worker, m)
-}
-
-// LeaseTaskContext is LeaseTask with request-scoped cancellation.
+// LeaseTaskContext asks for the next runnable task matching the machine
+// tags. It returns (nil, ttl, nil) when the pool has nothing leasable.
 func (c *Client) LeaseTaskContext(ctx context.Context, worker string, m taskpool.MachineConstraint) (*taskpool.Task, time.Duration, error) {
 	var resp TaskLeaseResponse
-	if err := c.post(ctx, "/api/v1/tasks/lease", TaskLeaseRequest{Worker: worker, Machine: m}, &resp); err != nil {
-		return nil, 0, err
-	}
-	return resp.Task, time.Duration(resp.LeaseTTLSeconds * float64(time.Second)), nil
+	err := c.post(ctx, PathTaskLease, TaskLeaseRequest{Worker: worker, Machine: m}, &resp)
+	return resp.Task, time.Duration(resp.LeaseTTLSeconds * float64(time.Second)), err
 }
 
-// HeartbeatTask renews a lease and returns the new expiry.
-func (c *Client) HeartbeatTask(id, token string) (time.Time, error) {
-	return c.HeartbeatTaskContext(context.Background(), id, token)
-}
-
-// HeartbeatTaskContext is HeartbeatTask with request-scoped cancellation.
+// HeartbeatTaskContext renews a lease and returns the new expiry.
 func (c *Client) HeartbeatTaskContext(ctx context.Context, id, token string) (time.Time, error) {
 	var resp TaskHeartbeatResponse
-	err := c.post(ctx, "/api/v1/tasks/heartbeat", TaskHeartbeatRequest{ID: id, LeaseToken: token}, &resp)
+	err := c.post(ctx, PathTaskHeartbeat, TaskHeartbeatRequest{ID: id, LeaseToken: token}, &resp)
 	return resp.LeaseExpires, err
 }
 
-// CompleteTask reports a finished task. Retries after a lost response
-// are safe: completion is idempotent under the winning lease token.
-func (c *Client) CompleteTask(id, token string, res taskpool.Result) error {
-	return c.CompleteTaskContext(context.Background(), id, token, res)
-}
-
-// CompleteTaskContext is CompleteTask with request-scoped cancellation.
+// CompleteTaskContext reports a finished task. Retries after a lost
+// response are safe: completion is idempotent under the winning lease
+// token.
 func (c *Client) CompleteTaskContext(ctx context.Context, id, token string, res taskpool.Result) error {
-	return c.post(ctx, "/api/v1/tasks/complete", TaskCompleteRequest{ID: id, LeaseToken: token, Result: res}, nil)
+	return c.post(ctx, PathTaskComplete, TaskCompleteRequest{ID: id, LeaseToken: token, Result: res}, nil)
 }
 
-// FailTask reports that the worker could not finish; a non-nil
+// FailTaskContext reports that the worker could not finish; a non-nil
 // checkpoint hands partial progress to the next lease. The returned
 // state says whether the task was requeued or dead-lettered.
-func (c *Client) FailTask(id, token, reason string, checkpoint json.RawMessage) (taskpool.State, error) {
-	return c.FailTaskContext(context.Background(), id, token, reason, checkpoint)
-}
-
-// FailTaskContext is FailTask with request-scoped cancellation.
 func (c *Client) FailTaskContext(ctx context.Context, id, token, reason string, checkpoint json.RawMessage) (taskpool.State, error) {
 	var resp TaskFailResponse
-	err := c.post(ctx, "/api/v1/tasks/fail", TaskFailRequest{ID: id, LeaseToken: token, Reason: reason, Checkpoint: checkpoint}, &resp)
+	err := c.post(ctx, PathTaskFail, TaskFailRequest{ID: id, LeaseToken: token, Reason: reason, Checkpoint: checkpoint}, &resp)
 	return resp.State, err
 }
 
-// ListTasks lists tasks in the given state ("" = all), lease tokens
-// redacted.
-func (c *Client) ListTasks(state taskpool.State) ([]taskpool.Task, error) {
-	return c.ListTasksContext(context.Background(), state)
-}
-
-// ListTasksContext is ListTasks with request-scoped cancellation.
+// ListTasksContext lists tasks in the given state ("" = all), lease
+// tokens redacted.
 func (c *Client) ListTasksContext(ctx context.Context, state taskpool.State) ([]taskpool.Task, error) {
 	var resp TaskListResponse
-	if err := c.post(ctx, "/api/v1/tasks/list", TaskListRequest{State: state}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Tasks, nil
+	err := c.post(ctx, PathTaskList, TaskListRequest{State: state}, &resp)
+	return resp.Tasks, err
 }

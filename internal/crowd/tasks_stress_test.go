@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -35,12 +36,12 @@ func TestStressDuplicateComplete(t *testing.T) {
 
 	leases := make([]*taskpool.Task, nTasks)
 	for i := range leases {
-		if _, err := c.SubmitTask(taskpool.Spec{App: "demo", Budget: 2, Seed: int64(i)}); err != nil {
+		if _, err := c.SubmitTaskContext(context.Background(), taskpool.Spec{App: "demo", Budget: 2, Seed: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := range leases {
-		task, _, err := c.LeaseTask("w", taskpool.MachineConstraint{})
+		task, _, err := c.LeaseTaskContext(context.Background(), "w", taskpool.MachineConstraint{})
 		if err != nil || task == nil {
 			t.Fatalf("lease %d: %v %v", i, task, err)
 		}
@@ -70,7 +71,7 @@ func TestStressDuplicateComplete(t *testing.T) {
 				cl := NewClient(ts.URL, c.APIKey)
 				cl.HTTP = httpc
 				fastRetry(cl)
-				if err := cl.CompleteTask(l.ID, l.LeaseToken, taskpool.Result{BestY: y}); err != nil {
+				if err := cl.CompleteTaskContext(context.Background(), l.ID, l.LeaseToken, taskpool.Result{BestY: y}); err != nil {
 					fail(fmt.Errorf("complete %s: %w", l.ID, err))
 					return
 				}
@@ -87,9 +88,9 @@ func TestStressDuplicateComplete(t *testing.T) {
 				cl.MaxRetries = -1
 				var err error
 				if doFail {
-					_, err = cl.FailTask(l.ID, "not-the-token", "bogus", nil)
+					_, err = cl.FailTaskContext(context.Background(), l.ID, "not-the-token", "bogus", nil)
 				} else {
-					err = cl.CompleteTask(l.ID, "not-the-token", taskpool.Result{BestY: -1})
+					err = cl.CompleteTaskContext(context.Background(), l.ID, "not-the-token", taskpool.Result{BestY: -1})
 				}
 				var apiErr *APIError
 				if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
@@ -155,7 +156,7 @@ func TestStressLeaseExpiryRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < nTasks; i++ {
-		if _, err := c.SubmitTask(taskpool.Spec{App: "demo", Budget: 2, Seed: int64(i)}); err != nil {
+		if _, err := c.SubmitTaskContext(context.Background(), taskpool.Spec{App: "demo", Budget: 2, Seed: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +192,7 @@ func TestStressLeaseExpiryRequeue(t *testing.T) {
 					fail(fmt.Errorf("worker %d: deadline with %+v", g, srv.TaskPool().Stats()))
 					return
 				}
-				task, _, err := cl.LeaseTask(fmt.Sprintf("w%d", g), taskpool.MachineConstraint{})
+				task, _, err := cl.LeaseTaskContext(context.Background(), fmt.Sprintf("w%d", g), taskpool.MachineConstraint{})
 				if err != nil {
 					fail(fmt.Errorf("worker %d lease: %w", g, err))
 					return
@@ -203,7 +204,7 @@ func TestStressLeaseExpiryRequeue(t *testing.T) {
 				if task.Attempts == 1 {
 					continue // abandon: let the TTL reap it
 				}
-				err = cl.CompleteTask(task.ID, task.LeaseToken, taskpool.Result{BestY: 1})
+				err = cl.CompleteTaskContext(context.Background(), task.ID, task.LeaseToken, taskpool.Result{BestY: 1})
 				var apiErr *APIError
 				if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict {
 					continue // lease expired under us; someone else will finish it
@@ -224,7 +225,7 @@ func TestStressLeaseExpiryRequeue(t *testing.T) {
 			cl.HTTP = httpc
 			fastRetry(cl)
 			for !done() && time.Now().Before(deadline) {
-				if _, err := cl.ListTasks(""); err != nil {
+				if _, err := cl.ListTasksContext(context.Background(), ""); err != nil {
 					fail(fmt.Errorf("list: %w", err))
 					return
 				}

@@ -30,11 +30,11 @@ func demoTaskSpec(seed int64) taskpool.Spec {
 
 func TestTaskEndpointsLifecycle(t *testing.T) {
 	_, c := taskServer(t, Config{})
-	id, err := c.SubmitTask(demoTaskSpec(1))
+	id, err := c.SubmitTaskContext(context.Background(), demoTaskSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, ttl, err := c.LeaseTask("w1", taskpool.MachineConstraint{})
+	task, ttl, err := c.LeaseTaskContext(context.Background(), "w1", taskpool.MachineConstraint{})
 	if err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}
@@ -42,21 +42,21 @@ func TestTaskEndpointsLifecycle(t *testing.T) {
 		t.Fatalf("lease response: %+v ttl=%v", task, ttl)
 	}
 	// An empty pool leases nil without error.
-	if empty, _, err := c.LeaseTask("w2", taskpool.MachineConstraint{}); err != nil || empty != nil {
+	if empty, _, err := c.LeaseTaskContext(context.Background(), "w2", taskpool.MachineConstraint{}); err != nil || empty != nil {
 		t.Fatalf("empty lease: %v %v", empty, err)
 	}
-	if _, err := c.HeartbeatTask(task.ID, task.LeaseToken); err != nil {
+	if _, err := c.HeartbeatTaskContext(context.Background(), task.ID, task.LeaseToken); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
-	err = c.CompleteTask(task.ID, task.LeaseToken, taskpool.Result{BestY: 0.5, NumEvals: 4})
+	err = c.CompleteTaskContext(context.Background(), task.ID, task.LeaseToken, taskpool.Result{BestY: 0.5, NumEvals: 4})
 	if err != nil {
 		t.Fatalf("complete: %v", err)
 	}
 	// Retrying a complete after a lost response is idempotent.
-	if err := c.CompleteTask(task.ID, task.LeaseToken, taskpool.Result{BestY: 9}); err != nil {
+	if err := c.CompleteTaskContext(context.Background(), task.ID, task.LeaseToken, taskpool.Result{BestY: 9}); err != nil {
 		t.Fatalf("replayed complete: %v", err)
 	}
-	done, err := c.ListTasks(taskpool.StateCompleted)
+	done, err := c.ListTasksContext(context.Background(), taskpool.StateCompleted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,22 +74,22 @@ func TestTaskEndpointErrorMapping(t *testing.T) {
 	var apiErr *APIError
 
 	// Validation error → 400.
-	if _, err := c.SubmitTask(taskpool.Spec{App: "demo"}); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+	if _, err := c.SubmitTaskContext(context.Background(), taskpool.Spec{App: "demo"}); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec: %v", err)
 	}
 	// Unknown id → 404.
-	if _, err := c.HeartbeatTask("t99", "tok"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
+	if _, err := c.HeartbeatTaskContext(context.Background(), "t99", "tok"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing task: %v", err)
 	}
 	// Stale token → 409, and the client does not retry it.
-	if _, err := c.SubmitTask(demoTaskSpec(1)); err != nil {
+	if _, err := c.SubmitTaskContext(context.Background(), demoTaskSpec(1)); err != nil {
 		t.Fatal(err)
 	}
-	task, _, err := c.LeaseTask("w1", taskpool.MachineConstraint{})
+	task, _, err := c.LeaseTaskContext(context.Background(), "w1", taskpool.MachineConstraint{})
 	if err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}
-	if err := c.CompleteTask(task.ID, "stale", taskpool.Result{}); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
+	if err := c.CompleteTaskContext(context.Background(), task.ID, "stale", taskpool.Result{}); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
 		t.Fatalf("stale complete: %v", err)
 	}
 	if apiErr.Temporary() {
@@ -98,17 +98,17 @@ func TestTaskEndpointErrorMapping(t *testing.T) {
 	// Task endpoints require auth.
 	anon := NewClient(c.BaseURL, "")
 	anon.MaxRetries = -1
-	if _, err := anon.SubmitTask(demoTaskSpec(2)); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
+	if _, err := anon.SubmitTaskContext(context.Background(), demoTaskSpec(2)); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("anon submit: %v", err)
 	}
 }
 
 func TestTaskLeaseExpiryOverHTTP(t *testing.T) {
 	srv, c := taskServer(t, Config{TaskLeaseTTL: 30 * time.Millisecond, TaskMaxAttempts: 3})
-	if _, err := c.SubmitTask(demoTaskSpec(1)); err != nil {
+	if _, err := c.SubmitTaskContext(context.Background(), demoTaskSpec(1)); err != nil {
 		t.Fatal(err)
 	}
-	task, _, err := c.LeaseTask("crashy", taskpool.MachineConstraint{})
+	task, _, err := c.LeaseTaskContext(context.Background(), "crashy", taskpool.MachineConstraint{})
 	if err != nil || task == nil {
 		t.Fatalf("lease: %v %v", task, err)
 	}
@@ -117,11 +117,11 @@ func TestTaskLeaseExpiryOverHTTP(t *testing.T) {
 	// The crashed worker's token is now stale...
 	c.MaxRetries = -1
 	var apiErr *APIError
-	if err := c.CompleteTask(task.ID, task.LeaseToken, taskpool.Result{}); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
+	if err := c.CompleteTaskContext(context.Background(), task.ID, task.LeaseToken, taskpool.Result{}); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
 		t.Fatalf("stale complete after expiry: %v", err)
 	}
 	// ...and another worker picks the task up.
-	again, _, err := c.LeaseTask("healthy", taskpool.MachineConstraint{})
+	again, _, err := c.LeaseTaskContext(context.Background(), "healthy", taskpool.MachineConstraint{})
 	if err != nil || again == nil || again.ID != task.ID {
 		t.Fatalf("re-lease: %v %v", again, err)
 	}
@@ -132,15 +132,15 @@ func TestTaskLeaseExpiryOverHTTP(t *testing.T) {
 
 func TestTaskFailCarriesCheckpointOverHTTP(t *testing.T) {
 	_, c := taskServer(t, Config{})
-	if _, err := c.SubmitTask(demoTaskSpec(1)); err != nil {
+	if _, err := c.SubmitTaskContext(context.Background(), demoTaskSpec(1)); err != nil {
 		t.Fatal(err)
 	}
-	task, _, _ := c.LeaseTask("w1", taskpool.MachineConstraint{})
-	state, err := c.FailTask(task.ID, task.LeaseToken, "draining", json.RawMessage(`{"iter":2}`))
+	task, _, _ := c.LeaseTaskContext(context.Background(), "w1", taskpool.MachineConstraint{})
+	state, err := c.FailTaskContext(context.Background(), task.ID, task.LeaseToken, "draining", json.RawMessage(`{"iter":2}`))
 	if err != nil || state != taskpool.StateQueued {
 		t.Fatalf("fail: %v %v", state, err)
 	}
-	next, _, _ := c.LeaseTask("w2", taskpool.MachineConstraint{})
+	next, _, _ := c.LeaseTaskContext(context.Background(), "w2", taskpool.MachineConstraint{})
 	if next == nil || string(next.Spec.Checkpoint) != `{"iter":2}` {
 		t.Fatalf("checkpoint not carried: %+v", next)
 	}
@@ -151,13 +151,13 @@ func TestTaskFailCarriesCheckpointOverHTTP(t *testing.T) {
 func TestStatsReportsTaskPool(t *testing.T) {
 	srv, c := taskServer(t, Config{TaskLeaseTTL: 20 * time.Millisecond, TaskMaxAttempts: 2})
 	for i := 0; i < 4; i++ {
-		if _, err := c.SubmitTask(demoTaskSpec(int64(i))); err != nil {
+		if _, err := c.SubmitTaskContext(context.Background(), demoTaskSpec(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l1, _, _ := c.LeaseTask("w1", taskpool.MachineConstraint{})
-	l2, _, _ := c.LeaseTask("w2", taskpool.MachineConstraint{})
-	if err := c.CompleteTask(l1.ID, l1.LeaseToken, taskpool.Result{BestY: 1}); err != nil {
+	l1, _, _ := c.LeaseTaskContext(context.Background(), "w1", taskpool.MachineConstraint{})
+	l2, _, _ := c.LeaseTaskContext(context.Background(), "w2", taskpool.MachineConstraint{})
+	if err := c.CompleteTaskContext(context.Background(), l1.ID, l1.LeaseToken, taskpool.Result{BestY: 1}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(40 * time.Millisecond)
@@ -179,7 +179,7 @@ func TestStatsReportsTaskPool(t *testing.T) {
 	// comes around.
 	var l3 *taskpool.Task
 	for i := 0; i < 3; i++ {
-		got, _, err := c.LeaseTask("w3", taskpool.MachineConstraint{})
+		got, _, err := c.LeaseTaskContext(context.Background(), "w3", taskpool.MachineConstraint{})
 		if err != nil || got == nil {
 			t.Fatalf("drain lease %d: %v %v", i, got, err)
 		}

@@ -68,7 +68,7 @@ func TestBatchCoordinatorEndToEnd(t *testing.T) {
 	var killedTask *taskpool.Task
 	for time.Now().Before(deadline) {
 		killedTask, _, err = e2eClient(t, ts, httpc, owner.APIKey).
-			LeaseTask("killed-worker", taskpool.MachineConstraint{})
+			LeaseTaskContext(context.Background(), "killed-worker", taskpool.MachineConstraint{})
 		if err != nil {
 			t.Fatalf("killed worker lease: %v", err)
 		}
@@ -187,7 +187,7 @@ func TestBatchCoordinatorEndToEnd(t *testing.T) {
 	}
 
 	// The killed worker's task was rerun, not lost, and no task died.
-	if dead, err := owner.ListTasks(taskpool.StateDead); err != nil || len(dead) != 0 {
+	if dead, err := owner.ListTasksContext(context.Background(), taskpool.StateDead); err != nil || len(dead) != 0 {
 		t.Fatalf("dead tasks %v (err %v)", dead, err)
 	}
 	kt, ok := srv.TaskPool().Get(killedTask.ID)

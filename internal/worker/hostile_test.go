@@ -71,7 +71,7 @@ func TestHostileCrowdEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < nTasks; i++ {
-		if _, err := owner.SubmitTask(taskpool.Spec{App: "demo", Budget: budget, Seed: int64(i + 1)}); err != nil {
+		if _, err := owner.SubmitTaskContext(context.Background(), taskpool.Spec{App: "demo", Budget: budget, Seed: int64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

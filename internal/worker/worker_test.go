@@ -66,7 +66,7 @@ func TestEndToEndCrowdTuning(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < nTasks; i++ {
-		if _, err := owner.SubmitTask(taskpool.Spec{App: "demo", Budget: budget, Seed: int64(i + 1)}); err != nil {
+		if _, err := owner.SubmitTaskContext(context.Background(), taskpool.Spec{App: "demo", Budget: budget, Seed: int64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func TestEndToEndCrowdTuning(t *testing.T) {
 	// A worker is "killed" mid-lease: it leases a task and disappears —
 	// no heartbeat, no complete. The TTL reaper must hand its task to
 	// the survivors.
-	killed, _, err := e2eClient(t, ts, httpc, owner.APIKey).LeaseTask("killed-worker", taskpool.MachineConstraint{})
+	killed, _, err := e2eClient(t, ts, httpc, owner.APIKey).LeaseTaskContext(context.Background(), "killed-worker", taskpool.MachineConstraint{})
 	if err != nil || killed == nil {
 		t.Fatalf("killed worker lease: %v %v", killed, err)
 	}
@@ -239,7 +239,7 @@ func TestWorkerReportsTaskFailure(t *testing.T) {
 	if _, err := c.Register("owner", ""); err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.SubmitTask(taskpool.Spec{App: "no-such-app", Budget: 2})
+	id, err := c.SubmitTaskContext(context.Background(), taskpool.Spec{App: "no-such-app", Budget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestWorkerHonorsMachineConstraint(t *testing.T) {
 	}
 	spec := taskpool.Spec{App: "demo", Budget: 2, Seed: 1,
 		Machine: taskpool.MachineConstraint{MachineName: "cori", Partition: "knl"}}
-	if _, err := c.SubmitTask(spec); err != nil {
+	if _, err := c.SubmitTaskContext(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	mismatch, err := New(Options{Client: c, Name: "laptop",

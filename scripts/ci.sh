@@ -57,6 +57,31 @@ if grep -rnE 'type (Ensemble|MultitaskTS|Fixed) |func (NewFixed|NewEnsemble|equa
     exit 1
 fi
 
+# What each public route is — path, methods, auth, read/write class,
+# shard routing — is declared once, in crowd.Endpoints(). A path literal,
+# a method check or a per-endpoint proxy handler anywhere else means a
+# second copy of the table is back.
+echo "== the public API is declared once (internal/crowd/endpoints.go)"
+stray=$(grep -rn '"/api/v1/' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . \
+    | grep -v '^./internal/crowd/endpoints.go:' | grep -vE '"/api/v1/(cluster/|readyz)' || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: public /api/v1 path spelled outside the endpoint table:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+methods=$(grep -rn 'r\.Method' --include='*.go' --exclude='*_test.go' internal/crowd internal/cluster \
+    | grep -v '"method", r\.Method' || true) # the access log names it; only Guard decides on it
+if [ "$(echo "$methods" | grep -c .)" -ne 1 ] || ! echo "$methods" | grep -q '^internal/crowd/endpoints.go:'; then
+    echo "FAIL: r.Method is read outside Endpoint.Guard:" >&2
+    echo "$methods" >&2
+    exit 1
+fi
+if grep -rnE 'writePaths|gatedReads|routeByTaskID|func \(c \*Coordinator\) handle(Register|Upload|ModelUpload|Problems|TaskSubmit|TaskLease|TaskList|QuarantineList|QuarantineRelease)\(|func \(c \*Client\) (SubmitTask|LeaseTask|HeartbeatTask|CompleteTask|FailTask|ListTasks|UploadModels|QueryModels)\(' \
+    --include='*.go' internal/crowd internal/cluster; then
+    echo "FAIL: a deleted path map, per-endpoint proxy handler or context-less client twin is back" >&2
+    exit 1
+fi
+
 # The repo benchmark is a nested module that compiles against internal
 # packages; tier-1 `go test ./...` does not enter it.
 echo "== bench module (vet + smoke test)"
@@ -106,8 +131,8 @@ echo "$fuzz_targets" | while read -r target pkg; do
     go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime=10s "$pkg"
 done
 
-echo "== coverage floor (crowd + historydb + taskpool + core + suggest + replog + shardring + chaos + copula + sgp + surrogate + tla + bandit >= 80%)"
-go test -count=1 -cover ./internal/crowd ./internal/historydb ./internal/taskpool ./internal/core ./internal/suggest ./internal/replog ./internal/shardring ./internal/chaos ./internal/copula ./internal/sgp ./internal/surrogate ./internal/tla ./internal/bandit | tee /tmp/cover.txt
+echo "== coverage floor (crowd + cluster + historydb + taskpool + core + suggest + replog + shardring + chaos + copula + sgp + surrogate + tla + bandit >= 80%)"
+go test -count=1 -cover ./internal/crowd ./internal/cluster ./internal/historydb ./internal/taskpool ./internal/core ./internal/suggest ./internal/replog ./internal/shardring ./internal/chaos ./internal/copula ./internal/sgp ./internal/surrogate ./internal/tla ./internal/bandit | tee /tmp/cover.txt
 awk '
 /coverage:/ {
     for (i = 1; i <= NF; i++) if ($i == "coverage:") pct = $(i+1) + 0

@@ -9,11 +9,13 @@ cd "$(dirname "$0")/.."
 pattern='"(crowd|taskpool|quarantine|reputation|worker|tuner|suggest|batch|cluster|replog|chaos|surrogate)_[a-z_]+"'
 
 # Registered families: metric-name string literals in non-test sources,
-# excluding struct/json tag lines (e.g. `json:"worker_faults"`) and the
-# surrogate_models historydb collection (a store name, not a metric).
+# excluding struct/json tag lines (e.g. `json:"worker_faults"`), the
+# surrogate_models historydb collection (a store name, not a metric) and
+# the batch_id request field the coordinator rewrites (a wire key).
 registered=$(grep -rhE "$pattern" --include='*.go' --exclude='*_test.go' internal cmd ./*.go \
     | grep -v 'json:' \
     | grep -v '"surrogate_models"' \
+    | grep -v '"batch_id"' \
     | grep -oE "$pattern" | tr -d '"' | sort -u)
 
 # Documented families: first backticked cell of each README table row.
