@@ -51,6 +51,7 @@ import (
 	"gptunecrowd/internal/cluster"
 	"gptunecrowd/internal/crowd"
 	"gptunecrowd/internal/obs"
+	"gptunecrowd/internal/replog"
 	"gptunecrowd/internal/taskpool"
 )
 
@@ -297,15 +298,11 @@ func main() {
 	defer node.Close()
 	srv := node.Server()
 	registerAppPolicies(srv)
-	for _, name := range node.LogNames() {
-		if name == "tasks" {
-			if n := srv.TaskPool().Len(); n > 0 {
-				log.Printf("loaded %d tasks into the task pool", n)
-			}
-		} else if n := srv.Store().Collection(name).Len(); n > 0 {
+	node.EachLog(func(name string, j *replog.Journal) {
+		if n := j.Machine().Len(); n > 0 {
 			log.Printf("loaded %d documents into %s", n, name)
 		}
-	}
+	})
 
 	if dbg, err := obs.ServeDebug(*debugAddr, srv.Registry(), logger); err != nil {
 		log.Fatalf("crowdserver: debug server: %v", err)

@@ -137,7 +137,7 @@ func waitShardHealed(t *testing.T, c *Coordinator, s *chaosShard, timeout time.D
 			continue
 		}
 		caughtUp := true
-		for _, name := range lead.LogNames() {
+		for _, name := range logNamesOf(lead) {
 			head := lead.Log(name).LastIndex()
 			if fol.Log(name).LastIndex() < head {
 				caughtUp = false
@@ -400,7 +400,7 @@ func TestClusterChaosStressAutoFailover(t *testing.T) {
 		if fol.Fenced() {
 			t.Fatalf("shard %s follower still fenced after healing", s.id)
 		}
-		for _, name := range lead.LogNames() {
+		for _, name := range logNamesOf(lead) {
 			a := machineSnapshot(t, lead, name)
 			b := machineSnapshot(t, fol, name)
 			deadline := time.Now().Add(5 * time.Second)

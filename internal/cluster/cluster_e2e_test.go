@@ -25,6 +25,7 @@ import (
 
 	"gptunecrowd/internal/crowd"
 	"gptunecrowd/internal/historydb"
+	"gptunecrowd/internal/replog"
 	"gptunecrowd/internal/space"
 	"gptunecrowd/internal/taskpool"
 )
@@ -116,19 +117,24 @@ func newStressClient(url, key string) *crowd.Client {
 	return c
 }
 
+// logNamesOf lists a node's replicated logs in apply order.
+func logNamesOf(n *Node) []string {
+	var names []string
+	n.EachLog(func(name string, _ *replog.Journal) { names = append(names, name) })
+	return names
+}
+
 // machineSnapshot serializes one of a node's replicated state machines.
 func machineSnapshot(t *testing.T, n *Node, name string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	if name == "tasks" {
-		err = n.Server().TaskPool().WriteJSONL(&buf)
-	} else {
-		err = n.Server().Store().Collection(name).WriteJSONL(&buf)
-	}
-	if err != nil {
-		t.Fatalf("snapshot %s: %v", name, err)
-	}
+	n.EachLog(func(row string, j *replog.Journal) {
+		if row == name {
+			if err := j.Machine().WriteJSONL(&buf); err != nil {
+				t.Fatalf("snapshot %s: %v", name, err)
+			}
+		}
+	})
 	return buf.Bytes()
 }
 
@@ -136,24 +142,33 @@ func machineSnapshot(t *testing.T, n *Node, name string) []byte {
 // log (base snapshot + entry-by-entry apply) and serializes it.
 func oracleSnapshot(t *testing.T, n *Node, name string) []byte {
 	t.Helper()
-	lg := n.Log(name)
-	var buf bytes.Buffer
+	var fresh replog.Machine = historydb.NewCollection(name)
 	if name == "tasks" {
-		fresh := taskpool.New(taskpool.Config{})
-		if err := lg.Replay(fresh.ReadJSONL, fresh.ApplyLogRecord); err != nil {
+		fresh = taskpool.New(taskpool.Config{})
+	}
+	lg := n.Log(name)
+	var snap bytes.Buffer
+	idx, ok, err := lg.Snapshot(&snap)
+	if err != nil {
+		t.Fatalf("oracle snapshot %s: %v", name, err)
+	}
+	if ok {
+		if err := fresh.ReadJSONL(&snap); err != nil {
+			t.Fatalf("oracle restore %s: %v", name, err)
+		}
+	}
+	recs, err := lg.Entries(idx, 0)
+	if err != nil {
+		t.Fatalf("oracle entries %s: %v", name, err)
+	}
+	for _, rec := range recs {
+		if err := fresh.ApplyLogRecord(rec); err != nil {
 			t.Fatalf("oracle replay %s: %v", name, err)
 		}
-		if err := fresh.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		fresh := historydb.NewCollection(name)
-		if err := lg.Replay(fresh.ReadJSONL, fresh.ApplyLogRecord); err != nil {
-			t.Fatalf("oracle replay %s: %v", name, err)
-		}
-		if err := fresh.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
+	}
+	var buf bytes.Buffer
+	if err := fresh.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -369,7 +384,7 @@ func TestClusterStressFailover(t *testing.T) {
 	// (the commit barrier means every acknowledged write reached it;
 	// traffic is quiesced, so the heads line up).
 	for _, s := range []*testShard{shards[0], shards[2]} {
-		for _, name := range s.leader.LogNames() {
+		for _, name := range logNamesOf(s.leader) {
 			lead := machineSnapshot(t, s.leader, name)
 			foll := machineSnapshot(t, s.follower, name)
 			deadline := time.Now().Add(3 * time.Second)
@@ -387,7 +402,7 @@ func TestClusterStressFailover(t *testing.T) {
 	// replay of its current leader's logs.
 	current := []*Node{shards[0].leader, shards[1].follower, shards[2].leader}
 	for i, n := range current {
-		for _, name := range n.LogNames() {
+		for _, name := range logNamesOf(n) {
 			live := machineSnapshot(t, n, name)
 			oracle := oracleSnapshot(t, n, name)
 			if !bytes.Equal(live, oracle) {

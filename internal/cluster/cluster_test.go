@@ -224,7 +224,7 @@ func TestStaleLeaderStepsDownWhenFenced(t *testing.T) {
 	}
 
 	// Operator failover while the old leader is alive and reachable.
-	if err := follower.Promote(); err != nil {
+	if _, err := follower.PromoteEpoch(0); err != nil {
 		t.Fatal(err)
 	}
 

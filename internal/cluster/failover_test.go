@@ -93,7 +93,7 @@ func TestReadyzStates(t *testing.T) {
 	}
 
 	// A deposed leader awaiting resync reports fenced and is not ready.
-	if err := follower.Promote(); err != nil {
+	if _, err := follower.PromoteEpoch(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := follower.Demote(leaderTS.URL, follower.Epoch()+1); err != nil {
@@ -281,7 +281,7 @@ func TestDuelingPromotionsConverge(t *testing.T) {
 
 	// Every pre-duel acknowledged write survived on both duelists, and
 	// their replicated state is byte-identical.
-	for _, name := range winner.LogNames() {
+	for _, name := range logNamesOf(winner) {
 		ws := machineSnapshot(t, winner, name)
 		ls := machineSnapshot(t, loser, name)
 		if !bytes.Equal(ws, ls) {

@@ -22,6 +22,7 @@ type nodeMetrics struct {
 	resyncs          *obs.Counter
 	detectorProbes   *obs.Counter
 	detectorSuspects *obs.Counter
+	journalErrors    *obs.Counter
 }
 
 func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
@@ -46,6 +47,8 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 			"Follower→leader liveness probes sent after the leader went quiet."),
 		detectorSuspects: reg.Counter("cluster_detector_suspects_total",
 			"Times this follower marked its quiet leader suspect after a failed probe."),
+		journalErrors: reg.Counter("cluster_journal_errors_total",
+			"Requests answered 503 journal_failed: a replicated-log append failed and the node fail-stopped."),
 	}
 	reg.GaugeFunc("cluster_is_leader",
 		"1 when this node leads its shard, 0 on followers.",
@@ -66,10 +69,9 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 			}
 			return 0
 		})
-	for _, name := range n.LogNames() {
-		lg := n.Log(name)
-		registerLogMetrics(reg, name, lg)
-	}
+	n.logs.each(func(name string, j *replog.Journal) {
+		registerLogMetrics(reg, name, j.Log())
+	})
 	return m
 }
 

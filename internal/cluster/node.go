@@ -24,7 +24,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -46,26 +46,14 @@ const (
 	// DefaultStalenessWindow is how recently a follower must have heard
 	// from its leader to serve reads.
 	DefaultStalenessWindow = 5 * time.Second
-	// DefaultMaxLag is how many log entries a follower may trail the
-	// leader's head before refusing reads with 412.
-	DefaultMaxLag = 256
+	// maxLag is how many log entries a follower may trail the leader's
+	// head before refusing reads with 412.
+	maxLag = 256
 )
 
 // TokenHeader authenticates intra-cluster requests (replication apply,
 // promote, join) when the deployment sets a shared token.
 const TokenHeader = "X-Cluster-Token"
-
-// logNames are the replicated state machines, in the fixed order every
-// apply batch is processed (deterministic across nodes).
-var logNames = []string{"func_evals", "quarantine", "surrogate_models", "tasks", "users"}
-
-// stateMachine is what a replicated log drives: the historydb
-// collections and the task pool both implement it.
-type stateMachine interface {
-	ApplyLogRecord(replog.Record) error
-	ReadJSONL(io.Reader) error
-	WriteJSONL(io.Writer) error
-}
 
 // Role is a node's position in its shard.
 type Role string
@@ -92,10 +80,9 @@ type NodeConfig struct {
 	// Token, when non-empty, gates the intra-cluster endpoints: apply,
 	// promote and join requests must carry it in X-Cluster-Token.
 	Token string
-	// CommitTimeout, StalenessWindow, MaxLag: see the package defaults.
+	// CommitTimeout, StalenessWindow: see the package defaults.
 	CommitTimeout   time.Duration
 	StalenessWindow time.Duration
-	MaxLag          uint64
 	// HeartbeatInterval bounds how long a healthy follower goes without a
 	// replication push when the shard is idle (DefaultHeartbeatInterval
 	// when zero).
@@ -132,12 +119,12 @@ type Node struct {
 	role        Role
 	epoch       uint64 // promotion epoch of the leadership this node holds or follows
 	advertise   string
-	leaderURL   string            // follower: last leader that contacted us
-	lastContact time.Time         // follower: time of that contact
-	heads       map[string]uint64 // follower: leader's LastIndex per log
-	replicators []*Replicator     // leader: one per follower
-	needResync  bool              // demoted leader awaiting truncation resync (fenced)
-	suspect     bool              // follower: leader went quiet AND failed a direct probe
+	leaderURL   string        // follower: last leader that contacted us
+	lastContact time.Time     // follower: time of that contact
+	lagging     bool          // follower: trailed the leader's heads beyond maxLag at its last push
+	replicators []*Replicator // leader: one per follower
+	needResync  bool          // demoted leader awaiting truncation resync (fenced)
+	suspect     bool          // follower: leader went quiet AND failed a direct probe
 
 	stopCh   chan struct{} // closes the follower→leader prober
 	stopOnce sync.Once
@@ -146,8 +133,7 @@ type Node struct {
 	// against promotion (promotion fences the old leader's stream).
 	applyMu sync.Mutex
 
-	logs     map[string]*replog.Log
-	machines map[string]stateMachine
+	logs *logSet
 
 	metrics *nodeMetrics
 	mux     *http.ServeMux
@@ -156,68 +142,40 @@ type Node struct {
 // NewNode opens (or creates) the node's replicated logs, replays them
 // into a fresh crowd.Server, and returns the node ready to serve.
 func NewNode(cfg NodeConfig) (*Node, error) {
+	cfg = cfg.withDefaults()
 	srv := crowd.NewServerWith(cfg.Crowd)
+	logs, err := openLogSet(srv, cfg.DataDir, replog.Options{SegmentMaxRecords: cfg.SegmentMaxRecords})
+	if err != nil {
+		return nil, err
+	}
 	n := &Node{
 		cfg:       cfg,
 		srv:       srv,
 		role:      RoleFollower,
 		advertise: cfg.Advertise,
-		heads:     make(map[string]uint64),
-		logs:      make(map[string]*replog.Log),
-		machines:  make(map[string]stateMachine),
+		logs:      logs,
 		stopCh:    make(chan struct{}),
 	}
 	if cfg.Leader {
 		n.role = RoleLeader
 	}
-	opts := replog.Options{SegmentMaxRecords: cfg.SegmentMaxRecords}
-	for _, name := range logNames {
-		dir := ""
-		if cfg.DataDir != "" {
-			dir = filepath.Join(cfg.DataDir, name)
-		}
-		o := opts
-		o.Name = name
-		var (
-			lg  *replog.Log
-			err error
-		)
-		if name == "tasks" {
-			lg, err = srv.TaskPool().OpenLog(dir, o)
-			n.machines[name] = srv.TaskPool()
-		} else {
-			coll := srv.Store().Collection(name)
-			lg, err = coll.OpenLog(dir, o)
-			n.machines[name] = coll
-		}
-		if err != nil {
-			n.closeLogs()
-			return nil, fmt.Errorf("cluster: open %s log: %w", name, err)
-		}
-		n.logs[name] = lg
-	}
 	if err := srv.RebuildUserIndex(); err != nil {
-		n.closeLogs()
+		logs.close()
 		return nil, err
 	}
 	if err := srv.RebuildTrustState(); err != nil {
-		n.closeLogs()
+		logs.close()
 		return nil, err
 	}
-	// The promotion epoch survives restarts as replog term metadata (the
-	// highest across the logs wins — they are always written together). A
+	// The promotion epoch survives restarts as replog term metadata. A
 	// configured leader starts at epoch 1 so a follower that was promoted
 	// past it can always fence it.
-	for _, name := range logNames {
-		if t := n.logs[name].Term(); t > n.epoch {
-			n.epoch = t
-		}
-	}
+	n.epoch = logs.term()
 	if cfg.Leader && n.epoch == 0 {
 		n.epoch = 1
 	}
-	if err := n.persistEpoch(n.epoch); err != nil {
-		n.closeLogs()
+	if err := logs.setTerm(n.epoch); err != nil {
+		logs.close()
 		return nil, err
 	}
 	n.metrics = newNodeMetrics(srv.Registry(), n)
@@ -238,23 +196,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// persistEpoch stamps epoch onto every log's term metadata (monotone,
-// idempotent).
-func (n *Node) persistEpoch(epoch uint64) error {
-	for _, name := range logNames {
-		if err := n.logs[name].SetTerm(epoch); err != nil {
-			return fmt.Errorf("cluster: persist epoch on %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-func (n *Node) closeLogs() {
-	for _, lg := range n.logs {
-		lg.Close()
-	}
-}
-
 // Close stops replication to followers, the liveness prober, and closes
 // the logs.
 func (n *Node) Close() error {
@@ -266,21 +207,12 @@ func (n *Node) Close() error {
 	for _, r := range reps {
 		r.Stop()
 	}
-	var firstErr error
-	for _, name := range logNames {
-		if err := n.logs[name].Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return n.logs.close()
 }
 
 // Server exposes the wrapped crowd.Server (for policy registration and
 // direct inspection in tests and the daemon).
 func (n *Node) Server() *crowd.Server { return n.srv }
-
-// Shard returns the shard id this node serves.
-func (n *Node) Shard() string { return n.cfg.Shard }
 
 // Role returns the node's current role.
 func (n *Node) Role() Role {
@@ -346,78 +278,33 @@ func (n *Node) LeaderURL() string {
 	return n.leaderURL
 }
 
-// Log returns the named replicated log (nil when unknown). Exposed for
-// the daemon's compaction loop and tests.
-func (n *Node) Log(name string) *replog.Log { return n.logs[name] }
+// Log returns the named replicated log (nil when unknown).
+func (n *Node) Log(name string) *replog.Log { return n.logs.log(name) }
 
-// LogNames returns the replicated log names in apply order.
-func (n *Node) LogNames() []string { return append([]string(nil), logNames...) }
+// EachLog visits the node's replicated state machines — log name and
+// journal — in apply order.
+func (n *Node) EachLog(fn func(name string, j *replog.Journal)) { n.logs.each(fn) }
 
 // CompactAll folds every replicated log down to a snapshot of current
 // state (the daemon's periodic flush).
-func (n *Node) CompactAll() error {
-	var firstErr error
-	for _, name := range logNames {
-		var err error
-		if name == "tasks" {
-			err = n.srv.TaskPool().CompactLog()
-		} else {
-			err = n.srv.Store().Collection(name).CompactLog()
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: compact %s: %w", name, err)
+func (n *Node) CompactAll() error { return n.logs.compact() }
+
+// withDefaults resolves the zero values to the package defaults.
+func (c NodeConfig) withDefaults() NodeConfig {
+	def := func(d *time.Duration, v time.Duration) {
+		if *d <= 0 {
+			*d = v
 		}
 	}
-	return firstErr
-}
-
-func (n *Node) commitTimeout() time.Duration {
-	if n.cfg.CommitTimeout > 0 {
-		return n.cfg.CommitTimeout
+	def(&c.CommitTimeout, DefaultCommitTimeout)
+	def(&c.StalenessWindow, DefaultStalenessWindow)
+	def(&c.HeartbeatInterval, DefaultHeartbeatInterval)
+	def(&c.PushTimeout, DefaultPushTimeout)
+	def(&c.ProbeInterval, c.StalenessWindow/2)
+	if c.InternalClient == nil {
+		c.InternalClient = http.DefaultClient
 	}
-	return DefaultCommitTimeout
-}
-
-func (n *Node) stalenessWindow() time.Duration {
-	if n.cfg.StalenessWindow > 0 {
-		return n.cfg.StalenessWindow
-	}
-	return DefaultStalenessWindow
-}
-
-func (n *Node) maxLag() uint64 {
-	if n.cfg.MaxLag > 0 {
-		return n.cfg.MaxLag
-	}
-	return DefaultMaxLag
-}
-
-func (n *Node) heartbeatInterval() time.Duration {
-	if n.cfg.HeartbeatInterval > 0 {
-		return n.cfg.HeartbeatInterval
-	}
-	return DefaultHeartbeatInterval
-}
-
-func (n *Node) pushTimeout() time.Duration {
-	if n.cfg.PushTimeout > 0 {
-		return n.cfg.PushTimeout
-	}
-	return DefaultPushTimeout
-}
-
-func (n *Node) probeInterval() time.Duration {
-	if n.cfg.ProbeInterval > 0 {
-		return n.cfg.ProbeInterval
-	}
-	return n.stalenessWindow() / 2
-}
-
-func (n *Node) internalClient() *http.Client {
-	if n.cfg.InternalClient != nil {
-		return n.cfg.InternalClient
-	}
-	return http.DefaultClient
+	return c
 }
 
 // probeLoop is the follower→leader liveness probe: when the leader has
@@ -428,7 +315,7 @@ func (n *Node) internalClient() *http.Client {
 // even when the coordinator's own probe path differs from the
 // replication path (asymmetric partitions).
 func (n *Node) probeLoop() {
-	ticker := time.NewTicker(n.probeInterval())
+	ticker := time.NewTicker(n.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -444,7 +331,7 @@ func (n *Node) probeLeaderOnce() {
 	n.mu.Lock()
 	role := n.role
 	leader := n.leaderURL
-	quiet := time.Since(n.lastContact) > n.stalenessWindow()
+	quiet := time.Since(n.lastContact) > n.cfg.StalenessWindow
 	n.mu.Unlock()
 	if role != RoleFollower || leader == "" {
 		return
@@ -454,7 +341,7 @@ func (n *Node) probeLeaderOnce() {
 		return
 	}
 	n.metrics.detectorProbes.Inc()
-	ctx, cancel := context.WithTimeout(context.Background(), n.pushTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PushTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, leader+"/api/v1/cluster/info", nil)
 	if err != nil {
@@ -463,7 +350,7 @@ func (n *Node) probeLeaderOnce() {
 	if n.cfg.Token != "" {
 		req.Header.Set(TokenHeader, n.cfg.Token)
 	}
-	resp, err := n.internalClient().Do(req)
+	resp, err := n.cfg.InternalClient.Do(req)
 	if err != nil {
 		n.setSuspect(true)
 		return
@@ -488,13 +375,17 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.mux.ServeHT
 
 // route is the role gate in front of the wrapped crowd.Server, resolved
 // per row from its Class: writes run on the leader behind the commit
-// barrier and bounce off followers; fresh reads 412 on a stale follower
+// barrier, bounce off followers and are refused by a node whose journal
+// failed; fresh reads 412 on a stale follower
 // so the caller (coordinator or redirect-following client) falls back
 // to the leader; local diagnostics are always served.
 func (n *Node) route(class crowd.Class) http.HandlerFunc {
 	switch class {
 	case crowd.ClassWrite:
 		return func(w http.ResponseWriter, r *http.Request) {
+			if n.journalFailed(w) {
+				return
+			}
 			if n.Role() != RoleLeader {
 				n.redirectToLeader(w, r)
 				return
@@ -533,26 +424,48 @@ func (n *Node) redirectToLeader(w http.ResponseWriter, r *http.Request) {
 		"shard %s writes go to the leader at %s", n.cfg.Shard, leader)
 }
 
+// journalFailed is the fail-stop gate: once a journal has failed a log
+// write the node's state is ahead of its log, so it stops leading and
+// is fenced like any deposed leader (only a restart makes it whole),
+// reports not-ready, and — when w is set — answers 503 journal_failed.
+// It reports whether it did. The supervisor sees a shard without a
+// leader and promotes an in-sync follower, which holds every write
+// that was acknowledged.
+func (n *Node) journalFailed(w http.ResponseWriter) bool {
+	err := n.logs.err()
+	if err == nil {
+		return false
+	}
+	n.stepDown("", 0)
+	n.mu.Lock()
+	n.needResync = true // a follower too: never a promotion candidate
+	n.mu.Unlock()
+	if w != nil {
+		n.metrics.journalErrors.Inc()
+		crowd.WriteErr(w, http.StatusServiceUnavailable, "journal_failed",
+			"not kept: %v; this node accepts nothing until restarted", err)
+	}
+	return true
+}
+
 // serveWriteBarrier runs a mutating request on the leader and holds the
 // response until every live follower has applied the mutation. The
-// response is buffered so a commit timeout can still turn into a clean
-// 503 — the client retries, and record idempotency (batch ids, physical
-// upserts) makes the replay safe.
+// response is buffered so a failed journal or a commit timeout can
+// still turn into a clean 503 — the client retries, and record
+// idempotency (batch ids, physical upserts) makes the replay safe.
 func (n *Node) serveWriteBarrier(w http.ResponseWriter, r *http.Request) {
 	rec := &bufferedResponse{header: make(http.Header)}
 	n.srv.ServeHTTP(rec, r)
+	// Whatever the handler answered, a mutation the journal did not keep
+	// is never acknowledged.
+	if n.journalFailed(w) {
+		return
+	}
 	if rec.status >= 200 && rec.status < 300 {
-		targets := make(map[string]uint64, len(logNames))
-		for _, name := range logNames {
-			lg := n.logs[name]
-			if idx := lg.LastIndex(); idx > lg.CommitIndex() {
-				targets[name] = idx
-			}
-		}
-		if !n.waitCommitted(targets) {
+		if !n.waitCommitted(n.logs.uncommitted()) {
 			n.metrics.commitTimeouts.Inc()
 			crowd.WriteErr(w, http.StatusServiceUnavailable, "commit_timeout",
-				"write applied locally but not replicated within %s; retry", n.commitTimeout())
+				"write applied locally but not replicated within %s; retry", n.cfg.CommitTimeout)
 			return
 		}
 		// Ack-time leadership re-check: if a promotion fenced this node
@@ -579,14 +492,9 @@ func (n *Node) waitCommitted(targets map[string]uint64) bool {
 	n.kickReplicators()
 	n.recomputeCommit()
 	done := make(chan struct{})
-	t := time.AfterFunc(n.commitTimeout(), func() { close(done) })
+	t := time.AfterFunc(n.cfg.CommitTimeout, func() { close(done) })
 	defer t.Stop()
-	for name, idx := range targets {
-		if !n.logs[name].WaitCommitted(idx, done) {
-			return false
-		}
-	}
-	return true
+	return n.logs.waitCommitted(targets, done)
 }
 
 // kickReplicators nudges every replicator loop to push now rather than
@@ -616,16 +524,7 @@ func (n *Node) recomputeCommit() {
 		}
 	}
 	n.mu.Unlock()
-	for _, name := range logNames {
-		lg := n.logs[name]
-		min := lg.LastIndex()
-		for _, r := range quorum {
-			if a := r.ackedIndex(name); a < min {
-				min = a
-			}
-		}
-		lg.Commit(min)
-	}
+	n.logs.commitAcked(quorum)
 }
 
 // stepDown demotes a stale leader after its leadership was superseded —
@@ -658,7 +557,7 @@ func (n *Node) stepDown(newLeader string, newEpoch uint64) {
 	epoch := n.epoch
 	reps := append([]*Replicator(nil), n.replicators...)
 	n.mu.Unlock()
-	n.persistEpoch(epoch)
+	n.logs.setTerm(epoch)
 	n.metrics.stepDowns.Inc()
 	for _, r := range reps {
 		r.signalStop()
@@ -667,30 +566,17 @@ func (n *Node) stepDown(newLeader string, newEpoch uint64) {
 
 // freshEnough reports whether a follower may serve gated reads: it is
 // not a fenced ex-leader, heard from its leader within the staleness
-// window, and trails each log head by at most MaxLag entries.
+// window, and trails each log head by at most maxLag entries.
 func (n *Node) freshEnough() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.needResync {
 		return false
 	}
-	if time.Since(n.lastContact) > n.stalenessWindow() {
+	if time.Since(n.lastContact) > n.cfg.StalenessWindow {
 		return false
 	}
-	for name, head := range n.heads {
-		lg := n.logs[name]
-		if lg != nil && head > lg.LastIndex()+n.maxLag() {
-			return false
-		}
-	}
-	return true
-}
-
-// Promote turns a follower into its shard's leader at the next epoch
-// (operator convenience form of PromoteEpoch).
-func (n *Node) Promote() error {
-	_, err := n.PromoteEpoch(0)
-	return err
+	return !n.lagging
 }
 
 // PromoteEpoch turns a follower into its shard's leader: fence the old
@@ -708,6 +594,9 @@ func (n *Node) Promote() error {
 func (n *Node) PromoteEpoch(epoch uint64) (uint64, error) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
+	if err := n.logs.err(); err != nil {
+		return n.Epoch(), err
+	}
 	n.mu.Lock()
 	cur := n.epoch
 	if epoch == 0 {
@@ -731,13 +620,10 @@ func (n *Node) PromoteEpoch(epoch uint64) (uint64, error) {
 	for _, r := range reps {
 		r.signalStop()
 	}
-	if err := n.persistEpoch(epoch); err != nil {
+	if err := n.logs.setTerm(epoch); err != nil {
 		return epoch, err
 	}
-	for _, name := range logNames {
-		lg := n.logs[name]
-		lg.Commit(lg.LastIndex())
-	}
+	n.logs.commitAcked(nil)
 	n.metrics.promotions.Inc()
 	if err := n.srv.RebuildUserIndex(); err != nil {
 		return epoch, err
@@ -772,7 +658,7 @@ func (n *Node) Demote(newLeader string, newEpoch uint64) error {
 	}
 	epoch := n.epoch
 	n.mu.Unlock()
-	return n.persistEpoch(epoch)
+	return n.logs.setTerm(epoch)
 }
 
 // checkToken enforces the shared cluster secret on intra-cluster
@@ -797,19 +683,24 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
 		json.NewDecoder(r.Body).Decode(&body)
 	}
-	epoch, err := n.PromoteEpoch(body.Epoch)
-	if err != nil {
-		if errors.Is(err, ErrStaleEpoch) {
-			crowd.WriteJSON(w, http.StatusConflict, fencedBody{
-				Error: err.Error(), Code: "stale_epoch",
-				Epoch: epoch, Leader: n.LeaderURL(),
-			})
-			return
-		}
-		crowd.WriteErr(w, http.StatusInternalServerError, "promote_failed", "%v", err)
-		return
+	_, err := n.PromoteEpoch(body.Epoch)
+	n.writeRoleChange(w, "promote", err)
+}
+
+// writeRoleChange answers a promote or demote: the node's new position,
+// 409 stale_epoch naming the leadership that outranks the claim, or 500.
+func (n *Node) writeRoleChange(w http.ResponseWriter, op string, err error) {
+	switch {
+	case err == nil:
+		crowd.WriteJSON(w, http.StatusOK, map[string]interface{}{"role": string(n.Role()), "epoch": n.Epoch()})
+	case errors.Is(err, ErrStaleEpoch):
+		crowd.WriteJSON(w, http.StatusConflict, fencedBody{
+			Error: err.Error(), Code: "stale_epoch",
+			Epoch: n.Epoch(), Leader: n.LeaderURL(),
+		})
+	default:
+		crowd.WriteErr(w, http.StatusInternalServerError, op+"_failed", "%v", err)
 	}
-	crowd.WriteJSON(w, http.StatusOK, map[string]interface{}{"role": string(RoleLeader), "epoch": epoch})
 }
 
 // handleDemote steps a (possibly recovered stale) leader down in favor
@@ -827,18 +718,7 @@ func (n *Node) handleDemote(w http.ResponseWriter, r *http.Request) {
 		crowd.WriteErr(w, http.StatusBadRequest, "bad_demote", "bad demote body: %v", err)
 		return
 	}
-	if err := n.Demote(body.Leader, body.Epoch); err != nil {
-		if errors.Is(err, ErrStaleEpoch) {
-			crowd.WriteJSON(w, http.StatusConflict, fencedBody{
-				Error: err.Error(), Code: "stale_epoch",
-				Epoch: n.Epoch(), Leader: n.LeaderURL(),
-			})
-			return
-		}
-		crowd.WriteErr(w, http.StatusInternalServerError, "demote_failed", "%v", err)
-		return
-	}
-	crowd.WriteJSON(w, http.StatusOK, map[string]interface{}{"role": string(n.Role()), "epoch": n.Epoch()})
+	n.writeRoleChange(w, "demote", n.Demote(body.Leader, body.Epoch))
 }
 
 // handleAttach asks this (leader) node to start replicating to a
@@ -861,15 +741,7 @@ func (n *Node) handleAttach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	url := strings.TrimRight(body.Follower, "/")
-	n.mu.Lock()
-	exists := false
-	for _, rep := range n.replicators {
-		if rep.url == url {
-			exists = true
-			break
-		}
-	}
-	n.mu.Unlock()
+	exists := slices.Contains(n.Followers(), url)
 	if !exists {
 		n.AttachFollower(url, nil)
 	}
@@ -878,9 +750,10 @@ func (n *Node) handleAttach(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe: distinguishes a usable node
 // (leader, in-sync follower) from one that is merely up (stale or
-// fenced follower), so load balancers and the failure detector can
-// route around replicas that would answer reads with 412.
+// fenced follower, failed journal), so load balancers and the failure
+// detector can route around replicas that would answer reads with 412.
 func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	failed := n.journalFailed(nil)
 	n.mu.Lock()
 	role, epoch, fenced, suspect, leader := n.role, n.epoch, n.needResync, n.suspect, n.leaderURL
 	n.mu.Unlock()
@@ -891,22 +764,20 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Leader  string `json:"leader,omitempty"`
 		Suspect bool   `json:"suspect,omitempty"`
 	}{Role: role, Epoch: epoch, Leader: leader, Suspect: suspect}
-	status := http.StatusOK
+	status := http.StatusServiceUnavailable
 	switch {
+	case failed:
+		out.State = "journal_failed"
 	case role == RoleLeader:
-		out.State = "leader"
-		out.Leader = ""
+		out.State, out.Leader, status = "leader", "", http.StatusOK
 	case fenced:
 		out.State = "fenced"
-		status = http.StatusServiceUnavailable
 	case n.freshEnough():
-		out.State = "in_sync"
+		out.State, status = "in_sync", http.StatusOK
 	case leader == "":
 		out.State = "no_leader"
-		status = http.StatusServiceUnavailable
 	default:
 		out.State = "stale"
-		status = http.StatusServiceUnavailable
 	}
 	crowd.WriteJSON(w, status, out)
 }
@@ -926,13 +797,6 @@ func (n *Node) writeFenced(w http.ResponseWriter, epoch uint64, leader string) {
 	})
 }
 
-// LogInfo is one log's replication position.
-type LogInfo struct {
-	Last   uint64 `json:"last"`
-	Commit uint64 `json:"commit"`
-	Snap   uint64 `json:"snap"`
-}
-
 // InfoResponse is a node's self-description (/api/v1/cluster/info).
 type InfoResponse struct {
 	Shard     string             `json:"shard"`
@@ -946,6 +810,7 @@ type InfoResponse struct {
 }
 
 func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
+	n.journalFailed(nil)
 	n.mu.Lock()
 	role, epoch, adv, fenced, suspect := n.role, n.epoch, n.advertise, n.needResync, n.suspect
 	n.mu.Unlock()
@@ -957,33 +822,31 @@ func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Leader:    n.LeaderURL(),
 		Fenced:    fenced,
 		Suspect:   suspect,
-		Logs:      make(map[string]LogInfo, len(logNames)),
-	}
-	for _, name := range logNames {
-		st := n.logs[name].Stats()
-		info.Logs[name] = LogInfo{Last: st.LastIndex, Commit: st.CommitIndex, Snap: st.SnapIndex}
+		Logs:      n.logs.info(),
 	}
 	crowd.WriteJSON(w, http.StatusOK, info)
 }
 
-// handleApply is the follower side of replication: append the leader's
-// records (or restore its snapshot) into each log in the fixed order,
-// drive the state machines, and acknowledge the new positions. Applies
-// are idempotent — records at or below the local head are skipped — so
-// a retried batch is harmless.
+// handleApply is the follower side of replication: decide whether this
+// push may be applied, then hand its batches to the log set, which
+// applies them idempotently and acknowledges the new positions.
 //
 // The epoch gate runs first: a push from a leadership older than the
 // one this node holds or follows is fenced with 409 (the pusher steps
 // down), and a push from a strictly newer leadership demotes this node
 // if it thought itself leader. A demoted leader's log may carry an
 // appended tail the new leader never acknowledged, so before applying
-// anything the handler checks for divergence — the fenced flag, a
-// local head past the leader's, or an overlapping record whose payload
-// differs — and answers Resync:true; the leader then re-sends
-// everything as Force batches, which rebuild each log from the
-// leader's snapshot (replog.Log.Reset + state-machine reload).
+// anything the handler checks for divergence — the fenced flag, or
+// logs that differ from the leader's — and answers Resync:true; the
+// leader then re-sends everything as Force batches, which rebuild each
+// machine and log from the leader's snapshot.
 func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !n.checkToken(w, r) {
+		return
+	}
+	// A replica that cannot log is a dead replica: the 503 counts as a
+	// push failure and the leader drops it from the commit quorum.
+	if n.journalFailed(w) {
 		return
 	}
 	var req applyRequest
@@ -1020,108 +883,18 @@ func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
 
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	resp := applyResponse{Acked: make(map[string]uint64, len(logNames))}
-	force := false
-	for _, b := range req.Logs {
-		if b != nil && b.Force {
-			force = true
-			break
-		}
-	}
-	if !force && n.divergedFrom(&req) {
+	force := forced(req.Logs)
+	if !force && (n.Fenced() || n.logs.diverged(req.Logs)) {
+		// An empty apply acknowledges the positions as they are.
+		resp, _ := n.logs.apply(nil)
 		resp.Resync = true
-		for _, name := range logNames {
-			resp.Acked[name] = n.logs[name].LastIndex()
-		}
 		n.noteLeaderContact(&req)
 		crowd.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
-	usersChanged := false
-	problemCounts := make(map[string]int)
-	for _, name := range logNames {
-		lg := n.logs[name]
-		batch := req.Logs[name]
-		if batch == nil {
-			resp.Acked[name] = lg.LastIndex()
-			continue
-		}
-		m := n.machines[name]
-		switch {
-		case batch.Force:
-			// Truncation resync: discard this log wholesale — including
-			// any diverged tail — and rebuild from the leader's base
-			// snapshot (possibly empty).
-			var snap, data io.Reader = strings.NewReader(""), strings.NewReader("")
-			if batch.Snapshot != nil {
-				snap = strings.NewReader(*batch.Snapshot)
-				data = strings.NewReader(*batch.Snapshot)
-			}
-			if err := lg.Reset(batch.SnapshotIndex, snap); err != nil {
-				resp.Errors = appendApplyError(resp.Errors, name, err)
-				resp.Acked[name] = lg.LastIndex()
-				continue
-			}
-			if err := m.ReadJSONL(data); err != nil {
-				resp.Errors = appendApplyError(resp.Errors, name, err)
-				resp.Acked[name] = lg.LastIndex()
-				continue
-			}
-			if name == "users" {
-				usersChanged = true
-			}
-		case batch.Snapshot != nil && batch.SnapshotIndex > lg.LastIndex():
-			if err := lg.RestoreSnapshot(batch.SnapshotIndex, strings.NewReader(*batch.Snapshot)); err != nil {
-				resp.Errors = appendApplyError(resp.Errors, name, err)
-				resp.Acked[name] = lg.LastIndex()
-				continue
-			}
-			if err := m.ReadJSONL(strings.NewReader(*batch.Snapshot)); err != nil {
-				resp.Errors = appendApplyError(resp.Errors, name, err)
-				resp.Acked[name] = lg.LastIndex()
-				continue
-			}
-			if name == "users" {
-				usersChanged = true
-			}
-		}
-		applied := 0
-		for _, wr := range batch.Records {
-			if wr.Index <= lg.LastIndex() {
-				continue // duplicate delivery (divergence was ruled out above)
-			}
-			rec := replog.Record{Index: wr.Index, Payload: []byte(wr.Payload)}
-			if err := lg.AppendRecord(rec); err != nil {
-				resp.Errors = appendApplyError(resp.Errors, name, err)
-				break
-			}
-			if err := m.ApplyLogRecord(rec); err != nil {
-				resp.Errors = appendApplyError(resp.Errors, name, err)
-				break
-			}
-			applied++
-			switch name {
-			case "users":
-				usersChanged = true
-			case "func_evals":
-				countProblemAppends(wr.Payload, problemCounts)
-			}
-		}
-		// A follower's durable head is its commit point: everything
-		// applied is acknowledged upstream.
-		lg.Commit(lg.LastIndex())
-		resp.Acked[name] = lg.LastIndex()
-		if applied > 0 {
-			n.metrics.appliedRecords.Add(int64(applied))
-		}
-	}
-	if usersChanged {
-		if err := n.srv.RebuildUserIndex(); err != nil {
-			resp.Errors = appendApplyError(resp.Errors, "users", err)
-		}
-	}
-	for p, k := range problemCounts {
-		n.srv.NotifyProblemAppend(p, k)
+	resp, applied := n.logs.apply(req.Logs)
+	if applied > 0 {
+		n.metrics.appliedRecords.Add(int64(applied))
 	}
 	if force && len(resp.Errors) == 0 {
 		// A clean force apply rebuilt every log from the leader's state:
@@ -1135,47 +908,9 @@ func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
 	crowd.WriteJSON(w, http.StatusOK, resp)
 }
 
-// divergedFrom reports whether this follower's logs can have records
-// the pushing leader does not carry — the fenced flag a deposed leader
-// raised at step-down, a local head past the leader's, or an
-// overlapping record whose payload differs from the leader's copy.
-// Ordinary followers never diverge (they only ever append what a
-// leader pushed), so the scan almost always short-circuits.
-func (n *Node) divergedFrom(req *applyRequest) bool {
-	n.mu.Lock()
-	fenced := n.needResync
-	n.mu.Unlock()
-	if fenced {
-		return true
-	}
-	for _, name := range logNames {
-		batch := req.Logs[name]
-		if batch == nil {
-			continue
-		}
-		lg := n.logs[name]
-		last := lg.LastIndex()
-		if batch.Head < last {
-			return true
-		}
-		for _, wr := range batch.Records {
-			if wr.Index > last {
-				break // past our head: pure append, no overlap left
-			}
-			local, err := lg.Entries(wr.Index-1, 1)
-			if err != nil || len(local) != 1 {
-				continue // compacted below our snapshot: cannot compare
-			}
-			if !bytes.Equal(local[0].Payload, []byte(wr.Payload)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // noteLeaderContact records a (gate-passing) leader push: its address,
-// epoch and per-log heads, and the freshness clock gated reads check.
+// epoch and how far its heads are ahead (a follower's logs move only
+// when a push applies), and the freshness clock gated reads check.
 func (n *Node) noteLeaderContact(req *applyRequest) {
 	n.mu.Lock()
 	n.leaderURL = req.Leader
@@ -1187,45 +922,11 @@ func (n *Node) noteLeaderContact(req *applyRequest) {
 		bumped = true
 	}
 	epoch := n.epoch
-	for name, b := range req.Logs {
-		if b != nil {
-			n.heads[name] = b.Head
-		}
-	}
+	n.lagging = n.logs.lagging(req.Logs)
 	n.mu.Unlock()
 	if bumped {
-		n.persistEpoch(epoch)
+		n.logs.setTerm(epoch)
 	}
-}
-
-// countProblemAppends extracts per-problem sample counts from a
-// func_evals insert record so the follower's suggest service learns
-// about replicated samples (the leader's upload path notifies locally).
-func countProblemAppends(payload json.RawMessage, counts map[string]int) {
-	var lr struct {
-		Op   string `json:"op"`
-		Docs []struct {
-			Problem string `json:"tuning_problem_name"`
-		} `json:"docs"`
-	}
-	if json.Unmarshal(payload, &lr) != nil || lr.Op != "insert" {
-		return
-	}
-	for _, d := range lr.Docs {
-		if d.Problem != "" {
-			counts[d.Problem]++
-		}
-	}
-}
-
-func appendApplyError(errs map[string]string, name string, err error) map[string]string {
-	if errs == nil {
-		errs = make(map[string]string)
-	}
-	if _, dup := errs[name]; !dup {
-		errs[name] = err.Error()
-	}
-	return errs
 }
 
 // bufferedResponse holds a handler's response so the commit barrier can

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"gptunecrowd/internal/crowd"
-	"gptunecrowd/internal/replog"
 )
 
 // Replication tuning. The intervals are NodeConfig defaults (chaos
@@ -122,7 +120,7 @@ type Replicator struct {
 // of wedging the loop.
 func (n *Node) AttachFollower(baseURL string, httpClient *http.Client) *Replicator {
 	if httpClient == nil {
-		httpClient = n.internalClient()
+		httpClient = n.cfg.InternalClient
 	}
 	r := &Replicator{
 		node:   n,
@@ -164,9 +162,6 @@ func (r *Replicator) signalStop() {
 	r.stopOnce.Do(func() { close(r.stopCh) })
 }
 
-// URL returns the follower's base URL.
-func (r *Replicator) URL() string { return r.url }
-
 // Alive reports whether the follower is in the commit quorum.
 func (r *Replicator) Alive() bool {
 	r.mu.Lock()
@@ -191,7 +186,7 @@ func (r *Replicator) kick() {
 
 func (r *Replicator) run() {
 	defer close(r.doneCh)
-	timer := time.NewTimer(r.node.heartbeatInterval())
+	timer := time.NewTimer(r.node.cfg.HeartbeatInterval)
 	defer timer.Stop()
 	for {
 		select {
@@ -214,7 +209,7 @@ func (r *Replicator) run() {
 			// More entries than one batch: push again immediately.
 			r.kick()
 		}
-		timer.Reset(r.node.heartbeatInterval())
+		timer.Reset(r.node.cfg.HeartbeatInterval)
 	}
 }
 
@@ -228,13 +223,16 @@ func (r *Replicator) isFenced() bool {
 // returns true when the follower is still behind and another push
 // should follow at once.
 func (r *Replicator) push() bool {
-	req, err := r.buildRequest()
-	if err != nil {
-		r.node.metrics.replicationErrs.Inc()
-		r.noteFailure()
-		return false
+	r.mu.Lock()
+	force := r.needForce // the follower asked for a resync: Force batches
+	r.mu.Unlock()
+	var resp *applyResponse
+	logs, err := r.node.logs.batches(r.ackedIndex, force)
+	if err == nil {
+		resp, err = r.send(&applyRequest{
+			Shard: r.node.cfg.Shard, Leader: r.node.Advertise(), Epoch: r.node.Epoch(), Logs: logs,
+		})
 	}
-	resp, err := r.send(req)
 	if err != nil {
 		r.node.metrics.replicationErrs.Inc()
 		r.noteFailure()
@@ -261,66 +259,7 @@ func (r *Replicator) push() bool {
 		r.node.metrics.replicationErrs.Inc()
 	}
 	r.node.recomputeCommit()
-	for _, name := range logNames {
-		if r.node.logs[name].LastIndex() > r.ackedIndex(name) {
-			return true
-		}
-	}
-	return false
-}
-
-// buildRequest assembles the per-log batches after the follower's
-// acknowledged positions. A follower behind the compaction horizon
-// gets the current snapshot plus the entries after it; a follower that
-// requested a resync gets every log as a Force batch — its current
-// base snapshot (possibly absent) plus all retained entries — so the
-// follower can discard a diverged tail and rebuild.
-func (r *Replicator) buildRequest() (*applyRequest, error) {
-	req := &applyRequest{
-		Shard:  r.node.cfg.Shard,
-		Leader: r.node.Advertise(),
-		Epoch:  r.node.Epoch(),
-		Logs:   make(map[string]*applyLogBatch, len(logNames)),
-	}
-	r.mu.Lock()
-	force := r.needForce
-	r.mu.Unlock()
-	for _, name := range logNames {
-		lg := r.node.logs[name]
-		batch := &applyLogBatch{Head: lg.LastIndex()}
-		after := r.ackedIndex(name)
-		var (
-			ents []replog.Record
-			err  error
-		)
-		if force {
-			batch.Force = true
-			err = replog.ErrCompacted // take the snapshot path below
-		} else {
-			ents, err = lg.Entries(after, maxBatchRecords)
-		}
-		if errors.Is(err, replog.ErrCompacted) {
-			var sb strings.Builder
-			idx, ok, serr := lg.Snapshot(&sb)
-			if serr != nil {
-				return nil, fmt.Errorf("cluster: snapshot %s: %w", name, serr)
-			}
-			if ok {
-				s := sb.String()
-				batch.Snapshot = &s
-				batch.SnapshotIndex = idx
-			}
-			ents, err = lg.Entries(idx, maxBatchRecords)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cluster: entries %s after %d: %w", name, after, err)
-		}
-		for _, e := range ents {
-			batch.Records = append(batch.Records, wireRecord{Index: e.Index, Payload: json.RawMessage(e.Payload)})
-		}
-		req.Logs[name] = batch
-	}
-	return req, nil
+	return r.node.logs.behind(r.ackedIndex)
 }
 
 func (r *Replicator) send(req *applyRequest) (*applyResponse, error) {
@@ -328,7 +267,7 @@ func (r *Replicator) send(req *applyRequest) (*applyResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.node.pushTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), r.node.cfg.PushTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.url+"/api/v1/cluster/apply", bytes.NewReader(body))
 	if err != nil {

@@ -30,9 +30,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline installed on every
 	// request context. Store scans that outlive it abort with HTTP 503.
 	RequestTimeout time.Duration
-	// MaxRememberedBatches bounds the idempotency cache of completed
-	// upload batch ids (oldest completed entries are evicted first).
-	MaxRememberedBatches int
 	// Slog receives one structured record per served request (method,
 	// path, status, bytes, duration, trace). nil disables structured
 	// request logging.
@@ -62,10 +59,13 @@ type Config struct {
 
 // Defaults for the zero Config.
 const (
-	DefaultMaxInFlight          = 256
-	DefaultRequestTimeout       = 30 * time.Second
-	DefaultMaxRememberedBatches = 4096
+	DefaultMaxInFlight    = 256
+	DefaultRequestTimeout = 30 * time.Second
 )
+
+// maxRememberedBatches bounds the idempotency cache of completed upload
+// batch ids (oldest completed entries are evicted first).
+const maxRememberedBatches = 4096
 
 func (c Config) maxInFlight() int {
 	if c.MaxInFlight > 0 {
@@ -79,13 +79,6 @@ func (c Config) requestTimeout() time.Duration {
 		return c.RequestTimeout
 	}
 	return DefaultRequestTimeout
-}
-
-func (c Config) maxBatches() int {
-	if c.MaxRememberedBatches > 0 {
-		return c.MaxRememberedBatches
-	}
-	return DefaultMaxRememberedBatches
 }
 
 // MetricsSnapshot is a point-in-time copy of the server's request
@@ -517,7 +510,7 @@ func (s *Server) once(kind, user, batchID string, apply func() (int, interface{}
 	e := &batchEntry{done: make(chan struct{})}
 	s.batches[key] = e
 	s.batchOrder = append(s.batchOrder, key)
-	for len(s.batchOrder) > s.cfg.maxBatches() {
+	for len(s.batchOrder) > maxRememberedBatches {
 		oldest := s.batches[s.batchOrder[0]]
 		finished := false
 		select {

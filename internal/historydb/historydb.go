@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,15 +42,14 @@ type Document = map[string]interface{}
 // and a fresh index instead of touching the ones readers may still be
 // walking.
 type Collection struct {
-	mu     sync.RWMutex
-	name   string
-	docs   []Document
-	byID   map[string]int // _id → position in docs (first one, should ids repeat)
-	dupIDs bool           // a loaded file repeated an _id: byID cannot answer Eq("_id")
-	index  *partition     // nil until IndexBy
-	nextID int64
-	log    *replog.Log
-	logErr error
+	mu      sync.RWMutex
+	name    string
+	docs    []Document
+	byID    map[string]int // _id → position in docs (first one, should ids repeat)
+	dupIDs  bool           // a loaded file repeated an _id: byID cannot answer Eq("_id")
+	index   *partition     // nil until IndexBy
+	nextID  int64
+	journal *replog.Journal
 }
 
 // partition is the collection's one secondary index: the stored
@@ -96,11 +94,12 @@ func indexKey(v interface{}) (interface{}, bool) {
 
 // NewCollection returns an empty collection.
 func NewCollection(name string) *Collection {
-	return &Collection{name: name, nextID: 1, byID: make(map[string]int)}
+	c := &Collection{name: name, nextID: 1, byID: make(map[string]int)}
+	c.journal = replog.NewJournal(c, &c.mu, func(w io.Writer) error {
+		return writeJSONL(w, c.docs, c.nextID)
+	})
+	return c
 }
-
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
 
 // Len returns the number of stored documents.
 func (c *Collection) Len() int {
@@ -196,14 +195,18 @@ func (c *Collection) InsertMany(docs []Document) ([]string, error) {
 	defer c.mu.Unlock()
 	ids := make([]string, len(cps))
 	for i, cp := range cps {
-		id := strconv.FormatInt(c.nextID, 10)
-		c.nextID++
-		cp["_id"] = id
-		ids[i] = id
-		c.appendLocked(cp)
+		ids[i] = strconv.FormatInt(c.nextID+int64(i), 10)
+		cp["_id"] = ids[i]
 	}
+	next := c.nextID + int64(len(cps))
 	if len(cps) > 0 {
-		c.journalLocked(logRecord{Op: "insert", Docs: cps, NextID: c.nextID})
+		if err := c.journal.Append(logRecord{Op: "insert", Docs: cps, NextID: next}); err != nil {
+			return nil, err
+		}
+	}
+	c.nextID = next
+	for _, cp := range cps {
+		c.appendLocked(cp)
 	}
 	return ids, nil
 }
@@ -333,10 +336,10 @@ func (c *Collection) Delete(q Query) int {
 		kept = append(kept, d)
 	}
 	removed := len(c.docs) - len(kept)
-	if removed > 0 {
-		c.setDocsLocked(kept)
-		c.journalLocked(logRecord{Op: "delete", IDs: removedIDs})
+	if removed == 0 || c.journal.Append(logRecord{Op: "delete", IDs: removedIDs}) != nil {
+		return 0
 	}
+	c.setDocsLocked(kept)
 	return removed
 }
 
@@ -363,34 +366,41 @@ func (c *Collection) Update(q Query, fn func(Document)) int {
 			updated = append(updated, cp)
 		}
 	}
-	if len(updated) > 0 {
-		c.setDocsLocked(next)
-		c.journalLocked(logRecord{Op: "update", Docs: updated})
+	if len(updated) == 0 || c.journal.Append(logRecord{Op: "update", Docs: updated}) != nil {
+		return 0
 	}
+	c.setDocsLocked(next)
 	return len(updated)
 }
 
-// WriteJSONL serializes the collection, one document per line. It
-// serializes a snapshot, so a persistence flush never blocks traffic.
+// WriteJSONL serializes the collection, one document per line and the
+// id watermark last (see watermarkKey). It serializes a snapshot taken
+// under the lock and written outside it, so it never blocks traffic.
 func (c *Collection) WriteJSONL(w io.Writer) error {
+	c.mu.RLock()
+	docs, nextID := c.docs, c.nextID
+	c.mu.RUnlock()
+	return writeJSONL(w, docs, nextID)
+}
+
+func writeJSONL(w io.Writer, docs []Document, nextID int64) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	var encErr error
-	c.Scan(context.Background(), nil, func(d Document) bool {
-		encErr = enc.Encode(d)
-		return encErr == nil
-	})
-	if encErr != nil {
-		return encErr
+	for _, d := range docs {
+		if err := enc.Encode(d); err != nil {
+			return err
+		}
+	}
+	if err := enc.Encode(map[string]int64{watermarkKey: nextID}); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
 // ReadJSONL replaces the collection contents from a JSONL stream,
 // preserving existing _id fields and advancing the id counter past
-// them. A compaction snapshot's trailing watermark record (see
-// watermarkKey) restores the exact counter; streams without one —
-// legacy files, pre-watermark snapshots — fall back to maxID+1.
+// them. A snapshot's trailing watermark record (see watermarkKey)
+// restores the exact counter; streams without one fall back to maxID+1.
 func (c *Collection) ReadJSONL(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -464,18 +474,6 @@ func (s *Store) Collection(name string) *Collection {
 	c = NewCollection(name)
 	s.collections[name] = c
 	return c
-}
-
-// Names lists the collection names, sorted.
-func (s *Store) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.collections))
-	for n := range s.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // deepCopy clones a document into the normal form a JSON round trip

@@ -226,10 +226,6 @@ func TestStore(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatal("collections should be independent")
 	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "alpha" {
-		t.Fatalf("Names = %v", names)
-	}
 }
 
 func TestConcurrentAccess(t *testing.T) {

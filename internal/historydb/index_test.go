@@ -97,13 +97,12 @@ func randomDoc(rng *rand.Rand) Document {
 func TestPlannerMatchesBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		lg, err := replog.Open(t.TempDir(), replog.Options{Name: "prop"})
-		if err != nil {
-			t.Fatal(err)
-		}
 		leader := NewCollection("leader")
 		leader.IndexBy("p")
-		leader.BindLog(lg)
+		if err := leader.Journal().Open(t.TempDir(), replog.Options{Name: "prop"}); err != nil {
+			t.Fatal(err)
+		}
+		lg := leader.Journal().Log()
 		follower := NewCollection("follower")
 		follower.IndexBy("p")
 		applied := uint64(0)
@@ -112,11 +111,17 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 		restart := func() {
 			follower = NewCollection("follower")
 			follower.IndexBy("p")
-			if err := follower.ReplayLog(lg); err != nil {
+			var snap strings.Builder
+			idx, ok, err := lg.Snapshot(&snap)
+			if err != nil {
 				t.Fatal(err)
 			}
-			follower.BindLog(nil)
-			applied = lg.LastIndex()
+			if ok {
+				if err := follower.ReadJSONL(strings.NewReader(snap.String())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			applied = idx // the loop below ships the entries after the snapshot
 		}
 
 		check := func(c *Collection, step int, op string) {
@@ -189,7 +194,7 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 				leader.Update(randomQuery(rng, 1), func(d Document) { d["p"] = p }) // moves documents between buckets
 			case 6:
 				op = "CompactLog+replay"
-				if err := leader.CompactLog(); err != nil {
+				if err := leader.Journal().Compact(); err != nil {
 					t.Fatal(err)
 				}
 				restart() // a compacted prefix no longer ships as records
@@ -219,7 +224,7 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 			default:
 				op = "ApplyLogRecord(duplicate)"
 				// Redeliver an old record: upsert must leave one copy.
-				if recs, err := lg.Entries(lg.SnapIndex(), 1); err == nil && len(recs) == 1 {
+				if recs, err := lg.Entries(lg.Stats().SnapIndex, 1); err == nil && len(recs) == 1 {
 					if err := follower.ApplyLogRecord(recs[0]); err != nil {
 						t.Fatal(err)
 					}

@@ -8,6 +8,16 @@ import (
 	"gptunecrowd/internal/replog"
 )
 
+// openLog opens c's journal at dir ("" is memory-only) and returns the
+// bound log.
+func openLog(t *testing.T, c *Collection, dir string) *replog.Log {
+	t.Helper()
+	if err := c.Journal().Open(dir, replog.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return c.Journal().Log()
+}
+
 func snapshotBytes(t *testing.T, c *Collection) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -23,10 +33,7 @@ func snapshotBytes(t *testing.T, c *Collection) []byte {
 func TestJournalReplayMatchesLive(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "evals-log")
 	live := NewCollection("func_evals")
-	lg, err := live.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg := openLog(t, live, dir)
 
 	for i := 0; i < 10; i++ {
 		if _, err := live.Insert(Document{"n": i, "keep": i%2 == 0}); err != nil {
@@ -40,16 +47,13 @@ func TestJournalReplayMatchesLive(t *testing.T) {
 	if removed := live.Delete(Eq("keep", false)); removed != 5 {
 		t.Fatalf("removed %d, want 5", removed)
 	}
-	if err := live.LogError(); err != nil {
+	if err := live.Journal().Err(); err != nil {
 		t.Fatal(err)
 	}
 	lg.Close()
 
 	restored := NewCollection("func_evals")
-	lg2, err := restored.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg2 := openLog(t, restored, dir)
 	defer lg2.Close()
 	if !bytes.Equal(snapshotBytes(t, live), snapshotBytes(t, restored)) {
 		t.Fatal("replayed collection differs from live collection")
@@ -69,10 +73,7 @@ func TestJournalReplayMatchesLive(t *testing.T) {
 // byte-identical convergence.
 func TestJournalFollowerApply(t *testing.T) {
 	leader := NewCollection("c")
-	lg, err := leader.OpenLog("", replog.Options{}) // memory-only
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg := openLog(t, leader, "")
 	defer lg.Close()
 
 	for i := 0; i < 6; i++ {
@@ -109,17 +110,14 @@ func TestJournalFollowerApply(t *testing.T) {
 func TestJournalCompaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log")
 	c := NewCollection("c")
-	lg, err := c.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg := openLog(t, c, dir)
 	for i := 0; i < 20; i++ {
 		if _, err := c.Insert(Document{"i": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Delete(Eq("i", float64(7)))
-	if err := c.CompactLog(); err != nil {
+	if err := c.Journal().Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if n := lg.Stats().Entries; n != 0 {
@@ -129,16 +127,13 @@ func TestJournalCompaction(t *testing.T) {
 	if _, err := c.Insert(Document{"i": 999}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.LogError(); err != nil {
+	if err := c.Journal().Err(); err != nil {
 		t.Fatal(err)
 	}
 	lg.Close()
 
 	r := NewCollection("c")
-	lg2, err := r.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg2 := openLog(t, r, dir)
 	defer lg2.Close()
 	if !bytes.Equal(snapshotBytes(t, c), snapshotBytes(t, r)) {
 		t.Fatal("post-compaction replay differs")
@@ -162,10 +157,7 @@ func TestJournalUnknownOpRejected(t *testing.T) {
 func TestCompactionPreservesIDWatermark(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wm-log")
 	live := NewCollection("c")
-	lg, err := live.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg := openLog(t, live, dir)
 	for i := 0; i < 5; i++ {
 		if _, err := live.Insert(Document{"i": i}); err != nil {
 			t.Fatal(err)
@@ -178,23 +170,52 @@ func TestCompactionPreservesIDWatermark(t *testing.T) {
 			t.Fatalf("removed %d docs for i=%v, want 1", removed, i)
 		}
 	}
-	if err := live.CompactLog(); err != nil {
+	if err := live.Journal().Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := live.LogError(); err != nil {
+	if err := live.Journal().Err(); err != nil {
 		t.Fatal(err)
 	}
 	lg.Close()
 
 	restored := NewCollection("c")
-	lg2, err := restored.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg2 := openLog(t, restored, dir)
 	defer lg2.Close()
 	if id, err := restored.Insert(Document{"i": 99}); err != nil {
 		t.Fatal(err)
 	} else if id != "6" {
 		t.Fatalf("id after compaction+reopen = %q, want \"6\" (watermark regressed)", id)
+	}
+}
+
+// TestJournalFailureRefusesMutations: once the log under a collection
+// stops taking appends, no mutation is applied and InsertMany says so —
+// the write path has an error to act on instead of a silent gap.
+func TestJournalFailureRefusesMutations(t *testing.T) {
+	c := NewCollection("c")
+	lg := openLog(t, c, t.TempDir())
+	if _, err := c.InsertMany([]Document{{"i": 1}, {"i": 2}}); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotBytes(t, c)
+	lg.Close() // the next append fails
+
+	if ids, err := c.InsertMany([]Document{{"i": 3}}); err == nil {
+		t.Fatalf("insert acknowledged ids %v although the journal append failed", ids)
+	}
+	if c.Journal().Err() == nil {
+		t.Fatal("the failed append did not stick")
+	}
+	if n := c.Delete(Eq("i", float64(1))); n != 0 {
+		t.Fatalf("delete removed %d documents the journal did not record", n)
+	}
+	if n := c.Update(nil, func(d Document) { d["touched"] = true }); n != 0 {
+		t.Fatalf("update changed %d documents the journal did not record", n)
+	}
+	if !bytes.Equal(before, snapshotBytes(t, c)) {
+		t.Fatal("collection changed although nothing could be journaled")
+	}
+	if lg.LastIndex() != 1 {
+		t.Fatalf("LastIndex = %d, want 1", lg.LastIndex())
 	}
 }

@@ -1,6 +1,17 @@
+// Package optimize provides the optimizers that drive surrogate-model
+// hyperparameter fitting and acquisition-function maximization: L-BFGS
+// with backtracking line search, differential evolution, and a
+// multi-start driver. All routines minimize.
 package optimize
 
 import "math"
+
+// Result reports the outcome of a minimization.
+type Result struct {
+	X     []float64 // best point found
+	F     float64   // objective value at X
+	Evals int       // number of objective evaluations
+}
 
 // LBFGSConfig controls the limited-memory BFGS minimizer.
 type LBFGSConfig struct {

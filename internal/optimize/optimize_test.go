@@ -37,41 +37,6 @@ func rosenbrockGrad(x []float64) (float64, []float64) {
 	return s, g
 }
 
-func TestNelderMeadSphere(t *testing.T) {
-	r := NelderMead(sphere, []float64{3, -2, 1}, NelderMeadConfig{})
-	if r.F > 1e-8 {
-		t.Fatalf("NelderMead sphere f = %v at %v", r.F, r.X)
-	}
-}
-
-func TestNelderMeadRosenbrock2D(t *testing.T) {
-	r := NelderMead(rosenbrock, []float64{-1.2, 1}, NelderMeadConfig{MaxIter: 2000})
-	if math.Abs(r.X[0]-1) > 1e-3 || math.Abs(r.X[1]-1) > 1e-3 {
-		t.Fatalf("NelderMead rosenbrock x = %v (f=%v)", r.X, r.F)
-	}
-}
-
-func TestNelderMead1D(t *testing.T) {
-	f := func(x []float64) float64 { return (x[0] - 2.5) * (x[0] - 2.5) }
-	r := NelderMead(f, []float64{0}, NelderMeadConfig{})
-	if math.Abs(r.X[0]-2.5) > 1e-4 {
-		t.Fatalf("1-D minimum at %v", r.X)
-	}
-}
-
-func TestNelderMeadHandlesInf(t *testing.T) {
-	f := func(x []float64) float64 {
-		if x[0] < 0 {
-			return math.Inf(1)
-		}
-		return (x[0] - 1) * (x[0] - 1)
-	}
-	r := NelderMead(f, []float64{3}, NelderMeadConfig{})
-	if math.Abs(r.X[0]-1) > 1e-3 {
-		t.Fatalf("constrained minimum at %v", r.X)
-	}
-}
-
 func TestLBFGSRosenbrock(t *testing.T) {
 	r := LBFGS(rosenbrockGrad, []float64{-1.2, 1}, LBFGSConfig{MaxIter: 500})
 	if math.Abs(r.X[0]-1) > 1e-4 || math.Abs(r.X[1]-1) > 1e-4 {
@@ -188,7 +153,7 @@ func TestMultiStart(t *testing.T) {
 		return math.Min(a*a+1, b*b) // global min 0 at x=3
 	}
 	r := MultiStart([][]float64{{-2.1}, {2.9}}, func(x0 []float64) Result {
-		return NelderMead(f, x0, NelderMeadConfig{})
+		return LBFGS(NumericGradient(f, 1e-6), x0, LBFGSConfig{})
 	})
 	if math.Abs(r.X[0]-3) > 1e-3 {
 		t.Fatalf("multistart found %v", r.X)

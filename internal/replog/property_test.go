@@ -3,10 +3,13 @@ package replog
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -16,25 +19,50 @@ import (
 // means byte-identical snapshots).
 type hashMachine struct {
 	lines []string
+	// reject, when set, makes ApplyLogRecord refuse that payload.
+	reject string
 }
 
-func (m *hashMachine) apply(rec Record) error {
+func (m *hashMachine) ApplyLogRecord(rec Record) error {
+	if m.reject != "" && string(rec.Payload) == m.reject {
+		return errors.New("hashMachine: rejected record")
+	}
 	m.lines = append(m.lines, string(rec.Payload))
 	return nil
 }
 
-func (m *hashMachine) restore(r io.Reader) error {
-	m.lines = nil
+func (m *hashMachine) ReadJSONL(r io.Reader) error {
+	var lines []string
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		if s := strings.TrimSpace(sc.Text()); s != "" {
-			m.lines = append(m.lines, s)
+			if !json.Valid([]byte(s)) {
+				return errors.New("hashMachine: bad snapshot line")
+			}
+			lines = append(lines, s)
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	m.lines = lines
+	return nil
 }
 
-func (m *hashMachine) snapshot(w io.Writer) error {
+func (m *hashMachine) Len() int { return len(m.lines) }
+
+// journal returns a fresh machine and its journal opened at dir.
+func openHashJournal(t *testing.T, dir string, opts Options) (*hashMachine, *Journal) {
+	t.Helper()
+	m := &hashMachine{}
+	j := NewJournal(m, new(sync.Mutex), m.WriteJSONL)
+	if err := j.Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	return m, j
+}
+
+func (m *hashMachine) WriteJSONL(w io.Writer) error {
 	for _, l := range m.lines {
 		if _, err := fmt.Fprintln(w, l); err != nil {
 			return err
@@ -45,7 +73,7 @@ func (m *hashMachine) snapshot(w io.Writer) error {
 
 func (m *hashMachine) hash() [32]byte {
 	var sb strings.Builder
-	m.snapshot(&sb)
+	m.WriteJSONL(&sb)
 	return sha256.Sum256([]byte(sb.String()))
 }
 
@@ -59,65 +87,46 @@ func TestReplayDeterminismProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			dir := t.TempDir()
-			segMax := 1 + rng.Intn(5)
-			l, err := Open(dir, Options{SegmentMaxRecords: segMax})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			oracle := &hashMachine{} // every payload applied in order
-			live := &hashMachine{}   // the machine attached to the log
+			opts := Options{SegmentMaxRecords: 1 + rng.Intn(5)}
+			oracle := &hashMachine{}                 // every payload applied in order
+			live, j := openHashJournal(t, dir, opts) // the machine paired with the log
 			total := 40 + rng.Intn(80)
 			written := 0
 			for written < total {
 				batch := 1 + rng.Intn(7)
 				for b := 0; b < batch && written < total; b++ {
 					payload := fmt.Sprintf(`{"op":%d,"v":%d}`, written, rng.Intn(1000))
-					rec, err := l.Append([]byte(payload))
-					if err != nil {
+					rec := Record{Payload: []byte(payload)}
+					oracle.ApplyLogRecord(rec)
+					live.ApplyLogRecord(rec)
+					if err := j.Append(json.RawMessage(payload)); err != nil {
 						t.Fatal(err)
 					}
-					oracle.apply(rec)
-					live.apply(rec)
 					written++
 				}
 				switch rng.Intn(4) {
 				case 0: // compact at the current head
-					if err := l.Compact(l.LastIndex(), live.snapshot); err != nil {
+					if err := j.Compact(); err != nil {
 						t.Fatal(err)
 					}
 				case 1: // restart: close, reopen, replay from disk
-					l.Close()
-					l, err = Open(dir, Options{SegmentMaxRecords: segMax})
-					if err != nil {
-						t.Fatal(err)
-					}
-					live = &hashMachine{}
-					if err := l.Replay(live.restore, live.apply); err != nil {
-						t.Fatal(err)
-					}
+					j.Log().Close()
+					live, j = openHashJournal(t, dir, opts)
 					if live.hash() != oracle.hash() {
 						t.Fatalf("state diverged after restart at %d ops", written)
 					}
 				}
 			}
-			l.Close()
+			j.Log().Close()
 
 			// Final check: a cold replay reconstructs the oracle exactly.
-			l2, err := Open(dir, Options{SegmentMaxRecords: segMax})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l2.Close()
-			replayed := &hashMachine{}
-			if err := l2.Replay(replayed.restore, replayed.apply); err != nil {
-				t.Fatal(err)
-			}
+			replayed, j2 := openHashJournal(t, dir, opts)
+			defer j2.Log().Close()
 			if replayed.hash() != oracle.hash() {
 				t.Fatalf("cold replay hash != oracle hash after %d ops", total)
 			}
-			if l2.LastIndex() != uint64(total) {
-				t.Fatalf("LastIndex = %d, want %d", l2.LastIndex(), total)
+			if last := j2.Log().LastIndex(); last != uint64(total) {
+				t.Fatalf("LastIndex = %d, want %d", last, total)
 			}
 		})
 	}
@@ -132,47 +141,36 @@ func TestFollowerReplicationProperty(t *testing.T) {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(2000 + trial)))
-			leader, err := Open(t.TempDir(), Options{SegmentMaxRecords: 1 + rng.Intn(4)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			leaderSM, lj := openHashJournal(t, t.TempDir(), Options{SegmentMaxRecords: 1 + rng.Intn(4)})
+			leader := lj.Log()
 			defer leader.Close()
-			leaderSM := &hashMachine{}
 			total := 30 + rng.Intn(60)
 			for i := 0; i < total; i++ {
 				payload := fmt.Sprintf(`{"op":%d}`, i)
-				rec, err := leader.Append([]byte(payload))
-				if err != nil {
+				leaderSM.ApplyLogRecord(Record{Payload: []byte(payload)})
+				if err := lj.Append(json.RawMessage(payload)); err != nil {
 					t.Fatal(err)
 				}
-				leaderSM.apply(rec)
 				// Occasionally compact the leader mid-stream so late
 				// followers must catch up via snapshot.
 				if rng.Intn(10) == 0 {
-					if err := leader.Compact(leader.LastIndex(), leaderSM.snapshot); err != nil {
+					if err := lj.Compact(); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 
 			followerDir := t.TempDir()
-			follower, err := Open(followerDir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			followerSM := &hashMachine{}
-			for follower.LastIndex() < leader.LastIndex() {
-				recs, err := leader.Entries(follower.LastIndex(), 1+rng.Intn(9))
-				if err == ErrCompacted || (err != nil && strings.Contains(err.Error(), "compacted")) {
+			followerSM, fj := openHashJournal(t, followerDir, Options{})
+			for fj.Log().LastIndex() < leader.LastIndex() {
+				recs, err := leader.Entries(fj.Log().LastIndex(), 1+rng.Intn(9))
+				if errors.Is(err, ErrCompacted) {
 					var snap strings.Builder
 					idx, ok, serr := leader.Snapshot(&snap)
 					if serr != nil || !ok {
 						t.Fatalf("snapshot catch-up: ok=%v err=%v", ok, serr)
 					}
-					if err := follower.RestoreSnapshot(idx, strings.NewReader(snap.String())); err != nil {
-						t.Fatal(err)
-					}
-					if err := followerSM.restore(strings.NewReader(snap.String())); err != nil {
+					if err := fj.Restore(idx, snap.String(), false); err != nil {
 						t.Fatal(err)
 					}
 					continue
@@ -184,35 +182,18 @@ func TestFollowerReplicationProperty(t *testing.T) {
 				// delivery after a lost ack must be harmless).
 				for pass := 0; pass < 1+rng.Intn(2); pass++ {
 					for _, rec := range recs {
-						if rec.Index <= follower.LastIndex() && pass > 0 {
-							if err := follower.AppendRecord(rec); err != nil {
-								t.Fatal(err)
-							}
-							continue
-						}
-						before := follower.LastIndex()
-						if err := follower.AppendRecord(rec); err != nil {
+						if err := fj.Apply(rec); err != nil {
 							t.Fatal(err)
-						}
-						if follower.LastIndex() > before {
-							followerSM.apply(rec)
 						}
 					}
 				}
 				// Occasional follower restart from its own disk.
 				if rng.Intn(6) == 0 {
-					follower.Close()
-					follower, err = Open(followerDir, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					followerSM = &hashMachine{}
-					if err := follower.Replay(followerSM.restore, followerSM.apply); err != nil {
-						t.Fatal(err)
-					}
+					fj.Log().Close()
+					followerSM, fj = openHashJournal(t, followerDir, Options{})
 				}
 			}
-			defer follower.Close()
+			defer fj.Log().Close()
 			if followerSM.hash() != leaderSM.hash() {
 				t.Fatalf("follower state hash != leader state hash (%d entries)", total)
 			}

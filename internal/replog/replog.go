@@ -1,7 +1,6 @@
 // Package replog is the replicated write-ahead log shared by the
 // crowd repository's durable state machines (the task pool and the
-// history store). It generalizes the task pool's original single-file
-// JSONL WAL into a reusable package:
+// history store):
 //
 //   - an append-only log of CRC-framed JSONL records with monotone,
 //     gap-free indices, split across segment files that rotate at a
@@ -13,14 +12,14 @@
 //     stream is written crash-safely (temp file, fsync, atomic rename)
 //     at a given index and every segment at or below it is deleted;
 //   - deterministic replay into any state machine: restore the newest
-//     snapshot, then apply the surviving entries in index order.
+//     snapshot, then apply the surviving entries in index order;
+//   - Journal, the one pairing of a Machine with its Log: open, replay
+//     and bind, a fail-stop append, compaction under the machine's
+//     lock, and the follower operations (journal.go).
 //
-// The on-disk format is read-compatible with the legacy single-file
-// WALs this package replaces: a line that does not parse as a framed
-// record envelope is treated as a bare payload with the next implicit
-// index, so pre-existing JSONL files load as seed snapshots or legacy
-// segments unchanged. A torn final line (a crash mid-append) is
-// dropped, matching the old WAL semantics.
+// A torn final line in the newest segment (a crash mid-append) is
+// dropped; any other line that is not a CRC-clean record envelope is
+// corruption.
 package replog
 
 import (
@@ -44,11 +43,11 @@ var (
 	// longer individually addressable. The caller should ship the
 	// snapshot instead.
 	ErrCompacted = errors.New("replog: entries compacted into snapshot")
-	// ErrGap reports an AppendRecord whose index would leave a hole in
+	// ErrGap reports a follower append whose index would leave a hole in
 	// the log (index > LastIndex()+1).
 	ErrGap = errors.New("replog: append would leave an index gap")
-	// ErrClosed reports an operation on a closed log.
-	ErrClosed = errors.New("replog: log is closed")
+	// errClosed reports an operation on a closed log.
+	errClosed = errors.New("replog: log is closed")
 )
 
 // Record is one log entry: a monotone index and an opaque payload (by
@@ -71,28 +70,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Options tunes a log. The zero value selects the defaults below.
 type Options struct {
 	// SegmentMaxRecords rotates the active segment file after this many
-	// appends (DefaultSegmentMaxRecords when zero).
+	// appends (4096 when zero).
 	SegmentMaxRecords int
 	// Name labels the log in errors and metrics ("replog" when empty).
 	Name string
 }
 
-// DefaultSegmentMaxRecords is the segment rotation threshold.
-const DefaultSegmentMaxRecords = 4096
-
-func (o Options) segmentMax() int {
-	if o.SegmentMaxRecords > 0 {
-		return o.SegmentMaxRecords
-	}
-	return DefaultSegmentMaxRecords
-}
-
-func (o Options) name() string {
-	if o.Name != "" {
-		return o.Name
-	}
-	return "replog"
-}
+// defaultSegmentMaxRecords is the segment rotation threshold.
+const defaultSegmentMaxRecords = 4096
 
 // Log is an append-only replicated log. All methods are safe for
 // concurrent use. A Log opened with an empty dir is memory-only (used
@@ -137,13 +122,19 @@ type Stats struct {
 // the snapshot are skipped; a torn final line in the newest segment is
 // dropped.
 func Open(dir string, opts Options) (*Log, error) {
+	if opts.SegmentMaxRecords <= 0 {
+		opts.SegmentMaxRecords = defaultSegmentMaxRecords
+	}
+	if opts.Name == "" {
+		opts.Name = "replog"
+	}
 	l := &Log{dir: dir, opts: opts}
 	l.cond = sync.NewCond(&l.mu)
 	if dir == "" {
 		return l, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("%s: open: %w", opts.name(), err)
+		return nil, fmt.Errorf("%s: open: %w", opts.Name, err)
 	}
 	if err := l.load(); err != nil {
 		return nil, err
@@ -155,22 +146,13 @@ func snapName(index uint64) string { return fmt.Sprintf("snapshot-%020d.jsonl", 
 func segName(first uint64) string  { return fmt.Sprintf("seg-%020d.jsonl", first) }
 func termName(term uint64) string  { return fmt.Sprintf("term-%020d", term) }
 
-func parseTerm(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "term-") {
+// parseIndexed extracts the number from a file name of the form
+// prefix + digits + suffix.
+func parseIndexed(name, prefix, suffix string) (uint64, bool) {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
 	}
-	var v uint64
-	if _, err := fmt.Sscanf(strings.TrimPrefix(name, "term-"), "%d", &v); err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-func parseIndexed(name, prefix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".jsonl") {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".jsonl")
+	mid := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
 	var v uint64
 	if _, err := fmt.Sscanf(mid, "%d", &v); err != nil {
 		return 0, false
@@ -194,11 +176,11 @@ func (l *Log) load() error {
 			os.Remove(filepath.Join(l.dir, name))
 			continue
 		}
-		if v, ok := parseIndexed(name, "snapshot-"); ok {
+		if v, ok := parseIndexed(name, "snapshot-", ".jsonl"); ok {
 			snaps = append(snaps, v)
-		} else if v, ok := parseIndexed(name, "seg-"); ok {
+		} else if v, ok := parseIndexed(name, "seg-", ".jsonl"); ok {
 			segs = append(segs, v)
-		} else if v, ok := parseTerm(name); ok {
+		} else if v, ok := parseIndexed(name, "term-", ""); ok {
 			// The highest surviving term marker wins; older ones are
 			// leftovers from a crash between create and cleanup.
 			if v > l.term {
@@ -227,7 +209,7 @@ func (l *Log) load() error {
 		path := filepath.Join(l.dir, segName(first))
 		recs, err := readSegment(path, i == len(segs)-1)
 		if err != nil {
-			return fmt.Errorf("%s: %s: %w", l.opts.name(), path, err)
+			return fmt.Errorf("%s: %s: %w", l.opts.Name, path, err)
 		}
 		keep := false
 		for _, r := range recs {
@@ -236,7 +218,7 @@ func (l *Log) load() error {
 			}
 			if r.Index != l.last+1 {
 				return fmt.Errorf("%s: %s: index gap: have %d, next record %d",
-					l.opts.name(), path, l.last, r.Index)
+					l.opts.Name, path, l.last, r.Index)
 			}
 			l.recs = append(l.recs, r)
 			l.last = r.Index
@@ -250,23 +232,19 @@ func (l *Log) load() error {
 	return nil
 }
 
-// readSegment parses one segment file. Legacy (unframed) lines become
-// records with implicit sequential indices continuing from the last
-// framed index seen; tolerateTorn drops an unparsable final line.
+// readSegment parses one segment file; tolerateTorn drops an
+// unparsable final line.
 func readSegment(path string, tolerateTorn bool) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	first, _ := parseIndexed(filepath.Base(path), "seg-")
-	return ParseRecords(f, first, tolerateTorn)
+	return parseRecords(f, tolerateTorn)
 }
 
-// ParseRecords reads a framed (or legacy unframed) JSONL record stream.
-// nextIndex is the index to assign the first record if the stream turns
-// out to be legacy-format; framed records carry their own indices.
-func ParseRecords(r io.Reader, nextIndex uint64, tolerateTorn bool) ([]Record, error) {
+// parseRecords reads a framed JSONL record stream.
+func parseRecords(r io.Reader, tolerateTorn bool) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var lines []string
@@ -280,7 +258,7 @@ func ParseRecords(r io.Reader, nextIndex uint64, tolerateTorn bool) ([]Record, e
 	}
 	var out []Record
 	for i, line := range lines {
-		rec, err := decodeLine([]byte(line), nextIndex)
+		rec, err := decodeLine([]byte(line))
 		if err != nil {
 			if tolerateTorn && i == len(lines)-1 {
 				break // torn final append from a crash; drop it
@@ -288,27 +266,20 @@ func ParseRecords(r io.Reader, nextIndex uint64, tolerateTorn bool) ([]Record, e
 			return nil, fmt.Errorf("line %d: %w", i+1, err)
 		}
 		out = append(out, rec)
-		nextIndex = rec.Index + 1
 	}
 	return out, nil
 }
 
-// decodeLine parses one line as a framed envelope, falling back to a
-// legacy bare payload at the implicit index. A line that looks framed
-// (has the "i" and "c" keys) but fails its CRC is corruption, not
-// legacy data.
-func decodeLine(line []byte, implicit uint64) (Record, error) {
+// decodeLine parses one line as a framed envelope and checks its CRC.
+func decodeLine(line []byte) (Record, error) {
 	var env envelope
-	if err := json.Unmarshal(line, &env); err == nil && len(env.Payload) > 0 && env.Index > 0 {
-		if crc32.Checksum(env.Payload, crcTable) != env.CRC {
-			return Record{}, fmt.Errorf("CRC mismatch at index %d", env.Index)
-		}
-		return Record{Index: env.Index, Payload: append([]byte(nil), env.Payload...)}, nil
+	if err := json.Unmarshal(line, &env); err != nil || len(env.Payload) == 0 || env.Index == 0 {
+		return Record{}, fmt.Errorf("not a record envelope")
 	}
-	if !json.Valid(line) {
-		return Record{}, fmt.Errorf("invalid JSON")
+	if crc32.Checksum(env.Payload, crcTable) != env.CRC {
+		return Record{}, fmt.Errorf("CRC mismatch at index %d", env.Index)
 	}
-	return Record{Index: implicit, Payload: append([]byte(nil), line...)}, nil
+	return Record{Index: env.Index, Payload: append([]byte(nil), env.Payload...)}, nil
 }
 
 func encodeLine(rec Record) ([]byte, error) {
@@ -332,7 +303,7 @@ func (l *Log) Append(payload []byte) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return Record{}, ErrClosed
+		return Record{}, errClosed
 	}
 	rec := Record{Index: l.last + 1, Payload: append([]byte(nil), payload...)}
 	if err := l.appendLocked(rec); err != nil {
@@ -341,15 +312,15 @@ func (l *Log) Append(payload []byte) (Record, error) {
 	return rec, nil
 }
 
-// AppendRecord appends a record at its own index (the follower path:
+// appendRecord appends a record at its own index (Journal.Apply:
 // entries arrive from the leader already numbered). Appending at or
 // below LastIndex is an idempotent no-op — the retry path after a lost
 // ack; an index beyond LastIndex+1 is ErrGap.
-func (l *Log) AppendRecord(rec Record) error {
+func (l *Log) appendRecord(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if rec.Index <= l.last {
 		return nil
@@ -362,28 +333,24 @@ func (l *Log) AppendRecord(rec Record) error {
 }
 
 func (l *Log) appendLocked(rec Record) error {
-	if l.active == nil && l.dir != "" {
-		if err := l.rotateLocked(rec.Index); err != nil {
-			return err
-		}
+	line, err := encodeLine(rec) // memory and disk modes are equally strict
+	if err != nil {
+		return err
 	}
-	if l.active != nil {
-		line, err := encodeLine(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := l.active.Write(line); err != nil {
-			return fmt.Errorf("%s: append: %w", l.opts.name(), err)
-		}
-		l.activeCount++
-		if l.activeCount >= l.opts.segmentMax() {
-			if err := l.rotateLocked(rec.Index + 1); err != nil {
+	if l.dir != "" {
+		if l.active == nil {
+			if err := l.rotateLocked(rec.Index); err != nil {
 				return err
 			}
 		}
-	} else if l.dir == "" {
-		if _, err := encodeLine(rec); err != nil {
-			return err // keep memory and disk modes equally strict
+		if _, err := l.active.Write(line); err != nil {
+			return fmt.Errorf("%s: append: %w", l.opts.Name, err)
+		}
+		l.activeCount++
+		if l.activeCount >= l.opts.SegmentMaxRecords {
+			if err := l.rotateLocked(rec.Index + 1); err != nil {
+				return err
+			}
 		}
 	}
 	l.recs = append(l.recs, rec)
@@ -405,7 +372,7 @@ func (l *Log) rotateLocked(first uint64) error {
 	}
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(first)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("%s: rotate: %w", l.opts.name(), err)
+		return fmt.Errorf("%s: rotate: %w", l.opts.Name, err)
 	}
 	l.active = f
 	l.activeCount = 0
@@ -417,20 +384,6 @@ func (l *Log) LastIndex() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.last
-}
-
-// SnapIndex returns the highest index folded into the snapshot.
-func (l *Log) SnapIndex() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapIndex
-}
-
-// CommitIndex returns the replication watermark.
-func (l *Log) CommitIndex() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.commit
 }
 
 // Commit advances the replication watermark (monotone; lower values are
@@ -474,34 +427,6 @@ func (l *Log) WaitCommitted(index uint64, done <-chan struct{}) bool {
 	return l.commit >= index
 }
 
-// WaitAppend blocks until LastIndex exceeds after, the log closes, or
-// done is closed, returning the new last index (the replicator's
-// streaming trigger).
-func (l *Log) WaitAppend(after uint64, done <-chan struct{}) (uint64, bool) {
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-done:
-			l.mu.Lock()
-			l.cond.Broadcast()
-			l.mu.Unlock()
-		case <-stop:
-		}
-	}()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.last <= after && !l.closed {
-		select {
-		case <-done:
-			return l.last, false
-		default:
-		}
-		l.cond.Wait()
-	}
-	return l.last, l.last > after
-}
-
 // Entries returns up to max records with Index > after, in index order
 // (max <= 0 means no limit). Asking for entries already folded into the
 // snapshot returns ErrCompacted — ship the snapshot instead.
@@ -524,13 +449,12 @@ func (l *Log) Entries(after uint64, max int) ([]Record, error) {
 	return append([]Record(nil), out...), nil
 }
 
-// Snapshot streams the current snapshot (the state at SnapIndex) to w
-// and returns its index. A log that never compacted has no snapshot:
-// ok is false and nothing is written.
+// Snapshot streams the current snapshot (the state at its index) to w
+// and returns that index. A memory-only log, or one that never
+// compacted, has none: ok is false and nothing is written.
 func (l *Log) Snapshot(w io.Writer) (index uint64, ok bool, err error) {
 	l.mu.Lock()
-	snap := l.snapIndex
-	dir := l.dir
+	snap, dir := l.snapIndex, l.dir
 	l.mu.Unlock()
 	if dir == "" {
 		return 0, false, nil
@@ -547,39 +471,6 @@ func (l *Log) Snapshot(w io.Writer) (index uint64, ok bool, err error) {
 		return 0, false, err
 	}
 	return snap, true, nil
-}
-
-// RestoreSnapshot replaces the log's contents with a snapshot taken at
-// index (the follower catch-up path): retained entries at or below
-// index are dropped, the snapshot stream is persisted, and the log
-// continues from index. Entries above index must not exist (the caller
-// installs a snapshot only when it is behind it).
-func (l *Log) RestoreSnapshot(index uint64, snapshot io.Reader) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.last > index {
-		return fmt.Errorf("%s: restore at %d behind log end %d", l.opts.name(), index, l.last)
-	}
-	if l.dir != "" {
-		if err := l.writeSnapshotLocked(index, func(w io.Writer) error {
-			_, err := io.Copy(w, snapshot)
-			return err
-		}); err != nil {
-			return err
-		}
-	} else if snapshot != nil {
-		if _, err := io.Copy(io.Discard, snapshot); err != nil {
-			return err
-		}
-	}
-	l.snapIndex = index
-	l.last = index
-	l.recs = nil
-	l.cond.Broadcast()
-	return nil
 }
 
 // Term returns the leadership term/epoch metadata attached to the log
@@ -599,7 +490,7 @@ func (l *Log) SetTerm(term uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if term <= l.term {
 		return nil
@@ -608,7 +499,7 @@ func (l *Log) SetTerm(term uint64) error {
 	if l.dir != "" {
 		f, err := os.Create(filepath.Join(l.dir, termName(term)))
 		if err != nil {
-			return fmt.Errorf("%s: set term: %w", l.opts.name(), err)
+			return fmt.Errorf("%s: set term: %w", l.opts.Name, err)
 		}
 		f.Sync()
 		f.Close()
@@ -624,59 +515,76 @@ func (l *Log) SetTerm(term uint64) error {
 	return nil
 }
 
-// Reset replaces the log's entire contents with a snapshot at index —
-// the truncation-resync path for a diverged replica (a demoted leader
-// whose tail carries records the new leader never acknowledged). Unlike
-// RestoreSnapshot, entries above index are allowed and are discarded,
-// and every segment file is dropped so a restart cannot replay the
-// diverged tail. A nil snapshot resets to empty state at index.
-func (l *Log) Reset(index uint64, snapshot io.Reader) error {
+// reset replaces the log's entire contents with a snapshot at index
+// (Journal.Restore): the catch-up of a follower behind the leader's
+// compaction horizon, and the truncation resync of a diverged replica (a
+// demoted leader whose tail carries records the new leader never
+// acknowledged). Entries above index are discarded, and every segment
+// file is dropped so a restart cannot replay a diverged tail.
+func (l *Log) reset(index uint64, snapshot io.Reader) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
-	if l.dir != "" {
-		if l.active != nil {
-			l.active.Close()
-			l.active = nil
-			l.activeCount = 0
-		}
-		entries, err := os.ReadDir(l.dir)
-		if err != nil {
-			return err
-		}
-		oldSnap := l.snapIndex
-		if err := l.writeSnapshotLocked(index, func(w io.Writer) error {
-			if snapshot == nil {
-				return nil
-			}
-			_, err := io.Copy(w, snapshot)
-			return err
-		}); err != nil {
-			return err
-		}
-		// The new snapshot is durable; everything below is cleanup that a
-		// crash may skip — leftover files are either skipped or re-detected
-		// as divergence by the replication layer on the next push.
-		for _, e := range entries {
-			if _, ok := parseIndexed(e.Name(), "seg-"); ok {
-				os.Remove(filepath.Join(l.dir, e.Name()))
-			}
-		}
-		if oldSnap != index {
-			os.Remove(filepath.Join(l.dir, snapName(oldSnap)))
-		}
-	} else if snapshot != nil {
-		if _, err := io.Copy(io.Discard, snapshot); err != nil {
-			return err
-		}
+	err := l.installSnapshotLocked(index, l.last, func(w io.Writer) error {
+		_, err := io.Copy(w, snapshot)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	l.snapIndex = index
-	l.last = index
-	l.recs = nil
-	l.commit = index
+	l.snapIndex, l.last, l.recs, l.commit = index, index, nil, index
 	l.cond.Broadcast()
+	return nil
+}
+
+// installSnapshotLocked makes the snapshot at index durable and then
+// deletes what it replaces: every segment whose records are all <=
+// through, and the previous snapshot.
+//
+// Crash safety: the snapshot lands via temp-file + fsync + rename, so a
+// crash at any point leaves either the old snapshot+segments (rename
+// not reached) or the new snapshot plus stale segment files. The next
+// Open skips and removes those it covers; records past it that a reset
+// meant to discard are re-detected as divergence by the replication
+// layer on the next push.
+func (l *Log) installSnapshotLocked(index, through uint64, write func(io.Writer) error) error {
+	if l.dir == "" {
+		return write(io.Discard)
+	}
+	if err := l.writeSnapshotLocked(index, write); err != nil {
+		return err
+	}
+	if l.active != nil {
+		l.active.Sync()
+		l.active.Close()
+		l.active = nil
+		l.activeCount = 0
+	}
+	if entries, err := os.ReadDir(l.dir); err == nil {
+		// A segment holds records from its first index up to the next
+		// segment's first index - 1 (the log end for the last one).
+		var segFirsts []uint64
+		for _, e := range entries {
+			if v, ok := parseIndexed(e.Name(), "seg-", ".jsonl"); ok {
+				segFirsts = append(segFirsts, v)
+			}
+		}
+		sort.Slice(segFirsts, func(i, j int) bool { return segFirsts[i] < segFirsts[j] })
+		for i, first := range segFirsts {
+			end := l.last
+			if i+1 < len(segFirsts) {
+				end = segFirsts[i+1] - 1
+			}
+			if end <= through {
+				os.Remove(filepath.Join(l.dir, segName(first)))
+			}
+		}
+	}
+	if l.snapIndex != index {
+		os.Remove(filepath.Join(l.dir, snapName(l.snapIndex)))
+	}
 	return nil
 }
 
@@ -716,69 +624,24 @@ func (l *Log) writeSnapshotLocked(index uint64, write func(io.Writer) error) err
 	return nil
 }
 
-// Compact folds every entry at or below index into a fresh snapshot
+// compact folds every entry at or below index into a fresh snapshot
 // written by the state machine's snapshot callback, then truncates the
 // log: fully covered segments and the old snapshot are deleted. The
-// caller must guarantee the snapshot reflects exactly the state after
-// applying entries <= index — the usual pattern is to call Compact with
-// the state machine's lock held, passing its serializer.
-//
-// Crash safety: the snapshot lands via temp-file + fsync + rename, so a
-// crash at any point leaves either the old snapshot+segments (rename
-// not reached) or the new snapshot plus stale segment files that the
-// next Open skips past and removes.
-func (l *Log) Compact(index uint64, snapshot func(io.Writer) error) error {
+// snapshot must reflect exactly the state after applying entries <=
+// index — Journal.Compact calls it with the machine's lock held.
+func (l *Log) compact(index uint64, snapshot func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if index > l.last {
-		return fmt.Errorf("%s: compact at %d beyond log end %d", l.opts.name(), index, l.last)
+		return fmt.Errorf("%s: compact at %d beyond log end %d", l.opts.Name, index, l.last)
 	}
 	if index < l.snapIndex {
-		return fmt.Errorf("%s: compact at %d behind snapshot %d", l.opts.name(), index, l.snapIndex)
+		return fmt.Errorf("%s: compact at %d behind snapshot %d", l.opts.Name, index, l.snapIndex)
 	}
-	oldSnap := l.snapIndex
-	if l.dir != "" {
-		if err := l.writeSnapshotLocked(index, snapshot); err != nil {
-			return err
-		}
-		// The snapshot is durable; everything below is cleanup that a
-		// crash may skip and the next Open finishes.
-		if l.active != nil {
-			l.active.Sync()
-			l.active.Close()
-			l.active = nil
-			l.activeCount = 0
-		}
-		entries, err := os.ReadDir(l.dir)
-		if err == nil {
-			// A segment is deletable when every record it holds is
-			// <= index: its first index <= index and the next segment
-			// starts at or below index+1 (or it is the last segment and
-			// the log end is <= index).
-			var segFirsts []uint64
-			for _, e := range entries {
-				if v, ok := parseIndexed(e.Name(), "seg-"); ok {
-					segFirsts = append(segFirsts, v)
-				}
-			}
-			sort.Slice(segFirsts, func(i, j int) bool { return segFirsts[i] < segFirsts[j] })
-			for i, first := range segFirsts {
-				end := l.last
-				if i+1 < len(segFirsts) {
-					end = segFirsts[i+1] - 1
-				}
-				if end <= index {
-					os.Remove(filepath.Join(l.dir, segName(first)))
-				}
-			}
-		}
-		if oldSnap != index {
-			os.Remove(filepath.Join(l.dir, snapName(oldSnap)))
-		}
-	} else if err := snapshot(io.Discard); err != nil {
+	if err := l.installSnapshotLocked(index, index, snapshot); err != nil {
 		return err
 	}
 	if drop := int(index - l.snapIndex); drop < len(l.recs) {
@@ -791,41 +654,30 @@ func (l *Log) Compact(index uint64, snapshot func(io.Writer) error) error {
 	return nil
 }
 
-// Replay restores the newest snapshot (restore is called only when one
-// exists) and applies every retained entry in index order. It is how a
-// state machine loads from its log at startup.
-func (l *Log) Replay(restore func(io.Reader) error, apply func(Record) error) error {
+// replay restores the newest snapshot into m (when one exists) and
+// applies every retained entry in index order. It is how a state
+// machine loads from its log at startup.
+func (l *Log) replay(m Machine) error {
 	l.mu.Lock()
-	dir := l.dir
-	snap := l.snapIndex
+	dir, snap := l.dir, l.snapIndex
 	recs := append([]Record(nil), l.recs...)
 	l.mu.Unlock()
 	if dir != "" {
 		f, err := os.Open(filepath.Join(dir, snapName(snap)))
 		if err == nil {
-			rerr := restore(f)
+			rerr := m.ReadJSONL(f)
 			f.Close()
 			if rerr != nil {
-				return fmt.Errorf("%s: restore snapshot %d: %w", l.opts.name(), snap, rerr)
+				return fmt.Errorf("%s: restore snapshot %d: %w", l.opts.Name, snap, rerr)
 			}
 		} else if !os.IsNotExist(err) {
 			return err
 		}
 	}
 	for _, rec := range recs {
-		if err := apply(rec); err != nil {
-			return fmt.Errorf("%s: apply entry %d: %w", l.opts.name(), rec.Index, err)
+		if err := m.ApplyLogRecord(rec); err != nil {
+			return fmt.Errorf("%s: apply entry %d: %w", l.opts.Name, rec.Index, err)
 		}
-	}
-	return nil
-}
-
-// Sync flushes the active segment to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.active != nil {
-		return l.active.Sync()
 	}
 	return nil
 }
@@ -845,7 +697,7 @@ func (l *Log) Stats() Stats {
 }
 
 // Close syncs and closes the active segment and wakes every waiter.
-// Further mutations return ErrClosed.
+// Further mutations return errClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

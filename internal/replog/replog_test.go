@@ -157,17 +157,17 @@ func TestAppendRecordIdempotentAndGapChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendRecord(Record{Index: 1, Payload: []byte(`{"a":1}`)}); err != nil {
+	if err := l.appendRecord(Record{Index: 1, Payload: []byte(`{"a":1}`)}); err != nil {
 		t.Fatal(err)
 	}
 	// Replay of an already-held index is a no-op.
-	if err := l.AppendRecord(Record{Index: 1, Payload: []byte(`{"a":1}`)}); err != nil {
+	if err := l.appendRecord(Record{Index: 1, Payload: []byte(`{"a":1}`)}); err != nil {
 		t.Fatalf("idempotent re-append: %v", err)
 	}
 	if l.LastIndex() != 1 {
 		t.Fatalf("LastIndex = %d, want 1", l.LastIndex())
 	}
-	if err := l.AppendRecord(Record{Index: 3, Payload: []byte(`{"a":3}`)}); err == nil {
+	if err := l.appendRecord(Record{Index: 3, Payload: []byte(`{"a":3}`)}); err == nil {
 		t.Fatal("gap append succeeded")
 	}
 }
@@ -189,8 +189,8 @@ func TestCommitWatermarkAndWaiters(t *testing.T) {
 	}
 	// Commit is monotone: a lower value does not regress.
 	l.Commit(1)
-	if l.CommitIndex() != 2 {
-		t.Fatalf("CommitIndex regressed to %d", l.CommitIndex())
+	if l.Stats().CommitIndex != 2 {
+		t.Fatalf("CommitIndex regressed to %d", l.Stats().CommitIndex)
 	}
 	// A closed done channel abandons the wait.
 	closed := make(chan struct{})
@@ -219,7 +219,7 @@ func TestCompactionTruncatesAndReplays(t *testing.T) {
 		}
 		return nil
 	}
-	if err := l.Compact(5, snap); err != nil {
+	if err := l.compact(5, snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Entries(3, 0); err == nil {
@@ -240,24 +240,12 @@ func TestCompactionTruncatesAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	var replayed []string
-	err = l2.Replay(
-		func(r io.Reader) error {
-			b, _ := io.ReadAll(r)
-			for _, line := range strings.Fields(strings.ReplaceAll(string(b), "\n", " ")) {
-				replayed = append(replayed, line)
-			}
-			return nil
-		},
-		func(rec Record) error {
-			replayed = append(replayed, string(rec.Payload))
-			return nil
-		})
-	if err != nil {
+	replayed := &hashMachine{}
+	if err := l2.replay(replayed); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(replayed) != fmt.Sprint(state) {
-		t.Fatalf("replay = %v, want %v", replayed, state)
+	if fmt.Sprint(replayed.lines) != fmt.Sprint(state) {
+		t.Fatalf("replay = %v, want %v", replayed.lines, state)
 	}
 }
 
@@ -284,26 +272,16 @@ func TestKillDuringCompaction(t *testing.T) {
 			t.Fatalf("reopen: %v", err)
 		}
 		defer l.Close()
-		var replayed []string
-		err = l.Replay(
-			func(r io.Reader) error {
-				b, _ := io.ReadAll(r)
-				replayed = append(replayed, strings.Fields(string(b))...)
-				return nil
-			},
-			func(rec Record) error {
-				replayed = append(replayed, string(rec.Payload))
-				return nil
-			})
-		if err != nil {
+		replayed := &hashMachine{}
+		if err := l.replay(replayed); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]string, 6)
 		for i := range want {
 			want[i] = fmt.Sprintf(`{"n":%d}`, i+1)
 		}
-		if fmt.Sprint(replayed) != fmt.Sprint(want) {
-			t.Fatalf("replay = %v, want %v", replayed, want)
+		if fmt.Sprint(replayed.lines) != fmt.Sprint(want) {
+			t.Fatalf("replay = %v, want %v", replayed.lines, want)
 		}
 	}
 
@@ -352,33 +330,44 @@ func TestKillDuringCompaction(t *testing.T) {
 	})
 }
 
-func TestParseRecordsLegacyLines(t *testing.T) {
-	stream := "{\"a\":1}\n{\"a\":2}\n"
-	recs, err := ParseRecords(strings.NewReader(stream), 7, true)
+// TestUnframedLineIsCorruption: a valid JSON line that is not a record
+// envelope is rejected wherever a torn append cannot explain it — only
+// the final line of the newest segment is forgiven.
+func TestUnframedLineIsCorruption(t *testing.T) {
+	if _, err := parseRecords(strings.NewReader("{\"a\":1}\n{\"a\":2}\n"), true); err == nil {
+		t.Fatal("unframed line before the final one accepted")
+	}
+	line, err := encodeLine(Record{Index: 1, Payload: []byte(`{"a":1}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Index != 7 || recs[1].Index != 8 {
-		t.Fatalf("legacy parse = %+v", recs)
+	stream := string(line) + "{\"a\":2}\n"
+	if _, err := parseRecords(strings.NewReader(stream), false); err == nil {
+		t.Fatal("unframed final line accepted in a sealed segment")
+	}
+	recs, err := parseRecords(strings.NewReader(stream), true)
+	if err != nil || len(recs) != 1 || recs[0].Index != 1 {
+		t.Fatalf("torn-tolerant parse = %+v, %v; want the one framed record", recs, err)
 	}
 }
 
 func TestRestoreSnapshotCatchUp(t *testing.T) {
-	l, err := Open("", Options{})
-	if err != nil {
+	m, j := openHashJournal(t, "", Options{})
+	if err := j.Restore(40, "{}\n", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RestoreSnapshot(40, strings.NewReader("{}\n")); err != nil {
+	if st := j.Log().Stats(); st.LastIndex != 40 || st.SnapIndex != 40 || m.Len() != 1 {
+		t.Fatalf("after restore: %+v with %d lines, want last=snap=40 and 1 line", st, m.Len())
+	}
+	if err := j.Apply(Record{Index: 41, Payload: []byte(`{"n":41}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if l.LastIndex() != 40 || l.SnapIndex() != 40 {
-		t.Fatalf("after restore: last=%d snap=%d, want 40/40", l.LastIndex(), l.SnapIndex())
-	}
-	if err := l.AppendRecord(Record{Index: 41, Payload: []byte(`{"n":41}`)}); err != nil {
+	// A snapshot at or below the log end is a duplicate delivery.
+	if err := j.Restore(40, "{}\n", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RestoreSnapshot(40, strings.NewReader("{}\n")); err == nil {
-		t.Fatal("RestoreSnapshot behind log end succeeded")
+	if last := j.Log().LastIndex(); last != 41 || m.Len() != 2 {
+		t.Fatalf("stale snapshot was installed: last=%d lines=%d", last, m.Len())
 	}
 }
 
@@ -394,8 +383,8 @@ func TestCloseWakesWaiters(t *testing.T) {
 	if ok := <-got; ok {
 		t.Fatal("WaitCommitted = true after Close")
 	}
-	if _, err := l.Append([]byte(`{}`)); err != ErrClosed {
-		t.Fatalf("Append after Close: %v, want ErrClosed", err)
+	if _, err := l.Append([]byte(`{}`)); err != errClosed {
+		t.Fatalf("Append after Close: %v, want errClosed", err)
 	}
 }
 
@@ -408,7 +397,7 @@ func TestStats(t *testing.T) {
 	mustAppend(t, l, `{"n":1}`)
 	mustAppend(t, l, `{"n":2}`)
 	l.Commit(1)
-	if err := l.Compact(1, func(w io.Writer) error { fmt.Fprintln(w, `{"n":1}`); return nil }); err != nil {
+	if err := l.compact(1, func(w io.Writer) error { fmt.Fprintln(w, `{"n":1}`); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	s := l.Stats()
@@ -430,7 +419,7 @@ func TestSnapshotStream(t *testing.T) {
 		t.Fatal("fresh log has a snapshot")
 	}
 	mustAppend(t, l, `{"n":1}`)
-	if err := l.Compact(1, func(w io.Writer) error { fmt.Fprintln(w, `{"n":1}`); return nil }); err != nil {
+	if err := l.compact(1, func(w io.Writer) error { fmt.Fprintln(w, `{"n":1}`); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	idx, ok, err := l.Snapshot(&buf)
@@ -448,7 +437,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeLine(bytes.TrimSpace(line), 0)
+	got, err := decodeLine(bytes.TrimSpace(line))
 	if err != nil {
 		t.Fatal(err)
 	}

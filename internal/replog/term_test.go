@@ -76,16 +76,16 @@ func TestResetDiscardsDivergedTail(t *testing.T) {
 	// snapshot at index 5 — the entries at 5 and 6 (the diverged tail)
 	// must vanish even though 5 < LastIndex.
 	snap := `{"state":"leader"}` + "\n"
-	if err := l.Reset(5, strings.NewReader(snap)); err != nil {
+	if err := l.reset(5, strings.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.LastIndex(); got != 5 {
 		t.Fatalf("LastIndex after Reset = %d, want 5", got)
 	}
-	if got := l.CommitIndex(); got != 5 {
+	if got := l.Stats().CommitIndex; got != 5 {
 		t.Fatalf("CommitIndex after Reset = %d, want 5", got)
 	}
-	if err := l.AppendRecord(Record{Index: 6, Payload: []byte(`{"new":6}`)}); err != nil {
+	if err := l.appendRecord(Record{Index: 6, Payload: []byte(`{"new":6}`)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +130,7 @@ func TestResetNilSnapshotEmptiesLog(t *testing.T) {
 	defer l.Close()
 	mustAppend(t, l, `{"n":1}`)
 	mustAppend(t, l, `{"n":2}`)
-	if err := l.Reset(0, nil); err != nil {
+	if err := l.reset(0, strings.NewReader("")); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.LastIndex(); got != 0 {

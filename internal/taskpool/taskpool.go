@@ -311,13 +311,14 @@ type Pool struct {
 	nextID   int64
 	nextSeq  int64
 	counters Counters
-	log      *replog.Log
-	walErr   error
+	journal  *replog.Journal
 }
 
 // New returns an empty pool.
 func New(cfg Config) *Pool {
-	return &Pool{cfg: cfg, tasks: make(map[string]*Task), nextID: 1, nextSeq: 1}
+	p := &Pool{cfg: cfg, tasks: make(map[string]*Task), nextID: 1, nextSeq: 1}
+	p.journal = replog.NewJournal(p, &p.mu, p.writeJSONLLocked)
+	return p
 }
 
 func (p *Pool) now() time.Time {
@@ -360,7 +361,9 @@ func (p *Pool) Submit(owner string, spec Spec) (string, error) {
 	p.tasks[t.ID] = t
 	p.queue = append(p.queue, t.ID)
 	p.counters.Submitted++
-	p.logLocked(t)
+	if err := p.logLocked(t); err != nil {
+		return "", err
+	}
 	return t.ID, nil
 }
 
@@ -389,7 +392,9 @@ func (p *Pool) Lease(worker string, m MachineConstraint) (*Task, error) {
 		t.LeaseToken = newLeaseToken()
 		t.LeaseExpires = now.Add(p.cfg.leaseTTL())
 		p.counters.Leases++
-		p.logLocked(t)
+		if err := p.logLocked(t); err != nil {
+			return nil, err
+		}
 		return t.copy(), nil
 	}
 	return nil, nil
@@ -410,7 +415,9 @@ func (p *Pool) Heartbeat(id, token string) (time.Time, error) {
 		return time.Time{}, ErrLeaseLost
 	}
 	t.LeaseExpires = now.Add(p.cfg.leaseTTL())
-	p.logLocked(t)
+	if err := p.logLocked(t); err != nil {
+		return time.Time{}, err
+	}
 	return t.LeaseExpires, nil
 }
 
@@ -441,8 +448,7 @@ func (p *Pool) Complete(id, token string, res Result) error {
 	t.LastError = ""
 	p.counters.Completions++
 	p.counters.WorkerFaults.Add(res.Faults)
-	p.logLocked(t)
-	return nil
+	return p.logLocked(t)
 }
 
 // Fail reports that the worker could not finish the task. The task is
@@ -471,7 +477,9 @@ func (p *Pool) Fail(id, token, reason string, checkpoint json.RawMessage) (State
 	} else {
 		p.requeueLocked(t)
 	}
-	p.logLocked(t)
+	if err := p.logLocked(t); err != nil {
+		return "", err
+	}
 	return t.State, nil
 }
 
@@ -504,7 +512,7 @@ func (p *Pool) expireLocked(now time.Time) int {
 		} else {
 			p.requeueLocked(t)
 		}
-		p.logLocked(t)
+		_ = p.logLocked(t) // a failure is sticky: the next append, or the node's write gate, reports it
 	}
 	return len(expired)
 }

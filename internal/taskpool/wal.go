@@ -22,76 +22,20 @@ type walRecord struct {
 	Counters *Counters `json:"counters,omitempty"`
 }
 
-// logLocked appends the task's current state (and the counters) to the
-// bound replicated log. Called with p.mu held, so records land in
-// mutation order. The first write error sticks and disables further
-// writes.
-func (p *Pool) logLocked(t *Task) {
-	if p.walErr == nil && p.log != nil {
-		p.walErr = p.appendLogLocked(t)
-	}
-}
-
-// appendLogLocked appends the mutation's two records as two replicated
-// log entries. The counters entry trails the task entry, so state
-// equality holds at every entry boundary that follows a counters
-// record.
-func (p *Pool) appendLogLocked(t *Task) error {
-	tb, err := json.Marshal(walRecord{Op: "task", Task: t})
-	if err != nil {
+// logLocked appends the mutation's two records — the task's current
+// state, then the cumulative counters — to the pool's journal. Called
+// with p.mu held, so records land in mutation order, and state equality
+// holds at every entry boundary that follows a counters record. A
+// mutation whose records were not kept returns the error, not a result.
+func (p *Pool) logLocked(t *Task) error {
+	if err := p.journal.Append(walRecord{Op: "task", Task: t}); err != nil {
 		return err
 	}
-	if _, err := p.log.Append(tb); err != nil {
-		return err
-	}
-	cb, err := json.Marshal(walRecord{Op: "counters", Counters: &p.counters})
-	if err != nil {
-		return err
-	}
-	_, err = p.log.Append(cb)
-	return err
+	return p.journal.Append(walRecord{Op: "counters", Counters: &p.counters})
 }
 
-func writeRecords(w io.Writer, t *Task, c *Counters) error {
-	enc := json.NewEncoder(w)
-	if t != nil {
-		if err := enc.Encode(walRecord{Op: "task", Task: t}); err != nil {
-			return err
-		}
-	}
-	if c != nil {
-		if err := enc.Encode(walRecord{Op: "counters", Counters: c}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BindLog attaches a replicated log: every subsequent mutation appends
-// its records as log entries (replicable to followers and compactable
-// in place). Pass nil to detach.
-func (p *Pool) BindLog(lg *replog.Log) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.log = lg
-	p.walErr = nil
-}
-
-// Log returns the bound replicated log, if any.
-func (p *Pool) Log() *replog.Log {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.log
-}
-
-// WALError returns the first write error the bound log produced, if
-// any. Persistence failure does not block the pool; the operator is
-// expected to surface this.
-func (p *Pool) WALError() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.walErr
-}
+// Journal returns the pool's journal; unbound, the pool is memory-only.
+func (p *Pool) Journal() *replog.Journal { return p.journal }
 
 // WriteJSONL writes a snapshot: one "task" record per task (in id
 // order) and one final "counters" record.
@@ -103,12 +47,13 @@ func (p *Pool) WriteJSONL(w io.Writer) error {
 
 func (p *Pool) writeJSONLLocked(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	for _, t := range p.snapshotLocked() {
-		if err := writeRecords(bw, t, nil); err != nil {
+		if err := enc.Encode(walRecord{Op: "task", Task: t}); err != nil {
 			return err
 		}
 	}
-	if err := writeRecords(bw, nil, &p.counters); err != nil {
+	if err := enc.Encode(walRecord{Op: "counters", Counters: &p.counters}); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -140,8 +85,7 @@ func (p *Pool) ReadJSONL(r io.Reader) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	tasks := make(map[string]*Task)
-	var counters Counters
+	fresh := &Pool{tasks: make(map[string]*Task), nextID: 1, nextSeq: 1}
 	for i, line := range lines {
 		var rec walRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -150,49 +94,17 @@ func (p *Pool) ReadJSONL(r io.Reader) error {
 			}
 			return fmt.Errorf("taskpool: bad WAL line %d: %w", i+1, err)
 		}
-		switch rec.Op {
-		case "task":
-			if rec.Task != nil && rec.Task.ID != "" {
-				tasks[rec.Task.ID] = rec.Task
-			}
-		case "counters":
-			if rec.Counters != nil {
-				counters = *rec.Counters
-			}
-		}
-	}
-	// Rebuild derived state: id/seq watermarks and the FIFO queue in
-	// QueueSeq order.
-	var queued []*Task
-	nextID, nextSeq := int64(1), int64(1)
-	for _, t := range tasks {
-		if n := taskNum(t.ID); n >= nextID {
-			nextID = n + 1
-		}
-		if t.QueueSeq >= nextSeq {
-			nextSeq = t.QueueSeq + 1
-		}
-		if t.State == StateQueued {
-			queued = append(queued, t)
-		}
-	}
-	sort.Slice(queued, func(i, j int) bool { return queued[i].QueueSeq < queued[j].QueueSeq })
-	queue := make([]string, len(queued))
-	for i, t := range queued {
-		queue[i] = t.ID
+		fresh.applyLocked(rec)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.tasks = tasks
-	p.queue = queue
-	p.nextID = nextID
-	p.nextSeq = nextSeq
-	p.counters = counters
+	p.tasks, p.queue, p.counters = fresh.tasks, fresh.queue, fresh.counters
+	p.nextID, p.nextSeq = fresh.nextID, fresh.nextSeq
 	return nil
 }
 
 // ApplyLogRecord applies one replicated-log entry to the pool — the
-// follower path, and the incremental half of ReplayLog. Entries carry
+// follower path, and the incremental half of replay. Entries carry
 // the same walRecord payloads a snapshot does, so replaying a log and
 // reading a snapshot converge on the same state.
 func (p *Pool) ApplyLogRecord(rec replog.Record) error {
@@ -202,6 +114,12 @@ func (p *Pool) ApplyLogRecord(rec replog.Record) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.applyLocked(wr)
+	return nil
+}
+
+// applyLocked upserts one record: a task by id, or the counters.
+func (p *Pool) applyLocked(wr walRecord) {
 	switch wr.Op {
 	case "task":
 		if wr.Task != nil && wr.Task.ID != "" {
@@ -212,12 +130,10 @@ func (p *Pool) ApplyLogRecord(rec replog.Record) error {
 			p.counters = *wr.Counters
 		}
 	}
-	return nil
 }
 
 // upsertLocked installs a replayed task and maintains the derived
-// state ReadJSONL rebuilds wholesale: id/seq watermarks and the FIFO
-// queue in QueueSeq order.
+// state: id/seq watermarks and the FIFO queue in QueueSeq order.
 func (p *Pool) upsertLocked(t *Task) {
 	prev := p.tasks[t.ID]
 	p.tasks[t.ID] = t
@@ -244,45 +160,4 @@ func (p *Pool) upsertLocked(t *Task) {
 		copy(p.queue[i+1:], p.queue[i:])
 		p.queue[i] = t.ID
 	}
-}
-
-// ReplayLog replaces the pool contents from the log (snapshot restore
-// plus entry-by-entry apply) and binds the log for subsequent
-// mutations.
-func (p *Pool) ReplayLog(lg *replog.Log) error {
-	if err := lg.Replay(p.ReadJSONL, p.ApplyLogRecord); err != nil {
-		return err
-	}
-	p.BindLog(lg)
-	return nil
-}
-
-// CompactLog folds the bound log down to a single snapshot of the
-// current pool state. Snapshot and truncation happen under the pool
-// lock, so no mutation can slip between them.
-func (p *Pool) CompactLog() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.log == nil {
-		return nil
-	}
-	return p.log.Compact(p.log.LastIndex(), p.writeJSONLLocked)
-}
-
-// OpenLog opens the pool's replicated log at dir and loads the pool
-// from it. The returned log is bound to the pool; the caller closes it
-// on shutdown.
-func (p *Pool) OpenLog(dir string, opts replog.Options) (*replog.Log, error) {
-	if opts.Name == "" {
-		opts.Name = "taskpool"
-	}
-	lg, err := replog.Open(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.ReplayLog(lg); err != nil {
-		lg.Close()
-		return nil, err
-	}
-	return lg, nil
 }

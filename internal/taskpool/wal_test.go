@@ -52,14 +52,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// openLog opens p's journal at dir ("" is memory-only) and returns the
+// bound log.
+func openLog(t *testing.T, p *Pool, dir string) *replog.Log {
+	t.Helper()
+	if err := p.Journal().Open(dir, replog.Options{}); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	return p.Journal().Log()
+}
+
 // walStream binds the pool to a memory-only log and returns a reader of
 // every record appended since, one JSON line each.
 func walStream(t *testing.T, p *Pool) func() *bytes.Buffer {
 	t.Helper()
-	lg, err := p.OpenLog("", replog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg := openLog(t, p, "")
 	t.Cleanup(func() { lg.Close() })
 	return func() *bytes.Buffer {
 		recs, err := lg.Entries(0, 0)
@@ -90,7 +97,7 @@ func TestWALReplayEqualsLiveState(t *testing.T) {
 	l3, _ := p.Lease("w3", MachineConstraint{})
 	clk.Advance(31 * time.Second)
 	p.ExpireLeases() // l3 expires, requeued
-	if err := p.WALError(); err != nil {
+	if err := p.Journal().Err(); err != nil {
 		t.Fatalf("wal error: %v", err)
 	}
 
@@ -159,25 +166,19 @@ func TestOpenLogAndCompact(t *testing.T) {
 	clk := newFakeClock()
 
 	p := testPool(clk, time.Minute, 3)
-	lg, err := p.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	lg := openLog(t, p, dir)
 	id := mustSubmit(t, p, "alice", demoSpec(1))
 	mustSubmit(t, p, "alice", demoSpec(2))
 	l, _ := p.Lease("w1", MachineConstraint{})
 	p.Complete(l.ID, l.LeaseToken, Result{BestY: 7})
-	if err := p.WALError(); err != nil {
+	if err := p.Journal().Err(); err != nil {
 		t.Fatalf("wal: %v", err)
 	}
 	lg.Close()
 
 	// Simulate restart: a fresh pool replays the log directory.
 	q := testPool(clk, time.Minute, 3)
-	lg2, err := q.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	lg2 := openLog(t, q, dir)
 	got, ok := q.Get(id)
 	if !ok || got.State != StateCompleted || got.Result.BestY != 7 {
 		t.Fatalf("restart lost state: %+v", got)
@@ -187,7 +188,7 @@ func TestOpenLogAndCompact(t *testing.T) {
 	if n := lg2.Stats().Entries; n == 0 {
 		t.Fatal("expected live entries before compaction")
 	}
-	if err := q.CompactLog(); err != nil {
+	if err := q.Journal().Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	if n := lg2.Stats().Entries; n != 0 {
@@ -195,16 +196,13 @@ func TestOpenLogAndCompact(t *testing.T) {
 	}
 	// Mutations after compaction append to the new segment.
 	mustSubmit(t, q, "bob", demoSpec(3))
-	if err := q.WALError(); err != nil {
+	if err := q.Journal().Err(); err != nil {
 		t.Fatalf("wal after compact: %v", err)
 	}
 	lg2.Close()
 
 	r := testPool(clk, time.Minute, 3)
-	lg3, err := r.OpenLog(dir, replog.Options{})
-	if err != nil {
-		t.Fatalf("open after compact: %v", err)
-	}
+	lg3 := openLog(t, r, dir)
 	defer lg3.Close()
 	if r.Len() != 3 {
 		t.Fatalf("post-compact replay has %d tasks, want 3", r.Len())
@@ -218,10 +216,7 @@ func TestOpenLogAndCompact(t *testing.T) {
 func TestApplyLogRecordFollowsLeader(t *testing.T) {
 	clk := newFakeClock()
 	leader := testPool(clk, 30*time.Second, 3)
-	lg, err := leader.OpenLog("", replog.Options{}) // memory-only log
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg := openLog(t, leader, "")
 	defer lg.Close()
 
 	for i := 0; i < 6; i++ {
@@ -233,7 +228,7 @@ func TestApplyLogRecordFollowsLeader(t *testing.T) {
 	leader.Fail(l2.ID, l2.LeaseToken, "oom", nil)
 	clk.Advance(31 * time.Second)
 	leader.ExpireLeases()
-	if err := leader.WALError(); err != nil {
+	if err := leader.Journal().Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -292,5 +287,29 @@ func TestWALRecordsAreValidJSONLines(t *testing.T) {
 		if !json.Valid([]byte(line)) {
 			t.Fatalf("WAL line %d is not valid JSON: %q", i, line)
 		}
+	}
+}
+
+// TestJournalFailureIsReturned: a mutation whose records were not kept
+// reports the error instead of its result, and the failure sticks.
+func TestJournalFailureIsReturned(t *testing.T) {
+	clk := newFakeClock()
+	p := testPool(clk, time.Minute, 3)
+	lg := openLog(t, p, t.TempDir())
+	mustSubmit(t, p, "alice", demoSpec(1))
+	lg.Close() // the next append fails
+
+	if id, err := p.Submit("alice", demoSpec(2)); err == nil {
+		t.Fatalf("submit acknowledged %s although the journal append failed", id)
+	}
+	first := p.Journal().Err()
+	if first == nil {
+		t.Fatal("the failed append did not stick")
+	}
+	if l, err := p.Lease("w", MachineConstraint{}); err != first {
+		t.Fatalf("lease after the failure: %+v, %v; want the sticky %v", l, err, first)
+	}
+	if got := lg.LastIndex(); got != 2 {
+		t.Fatalf("LastIndex = %d, want 2 (one task record, one counters record)", got)
 	}
 }

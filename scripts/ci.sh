@@ -57,6 +57,24 @@ if grep -rnE 'type (Ensemble|MultitaskTS|Fixed) |func (NewFixed|NewEnsemble|equa
     exit 1
 fi
 
+# One journal, one log set: what pairs a state machine with its log
+# (open/replay/bind, fail-stop append, compaction, follower apply) lives
+# in internal/replog, and every loop over a node's replicated logs in
+# internal/cluster/logset.go. A machine package growing its own plumbing
+# again, a swallowed append error, or a machine-name fork means a second
+# copy is back.
+echo "== journal plumbing has one owner (internal/replog), per-log loops one file (internal/cluster/logset.go)"
+if grep -rnE 'func NelderMead|WaitAppend|LogError\(|WALError\(|name == "tasks"|func \([a-z]+ \*(Collection|Pool)\) (BindLog|ReplayLog|OpenLog|CompactLog)\(' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: deleted journal plumbing, a swallowed journal error or a machine-name fork is back" >&2
+    exit 1
+fi
+loops=$(grep -lE 'range [A-Za-z.]*\.rows|range logNames' internal/cluster/*.go | grep -v '_test\.go$' | tr '\n' ' ')
+if [ "$loops" != "internal/cluster/logset.go " ]; then
+    echo "FAIL: the replicated logs are iterated in: $loops" >&2
+    exit 1
+fi
+
 # What each public route is — path, methods, auth, read/write class,
 # shard routing — is declared once, in crowd.Endpoints(). A path literal,
 # a method check or a per-endpoint proxy handler anywhere else means a
