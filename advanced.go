@@ -9,6 +9,7 @@ import (
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/crowd"
 	"gptunecrowd/internal/gp"
+	"gptunecrowd/internal/surrogate"
 	"gptunecrowd/internal/variability"
 )
 
@@ -155,7 +156,7 @@ func UploadSurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaDes
 		return "", fmt.Errorf("gptunecrowd: need at least 2 successful samples to fit a model")
 	}
 	ps := d.ProblemSpace.ParameterSpace
-	model, err := gp.Fit(X, Y, gp.Options{Categorical: ps.CategoricalMask(), Seed: 1})
+	model, err := surrogate.FitGP(surrogate.Config{Dim: ps.Dim(), Categorical: ps.CategoricalMask()}, 1, X, Y)
 	if err != nil {
 		return "", err
 	}

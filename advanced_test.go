@@ -1,11 +1,15 @@
 package gptunecrowd
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"gptunecrowd/internal/gp"
 )
 
 func TestSuggestReportLoop(t *testing.T) {
@@ -186,6 +190,46 @@ func TestSurrogateModelShareRoundTrip(t *testing.T) {
 	m2, _ := surr(best.Params)
 	if m2 < best.Y-2 || m2 > best.Y+2 {
 		t.Fatalf("restored model far off: %v vs best %v", m2, best.Y)
+	}
+}
+
+// TestUploadSurrogateModelPayloadUnchanged pins the stored model
+// payload: gp's portable JSON of a GP fitted with restart seed 1, the
+// form DownloadSurrogateModel and other crowd clients read back.
+func TestUploadSurrogateModelPayloadUnchanged(t *testing.T) {
+	c, d := crowdFixture(t)
+	res, err := Tune(demoProblem(), map[string]interface{}{"t": 1.0}, TuneOptions{Budget: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UploadSurrogateModel(c, d, nil, res.History, MachineConfiguration{}, "public"); err != nil {
+		t.Fatal(err)
+	}
+	models, err := c.QueryModelsContext(context.Background(), d.TuningProblemName, 0)
+	if err != nil || len(models) != 1 {
+		t.Fatalf("stored models: %d, err %v", len(models), err)
+	}
+	X, Y := res.History.XY()
+	ref, err := gp.Fit(X, Y, gp.Options{Categorical: d.ProblemSpace.ParameterSpace.CategoricalMask(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server stores the payload as a document, which re-encodes it
+	// with sorted keys; put the reference through the same round trip.
+	var doc map[string]interface{}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(models[0].Model, want) {
+		t.Fatalf("stored model payload changed:\n got %s\nwant %s", models[0].Model, want)
 	}
 }
 

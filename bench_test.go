@@ -21,15 +21,12 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"gptunecrowd/internal/apps/nimrod"
-	"gptunecrowd/internal/bandit"
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/crowd"
 	"gptunecrowd/internal/experiments"
 	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/lcm"
-	"gptunecrowd/internal/machine"
 	"gptunecrowd/internal/sample"
 	"gptunecrowd/internal/sensitivity"
 	"gptunecrowd/internal/space"
@@ -567,28 +564,6 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// Extension bench: the GPTuneBand-style multi-fidelity tuner on the
-// NIMROD model — reports configurations screened per unit of
-// full-fidelity cost.
-func BenchmarkExtensionMultiFidelityNIMROD(b *testing.B) {
-	app := nimrod.New(machine.CoriHaswell(32))
-	task := map[string]interface{}{"mx": 5, "my": 7, "lphi": 1}
-	for i := 0; i < b.N; i++ {
-		res, err := bandit.Run(app.ParamSpace(), task, app, bandit.Options{
-			Budget: 6, Seed: int64(i + 1),
-			Search: core.SearchOptions{Candidates: 32, DEGens: 5},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(float64(len(res.Observations)), "configs")
-			b.ReportMetric(res.CostSpent, "cost")
-			b.ReportMetric(res.BestY, "best")
-		}
-	}
 }
 
 // Extension bench: batched constant-liar tuning vs sequential at equal

@@ -16,8 +16,8 @@ import (
 	gptunecrowd "gptunecrowd"
 	"gptunecrowd/internal/apps"
 	"gptunecrowd/internal/experiments"
-	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/sensitivity"
+	"gptunecrowd/internal/surrogate"
 )
 
 func main() {
@@ -63,14 +63,7 @@ func main() {
 			log.Fatal(cerr)
 		}
 		fmt.Printf("collected %d samples; fitting surrogate...\n", source.Len())
-		model, ferr := gp.Fit(source.X, source.Y, gp.Options{Categorical: inst.Problem.CategoricalMask(), Seed: *seed})
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		res, err = sensitivity.Analyze(func(u []float64) float64 {
-			m, _ := model.Predict(ps.Canonicalize(u))
-			return m
-		}, ps.Dim(), ps.Names(), sensitivity.Options{N: *n, Seed: *seed})
+		res, err = surrogate.Sensitivity(ps, source.X, source.Y, *seed, sensitivity.Options{N: *n, Seed: *seed})
 	}
 	if err != nil {
 		log.Fatal(err)

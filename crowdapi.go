@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/crowd"
 	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/meta"
@@ -142,7 +141,11 @@ func QuerySurrogateModelOpts(c *CrowdClient, d *MetaDescription, opts SurrogateO
 		return nil, err
 	}
 	ps := d.ProblemSpace.ParameterSpace
-	model, err := fitFromEvals(ps, evals, kt, opts.Seed+1)
+	X, Y, err := evalsXY(ps, evals)
+	if err != nil {
+		return nil, err
+	}
+	model, err := surrogate.FitGP(surrogate.Config{Dim: ps.Dim(), Kernel: kt, Categorical: ps.CategoricalMask()}, opts.Seed+1, X, Y)
 	if err != nil {
 		return nil, err
 	}
@@ -155,11 +158,11 @@ func QuerySurrogateModelOpts(c *CrowdClient, d *MetaDescription, opts SurrogateO
 	}, nil
 }
 
-// fitFromEvals fits a GP on downloaded crowd samples over the given
-// parameter space, through the same door every other model is built by.
-func fitFromEvals(ps *Space, evals []FuncEval, kt kernel.Type, seed int64) (core.Surrogate, error) {
+// evalsXY encodes the successful downloaded crowd samples over the given
+// parameter space into model training rows.
+func evalsXY(ps *Space, evals []FuncEval) ([][]float64, []float64, error) {
 	if len(evals) == 0 {
-		return nil, fmt.Errorf("gptunecrowd: no samples to model")
+		return nil, nil, fmt.Errorf("gptunecrowd: no samples to model")
 	}
 	var X [][]float64
 	var Y []float64
@@ -175,17 +178,9 @@ func fitFromEvals(ps *Space, evals []FuncEval, kt kernel.Type, seed int64) (core
 		Y = append(Y, e.Output)
 	}
 	if len(X) < 2 {
-		return nil, fmt.Errorf("gptunecrowd: only %d encodable samples; need at least 2", len(X))
+		return nil, nil, fmt.Errorf("gptunecrowd: only %d encodable samples; need at least 2", len(X))
 	}
-	model, err := surrogate.New(surrogate.KindGP, surrogate.Config{Dim: ps.Dim(), Kernel: kt, Categorical: ps.CategoricalMask()})
-	if err != nil {
-		return nil, err
-	}
-	model.(interface{ SetSeed(int64) }).SetSeed(seed)
-	if err := model.Fit(X, Y); err != nil {
-		return nil, err
-	}
-	return model, nil
+	return X, Y, nil
 }
 
 // QuerySurrogateModel downloads the selected samples and returns a
@@ -229,14 +224,11 @@ func QuerySensitivityAnalysis(c *CrowdClient, d *MetaDescription, opts Sensitivi
 // SensitivityFromEvals runs the same analysis on an in-memory sample
 // set (no server required).
 func SensitivityFromEvals(ps *Space, evals []FuncEval, opts SensitivityOptions) (*SensitivityResult, error) {
-	model, err := fitFromEvals(ps, evals, kernel.Matern52, opts.Seed+1)
+	X, Y, err := evalsXY(ps, evals)
 	if err != nil {
 		return nil, err
 	}
-	return sensitivity.Analyze(func(u []float64) float64 {
-		m, _ := model.Predict(ps.Canonicalize(u))
-		return m
-	}, ps.Dim(), ps.Names(), sensitivity.Options{N: opts.N, NBoot: opts.NBoot, Seed: opts.Seed})
+	return surrogate.Sensitivity(ps, X, Y, opts.Seed+1, sensitivity.Options{N: opts.N, NBoot: opts.NBoot, Seed: opts.Seed})
 }
 
 // SensitivityFromFunc runs a Sobol' analysis directly on an objective

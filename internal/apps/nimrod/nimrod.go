@@ -65,35 +65,6 @@ func (a *App) Problem() *core.Problem {
 	}
 }
 
-// EvaluateAtFidelity runs the time-marching loop with a reduced number
-// of steps (fidelity·TimeSteps, at least 1) and reports the runtime
-// extrapolated to the full step count, so objectives are comparable
-// across fidelities — the multi-fidelity hook used by the bandit tuner.
-func (a *App) EvaluateAtFidelity(task, params map[string]interface{}, fidelity float64) (float64, error) {
-	if fidelity <= 0 || fidelity > 1 {
-		return 0, fmt.Errorf("nimrod: fidelity %v outside (0,1]", fidelity)
-	}
-	full := a.TimeSteps
-	if full <= 0 {
-		full = 30
-	}
-	steps := int(math.Round(fidelity * float64(full)))
-	if steps < 1 {
-		steps = 1
-	}
-	sub := *a
-	sub.TimeSteps = steps
-	// Low-fidelity measurements are relatively noisier (fewer steps to
-	// average over).
-	sub.NoiseSigma = a.NoiseSigma / math.Sqrt(float64(steps)/float64(full))
-	sub.Seed = a.Seed + int64(steps) // decorrelate rungs
-	y, err := sub.Evaluate(task, params)
-	if err != nil {
-		return 0, err
-	}
-	return y * float64(full) / float64(steps), nil
-}
-
 // Evaluate returns the modeled main-loop runtime in seconds, or an
 // error for configurations that run out of memory.
 func (a *App) Evaluate(task, params map[string]interface{}) (float64, error) {

@@ -243,10 +243,13 @@ func (s *Server) handleQuarantineRelease(_ context.Context, user string, req *Qu
 	if err != nil {
 		return storeFail(err)
 	}
-	s.quarantine().Update(historydb.Eq("_id", req.ID), func(d historydb.Document) {
+	// Nothing durable marks the sample released unless this journals.
+	if _, err := s.quarantine().Update(historydb.Eq("_id", req.ID), func(d historydb.Document) {
 		d["released"] = true
 		d["func_eval_id"] = feID
-	})
+	}); err != nil {
+		return storeFail(err)
+	}
 	s.qCounters.release()
 	s.reputation.recordReleased(qs.Uploader)
 	s.suggest.NotifyAppend(fe.TuningProblemName, 1)

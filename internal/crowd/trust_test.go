@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"gptunecrowd/internal/replog"
 	"gptunecrowd/internal/space"
 )
 
@@ -293,6 +294,36 @@ func TestQuarantineAdminGate(t *testing.T) {
 	}
 	if _, err := alice.QuarantineRelease(ctx, items[0].ID); err != nil {
 		t.Fatalf("admin release failed: %v", err)
+	}
+}
+
+// TestQuarantineReleaseJournalFailure: when the journal append that
+// marks a sample released fails, nothing durable records the release,
+// so the handler must not answer 200.
+func TestQuarantineReleaseJournalFailure(t *testing.T) {
+	srv, alice, _ := trustServer(t, Config{})
+	alice.MaxRetries = -1
+	if err := srv.quarantine().Journal().Open(t.TempDir(), replog.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	srv.RegisterProblemPolicy("p", ProblemPolicy{OutputLo: -1, OutputHi: 1})
+	if _, err := alice.UploadReportContext(context.Background(), []FuncEval{trustEval(goodParams(), 50)}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	items, err := alice.QuarantineList(ctx, QuarantineListRequest{})
+	if err != nil || len(items) != 1 {
+		t.Fatalf("listing: %v err=%v", items, err)
+	}
+	srv.quarantine().Journal().Log().Close() // the next append fails
+
+	_, err = alice.QuarantineRelease(ctx, items[0].ID)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode < 500 {
+		t.Fatalf("release with a failed journal answered %v, want a 5xx", err)
+	}
+	if held, _ := alice.QuarantineList(ctx, QuarantineListRequest{}); len(held) != 1 || held[0].Released {
+		t.Fatalf("sample marked released without a journal record: %+v", held)
 	}
 }
 

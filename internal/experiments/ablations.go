@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"gptunecrowd/internal/apps"
 	"gptunecrowd/internal/apps/scalapack"
-	"gptunecrowd/internal/apps/synth"
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/machine"
 	"gptunecrowd/internal/stat"
@@ -21,7 +21,7 @@ import (
 // Eq. 4) against fixed exploration rates, isolating the value of the
 // dynamic rate. Pool and task match Fig. 3(a).
 func AblationEnsemble(sc Scale) (*FigureResult, error) {
-	p := synth.DemoProblem()
+	p := mustProblem("demo", apps.Options{})
 	src, err := CollectSourceSamples("demo t=0.8", p, map[string]interface{}{"t": 0.8}, sc.SourceSamples, sc.Seed+100)
 	if err != nil {
 		return nil, err
@@ -44,10 +44,8 @@ func AblationEnsemble(sc Scale) (*FigureResult, error) {
 // AblationAcquisition compares acquisition functions on the NoTLA tuner
 // over the PDGEQRF model.
 func AblationAcquisition(sc Scale) (*FigureResult, error) {
-	app := scalapack.New(machine.CoriHaswell(8))
-	p := app.Problem()
 	task := map[string]interface{}{"m": 10000, "n": 10000}
-	spec := CompareSpec{Problem: p, Task: task, Budget: sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search}
+	spec := CompareSpec{Problem: mustProblem("pdgeqrf", apps.Options{}), Task: task, Budget: sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search}
 	res := &FigureResult{ID: "ablation-acquisition", Title: "acquisition function on PDGEQRF (NoTLA)", Budget: sc.Budget}
 	for _, acq := range []core.Acquisition{core.EI{}, core.LCB{}, core.PI{}} {
 		acq := acq
@@ -67,7 +65,7 @@ func AblationAcquisition(sc Scale) (*FigureResult, error) {
 // AblationSourceCap sweeps Multitask(TS)'s per-source sample cap — the
 // accuracy/cost trade-off of feeding true samples to the LCM.
 func AblationSourceCap(sc Scale) (*FigureResult, error) {
-	p := synth.DemoProblem()
+	p := mustProblem("demo", apps.Options{})
 	src, err := CollectSourceSamples("demo t=0.8", p, map[string]interface{}{"t": 0.8}, sc.SourceSamples, sc.Seed+100)
 	if err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"gptunecrowd/internal/apps"
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/stat"
 	"gptunecrowd/internal/surrogate"
@@ -168,6 +169,17 @@ func aggregate(name string, trajectories [][]float64, budget int) Series {
 		s.Std[i] = stat.StdDev(vals)
 	}
 	return s
+}
+
+// mustProblem builds a registered application through apps.Build, the
+// one builder table every experiment reaches its problems by. The names
+// and options the experiments pass are fixed and valid.
+func mustProblem(name string, opts apps.Options) *core.Problem {
+	inst, err := apps.Build(name, opts)
+	if err != nil {
+		panic(err)
+	}
+	return inst.Problem
 }
 
 // CollectSourceSamples gathers n random-configuration samples of a

@@ -5,17 +5,13 @@ import (
 	"math/rand"
 	"sync"
 
+	"gptunecrowd/internal/apps"
 	"gptunecrowd/internal/apps/hypre"
-	"gptunecrowd/internal/apps/nimrod"
-	"gptunecrowd/internal/apps/scalapack"
 	"gptunecrowd/internal/apps/superlu"
 	"gptunecrowd/internal/apps/synth"
 	"gptunecrowd/internal/core"
-	"gptunecrowd/internal/gp"
-	"gptunecrowd/internal/machine"
 	"gptunecrowd/internal/sensitivity"
 	"gptunecrowd/internal/space"
-	"gptunecrowd/internal/sparsemodel"
 	"gptunecrowd/internal/surrogate"
 	"gptunecrowd/internal/tla"
 )
@@ -64,7 +60,7 @@ var QuickScale = Scale{
 func Fig3(variant string, sc Scale) (*FigureResult, error) {
 	switch variant {
 	case "a", "b":
-		p := synth.DemoProblem()
+		p := mustProblem("demo", apps.Options{})
 		target := map[string]interface{}{"t": 1.0}
 		if variant == "b" {
 			target = map[string]interface{}{"t": 1.2}
@@ -87,7 +83,7 @@ func Fig3(variant string, sc Scale) (*FigureResult, error) {
 		res.Title = fmt.Sprintf("demo function, source t=0.8 (%d samples), target t=%v", src.Len(), target["t"])
 		return res, nil
 	case "c", "d", "e", "f":
-		p := synth.BraninProblem()
+		p := mustProblem("branin", apps.Options{})
 		rng := rand.New(rand.NewSource(sc.Seed + 300))
 		nSources := 1
 		if variant == "e" || variant == "f" {
@@ -128,8 +124,7 @@ func Fig3(variant string, sc Scale) (*FigureResult, error) {
 // source tasks (m=n=10000, 8000, 6000); the target task is m=n=12000.
 // Source datasets hold 100 random samples each at PaperScale.
 func Fig4(variant string, sc Scale) (*FigureResult, error) {
-	app := scalapack.New(machine.CoriHaswell(8))
-	p := app.Problem()
+	p := mustProblem("pdgeqrf", apps.Options{})
 	nSamples := sc.SourceSamples
 	if nSamples > 100 {
 		nSamples = 100 // the paper's source size
@@ -173,8 +168,7 @@ func Fig4(variant string, sc Scale) (*FigureResult, error) {
 // "b" targets 32 KNL nodes with {mx:5, my:4, lphi:1}; "c" targets 64
 // Haswell nodes with {mx:6, my:8, lphi:1} (the failure-prone case).
 func Fig5(variant string, sc Scale) (*FigureResult, error) {
-	srcApp := nimrod.New(machine.CoriHaswell(32))
-	srcProblem := srcApp.Problem()
+	srcProblem := mustProblem("nimrod", apps.Options{})
 	nSamples := sc.SourceSamples
 	if nSamples > 500 {
 		nSamples = 500
@@ -184,30 +178,28 @@ func Fig5(variant string, sc Scale) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tgtApp *nimrod.App
+	// Seed 7 decorrelates the target's noise from the source app's.
+	tgtOpts := apps.Options{Nodes: 64, Seed: 7}
 	var task map[string]interface{}
 	var title string
 	switch variant {
 	case "a":
-		tgtApp = nimrod.New(machine.CoriHaswell(64))
 		task = map[string]interface{}{"mx": 5, "my": 7, "lphi": 1}
 		title = "NIMROD: 32→64 Haswell nodes, same task"
 	case "b":
-		tgtApp = nimrod.New(machine.CoriKNL(32))
+		tgtOpts.Nodes, tgtOpts.Partition = 32, "knl"
 		task = map[string]interface{}{"mx": 5, "my": 4, "lphi": 1}
 		title = "NIMROD: Haswell→KNL, different task"
 	case "c":
-		tgtApp = nimrod.New(machine.CoriHaswell(64))
 		task = map[string]interface{}{"mx": 6, "my": 8, "lphi": 1}
 		title = "NIMROD: larger task {mx:6,my:8} on 64 Haswell nodes"
 	default:
 		return nil, fmt.Errorf("experiments: unknown Fig5 variant %q", variant)
 	}
-	tgtApp.Seed = 7 // decorrelate target noise from the source app
 	budget := min(sc.Budget, 10)
 	repeats := min(sc.Repeats, 3)
 	res, err := RunCompare(CompareSpec{
-		Problem: tgtApp.Problem(), Task: task,
+		Problem: mustProblem("nimrod", tgtOpts), Task: task,
 		Algorithms:       CaseStudyTuners,
 		Sources:          []*tla.Source{src},
 		MaxSourceSamples: sc.MaxSourceSamples,
@@ -233,39 +225,29 @@ func sensitivityFromSamples(p *core.Problem, task map[string]interface{}, nSampl
 	if sc.SurrogateCap > 0 {
 		sub = src.Subsample(sc.SurrogateCap, rand.New(rand.NewSource(sc.Seed+701)))
 	}
-	mask := p.CategoricalMask()
-	model, err := gp.Fit(sub.X, sub.Y, gp.Options{Categorical: mask, Seed: sc.Seed + 702})
-	if err != nil {
-		return nil, err
-	}
-	ps := p.ParamSpace
-	return sensitivity.Analyze(func(u []float64) float64 {
-		m, _ := model.Predict(ps.Canonicalize(u))
-		return m
-	}, ps.Dim(), ps.Names(), sensitivity.Options{N: sc.SensN, NBoot: 100, Seed: sc.Seed + 703})
+	return surrogate.Sensitivity(p.ParamSpace, sub.X, sub.Y, sc.Seed+702,
+		sensitivity.Options{N: sc.SensN, NBoot: 100, Seed: sc.Seed + 703})
 }
 
 // Table4 reproduces the SuperLU_DIST sensitivity analysis: matrix
 // Si5H12, 500 samples collected on 4 Cori Haswell nodes.
 func Table4(sc Scale) (*sensitivity.Result, error) {
-	app := superlu.New(machine.CoriHaswell(4), sparsemodel.Si5H12())
 	n := 500
 	if sc.SourceSamples < 100 {
 		n = 5 * sc.SourceSamples // shrink with the scale
 	}
-	return sensitivityFromSamples(app.Problem(), nil, n, sc)
+	return sensitivityFromSamples(mustProblem("superlu", apps.Options{}), nil, n, sc)
 }
 
 // Table5 reproduces the Hypre sensitivity analysis: nx=ny=nz=100,
 // 1000 samples collected on one Cori Haswell node.
 func Table5(sc Scale) (*sensitivity.Result, error) {
-	app := hypre.New(machine.CoriHaswell(1))
 	n := 1000
 	if sc.SourceSamples < 100 {
 		n = 10 * sc.SourceSamples
 	}
 	task := map[string]interface{}{"nx": 100, "ny": 100, "nz": 100}
-	return sensitivityFromSamples(app.Problem(), task, n, sc)
+	return sensitivityFromSamples(mustProblem("hypre", apps.Options{}), task, n, sc)
 }
 
 // ReduceProblem builds a reduced tuning problem: only keep is tuned;
@@ -322,9 +304,7 @@ func ReduceProblem(p *core.Problem, keep []string, fixed map[string]interface{},
 // 4 Haswell nodes; the reduced problem fixes LOOKAHEAD and NREL at
 // their defaults and tunes COLPERM, nprows and NSUP.
 func Fig6(sc Scale) (*FigureResult, error) {
-	app := superlu.New(machine.CoriHaswell(4), sparsemodel.H2O())
-	app.Seed = 11
-	p := app.Problem()
+	p := mustProblem("superlu", apps.Options{Matrix: "H2O", Seed: 11})
 	defaults := superlu.Defaults()
 	reduced, err := ReduceProblem(p,
 		[]string{"COLPERM", "nprows", "NSUP"},
@@ -341,9 +321,7 @@ func Fig6(sc Scale) (*FigureResult, error) {
 // smooth_num_levels, agg_num_levels), fixes the six with known defaults
 // and randomizes Px, Py, Nproc.
 func Fig7(sc Scale) (*FigureResult, error) {
-	app := hypre.New(machine.CoriHaswell(1))
-	app.Seed = 13
-	p := app.Problem()
+	p := mustProblem("hypre", apps.Options{Seed: 13})
 	task := map[string]interface{}{"nx": 100, "ny": 100, "nz": 100}
 	reduced, err := ReduceProblem(p,
 		[]string{"smooth_type", "smooth_num_levels", "agg_num_levels"},

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"gptunecrowd/internal/apps/nimrod"
-	"gptunecrowd/internal/apps/scalapack"
-	"gptunecrowd/internal/machine"
+	"gptunecrowd/internal/apps"
 	"gptunecrowd/internal/space"
 	"gptunecrowd/internal/surrogate"
 )
@@ -56,8 +54,8 @@ func renderSpace(title string, sp *space.Space, desc map[string]string) string {
 // Table2 renders the PDGEQRF tuning parameters (paper Table II) from
 // the live parameter space.
 func Table2() string {
-	app := scalapack.New(machine.CoriHaswell(8))
-	return renderSpace("table2: PDGEQRF tuning parameters (8 Haswell nodes)", app.ParamSpace(), map[string]string{
+	p := mustProblem("pdgeqrf", apps.Options{})
+	return renderSpace("table2: PDGEQRF tuning parameters (8 Haswell nodes)", p.ParamSpace, map[string]string{
 		"mb":          "row block size = 8*mb",
 		"nb":          "column block size = 8*nb",
 		"lg2npernode": "number of MPI processes per node = 2^lg2npernode",
@@ -67,8 +65,8 @@ func Table2() string {
 
 // Table3 renders the NIMROD tuning parameters (paper Table III).
 func Table3() string {
-	app := nimrod.New(machine.CoriHaswell(32))
-	return renderSpace("table3: NIMROD tuning parameters", app.ParamSpace(), map[string]string{
+	p := mustProblem("nimrod", apps.Options{})
+	return renderSpace("table3: NIMROD tuning parameters", p.ParamSpace, map[string]string{
 		"NSUP": "maximum supernode size in SuperLU",
 		"NREL": "upper bound of the minimum supernode size in SuperLU",
 		"nbx":  "2^nbx blocking in x for assembling NIMROD matrices",

@@ -18,6 +18,7 @@ import (
 	"gptunecrowd/internal/linalg"
 	"gptunecrowd/internal/optimize"
 	"gptunecrowd/internal/parallel"
+	"gptunecrowd/internal/stat"
 )
 
 // ErrNoData is returned when fitting with zero observations.
@@ -76,17 +77,10 @@ var (
 
 // Fit trains a GP on inputs X (rows in the unit hypercube) and targets y.
 func Fit(X [][]float64, y []float64, opts Options) (*GP, error) {
-	n := len(X)
-	if n == 0 {
-		return nil, ErrNoData
-	}
-	if len(y) != n {
-		return nil, fmt.Errorf("gp: %d inputs but %d targets", n, len(y))
-	}
-	if err := checkFinite(X, y); err != nil {
+	if err := checkData(X, y); err != nil {
 		return nil, err
 	}
-	dim := len(X[0])
+	n, dim := len(X), len(X[0])
 	if opts.Restarts <= 0 {
 		opts.Restarts = 2
 	}
@@ -96,23 +90,7 @@ func Fit(X [][]float64, y []float64, opts Options) (*GP, error) {
 	if opts.Kernel == kernel.Auto {
 		opts.Kernel = kernel.Matern52
 	}
-	// Standardize targets.
-	var mean, sd float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(n)
-	for _, v := range y {
-		sd += (v - mean) * (v - mean)
-	}
-	sd = math.Sqrt(sd / float64(n))
-	if sd < 1e-12 {
-		sd = 1
-	}
-	ys := make([]float64, n)
-	for i, v := range y {
-		ys[i] = (v - mean) / sd
-	}
+	mean, sd, ys := stat.Standardize(y)
 
 	kern := &kernel.Kernel{Type: opts.Kernel, Dim: dim, Categorical: opts.Categorical}
 	g := &GP{kern: kern, x: X, meanY: mean, stdY: sd}
@@ -176,42 +154,34 @@ func Fit(X [][]float64, y []float64, opts Options) (*GP, error) {
 // optimization — used by tests and by surrogate stacking, where the
 // residual model reuses a known scale.
 func FitFixed(X [][]float64, y []float64, kern *kernel.Kernel, hyper *kernel.Hyper, noiseVar float64) (*GP, error) {
-	n := len(X)
-	if n == 0 {
-		return nil, ErrNoData
-	}
-	if len(y) != n {
-		return nil, fmt.Errorf("gp: %d inputs but %d targets", n, len(y))
-	}
-	if err := checkFinite(X, y); err != nil {
+	return fitFixed(X, y, kern, hyper, math.Log(math.Max(noiseVar, 1e-10)))
+}
+
+// fitFixed factorizes the covariance under fixed hyperparameters and a
+// log noise variance in standardized units — the path shared by
+// FitFixed and Restore.
+func fitFixed(X [][]float64, y []float64, kern *kernel.Kernel, hyper *kernel.Hyper, lnoise float64) (*GP, error) {
+	if err := checkData(X, y); err != nil {
 		return nil, err
 	}
-	var mean, sd float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(n)
-	for _, v := range y {
-		sd += (v - mean) * (v - mean)
-	}
-	sd = math.Sqrt(sd / float64(n))
-	if sd < 1e-12 {
-		sd = 1
-	}
-	ys := make([]float64, n)
-	for i, v := range y {
-		ys[i] = (v - mean) / sd
-	}
-	g := &GP{kern: kern, hyper: hyper, lnoise: math.Log(math.Max(noiseVar, 1e-10)), x: X, meanY: mean, stdY: sd}
+	mean, sd, ys := stat.Standardize(y)
+	g := &GP{kern: kern, hyper: hyper, lnoise: lnoise, x: X, meanY: mean, stdY: sd}
 	if err := g.factorize(ys); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// checkFinite rejects ragged or non-finite training data — crowd-fed
-// histories can carry NaN/Inf that would silently poison the Cholesky.
-func checkFinite(X [][]float64, y []float64) error {
+// checkData rejects empty, mismatched, ragged or non-finite training
+// data — crowd-fed histories can carry NaN/Inf that would silently
+// poison the Cholesky.
+func checkData(X [][]float64, y []float64) error {
+	if len(X) == 0 {
+		return ErrNoData
+	}
+	if len(y) != len(X) {
+		return fmt.Errorf("gp: %d inputs but %d targets", len(X), len(y))
+	}
 	dim := len(X[0])
 	for i, x := range X {
 		if len(x) != dim {
@@ -430,27 +400,11 @@ func (g *GP) PredictMean(x []float64) float64 {
 	return g.meanY + g.stdY*linalg.Dot(ks, g.alpha)
 }
 
-// PredictBatch evaluates Predict over many points with the default
-// worker count.
-func (g *GP) PredictBatch(X [][]float64) (means, stds []float64) {
-	return g.PredictBatchWorkers(X, 0)
-}
-
-// PredictBatchWorkers evaluates Predict over many points with an
-// explicit worker count (<= 0 means the engine default). Each output
-// slot is written by exactly one worker, so results are bit-identical
-// for every worker count.
-func (g *GP) PredictBatchWorkers(X [][]float64, workers int) (means, stds []float64) {
-	means = make([]float64, len(X))
-	stds = make([]float64, len(X))
-	g.PredictBatchInto(X, means, stds, workers)
-	return means, stds
-}
-
-// PredictBatchInto is PredictBatchWorkers writing into caller-owned
-// slices (len(X) each) — the allocation-flat form used by the suggest
-// hot path. Each output slot is written by exactly one worker, so
-// results are bit-identical for every worker count.
+// PredictBatchInto evaluates Predict over the rows of X into
+// caller-owned slices (len(X) each) with the given worker count (<= 0
+// means the engine default) — the allocation-flat form used by the
+// suggest hot path. Each output slot is written by exactly one worker,
+// so results are bit-identical for every worker count.
 func (g *GP) PredictBatchInto(X [][]float64, means, stds []float64, workers int) {
 	if len(means) != len(X) || len(stds) != len(X) {
 		panic(fmt.Sprintf("gp: PredictBatchInto output length %d/%d, want %d", len(means), len(stds), len(X)))
@@ -459,6 +413,3 @@ func (g *GP) PredictBatchInto(X [][]float64, means, stds []float64, workers int)
 		means[i], stds[i] = g.Predict(X[i])
 	})
 }
-
-// TrainingInputs exposes the training rows (shared storage).
-func (g *GP) TrainingInputs() [][]float64 { return g.x }

@@ -63,9 +63,14 @@ func TestPredictBatchWorkersBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	P, _ := fitFixture(64, 2, 10)
-	refM, refS := g.PredictBatchWorkers(P, 1)
+	batch := func(workers int) (means, stds []float64) {
+		means, stds = make([]float64, len(P)), make([]float64, len(P))
+		g.PredictBatchInto(P, means, stds, workers)
+		return means, stds
+	}
+	refM, refS := batch(1)
 	for _, w := range []int{2, 8} {
-		m, s := g.PredictBatchWorkers(P, w)
+		m, s := batch(w)
 		for i := range refM {
 			if m[i] != refM[i] || s[i] != refS[i] {
 				t.Fatalf("workers=%d: point %d differs", w, i)

@@ -222,7 +222,8 @@ func TestPredictBatchAgreesWithPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := [][]float64{{0.1}, {0.6}, {0.95}}
-	means, stds := g.PredictBatch(q)
+	means, stds := make([]float64, len(q)), make([]float64, len(q))
+	g.PredictBatchInto(q, means, stds, 0)
 	for i, x := range q {
 		m, s := g.Predict(x)
 		if m != means[i] || s != stds[i] {

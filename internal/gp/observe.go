@@ -64,7 +64,3 @@ func (g *GP) ObservedSinceFit() int { return g.observed }
 // Standardization returns the frozen target standardization (mean,
 // standard deviation) the model predicts through.
 func (g *GP) Standardization() (mean, std float64) { return g.meanY, g.stdY }
-
-// TrainingTargets exposes the standardized training targets (shared
-// storage; do not mutate).
-func (g *GP) TrainingTargets() []float64 { return g.ys }

@@ -3,7 +3,6 @@ package gp
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"gptunecrowd/internal/kernel"
 )
@@ -63,9 +62,6 @@ func Restore(d *ModelData) (*GP, error) {
 	if d == nil || len(d.X) == 0 {
 		return nil, fmt.Errorf("gp: empty model data")
 	}
-	if len(d.X) != len(d.Y) {
-		return nil, fmt.Errorf("gp: model data has %d inputs but %d targets", len(d.X), len(d.Y))
-	}
 	kt, err := kernel.ParseType(d.Kernel)
 	if err != nil {
 		return nil, err
@@ -75,31 +71,9 @@ func Restore(d *ModelData) (*GP, error) {
 	}
 	kern := &kernel.Kernel{Type: kt, Dim: d.Dim, Categorical: d.Categorical}
 	hyper := &kernel.Hyper{LogLength: append([]float64(nil), d.LogLength...), LogVar: d.LogVar}
-	// FitFixed standardizes internally, reproducing the original scale
-	// handling; LogNoise is in standardized units already.
-	g := &GP{kern: kern, hyper: hyper, lnoise: d.LogNoise, x: d.X, meanY: 0, stdY: 1}
-	// Standardize exactly as Fit does.
-	var mean, sd float64
-	for _, v := range d.Y {
-		mean += v
-	}
-	mean /= float64(len(d.Y))
-	for _, v := range d.Y {
-		sd += (v - mean) * (v - mean)
-	}
-	sd = math.Sqrt(sd / float64(len(d.Y)))
-	if sd < 1e-12 {
-		sd = 1
-	}
-	g.meanY, g.stdY = mean, sd
-	ys := make([]float64, len(d.Y))
-	for i, v := range d.Y {
-		ys[i] = (v - mean) / sd
-	}
-	if err := g.factorize(ys); err != nil {
-		return nil, err
-	}
-	return g, nil
+	// The targets are standardized exactly as Fit does; LogNoise is in
+	// standardized units already.
+	return fitFixed(d.X, d.Y, kern, hyper, d.LogNoise)
 }
 
 // MarshalJSON serializes the fitted model.

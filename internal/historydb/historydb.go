@@ -318,10 +318,11 @@ func (c *Collection) Count(q Query) int {
 	return n
 }
 
-// Delete removes matching documents and returns how many were removed.
-// The kept documents move to a fresh slice so concurrent readers keep
-// seeing the pre-delete state.
-func (c *Collection) Delete(q Query) int {
+// Delete removes matching documents and returns how many were removed,
+// or the journal error that kept it from removing any. The kept
+// documents move to a fresh slice so concurrent readers keep seeing the
+// pre-delete state.
+func (c *Collection) Delete(q Query) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	kept := make([]Document, 0, len(c.docs))
@@ -336,18 +337,22 @@ func (c *Collection) Delete(q Query) int {
 		kept = append(kept, d)
 	}
 	removed := len(c.docs) - len(kept)
-	if removed == 0 || c.journal.Append(logRecord{Op: "delete", IDs: removedIDs}) != nil {
-		return 0
+	if removed == 0 {
+		return 0, nil
+	}
+	if err := c.journal.Append(logRecord{Op: "delete", IDs: removedIDs}); err != nil {
+		return 0, err
 	}
 	c.setDocsLocked(kept)
-	return removed
+	return removed, nil
 }
 
 // Update applies fn to a copy of every matching document and swaps the
-// copy in (copy-on-write), returning the number updated. Stored
-// documents stay immutable, so concurrent readers see either the old or
-// the new version, never a half-applied mutation.
-func (c *Collection) Update(q Query, fn func(Document)) int {
+// copy in (copy-on-write), returning the number updated, or the journal
+// error that kept it from updating any. Stored documents stay
+// immutable, so concurrent readers see either the old or the new
+// version, never a half-applied mutation.
+func (c *Collection) Update(q Query, fn func(Document)) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// A fresh slice, not in-place writes: outstanding readers share the
@@ -366,11 +371,14 @@ func (c *Collection) Update(q Query, fn func(Document)) int {
 			updated = append(updated, cp)
 		}
 	}
-	if len(updated) == 0 || c.journal.Append(logRecord{Op: "update", Docs: updated}) != nil {
-		return 0
+	if len(updated) == 0 {
+		return 0, nil
+	}
+	if err := c.journal.Append(logRecord{Op: "update", Docs: updated}); err != nil {
+		return 0, err
 	}
 	c.setDocsLocked(next)
-	return len(updated)
+	return len(updated), nil
 }
 
 // WriteJSONL serializes the collection, one document per line and the

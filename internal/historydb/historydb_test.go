@@ -113,15 +113,15 @@ func TestFindOrderAndFindOne(t *testing.T) {
 
 func TestDeleteAndUpdate(t *testing.T) {
 	c := sampleDocs(t)
-	if n := c.Delete(Eq("user", "alice")); n != 2 {
-		t.Fatalf("deleted %d", n)
+	if n, err := c.Delete(Eq("user", "alice")); n != 2 || err != nil {
+		t.Fatalf("deleted %d (%v)", n, err)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	n := c.Update(Eq("machine", "Cori"), func(d Document) { d["checked"] = true })
-	if n != 2 {
-		t.Fatalf("updated %d", n)
+	n, err := c.Update(Eq("machine", "Cori"), func(d Document) { d["checked"] = true })
+	if n != 2 || err != nil {
+		t.Fatalf("updated %d (%v)", n, err)
 	}
 	if c.Count(Eq("checked", true)) != 2 {
 		t.Fatal("update not visible")

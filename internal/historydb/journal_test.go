@@ -44,8 +44,8 @@ func TestJournalReplayMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	live.Update(Eq("n", float64(100)), func(d Document) { d["touched"] = true })
-	if removed := live.Delete(Eq("keep", false)); removed != 5 {
-		t.Fatalf("removed %d, want 5", removed)
+	if removed, err := live.Delete(Eq("keep", false)); removed != 5 || err != nil {
+		t.Fatalf("removed %d (%v), want 5", removed, err)
 	}
 	if err := live.Journal().Err(); err != nil {
 		t.Fatal(err)
@@ -166,8 +166,8 @@ func TestCompactionPreservesIDWatermark(t *testing.T) {
 	// Documents i=3,4 hold the highest ids ("4","5"); drop them, then
 	// fold the log down to a snapshot of the survivors.
 	for _, i := range []float64{3, 4} {
-		if removed := live.Delete(Eq("i", i)); removed != 1 {
-			t.Fatalf("removed %d docs for i=%v, want 1", removed, i)
+		if removed, err := live.Delete(Eq("i", i)); removed != 1 || err != nil {
+			t.Fatalf("removed %d docs for i=%v (%v), want 1", removed, i, err)
 		}
 	}
 	if err := live.Journal().Compact(); err != nil {
@@ -206,11 +206,11 @@ func TestJournalFailureRefusesMutations(t *testing.T) {
 	if c.Journal().Err() == nil {
 		t.Fatal("the failed append did not stick")
 	}
-	if n := c.Delete(Eq("i", float64(1))); n != 0 {
-		t.Fatalf("delete removed %d documents the journal did not record", n)
+	if n, err := c.Delete(Eq("i", float64(1))); n != 0 || err == nil {
+		t.Fatalf("delete removed %d documents the journal did not record (err %v)", n, err)
 	}
-	if n := c.Update(nil, func(d Document) { d["touched"] = true }); n != 0 {
-		t.Fatalf("update changed %d documents the journal did not record", n)
+	if n, err := c.Update(nil, func(d Document) { d["touched"] = true }); n != 0 || err == nil {
+		t.Fatalf("update changed %d documents the journal did not record (err %v)", n, err)
 	}
 	if !bytes.Equal(before, snapshotBytes(t, c)) {
 		t.Fatal("collection changed although nothing could be journaled")

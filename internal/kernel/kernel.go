@@ -85,17 +85,8 @@ func NewHyper(dim int) *Hyper {
 // NumParams returns the number of packed hyperparameters.
 func (h *Hyper) NumParams() int { return len(h.LogLength) + 1 }
 
-// Pack serializes the hyperparameters as [LogLength..., LogVar].
-func (h *Hyper) Pack(dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, h.NumParams())
-	}
-	copy(dst, h.LogLength)
-	dst[len(h.LogLength)] = h.LogVar
-	return dst
-}
-
-// Unpack deserializes hyperparameters produced by Pack.
+// Unpack reads hyperparameters packed as [LogLength..., LogVar], the
+// order the likelihood optimizers search in.
 func (h *Hyper) Unpack(src []float64) {
 	copy(h.LogLength, src[:len(h.LogLength)])
 	h.LogVar = src[len(h.LogLength)]
@@ -231,14 +222,9 @@ func (k *Kernel) MatrixInto(X [][]float64, h *Hyper, m *linalg.Matrix, workers i
 	})
 }
 
-// CrossMatrix returns the len(A)×len(B) covariance matrix between two
-// point sets, using the default worker count.
-func (k *Kernel) CrossMatrix(A, B [][]float64, h *Hyper) *linalg.Matrix {
-	return k.CrossMatrixWorkers(A, B, h, 0)
-}
-
-// CrossMatrixWorkers is CrossMatrix with an explicit worker count
-// (<= 0 means the package default).
+// CrossMatrixWorkers returns the len(A)×len(B) covariance matrix
+// between two point sets with the given worker count (<= 0 means the
+// package default).
 func (k *Kernel) CrossMatrixWorkers(A, B [][]float64, h *Hyper, workers int) *linalg.Matrix {
 	m := linalg.NewMatrix(len(A), len(B))
 	parallel.For(len(A), workers, func(i int) {
@@ -250,14 +236,9 @@ func (k *Kernel) CrossMatrixWorkers(A, B [][]float64, h *Hyper, workers int) *li
 	return m
 }
 
-// MatrixGrads returns the Gram matrix and, for each packed
-// hyperparameter, the elementwise derivative matrix dK/dθ. The slices
-// share no storage with the Gram matrix.
-func (k *Kernel) MatrixGrads(X [][]float64, h *Hyper) (*linalg.Matrix, []*linalg.Matrix) {
-	return k.MatrixGradsWorkers(X, h, 0)
-}
-
-// MatrixGradsWorkers is MatrixGrads with an explicit worker count.
+// MatrixGradsWorkers returns the Gram matrix and, for each packed
+// hyperparameter, the elementwise derivative matrix dK/dθ, with the
+// given worker count. The slices share no storage with the Gram matrix.
 func (k *Kernel) MatrixGradsWorkers(X [][]float64, h *Hyper, workers int) (*linalg.Matrix, []*linalg.Matrix) {
 	n := len(X)
 	np := h.NumParams()

@@ -96,14 +96,14 @@ func TestMatrixMatchesPairwiseEval(t *testing.T) {
 	}
 }
 
-// The diagonal of MatrixGrads must match EvalGrad at identical points:
+// The diagonal of MatrixGradsWorkers must match EvalGrad at identical points:
 // zero length-scale gradients, dK/dlogσ² equal to the variance.
 func TestMatrixGradsDiagonal(t *testing.T) {
 	k := New(Matern52, 2)
 	h := NewHyper(2)
 	h.LogVar = 0.8
 	X := randPoints(6, 2, 4)
-	K, G := k.MatrixGrads(X, h)
+	K, G := k.MatrixGradsWorkers(X, h, 0)
 	g := make([]float64, h.NumParams())
 	for i := range X {
 		v := k.EvalGrad(X[i], X[i], h, g)

@@ -72,7 +72,7 @@ func TestEvalGradMatchesNumeric(t *testing.T) {
 		np := h.NumParams()
 		grad := make([]float64, np)
 		k.EvalGrad(x, y, h, grad)
-		packed := h.Pack(nil)
+		packed := pack(h)
 		const eps = 1e-6
 		for p := 0; p < np; p++ {
 			hp := NewHyper(3)
@@ -144,12 +144,12 @@ func TestMatrixGradsConsistent(t *testing.T) {
 	k := New(Matern52, 2)
 	h := randHyper(rng, 2)
 	X := [][]float64{{0.1, 0.2}, {0.7, 0.3}, {0.5, 0.9}}
-	K, grads := k.MatrixGrads(X, h)
+	K, grads := k.MatrixGradsWorkers(X, h, 0)
 	K2 := k.Matrix(X, h)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if K.At(i, j) != K2.At(i, j) {
-				t.Fatal("MatrixGrads K differs from Matrix")
+				t.Fatal("MatrixGradsWorkers K differs from Matrix")
 			}
 		}
 	}
@@ -170,7 +170,7 @@ func TestCrossMatrixShape(t *testing.T) {
 	h := NewHyper(2)
 	A := [][]float64{{0, 0}, {1, 1}, {0.5, 0.5}}
 	B := [][]float64{{0, 0}, {1, 1}}
-	c := k.CrossMatrix(A, B, h)
+	c := k.CrossMatrixWorkers(A, B, h, 0)
 	if c.Rows() != 3 || c.Cols() != 2 {
 		t.Fatalf("shape %dx%d", c.Rows(), c.Cols())
 	}
@@ -179,10 +179,15 @@ func TestCrossMatrixShape(t *testing.T) {
 	}
 }
 
+// pack lays h out in the optimizers' order: [LogLength..., LogVar].
+func pack(h *Hyper) []float64 {
+	return append(append([]float64(nil), h.LogLength...), h.LogVar)
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	h := randHyper(rng, 4)
-	packed := h.Pack(nil)
+	packed := pack(h)
 	h2 := NewHyper(4)
 	h2.Unpack(packed)
 	for d := range h.LogLength {

@@ -19,6 +19,7 @@ import (
 	"gptunecrowd/internal/linalg"
 	"gptunecrowd/internal/optimize"
 	"gptunecrowd/internal/parallel"
+	"gptunecrowd/internal/stat"
 )
 
 // ErrNoData is returned when every task is empty.
@@ -122,15 +123,13 @@ func Fit(X [][][]float64, Y [][]float64, opts Options) (*Model, error) {
 	m.meanY = make([]float64, numTasks)
 	m.stdY = make([]float64, numTasks)
 	ys := make([]float64, 0, total)
-	for t := range Y {
-		mean, sd := standardStats(Y[t])
-		m.meanY[t], m.stdY[t] = mean, sd
-	}
 	for t := range X {
+		var z []float64
+		m.meanY[t], m.stdY[t], z = stat.Standardize(Y[t])
 		for i, x := range X[t] {
 			m.x = append(m.x, x)
 			m.task = append(m.task, t)
-			ys = append(ys, (Y[t][i]-m.meanY[t])/m.stdY[t])
+			ys = append(ys, z[i])
 		}
 	}
 
@@ -158,24 +157,6 @@ func Fit(X [][][]float64, Y [][]float64, opts Options) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-func standardStats(y []float64) (mean, sd float64) {
-	if len(y) == 0 {
-		return 0, 1
-	}
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	for _, v := range y {
-		sd += (v - mean) * (v - mean)
-	}
-	sd = math.Sqrt(sd / float64(len(y)))
-	if sd < 1e-12 {
-		sd = 1
-	}
-	return mean, sd
 }
 
 // Parameter packing order:

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"gptunecrowd/internal/stat"
 )
 
 // makeCorrelatedTasks builds two tasks that are shifted/scaled versions
@@ -151,10 +153,8 @@ func TestNLLGradientMatchesNumeric(t *testing.T) {
 	// Rebuild the standardized stacked targets exactly as Fit does.
 	ys := make([]float64, 0, 12)
 	for task := range Y {
-		mean, sd := standardStats(Y[task])
-		for _, v := range Y[task] {
-			ys = append(ys, (v-mean)/sd)
-		}
+		_, _, z := stat.Standardize(Y[task])
+		ys = append(ys, z...)
 	}
 	rng := rand.New(rand.NewSource(99))
 	theta := mm.initTheta(rng, false)

@@ -106,35 +106,6 @@ func (c *Cholesky) SolveVecInto(b, dst, tmp []float64) {
 	backwardSubstTInto(c.L, tmp, dst)
 }
 
-// Solve solves A·X = B for every column of B.
-func (c *Cholesky) Solve(b *Matrix) *Matrix {
-	return c.SolveWorkers(b, 1)
-}
-
-// SolveWorkers solves A·X = B with columns distributed over workers
-// (<= 0 means the package default). Columns are independent, so the
-// result is bit-identical for every worker count.
-func (c *Cholesky) SolveWorkers(b *Matrix, workers int) *Matrix {
-	n := c.L.rows
-	if b.rows != n {
-		panic("linalg: Cholesky.Solve dimension mismatch")
-	}
-	x := NewMatrix(n, b.cols)
-	type solveScratch struct{ col, sol, tmp []float64 }
-	parallel.ForEachWorker(b.cols, workers, func() *solveScratch {
-		return &solveScratch{col: make([]float64, n), sol: make([]float64, n), tmp: make([]float64, n)}
-	}, func(sc *solveScratch, j int) {
-		for i := 0; i < n; i++ {
-			sc.col[i] = b.At(i, j)
-		}
-		c.SolveVecInto(sc.col, sc.sol, sc.tmp)
-		for i := 0; i < n; i++ {
-			x.Set(i, j, sc.sol[i])
-		}
-	})
-	return x
-}
-
 // LogDet returns log|A| = 2·Σ log L_ii.
 func (c *Cholesky) LogDet() float64 {
 	var s float64
@@ -146,16 +117,11 @@ func (c *Cholesky) LogDet() float64 {
 }
 
 // Clone returns an independent deep copy of the factor. AppendRow and
-// Downdate replace or mutate L in place, so a model that must absorb
+// Update replace or mutate L in place, so a model that must absorb
 // speculative updates without disturbing the original (the constant-liar
 // batch path) clones the factor first.
 func (c *Cholesky) Clone() *Cholesky {
 	return &Cholesky{L: c.L.Clone(), Jitter: c.Jitter}
-}
-
-// Inverse returns A⁻¹.
-func (c *Cholesky) Inverse() *Matrix {
-	return c.InverseWorkers(1)
 }
 
 // InverseWorkers returns A⁻¹ with the independent unit-vector solves
@@ -180,17 +146,11 @@ func (c *Cholesky) InverseWorkers(workers int) *Matrix {
 	return inv
 }
 
-// ForwardSubst solves L·y = b for lower-triangular L.
-func ForwardSubst(l *Matrix, b []float64) []float64 {
-	y := make([]float64, len(b))
-	forwardSubstInto(l, b, y)
-	return y
-}
-
+// forwardSubstInto solves L·y = b into y for lower-triangular L.
 func forwardSubstInto(l *Matrix, b, y []float64) {
 	n := l.rows
 	if len(b) != n || len(y) != n {
-		panic("linalg: ForwardSubst dimension mismatch")
+		panic("linalg: forward substitution dimension mismatch")
 	}
 	for i := 0; i < n; i++ {
 		s := b[i]
@@ -202,17 +162,11 @@ func forwardSubstInto(l *Matrix, b, y []float64) {
 	}
 }
 
-// BackwardSubstT solves Lᵀ·x = y for lower-triangular L.
-func BackwardSubstT(l *Matrix, y []float64) []float64 {
-	x := make([]float64, len(y))
-	backwardSubstTInto(l, y, x)
-	return x
-}
-
+// backwardSubstTInto solves Lᵀ·x = y into x for lower-triangular L.
 func backwardSubstTInto(l *Matrix, y, x []float64) {
 	n := l.rows
 	if len(y) != n || len(x) != n {
-		panic("linalg: BackwardSubstT dimension mismatch")
+		panic("linalg: backward substitution dimension mismatch")
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
@@ -221,35 +175,4 @@ func backwardSubstTInto(l *Matrix, y, x []float64) {
 		}
 		x[i] = s / l.At(i, i)
 	}
-}
-
-// SolveLowerMatrix solves L·Y = B columnwise for lower-triangular L,
-// returning Y. B is not modified.
-func SolveLowerMatrix(l, b *Matrix) *Matrix {
-	n := l.rows
-	if b.rows != n {
-		panic("linalg: SolveLowerMatrix dimension mismatch")
-	}
-	y := NewMatrix(n, b.cols)
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		yi := y.Row(i)
-		bi := b.Row(i)
-		copy(yi, bi)
-		for k := 0; k < i; k++ {
-			lik := li[k]
-			if lik == 0 {
-				continue
-			}
-			yk := y.Row(k)
-			for j := range yi {
-				yi[j] -= lik * yk[j]
-			}
-		}
-		inv := 1 / li[i]
-		for j := range yi {
-			yi[j] *= inv
-		}
-	}
-	return y
 }

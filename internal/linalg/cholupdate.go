@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the O(n²) incremental maintenance of a Cholesky
-// factor: rank-1 up/downdates and the bordered extension by one row.
+// factor: the rank-1 update and the bordered extension by one row.
 // Together they let the GP surrogate absorb a new observation without
 // the full O(n³) refactorization — the core of the suggestion-serving
 // hot path, where one factor is kept live across thousands of requests
@@ -36,40 +36,6 @@ func (c *Cholesky) Update(v []float64) {
 			w[i] = cth*w[i] - sth*rowi[k]
 		}
 	}
-}
-
-// Downdate applies the rank-1 downdate A → A − v·vᵀ in O(n²) flops.
-// It fails with ErrNotPositiveDefinite when the downdated matrix is not
-// positive definite; the factor is left unchanged in that case (the
-// sweep runs on a copy that is swapped in only on success). v is not
-// modified.
-func (c *Cholesky) Downdate(v []float64) error {
-	n := c.L.rows
-	if len(v) != n {
-		panic(fmt.Sprintf("linalg: Cholesky.Downdate length %d, want %d", len(v), n))
-	}
-	l := c.L.Clone()
-	w := make([]float64, n)
-	copy(w, v)
-	for k := 0; k < n; k++ {
-		rowk := l.Row(k)
-		lkk := rowk[k]
-		d := lkk*lkk - w[k]*w[k]
-		if d <= 0 || math.IsNaN(d) {
-			return ErrNotPositiveDefinite
-		}
-		r := math.Sqrt(d)
-		cth := r / lkk
-		sth := w[k] / lkk
-		rowk[k] = r
-		for i := k + 1; i < n; i++ {
-			rowi := l.Row(i)
-			rowi[k] = (rowi[k] - sth*w[i]) / cth
-			w[i] = cth*w[i] - sth*rowi[k]
-		}
-	}
-	c.L = l
-	return nil
 }
 
 // AppendRow extends the factor of the n×n matrix A to the factor of the

@@ -11,8 +11,8 @@ import (
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMatMulKnown(t *testing.T) {
-	a := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b := NewMatrixFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
+	a := newMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	b := newMatrixFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	c := MatMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
@@ -23,8 +23,8 @@ func TestMatMulKnown(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	a := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	at := a.T()
+	a := newMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	at := transpose(a)
 	if at.Rows() != 3 || at.Cols() != 2 {
 		t.Fatalf("transpose shape = %dx%d", at.Rows(), at.Cols())
 	}
@@ -41,8 +41,8 @@ func TestMatVecAgainstMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomMatrix(rng, 5, 7)
 	x := randomVec(rng, 7)
-	y := MatVec(a, x)
-	xm := NewMatrixFrom(7, 1, CopyVec(x))
+	y := matVec(a, x)
+	xm := newMatrixFrom(7, 1, CopyVec(x))
 	ym := MatMul(a, xm)
 	for i := range y {
 		if !almostEqual(y[i], ym.At(i, 0), 1e-12) {
@@ -53,7 +53,7 @@ func TestMatVecAgainstMatMul(t *testing.T) {
 
 func TestCholeskyKnown(t *testing.T) {
 	// A = [[4,12,-16],[12,37,-43],[-16,-43,98]] has L = [[2,0,0],[6,1,0],[-8,5,3]].
-	a := NewMatrixFrom(3, 3, []float64{4, 12, -16, 12, 37, -43, -16, -43, 98})
+	a := newMatrixFrom(3, 3, []float64{4, 12, -16, 12, 37, -43, -16, -43, 98})
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -79,9 +79,9 @@ func TestCholeskySolveAndLogDet(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randomVec(rng, n)
-	b := MatVec(a, x)
+	b := matVec(a, x)
 	got := ch.SolveVec(b)
-	if d := MaxAbsDiff(got, x); d > 1e-8 {
+	if d := maxAbsDiff(got, x); d > 1e-8 {
 		t.Fatalf("SolveVec residual %v", d)
 	}
 	// Log-det against the product of squared diagonal entries of L.
@@ -96,7 +96,7 @@ func TestCholeskySolveAndLogDet(t *testing.T) {
 
 func TestCholeskyJitterRescuesSingular(t *testing.T) {
 	// Rank-1 matrix: jitter must rescue it.
-	a := NewMatrixFrom(2, 2, []float64{1, 1, 1, 1})
+	a := newMatrixFrom(2, 2, []float64{1, 1, 1, 1})
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatalf("jittered Cholesky failed: %v", err)
@@ -107,7 +107,7 @@ func TestCholeskyJitterRescuesSingular(t *testing.T) {
 }
 
 func TestCholeskyRejectsNegativeDefinite(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{-5, 0, 0, -5})
+	a := newMatrixFrom(2, 2, []float64{-5, 0, 0, -5})
 	if _, err := NewCholesky(a); err == nil {
 		t.Fatal("expected failure on negative definite matrix")
 	}
@@ -120,9 +120,9 @@ func TestCholeskyJitterExhaustion(t *testing.T) {
 	// shape crowd-fed data corruption takes — defeat every jitter level
 	// because jitter only perturbs the diagonal.
 	cases := map[string]*Matrix{
-		"nan diagonal":     NewMatrixFrom(2, 2, []float64{math.NaN(), 0, 0, 1}),
-		"nan off-diagonal": NewMatrixFrom(2, 2, []float64{1, math.NaN(), math.NaN(), 1}),
-		"all nan":          NewMatrixFrom(3, 3, []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}),
+		"nan diagonal":     newMatrixFrom(2, 2, []float64{math.NaN(), 0, 0, 1}),
+		"nan off-diagonal": newMatrixFrom(2, 2, []float64{1, math.NaN(), math.NaN(), 1}),
+		"all nan":          newMatrixFrom(3, 3, []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}),
 	}
 	for name, a := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -136,7 +136,7 @@ func TestCholeskyJitterExhaustion(t *testing.T) {
 		})
 	}
 	// The plain (no-jitter) path reports the same sentinel.
-	if _, err := NewCholesky(NewMatrixFrom(2, 2, []float64{-5, 0, 0, -5})); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := NewCholesky(newMatrixFrom(2, 2, []float64{-5, 0, 0, -5})); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("negative definite error %v is not ErrNotPositiveDefinite", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestCholeskyReconstructProperty(t *testing.T) {
 			return false
 		}
 		// L·Lᵀ ≈ A + jitter·I
-		llt := MatMul(ch.L, ch.L.T())
+		llt := MatMul(ch.L, transpose(ch.L))
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				want := a.At(i, j)
@@ -171,52 +171,32 @@ func TestCholeskyReconstructProperty(t *testing.T) {
 }
 
 func TestForwardBackwardSubst(t *testing.T) {
-	l := NewMatrixFrom(3, 3, []float64{2, 0, 0, 1, 3, 0, -1, 2, 4})
+	l := newMatrixFrom(3, 3, []float64{2, 0, 0, 1, 3, 0, -1, 2, 4})
 	x := []float64{1, -2, 0.5}
-	b := MatVec(l, x)
-	y := ForwardSubst(l, b)
-	if d := MaxAbsDiff(y, x); d > 1e-12 {
-		t.Fatalf("ForwardSubst residual %v", d)
+	b := matVec(l, x)
+	y := make([]float64, 3)
+	forwardSubstInto(l, b, y)
+	if d := maxAbsDiff(y, x); d > 1e-12 {
+		t.Fatalf("forward substitution residual %v", d)
 	}
-	bt := MatVec(l.T(), x)
-	xt := BackwardSubstT(l, bt)
-	if d := MaxAbsDiff(xt, x); d > 1e-12 {
-		t.Fatalf("BackwardSubstT residual %v", d)
-	}
-}
-
-func TestSolveLowerMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 6
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			l.Set(i, j, rng.NormFloat64())
-		}
-		l.Set(i, i, 2+rng.Float64())
-	}
-	b := randomMatrix(rng, n, 3)
-	y := SolveLowerMatrix(l, b)
-	ly := MatMul(l, y)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEqual(ly.At(i, j), b.At(i, j), 1e-9) {
-				t.Fatalf("SolveLowerMatrix residual at (%d,%d)", i, j)
-			}
-		}
+	bt := matVec(transpose(l), x)
+	xt := make([]float64, 3)
+	backwardSubstTInto(l, bt, xt)
+	if d := maxAbsDiff(xt, x); d > 1e-12 {
+		t.Fatalf("backward substitution residual %v", d)
 	}
 }
 
 func TestQRLeastSquaresExact(t *testing.T) {
 	// Square, well-conditioned system: exact solve.
-	a := NewMatrixFrom(3, 3, []float64{2, 1, 0, 1, 3, 1, 0, 1, 4})
+	a := newMatrixFrom(3, 3, []float64{2, 1, 0, 1, 3, 1, 0, 1, 4})
 	x := []float64{1, -1, 2}
-	b := MatVec(a, x)
+	b := matVec(a, x)
 	got, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxAbsDiff(got, x); d > 1e-9 {
+	if d := maxAbsDiff(got, x); d > 1e-9 {
 		t.Fatalf("LeastSquares residual %v", d)
 	}
 }
@@ -242,20 +222,20 @@ func TestQRLeastSquaresOverdetermined(t *testing.T) {
 }
 
 func TestQRSingularDetection(t *testing.T) {
-	a := NewMatrixFrom(3, 2, []float64{1, 2, 2, 4, 3, 6}) // collinear columns
+	a := newMatrixFrom(3, 2, []float64{1, 2, 2, 4, 3, 6}) // collinear columns
 	if _, err := LeastSquares(a, []float64{1, 2, 3}); err == nil {
 		t.Fatal("expected ErrSingular for collinear design")
 	}
 }
 
 func TestRidgeLeastSquaresHandlesCollinear(t *testing.T) {
-	a := NewMatrixFrom(3, 2, []float64{1, 2, 2, 4, 3, 6})
+	a := newMatrixFrom(3, 2, []float64{1, 2, 2, 4, 3, 6})
 	x, err := RidgeLeastSquares(a, []float64{1, 2, 3}, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Ridge pulls toward the minimum-norm solution; residual should be tiny.
-	r := MatVec(a, x)
+	r := matVec(a, x)
 	for i, want := range []float64{1, 2, 3} {
 		if math.Abs(r[i]-want) > 1e-3 {
 			t.Fatalf("ridge residual too large: %v vs %v", r[i], want)
@@ -275,19 +255,8 @@ func TestRidgeShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Norm2(x1) >= Norm2(x0) {
-		t.Fatalf("ridge did not shrink: %v vs %v", Norm2(x1), Norm2(x0))
-	}
-}
-
-func TestNorm2Overflow(t *testing.T) {
-	x := []float64{1e200, 1e200}
-	want := 1e200 * math.Sqrt2
-	if got := Norm2(x); math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("Norm2 overflow guard failed: %v", got)
-	}
-	if Norm2(nil) != 0 {
-		t.Fatal("Norm2(nil) != 0")
+	if n1, n0 := Dot(x1, x1), Dot(x0, x0); n1 >= n0 {
+		t.Fatalf("ridge did not shrink: |x|² %v vs %v", n1, n0)
 	}
 }
 
@@ -298,33 +267,24 @@ func TestVectorHelpers(t *testing.T) {
 		t.Fatalf("Dot = %v", Dot(x, y))
 	}
 	z := CopyVec(y)
-	Axpy(2, x, z)
-	if d := MaxAbsDiff(z, []float64{6, 9, 12}); d != 0 {
-		t.Fatalf("Axpy result %v", z)
-	}
-	ScaleVec(0.5, z)
-	if d := MaxAbsDiff(z, []float64{3, 4.5, 6}); d != 0 {
-		t.Fatalf("ScaleVec result %v", z)
-	}
-}
-
-func TestMatTVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomMatrix(rng, 4, 6)
-	x := randomVec(rng, 4)
-	got := MatTVec(a, x)
-	want := MatVec(a.T(), x)
-	if d := MaxAbsDiff(got, want); d > 1e-12 {
-		t.Fatalf("MatTVec mismatch %v", d)
+	z[0] = 99
+	if y[0] != 4 || z[1] != 5 {
+		t.Fatalf("CopyVec shares storage or lost values: %v %v", y, z)
 	}
 }
 
 func TestIdentityAndAddDiag(t *testing.T) {
-	m := Identity(3)
+	m := NewMatrix(3, 3).AddDiag(1) // the identity
 	m.AddDiag(2)
 	for i := 0; i < 3; i++ {
-		if m.At(i, i) != 3 {
-			t.Fatalf("diag = %v", m.At(i, i))
+		for j := 0; j < 3; j++ {
+			want := 0.0
+			if i == j {
+				want = 3
+			}
+			if m.At(i, j) != want {
+				t.Fatalf("m[%d,%d] = %v, want %v", i, j, m.At(i, j), want)
+			}
 		}
 	}
 }
@@ -348,7 +308,7 @@ func randomVec(rng *rand.Rand, n int) []float64 {
 // randomSPD builds B·Bᵀ + I which is symmetric positive definite.
 func randomSPD(rng *rand.Rand, n int) *Matrix {
 	b := randomMatrix(rng, n, n)
-	a := MatMul(b, b.T())
+	a := MatMul(b, transpose(b))
 	a.AddDiag(1)
 	return a
 }
@@ -361,19 +321,12 @@ func TestCholeskySolveMatrixAndInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Solve with a multi-column RHS.
-	b := randomMatrix(rng, n, 3)
-	x := ch.Solve(b)
-	ax := MatMul(a, x)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(ax.At(i, j)-b.At(i, j)) > 1e-7 {
-				t.Fatalf("Solve residual at (%d,%d)", i, j)
-			}
-		}
+	// Inverse: A⁻¹·b agrees with the triangular solves, and A·A⁻¹ ≈ I.
+	inv := ch.InverseWorkers(1)
+	b := randomVec(rng, n)
+	if d := maxAbsDiff(matVec(inv, b), ch.SolveVec(b)); d > 1e-9 {
+		t.Fatalf("A⁻¹·b differs from SolveVec by %v", d)
 	}
-	// Inverse: A·A⁻¹ ≈ I.
-	inv := ch.Inverse()
 	prod := MatMul(a, inv)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -389,7 +342,7 @@ func TestCholeskySolveMatrixAndInverse(t *testing.T) {
 }
 
 func TestMatrixHelpers(t *testing.T) {
-	m := NewMatrixFrom(2, 2, []float64{1, 2, 3, 4})
+	m := newMatrixFrom(2, 2, []float64{1, 2, 3, 4})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -402,11 +355,6 @@ func TestMatrixHelpers(t *testing.T) {
 	m.Scale(2)
 	if m.At(1, 1) != 8 {
 		t.Fatal("Scale wrong")
-	}
-	m2 := NewMatrixFrom(2, 2, []float64{1, 1, 1, 1})
-	m.AddM(m2)
-	if m.At(0, 0) != 3 {
-		t.Fatal("AddM wrong")
 	}
 	if s := m.String(); len(s) == 0 {
 		t.Fatal("String empty")
@@ -428,10 +376,9 @@ func TestPanics(t *testing.T) {
 	a := NewMatrix(2, 3)
 	b := NewMatrix(2, 3)
 	expectPanic("MatMul", func() { MatMul(a, b) })
-	expectPanic("MatVec", func() { MatVec(a, []float64{1}) })
+	expectPanic("MatVec", func() { matVec(a, []float64{1}) })
 	expectPanic("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
-	expectPanic("NewMatrixFrom", func() { NewMatrixFrom(2, 2, []float64{1}) })
-	expectPanic("AddM", func() { a.AddM(NewMatrix(3, 2)) })
+	expectPanic("NewMatrixFrom", func() { newMatrixFrom(2, 2, []float64{1}) })
 	expectPanic("ridge", func() { RidgeLeastSquares(a, []float64{1, 2}, -1) })
 }
 

@@ -9,7 +9,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"gptunecrowd/internal/parallel"
@@ -27,25 +26,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid dimensions %dx%d", r, c))
 	}
 	return &Matrix{rows: r, cols: c, data: make([]float64, r*c)}
-}
-
-// NewMatrixFrom builds an r×c matrix from row-major data. The slice is
-// used directly (not copied); callers that need isolation should copy
-// first.
-func NewMatrixFrom(r, c int, data []float64) *Matrix {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("linalg: data length %d does not match %dx%d", len(data), r, c))
-	}
-	return &Matrix{rows: r, cols: c, data: data}
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -76,18 +56,6 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{rows: m.rows, cols: m.cols, data: d}
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
-}
-
 // Scale multiplies every element by s, in place, and returns m.
 func (m *Matrix) Scale(s float64) *Matrix {
 	for i := range m.data {
@@ -104,17 +72,6 @@ func (m *Matrix) AddDiag(v float64) *Matrix {
 	}
 	for i := 0; i < n; i++ {
 		m.data[i*m.cols+i] += v
-	}
-	return m
-}
-
-// AddM accumulates a into m elementwise, in place, and returns m.
-func (m *Matrix) AddM(a *Matrix) *Matrix {
-	if a.rows != m.rows || a.cols != m.cols {
-		panic("linalg: AddM dimension mismatch")
-	}
-	for i, v := range a.data {
-		m.data[i] += v
 	}
 	return m
 }
@@ -171,42 +128,6 @@ func MatMulWorkers(a, b *Matrix, workers int) *Matrix {
 	return c
 }
 
-// MatVec returns a*x.
-func MatVec(a *Matrix, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic("linalg: MatVec dimension mismatch")
-	}
-	y := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// MatTVec returns aᵀ*x.
-func MatTVec(a *Matrix, x []float64) []float64 {
-	if a.rows != len(x) {
-		panic("linalg: MatTVec dimension mismatch")
-	}
-	y := make([]float64, a.cols)
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			y[j] += v * xi
-		}
-	}
-	return y
-}
-
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -219,63 +140,9 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of x, guarding against overflow.
-func Norm2(x []float64) float64 {
-	var scale, ssq float64
-	ssq = 1
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			ssq = 1 + ssq*(scale/a)*(scale/a)
-			scale = a
-		} else {
-			ssq += (a / scale) * (a / scale)
-		}
-	}
-	if scale == 0 {
-		return 0
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: Axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// ScaleVec multiplies x by s in place.
-func ScaleVec(s float64, x []float64) {
-	for i := range x {
-		x[i] *= s
-	}
-}
-
 // CopyVec returns a copy of x.
 func CopyVec(x []float64) []float64 {
 	y := make([]float64, len(x))
 	copy(y, x)
 	return y
-}
-
-// MaxAbsDiff returns max_i |a_i - b_i|, a convenience for tests.
-func MaxAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: MaxAbsDiff length mismatch")
-	}
-	var m float64
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

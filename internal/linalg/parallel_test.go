@@ -16,7 +16,7 @@ func randMatrix(r, c int, seed int64) *Matrix {
 
 func randSPD(n int, seed int64) *Matrix {
 	a := randMatrix(n, n, seed)
-	s := MatMul(a, a.T())
+	s := MatMul(a, transpose(a))
 	s.AddDiag(float64(n))
 	return s
 }
@@ -48,17 +48,20 @@ func TestCholeskySolveAndInverseWorkersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := randMatrix(24, 9, 4)
-	refSolve := ch.SolveWorkers(b, 1)
 	refInv := ch.InverseWorkers(1)
-	for _, w := range []int{2, 8} {
-		s := ch.SolveWorkers(b, w)
-		inv := ch.InverseWorkers(w)
-		for i := range refSolve.data {
-			if refSolve.data[i] != s.data[i] {
-				t.Fatalf("Solve workers=%d: element %d differs", w, i)
+	// Column j of the inverse is the solve against the unit vector e_j.
+	e := make([]float64, 24)
+	for j := range e {
+		e[j] = 1
+		for i, v := range ch.SolveVec(e) {
+			if refInv.At(i, j) != v {
+				t.Fatalf("Inverse column %d differs from SolveVec at %d", j, i)
 			}
 		}
+		e[j] = 0
+	}
+	for _, w := range []int{2, 8} {
+		inv := ch.InverseWorkers(w)
 		for i := range refInv.data {
 			if refInv.data[i] != inv.data[i] {
 				t.Fatalf("Inverse workers=%d: element %d differs", w, i)

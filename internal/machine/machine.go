@@ -79,19 +79,3 @@ func CoriKNL(nodes int) Machine {
 		SerialPenalty: 3.0,
 	}
 }
-
-// Generic returns a small commodity-cluster model, useful in examples
-// that should not pretend to be Cori.
-func Generic(nodes, coresPerNode int) Machine {
-	return Machine{
-		Name:          "generic",
-		Partition:     "cpu",
-		Nodes:         nodes,
-		CoresPerNode:  coresPerNode,
-		GFlopsPerCore: 10.0,
-		NetLatencyUS:  2.0,
-		NetBWGBs:      5.0,
-		MemPerNodeGB:  60,
-		SerialPenalty: 1.2,
-	}
-}

@@ -33,7 +33,7 @@ func TestValidateRejectsBadModels(t *testing.T) {
 	if err := m.Validate(); err == nil {
 		t.Fatal("expected validation failure")
 	}
-	m = Generic(2, 8)
+	m = CoriHaswell(2)
 	m.NetBWGBs = 0
 	if err := m.Validate(); err == nil {
 		t.Fatal("expected rate failure")

@@ -148,20 +148,3 @@ func distinct3(rng *rand.Rand, n, exclude int) (int, int, int) {
 	c := pick(a, b)
 	return a, b, c
 }
-
-// MultiStart runs the given local minimizer from each start point and
-// returns the best result.
-func MultiStart(starts [][]float64, minimize func(x0 []float64) Result) Result {
-	if len(starts) == 0 {
-		panic("optimize: MultiStart requires at least one start")
-	}
-	best := minimize(starts[0])
-	for _, s := range starts[1:] {
-		r := minimize(s)
-		best.Evals += r.Evals
-		if r.F < best.F {
-			best.X, best.F = r.X, r.F
-		}
-	}
-	return best
-}

@@ -10,8 +10,8 @@ import "gptunecrowd/internal/parallel"
 //
 // Determinism: each run depends only on its start point, and the winner
 // is chosen by a strictly-ordered argmin over restart indices (first
-// index wins ties), matching serial MultiStart exactly — so the outcome
-// is bit-identical for every worker count.
+// index wins ties) — so the outcome is bit-identical for every worker
+// count.
 func MultiStartParallel(starts [][]float64, workers int, minimize func(run int, x0 []float64) Result) Result {
 	if len(starts) == 0 {
 		panic("optimize: MultiStartParallel requires at least one start")

@@ -152,10 +152,16 @@ func TestMultiStart(t *testing.T) {
 		b := x[0] - 3
 		return math.Min(a*a+1, b*b) // global min 0 at x=3
 	}
-	r := MultiStart([][]float64{{-2.1}, {2.9}}, func(x0 []float64) Result {
-		return LBFGS(NumericGradient(f, 1e-6), x0, LBFGSConfig{})
-	})
+	run := func(workers int) Result {
+		return MultiStartParallel([][]float64{{-2.1}, {2.9}}, workers, func(_ int, x0 []float64) Result {
+			return LBFGS(NumericGradient(f, 1e-6), x0, LBFGSConfig{})
+		})
+	}
+	r := run(1)
 	if math.Abs(r.X[0]-3) > 1e-3 {
 		t.Fatalf("multistart found %v", r.X)
+	}
+	if r2 := run(2); r2.X[0] != r.X[0] || r2.F != r.F || r2.Evals != r.Evals {
+		t.Fatalf("workers=2 result %+v differs from workers=1 %+v", r2, r)
 	}
 }

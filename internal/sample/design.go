@@ -43,19 +43,6 @@ func LatinHypercubeInto(dst [][]float64, rng *rand.Rand) {
 	}
 }
 
-// Uniform returns n points drawn uniformly at random from [0,1)^dim.
-func Uniform(n, dim int, rng *rand.Rand) [][]float64 {
-	pts := make([][]float64, n)
-	for i := range pts {
-		p := make([]float64, dim)
-		for d := range p {
-			p[d] = rng.Float64()
-		}
-		pts[i] = p
-	}
-	return pts
-}
-
 // Saltelli holds the cross-sampled design used by the Sobol sensitivity
 // estimators: base matrices A and B (n×dim each) plus the AB_i matrices
 // where column i of A is replaced by column i of B.
@@ -100,35 +87,4 @@ func NewSaltelli(n, dim, skip int) (*Saltelli, error) {
 		s.AB[d] = m
 	}
 	return s, nil
-}
-
-// AllPoints returns every evaluation point of the design in the fixed
-// order [A; AB_0; …; AB_{dim−1}; B], which callers can evaluate in one
-// batch and slice back apart with SplitValues.
-func (s *Saltelli) AllPoints() [][]float64 {
-	out := make([][]float64, 0, s.N*(s.Dim+2))
-	out = append(out, s.A...)
-	for d := 0; d < s.Dim; d++ {
-		out = append(out, s.AB[d]...)
-	}
-	out = append(out, s.B...)
-	return out
-}
-
-// SplitValues splits a flat value slice (aligned with AllPoints) back
-// into (yA, yAB, yB).
-func (s *Saltelli) SplitValues(y []float64) (yA []float64, yAB [][]float64, yB []float64, err error) {
-	want := s.N * (s.Dim + 2)
-	if len(y) != want {
-		return nil, nil, nil, fmt.Errorf("sample: expected %d values, got %d", want, len(y))
-	}
-	yA = y[:s.N]
-	yAB = make([][]float64, s.Dim)
-	off := s.N
-	for d := 0; d < s.Dim; d++ {
-		yAB[d] = y[off : off+s.N]
-		off += s.N
-	}
-	yB = y[off:]
-	return yA, yAB, yB, nil
 }

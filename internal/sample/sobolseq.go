@@ -160,18 +160,3 @@ func (s *SobolSeq) Skip(n int) {
 		s.Next(buf)
 	}
 }
-
-// SobolPoints returns the first n points (after skipping skip points) of
-// a fresh Sobol' sequence as an n×dim slice.
-func SobolPoints(dim, n, skip int) ([][]float64, error) {
-	seq, err := NewSobolSeq(dim)
-	if err != nil {
-		return nil, err
-	}
-	seq.Skip(skip)
-	pts := make([][]float64, n)
-	for i := range pts {
-		pts[i] = seq.Next(nil)
-	}
-	return pts, nil
-}

@@ -21,6 +21,7 @@ import (
 	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/linalg"
 	"gptunecrowd/internal/parallel"
+	"gptunecrowd/internal/stat"
 )
 
 // ErrNoData is returned when fitting with zero observations.
@@ -136,24 +137,7 @@ func FitFixed(X [][]float64, y []float64, kern *kernel.Kernel, hyper *kernel.Hyp
 	if noiseVar < 1e-10 {
 		noiseVar = 1e-10
 	}
-
-	var mean, sd float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(n)
-	for _, v := range y {
-		sd += (v - mean) * (v - mean)
-	}
-	sd = math.Sqrt(sd / float64(n))
-	if sd < 1e-12 {
-		sd = 1
-	}
-	ys := make([]float64, n)
-	for i, v := range y {
-		ys[i] = (v - mean) / sd
-	}
-
+	mean, sd, ys := stat.Standardize(y)
 	s := &SGP{kern: kern, hyper: hyper, noiseVar: noiseVar, z: Z, meanY: mean, stdY: sd, n: n}
 
 	kuu := kern.MatrixWorkers(Z, hyper, workers)

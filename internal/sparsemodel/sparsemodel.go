@@ -28,9 +28,6 @@ type Matrix struct {
 	SymPattern float64
 }
 
-// AvgDegree returns nnz per row.
-func (m Matrix) AvgDegree() float64 { return float64(m.NNZ) / float64(m.N) }
-
 // Orderings supported by the cost model, mirroring SuperLU_DIST's
 // COLPERM options.
 var Orderings = []string{"NATURAL", "MMD_ATA", "MMD_AT_PLUS_A", "COLAMD", "METIS_AT_PLUS_A"}
@@ -71,16 +68,6 @@ func (m Matrix) FactorFlops(ordering string) (float64, error) {
 	return 1.2 * nnzLU * nnzLU / float64(m.N), nil
 }
 
-// FactorMemGB estimates the memory footprint of the factors in GB.
-func (m Matrix) FactorMemGB(ordering string) (float64, error) {
-	fill, err := m.FillFactor(ordering)
-	if err != nil {
-		return 0, err
-	}
-	// 12 bytes per stored entry (value + index overhead amortized).
-	return fill * float64(m.NNZ) * 12 / 1e9, nil
-}
-
 // Si5H12 returns the PARSEC-group matrix used for the paper's
 // sensitivity analysis (n = 19,896; nnz = 738,598).
 func Si5H12() Matrix {
@@ -92,17 +79,4 @@ func Si5H12() Matrix {
 // Si5H12, hence a similar sparsity pattern.
 func H2O() Matrix {
 	return Matrix{Name: "H2O", Group: "PARSEC", N: 67024, NNZ: 2216736, FillBase: 1.05, SymPattern: 0.95}
-}
-
-// Synthetic builds a matrix with PARSEC-like character at an arbitrary
-// scale, for tests and examples.
-func Synthetic(name string, n int) Matrix {
-	return Matrix{
-		Name:       name,
-		Group:      "synthetic",
-		N:          n,
-		NNZ:        int(37 * float64(n)),
-		FillBase:   1.0,
-		SymPattern: 0.9,
-	}
 }

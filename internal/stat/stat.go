@@ -98,6 +98,22 @@ func SampleVariance(xs []float64) float64 {
 // StdDev returns the population standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
+// Standardize returns the mean and population standard deviation of y
+// and the scores z_i = (y_i − mean)/sd the surrogate models fit. An sd
+// below 1e-12 (one value, or constant values) is taken as 1 so the
+// scores stay finite.
+func Standardize(y []float64) (mean, sd float64, z []float64) {
+	mean, sd = Mean(y), StdDev(y)
+	if sd < 1e-12 {
+		sd = 1
+	}
+	z = make([]float64, len(y))
+	for i, v := range y {
+		z[i] = (v - mean) / sd
+	}
+	return mean, sd, z
+}
+
 // Min returns the minimum of xs; panics on empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -124,20 +140,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ArgMin returns the index of the smallest element; panics on empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stat: ArgMin of empty slice")
-	}
-	best := 0
-	for i, v := range xs {
-		if v < xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

@@ -55,11 +55,28 @@ func TestDescriptive(t *testing.T) {
 	if Min(xs) != 2 || Max(xs) != 9 {
 		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
 	}
-	if ArgMin([]float64{3, 1, 2}) != 1 {
-		t.Fatal("ArgMin wrong")
-	}
 	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Fatal("empty-input conventions violated")
+	}
+}
+
+func TestStandardize(t *testing.T) {
+	mean, sd, z := Standardize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	if mean != 5 || sd != 2 || z[0] != -1.5 || z[7] != 2 {
+		t.Fatalf("Standardize = %v, %v, %v", mean, sd, z)
+	}
+	// Degenerate spreads fall back to sd = 1, so scores stay finite:
+	// one value, constant values, and a spread below 1e-12.
+	for _, y := range [][]float64{{3}, {7, 7, 7}, {1, 1 + 1e-13}} {
+		mean, sd, z := Standardize(y)
+		if sd != 1 || mean != Mean(y) {
+			t.Fatalf("Standardize(%v): mean %v sd %v, want mean %v sd 1", y, mean, sd, Mean(y))
+		}
+		for i, v := range y {
+			if z[i] != v-mean {
+				t.Fatalf("Standardize(%v): z = %v", y, z)
+			}
+		}
 	}
 }
 

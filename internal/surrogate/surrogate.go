@@ -4,7 +4,8 @@
 // exact GP and the sparse GP, the Gaussian copula, the Table I models
 // of internal/tla), Pool is the one propose step over a row's arms,
 // Selector the rule that picks an arm, and NewProposer the table from
-// tuner name to (policy, arms, warm-up).
+// tuner name to (policy, arms, warm-up). FitGP and Sensitivity are the
+// same door for a GP fitted outside a tuning loop.
 //
 // Every model's Cost method returns a deterministic estimate (a pure
 // function of the sample count) — never a wall-clock measurement — so
@@ -21,6 +22,7 @@ import (
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/kernel"
+	"gptunecrowd/internal/sensitivity"
 	"gptunecrowd/internal/sgp"
 	"gptunecrowd/internal/space"
 	"gptunecrowd/internal/tla"
@@ -136,8 +138,46 @@ type GPSurrogate struct {
 	model *gp.GP
 }
 
+// FitGP fits the exact GP over cfg to (X, Y) with its restarts seeded
+// by seed — the door for a GP fitted outside a tuning loop.
+func FitGP(cfg Config, seed int64, X [][]float64, Y []float64) (*GPSurrogate, error) {
+	m, err := New(KindGP, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g := m.(*GPSurrogate)
+	g.SetSeed(seed)
+	if err := g.Fit(X, Y); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Sensitivity fits the exact GP to samples over sp (restarts seeded by
+// seed) and runs the Sobol' analysis on its posterior mean — the
+// QuerySensitivityAnalysis workflow behind Tables IV and V.
+func Sensitivity(sp *space.Space, X [][]float64, Y []float64, seed int64, opts sensitivity.Options) (*sensitivity.Result, error) {
+	model, err := FitGP(Config{Dim: sp.Dim(), Categorical: sp.CategoricalMask()}, seed, X, Y)
+	if err != nil {
+		return nil, err
+	}
+	return sensitivity.Analyze(func(u []float64) float64 {
+		m, _ := model.Predict(sp.Canonicalize(u))
+		return m
+	}, sp.Dim(), sp.Names(), opts)
+}
+
 // SetSeed reseeds the next Fit.
 func (g *GPSurrogate) SetSeed(seed int64) { g.seed = seed }
+
+// MarshalJSON serializes the fitted model in gp's portable form, which
+// gp.FromJSON restores.
+func (g *GPSurrogate) MarshalJSON() ([]byte, error) {
+	if g.model == nil {
+		return nil, fmt.Errorf("surrogate: gp MarshalJSON before Fit")
+	}
+	return g.model.MarshalJSON()
+}
 
 // Name implements core.Surrogate.
 func (g *GPSurrogate) Name() string { return KindGP }

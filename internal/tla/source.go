@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/gp"
@@ -27,6 +28,7 @@ type Source struct {
 	X    [][]float64
 	Y    []float64
 
+	mu       sync.Mutex // guards the lazily fitted model: tuners share sources
 	model    *gp.GP
 	modelErr error
 }
@@ -146,13 +148,16 @@ var ErrNoSources = errors.New("tla: transfer learning requires at least one sour
 func sourceModels(sources []*Source, mask []bool) ([]*gp.GP, error) {
 	models := make([]*gp.GP, len(sources))
 	for i, s := range sources {
+		s.mu.Lock()
 		if s.model == nil && s.modelErr == nil {
 			s.model, s.modelErr = gp.Fit(s.X, s.Y, gp.Options{Categorical: mask, Seed: int64(1 + i)})
 		}
-		if s.modelErr != nil {
-			return nil, fmt.Errorf("tla: source %q surrogate: %w", s.Name, s.modelErr)
+		model, err := s.model, s.modelErr
+		s.mu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("tla: source %q surrogate: %w", s.Name, err)
 		}
-		models[i] = s.model
+		models[i] = model
 	}
 	return models, nil
 }

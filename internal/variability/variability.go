@@ -130,10 +130,6 @@ func Median(vals []float64) float64 { return stat.Quantile(vals, 0.5) }
 // Mean aggregation.
 func Mean(vals []float64) float64 { return stat.Mean(vals) }
 
-// MinOf aggregation: the best-case runtime (appropriate when noise is
-// strictly additive interference).
-func MinOf(vals []float64) float64 { return stat.Min(vals) }
-
 // RobustEvaluator wraps an Evaluator with repeat-and-aggregate
 // measurement. Each Evaluate runs the inner evaluator Repeats times
 // (and, when the observed CV exceeds CVLimit, up to MaxExtra more

@@ -78,9 +78,6 @@ func TestAggregators(t *testing.T) {
 	if Median(vals) != 3 {
 		t.Fatalf("Median = %v", Median(vals))
 	}
-	if MinOf(vals) != 1 {
-		t.Fatalf("MinOf = %v", MinOf(vals))
-	}
 	if math.Abs(Mean(vals)-14.0/3.0) > 1e-12 {
 		t.Fatalf("Mean = %v", Mean(vals))
 	}
