@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -294,5 +295,58 @@ func TestUnappliedRecordIsNotAcknowledged(t *testing.T) {
 	}
 	if last := follower.Log("func_evals").LastIndex(); last != 0 {
 		t.Fatalf("the rejected record was appended: LastIndex %d", last)
+	}
+}
+
+// TestRejectingFollowerLeavesQuorum: a follower whose machine refuses
+// every pushed func_evals record (an unknown op, injected on its wire)
+// used to count as healthy on each reply and hold every later write at
+// its frozen ack until 503 commit_timeout. Now a push answered with
+// errors is a failed push: after deadAfterFailures the follower leaves
+// the quorum and writes commit, while the acks it did return are kept.
+func TestRejectingFollowerLeavesQuorum(t *testing.T) {
+	sp := testSpace(t)
+	leader, leaderTS := newTestNode(t, "s0", true, []string{"p"}, sp)
+	follower, _ := newTestNode(t, "s0", false, []string{"p"}, sp)
+	var armed atomic.Bool
+	wire := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if armed.Load() && r.URL.Path == "/api/v1/cluster/apply" {
+			var req applyRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Error(err)
+			}
+			if b := req.Logs["func_evals"]; b != nil {
+				for i := range b.Records {
+					b.Records[i].Payload = json.RawMessage(`{"op":"zap"}`)
+				}
+			}
+			body, _ := json.Marshal(req)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			r.ContentLength = int64(len(body))
+		}
+		follower.ServeHTTP(w, r)
+	}))
+	defer wire.Close()
+	rep := leader.AttachFollower(wire.URL, nil)
+	defer rep.Stop()
+
+	key, err := newStressClient(leaderTS.URL, "").Register("alice", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	upload, _ := json.Marshal(crowd.UploadRequest{FuncEvals: []crowd.FuncEval{stressEval("p", "rejected-on-follower", 1)}})
+	rec := wireCall(leaderTS.Config.Handler, http.MethodPost, "/api/v1/func_eval/upload", key, bytes.NewReader(upload))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload past a rejecting follower = %d %s, want 200", rec.Code, rec.Body)
+	}
+	if rep.Alive() {
+		t.Fatal("the rejecting follower is still in the commit quorum")
+	}
+	if got, want := rep.ackedIndex("users"), leader.Log("users").LastIndex(); got != want {
+		t.Fatalf("users acknowledged at %d, the follower applied up to %d", got, want)
+	}
+	if got := follower.Log("func_evals").LastIndex(); got != 0 {
+		t.Fatalf("the follower appended %d rejected records", got)
 	}
 }

@@ -238,12 +238,15 @@ func (r *Replicator) push() bool {
 		r.noteFailure()
 		return false
 	}
+	rejected := len(resp.Errors) > 0
 	r.mu.Lock()
 	for name, idx := range resp.Acked {
 		r.acked[name] = idx
 	}
-	r.alive = true
-	r.failures = 0
+	if !rejected {
+		r.alive = true
+		r.failures = 0
+	}
 	wasForce := r.needForce
 	r.needForce = resp.Resync
 	r.mu.Unlock()
@@ -255,11 +258,15 @@ func (r *Replicator) push() bool {
 		}
 		return true
 	}
-	if len(resp.Errors) > 0 {
+	if rejected {
+		// The follower's machine refused a record, so its ack cannot
+		// pass it: a failed push like a transport error, and repeated,
+		// the follower leaves the commit quorum instead of wedging it.
 		r.node.metrics.replicationErrs.Inc()
+		r.noteFailure()
 	}
 	r.node.recomputeCommit()
-	return r.node.logs.behind(r.ackedIndex)
+	return !rejected && r.node.logs.behind(r.ackedIndex)
 }
 
 func (r *Replicator) send(req *applyRequest) (*applyResponse, error) {

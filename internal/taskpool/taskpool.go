@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -80,25 +79,16 @@ func (c MachineConstraint) Admits(m MachineConstraint) bool {
 	return true
 }
 
-// Task kinds carried by Spec.Kind.
-const (
-	// KindTune (the default, also spelled "") is a whole tuning run: the
-	// worker opens a session and iterates propose → evaluate → observe.
-	KindTune = "tune"
-	// KindEval is a single function evaluation of Spec.ParamU on behalf
-	// of a batch session: the fan-out unit of asynchronous batched
-	// optimization, where one coordinator proposes and many workers
-	// evaluate concurrently.
-	KindEval = "eval"
-)
+// KindTune is the one task kind (also spelled ""): a whole tuning run,
+// which the worker drives through a tuning session.
+const KindTune = "tune"
 
 // Spec is the tuning-problem specification a task carries: everything a
 // worker needs to run the job against the built-in application registry.
 type Spec struct {
 	// App names the application in the internal/apps registry.
 	App string `json:"app"`
-	// Kind selects the task type: "" or "tune" runs a whole tuning
-	// session, "eval" evaluates the single point ParamU.
+	// Kind is the task type; only "" and "tune" are accepted.
 	Kind string `json:"kind,omitempty"`
 	// TuningProblemName labels uploaded samples; defaults to App.
 	TuningProblemName string `json:"tuning_problem_name,omitempty"`
@@ -118,13 +108,6 @@ type Spec struct {
 	// that drains mid-task stores its checkpoint here (via Fail), so
 	// the next lease continues where the previous one stopped.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
-	// ParamU is the canonical (normalized) point an eval-kind task
-	// evaluates.
-	ParamU []float64 `json:"param_u,omitempty"`
-	// ProposalID ties an eval-kind task back to the proposing session's
-	// pending-proposal ledger entry, so its result can be observed
-	// out of order.
-	ProposalID uint64 `json:"proposal_id,omitempty"`
 	// TraceID links the task to the submitting request's trace: the
 	// server stamps it at submission and workers adopt it for the whole
 	// lease lifecycle, so one tuning run is followable from client
@@ -138,22 +121,11 @@ func (s *Spec) Validate() error {
 	if s.App == "" {
 		return fmt.Errorf("taskpool: spec needs an app")
 	}
-	switch s.Kind {
-	case "", KindTune:
-		if s.Budget <= 0 {
-			return fmt.Errorf("taskpool: spec needs a positive budget, got %d", s.Budget)
-		}
-	case KindEval:
-		if len(s.ParamU) == 0 {
-			return fmt.Errorf("taskpool: eval spec needs a non-empty param_u")
-		}
-		for d, u := range s.ParamU {
-			if math.IsNaN(u) || math.IsInf(u, 0) {
-				return fmt.Errorf("taskpool: eval spec param_u has non-finite coordinate %v at dim %d", u, d)
-			}
-		}
-	default:
-		return fmt.Errorf("taskpool: unknown task kind %q (want %q or %q)", s.Kind, KindTune, KindEval)
+	if s.Kind != "" && s.Kind != KindTune {
+		return fmt.Errorf("taskpool: unknown task kind %q (want %q)", s.Kind, KindTune)
+	}
+	if s.Budget <= 0 {
+		return fmt.Errorf("taskpool: spec needs a positive budget, got %d", s.Budget)
 	}
 	return nil
 }
@@ -173,19 +145,6 @@ type Result struct {
 	// task (recovered panics, timed-out evaluations, imputed failures,
 	// surrogate-fit fallbacks).
 	Faults FaultStats `json:"faults,omitempty"`
-	// Observation carries the single-evaluation result of an eval-kind
-	// task, addressed by the proposal id it answers.
-	Observation *Observation `json:"observation,omitempty"`
-}
-
-// Observation is the result of one eval-kind task: the evaluated point,
-// its objective (or failure), and the proposal id it answers.
-type Observation struct {
-	ProposalID uint64    `json:"proposal_id"`
-	ParamU     []float64 `json:"param_u,omitempty"`
-	Y          float64   `json:"y"`
-	Failed     bool      `json:"failed,omitempty"`
-	Err        string    `json:"err,omitempty"`
 }
 
 // FaultStats counts the evaluation faults a worker survived while

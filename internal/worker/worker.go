@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -193,8 +192,8 @@ func sleep(ctx context.Context, d time.Duration) error {
 
 // runTask executes one leased task to completion, drain, or failure.
 func (w *Worker) runTask(ctx context.Context, task *taskpool.Task, ttl time.Duration) {
-	// leaseCtx dies when the heartbeat loop learns the lease is lost;
-	// the step loop checks it between evaluations. It adopts the trace
+	// leaseCtx dies when the heartbeat loop learns the lease is lost,
+	// which stops the session's step in flight. It adopts the trace
 	// the submitter stamped on the spec, so every heartbeat, upload and
 	// completion joins the submitting request's trace.
 	leaseCtx, cancelLease := context.WithCancel(
@@ -210,12 +209,20 @@ func (w *Worker) runTask(ctx context.Context, task *taskpool.Task, ttl time.Dura
 	}()
 	defer func() { cancelLease(); <-hbDone }()
 
-	if task.Spec.Kind == taskpool.KindEval {
-		w.runEvalTask(ctx, leaseCtx, task)
-		return
-	}
-
-	sess, taskParams, eval, err := w.openSession(task)
+	// The session drives propose → evaluate → record itself; the worker
+	// supplies the sandboxed evaluator and counts what it records.
+	box := &sandbox{w: w, taskID: task.ID}
+	var imputed int64
+	sess, taskParams, err := w.openSession(task, box, func(i int, s gptunecrowd.Sample) {
+		if s.Failed {
+			// The tuner penalty-imputes failed samples before each fit.
+			imputed++
+		}
+		w.evals.Add(1)
+		if w.opts.OnSample != nil {
+			w.opts.OnSample(task.ID, i, s.Y)
+		}
+	})
 	if err != nil {
 		w.failTask(task, fmt.Sprintf("setup: %v", err), nil)
 		w.failed.Add(1)
@@ -225,15 +232,24 @@ func (w *Worker) runTask(ctx context.Context, task *taskpool.Task, ttl time.Dura
 
 	// Per-task fault counters: reported in the task Result on Complete
 	// and folded into the worker's cumulative stats on every exit path.
-	var faults taskpool.FaultStats
+	faults := func() taskpool.FaultStats {
+		return taskpool.FaultStats{
+			PanicsRecovered: box.panics.Load(),
+			Timeouts:        box.timeouts.Load(),
+			ImputedEvals:    imputed,
+			FitFallbacks:    sess.Stats().SpaceFill,
+		}
+	}
 	defer func() {
-		faults.FitFallbacks = sess.Stats().SpaceFill
-		w.panics.Add(faults.PanicsRecovered)
-		w.timeouts.Add(faults.Timeouts)
-		w.imputed.Add(faults.ImputedEvals)
-		w.fitFallbacks.Add(faults.FitFallbacks)
+		f := faults()
+		w.panics.Add(f.PanicsRecovered)
+		w.timeouts.Add(f.Timeouts)
+		w.imputed.Add(f.ImputedEvals)
+		w.fitFallbacks.Add(f.FitFallbacks)
 	}()
 
+	// A drain (ctx) is checked only between steps, so the evaluation in
+	// flight finishes first; a lost lease (leaseCtx) stops it at once.
 	for !sess.Done() {
 		if leaseCtx.Err() != nil {
 			w.leaseLost.Add(1)
@@ -244,29 +260,14 @@ func (w *Worker) runTask(ctx context.Context, task *taskpool.Task, ttl time.Dura
 			w.suspend(leaseCtx, task, taskParams, sess, startIter)
 			return
 		}
-		params, err := sess.Propose()
-		if err != nil {
-			cp, _ := sess.Checkpoint()
-			w.failTask(task, fmt.Sprintf("propose %d: %v", sess.Iter(), err), cp)
-			w.failed.Add(1)
-			return
-		}
-		y, evalErr := w.evaluate(task.ID, eval, taskParams, params, &faults)
-		if evalErr != nil || math.IsNaN(y) || math.IsInf(y, 0) {
-			// The session records these as failed samples; the tuner
-			// penalty-imputes them before each surrogate fit.
-			faults.ImputedEvals++
-		}
-		if err := sess.Observe(y, evalErr); err != nil {
+		if err := sess.StepContext(leaseCtx); err != nil {
+			if leaseCtx.Err() != nil {
+				continue // the loop head reports the lost lease
+			}
 			cp, _ := sess.Checkpoint()
 			w.failTask(task, fmt.Sprintf("evaluation %d: %v", sess.Iter(), err), cp)
 			w.failed.Add(1)
 			return
-		}
-		w.evals.Add(1)
-		if w.opts.OnSample != nil {
-			i := sess.Iter() - 1
-			w.opts.OnSample(task.ID, i, sess.History().Samples[i].Y)
 		}
 	}
 
@@ -279,22 +280,20 @@ func (w *Worker) runTask(ctx context.Context, task *taskpool.Task, ttl time.Dura
 		w.failed.Add(1)
 		return
 	}
-	res, err := sess.Run() // already done: reports best
-	if err != nil {
-		cp, _ := sess.Checkpoint()
-		w.failTask(task, fmt.Sprintf("no successful evaluation: %v", err), cp)
+	cp, _ := sess.Checkpoint()
+	best, ok := sess.History().Best()
+	if !ok {
+		w.failTask(task, fmt.Sprintf("no successful evaluation within the budget of %d", sess.Budget()), cp)
 		w.failed.Add(1)
 		return
 	}
-	cp, _ := sess.Checkpoint()
-	faults.FitFallbacks = sess.Stats().SpaceFill
 	err = w.opts.Client.CompleteTaskContext(leaseCtx, task.ID, task.LeaseToken, taskpool.Result{
-		BestParams:  res.BestParams,
-		BestY:       res.BestY,
+		BestParams:  best.Params,
+		BestY:       best.Y,
 		NumEvals:    sess.Iter(),
 		FuncEvalIDs: ids,
 		Checkpoint:  cp,
-		Faults:      faults,
+		Faults:      faults(),
 	})
 	if err != nil {
 		w.logf("complete %s failed: %v", task.ID, err)
@@ -303,124 +302,27 @@ func (w *Worker) runTask(ctx context.Context, task *taskpool.Task, ttl time.Dura
 	}
 	w.completed.Add(1)
 	w.slog.InfoContext(leaseCtx, "completed task",
-		"task", task.ID, "best_y", res.BestY, "evals", sess.Iter())
-}
-
-// runEvalTask executes a single-point evaluation task: decode the
-// pinned configuration, run it once, upload the measurement and report
-// the observation in the task result so a batch coordinator can feed
-// it back into its session. Eval tasks carry no checkpoint — a drain
-// hands the untouched task back for another worker to run whole.
-func (w *Worker) runEvalTask(ctx, leaseCtx context.Context, task *taskpool.Task) {
-	spec := task.Spec
-	if ctx.Err() != nil {
-		// Draining before the evaluation started: hand the task back
-		// untouched instead of burning a measurement we cannot report.
-		w.failTask(task, "worker draining", nil)
-		w.suspended.Add(1)
-		return
-	}
-	inst, err := apps.Build(spec.App, apps.Options{Seed: spec.Seed})
-	if err != nil {
-		w.failTask(task, fmt.Sprintf("setup: %v", err), nil)
-		w.failed.Add(1)
-		return
-	}
-	eval := inst.Problem.Evaluator
-	if w.opts.WrapEvaluator != nil {
-		eval = w.opts.WrapEvaluator(eval)
-	}
-	taskParams := spec.TaskParams
-	if taskParams == nil {
-		taskParams = inst.DefaultTask
-	}
-	if got, want := len(spec.ParamU), inst.Problem.ParamSpace.Dim(); got != want {
-		w.failTask(task, fmt.Sprintf("eval point has %d dims, app %q has %d", got, spec.App, want), nil)
-		w.failed.Add(1)
-		return
-	}
-	u := inst.Problem.ParamSpace.Canonicalize(spec.ParamU)
-	params := inst.Problem.ParamSpace.Decode(u)
-
-	var faults taskpool.FaultStats
-	y, evalErr := w.evaluate(task.ID, eval, taskParams, params, &faults)
-	w.evals.Add(1)
-	w.panics.Add(faults.PanicsRecovered)
-	w.timeouts.Add(faults.Timeouts)
-	failed := evalErr != nil || math.IsNaN(y) || math.IsInf(y, 0)
-	if failed {
-		faults.ImputedEvals++
-		w.imputed.Add(1)
-	}
-	if leaseCtx.Err() != nil {
-		w.leaseLost.Add(1)
-		w.logf("lease on %s lost, abandoning", task.ID)
-		return
-	}
-
-	obsv := &taskpool.Observation{ProposalID: spec.ProposalID, ParamU: u, Y: y, Failed: failed}
-	if evalErr != nil {
-		obsv.Err = evalErr.Error()
-	}
-	// Upload best-effort: the observation rides on the task result
-	// either way, so a lost upload costs shared history, not progress.
-	if err := w.uploadEval(leaseCtx, task, taskParams, params, y, failed); err != nil {
-		w.logf("upload of eval %s: %v", task.ID, err)
-	}
-	if w.opts.OnSample != nil {
-		w.opts.OnSample(task.ID, 0, y)
-	}
-	res := taskpool.Result{NumEvals: 1, Observation: obsv, Faults: faults}
-	if !failed {
-		res.BestParams = params
-		res.BestY = y
-	}
-	if err := w.opts.Client.CompleteTaskContext(leaseCtx, task.ID, task.LeaseToken, res); err != nil {
-		w.logf("complete %s failed: %v", task.ID, err)
-		w.failed.Add(1)
-		return
-	}
-	w.completed.Add(1)
-	w.slog.InfoContext(leaseCtx, "completed eval task",
-		"task", task.ID, "proposal_id", spec.ProposalID, "y", y, "failed", failed)
-}
-
-// uploadEval pushes a single eval-task measurement to the shared
-// database.
-func (w *Worker) uploadEval(ctx context.Context, task *taskpool.Task, taskParams, params map[string]interface{}, y float64, failed bool) error {
-	problem := task.Spec.TuningProblemName
-	if problem == "" {
-		problem = task.Spec.App
-	}
-	_, err := w.opts.Client.UploadContext(ctx, []crowd.FuncEval{{
-		TuningProblemName: problem,
-		TaskParams:        taskParams,
-		TuningParams:      params,
-		Output:            y,
-		Failed:            failed,
-		Machine: crowd.MachineConfiguration{
-			MachineName: w.opts.Machine.MachineName,
-			Partition:   w.opts.Machine.Partition,
-		},
-		Accessibility: w.opts.Accessibility,
-	}})
-	return err
+		"task", task.ID, "best_y", best.Y, "evals", sess.Iter())
 }
 
 // openSession builds the task's application problem and a fresh or
-// resumed tuning session. The returned evaluator is the problem's,
-// optionally wrapped by Options.WrapEvaluator; the worker drives it
-// itself (Propose → evaluate → Observe) so faults stay containable.
-func (w *Worker) openSession(task *taskpool.Task) (*gptunecrowd.TuningSession, map[string]interface{}, core.Evaluator, error) {
+// resumed tuning session whose evaluator is the problem's, optionally
+// wrapped by Options.WrapEvaluator, inside box. onSample observes every
+// evaluation the session records. A spec the pool would not accept
+// today (such as an "eval"-kind task from an older log) fails here.
+func (w *Worker) openSession(task *taskpool.Task, box *sandbox, onSample func(int, gptunecrowd.Sample)) (*gptunecrowd.TuningSession, map[string]interface{}, error) {
+	if err := task.Spec.Validate(); err != nil {
+		return nil, nil, err
+	}
 	inst, err := apps.Build(task.Spec.App, apps.Options{Seed: task.Spec.Seed})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	eval := inst.Problem.Evaluator
+	box.inner = inst.Problem.Evaluator
 	if w.opts.WrapEvaluator != nil {
-		eval = w.opts.WrapEvaluator(eval)
-		inst.Problem.Evaluator = eval
+		box.inner = w.opts.WrapEvaluator(box.inner)
 	}
+	inst.Problem.Evaluator = box
 	taskParams := task.Spec.TaskParams
 	if taskParams == nil {
 		taskParams = inst.DefaultTask
@@ -429,24 +331,36 @@ func (w *Worker) openSession(task *taskpool.Task) (*gptunecrowd.TuningSession, m
 		Budget:    task.Spec.Budget,
 		Seed:      task.Spec.Seed,
 		Algorithm: task.Spec.Algorithm,
+		OnSample:  onSample,
 	}
 	if len(task.Spec.Checkpoint) > 0 {
 		s, err := gptunecrowd.ResumeTuningSession(inst.Problem, taskParams, opts, task.Spec.Checkpoint)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("resume checkpoint: %w", err)
+			return nil, nil, fmt.Errorf("resume checkpoint: %w", err)
 		}
 		w.logf("resuming %s from checkpoint at evaluation %d", task.ID, s.Iter())
-		return s, taskParams, eval, nil
+		return s, taskParams, nil
 	}
 	s, err := gptunecrowd.NewTuningSession(inst.Problem, taskParams, opts)
-	return s, taskParams, eval, err
+	return s, taskParams, err
 }
 
-// evaluate runs one function evaluation with panic recovery and the
+// sandbox runs a task's evaluations with panic recovery and the
 // optional EvalTimeout deadline, so a hostile or buggy application can
 // neither crash the worker nor hang its lease. Panics and timeouts come
-// back as ordinary evaluation errors, recorded as failed samples.
-func (w *Worker) evaluate(taskID string, eval core.Evaluator, taskParams, params map[string]interface{}, faults *taskpool.FaultStats) (float64, error) {
+// back as ordinary evaluation errors, recorded as failed samples. The
+// counters are atomic: an evaluation abandoned with a lost lease may
+// still finish after the worker has moved on.
+type sandbox struct {
+	w        *Worker
+	taskID   string
+	inner    core.Evaluator
+	panics   atomic.Int64
+	timeouts atomic.Int64
+}
+
+// Evaluate implements core.Evaluator.
+func (b *sandbox) Evaluate(taskParams, params map[string]interface{}) (float64, error) {
 	type evalResult struct {
 		y        float64
 		err      error
@@ -461,26 +375,26 @@ func (w *Worker) evaluate(taskID string, eval core.Evaluator, taskParams, params
 				ch <- evalResult{err: fmt.Errorf("panic during evaluation: %v", r), panicked: true}
 			}
 		}()
-		y, err := eval.Evaluate(taskParams, params)
+		y, err := b.inner.Evaluate(taskParams, params)
 		ch <- evalResult{y: y, err: err}
 	}()
 	var deadline <-chan time.Time
-	if w.opts.EvalTimeout > 0 {
-		t := time.NewTimer(w.opts.EvalTimeout)
+	if timeout := b.w.opts.EvalTimeout; timeout > 0 {
+		t := time.NewTimer(timeout)
 		defer t.Stop()
 		deadline = t.C
 	}
 	select {
 	case r := <-ch:
 		if r.panicked {
-			faults.PanicsRecovered++
-			w.logf("recovered evaluation panic on %s: %v", taskID, r.err)
+			b.panics.Add(1)
+			b.w.logf("recovered evaluation panic on %s: %v", b.taskID, r.err)
 		}
 		return r.y, r.err
 	case <-deadline:
-		faults.Timeouts++
-		w.logf("evaluation on %s timed out after %v", taskID, w.opts.EvalTimeout)
-		return 0, fmt.Errorf("evaluation timed out after %v", w.opts.EvalTimeout)
+		b.timeouts.Add(1)
+		b.w.logf("evaluation on %s timed out after %v", b.taskID, b.w.opts.EvalTimeout)
+		return 0, fmt.Errorf("evaluation timed out after %v", b.w.opts.EvalTimeout)
 	}
 }
 

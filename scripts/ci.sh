@@ -102,6 +102,21 @@ if [ "$loops" != "internal/cluster/logset.go " ]; then
     exit 1
 fi
 
+# One crowd-worker path: a worker leases a task, runs it through a
+# tuning session (Session.StepContext), uploads and completes. A
+# Propose/Observe call in the worker means a private tuning loop is
+# back; the eval-task fan-out (one task per batch proposal) stays
+# deleted.
+echo "== the worker drives no tuning loop of its own; the eval-task fan-out stays deleted"
+if grep -rnE '\.Propose\(\)|\.Observe\(' --include='*.go' --exclude='*_test.go' internal/worker; then
+    echo "FAIL: internal/worker calls Propose/Observe itself" >&2
+    exit 1
+fi
+if grep -rnE 'KindEval|ReplaySchedule|CoordinatorOptions|runEvalTask' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: the deleted eval-task fan-out is back" >&2
+    exit 1
+fi
+
 # What each public route is — path, methods, auth, read/write class,
 # shard routing — is declared once, in crowd.Endpoints(). A path literal,
 # a method check or a per-endpoint proxy handler anywhere else means a
