@@ -27,9 +27,8 @@ func SuggestNext(p *Problem, h *History, algorithm string, sources []*SourceTask
 // SuggestNextContext is SuggestNext with cooperative cancellation,
 // checked between the proposal's stages for every algorithm: before
 // the surrogate fit and between the fit and the acquisition search. A
-// stage that has started runs to its end (only NoTLA's GP fit also
-// polls the context between optimizer restarts), so a cancel costs at
-// most one fit or one search before it surfaces as the context error.
+// stage that has started runs to its end, so a cancel costs at most one
+// fit or one search before it surfaces as the context error.
 func SuggestNextContext(ctx context.Context, p *Problem, h *History, algorithm string, sources []*SourceTask, seed int64) (map[string]interface{}, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

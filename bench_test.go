@@ -31,6 +31,7 @@ import (
 	"gptunecrowd/internal/sensitivity"
 	"gptunecrowd/internal/space"
 	"gptunecrowd/internal/suggest"
+	"gptunecrowd/internal/surrogate"
 )
 
 // benchScale miniaturizes every experiment.
@@ -236,8 +237,10 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		finals := map[string]float64{}
 		for _, acq := range []core.Acquisition{core.EI{}, core.LCB{}} {
-			tuner := core.NewGPTuner()
-			tuner.Acquisition = acq
+			tuner, err := surrogate.NewProposer("NoTLA", surrogate.PoolConfig{Acquisition: acq})
+			if err != nil {
+				b.Fatal(err)
+			}
 			h, err := core.RunLoop(p, task, tuner, core.SessionOptions{Budget: benchScale.Budget + 4, Seed: int64(i + 1), Search: benchScale.Search})
 			if err != nil {
 				b.Fatal(err)
@@ -572,11 +575,11 @@ func itoa(v int) string {
 func BenchmarkExtensionBatchTuning(b *testing.B) {
 	p, task, _ := fig3Fixture(b)
 	for i := 0; i < b.N; i++ {
-		seq, err := core.RunLoop(p, task, core.NewGPTuner(), core.SessionOptions{Budget: 8, Seed: int64(i + 1), Search: benchScale.Search})
+		seq, err := core.RunLoop(p, task, mustNoTLA(b), core.SessionOptions{Budget: 8, Seed: int64(i + 1), Search: benchScale.Search})
 		if err != nil {
 			b.Fatal(err)
 		}
-		sess, err := core.NewSession(p, task, core.NewGPTuner(), core.SessionOptions{Budget: 8, Seed: int64(i + 1), Search: benchScale.Search})
+		sess, err := core.NewSession(p, task, mustNoTLA(b), core.SessionOptions{Budget: 8, Seed: int64(i + 1), Search: benchScale.Search})
 		if err != nil {
 			b.Fatal(err)
 		}

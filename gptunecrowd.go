@@ -179,9 +179,9 @@ func Tune(p *Problem, task map[string]interface{}, opts TuneOptions) (*Result, e
 }
 
 // TuneContext is Tune with cooperative cancellation. The context is
-// checked between iterations, threaded into surrogate fitting and
-// acquisition search, and raced against the application evaluation, so
-// a cancel takes effect even mid-evaluation. On cancellation it returns
+// checked between iterations and between a proposal's stages, and raced
+// against the application evaluation, so a cancel takes effect even
+// mid-evaluation. On cancellation it returns
 // the wrapped context error together with a partial Result whose
 // Checkpoint field resumes the run via ResumeTuningSession.
 func TuneContext(ctx context.Context, p *Problem, task map[string]interface{}, opts TuneOptions) (*Result, error) {

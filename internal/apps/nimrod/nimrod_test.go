@@ -8,6 +8,7 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/machine"
+	"gptunecrowd/internal/surrogate"
 )
 
 func task(mx, my, lphi int) map[string]interface{} {
@@ -137,7 +138,11 @@ func TestValidation(t *testing.T) {
 func TestProblemIntegrationWithFailures(t *testing.T) {
 	a := New(machine.CoriHaswell(64))
 	p := a.Problem()
-	h, err := core.RunLoop(p, task(6, 8, 1), core.NewGPTuner(),
+	tuner, err := surrogate.NewProposer("NoTLA", surrogate.PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := core.RunLoop(p, task(6, 8, 1), tuner,
 		core.SessionOptions{Budget: 8, Seed: 2, Search: core.SearchOptions{Candidates: 64, DEGens: 10}})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/machine"
+	"gptunecrowd/internal/surrogate"
 )
 
 func haswellApp(nodes int) *App { return New(machine.CoriHaswell(nodes)) }
@@ -165,8 +166,12 @@ func TestProblemIntegration(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	tuner, err := surrogate.NewProposer("NoTLA", surrogate.PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h, err := core.RunLoop(p, map[string]interface{}{"m": 10000, "n": 10000},
-		core.NewGPTuner(), core.SessionOptions{Budget: 6, Seed: 3,
+		tuner, core.SessionOptions{Budget: 6, Seed: 3,
 			Search: core.SearchOptions{Candidates: 64, DEGens: 10}})
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,6 @@ func newChaosNode(t *testing.T, net *chaos.Network, shard string, leader bool, p
 		StalenessWindow:   time.Second,
 		HeartbeatInterval: 50 * time.Millisecond,
 		PushTimeout:       250 * time.Millisecond,
-		ProbeInterval:     100 * time.Millisecond,
 		InternalClient:    net.Client(host),
 		Crowd:             crowd.Config{SuggestSeed: 11},
 	})

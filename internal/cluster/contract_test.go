@@ -73,7 +73,7 @@ func TestEndpointContract(t *testing.T) {
 
 	// A follower whose leader went quiet past its staleness window, and
 	// one that never heard from a leader.
-	staleNode, err := NewNode(NodeConfig{Shard: "s0", Token: testToken, StalenessWindow: 20 * time.Millisecond, ProbeInterval: time.Hour})
+	staleNode, err := NewNode(NodeConfig{Shard: "s0", Token: testToken, StalenessWindow: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

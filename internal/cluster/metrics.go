@@ -12,17 +12,15 @@ import (
 )
 
 type nodeMetrics struct {
-	appliedRecords   *obs.Counter
-	commitTimeouts   *obs.Counter
-	replicationErrs  *obs.Counter
-	followerDeaths   *obs.Counter
-	staleRejects     *obs.Counter
-	stepDowns        *obs.Counter
-	promotions       *obs.Counter
-	resyncs          *obs.Counter
-	detectorProbes   *obs.Counter
-	detectorSuspects *obs.Counter
-	journalErrors    *obs.Counter
+	appliedRecords  *obs.Counter
+	commitTimeouts  *obs.Counter
+	replicationErrs *obs.Counter
+	followerDeaths  *obs.Counter
+	staleRejects    *obs.Counter
+	stepDowns       *obs.Counter
+	promotions      *obs.Counter
+	resyncs         *obs.Counter
+	journalErrors   *obs.Counter
 }
 
 func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
@@ -43,10 +41,6 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 			"Times this node was promoted to shard leader."),
 		resyncs: reg.Counter("cluster_resyncs_total",
 			"Truncation resyncs: diverged follower logs rebuilt from the leader's snapshot."),
-		detectorProbes: reg.Counter("cluster_detector_probes_total",
-			"Follower→leader liveness probes sent after the leader went quiet."),
-		detectorSuspects: reg.Counter("cluster_detector_suspects_total",
-			"Times this follower marked its quiet leader suspect after a failed probe."),
 		journalErrors: reg.Counter("cluster_journal_errors_total",
 			"Requests answered 503 journal_failed: a replicated-log append failed and the node fail-stopped."),
 	}

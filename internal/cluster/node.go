@@ -18,11 +18,9 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strings"
@@ -87,17 +85,13 @@ type NodeConfig struct {
 	// replication push when the shard is idle (DefaultHeartbeatInterval
 	// when zero).
 	HeartbeatInterval time.Duration
-	// PushTimeout bounds one replication round trip, and doubles as the
-	// deadline on follower→leader liveness probes (DefaultPushTimeout
+	// PushTimeout bounds one replication round trip (DefaultPushTimeout
 	// when zero).
 	PushTimeout time.Duration
-	// ProbeInterval is how often a follower checks on a leader that has
-	// gone quiet (half the staleness window when zero).
-	ProbeInterval time.Duration
 	// InternalClient issues this node's outbound intra-cluster requests:
-	// follower→leader liveness probes and replication pushes created via
-	// the attach endpoint (http.DefaultClient when nil). Chaos tests
-	// route it through a fault-injecting transport.
+	// replication pushes created via the attach endpoint
+	// (http.DefaultClient when nil). Chaos tests route it through a
+	// fault-injecting transport.
 	InternalClient *http.Client
 	// SegmentMaxRecords caps records per log segment file (replog
 	// default when zero).
@@ -124,10 +118,6 @@ type Node struct {
 	lagging     bool          // follower: trailed the leader's heads beyond maxLag at its last push
 	replicators []*Replicator // leader: one per follower
 	needResync  bool          // demoted leader awaiting truncation resync (fenced)
-	suspect     bool          // follower: leader went quiet AND failed a direct probe
-
-	stopCh   chan struct{} // closes the follower→leader prober
-	stopOnce sync.Once
 
 	// applyMu serializes replication applies against each other and
 	// against promotion (promotion fences the old leader's stream).
@@ -154,7 +144,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		role:      RoleFollower,
 		advertise: cfg.Advertise,
 		logs:      logs,
-		stopCh:    make(chan struct{}),
 	}
 	if cfg.Leader {
 		n.role = RoleLeader
@@ -192,14 +181,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	mux.Handle("/", srv) // /metrics and the server's own 404s
 	n.mux = mux
-	go n.probeLoop()
 	return n, nil
 }
 
-// Close stops replication to followers, the liveness prober, and closes
-// the logs.
+// Close stops replication to followers and closes the logs.
 func (n *Node) Close() error {
-	n.stopOnce.Do(func() { close(n.stopCh) })
 	n.mu.Lock()
 	reps := append([]*Replicator(nil), n.replicators...)
 	n.replicators = nil
@@ -300,74 +286,10 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	def(&c.StalenessWindow, DefaultStalenessWindow)
 	def(&c.HeartbeatInterval, DefaultHeartbeatInterval)
 	def(&c.PushTimeout, DefaultPushTimeout)
-	def(&c.ProbeInterval, c.StalenessWindow/2)
 	if c.InternalClient == nil {
 		c.InternalClient = http.DefaultClient
 	}
 	return c
-}
-
-// probeLoop is the follower→leader liveness probe: when the leader has
-// gone quiet past the staleness window, ask it directly (under the push
-// timeout) and flag it suspect on failure. The flag is surfaced through
-// /api/v1/readyz and /api/v1/cluster/info so the coordinator's detector
-// has a second, independent witness of leader death — detection works
-// even when the coordinator's own probe path differs from the
-// replication path (asymmetric partitions).
-func (n *Node) probeLoop() {
-	ticker := time.NewTicker(n.cfg.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-ticker.C:
-		}
-		n.probeLeaderOnce()
-	}
-}
-
-func (n *Node) probeLeaderOnce() {
-	n.mu.Lock()
-	role := n.role
-	leader := n.leaderURL
-	quiet := time.Since(n.lastContact) > n.cfg.StalenessWindow
-	n.mu.Unlock()
-	if role != RoleFollower || leader == "" {
-		return
-	}
-	if !quiet {
-		n.setSuspect(false)
-		return
-	}
-	n.metrics.detectorProbes.Inc()
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PushTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, leader+"/api/v1/cluster/info", nil)
-	if err != nil {
-		return
-	}
-	if n.cfg.Token != "" {
-		req.Header.Set(TokenHeader, n.cfg.Token)
-	}
-	resp, err := n.cfg.InternalClient.Do(req)
-	if err != nil {
-		n.setSuspect(true)
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	n.setSuspect(resp.StatusCode != http.StatusOK)
-}
-
-func (n *Node) setSuspect(v bool) {
-	n.mu.Lock()
-	changed := n.suspect != v
-	n.suspect = v
-	n.mu.Unlock()
-	if changed && v {
-		n.metrics.detectorSuspects.Inc()
-	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -610,7 +532,6 @@ func (n *Node) PromoteEpoch(epoch uint64) (uint64, error) {
 	n.epoch = epoch
 	n.leaderURL = ""
 	n.needResync = false
-	n.suspect = false
 	// A re-promoted node starts with a fresh follower set: replicators
 	// left over from an earlier (possibly fenced) term would otherwise
 	// cap the commit index forever.
@@ -755,15 +676,14 @@ func (n *Node) handleAttach(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	failed := n.journalFailed(nil)
 	n.mu.Lock()
-	role, epoch, fenced, suspect, leader := n.role, n.epoch, n.needResync, n.suspect, n.leaderURL
+	role, epoch, fenced, leader := n.role, n.epoch, n.needResync, n.leaderURL
 	n.mu.Unlock()
 	out := struct {
-		State   string `json:"state"`
-		Role    Role   `json:"role"`
-		Epoch   uint64 `json:"epoch"`
-		Leader  string `json:"leader,omitempty"`
-		Suspect bool   `json:"suspect,omitempty"`
-	}{Role: role, Epoch: epoch, Leader: leader, Suspect: suspect}
+		State  string `json:"state"`
+		Role   Role   `json:"role"`
+		Epoch  uint64 `json:"epoch"`
+		Leader string `json:"leader,omitempty"`
+	}{Role: role, Epoch: epoch, Leader: leader}
 	status := http.StatusServiceUnavailable
 	switch {
 	case failed:
@@ -805,14 +725,13 @@ type InfoResponse struct {
 	Advertise string             `json:"advertise,omitempty"`
 	Leader    string             `json:"leader,omitempty"`
 	Fenced    bool               `json:"fenced,omitempty"`
-	Suspect   bool               `json:"suspect,omitempty"`
 	Logs      map[string]LogInfo `json:"logs"`
 }
 
 func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 	n.journalFailed(nil)
 	n.mu.Lock()
-	role, epoch, adv, fenced, suspect := n.role, n.epoch, n.advertise, n.needResync, n.suspect
+	role, epoch, adv, fenced := n.role, n.epoch, n.advertise, n.needResync
 	n.mu.Unlock()
 	info := InfoResponse{
 		Shard:     n.cfg.Shard,
@@ -821,7 +740,6 @@ func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Advertise: adv,
 		Leader:    n.LeaderURL(),
 		Fenced:    fenced,
-		Suspect:   suspect,
 		Logs:      n.logs.info(),
 	}
 	crowd.WriteJSON(w, http.StatusOK, info)
@@ -915,7 +833,6 @@ func (n *Node) noteLeaderContact(req *applyRequest) {
 	n.mu.Lock()
 	n.leaderURL = req.Leader
 	n.lastContact = time.Now()
-	n.suspect = false
 	bumped := false
 	if req.Epoch > n.epoch {
 		n.epoch = req.Epoch

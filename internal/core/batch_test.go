@@ -13,7 +13,7 @@ import (
 // runLoopBatch drives a fresh GP-tuner session in rounds of k proposals
 // evaluated on up to workers goroutines.
 func runLoopBatch(p *Problem, opts SessionOptions, k, workers int) (*History, error) {
-	s, err := NewSession(p, nil, NewGPTuner(), opts)
+	s, err := NewSession(p, nil, newTestProposer(), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func evalU(u []float64) float64 {
 
 func newBatchSession(t *testing.T, budget int, cfg BatchConfig) *Session {
 	t.Helper()
-	s, err := NewSession(quadProblem(t), nil, NewGPTuner(), SessionOptions{
+	s, err := NewSession(quadProblem(t), nil, newTestProposer(), SessionOptions{
 		Budget: budget, Seed: 17, Batch: cfg,
 	})
 	if err != nil {
@@ -278,7 +278,7 @@ func TestBatchCheckpointResumePending(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := ResumeSession(quadProblem(t), nil, NewGPTuner(), SessionOptions{Budget: 8, Seed: 17}, cp)
+	r, err := ResumeSession(quadProblem(t), nil, newTestProposer(), SessionOptions{Budget: 8, Seed: 17}, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,12 +348,12 @@ func TestProposeBatchCancellation(t *testing.T) {
 // TestBatchConfigValidation rejects unknown strategies and bad radii.
 func TestBatchConfigValidation(t *testing.T) {
 	p := quadProblem(t)
-	if _, err := NewSession(p, nil, NewGPTuner(), SessionOptions{
+	if _, err := NewSession(p, nil, newTestProposer(), SessionOptions{
 		Budget: 4, Batch: BatchConfig{Strategy: "kriging-believer"},
 	}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	if _, err := NewSession(p, nil, NewGPTuner(), SessionOptions{
+	if _, err := NewSession(p, nil, newTestProposer(), SessionOptions{
 		Budget: 4, Batch: BatchConfig{LPRadius: -1},
 	}); err == nil {
 		t.Fatal("negative radius accepted")

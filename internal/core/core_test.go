@@ -150,7 +150,7 @@ func TestSearchNextAvoidsDuplicates(t *testing.T) {
 
 func TestRunLoopConvergesOnQuadratic(t *testing.T) {
 	p := quadProblem(t)
-	h, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 25, Seed: 3})
+	h, err := RunLoop(p, nil, newTestProposer(), SessionOptions{Budget: 25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRunLoopRecordsFailures(t *testing.T) {
 			return params["x"].(float64), nil
 		}),
 	}
-	h, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 10, Seed: 4})
+	h, err := RunLoop(p, nil, newTestProposer(), SessionOptions{Budget: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestRunLoopRecordsFailures(t *testing.T) {
 
 func TestRunLoopDeterministic(t *testing.T) {
 	p := quadProblem(t)
-	h1, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 8, Seed: 5})
+	h1, err := RunLoop(p, nil, newTestProposer(), SessionOptions{Budget: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 8, Seed: 5})
+	h2, err := RunLoop(p, nil, newTestProposer(), SessionOptions{Budget: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestRunLoopDeterministic(t *testing.T) {
 
 func TestRunLoopValidation(t *testing.T) {
 	p := quadProblem(t)
-	if _, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 0}); err == nil {
+	if _, err := RunLoop(p, nil, newTestProposer(), SessionOptions{Budget: 0}); err == nil {
 		t.Fatal("expected budget error")
 	}
 	bad := &Problem{Name: "x"}
-	if _, err := RunLoop(bad, nil, NewGPTuner(), SessionOptions{Budget: 1}); err == nil {
+	if _, err := RunLoop(bad, nil, newTestProposer(), SessionOptions{Budget: 1}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -234,13 +234,13 @@ func TestRunLoopValidation(t *testing.T) {
 func TestOnSampleCallback(t *testing.T) {
 	p := quadProblem(t)
 	var seen int
-	_, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{
+	_, err := RunLoop(p, nil, newTestProposer(), SessionOptions{
 		Budget: 5, Seed: 6,
 		OnSample: func(i int, s Sample) {
 			if i != seen {
 				t.Fatalf("callback order: got %d want %d", i, seen)
 			}
-			if s.Proposer != "NoTLA" {
+			if s.Proposer != "gp-test" {
 				t.Fatalf("proposer tag %q", s.Proposer)
 			}
 			seen++
@@ -290,7 +290,7 @@ func TestConstraintsRespected(t *testing.T) {
 			return 100/(a*b) + a + b, nil
 		}),
 	}
-	h, err := RunLoop(p, nil, NewGPTuner(), SessionOptions{Budget: 15, Seed: 7,
+	h, err := RunLoop(p, nil, newTestProposer(), SessionOptions{Budget: 15, Seed: 7,
 		Search: SearchOptions{Candidates: 64, DEGens: 10}})
 	if err != nil {
 		t.Fatal(err)

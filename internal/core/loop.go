@@ -6,8 +6,8 @@ import (
 )
 
 // Proposer suggests the next tuning-parameter point given the target
-// task's evaluation history. The plain GP tuner and every TLA algorithm
-// implement this interface.
+// task's evaluation history. Every tuner, NoTLA and each TLA algorithm
+// alike, is a surrogate.Pool behind this interface.
 type Proposer interface {
 	// Name identifies the algorithm (e.g. "NoTLA", "Multitask(TS)").
 	Name() string

@@ -1,6 +1,6 @@
-// Package core contains the Bayesian-optimization engine shared by the
-// plain (NoTLA) tuner and every transfer-learning algorithm: the tuning
-// problem abstraction, evaluation history with failure tracking,
+// Package core contains the Bayesian-optimization engine shared by
+// every tuner, NoTLA and each transfer-learning algorithm alike: the
+// tuning problem abstraction, evaluation history with failure tracking,
 // acquisition functions, acquisition search, and the tuning loop.
 package core
 

@@ -2,12 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
-
-	"gptunecrowd/internal/gp"
 )
 
 // robustHistory builds a history from (y, failed) pairs with trivial
@@ -165,85 +161,6 @@ func TestRobustXYConstantObjective(t *testing.T) {
 	}
 }
 
-func TestGPTunerDegradesOnFitFailure(t *testing.T) {
-	// A proposer whose surrogate fit always fails must not kill the
-	// session: every modeling iteration degrades to space-filling
-	// sampling, counted and logged.
-	const budget = 8
-	p := quadProblem(t)
-	tuner := NewGPTuner()
-	tuner.fitFn = func(X [][]float64, Y []float64, opts gp.Options) (*gp.GP, error) {
-		return nil, errors.New("injected fit failure")
-	}
-	var logs []string
-	sess, err := NewSession(p, nil, tuner, SessionOptions{
-		Budget: budget,
-		Seed:   7,
-		Logf: func(format string, args ...interface{}) {
-			logs = append(logs, fmt.Sprintf(format, args...))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sess.Run()
-	if err != nil {
-		t.Fatalf("session died on fit failure: %v", err)
-	}
-	if h.Len() != budget {
-		t.Fatalf("consumed %d of %d budget", h.Len(), budget)
-	}
-	st := sess.Stats()
-	// The first MinSamples iterations are warm-up randoms (no fit); the
-	// rest all fail and degrade.
-	want := int64(budget - tuner.MinSamples)
-	if st.FitFailures != want || st.SpaceFill != want {
-		t.Fatalf("stats %+v, want %d fit failures / space fills", st, want)
-	}
-	matched := 0
-	for _, l := range logs {
-		if strings.Contains(l, "degrading to space-filling sampling") && strings.Contains(l, "injected fit failure") {
-			matched++
-		}
-	}
-	if int64(matched) != want {
-		t.Fatalf("logged %d degradation lines, want %d: %q", matched, want, logs)
-	}
-	if _, ok := h.Best(); !ok {
-		t.Fatal("degraded run found no best at all")
-	}
-}
-
-func TestGPTunerRecoversAfterTransientFitFailure(t *testing.T) {
-	// The fit fails only once mid-run; the session must go back to the
-	// real surrogate afterwards.
-	const budget = 8
-	p := quadProblem(t)
-	tuner := NewGPTuner()
-	calls := 0
-	tuner.fitFn = func(X [][]float64, Y []float64, opts gp.Options) (*gp.GP, error) {
-		calls++
-		if calls == 1 {
-			return nil, errors.New("transient failure")
-		}
-		return gp.Fit(X, Y, opts)
-	}
-	sess, err := NewSession(p, nil, tuner, SessionOptions{Budget: budget, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := sess.Stats()
-	if st.FitFailures != 1 || st.SpaceFill != 1 {
-		t.Fatalf("stats %+v, want exactly one degradation", st)
-	}
-	if calls < 2 {
-		t.Fatalf("fit called %d times; the session never recovered to modeling", calls)
-	}
-}
-
 func TestSessionStatsTrackRobustIngestion(t *testing.T) {
 	// An evaluator that fails on demand: the session's stats must report
 	// the imputations of the latest fit.
@@ -256,7 +173,7 @@ func TestSessionStatsTrackRobustIngestion(t *testing.T) {
 		}
 		return inner.Evaluate(task, params)
 	})
-	sess, err := NewSession(p, nil, NewGPTuner(), SessionOptions{Budget: 6, Seed: 3})
+	sess, err := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

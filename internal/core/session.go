@@ -317,8 +317,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 // Resume is bit-identical — the continued run produces exactly the
 // samples the uninterrupted run would have — for every proposer whose
 // decisions are a function of the history, the RNG stream and whatever
-// it carries through StatefulProposer: the GP tuner, every Table-I
-// algorithm and every surrogate kind.
+// it carries through StatefulProposer: every row of the tuner table.
 func ResumeSession(p *Problem, task map[string]interface{}, proposer Proposer, opts SessionOptions, checkpoint []byte) (*Session, error) {
 	var cp sessionCheckpoint
 	if err := json.Unmarshal(checkpoint, &cp); err != nil {

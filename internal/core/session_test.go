@@ -39,7 +39,7 @@ func assertHistoriesIdentical(t *testing.T, want, got *History) {
 func TestSessionMatchesItselfRunToRun(t *testing.T) {
 	p := quadProblem(t)
 	run := func() *History {
-		s, err := NewSession(p, nil, NewGPTuner(), SessionOptions{Budget: 8, Seed: 7})
+		s, err := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 8, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func checkpointResumeBitIdentical(t *testing.T) {
 	const budget = 8
 	opts := SessionOptions{Budget: budget, Seed: 42}
 
-	full, err := NewSession(p, nil, NewGPTuner(), opts)
+	full, err := NewSession(p, nil, newTestProposer(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func checkpointResumeBitIdentical(t *testing.T) {
 
 	for k := 0; k <= budget; k++ {
 		t.Run(fmt.Sprintf("split=%d", k), func(t *testing.T) {
-			s, err := NewSession(p, nil, NewGPTuner(), opts)
+			s, err := NewSession(p, nil, newTestProposer(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func checkpointResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := ResumeSession(p, nil, NewGPTuner(), opts, cp)
+			r, err := ResumeSession(p, nil, newTestProposer(), opts, cp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestSessionCheckpointWithPendingProposal(t *testing.T) {
 	// uninterrupted run.
 	p := quadProblem(t)
 	opts := SessionOptions{Budget: 6, Seed: 9}
-	full, err := NewSession(p, nil, NewGPTuner(), opts)
+	full, err := NewSession(p, nil, newTestProposer(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSessionCheckpointWithPendingProposal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, _ := NewSession(p, nil, NewGPTuner(), opts)
+	s, _ := NewSession(p, nil, newTestProposer(), opts)
 	for i := 0; i < 3; i++ {
 		if err := s.Step(); err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestSessionCheckpointWithPendingProposal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ResumeSession(p, nil, NewGPTuner(), opts, cp)
+	r, err := ResumeSession(p, nil, newTestProposer(), opts, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSessionProposeObserveRemoteMode(t *testing.T) {
 	p.Evaluator = nil
 	t.Cleanup(func() { p.Evaluator = eval })
 
-	s, err := NewSession(p, nil, NewGPTuner(), SessionOptions{Budget: 3, Seed: 1})
+	s, err := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSessionProposeObserveRemoteMode(t *testing.T) {
 
 func TestSessionRecordsFailures(t *testing.T) {
 	p := quadProblem(t)
-	s, err := NewSession(p, nil, NewGPTuner(), SessionOptions{Budget: 4, Seed: 3})
+	s, err := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +214,13 @@ func TestSessionRecordsFailures(t *testing.T) {
 
 func TestSessionValidation(t *testing.T) {
 	p := quadProblem(t)
-	if _, err := NewSession(p, nil, NewGPTuner(), SessionOptions{}); err == nil {
+	if _, err := NewSession(p, nil, newTestProposer(), SessionOptions{}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 	if _, err := NewSession(p, nil, nil, SessionOptions{Budget: 1}); err == nil {
 		t.Fatal("nil proposer accepted")
 	}
-	s, _ := NewSession(p, nil, NewGPTuner(), SessionOptions{Budget: 1, Seed: 1})
+	s, _ := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 1, Seed: 1})
 	if err := s.Observe(1, nil); err == nil {
 		t.Fatal("Observe without proposal accepted")
 	}
@@ -228,7 +228,7 @@ func TestSessionValidation(t *testing.T) {
 
 func TestResumeSessionRejectsMismatches(t *testing.T) {
 	p := quadProblem(t)
-	s, _ := NewSession(p, nil, NewGPTuner(), SessionOptions{Budget: 4, Seed: 1})
+	s, _ := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 4, Seed: 1})
 	s.Step()
 	cp, err := s.Checkpoint()
 	if err != nil {
@@ -236,33 +236,33 @@ func TestResumeSessionRejectsMismatches(t *testing.T) {
 	}
 	other := quadProblem(t)
 	other.Name = "different"
-	if _, err := ResumeSession(other, nil, NewGPTuner(), SessionOptions{Budget: 4}, cp); err == nil {
+	if _, err := ResumeSession(other, nil, newTestProposer(), SessionOptions{Budget: 4}, cp); err == nil {
 		t.Fatal("problem mismatch accepted")
 	}
 	if _, err := ResumeSession(p, nil, nil, SessionOptions{Budget: 4}, cp); err == nil {
 		t.Fatal("nil proposer accepted")
 	}
-	if _, err := ResumeSession(p, nil, NewGPTuner(), SessionOptions{}, []byte("{")); err == nil {
+	if _, err := ResumeSession(p, nil, newTestProposer(), SessionOptions{}, []byte("{")); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}
-	wrong := &GPTuner{Acquisition: EI{}, MinSamples: 2, label: "Other"}
+	wrong := &gpProposer{name: "Other"}
 	if _, err := ResumeSession(p, nil, wrong, SessionOptions{}, cp); err == nil {
 		t.Fatal("proposer mismatch accepted")
 	}
 	v1 := bytes.Replace(cp, []byte(`"version":2`), []byte(`"version":1`), 1)
-	if _, err := ResumeSession(p, nil, NewGPTuner(), SessionOptions{}, v1); err == nil {
+	if _, err := ResumeSession(p, nil, newTestProposer(), SessionOptions{}, v1); err == nil {
 		t.Fatal("version-1 checkpoint accepted")
 	}
 }
 
 func TestResumeSessionExtendsBudget(t *testing.T) {
 	p := quadProblem(t)
-	s, _ := NewSession(p, nil, NewGPTuner(), SessionOptions{Budget: 3, Seed: 5})
+	s, _ := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 3, Seed: 5})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	cp, _ := s.Checkpoint()
-	r, err := ResumeSession(p, nil, NewGPTuner(), SessionOptions{Budget: 6}, cp)
+	r, err := ResumeSession(p, nil, newTestProposer(), SessionOptions{Budget: 6}, cp)
 	if err != nil {
 		t.Fatal(err)
 	}

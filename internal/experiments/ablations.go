@@ -50,9 +50,7 @@ func AblationAcquisition(sc Scale) (*FigureResult, error) {
 	for _, acq := range []core.Acquisition{core.EI{}, core.LCB{}, core.PI{}} {
 		acq := acq
 		s, err := runSeries(acq.Name(), spec, func() (core.Proposer, error) {
-			tuner := core.NewGPTuner()
-			tuner.Acquisition = acq
-			return tuner, nil
+			return surrogate.NewProposer("NoTLA", surrogate.PoolConfig{Acquisition: acq})
 		})
 		if err != nil {
 			return nil, err
@@ -132,7 +130,11 @@ func AblationRobustEval(sc Scale) (*FigureResult, error) {
 					Evaluator:  &variability.RobustEvaluator{Inner: p.Evaluator, Repeats: v.repeats, CVLimit: 1e9},
 				}
 			}
-			h, err := core.RunLoop(p, task, core.NewGPTuner(), core.SessionOptions{
+			tuner, err := noTLA()
+			if err != nil {
+				return nil, err
+			}
+			h, err := core.RunLoop(p, task, tuner, core.SessionOptions{
 				Budget: budgetRuns / v.repeats, Seed: sc.Seed + int64(r)*7919, Search: sc.Search,
 			})
 			if err != nil {

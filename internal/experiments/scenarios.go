@@ -334,6 +334,9 @@ func Fig7(sc Scale) (*FigureResult, error) {
 	return compareSpaces("fig7", "Hypre (nx=ny=nz=100): original vs reduced search space", p, reduced, task, sc, 5)
 }
 
+// noTLA builds the paper's baseline tuner.
+func noTLA() (core.Proposer, error) { return surrogate.NewProposer("NoTLA", surrogate.PoolConfig{}) }
+
 // compareSpaces runs NoTLA tuning on the original and reduced problems
 // and merges the two series into one figure.
 func compareSpaces(id, title string, original, reduced *core.Problem, task map[string]interface{}, sc Scale, maxRepeats int) (*FigureResult, error) {
@@ -345,7 +348,7 @@ func compareSpaces(id, title string, original, reduced *core.Problem, task map[s
 		s, err := runSeries(v.name, CompareSpec{
 			Problem: v.p, Task: task,
 			Budget: res.Budget, Repeats: min(sc.Repeats, maxRepeats), Seed: sc.Seed, Search: sc.Search,
-		}, func() (core.Proposer, error) { return core.NewGPTuner(), nil })
+		}, noTLA)
 		if err != nil {
 			return nil, err
 		}

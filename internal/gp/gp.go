@@ -7,7 +7,6 @@
 package gp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -31,16 +30,11 @@ type Options struct {
 	Restarts    int         // multi-start count (default 2; 0 means default)
 	MaxIter     int         // L-BFGS iterations per start (default 60)
 	Seed        int64       // RNG seed for restarts
-	FixedNoise  float64     // if > 0, fixes the noise *standard deviation* (standardized units)
 	// Workers bounds the parallelism of the fit (restart fan-out, kernel
 	// matrix assembly, gradient reduction). <= 0 means the engine default:
 	// GPTUNE_WORKERS when set, else GOMAXPROCS. Results are bit-identical
 	// for every worker count at a fixed Seed.
 	Workers int
-	// Ctx, when non-nil, allows cancelling the fit between restarts: a
-	// restart that begins after cancellation is skipped and Fit returns
-	// the context's error instead of a model. A nil Ctx never cancels.
-	Ctx context.Context
 }
 
 // GP is a fitted Gaussian-process model.
@@ -114,34 +108,19 @@ func Fit(X [][]float64, y []float64, opts Options) (*GP, error) {
 		starts = append(starts, s)
 	}
 
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return nil, opts.Ctx.Err()
-	}
-
 	// Restarts run concurrently; each gets private scratch so objective
 	// evaluations never contend, and the argmin reduction is ordered.
 	best := optimize.MultiStartParallel(starts, opts.Workers, func(_ int, x0 []float64) optimize.Result {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			// Cancelled before this restart began: report an unusable
-			// result so the argmin ignores it (Fit re-checks below).
-			return optimize.Result{X: x0, F: math.Inf(1)}
-		}
 		sc := newFitScratch(dim, n)
 		obj := func(theta []float64) (float64, []float64) {
-			return g.nllGrad(ys, theta, opts.FixedNoise, opts.Workers, sc)
+			return g.nllGrad(ys, theta, opts.Workers, sc)
 		}
 		return optimize.LBFGS(obj, x0, optimize.LBFGSConfig{MaxIter: opts.MaxIter})
 	})
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return nil, opts.Ctx.Err()
-	}
 
 	g.hyper = kernel.NewHyper(dim)
 	g.hyper.Unpack(best.X[:dim+1])
 	g.lnoise = clamp(best.X[dim+1], logNoiseLo, logNoiseHi)
-	if opts.FixedNoise > 0 {
-		g.lnoise = math.Log(opts.FixedNoise * opts.FixedNoise)
-	}
 	clampHyper(g.hyper)
 	g.nll = best.F
 	if err := g.factorize(ys); err != nil {
@@ -241,15 +220,12 @@ func newFitScratch(dim, n int) *fitScratch {
 // The returned gradient slice is freshly allocated (the L-BFGS driver
 // retains it across iterations); all large intermediates live in sc,
 // which must be private to the calling goroutine.
-func (g *GP) nllGrad(ys []float64, theta []float64, fixedNoise float64, workers int, sc *fitScratch) (float64, []float64) {
+func (g *GP) nllGrad(ys []float64, theta []float64, workers int, sc *fitScratch) (float64, []float64) {
 	dim := g.kern.Dim
 	n := len(ys)
 	h := sc.h
 	h.Unpack(theta[:dim+1])
 	logNoise := theta[dim+1]
-	if fixedNoise > 0 {
-		logNoise = math.Log(fixedNoise * fixedNoise)
-	}
 	grad := make([]float64, dim+2)
 
 	// Box penalty keeps L-BFGS inside sane hyperparameter ranges.
@@ -306,16 +282,12 @@ func (g *GP) nllGrad(ys []float64, theta []float64, fixedNoise float64, workers 
 		grad[p] += 0.5*tr - 0.5*quad
 	})
 	// Noise gradient: dK/dlogNoiseVar = noiseVar·I.
-	if fixedNoise <= 0 {
-		var trInv, aa float64
-		for i := 0; i < n; i++ {
-			trInv += Kinv.At(i, i)
-			aa += alpha[i] * alpha[i]
-		}
-		grad[dim+1] += 0.5 * noiseVar * (trInv - aa)
-	} else {
-		grad[dim+1] = 0
+	var trInv, aa float64
+	for i := 0; i < n; i++ {
+		trInv += Kinv.At(i, i)
+		aa += alpha[i] * alpha[i]
 	}
+	grad[dim+1] += 0.5 * noiseVar * (trInv - aa)
 	return nll + penalty, grad
 }
 

@@ -19,31 +19,36 @@ type PoolConfig struct {
 	// Metrics, when non-nil, receives the surrogate_* families
 	// (selections, fit durations, fit failures, mean rewards per arm).
 	Metrics *obs.Registry
+	// Acquisition scores the arm's search (nil means EI); a row's
+	// source-mix first evaluation always searches with LCB.
+	Acquisition core.Acquisition
 }
 
 // armSpace is the name of the model-free space-filling arm.
 const armSpace = "space"
 
-// Pool is the propose step of every model-based tuner but NoTLA: a row
-// of the NewProposer table — a selection policy over core.Surrogate
-// arms plus a warm-up rule — run as
+// Pool is the propose step of every tuner: a row of the NewProposer
+// table — a selection policy over core.Surrogate arms plus a warm-up
+// rule — run as
 //
 //	cancel check → robust ingestion → settle the previous pull's credit
 //	→ warm-up → pick an arm → seed → timed Fit → degrade on failure →
-//	cancel check → timed acquisition search (EI).
+//	cancel check → timed acquisition search (EI unless configured).
 //
-// A row of one arm is a fixed-model tuner; "auto" is a cost-penalized
-// UCB bandit over {gp, lcm, copula, sgp, space-filling}; the paper's
-// ensembles pick among {lcm, WeightedSum(dynamic), Stacking} by Eqs.
-// 3-4. Arms are credited with the (normalized) incumbent improvement
-// and the objective their proposals achieved.
+// A row of one arm is a fixed-model tuner (NoTLA's is the exact GP);
+// "auto" is a cost-penalized UCB bandit over {gp, lcm, copula, sgp,
+// space-filling}; the paper's ensembles pick among {lcm,
+// WeightedSum(dynamic), Stacking} by Eqs. 3-4. Arms are credited with
+// the (normalized) incumbent improvement and the objective their
+// proposals achieved.
 //
 // Selection state and the private state of stateful arms round-trip
 // through the core.StatefulProposer checkpoint hooks, so a resumed
 // session replays bit-identically.
 type Pool struct {
-	cfg PoolConfig
-	row Row
+	cfg  PoolConfig
+	row  Row
+	name string
 
 	sel   *Selector
 	arms  []core.Surrogate // nil entry = space-filling arm
@@ -66,12 +71,7 @@ type Pool struct {
 
 // Name implements core.Proposer with the name Result.Algorithm
 // reports: the paper's for its lineup, "Surrogate(kind)" for the rest.
-func (p *Pool) Name() string {
-	if p.row.Warmup > 0 {
-		return "Surrogate(" + p.row.Name + ")"
-	}
-	return p.row.Name
-}
+func (p *Pool) Name() string { return p.name }
 
 // SelectedCounts reports how often each arm has been pulled, keyed by
 // arm name (arms are built at the first Propose; empty before that).
@@ -171,7 +171,7 @@ func (p *Pool) Propose(ctx *core.ProposeContext) ([]float64, error) {
 	ctx.NoteRobustIngestion(info)
 	p.settleCredit(ctx.History, Y)
 
-	if len(X) < p.row.Warmup { // warm-up draws are nobody's credit
+	if info.OK < p.row.Warmup { // warm-up draws are nobody's credit
 		return ctx.RandomFeasible(), nil
 	}
 	// Without target rows (a row of no random warm-up) nobody is picked:
@@ -187,7 +187,10 @@ func (p *Pool) Propose(ctx *core.ProposeContext) ([]float64, error) {
 		if p.selected != nil {
 			p.selected[arm].Inc()
 		}
-		surr, acq = p.arms[arm], core.EI{}
+		surr, acq = p.arms[arm], p.cfg.Acquisition
+		if acq == nil {
+			acq = core.EI{}
+		}
 		if surr == nil { // space-filling arm
 			if ctx.Stats != nil {
 				ctx.Stats.SpaceFill++

@@ -28,7 +28,7 @@ func mustProposer(t *testing.T, name string, sources []*tla.Source) core.Propose
 // than the LCM's sample cap (so a drawn subsample is state to carry).
 func forEachTuner(t *testing.T, keep func(r Row) bool, fn func(t *testing.T, name string, mk func() core.Proposer)) {
 	sources := []*tla.Source{demoSource(t, 0.8, 30, 12), demoSource(t, 1.2, 30, 13)}
-	names := append(Algorithms(), Kinds()...)
+	names, table := append(Algorithms(), Kinds()...), Table()
 	if len(names) != len(table) {
 		t.Fatalf("Algorithms() ∪ Kinds() has %d names, the table %d rows", len(names), len(table))
 	}

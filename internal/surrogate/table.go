@@ -13,8 +13,8 @@ import (
 type Row struct {
 	Name   string // as accepted by TuneOptions.Algorithm / Surrogate
 	Policy Policy
-	Arms   []string // model kinds, or armSpace; none = core.GPTuner
-	// Warmup is the number of robust history rows required before an arm
+	Arms   []string // model kinds, or armSpace
+	// Warmup is the number of successful samples required before an arm
 	// runs, answered by random feasible draws. A row of 0 starts from the
 	// sources instead: its first evaluation searches their equal-weight
 	// mix with LCB (see Pool.first).
@@ -29,11 +29,11 @@ type Row struct {
 
 var ensembleArms = []string{KindLCM, KindWeightedSumDynamic, KindStacking}
 
-// table is the one registry of tuners: the nine of the paper's Fig. 3
-// lineup (Table I plus the NoTLA baseline and the two naive ensembles),
-// then the surrogate kinds. A single model is a pool of one arm.
-var table = []Row{
-	{Name: "NoTLA"},
+// lineup is the nine tuners of the paper's Fig. 3: Table I plus the
+// NoTLA baseline and the two naive ensembles. A single model is a pool
+// of one arm.
+var lineup = []Row{
+	{Name: "NoTLA", Arms: []string{KindGP}, Warmup: 2},
 	{Name: "Multitask(PS)", Arms: []string{KindMultitaskPS}, SourceFed: true,
 		Desc: "LCM multitask learning with pseudo samples from black-box source surrogates", Origin: "GPTune 2021 [11]"},
 	{Name: "Multitask(TS)", Arms: []string{KindLCM}, SourceFed: true,
@@ -48,7 +48,11 @@ var table = []Row{
 		Desc: "per-evaluation TLA selection by PDF (Eq. 3) with exploration rate (Eq. 4)", Origin: "GPTuneCrowd"},
 	{Name: "Ensemble(toggling)", Policy: Toggling, Arms: ensembleArms, SourceFed: true},
 	{Name: "Ensemble(prob)", Policy: PDF, Arms: ensembleArms, SourceFed: true},
+}
 
+// kinds is "auto" and the single-model tuners, which report themselves
+// as "Surrogate(kind)".
+var kinds = []Row{
 	{Name: KindAuto, Arms: []string{KindGP, KindLCM, KindCopula, KindSGP, armSpace}, Warmup: 3},
 	{Name: KindGP, Arms: []string{KindGP}, Warmup: 3},
 	{Name: KindLCM, Arms: []string{KindLCM}, Warmup: 3, SourceFed: true},
@@ -59,25 +63,24 @@ var table = []Row{
 // Algorithms lists the tuner names TuneOptions.Algorithm documents:
 // Table I of the paper plus the NoTLA baseline and the two naive
 // ensembles — the nine-tuner lineup of Fig. 3.
-func Algorithms() []string { return rowNames(func(r Row) bool { return r.Warmup == 0 }) }
+func Algorithms() []string { return rowNames(lineup) }
 
 // Kinds lists the names TuneOptions.Surrogate documents: "auto" and the
 // single-model tuners.
-func Kinds() []string { return rowNames(func(r Row) bool { return r.Warmup > 0 }) }
+func Kinds() []string { return rowNames(kinds) }
 
-func rowNames(keep func(Row) bool) []string {
-	var out []string
-	for _, r := range table {
-		if keep(r) {
-			out = append(out, r.Name)
-		}
+func rowNames(rows []Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.Name
 	}
 	return out
 }
 
-// Table returns the tuner table — name → (policy, arms, warm-up) — so
-// printouts cannot drift from what NewProposer builds.
-func Table() []Row { return slices.Clone(table) }
+// Table returns the tuner table — name → (policy, arms, warm-up), the
+// lineup then the kinds — so printouts cannot drift from what
+// NewProposer builds.
+func Table() []Row { return slices.Concat(lineup, kinds) }
 
 // NewProposer builds a fresh tuner by name (tuners carry per-run state,
 // so every run needs its own): one lookup in the table of Algorithms()
@@ -90,17 +93,18 @@ func NewProposer(name string, cfg PoolConfig) (core.Proposer, error) {
 			name = "Ensemble(proposed)"
 		}
 	}
-	for _, r := range table {
+	for i, r := range Table() {
 		if r.Name != name {
 			continue
-		}
-		if len(r.Arms) == 0 {
-			return core.NewGPTuner(), nil
 		}
 		if r.SourceFed && len(cfg.Sources) == 0 {
 			return nil, fmt.Errorf("surrogate: tuner %q: %w", name, tla.ErrNoSources)
 		}
-		return &Pool{cfg: cfg, row: r, lastArm: -1}, nil
+		label := r.Name
+		if i >= len(lineup) {
+			label = "Surrogate(" + r.Name + ")"
+		}
+		return &Pool{cfg: cfg, row: r, name: label, lastArm: -1}, nil
 	}
 	return nil, fmt.Errorf("surrogate: unknown tuner %q (want one of %v or %v)", name, Algorithms(), Kinds())
 }

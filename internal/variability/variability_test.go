@@ -8,6 +8,7 @@ import (
 
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/space"
+	"gptunecrowd/internal/surrogate"
 )
 
 func TestKeyForCanonical(t *testing.T) {
@@ -171,7 +172,11 @@ func TestRobustEvaluatorInTuningLoop(t *testing.T) {
 		ParamSpace: ps,
 		Evaluator:  &RobustEvaluator{Inner: inner, Repeats: 3},
 	}
-	h, err := core.RunLoop(p, nil, core.NewGPTuner(), core.SessionOptions{Budget: 10, Seed: 4})
+	tuner, err := surrogate.NewProposer("NoTLA", surrogate.PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := core.RunLoop(p, nil, tuner, core.SessionOptions{Budget: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

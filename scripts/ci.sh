@@ -41,19 +41,28 @@ if go list -f '{{join .Imports "\n"}}' ./internal/suggest | grep -E 'internal/(g
     exit 1
 fi
 
-# One propose step, one selector: besides NoTLA's core.GPTuner only the
-# surrogate driver implements core.Proposer; a third implementation
+# One propose step, one selector: every tuner, NoTLA included, is a row
+# of the surrogate table run by surrogate.Pool; a second implementation
 # means a private propose loop (its own ingestion, warm-up, degradation
-# and stage timers) is back. internal/tla is model math only.
-echo "== Propose(ctx *core.ProposeContext) has exactly two implementations"
+# and stage timers) is back. internal/core holds the loop and the
+# search, and no model; internal/tla is model math only.
+echo "== Propose(ctx *core.ProposeContext) has exactly one implementation; internal/core imports no model family"
 proposers=$(grep -rlE 'func \([^)]*\) Propose\(ctx \*(core\.)?ProposeContext\)' --include='*.go' --exclude-dir=.bench_build . \
     | grep -v '_test\.go$' | sort | tr '\n' ' ')
-if [ "$proposers" != "./internal/core/notla.go ./internal/surrogate/pool.go " ]; then
+if [ "$proposers" != "./internal/surrogate/pool.go " ]; then
     echo "FAIL: core.Proposer is implemented in: $proposers" >&2
     exit 1
 fi
-if grep -rnE 'type (Ensemble|MultitaskTS|Fixed) |func (NewFixed|NewEnsemble|equalWeightFirstEval)\(' internal/tla internal/surrogate; then
+if go list -f '{{join .Imports "\n"}}' ./internal/core | grep -E 'internal/(gp|sgp|copula|lcm|tla|surrogate)$'; then
+    echo "FAIL: internal/core imports a model family" >&2
+    exit 1
+fi
+if grep -rnE 'type (Ensemble|MultitaskTS|Fixed|GPTuner) |func (NewFixed|NewEnsemble|equalWeightFirstEval|NewGPTuner)\(' --include='*.go' --exclude-dir=.bench_build .; then
     echo "FAIL: a deleted tuner type is back" >&2
+    exit 1
+fi
+if grep -rnE '\bFixedNoise\b|\bProbeInterval\b' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: a deleted option (gp.Options.FixedNoise, NodeConfig.ProbeInterval) is back" >&2
     exit 1
 fi
 
@@ -64,7 +73,7 @@ fi
 # experiment problem comes from apps.Build. A match below means a second
 # path is back.
 echo "== one tuning loop, one GP door, one Sobol' fit, one problem builder"
-fits=$(grep -rlF 'gp.Fit(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . \
+fits=$(grep -rlE 'gp\.Fit\b' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . \
     | grep -vE '^\./internal/(surrogate|tla|sgp)/' || true)
 if [ -n "$fits" ]; then
     echo "FAIL: gp.Fit called outside internal/{surrogate,tla,sgp}: $fits" >&2

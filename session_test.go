@@ -6,6 +6,15 @@ import (
 	"gptunecrowd/internal/core"
 )
 
+func mustNoTLA(tb testing.TB) Proposer {
+	tb.Helper()
+	prop, err := NewProposer("NoTLA", nil, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prop
+}
+
 func sessionProblem(t *testing.T) *Problem {
 	t.Helper()
 	ps, err := NewSpace(
@@ -57,7 +66,7 @@ func TestTuningSessionMatchesTune(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameHistory(t, "TuneBatch{BatchSize: 1} vs Tune", tuned.History, batched.History)
-	looped, err := core.RunLoop(p, nil, core.NewGPTuner(), core.SessionOptions{Budget: opts.Budget, Seed: opts.Seed})
+	looped, err := core.RunLoop(p, nil, mustNoTLA(t), core.SessionOptions{Budget: opts.Budget, Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
