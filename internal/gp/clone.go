@@ -26,9 +26,5 @@ func (g *GP) Clone() *GP {
 	if g.chol != nil {
 		c.chol = g.chol.Clone()
 	}
-	n := len(c.x)
-	c.predictPool.New = func() interface{} {
-		return &predictScratch{ks: make([]float64, n), v: make([]float64, n), tmp: make([]float64, n)}
-	}
 	return c
 }

@@ -52,14 +52,10 @@ type GP struct {
 	nll         float64
 	observed    int // Observe calls since the last full factorization
 
-	// predictPool recycles per-call prediction buffers so that Predict is
-	// both allocation-light and safe to call from many goroutines.
+	// predictPool recycles the per-call cross-covariance buffer (a
+	// *[]float64) so that Predict is both allocation-flat and safe to
+	// call from many goroutines.
 	predictPool sync.Pool
-}
-
-// predictScratch holds the reusable buffers of one Predict call.
-type predictScratch struct {
-	ks, v, tmp []float64
 }
 
 // hyperparameter box (log space, standardized targets, unit-cube inputs).
@@ -259,7 +255,7 @@ func (g *GP) nllGrad(ys []float64, theta []float64, workers int, sc *fitScratch)
 	alpha := ch.SolveVec(ys)
 	nll := 0.5*linalg.Dot(ys, alpha) + 0.5*ch.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
 
-	Kinv := ch.InverseWorkers(workers)
+	Kinv := ch.Inverse()
 	// d nll/dθ = 0.5·tr(K⁻¹ dK) − 0.5·αᵀ dK α. Parameters are
 	// independent, so the reduction fans out over p; within one p the
 	// summation order is fixed, and both Kinv and dK are symmetric, so
@@ -302,27 +298,23 @@ func (g *GP) factorize(ys []float64) error {
 	g.ys = ys
 	g.alpha = ch.SolveVec(ys)
 	g.observed = 0
-	n := len(g.x)
-	g.predictPool.New = func() interface{} {
-		return &predictScratch{ks: make([]float64, n), v: make([]float64, n), tmp: make([]float64, n)}
-	}
 	return nil
 }
 
-// scratch fetches a prediction scratch sized for n training rows. Pooled
-// buffers are grown in place when Observe has extended the model past
-// the size they were created with.
-func (g *GP) scratch(n int) *predictScratch {
-	sc := g.predictPool.Get().(*predictScratch)
-	if cap(sc.ks) < n {
-		sc.ks = make([]float64, n)
-		sc.v = make([]float64, n)
-		sc.tmp = make([]float64, n)
+// crossCov fills a pooled buffer, grown if Observe has outgrown it, with
+// k(x, x_i) over the training rows; the caller Puts it back.
+func (g *GP) crossCov(x []float64) *[]float64 {
+	buf, _ := g.predictPool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < len(g.x) {
+		b := make([]float64, len(g.x))
+		buf = &b
 	}
-	sc.ks = sc.ks[:n]
-	sc.v = sc.v[:n]
-	sc.tmp = sc.tmp[:n]
-	return sc
+	ks := (*buf)[:len(g.x)]
+	for i, xi := range g.x {
+		ks[i] = g.kern.Eval(x, xi, g.hyper)
+	}
+	*buf = ks
+	return buf
 }
 
 // Dim returns the input dimension.
@@ -341,19 +333,16 @@ func (g *GP) Hyper() *kernel.Hyper { return g.hyper }
 func (g *GP) NoiseVar() float64 { return math.Exp(g.lnoise) }
 
 // Predict returns the posterior mean and standard deviation of the
-// latent function at x, in the original target units. It is safe for
-// concurrent use; per-call buffers come from an internal pool.
+// latent function at x, in the original target units. The variance is
+// prior − ‖L⁻¹k‖², one forward substitution. It is safe for concurrent
+// use; per-call buffers come from an internal pool.
 func (g *GP) Predict(x []float64) (mean, std float64) {
-	n := len(g.x)
-	sc := g.scratch(n)
-	defer g.predictPool.Put(sc)
-	ks := sc.ks
-	for i := 0; i < n; i++ {
-		ks[i] = g.kern.Eval(x, g.x[i], g.hyper)
-	}
+	buf := g.crossCov(x)
+	defer g.predictPool.Put(buf)
+	ks := *buf
 	mu := linalg.Dot(ks, g.alpha)
-	g.chol.SolveVecInto(ks, sc.v, sc.tmp)
-	variance := g.kern.Diag(g.hyper) - linalg.Dot(ks, sc.v)
+	g.chol.ForwardSolveInto(ks, ks)
+	variance := g.kern.Diag(g.hyper) - linalg.Dot(ks, ks)
 	if variance < 1e-12 {
 		variance = 1e-12
 	}
@@ -362,14 +351,9 @@ func (g *GP) Predict(x []float64) (mean, std float64) {
 
 // PredictMean returns only the posterior mean at x.
 func (g *GP) PredictMean(x []float64) float64 {
-	n := len(g.x)
-	sc := g.scratch(n)
-	defer g.predictPool.Put(sc)
-	ks := sc.ks
-	for i := 0; i < n; i++ {
-		ks[i] = g.kern.Eval(x, g.x[i], g.hyper)
-	}
-	return g.meanY + g.stdY*linalg.Dot(ks, g.alpha)
+	buf := g.crossCov(x)
+	defer g.predictPool.Put(buf)
+	return g.meanY + g.stdY*linalg.Dot(*buf, g.alpha)
 }
 
 // PredictBatchInto evaluates Predict over the rows of X into

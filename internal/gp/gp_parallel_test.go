@@ -24,14 +24,14 @@ func fitFixture(n, dim int, seed int64) ([][]float64, []float64) {
 
 // The determinism guarantee of the parallel engine: at a fixed seed the
 // fitted hyperparameters and predictions are bit-identical whether the
-// fit runs on 1 worker or 8.
+// fit runs on 1, 4 or 8 workers.
 func TestFitDeterministicAcrossWorkers(t *testing.T) {
 	X, Y := fitFixture(40, 3, 21)
 	ref, err := Fit(X, Y, Options{Seed: 5, Restarts: 4, MaxIter: 25, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 8} {
+	for _, w := range []int{2, 4, 8} {
 		g, err := Fit(X, Y, Options{Seed: 5, Restarts: 4, MaxIter: 25, Workers: w})
 		if err != nil {
 			t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/linalg"
@@ -46,11 +47,7 @@ type Model struct {
 	dim      int
 	q        int
 	kerns    []*kernel.Kernel // one per latent process (unit variance)
-
-	logLen   [][]float64 // [q][dim]
-	aq       [][]float64 // [q][task]
-	logKappa [][]float64 // [q][task]
-	logNoise []float64   // [task] log noise variance
+	*lcmParams
 
 	// Stacked training data.
 	x     [][]float64 // all samples
@@ -59,6 +56,10 @@ type Model struct {
 	chol  *linalg.Cholesky
 
 	meanY, stdY []float64 // per-task standardization
+
+	// predictPool recycles Predict's scratch (a *[]float64) so that
+	// Predict is allocation-flat and safe to call from many goroutines.
+	predictPool sync.Pool
 }
 
 // Fit trains an LCM on per-task datasets. X[t] and Y[t] hold the samples
@@ -152,6 +153,7 @@ func Fit(X [][][]float64, Y [][]float64, opts Options) (*Model, error) {
 	if math.IsInf(best.F, 1) {
 		return nil, errors.New("lcm: hyperparameter optimization failed to find a feasible point")
 	}
+	m.lcmParams = newLCMParams(m.q, m.dim, m.numTasks)
 	m.unpack(best.X)
 	if err := m.factorize(ys, opts.Workers); err != nil {
 		return nil, err
@@ -204,41 +206,25 @@ func (m *Model) initTheta(rng *rand.Rand, canonical bool) []float64 {
 	return theta
 }
 
-func (m *Model) unpack(theta []float64) {
-	m.logLen = make([][]float64, m.q)
-	m.aq = make([][]float64, m.q)
-	m.logKappa = make([][]float64, m.q)
-	idx := 0
-	for q := 0; q < m.q; q++ {
-		m.logLen[q] = append([]float64(nil), theta[idx:idx+m.dim]...)
-		idx += m.dim
-		m.aq[q] = append([]float64(nil), theta[idx:idx+m.numTasks]...)
-		idx += m.numTasks
-		m.logKappa[q] = append([]float64(nil), theta[idx:idx+m.numTasks]...)
-		idx += m.numTasks
-	}
-	m.logNoise = append([]float64(nil), theta[idx:idx+m.numTasks]...)
-}
-
-// lcmParams is a reusable unpacked view of a packed theta vector,
-// mirroring the Model's parameter layout without allocating per
-// objective evaluation.
+// lcmParams is the unpacked view of a packed theta vector: a fitted
+// Model's parameters, and each restart's reusable buffer, so objective
+// evaluations do not allocate.
 type lcmParams struct {
-	logLen   [][]float64 // [q][dim]
-	aq       [][]float64 // [q][task]
-	logKappa [][]float64 // [q][task]
-	logNoise []float64   // [task]
+	hyper    []*kernel.Hyper // [q] length scales at unit variance
+	aq       [][]float64     // [q][task]
+	logKappa [][]float64     // [q][task]
+	logNoise []float64       // [task] log noise variance
 }
 
 func newLCMParams(q, dim, tasks int) *lcmParams {
 	p := &lcmParams{
-		logLen:   make([][]float64, q),
+		hyper:    make([]*kernel.Hyper, q),
 		aq:       make([][]float64, q),
 		logKappa: make([][]float64, q),
 		logNoise: make([]float64, tasks),
 	}
 	for i := 0; i < q; i++ {
-		p.logLen[i] = make([]float64, dim)
+		p.hyper[i] = kernel.NewHyper(dim)
 		p.aq[i] = make([]float64, tasks)
 		p.logKappa[i] = make([]float64, tasks)
 	}
@@ -248,8 +234,8 @@ func newLCMParams(q, dim, tasks int) *lcmParams {
 // unpack fills p from theta following the Model packing order.
 func (p *lcmParams) unpack(theta []float64) {
 	idx := 0
-	for q := range p.logLen {
-		idx += copy(p.logLen[q], theta[idx:idx+len(p.logLen[q])])
+	for q, h := range p.hyper {
+		idx += copy(h.LogLength, theta[idx:idx+len(h.LogLength)])
 		idx += copy(p.aq[q], theta[idx:idx+len(p.aq[q])])
 		idx += copy(p.logKappa[q], theta[idx:idx+len(p.logKappa[q])])
 	}
@@ -263,7 +249,6 @@ func (p *lcmParams) unpack(theta []float64) {
 // so concurrent restarts never contend.
 type fitScratch struct {
 	params *lcmParams
-	hq     *kernel.Hyper
 	baseK  []*linalg.Matrix   // [q] latent Gram matrices
 	baseG  [][]*linalg.Matrix // [q][dim+1] derivative matrices (variance slot unused)
 	K      *linalg.Matrix     // stacked covariance
@@ -274,7 +259,6 @@ func (m *Model) newFitScratch() *fitScratch {
 	n := len(m.x)
 	sc := &fitScratch{
 		params: newLCMParams(m.q, m.dim, m.numTasks),
-		hq:     kernel.NewHyper(m.dim),
 		baseK:  make([]*linalg.Matrix, m.q),
 		baseG:  make([][]*linalg.Matrix, m.q),
 		K:      linalg.NewMatrix(n, n),
@@ -349,11 +333,8 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 	// (row-parallel inside MatrixGradsInto).
 	baseK := sc.baseK // k_q(x_a, x_b)
 	baseG := sc.baseG // per loglen dimension (+ unused variance slot)
-	hq := sc.hq       // unit variance: LogVar = 0
 	for q := 0; q < m.q; q++ {
-		copy(hq.LogLength, ps.logLen[q])
-		hq.LogVar = 0
-		m.kerns[q].MatrixGradsInto(m.x, hq, baseK[q], baseG[q], workers)
+		m.kerns[q].MatrixGradsInto(m.x, ps.hyper[q], baseK[q], baseG[q], workers)
 	}
 	// Coregionalization blocks B_q (tiny, serial).
 	bq := sc.bq
@@ -361,11 +342,7 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 		B := bq[q]
 		for i := 0; i < m.numTasks; i++ {
 			for j := 0; j < m.numTasks; j++ {
-				v := ps.aq[q][i] * ps.aq[q][j]
-				if i == j {
-					v += math.Exp(ps.logKappa[q][i])
-				}
-				B.Set(i, j, v)
+				B.Set(i, j, ps.bAt(q, i, j))
 			}
 		}
 	}
@@ -395,7 +372,7 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 	nll := 0.5*linalg.Dot(ys, alpha) + 0.5*ch.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
 
 	// W = K⁻¹ − α·αᵀ ; gradient g_p = 0.5 Σ_ab W[ab]·dK_p[ab].
-	W := ch.InverseWorkers(workers)
+	W := ch.Inverse()
 	parallel.For(n, workers, func(a int) {
 		wa := W.Row(a)
 		aa := alpha[a]
@@ -483,11 +460,8 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 func (m *Model) factorize(ys []float64, workers int) error {
 	n := len(ys)
 	K := linalg.NewMatrix(n, n)
-	hq := kernel.NewHyper(m.dim)
 	for q := 0; q < m.q; q++ {
-		copy(hq.LogLength, m.logLen[q])
-		hq.LogVar = 0
-		Kq := m.kerns[q].MatrixWorkers(m.x, hq, workers)
+		Kq := m.kerns[q].MatrixWorkers(m.x, m.hyper[q], workers)
 		parallel.For(n, workers, func(a int) {
 			ta := m.task[a]
 			row := K.Row(a)
@@ -509,10 +483,11 @@ func (m *Model) factorize(ys []float64, workers int) error {
 	return nil
 }
 
-func (m *Model) bAt(q, i, j int) float64 {
-	v := m.aq[q][i] * m.aq[q][j]
+// bAt returns B_q[i, j] = a_q[i]·a_q[j] + δ_ij·κ_q[i].
+func (p *lcmParams) bAt(q, i, j int) float64 {
+	v := p.aq[q][i] * p.aq[q][j]
 	if i == j {
-		v += math.Exp(m.logKappa[q][i])
+		v += math.Exp(p.logKappa[q][i])
 	}
 	return v
 }
@@ -524,7 +499,8 @@ func (m *Model) NumTasks() int { return m.numTasks }
 func (m *Model) Dim() int { return m.dim }
 
 // Predict returns the posterior mean and standard deviation for task t
-// at input x, in the task's original output units. A task index outside
+// at input x, in the task's original output units. The variance is
+// prior − ‖L⁻¹k‖², one forward substitution. A task index outside
 // the trained range returns an error — crowd-supplied indices must not
 // be able to crash a long tuning session.
 func (m *Model) Predict(t int, x []float64) (mean, std float64, err error) {
@@ -534,21 +510,32 @@ func (m *Model) Predict(t int, x []float64) (mean, std float64, err error) {
 	if len(x) != m.dim {
 		return 0, 0, fmt.Errorf("lcm: input has dimension %d, want %d", len(x), m.dim)
 	}
-	n := len(m.x)
-	ks := make([]float64, n)
-	hq := kernel.NewHyper(m.dim)
+	buf, _ := m.predictPool.Get().(*[]float64)
+	if buf == nil {
+		b := make([]float64, len(m.x)+m.q*m.numTasks)
+		buf = &b
+	}
+	defer m.predictPool.Put(buf)
+	// ks is the cross-covariance, then L⁻¹·ks in place; bt[q·T+s] is
+	// B_q[t, s].
+	ks, bt := (*buf)[:len(m.x)], (*buf)[len(m.x):]
 	prior := 0.0
 	for q := 0; q < m.q; q++ {
-		copy(hq.LogLength, m.logLen[q])
-		hq.LogVar = 0
-		for b := 0; b < n; b++ {
-			ks[b] += m.bAt(q, t, m.task[b]) * m.kerns[q].Eval(x, m.x[b], hq)
+		for s := 0; s < m.numTasks; s++ {
+			bt[q*m.numTasks+s] = m.bAt(q, t, s)
 		}
-		prior += m.bAt(q, t, t)
+		prior += bt[q*m.numTasks+t]
+	}
+	for b, xb := range m.x {
+		var k float64
+		for q, kern := range m.kerns {
+			k += bt[q*m.numTasks+m.task[b]] * kern.Eval(x, xb, m.hyper[q])
+		}
+		ks[b] = k
 	}
 	mu := linalg.Dot(ks, m.alpha)
-	v := m.chol.SolveVec(ks)
-	variance := prior - linalg.Dot(ks, v)
+	m.chol.ForwardSolveInto(ks, ks)
+	variance := prior - linalg.Dot(ks, ks)
 	if variance < 1e-12 {
 		variance = 1e-12
 	}

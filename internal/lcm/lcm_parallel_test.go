@@ -23,8 +23,8 @@ func twoTaskFixture(n1, n2 int, seed int64) ([][][]float64, [][]float64) {
 	return [][][]float64{X1, X2}, [][]float64{Y1, Y2}
 }
 
-// Fixed seed ⇒ bit-identical fitted model whether the fit runs on 1
-// worker or 8: restarts, covariance assembly and gradient reductions
+// Fixed seed ⇒ bit-identical fitted model whether the fit runs on 1,
+// 4 or 8 workers: restarts, covariance assembly and gradient reductions
 // all write index-disjoint state with ordered reductions.
 func TestLCMFitDeterministicAcrossWorkers(t *testing.T) {
 	X, Y := twoTaskFixture(20, 6, 31)
@@ -37,11 +37,11 @@ func TestLCMFitDeterministicAcrossWorkers(t *testing.T) {
 	}
 	ref := fit(1)
 	probe := [][]float64{{0.1}, {0.45}, {0.8}}
-	for _, w := range []int{2, 8} {
+	for _, w := range []int{2, 4, 8} {
 		m := fit(w)
-		for q := range ref.logLen {
-			for d := range ref.logLen[q] {
-				if m.logLen[q][d] != ref.logLen[q][d] {
+		for q := range ref.hyper {
+			for d := range ref.hyper[q].LogLength {
+				if m.hyper[q].LogLength[d] != ref.hyper[q].LogLength[d] {
 					t.Fatalf("workers=%d: logLen[%d][%d] differs", w, q, d)
 				}
 			}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"gptunecrowd/internal/parallel"
 )
 
 // ErrNotPositiveDefinite is returned when a Cholesky factorization fails
@@ -92,18 +90,16 @@ func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
 // SolveVec solves A·x = b given A = L·Lᵀ.
 func (c *Cholesky) SolveVec(b []float64) []float64 {
 	x := make([]float64, len(b))
-	tmp := make([]float64, len(b))
-	c.SolveVecInto(b, x, tmp)
+	forwardSubstInto(c.L, b, x)
+	backwardSubstTInto(c.L, x, x)
 	return x
 }
 
-// SolveVecInto solves A·x = b into dst using tmp as scratch; all three
-// slices must have length n and dst/tmp must not alias b. Hot loops
-// (GP prediction, inverse columns) use it to avoid per-solve
-// allocations.
-func (c *Cholesky) SolveVecInto(b, dst, tmp []float64) {
-	forwardSubstInto(c.L, b, tmp)
-	backwardSubstTInto(c.L, tmp, dst)
+// ForwardSolveInto solves L·y = b into y (len n each; y may alias b).
+// ‖y‖² = bᵀA⁻¹b, so a predictive variance needs only this half of a
+// solve.
+func (c *Cholesky) ForwardSolveInto(b, y []float64) {
+	forwardSubstInto(c.L, b, y)
 }
 
 // LogDet returns log|A| = 2·Σ log L_ii.
@@ -124,29 +120,59 @@ func (c *Cholesky) Clone() *Cholesky {
 	return &Cholesky{L: c.L.Clone(), Jitter: c.Jitter}
 }
 
-// InverseWorkers returns A⁻¹ with the independent unit-vector solves
-// distributed over workers (<= 0 means the package default) — the
+// Inverse returns A⁻¹ in LAPACK potri's shape: a copy of L is inverted
+// in place, then overwritten by W = L⁻ᵀ·L⁻¹ on the lower half and
+// mirrored, about 2n³/3 flops with every triangular read along a row.
+// It is serial, so no worker count can change its bits; it is the
 // per-iteration hot spot of the GP and LCM likelihood gradients.
-func (c *Cholesky) InverseWorkers(workers int) *Matrix {
+func (c *Cholesky) Inverse() *Matrix {
 	n := c.L.rows
-	inv := NewMatrix(n, n)
-	type invScratch struct{ e, sol, tmp []float64 }
-	parallel.ForEachWorker(n, workers, func() *invScratch {
-		return &invScratch{e: make([]float64, n), sol: make([]float64, n), tmp: make([]float64, n)}
-	}, func(sc *invScratch, j int) {
-		for i := range sc.e {
-			sc.e[i] = 0
+	w := c.L.Clone()
+	// Y = L⁻¹ by rows: y_i = (e_i − Σ_{k<i} L_ik·y_k) / L_ii, with row i
+	// of L parked in li while row i of w accumulates y_i.
+	li := make([]float64, n)
+	for i := 0; i < n; i++ {
+		yi := w.Row(i)[:i+1]
+		copy(li, yi)
+		clear(yi)
+		for k, lik := range li[:i] {
+			yk := w.Row(k)[:k+1]
+			dst := yi[:len(yk)]
+			for j, v := range yk {
+				dst[j] -= lik * v
+			}
 		}
-		sc.e[j] = 1
-		c.SolveVecInto(sc.e, sc.sol, sc.tmp)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, sc.sol[i])
+		inv := 1 / li[i]
+		for j := range yi {
+			yi[j] *= inv
 		}
-	})
-	return inv
+		yi[i] = inv
+	}
+	// W_ab = Σ_{k≥a} Y_ka·Y_kb for b ≤ a. Row a reads the lower halves
+	// of rows k ≥ a only, so ascending a may overwrite Y with W in place
+	// and mirror each finished row into the upper halves above it.
+	for a := 0; a < n; a++ {
+		wa := w.Row(a)[:a+1]
+		yaa := wa[a]
+		for j := range wa {
+			wa[j] *= yaa
+		}
+		for k := a + 1; k < n; k++ {
+			yk := w.Row(k)[:len(wa)]
+			yka := yk[a]
+			for j, v := range yk {
+				wa[j] += yka * v
+			}
+		}
+		for b, v := range wa[:a] {
+			w.data[b*n+a] = v
+		}
+	}
+	return w
 }
 
-// forwardSubstInto solves L·y = b into y for lower-triangular L.
+// forwardSubstInto solves L·y = b into y for lower-triangular L; y may
+// alias b.
 func forwardSubstInto(l *Matrix, b, y []float64) {
 	n := l.rows
 	if len(b) != n || len(y) != n {
@@ -162,17 +188,21 @@ func forwardSubstInto(l *Matrix, b, y []float64) {
 	}
 }
 
-// backwardSubstTInto solves Lᵀ·x = y into x for lower-triangular L.
+// backwardSubstTInto solves Lᵀ·x = y into x for lower-triangular L;
+// x may alias y. Each solved x_k is eliminated with an axpy along row k
+// of L, so L is read by rows.
 func backwardSubstTInto(l *Matrix, y, x []float64) {
 	n := l.rows
 	if len(y) != n || len(x) != n {
 		panic("linalg: backward substitution dimension mismatch")
 	}
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+	copy(x, y)
+	for k := n - 1; k >= 0; k-- {
+		row := l.Row(k)
+		xk := x[k] / row[k]
+		x[k] = xk
+		for i, v := range row[:k] {
+			x[i] -= v * xk
 		}
-		x[i] = s / l.At(i, i)
 	}
 }

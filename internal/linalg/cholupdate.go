@@ -15,26 +15,27 @@ import (
 // Update applies the rank-1 update A → A + v·vᵀ to the factor in place
 // in O(n²) flops using a sweep of Givens rotations. v is not modified.
 // The factor's jitter invariant L·Lᵀ = A + Jitter·I is preserved (the
-// update shifts A, not the jitter).
+// update shifts A, not the jitter). Row i takes rotations 0..i−1 in
+// order, then fixes rotation i from its own diagonal, so L is read by
+// rows.
 func (c *Cholesky) Update(v []float64) {
 	n := c.L.rows
 	if len(v) != n {
 		panic(fmt.Sprintf("linalg: Cholesky.Update length %d, want %d", len(v), n))
 	}
-	w := make([]float64, n)
-	copy(w, v)
-	for k := 0; k < n; k++ {
-		rowk := c.L.Row(k)
-		lkk := rowk[k]
-		r := math.Hypot(lkk, w[k])
-		cth := r / lkk
-		sth := w[k] / lkk
-		rowk[k] = r
-		for i := k + 1; i < n; i++ {
-			rowi := c.L.Row(i)
-			rowi[k] = (rowi[k] + sth*w[i]) / cth
-			w[i] = cth*w[i] - sth*rowi[k]
+	cth, sth := make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := c.L.Row(i)
+		w := v[i]
+		for k, lik := range row[:i] {
+			lik = (lik + sth[k]*w) / cth[k]
+			row[k] = lik
+			w = cth[k]*w - sth[k]*lik
 		}
+		lii := row[i]
+		r := math.Hypot(lii, w)
+		cth[i], sth[i] = r/lii, w/lii
+		row[i] = r
 	}
 }
 

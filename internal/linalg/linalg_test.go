@@ -322,7 +322,7 @@ func TestCholeskySolveMatrixAndInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inverse: A⁻¹·b agrees with the triangular solves, and A·A⁻¹ ≈ I.
-	inv := ch.InverseWorkers(1)
+	inv := ch.Inverse()
 	b := randomVec(rng, n)
 	if d := maxAbsDiff(matVec(inv, b), ch.SolveVec(b)); d > 1e-9 {
 		t.Fatalf("A⁻¹·b differs from SolveVec by %v", d)

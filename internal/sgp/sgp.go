@@ -75,7 +75,7 @@ type SGP struct {
 }
 
 type predictScratch struct {
-	ku, v, tmp []float64
+	ku, v []float64
 }
 
 // Fit trains a sparse GP on inputs X (rows in the unit hypercube) and
@@ -174,7 +174,7 @@ func FitFixed(X [][]float64, y []float64, kern *kernel.Kernel, hyper *kernel.Hyp
 	s.b = b
 	s.refreshAlpha()
 	s.predictPool.New = func() interface{} {
-		return &predictScratch{ku: make([]float64, m), v: make([]float64, m), tmp: make([]float64, m)}
+		return &predictScratch{ku: make([]float64, m), v: make([]float64, m)}
 	}
 	return s, nil
 }
@@ -245,11 +245,12 @@ func (s *SGP) Predict(x []float64) (mean, std float64) {
 		ku[i] = s.kern.Eval(x, zi, s.hyper)
 	}
 	mu := linalg.Dot(ku, s.alpha)
-	// var = k** − k*ᵀ·Kuu⁻¹·k* + k*ᵀ·A⁻¹·k*
-	s.cholKuu.SolveVecInto(ku, sc.v, sc.tmp)
-	variance := s.kern.Diag(s.hyper) - linalg.Dot(ku, sc.v)
-	s.cholA.SolveVecInto(ku, sc.v, sc.tmp)
-	variance += linalg.Dot(ku, sc.v)
+	// var = k** − k*ᵀ·Kuu⁻¹·k* + k*ᵀ·A⁻¹·k*, each quadratic form the
+	// squared norm of one forward substitution.
+	s.cholKuu.ForwardSolveInto(ku, sc.v)
+	variance := s.kern.Diag(s.hyper) - linalg.Dot(sc.v, sc.v)
+	s.cholA.ForwardSolveInto(ku, sc.v)
+	variance += linalg.Dot(sc.v, sc.v)
 	if variance < 1e-12 {
 		variance = 1e-12
 	}

@@ -7,6 +7,7 @@ import (
 
 	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/kernel"
+	"gptunecrowd/internal/linalg"
 )
 
 func smooth(x []float64) float64 {
@@ -178,6 +179,34 @@ func TestBatchMatchesPointwiseAllWorkerCounts(t *testing.T) {
 			if gotM[i] != wantM[i] || gotS[i] != wantS[i] {
 				t.Fatalf("workers=%d: slot %d differs", workers, i)
 			}
+		}
+	}
+}
+
+// Both variance terms are squared norms of one forward substitution;
+// together they must match the two-solve form
+// k** − k·Kuu⁻¹k + k·A⁻¹k to 1e-10 relative to the prior.
+func TestPredictVarianceMatchesTwoSolveForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	X, Y := sampleSmooth(150, rng)
+	kern, h := testHyper()
+	m, err := FitFixed(X, Y, kern, h, 1e-3, farthestPoints(X, 24, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := kern.Diag(h)
+	for i := 0; i < 40; i++ {
+		x := []float64{rng.Float64(), rng.Float64()}
+		ku := make([]float64, len(m.z))
+		for j, z := range m.z {
+			ku[j] = kern.Eval(x, z, h)
+		}
+		want := prior - linalg.Dot(ku, m.cholKuu.SolveVec(ku)) + linalg.Dot(ku, m.cholA.SolveVec(ku))
+		want = math.Max(want, 1e-12)
+		_, std := m.Predict(x)
+		got := (std / m.stdY) * (std / m.stdY)
+		if math.Abs(got-want) > 1e-10*prior {
+			t.Fatalf("point %d: variance %v, two-solve form %v", i, got, want)
 		}
 	}
 }

@@ -182,3 +182,22 @@ func TestWeightedSumDynamicDegradesGracefully(t *testing.T) {
 		t.Fatal("short run failed")
 	}
 }
+
+// The LCM-backed model's batch path is its pointwise path, bit for bit.
+func TestTrueSampleLCMPredictBatchMatchesPredict(t *testing.T) {
+	src := demoSource(t, 0.8, 30, 3)
+	tgt := demoSource(t, 1.0, 6, 4)
+	m := tla.NewTrueSampleLCM([]*tla.Source{src}, 30, nil)
+	m.SetSeed(5)
+	if err := m.Fit(tgt.X, tgt.Y); err != nil {
+		t.Fatal(err)
+	}
+	probe := demoSource(t, 1.0, 16, 6).X
+	means, stds := make([]float64, len(probe)), make([]float64, len(probe))
+	m.PredictBatchInto(probe, means, stds, 0)
+	for i, x := range probe {
+		if mu, sd := m.Predict(x); mu != means[i] || sd != stds[i] {
+			t.Fatalf("point %d: Predict (%v, %v), batch (%v, %v)", i, mu, sd, means[i], stds[i])
+		}
+	}
+}

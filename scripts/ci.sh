@@ -66,6 +66,22 @@ if grep -rnE '\bFixedNoise\b|\bProbeInterval\b' --include='*.go' --exclude-dir=.
     exit 1
 fi
 
+# One inverse, forward-only variance: the GP and LCM likelihood
+# gradients invert through Cholesky.Inverse (row-contiguous, potri's
+# shape), and every predictive variance is prior − ‖L⁻¹k‖² from one
+# forward substitution. The per-column inverse and the two-solve
+# scratch form stay deleted.
+echo "== InverseWorkers and SolveVecInto stay deleted; Cholesky.Inverse serves the two likelihood gradients"
+if grep -rnE '\b(InverseWorkers|SolveVecInto)\b' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: the per-column inverse or the two-solve variance path is back" >&2
+    exit 1
+fi
+inverters=$(grep -rlF '.Inverse()' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | sort | tr '\n' ' ')
+if [ "$inverters" != "./internal/gp/gp.go ./internal/lcm/lcm.go " ]; then
+    echo "FAIL: Cholesky.Inverse is called in: $inverters" >&2
+    exit 1
+fi
+
 # One loop, one model door, one problem builder: every tuning run goes
 # through core.Session (the standalone multi-fidelity loop is deleted),
 # every exact-GP fit outside the model packages through surrogate.New,
