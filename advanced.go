@@ -77,7 +77,7 @@ func ReportResult(p *Problem, h *History, params map[string]interface{}, y float
 type BatchTuneOptions struct {
 	TuneOptions
 	// BatchSize proposals are generated per round (default 2), spread
-	// by TuneOptions.BatchStrategy, and evaluated concurrently.
+	// by constant liars, and evaluated concurrently.
 	BatchSize int
 	// Workers caps concurrent evaluations (default BatchSize).
 	Workers int

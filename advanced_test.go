@@ -85,7 +85,7 @@ func TestTuneBatch(t *testing.T) {
 	// TuneBatch is the same session as Tune, so every TuneOptions field
 	// applies to it.
 	res, err = TuneBatch(p, task, BatchTuneOptions{
-		TuneOptions: TuneOptions{Budget: 6, Seed: 2, Surrogate: "gp", BatchStrategy: "lp"},
+		TuneOptions: TuneOptions{Budget: 6, Seed: 2, Surrogate: "gp"},
 		BatchSize:   3,
 	})
 	if err != nil || res.Algorithm != "Surrogate(gp)" {

@@ -130,13 +130,6 @@ type TuneOptions struct {
 	MaxSourceSamples int
 	// OnSample observes evaluations as they land.
 	OnSample func(i int, s Sample)
-	// BatchStrategy selects how a session spreads the points of one
-	// ProposeBatch call: "cl" (constant liar, the default) or "lp"
-	// (local penalization). Single-proposal sessions ignore it.
-	BatchStrategy string
-	// BatchRadius is the local-penalization radius in normalized
-	// coordinates (0 = default 0.1). Used only with BatchStrategy "lp".
-	BatchRadius float64
 	// Metrics, when non-nil, receives the tuner's per-stage duration
 	// histograms (tuner_fit_seconds, tuner_search_seconds,
 	// tuner_propose_seconds, tuner_evaluate_seconds).

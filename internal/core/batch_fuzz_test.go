@@ -44,12 +44,8 @@ func FuzzBatchObserve(f *testing.F) {
 			return
 		}
 		p := quadProblem(t)
-		cfg := BatchConfig{Strategy: BatchConstantLiar}
-		if data[0]%2 == 1 {
-			cfg.Strategy = BatchLocalPenalization
-		}
 		const budget = 12
-		opts := SessionOptions{Budget: budget, Seed: 5, Batch: cfg}
+		opts := SessionOptions{Budget: budget, Seed: 5}
 		s, err := NewSession(p, nil, fuzzProposer{}, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -81,6 +77,8 @@ func FuzzBatchObserve(f *testing.F) {
 			}
 		}
 
+		// data[0] is a header byte the op stream skips, so the seed
+		// corpus keeps its op alignment.
 		stream := data[1:]
 		for j := 0; j+1 < len(stream); j += 2 {
 			op, arg := stream[j], stream[j+1]

@@ -25,43 +25,6 @@ var (
 	ErrUnknownProposal = errors.New("core: observation for an unknown proposal id")
 )
 
-// Batch strategy names accepted by BatchConfig.Strategy.
-const (
-	BatchConstantLiar      = "cl"
-	BatchLocalPenalization = "lp"
-)
-
-// BatchConfig selects how in-flight proposals influence later ones when
-// a batch is generated against the same surrogate.
-type BatchConfig struct {
-	// Strategy is "cl" (constant liar, the default: each pending point
-	// enters the scratch history with the incumbent objective, so the
-	// surrogate's uncertainty collapses there) or "lp" (local
-	// penalization: pending points are invisible to the fit but the
-	// acquisition is multiplied by 1-exp(-d²/2r²) around each, pushing
-	// the search away without inventing observations).
-	Strategy string
-	// LPRadius is the local-penalization radius in normalized [0,1]
-	// coordinates (default 0.1). Used only by the "lp" strategy.
-	LPRadius float64
-}
-
-func (c *BatchConfig) validate() error {
-	switch c.Strategy {
-	case "", BatchConstantLiar, BatchLocalPenalization:
-	default:
-		return fmt.Errorf("core: unknown batch strategy %q (want %q or %q)",
-			c.Strategy, BatchConstantLiar, BatchLocalPenalization)
-	}
-	if c.LPRadius < 0 || math.IsNaN(c.LPRadius) || math.IsInf(c.LPRadius, 0) {
-		return fmt.Errorf("core: bad local-penalization radius %v", c.LPRadius)
-	}
-	if c.LPRadius == 0 {
-		c.LPRadius = 0.1
-	}
-	return nil
-}
-
 // PendingProposal is one outstanding batch proposal: the point to
 // evaluate plus the id its result must be reported under.
 type PendingProposal struct {
@@ -108,21 +71,16 @@ func (s *Session) ledgerSample(e *pendingEntry) Sample {
 }
 
 // lieSample is the stand-in a still-unobserved entry contributes to the
-// scratch history a batch is proposed against. Under the constant-liar
-// strategy it is a fake success at the lie value (visible to fits);
-// under local penalization it is a failed placeholder — invisible to
-// fits (History.XY skips failures) but visible to the dedup check
-// (History.Contains does not), so the same point is never re-proposed.
+// scratch history a batch is proposed against: a fake success at the
+// constant-liar value, so the surrogate's uncertainty collapses there
+// and later points of the batch spread away from it.
 func (s *Session) lieSample(e *pendingEntry) Sample {
-	if s.opts.Batch.Strategy == BatchLocalPenalization {
-		return Sample{ParamU: e.u, Failed: true, Err: "pending proposal", Proposer: s.proposer.Name()}
-	}
 	return Sample{ParamU: e.u, Y: e.lie, Proposer: s.proposer.Name()}
 }
 
 // scratchHistory is the committed history plus every ledger entry in id
 // order: observed-but-uncommitted entries contribute their real result,
-// unobserved ones their strategy stand-in.
+// unobserved ones their constant-liar stand-in.
 func (s *Session) scratchHistory() *History {
 	scratch := &History{Samples: make([]Sample, 0, len(s.h.Samples)+len(s.ledger))}
 	scratch.Samples = append(scratch.Samples, s.h.Samples...)
@@ -134,40 +92,6 @@ func (s *Session) scratchHistory() *History {
 		}
 	}
 	return scratch
-}
-
-// unobservedPoints are the normalized points of every pending proposal
-// without a result — the set local penalization pushes away from.
-func (s *Session) unobservedPoints() [][]float64 {
-	var pts [][]float64
-	for _, e := range s.ledger {
-		if !e.observed {
-			pts = append(pts, e.u)
-		}
-	}
-	return pts
-}
-
-// lpPenalty builds the local-penalization factor around the pending
-// points: φ(u) = Π_j (1 − exp(−‖u−x_j‖²/(2r²))), 0 at a pending point
-// and →1 far from all of them. Returns nil when nothing is pending.
-func lpPenalty(pending [][]float64, radius float64) func(u []float64) float64 {
-	if len(pending) == 0 {
-		return nil
-	}
-	inv := 1 / (2 * radius * radius)
-	return func(u []float64) float64 {
-		p := 1.0
-		for _, x := range pending {
-			d2 := 0.0
-			for i := range x {
-				d := u[i] - x[i]
-				d2 += d * d
-			}
-			p *= 1 - math.Exp(-d2*inv)
-		}
-		return p
-	}
 }
 
 // ProposeBatch is ProposeBatchContext with a background context.
@@ -182,8 +106,8 @@ func (s *Session) ProposeBatch(k int) ([]PendingProposal, error) {
 // returns ErrBudgetExhausted (wrapped).
 //
 // Each proposal is generated against a scratch history that contains
-// the committed samples, the uncommitted results, and a stand-in for
-// every still-unobserved proposal (see BatchConfig), so the k points
+// the committed samples, the uncommitted results, and a constant liar
+// for every still-unobserved proposal (see lieSample), so the k points
 // spread out instead of collapsing onto the acquisition optimum.
 //
 // Proposals consume randomness at issue time only; observing results
@@ -229,10 +153,6 @@ func (s *Session) ProposeBatchContext(rctx context.Context, k int) ([]PendingPro
 // history and appends it to the ledger.
 func (s *Session) proposeOne(rctx context.Context) (*pendingEntry, error) {
 	scratch := s.scratchHistory()
-	search := s.search
-	if s.opts.Batch.Strategy == BatchLocalPenalization {
-		search.Penalty = lpPenalty(s.unobservedPoints(), s.opts.Batch.LPRadius)
-	}
 	ctx := &ProposeContext{
 		Problem: s.problem,
 		Task:    s.task,
@@ -240,7 +160,7 @@ func (s *Session) proposeOne(rctx context.Context) (*pendingEntry, error) {
 		Rng:     s.rng,
 		Iter:    s.iter + len(s.ledger),
 		Budget:  s.opts.Budget,
-		Search:  search,
+		Search:  s.search,
 		Stats:   &s.stats,
 		Logf:    s.opts.Logf,
 		Ctx:     rctx,
@@ -272,7 +192,7 @@ func (s *Session) proposeOne(rctx context.Context) (*pendingEntry, error) {
 			}
 		}
 	}
-	e := &pendingEntry{id: s.nextPropID, u: u, lie: lieValue(scratch)}
+	e := &pendingEntry{id: s.nextPropID, u: u, lie: LieValue(scratch)}
 	s.nextPropID++
 	s.ledger = append(s.ledger, e)
 	return e, nil
@@ -439,11 +359,12 @@ func (s *Session) PendingProposals() []PendingProposal {
 // (observed-but-buffered entries count: their budget is spoken for).
 func (s *Session) InFlight() int { return len(s.ledger) }
 
-// lieValue is the constant-liar target: the incumbent when one exists
-// (the "max lie" variant would use the worst), otherwise zero — the
-// surrogate standardizes targets, so the absolute level only matters
-// relative to the observed samples.
-func lieValue(h *History) float64 {
+// LieValue is the constant-liar target both batch paths — the session
+// ledger and the serving tier — give a pending point: the incumbent when
+// one exists (the "max lie" variant would use the worst), otherwise
+// zero; the surrogate standardizes targets, so the absolute level only
+// matters relative to the observed samples.
+func LieValue(h *History) float64 {
 	if best, ok := h.Best(); ok {
 		return best.Y
 	}

@@ -21,10 +21,10 @@ func evalU(u []float64) float64 {
 	return s
 }
 
-func newBatchSession(t *testing.T, budget int, cfg BatchConfig) *Session {
+func newBatchSession(t *testing.T, budget int) *Session {
 	t.Helper()
 	s, err := NewSession(quadProblem(t), nil, newTestProposer(), SessionOptions{
-		Budget: budget, Seed: 17, Batch: cfg,
+		Budget: budget, Seed: 17,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,9 +37,9 @@ func newBatchSession(t *testing.T, budget int, cfg BatchConfig) *Session {
 // returns the checkpoint plus the next batch proposed after the last
 // round — the two artifacts that must be bit-identical regardless of
 // ingestion order.
-func runBatched(t *testing.T, cfg BatchConfig, rounds, k int, perm func(n, round int) []int) ([]byte, []PendingProposal) {
+func runBatched(t *testing.T, rounds, k int, perm func(n, round int) []int) ([]byte, []PendingProposal) {
 	t.Helper()
-	s := newBatchSession(t, rounds*k+k, cfg)
+	s := newBatchSession(t, rounds*k+k)
 	for round := 0; round < rounds; round++ {
 		props, err := s.ProposeBatch(k)
 		if err != nil {
@@ -96,8 +96,8 @@ func proposalsEqual(a, b []PendingProposal) bool {
 // TestBatchIngestionOrderInvariant is the determinism property test:
 // feeding the same result set in id order, reversed, or shuffled must
 // leave bit-identical session state (checkpoint bytes) and produce a
-// bit-identical next batch — for both batch strategies and for both the
-// serial and the fanned-out numeric engine.
+// bit-identical next batch — for both the serial and the fanned-out
+// numeric engine.
 func TestBatchIngestionOrderInvariant(t *testing.T) {
 	identity := func(n, _ int) []int {
 		idx := make([]int, n)
@@ -121,24 +121,21 @@ func TestBatchIngestionOrderInvariant(t *testing.T) {
 	}
 
 	for _, workers := range []string{"1", "4"} {
-		for _, strategy := range []string{BatchConstantLiar, BatchLocalPenalization} {
-			t.Run(fmt.Sprintf("workers=%s/%s", workers, strategy), func(t *testing.T) {
-				t.Setenv("GPTUNE_WORKERS", workers)
-				cfg := BatchConfig{Strategy: strategy}
-				cpWant, nextWant := runBatched(t, cfg, 3, 4, identity)
-				for name, perm := range map[string]func(int, int) []int{
-					"reversed": reversed, "shuffled": shuffled,
-				} {
-					cp, next := runBatched(t, cfg, 3, 4, perm)
-					if !bytes.Equal(cpWant, cp) {
-						t.Errorf("%s ingestion: checkpoint differs from in-order", name)
-					}
-					if !proposalsEqual(nextWant, next) {
-						t.Errorf("%s ingestion: next batch differs from in-order", name)
-					}
+		t.Run("workers="+workers, func(t *testing.T) {
+			t.Setenv("GPTUNE_WORKERS", workers)
+			cpWant, nextWant := runBatched(t, 3, 4, identity)
+			for name, perm := range map[string]func(int, int) []int{
+				"reversed": reversed, "shuffled": shuffled,
+			} {
+				cp, next := runBatched(t, 3, 4, perm)
+				if !bytes.Equal(cpWant, cp) {
+					t.Errorf("%s ingestion: checkpoint differs from in-order", name)
 				}
-			})
-		}
+				if !proposalsEqual(nextWant, next) {
+					t.Errorf("%s ingestion: next batch differs from in-order", name)
+				}
+			}
+		})
 	}
 }
 
@@ -157,7 +154,7 @@ func TestBatchWorkerCountInvariant(t *testing.T) {
 		var cp []byte
 		t.Run("w"+workers, func(t *testing.T) {
 			t.Setenv("GPTUNE_WORKERS", workers)
-			cp, _ = runBatched(t, BatchConfig{}, 3, 4, identity)
+			cp, _ = runBatched(t, 3, 4, identity)
 		})
 		return cp
 	}
@@ -168,11 +165,12 @@ func TestBatchWorkerCountInvariant(t *testing.T) {
 
 // TestBatchProposalsDistinct checks that one batch spreads out: no two
 // points of the same batch may collide within the dedup tolerance, for
-// either strategy.
+// both the serial and the fanned-out numeric engine.
 func TestBatchProposalsDistinct(t *testing.T) {
-	for _, strategy := range []string{BatchConstantLiar, BatchLocalPenalization} {
-		t.Run(strategy, func(t *testing.T) {
-			s := newBatchSession(t, 16, BatchConfig{Strategy: strategy})
+	for _, workers := range []string{"1", "4"} {
+		t.Run("workers="+workers, func(t *testing.T) {
+			t.Setenv("GPTUNE_WORKERS", workers)
+			s := newBatchSession(t, 16)
 			props, err := s.ProposeBatch(6)
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +198,7 @@ func TestBatchProposalsDistinct(t *testing.T) {
 // ids, duplicate results for a pending proposal, and late results for a
 // committed one each get their own sentinel and leave state untouched.
 func TestBatchObserveErrors(t *testing.T) {
-	s := newBatchSession(t, 10, BatchConfig{})
+	s := newBatchSession(t, 10)
 	props, err := s.ProposeBatch(3)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +261,7 @@ func TestBatchCheckpointResumePending(t *testing.T) {
 		return cp
 	}
 
-	s := newBatchSession(t, 8, BatchConfig{})
+	s := newBatchSession(t, 8)
 	props, err := s.ProposeBatch(4)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +296,7 @@ func TestBatchCheckpointResumePending(t *testing.T) {
 // TestProposeBatchBudget pins budget accounting: k clamps to the
 // remaining room, and a full ledger surfaces ErrBudgetExhausted.
 func TestProposeBatchBudget(t *testing.T) {
-	s := newBatchSession(t, 5, BatchConfig{})
+	s := newBatchSession(t, 5)
 	props, err := s.ProposeBatch(8)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +326,7 @@ func TestProposeBatchBudget(t *testing.T) {
 // TestProposeBatchCancellation: a cancel between points keeps the short
 // batch in the ledger and surfaces the context error.
 func TestProposeBatchCancellation(t *testing.T) {
-	s := newBatchSession(t, 10, BatchConfig{})
+	s := newBatchSession(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	props, err := s.ProposeBatchContext(ctx, 3)
@@ -345,25 +343,10 @@ func TestProposeBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestBatchConfigValidation rejects unknown strategies and bad radii.
-func TestBatchConfigValidation(t *testing.T) {
-	p := quadProblem(t)
-	if _, err := NewSession(p, nil, newTestProposer(), SessionOptions{
-		Budget: 4, Batch: BatchConfig{Strategy: "kriging-believer"},
-	}); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	if _, err := NewSession(p, nil, newTestProposer(), SessionOptions{
-		Budget: 4, Batch: BatchConfig{LPRadius: -1},
-	}); err == nil {
-		t.Fatal("negative radius accepted")
-	}
-}
-
 // TestSingleProposeInteropWithBatch: Propose/Observe and the batch API
 // share one ledger — mixed use keeps ids and ordering coherent.
 func TestSingleProposeInteropWithBatch(t *testing.T) {
-	s := newBatchSession(t, 6, BatchConfig{})
+	s := newBatchSession(t, 6)
 	if _, err := s.Propose(); err != nil {
 		t.Fatal(err)
 	}

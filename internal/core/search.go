@@ -12,8 +12,8 @@ import (
 )
 
 // searchScratch recycles the per-call buffers of SearchNext — the
-// candidate pool (one flat backing array resliced into rows), its
-// score vector, and the canonicalized-pool/mean/std buffers of the
+// candidate pool and its canonicalized copy (each one flat backing
+// array resliced into rows), and the score/mean/std vectors of the
 // batched prescreen — so steady-state suggestion serving is
 // allocation-flat.
 type searchScratch struct {
@@ -27,43 +27,31 @@ type searchScratch struct {
 }
 
 func (sc *searchScratch) resize(n, dim int) {
-	if cap(sc.flat) < n*dim {
-		sc.flat = make([]float64, n*dim)
-	}
-	sc.flat = sc.flat[:n*dim]
-	if cap(sc.pool) < n {
-		sc.pool = make([][]float64, n)
-	}
-	sc.pool = sc.pool[:n]
-	for i := range sc.pool {
-		sc.pool[i] = sc.flat[i*dim : (i+1)*dim]
-	}
+	sc.flat, sc.pool = rows(sc.flat, sc.pool, n, dim)
+	sc.canonFlat, sc.canon = rows(sc.canonFlat, sc.canon, n, dim)
 	if cap(sc.scores) < n {
 		sc.scores = make([]float64, n)
-	}
-	sc.scores = sc.scores[:n]
-}
-
-// resizeBatch extends the scratch with the canonical-point rows and
-// posterior buffers of the batched prescreen path.
-func (sc *searchScratch) resizeBatch(n, dim int) {
-	if cap(sc.canonFlat) < n*dim {
-		sc.canonFlat = make([]float64, n*dim)
-	}
-	sc.canonFlat = sc.canonFlat[:n*dim]
-	if cap(sc.canon) < n {
-		sc.canon = make([][]float64, n)
-	}
-	sc.canon = sc.canon[:n]
-	for i := range sc.canon {
-		sc.canon[i] = sc.canonFlat[i*dim : (i+1)*dim]
-	}
-	if cap(sc.means) < n {
 		sc.means = make([]float64, n)
 		sc.stds = make([]float64, n)
 	}
-	sc.means = sc.means[:n]
-	sc.stds = sc.stds[:n]
+	sc.scores, sc.means, sc.stds = sc.scores[:n], sc.means[:n], sc.stds[:n]
+}
+
+// rows reslices flat into n rows of length dim, growing either buffer
+// when it is too small.
+func rows(flat []float64, rs [][]float64, n, dim int) ([]float64, [][]float64) {
+	if cap(flat) < n*dim {
+		flat = make([]float64, n*dim)
+	}
+	flat = flat[:n*dim]
+	if cap(rs) < n {
+		rs = make([][]float64, n)
+	}
+	rs = rs[:n]
+	for i := range rs {
+		rs[i] = flat[i*dim : (i+1)*dim]
+	}
+	return flat, rs
 }
 
 var searchPool = sync.Pool{New: func() interface{} { return new(searchScratch) }}
@@ -87,13 +75,6 @@ type SearchOptions struct {
 	// Feasible, when set, restricts the search to normalized points it
 	// accepts (populated by the loop from Problem.Constraints).
 	Feasible func(u []float64) bool
-	// Penalty, when set, multiplies the acquisition value at a canonical
-	// point by a factor in [0,1] — the local-penalization hook batch
-	// proposals use to push later points away from pending ones. For
-	// acquisitions that can go negative (LCB) the factor divides
-	// instead, so a penalized point is always ranked worse. Must be safe
-	// for concurrent calls.
-	Penalty func(u []float64) float64
 }
 
 func (o *SearchOptions) defaults() {
@@ -114,11 +95,9 @@ func (o *SearchOptions) defaults() {
 // whose winner is snapped to the discrete grid. Falls back to random
 // points if everything promising is a duplicate.
 //
-// When surr also implements BatchPredictor the prescreen pool is
-// scored through one PredictBatchInto call instead of per-candidate
-// Predict calls; the scores — and therefore the returned point — are
-// bit-identical either way.
-func SearchNext(surr Predictor, sp *space.Space, acq Acquisition, h *History, rng *rand.Rand, opts SearchOptions) []float64 {
+// The prescreen pool is scored through one PredictBatchInto call; DE
+// scores its trial points with Predict.
+func SearchNext(surr BatchPredictor, sp *space.Space, acq Acquisition, h *History, rng *rand.Rand, opts SearchOptions) []float64 {
 	opts.defaults()
 	dim := sp.Dim()
 	best := bestForAcq(h)
@@ -136,55 +115,34 @@ func SearchNext(surr Predictor, sp *space.Space, acq Acquisition, h *History, rn
 		f := math.Inf(1)
 		if opts.Feasible == nil || opts.Feasible(c) {
 			mean, std := surr.Predict(c)
-			score := acq.Score(mean, std, best)
-			if opts.Penalty != nil {
-				score = penalize(score, opts.Penalty(c))
-			}
-			f = -score
+			f = -acq.Score(mean, std, best)
 		}
 		*bp = c
 		canonPool.Put(bp)
 		return f
 	}
-	// Prescreen a candidate pool for DE seeds: scores fan out over
-	// workers into per-candidate slots, then the top-8 selection scans
-	// them in pool order — the same order the serial loop used, so the
-	// seeds are identical for every worker count. The pool rows live in
-	// recycled scratch; DE copies its seed vectors, and every use below
-	// finishes before the deferred Put.
+	// Prescreen a candidate pool for DE seeds: canonicalize every
+	// candidate, fetch the posterior for the whole pool in one batched
+	// call, then score per slot. Each slot is written by one worker and
+	// the top-8 selection scans them in pool order, so the seeds are
+	// identical for every worker count. The pool rows live in recycled
+	// scratch; DE copies its seed vectors, and every use below finishes
+	// before the deferred Put.
 	sc := searchPool.Get().(*searchScratch)
 	defer searchPool.Put(sc)
 	sc.resize(opts.Candidates, dim)
-	pool := sc.pool
+	pool, canon, scores, means, stds := sc.pool, sc.canon, sc.scores, sc.means, sc.stds
 	sample.LatinHypercubeInto(pool, rng)
-	scores := sc.scores
-	if bp, ok := surr.(BatchPredictor); ok {
-		// Vectorized prescreen: canonicalize every candidate, fetch the
-		// posterior for the whole pool in one batched call, then apply
-		// acquisition/penalty per slot. Predict is deterministic per
-		// point, so the scores match the pointwise path bit for bit.
-		sc.resizeBatch(opts.Candidates, dim)
-		canon, means, stds := sc.canon, sc.means, sc.stds
-		parallel.For(len(pool), opts.Workers, func(i int) {
-			sp.CanonicalizeInto(pool[i], canon[i])
-		})
-		bp.PredictBatchInto(canon, means, stds, opts.Workers)
-		parallel.For(len(pool), opts.Workers, func(i int) {
-			scores[i] = math.Inf(1)
-			if opts.Feasible != nil && !opts.Feasible(canon[i]) {
-				return
-			}
-			score := acq.Score(means[i], stds[i], best)
-			if opts.Penalty != nil {
-				score = penalize(score, opts.Penalty(canon[i]))
-			}
-			scores[i] = -score
-		})
-	} else {
-		parallel.For(len(pool), opts.Workers, func(i int) {
-			scores[i] = neg(pool[i])
-		})
-	}
+	parallel.For(len(pool), opts.Workers, func(i int) {
+		sp.CanonicalizeInto(pool[i], canon[i])
+	})
+	surr.PredictBatchInto(canon, means, stds, opts.Workers)
+	parallel.For(len(pool), opts.Workers, func(i int) {
+		scores[i] = math.Inf(1)
+		if opts.Feasible == nil || opts.Feasible(canon[i]) {
+			scores[i] = -acq.Score(means[i], stds[i], best)
+		}
+	})
 	type scored struct {
 		u []float64
 		f float64
@@ -263,21 +221,6 @@ func SearchNext(surr Predictor, sp *space.Space, acq Acquisition, h *History, rn
 	}
 	// Space may be exhausted; return the optimum even though it repeats.
 	return u
-}
-
-// penalize applies a [0,1] penalty factor to an acquisition score.
-// Positive scores shrink toward 0; negative scores (LCB) shrink toward
-// -inf by dividing, so a penalized point is always ranked worse.
-func penalize(score, p float64) float64 {
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	if score > 0 {
-		return score * p
-	}
-	return score / math.Max(p, 1e-12)
 }
 
 // RandomPoint returns a canonicalized uniform random point.

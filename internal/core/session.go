@@ -26,10 +26,6 @@ type SessionOptions struct {
 	// (fit, search, propose, evaluate durations). Diagnostics only —
 	// never part of the checkpointed state.
 	Metrics *obs.Registry
-	// Batch configures how ProposeBatch spreads concurrent proposals
-	// (constant liar vs local penalization). The zero value is the
-	// constant-liar default.
-	Batch BatchConfig
 }
 
 // Session is a suspendable tuning run: the propose → evaluate → record
@@ -80,9 +76,6 @@ func NewSession(p *Problem, task map[string]interface{}, proposer Proposer, opts
 	}
 	if opts.Budget <= 0 {
 		return nil, fmt.Errorf("core: non-positive budget %d", opts.Budget)
-	}
-	if err := opts.Batch.validate(); err != nil {
-		return nil, err
 	}
 	s := &Session{
 		problem:    p,

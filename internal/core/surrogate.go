@@ -1,5 +1,7 @@
 package core
 
+import "gptunecrowd/internal/parallel"
+
 // Predictor is the minimal posterior-model interface the acquisition
 // machinery consumes: the GP, LCM-slice and combined transfer-learning
 // models all satisfy it. Before the surrogate-pool redesign this
@@ -50,8 +52,17 @@ type Surrogate interface {
 	Cost(n int) float64
 }
 
-// SurrogateFunc adapts a pointwise function to the Predictor interface.
+// SurrogateFunc adapts a pointwise function to the BatchPredictor
+// interface.
 type SurrogateFunc func(x []float64) (float64, float64)
 
 // Predict implements Predictor.
 func (f SurrogateFunc) Predict(x []float64) (float64, float64) { return f(x) }
+
+// PredictBatchInto implements BatchPredictor by fanning f out over
+// workers, one slot per row.
+func (f SurrogateFunc) PredictBatchInto(X [][]float64, means, stds []float64, workers int) {
+	parallel.For(len(X), workers, func(i int) {
+		means[i], stds[i] = f(X[i])
+	})
+}

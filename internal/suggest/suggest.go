@@ -545,7 +545,7 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 			}
 			scratch.Append(core.Sample{ParamU: l.u, Y: l.y, Proposer: "suggest/liar"})
 		}
-		lie := incumbent(scratch)
+		lie := core.LieValue(scratch)
 		newLiars := make([]liar, 0, k)
 		for j := 0; j < k; j++ {
 			u := core.SearchNext(work, sp, acq, scratch, rng, searchOpts)
@@ -627,16 +627,6 @@ func scratchHist(h *core.History, extra int) *core.History {
 		scratch.Samples = append(scratch.Samples, h.Samples...)
 	}
 	return scratch
-}
-
-// incumbent is the constant-liar value: the best observed objective, 0
-// on an empty history (targets are standardized, only the relative
-// level matters).
-func incumbent(h *core.History) float64 {
-	if best, ok := h.Best(); ok {
-		return best.Y
-	}
-	return 0
 }
 
 // recordLiars appends freshly served batch points to the entry's liar

@@ -9,11 +9,12 @@ import (
 	"gptunecrowd/internal/core"
 	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/lcm"
+	"gptunecrowd/internal/parallel"
 	"gptunecrowd/internal/sample"
 	"gptunecrowd/internal/space"
 )
 
-// lcmSlice exposes one task of a fitted LCM as a core.Predictor.
+// lcmSlice exposes one task of a fitted LCM as a core.BatchPredictor.
 type lcmSlice struct {
 	m    *lcm.Model
 	task int
@@ -28,6 +29,14 @@ func (s lcmSlice) Predict(x []float64) (float64, float64) {
 		return math.Inf(1), 0
 	}
 	return mean, std
+}
+
+// PredictBatchInto implements core.BatchPredictor, fanning the
+// (independent, deterministic) per-point predictions out over workers.
+func (s lcmSlice) PredictBatchInto(X [][]float64, means, stds []float64, workers int) {
+	parallel.For(len(X), workers, func(i int) {
+		means[i], stds[i] = s.Predict(X[i])
+	})
 }
 
 // TrueSampleLCM is the model of Multitask(TS), GPTuneCrowd's improved

@@ -82,6 +82,26 @@ if [ "$inverters" != "./internal/gp/gp.go ./internal/lcm/lcm.go " ]; then
     exit 1
 fi
 
+# One batch rule, one prescreen path: constant liar spreads every batch
+# (the session ledger and the serving tier share core.LieValue), and
+# SearchNext scores its prescreen pool through PredictBatchInto only.
+# Local penalization, its options and the acquisition-penalty hook stay
+# deleted.
+echo "== constant liar is the one batch rule; SearchNext has one prescreen path"
+if grep -rnE 'BatchLocalPenalization|lpPenalty|LPRadius|BatchRadius|BatchStrategy|BatchConfig|penalize\(' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: local penalization or its batch options are back" >&2
+    exit 1
+fi
+if awk '/^type SearchOptions struct/,/^}/' internal/core/search.go | grep -nE '^\s*Penalty\b'; then
+    echo "FAIL: SearchOptions has a Penalty field again" >&2
+    exit 1
+fi
+if ! grep -q '^func SearchNext(surr BatchPredictor,' internal/core/search.go; then
+    echo "FAIL: SearchNext no longer takes a core.BatchPredictor" >&2
+    exit 1
+fi
+
 # One loop, one model door, one problem builder: every tuning run goes
 # through core.Session (the standalone multi-fidelity loop is deleted),
 # every exact-GP fit outside the model packages through surrogate.New,

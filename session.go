@@ -17,10 +17,6 @@ func sessionOptions(opts TuneOptions) core.SessionOptions {
 		Seed:     opts.Seed,
 		OnSample: opts.OnSample,
 		Metrics:  opts.Metrics,
-		Batch: core.BatchConfig{
-			Strategy: opts.BatchStrategy,
-			LPRadius: opts.BatchRadius,
-		},
 	}
 	if opts.Logger != nil {
 		lg := opts.Logger
@@ -213,7 +209,7 @@ func (s *TuningSession) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // RunBatchContext is RunContext in rounds of batchSize proposals (spread
-// by TuneOptions.BatchStrategy) evaluated on up to workers goroutines
+// by constant liars) evaluated on up to workers goroutines
 // (0 means batchSize) — for an allocation that can run several trial
 // configurations at once. Results commit in proposal order whichever
 // evaluation finishes first, so a fixed seed gives one history at any
