@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
+	"gptunecrowd/internal/historydb"
 	"gptunecrowd/internal/space"
 )
 
@@ -185,4 +188,75 @@ func FuzzRegisterDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzFuncEvalOf holds funcEvalOf to fromDocument[FuncEval], the decoder
+// it replaces on the query path. Each body is read twice: as the upload
+// decoder reads a sample, stored through toDocument, and as a stored
+// document itself, so that any JSON value can sit under a canonical key.
+// On both documents the two readers must accept or reject alike and,
+// where they accept, put the same bytes on the wire.
+func FuzzFuncEvalOf(f *testing.F) {
+	f.Add([]byte(`{"tuning_problem_name":"p","task_parameters":{"m":1000},"tuning_parameters":{"x":0.5,"alg":"a"},"evaluation_result":1.5,"machine_configuration":{"machine_name":"cori","partition":"haswell","nodes":8,"cores_per_node":32},"software_configuration":[{"name":"gcc","version":[8,3,0],"source":"spack"}],"owner":"alice","accessibility":"shared","shared_with":["bob"]}`))
+	f.Add([]byte(`{"_id":"7","tuning_problem_name":null,"task_parameters":null,"machine_configuration":null,"software_configuration":null,"shared_with":null}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var fe FuncEval
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&fe) == nil {
+			d, err := toDocument(&fe)
+			if err != nil {
+				t.Fatalf("toDocument of a decoded sample: %v", err)
+			}
+			sameDecode(t, d)
+		}
+		var d historydb.Document
+		if json.Unmarshal(body, &d) == nil && canonicalKeys(d) {
+			sameDecode(t, d)
+		}
+	})
+}
+
+// sameDecode fails t unless funcEvalOf and fromDocument[FuncEval] agree
+// on d.
+func sameDecode(t *testing.T, d historydb.Document) {
+	t.Helper()
+	got, ok := funcEvalOf(d)
+	want, err := fromDocument[FuncEval](d)
+	if ok != (err == nil) {
+		t.Fatalf("funcEvalOf ok=%v, fromDocument err=%v, on %v", ok, err, d)
+	}
+	if ok {
+		sameJSON(t, "funcEvalOf against fromDocument", got, *want)
+	}
+}
+
+// canonicalKeys reports whether no key of d, nor of an object the
+// FuncEval decoder reads as a struct, is a case-folded spelling of a
+// field's key other than the key itself. json.Unmarshal matches such
+// keys, funcEvalOf reads only the canonical ones, and only toDocument,
+// which writes the canonical ones, puts samples into the store.
+func canonicalKeys(d historydb.Document) bool {
+	ok := foldFree(d, FuncEval{})
+	if m, isMap := d["machine_configuration"].(map[string]interface{}); isMap {
+		ok = ok && foldFree(m, MachineConfiguration{})
+	}
+	sw, _ := d["software_configuration"].([]interface{})
+	for _, e := range sw {
+		if m, isMap := e.(map[string]interface{}); isMap {
+			ok = ok && foldFree(m, SoftwareConfiguration{})
+		}
+	}
+	return ok
+}
+
+func foldFree(m map[string]interface{}, of interface{}) bool {
+	typ := reflect.TypeOf(of)
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		for k := range m {
+			if k != name && strings.EqualFold(k, name) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -107,8 +107,11 @@ func (s *Server) handleModelQuery(ctx context.Context, user string, req *ModelQu
 	}
 	var resp ModelQueryResponse
 	_, err := s.models().Scan(ctx, historydb.Eq(problemField, req.TuningProblemName), func(d historydb.Document) bool {
+		if !docVisible(d, user) {
+			return true
+		}
 		m, err := fromDocument[SurrogateModelDoc](d)
-		if err != nil || !canSee(&FuncEval{Accessibility: m.Accessibility, Owner: m.Owner}, user) {
+		if err != nil {
 			return true
 		}
 		resp.Models = append(resp.Models, *m)

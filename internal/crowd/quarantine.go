@@ -104,10 +104,11 @@ func (s *Server) RebuildTrustState() error {
 	rep := newReputationStore()
 	// A background context cannot expire, so these scans cannot fail.
 	s.quarantine().Scan(context.Background(), nil, func(d historydb.Document) bool {
-		reason, ok1 := field[string](d, "reason")
-		uploader, ok2 := field[string](d, "uploader")
-		released, ok3 := field[bool](d, "released")
-		if !ok1 || !ok2 || !ok3 {
+		ok := true
+		reason := field[string](d["reason"], &ok)
+		uploader := field[string](d["uploader"], &ok)
+		released := field[bool](d["released"], &ok)
+		if !ok {
 			return true
 		}
 		qc.total++
@@ -181,26 +182,25 @@ func (s *Server) handleQuarantineList(ctx context.Context, user string, req *Qua
 	if !s.isAdmin(user) {
 		return fail(http.StatusForbidden, "user %q is not a quarantine admin", user)
 	}
-	docs, err := s.quarantine().FindContext(ctx, nil)
-	if err != nil {
-		return storeFail(err)
-	}
+	// Reason and released filter the stored document; only survivors
+	// are decoded.
 	resp := QuarantineListResponse{Items: []QuarantinedSample{}}
-	for _, d := range docs {
+	_, err := s.quarantine().Scan(ctx, nil, func(d historydb.Document) bool {
+		ok := true
+		reason := field[string](d["reason"], &ok)
+		released := field[bool](d["released"], &ok)
+		if !ok || (req.Reason != "" && reason != req.Reason) || (released && !req.IncludeReleased) {
+			return true
+		}
 		qs, err := fromDocument[QuarantinedSample](d)
 		if err != nil {
-			continue
-		}
-		if req.Reason != "" && string(qs.Reason) != req.Reason {
-			continue
-		}
-		if qs.Released && !req.IncludeReleased {
-			continue
+			return true
 		}
 		resp.Items = append(resp.Items, *qs)
-		if req.Limit > 0 && len(resp.Items) >= req.Limit {
-			break
-		}
+		return req.Limit <= 0 || len(resp.Items) < req.Limit
+	})
+	if err != nil {
+		return storeFail(err)
 	}
 	return http.StatusOK, resp
 }

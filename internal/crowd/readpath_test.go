@@ -6,15 +6,19 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
 	"gptunecrowd/internal/envparse"
 	"gptunecrowd/internal/historydb"
+	"gptunecrowd/internal/replog"
 	"gptunecrowd/internal/suggest"
 )
 
@@ -409,6 +413,109 @@ func TestReadPathsMatchReference(t *testing.T) {
 	if !reflect.DeepEqual(storedHashes(srv.models()), modelsBefore) {
 		t.Fatal("a stored model changed while the handlers read it")
 	}
+}
+
+// TestQueryParentDataDir: samples an older release's node wrote
+// (internal/cluster/testdata/parent_pr20) are served on the wire byte
+// for byte as the fromDocument reference decodes them, to their owner
+// and to a stranger, for every stored problem.
+func TestQueryParentDataDir(t *testing.T) {
+	const fixtures = "../cluster/testdata/parent_pr20/"
+	dir := t.TempDir()
+	err := filepath.WalkDir(fixtures+"datadir", func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		to := filepath.Join(dir, filepath.Base(filepath.Dir(path)), e.Name())
+		if err := os.MkdirAll(filepath.Dir(to), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(to, b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer()
+	for _, name := range []string{"func_evals", "users"} {
+		j := srv.Store().Collection(name).Journal()
+		if err := j.Open(filepath.Join(dir, name), replog.Options{Name: name}); err != nil {
+			t.Fatalf("open the parent's %s log: %v", name, err)
+		}
+		t.Cleanup(func() { j.Log().Close() })
+	}
+	if err := srv.RebuildUserIndex(); err != nil {
+		t.Fatal(err)
+	}
+	key, err := os.ReadFile(fixtures + "api_key.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	strangerKey, err := NewClient(ts.URL, "").Register("stranger", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := 0
+	for user, key := range map[string]string{"alice": string(key), "stranger": strangerKey} {
+		for _, p := range srv.funcEvals().IndexValues() {
+			req := QueryRequest{TuningProblemName: p.(string)}
+			body, _ := json.Marshal(req)
+			httpReq := httptest.NewRequest("POST", "/api/v1/func_eval/query", bytes.NewReader(body))
+			httpReq.Header.Set("X-Api-Key", key)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httpReq)
+			ref := refQuery(t, srv, req, user)
+			want, _ := json.Marshal(QueryResponse{FuncEvals: ref})
+			if got := bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")); rec.Code != 200 || !bytes.Equal(got, want) {
+				t.Fatalf("query %s as %s: %d\n got  %s\n want %s", req.TuningProblemName, user, rec.Code, got, want)
+			}
+			returned += len(ref)
+		}
+	}
+	if returned != 2*11 {
+		t.Fatalf("the parent's 11 samples came back %d times over two users", returned)
+	}
+}
+
+// TestQueryAllocsPerSample pins what a query pays per returned sample:
+// its software list and its shared_with list, plus the response slice's
+// amortized growth. Measured 2.05 on this store (88.0 when every sample
+// took the fromDocument round trip); bound 3, which one more allocation
+// per sample (a decoded sample escaping to the heap) breaks.
+func TestQueryAllocsPerSample(t *testing.T) {
+	srv := NewServer()
+	var docs []historydb.Document
+	for i := 0; i < 256; i++ {
+		fe := sampleEval("p", 1000*(1+i%4), 1+float64(i%13), []string{"public", "shared"}[i%2])
+		fe.Owner, fe.SharedWith = "alice", []string{"bob"}
+		d, err := toDocument(&fe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	if _, err := srv.funcEvals().InsertMany(docs); err != nil {
+		t.Fatal(err)
+	}
+	req := &QueryRequest{TuningProblemName: "p"}
+	n := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		_, resp := srv.handleQuery(context.Background(), "alice", req)
+		n = len(resp.(QueryResponse).FuncEvals)
+	})
+	if n != len(docs) {
+		t.Fatalf("the query returned %d of %d samples", n, len(docs))
+	}
+	per := allocs / float64(n)
+	if per > 3 {
+		t.Fatalf("handleQuery allocates %.2f times per returned sample, bound 3", per)
+	}
+	t.Logf("%.2f allocations per returned sample", per)
 }
 
 // directStore fills func_evals without the HTTP layer: perProblem

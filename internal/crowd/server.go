@@ -8,8 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -639,25 +641,25 @@ func (s *Server) handleQuery(ctx context.Context, user string, req *QueryRequest
 		q = historydb.And(q, paramQuery)
 	}
 	// The filters that read the stored document (problem, param_query,
-	// visibility) run first; only survivors pay fromDocument. Every
-	// filter is a pure predicate of one sample, so the order changes
-	// what a query costs, not which samples it returns or their order.
+	// visibility) run first; only survivors are decoded. Every filter is
+	// a pure predicate of one sample, so the order changes what a query
+	// costs, not which samples it returns or their order.
 	resp := QueryResponse{}
 	scanned, err := s.funcEvals().Scan(ctx, q, func(d historydb.Document) bool {
 		if !docVisible(d, user) {
 			return true
 		}
-		fe, err := fromDocument[FuncEval](d)
+		fe, ok := funcEvalOf(d)
 		// Malformed documents are skipped rather than failing the query;
 		// canSee on the decoded sample stays the authority on access.
-		if err != nil || !canSee(fe, user) || !matchesConfiguration(fe, req.Configuration) {
+		if !ok || !canSee(&fe, user) || !matchesConfiguration(&fe, req.Configuration) {
 			return true
 		}
 		// Private metadata is stripped for non-owners.
 		if fe.Owner != user {
 			fe.SharedWith = nil
 		}
-		resp.FuncEvals = append(resp.FuncEvals, *fe)
+		resp.FuncEvals = append(resp.FuncEvals, fe)
 		return req.Limit <= 0 || len(resp.FuncEvals) < req.Limit
 	})
 	s.metrics.scanned("query", scanned)
@@ -695,26 +697,95 @@ func (s *Server) handleProblems(ctx context.Context, user string) (int, interfac
 	return http.StatusOK, resp
 }
 
-// field reads one typed field straight off a stored document. Absent
-// and null read as the zero value, the way json.Unmarshal leaves them;
-// a value of any other type is malformed (ok false), and the read paths
-// skip such a document as they skip one fromDocument cannot decode.
-func field[T any](d historydb.Document, key string) (v T, ok bool) {
-	raw := d[key]
-	if raw == nil {
-		return v, true
+// field reads one stored value, d[key] or a part of it, as a T. Absent
+// and null read as the zero value, the way json.Unmarshal leaves them; a
+// value of any other type is malformed and clears *ok, and the read
+// paths skip such a document as they skip one fromDocument cannot
+// decode.
+func field[T any](raw interface{}, ok *bool) T {
+	v, isT := raw.(T)
+	if raw != nil && !isT {
+		*ok = false
 	}
-	v, ok = raw.(T)
-	return v, ok
+	return v
+}
+
+// intField is field for an int, which json.Unmarshal fills only from
+// an integral number in int's range.
+func intField(raw interface{}, ok *bool) int {
+	f := field[float64](raw, ok)
+	if f == math.Trunc(f) && math.Abs(f) <= 1<<53 {
+		return int(f)
+	}
+	// Past 2^53 the number fromDocument parses is the shortest decimal
+	// json.Marshal writes for f, not f's exact value.
+	n, err := strconv.ParseInt(strconv.FormatFloat(f, 'f', -1, 64), 10, 0)
+	if err != nil {
+		*ok = false
+	}
+	return int(n)
+}
+
+// funcEvalOf decodes a stored sample as fromDocument would, without the
+// JSON round trip: every field is read under its canonical key with
+// field's rule, and ok is false when any of them is malformed. A version
+// takes the first three elements of its array, zeroing missing ones and
+// ignoring the rest, as json.Unmarshal fills a [3]int. The parameter
+// maps alias the stored document's, so under Scan's contract the result
+// is read, never written.
+func funcEvalOf(d historydb.Document) (fe FuncEval, ok bool) {
+	ok = true
+	fe.ID = field[string](d["_id"], &ok)
+	fe.TuningProblemName = field[string](d[problemField], &ok)
+	fe.TaskParams = field[map[string]interface{}](d["task_parameters"], &ok)
+	fe.TuningParams = field[map[string]interface{}](d["tuning_parameters"], &ok)
+	fe.Output = field[float64](d["evaluation_result"], &ok)
+	fe.Failed = field[bool](d["failed"], &ok)
+	m := field[map[string]interface{}](d["machine_configuration"], &ok)
+	fe.Machine = MachineConfiguration{
+		MachineName:  field[string](m["machine_name"], &ok),
+		Partition:    field[string](m["partition"], &ok),
+		Nodes:        intField(m["nodes"], &ok),
+		CoresPerNode: intField(m["cores_per_node"], &ok),
+	}
+	if sw := field[[]interface{}](d["software_configuration"], &ok); sw != nil {
+		fe.Software = make([]SoftwareConfiguration, len(sw))
+		for i, e := range sw {
+			fe.Software[i] = softwareOf(e, &ok)
+		}
+	}
+	fe.Owner = field[string](d["owner"], &ok)
+	fe.Accessibility = field[string](d["accessibility"], &ok)
+	if shared := field[[]interface{}](d["shared_with"], &ok); shared != nil {
+		fe.SharedWith = make([]string, len(shared))
+		for i, e := range shared {
+			fe.SharedWith[i] = field[string](e, &ok)
+		}
+	}
+	return fe, ok
+}
+
+func softwareOf(raw interface{}, ok *bool) (sw SoftwareConfiguration) {
+	m := field[map[string]interface{}](raw, ok)
+	sw.Name = field[string](m["name"], ok)
+	sw.Source = field[string](m["source"], ok)
+	for i, e := range field[[]interface{}](m["version"], ok) {
+		if i == len(sw.Version) {
+			break
+		}
+		sw.Version[i] = intField(e, ok)
+	}
+	return sw
 }
 
 // docVisible is canSee read off the stored document, for the paths that
 // need no other part of the sample.
 func docVisible(d historydb.Document, user string) bool {
-	access, ok1 := field[string](d, "accessibility")
-	owner, ok2 := field[string](d, "owner")
-	shared, ok3 := field[[]interface{}](d, "shared_with")
-	if !ok1 || !ok2 || !ok3 {
+	ok := true
+	access := field[string](d["accessibility"], &ok)
+	owner := field[string](d["owner"], &ok)
+	shared := field[[]interface{}](d["shared_with"], &ok)
+	if !ok {
 		return false
 	}
 	switch access {
@@ -745,13 +816,13 @@ type measurement struct {
 }
 
 func readMeasurement(d historydb.Document) (m measurement, ok bool) {
-	var ok1, ok2, ok3, ok4, ok5 bool
-	m.owner, ok1 = field[string](d, "owner")
-	m.failed, ok2 = field[bool](d, "failed")
-	m.task, ok3 = field[map[string]interface{}](d, "task_parameters")
-	m.tuning, ok4 = field[map[string]interface{}](d, "tuning_parameters")
-	m.y, ok5 = field[float64](d, "evaluation_result")
-	return m, ok1 && ok2 && ok3 && ok4 && ok5
+	ok = true
+	m.owner = field[string](d["owner"], &ok)
+	m.failed = field[bool](d["failed"], &ok)
+	m.task = field[map[string]interface{}](d["task_parameters"], &ok)
+	m.tuning = field[map[string]interface{}](d["tuning_parameters"], &ok)
+	m.y = field[float64](d["evaluation_result"], &ok)
+	return m, ok
 }
 
 // canSee implements the access-control levels of Section III.

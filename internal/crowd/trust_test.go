@@ -3,6 +3,7 @@ package crowd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -272,6 +273,66 @@ func TestQuarantineReleaseLifecycle(t *testing.T) {
 	// Unknown id is a 404, not a quiet success.
 	if _, err := alice.QuarantineRelease(ctx, "no-such-id"); err == nil {
 		t.Fatal("releasing unknown id succeeded")
+	}
+}
+
+// TestQuarantineListFilters: reason, limit and include_released
+// combine — every listing is the full one, filtered and then cut at the
+// limit, in store order.
+func TestQuarantineListFilters(t *testing.T) {
+	srv, alice, _ := trustServer(t, Config{})
+	srv.RegisterProblemPolicy("p", ProblemPolicy{Space: trustSpace(t), OutputLo: -100, OutputHi: 100})
+	outOfSpace := map[string]interface{}{"x": 5.0, "n": 4, "alg": "a"}
+	var batch []FuncEval
+	for i := 0; i < 4; i++ {
+		batch = append(batch, trustEval(goodParams(), 1e6+float64(i)), trustEval(outOfSpace, float64(i)))
+	}
+	if resp, err := alice.UploadReportContext(context.Background(), batch); err != nil || len(resp.Quarantined) != len(batch) {
+		t.Fatalf("upload: %+v, %v", resp, err)
+	}
+	ctx := context.Background()
+	all, err := alice.QuarantineList(ctx, QuarantineListRequest{IncludeReleased: true})
+	if err != nil || len(all) != len(batch) {
+		t.Fatalf("full listing: %d items, %v", len(all), err)
+	}
+	// Release the first and the third output_out_of_range item, so a
+	// held-only listing must skip the very first stored document.
+	for _, i := range []int{0, 4} {
+		if all[i].Reason != ReasonOutputOutOfRange {
+			t.Fatalf("item %d: reason %s", i, all[i].Reason)
+		}
+		if _, err := alice.QuarantineRelease(ctx, all[i].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if all, err = alice.QuarantineList(ctx, QuarantineListRequest{IncludeReleased: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, include := range []bool{false, true} {
+		for _, limit := range []int{0, 1, 2, 3} {
+			req := QuarantineListRequest{Reason: string(ReasonOutputOutOfRange), IncludeReleased: include, Limit: limit}
+			want := []QuarantinedSample{}
+			for _, it := range all {
+				if it.Reason == ReasonOutputOutOfRange && (include || !it.Released) && (limit == 0 || len(want) < limit) {
+					want = append(want, it)
+				}
+			}
+			got, err := alice.QuarantineList(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameJSON(t, fmt.Sprintf("listing %+v", req), got, want)
+			n := 2 // output_out_of_range items still held
+			if include {
+				n = 4
+			}
+			if limit > 0 {
+				n = min(n, limit)
+			}
+			if len(got) != n {
+				t.Fatalf("listing %+v: %d items, want %d", req, len(got), n)
+			}
+		}
 	}
 }
 

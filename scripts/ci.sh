@@ -187,6 +187,15 @@ if grep -rnE 'writePaths|gatedReads|routeByTaskID|func \(c \*Coordinator\) handl
     exit 1
 fi
 
+# One typed reader on the query path: funcEvalOf reads each returned
+# sample straight off the stored document. The JSON round trip through
+# fromDocument[FuncEval] stays in the tests, as their reference.
+echo "== fromDocument[FuncEval] stays out of non-test code"
+if grep -rnF 'fromDocument[FuncEval]' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: a stored sample is decoded through the JSON round trip again" >&2
+    exit 1
+fi
+
 # The repo benchmark is a nested module that compiles against internal
 # packages; tier-1 `go test ./...` does not enter it.
 echo "== bench module (vet + smoke test)"
@@ -219,6 +228,7 @@ fuzz_targets="
 FuzzUploadDecode ./internal/crowd
 FuzzValidateSample ./internal/crowd
 FuzzQueryDecode ./internal/crowd
+FuzzFuncEvalOf ./internal/crowd
 FuzzRegisterDecode ./internal/crowd
 FuzzTaskLeaseDecode ./internal/crowd
 FuzzTaskCompleteDecode ./internal/crowd
