@@ -27,6 +27,7 @@ import (
 	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/lcm"
+	"gptunecrowd/internal/parallel"
 	"gptunecrowd/internal/sample"
 	"gptunecrowd/internal/sensitivity"
 	"gptunecrowd/internal/space"
@@ -390,8 +391,9 @@ func BenchmarkGPFitParallel(b *testing.B) {
 	}
 	for _, w := range []int{1, 4, 8} {
 		b.Run("W"+itoa(w), func(b *testing.B) {
+			b.Setenv(parallel.EnvWorkers, itoa(w))
 			for i := 0; i < b.N; i++ {
-				if _, err := gp.Fit(X, Y, gp.Options{Seed: int64(i), Workers: w}); err != nil {
+				if _, err := gp.Fit(X, Y, gp.Options{Seed: int64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -409,8 +411,9 @@ func BenchmarkSaltelliParallel(b *testing.B) {
 	}
 	for _, w := range []int{1, 4, 8} {
 		b.Run("W"+itoa(w), func(b *testing.B) {
+			b.Setenv(parallel.EnvWorkers, itoa(w))
 			for i := 0; i < b.N; i++ {
-				if _, err := sensitivity.Analyze(f, 3, nil, sensitivity.Options{N: 256, NBoot: 20, Seed: 1, Workers: w}); err != nil {
+				if _, err := sensitivity.Analyze(f, 3, nil, sensitivity.Options{N: 256, NBoot: 20, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,6 +5,7 @@
 //	experiments -exp fig3a              # one experiment, quick scale
 //	experiments -exp fig5c -scale paper # full paper-sized run
 //	experiments -exp all                # everything (quick scale)
+//	experiments -exp fig4a -scale paper -repeats 20 # paper sizes, 20 seeds
 //
 // Experiment ids: table1 table2 table3 table4 table5,
 // fig3a…fig3f, fig4a fig4b, fig5a fig5b fig5c, fig6 fig7.
@@ -24,8 +25,8 @@ func main() {
 		exp     = flag.String("exp", "all", "experiment id (or \"all\")")
 		scale   = flag.String("scale", "quick", "\"quick\" or \"paper\"")
 		seed    = flag.Int64("seed", 1, "base random seed")
-		repeats = flag.Int("repeats", 0, "override repeat count")
-		budget  = flag.Int("budget", 0, "override evaluation budget")
+		repeats = flag.Int("repeats", 0, "tuning repeats of every figure; 0 keeps the scale's count (-scale paper: each figure's paper count, e.g. 3 for fig4/fig5)")
+		budget  = flag.Int("budget", 0, "evaluations per tuning run of every figure; 0 keeps the scale's count (-scale paper: each figure's paper count, e.g. 10 for fig4/fig5)")
 	)
 	flag.Parse()
 

@@ -66,12 +66,6 @@ type SearchOptions struct {
 	DEGens     int // differential-evolution generations (default 30)
 	DEPop      int // DE population (default 0 → heuristic)
 	DedupTol   float64
-	// Workers bounds the parallelism of candidate scoring (prescreen pool
-	// and DE seeding). <= 0 means the engine default: GPTUNE_WORKERS when
-	// set, else GOMAXPROCS. The surrogate's Predict must be safe for
-	// concurrent calls (the GP and LCM models are). Results are
-	// bit-identical for every worker count.
-	Workers int
 	// Feasible, when set, restricts the search to normalized points it
 	// accepts (populated by the loop from Problem.Constraints).
 	Feasible func(u []float64) bool
@@ -96,7 +90,9 @@ func (o *SearchOptions) defaults() {
 // points if everything promising is a duplicate.
 //
 // The prescreen pool is scored through one PredictBatchInto call; DE
-// scores its trial points with Predict.
+// scores its trial points with Predict, concurrently on the engine's
+// worker count, so Predict must be safe for concurrent calls. Results
+// are bit-identical for every worker count.
 func SearchNext(surr BatchPredictor, sp *space.Space, acq Acquisition, h *History, rng *rand.Rand, opts SearchOptions) []float64 {
 	opts.defaults()
 	dim := sp.Dim()
@@ -133,11 +129,11 @@ func SearchNext(surr BatchPredictor, sp *space.Space, acq Acquisition, h *Histor
 	sc.resize(opts.Candidates, dim)
 	pool, canon, scores, means, stds := sc.pool, sc.canon, sc.scores, sc.means, sc.stds
 	sample.LatinHypercubeInto(pool, rng)
-	parallel.For(len(pool), opts.Workers, func(i int) {
+	parallel.For(len(pool), 0, func(i int) {
 		sp.CanonicalizeInto(pool[i], canon[i])
 	})
-	surr.PredictBatchInto(canon, means, stds, opts.Workers)
-	parallel.For(len(pool), opts.Workers, func(i int) {
+	surr.PredictBatchInto(canon, means, stds, 0)
+	parallel.For(len(pool), 0, func(i int) {
 		scores[i] = math.Inf(1)
 		if opts.Feasible == nil || opts.Feasible(canon[i]) {
 			scores[i] = -acq.Score(means[i], stds[i], best)
@@ -180,7 +176,6 @@ func SearchNext(surr BatchPredictor, sp *space.Space, acq Acquisition, h *Histor
 		Pop:     opts.DEPop,
 		Seeds:   seeds,
 		RandSrc: rng,
-		Workers: opts.Workers,
 	})
 	u := sp.Canonicalize(res.X)
 	if !h.Contains(u, opts.DedupTol) {

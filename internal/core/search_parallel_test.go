@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
+	"gptunecrowd/internal/parallel"
 	"gptunecrowd/internal/space"
 )
 
@@ -23,10 +25,9 @@ func TestSearchNextDeterministicAcrossWorkers(t *testing.T) {
 	h.Append(Sample{ParamU: []float64{0.2, 0.8}, Y: 0.5})
 	h.Append(Sample{ParamU: []float64{0.7, 0.1}, Y: -0.2})
 	search := func(workers int) []float64 {
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
 		rng := rand.New(rand.NewSource(11))
-		return SearchNext(surr, ps, EI{}, h, rng, SearchOptions{
-			Candidates: 128, DEGens: 10, Workers: workers,
-		})
+		return SearchNext(surr, ps, EI{}, h, rng, SearchOptions{Candidates: 128, DEGens: 10})
 	}
 	ref := search(1)
 	for _, w := range []int{2, 8} {

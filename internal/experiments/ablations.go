@@ -21,6 +21,7 @@ import (
 // Eq. 4) against fixed exploration rates, isolating the value of the
 // dynamic rate. Pool and task match Fig. 3(a).
 func AblationEnsemble(sc Scale) (*FigureResult, error) {
+	sc = sc.withCounts(paperBudget, paperRepeats)
 	p := mustProblem("demo", apps.Options{})
 	src, err := CollectSourceSamples("demo t=0.8", p, map[string]interface{}{"t": 0.8}, sc.SourceSamples, sc.Seed+100)
 	if err != nil {
@@ -44,6 +45,7 @@ func AblationEnsemble(sc Scale) (*FigureResult, error) {
 // AblationAcquisition compares acquisition functions on the NoTLA tuner
 // over the PDGEQRF model.
 func AblationAcquisition(sc Scale) (*FigureResult, error) {
+	sc = sc.withCounts(paperBudget, paperRepeats)
 	task := map[string]interface{}{"m": 10000, "n": 10000}
 	spec := CompareSpec{Problem: mustProblem("pdgeqrf", apps.Options{}), Task: task, Budget: sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search}
 	res := &FigureResult{ID: "ablation-acquisition", Title: "acquisition function on PDGEQRF (NoTLA)", Budget: sc.Budget}
@@ -63,6 +65,7 @@ func AblationAcquisition(sc Scale) (*FigureResult, error) {
 // AblationSourceCap sweeps Multitask(TS)'s per-source sample cap — the
 // accuracy/cost trade-off of feeding true samples to the LCM.
 func AblationSourceCap(sc Scale) (*FigureResult, error) {
+	sc = sc.withCounts(paperBudget, paperRepeats)
 	p := mustProblem("demo", apps.Options{})
 	src, err := CollectSourceSamples("demo t=0.8", p, map[string]interface{}{"t": 0.8}, sc.SourceSamples, sc.Seed+100)
 	if err != nil {
@@ -90,6 +93,7 @@ func AblationSourceCap(sc Scale) (*FigureResult, error) {
 // robust evaluator spends its budget in repeated measurements, so the
 // comparison holds the number of *application runs* fixed.
 func AblationRobustEval(sc Scale) (*FigureResult, error) {
+	sc = sc.withCounts(paperBudget, paperRepeats)
 	const noise = 0.15 // a deliberately noisy machine
 	task := map[string]interface{}{"m": 10000, "n": 10000}
 	budgetRuns := sc.Budget * 3 // total application runs per tuner

@@ -109,6 +109,37 @@ func TestFig4(t *testing.T) {
 	}
 }
 
+// The paper's 10 evaluations × 3 repeats are Fig4's defaults for a
+// zero count, not caps: an explicit Budget and Repeats run as given.
+func TestFig4ExplicitCountsOverridePaperCounts(t *testing.T) {
+	if got := (Scale{}).withCounts(10, 3); got.Budget != 10 || got.Repeats != 3 {
+		t.Fatalf("zero counts resolved to budget %d, repeats %d", got.Budget, got.Repeats)
+	}
+	sc := tiny
+	sc.Budget, sc.Repeats = 12, 3
+	three, err := Fig4("a", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if three.Budget != 12 || len(three.Series[0].Mean) != 12 {
+		t.Fatalf("Budget 12 ran %d evaluations (reported budget %d)", len(three.Series[0].Mean), three.Budget)
+	}
+	sc.Repeats = 4
+	four, err := Fig4("a", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range four.Series {
+		for e := range s.Mean {
+			if math.Float64bits(s.Mean[e]) != math.Float64bits(three.Series[i].Mean[e]) ||
+				math.Float64bits(s.Std[e]) != math.Float64bits(three.Series[i].Std[e]) {
+				return
+			}
+		}
+	}
+	t.Fatal("Repeats 4 reproduced the Repeats 3 series: the fourth repeat did not run")
+}
+
 func TestFig5WithFailures(t *testing.T) {
 	res, err := Fig5("c", tiny)
 	if err != nil {

@@ -20,8 +20,8 @@ import (
 // sample counts; QuickScale is a minutes-not-hours variant with the
 // same qualitative behaviour, used by the benchmarks.
 type Scale struct {
-	Budget           int // function evaluations per run
-	Repeats          int // tuning repeats (different seeds)
+	Budget           int // function evaluations per run (0: the figure's paper count)
+	Repeats          int // tuning repeats, different seeds (0: the figure's paper count)
 	SourceSamples    int // pre-collected samples per source task
 	MaxSourceSamples int // LCM source cap (Multitask TS / ensembles)
 	SurrogateCap     int // max samples for sensitivity surrogate fits
@@ -30,10 +30,9 @@ type Scale struct {
 	Search           core.SearchOptions
 }
 
-// PaperScale mirrors the paper's experiment sizes.
+// PaperScale mirrors the paper's experiment sizes; its zero Budget and
+// Repeats run each figure at the paper's own counts.
 var PaperScale = Scale{
-	Budget:           20,
-	Repeats:          5,
 	SourceSamples:    200,
 	MaxSourceSamples: 100,
 	SurrogateCap:     400,
@@ -53,11 +52,28 @@ var QuickScale = Scale{
 	Search:           core.SearchOptions{Candidates: 64, DEGens: 10},
 }
 
+// paperBudget and paperRepeats are the counts of Fig. 3, Fig. 7 and the
+// ablations; Fig. 4–6 name their own.
+const paperBudget, paperRepeats = 20, 5
+
+// withCounts fills a zero Budget or Repeats with the figure's paper
+// count; an explicit count is kept as given.
+func (sc Scale) withCounts(budget, repeats int) Scale {
+	if sc.Budget <= 0 {
+		sc.Budget = budget
+	}
+	if sc.Repeats <= 0 {
+		sc.Repeats = repeats
+	}
+	return sc
+}
+
 // Fig3 reproduces the synthetic-function TLA comparison. Variants:
 // "a"/"b" are the demo function with source t=0.8 and targets t=1.0 /
 // t=1.2 (one source); "c"/"d" are Branin with one random source task;
 // "e"/"f" are Branin with three random source tasks.
 func Fig3(variant string, sc Scale) (*FigureResult, error) {
+	sc = sc.withCounts(paperBudget, paperRepeats)
 	switch variant {
 	case "a", "b":
 		p := mustProblem("demo", apps.Options{})
@@ -124,6 +140,7 @@ func Fig3(variant string, sc Scale) (*FigureResult, error) {
 // source tasks (m=n=10000, 8000, 6000); the target task is m=n=12000.
 // Source datasets hold 100 random samples each at PaperScale.
 func Fig4(variant string, sc Scale) (*FigureResult, error) {
+	sc = sc.withCounts(10, 3) // the paper evaluates 10 evals, 3 repeats
 	p := mustProblem("pdgeqrf", apps.Options{})
 	nSamples := sc.SourceSamples
 	if nSamples > 100 {
@@ -144,14 +161,12 @@ func Fig4(variant string, sc Scale) (*FigureResult, error) {
 		}
 		sources = append(sources, src)
 	}
-	budget := min(sc.Budget, 10) // the paper evaluates 10 evals, 3 repeats
-	repeats := min(sc.Repeats, 3)
 	res, err := RunCompare(CompareSpec{
 		Problem: p, Task: map[string]interface{}{"m": 12000, "n": 12000},
 		Algorithms:       surrogate.Algorithms(),
 		Sources:          sources,
 		MaxSourceSamples: sc.MaxSourceSamples,
-		Budget:           budget, Repeats: repeats, Seed: sc.Seed, Search: sc.Search,
+		Budget:           sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search,
 	})
 	if err != nil {
 		return nil, err
@@ -168,6 +183,7 @@ func Fig4(variant string, sc Scale) (*FigureResult, error) {
 // "b" targets 32 KNL nodes with {mx:5, my:4, lphi:1}; "c" targets 64
 // Haswell nodes with {mx:6, my:8, lphi:1} (the failure-prone case).
 func Fig5(variant string, sc Scale) (*FigureResult, error) {
+	sc = sc.withCounts(10, 3)
 	srcProblem := mustProblem("nimrod", apps.Options{})
 	nSamples := sc.SourceSamples
 	if nSamples > 500 {
@@ -196,14 +212,12 @@ func Fig5(variant string, sc Scale) (*FigureResult, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown Fig5 variant %q", variant)
 	}
-	budget := min(sc.Budget, 10)
-	repeats := min(sc.Repeats, 3)
 	res, err := RunCompare(CompareSpec{
 		Problem: mustProblem("nimrod", tgtOpts), Task: task,
 		Algorithms:       CaseStudyTuners,
 		Sources:          []*tla.Source{src},
 		MaxSourceSamples: sc.MaxSourceSamples,
-		Budget:           budget, Repeats: repeats, Seed: sc.Seed, Search: sc.Search,
+		Budget:           sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search,
 	})
 	if err != nil {
 		return nil, err
@@ -313,7 +327,7 @@ func Fig6(sc Scale) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compareSpaces("fig6", "SuperLU_DIST (H2O): original vs reduced search space", p, reduced, nil, sc, 3)
+	return compareSpaces("fig6", "SuperLU_DIST (H2O): original vs reduced search space", p, reduced, nil, sc.withCounts(paperBudget, 3))
 }
 
 // Fig7 reproduces the Hypre reduced-space tuning: the reduced problem
@@ -331,7 +345,7 @@ func Fig7(sc Scale) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compareSpaces("fig7", "Hypre (nx=ny=nz=100): original vs reduced search space", p, reduced, task, sc, 5)
+	return compareSpaces("fig7", "Hypre (nx=ny=nz=100): original vs reduced search space", p, reduced, task, sc.withCounts(paperBudget, paperRepeats))
 }
 
 // noTLA builds the paper's baseline tuner.
@@ -339,15 +353,15 @@ func noTLA() (core.Proposer, error) { return surrogate.NewProposer("NoTLA", surr
 
 // compareSpaces runs NoTLA tuning on the original and reduced problems
 // and merges the two series into one figure.
-func compareSpaces(id, title string, original, reduced *core.Problem, task map[string]interface{}, sc Scale, maxRepeats int) (*FigureResult, error) {
-	res := &FigureResult{ID: id, Title: title, Budget: min(sc.Budget, 20)}
+func compareSpaces(id, title string, original, reduced *core.Problem, task map[string]interface{}, sc Scale) (*FigureResult, error) {
+	res := &FigureResult{ID: id, Title: title, Budget: sc.Budget}
 	for _, v := range []struct {
 		name string
 		p    *core.Problem
 	}{{"original space", original}, {"reduced space", reduced}} {
 		s, err := runSeries(v.name, CompareSpec{
 			Problem: v.p, Task: task,
-			Budget: res.Budget, Repeats: min(sc.Repeats, maxRepeats), Seed: sc.Seed, Search: sc.Search,
+			Budget: sc.Budget, Repeats: sc.Repeats, Seed: sc.Seed, Search: sc.Search,
 		}, noTLA)
 		if err != nil {
 			return nil, err

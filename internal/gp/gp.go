@@ -30,11 +30,6 @@ type Options struct {
 	Restarts    int         // multi-start count (default 2; 0 means default)
 	MaxIter     int         // L-BFGS iterations per start (default 60)
 	Seed        int64       // RNG seed for restarts
-	// Workers bounds the parallelism of the fit (restart fan-out, kernel
-	// matrix assembly, gradient reduction). <= 0 means the engine default:
-	// GPTUNE_WORKERS when set, else GOMAXPROCS. Results are bit-identical
-	// for every worker count at a fixed Seed.
-	Workers int
 }
 
 // GP is a fitted Gaussian-process model.
@@ -106,10 +101,10 @@ func Fit(X [][]float64, y []float64, opts Options) (*GP, error) {
 
 	// Restarts run concurrently; each gets private scratch so objective
 	// evaluations never contend, and the argmin reduction is ordered.
-	best := optimize.MultiStartParallel(starts, opts.Workers, func(_ int, x0 []float64) optimize.Result {
+	best := optimize.MultiStartParallel(starts, func(_ int, x0 []float64) optimize.Result {
 		sc := newFitScratch(dim, n)
 		obj := func(theta []float64) (float64, []float64) {
-			return g.nllGrad(ys, theta, opts.Workers, sc)
+			return g.nllGrad(ys, theta, sc)
 		}
 		return optimize.LBFGS(obj, x0, optimize.LBFGSConfig{MaxIter: opts.MaxIter})
 	})
@@ -216,7 +211,7 @@ func newFitScratch(dim, n int) *fitScratch {
 // The returned gradient slice is freshly allocated (the L-BFGS driver
 // retains it across iterations); all large intermediates live in sc,
 // which must be private to the calling goroutine.
-func (g *GP) nllGrad(ys []float64, theta []float64, workers int, sc *fitScratch) (float64, []float64) {
+func (g *GP) nllGrad(ys []float64, theta []float64, sc *fitScratch) (float64, []float64) {
 	dim := g.kern.Dim
 	n := len(ys)
 	h := sc.h
@@ -244,7 +239,7 @@ func (g *GP) nllGrad(ys []float64, theta []float64, workers int, sc *fitScratch)
 	pen(dim+1, logNoise, logNoiseLo, logNoiseHi)
 
 	K, dKs := sc.K, sc.dKs
-	g.kern.MatrixGradsInto(g.x, h, K, dKs, workers)
+	g.kern.MatrixGradsInto(g.x, h, K, dKs, 0)
 	noiseVar := math.Exp(logNoise)
 	K.AddDiag(noiseVar)
 	ch, err := linalg.NewCholesky(K)
@@ -260,7 +255,7 @@ func (g *GP) nllGrad(ys []float64, theta []float64, workers int, sc *fitScratch)
 	// independent, so the reduction fans out over p; within one p the
 	// summation order is fixed, and both Kinv and dK are symmetric, so
 	// only the upper triangle is visited.
-	parallel.For(dim+1, workers, func(p int) {
+	parallel.For(dim+1, 0, func(p int) {
 		dK := dKs[p]
 		var tr, quad float64
 		for i := 0; i < n; i++ {

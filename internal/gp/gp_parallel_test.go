@@ -3,8 +3,11 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
+
+	"gptunecrowd/internal/parallel"
 )
 
 func fitFixture(n, dim int, seed int64) ([][]float64, []float64) {
@@ -27,12 +30,16 @@ func fitFixture(n, dim int, seed int64) ([][]float64, []float64) {
 // fit runs on 1, 4 or 8 workers.
 func TestFitDeterministicAcrossWorkers(t *testing.T) {
 	X, Y := fitFixture(40, 3, 21)
-	ref, err := Fit(X, Y, Options{Seed: 5, Restarts: 4, MaxIter: 25, Workers: 1})
+	fit := func(workers int) (*GP, error) {
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
+		return Fit(X, Y, Options{Seed: 5, Restarts: 4, MaxIter: 25})
+	}
+	ref, err := fit(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		g, err := Fit(X, Y, Options{Seed: 5, Restarts: 4, MaxIter: 25, Workers: w})
+		g, err := fit(w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,14 +247,14 @@ func TestNLLGradientMatchesNumeric(t *testing.T) {
 	g := &GP{kern: kernel.New(kernel.Matern52, dim), x: X}
 	theta := []float64{math.Log(0.4), math.Log(0.8), 0.2, math.Log(1e-2)}
 	sc := newFitScratch(dim, n)
-	_, grad := g.nllGrad(ys, theta, 1, sc)
+	_, grad := g.nllGrad(ys, theta, sc)
 	const eps = 1e-6
 	for p := range theta {
 		tp := append([]float64(nil), theta...)
 		tp[p] += eps
-		fp, _ := g.nllGrad(ys, tp, 1, sc)
+		fp, _ := g.nllGrad(ys, tp, sc)
 		tp[p] -= 2 * eps
-		fm, _ := g.nllGrad(ys, tp, 1, sc)
+		fm, _ := g.nllGrad(ys, tp, sc)
 		num := (fp - fm) / (2 * eps)
 		if math.Abs(num-grad[p]) > 1e-4*(1+math.Abs(num)) {
 			t.Fatalf("grad[%d]: analytic %v vs numeric %v", p, grad[p], num)

@@ -34,11 +34,6 @@ type Options struct {
 	Restarts    int         // multi-start count (default 2)
 	MaxIter     int         // L-BFGS iterations per start (default 50)
 	Seed        int64
-	// Workers bounds the parallelism of the fit (restart fan-out, stacked
-	// covariance assembly, gradient reduction). <= 0 means the engine
-	// default: GPTUNE_WORKERS when set, else GOMAXPROCS. Results are
-	// bit-identical for every worker count at a fixed Seed.
-	Workers int
 }
 
 // Model is a fitted LCM.
@@ -143,10 +138,10 @@ func Fit(X [][][]float64, Y [][]float64, opts Options) (*Model, error) {
 	}
 	// Restarts run concurrently with private scratch each; the argmin
 	// reduction is ordered, so the winner is worker-count independent.
-	best := optimize.MultiStartParallel(starts, opts.Workers, func(_ int, x0 []float64) optimize.Result {
+	best := optimize.MultiStartParallel(starts, func(_ int, x0 []float64) optimize.Result {
 		sc := m.newFitScratch()
 		obj := func(theta []float64) (float64, []float64) {
-			return m.nllGrad(ys, theta, opts.Workers, sc)
+			return m.nllGrad(ys, theta, sc)
 		}
 		return optimize.LBFGS(obj, x0, optimize.LBFGSConfig{MaxIter: opts.MaxIter})
 	})
@@ -155,7 +150,7 @@ func Fit(X [][][]float64, Y [][]float64, opts Options) (*Model, error) {
 	}
 	m.lcmParams = newLCMParams(m.q, m.dim, m.numTasks)
 	m.unpack(best.X)
-	if err := m.factorize(ys, opts.Workers); err != nil {
+	if err := m.factorize(ys); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -290,7 +285,7 @@ var (
 // which must be private to the calling goroutine. The parallel stages
 // write index-disjoint state with fixed per-index summation order, so
 // the result is bit-identical for every worker count.
-func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScratch) (float64, []float64) {
+func (m *Model) nllGrad(ys []float64, theta []float64, sc *fitScratch) (float64, []float64) {
 	n := len(ys)
 	grad := make([]float64, len(theta))
 	penalty := 0.0
@@ -334,7 +329,7 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 	baseK := sc.baseK // k_q(x_a, x_b)
 	baseG := sc.baseG // per loglen dimension (+ unused variance slot)
 	for q := 0; q < m.q; q++ {
-		m.kerns[q].MatrixGradsInto(m.x, ps.hyper[q], baseK[q], baseG[q], workers)
+		m.kerns[q].MatrixGradsInto(m.x, ps.hyper[q], baseK[q], baseG[q], 0)
 	}
 	// Coregionalization blocks B_q (tiny, serial).
 	bq := sc.bq
@@ -349,7 +344,7 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 	// Assemble the stacked covariance row-parallel: each row is owned by
 	// one worker and accumulated in a fixed (q, b) order.
 	K := sc.K
-	parallel.For(n, workers, func(a int) {
+	parallel.For(n, 0, func(a int) {
 		krow := K.Row(a)
 		for b := range krow {
 			krow[b] = 0
@@ -373,7 +368,7 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 
 	// W = K⁻¹ − α·αᵀ ; gradient g_p = 0.5 Σ_ab W[ab]·dK_p[ab].
 	W := ch.Inverse()
-	parallel.For(n, workers, func(a int) {
+	parallel.For(n, 0, func(a int) {
 		wa := W.Row(a)
 		aa := alpha[a]
 		for b := 0; b < n; b++ {
@@ -386,7 +381,7 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 	// summation order.
 	qBlock := m.dim + 2*m.numTasks
 	noiseBase := m.q * qBlock
-	parallel.For(len(theta), workers, func(p int) {
+	parallel.For(len(theta), 0, func(p int) {
 		if p >= noiseBase {
 			// Noise: dK/dlogσ_t² = σ_t²·diag(task == t).
 			t := p - noiseBase
@@ -457,12 +452,12 @@ func (m *Model) nllGrad(ys []float64, theta []float64, workers int, sc *fitScrat
 	return nll + penalty, grad
 }
 
-func (m *Model) factorize(ys []float64, workers int) error {
+func (m *Model) factorize(ys []float64) error {
 	n := len(ys)
 	K := linalg.NewMatrix(n, n)
 	for q := 0; q < m.q; q++ {
-		Kq := m.kerns[q].MatrixWorkers(m.x, m.hyper[q], workers)
-		parallel.For(n, workers, func(a int) {
+		Kq := m.kerns[q].Matrix(m.x, m.hyper[q])
+		parallel.For(n, 0, func(a int) {
 			ta := m.task[a]
 			row := K.Row(a)
 			kqa := Kq.Row(a)

@@ -3,7 +3,10 @@ package lcm
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
+
+	"gptunecrowd/internal/parallel"
 )
 
 func twoTaskFixture(n1, n2 int, seed int64) ([][][]float64, [][]float64) {
@@ -29,7 +32,8 @@ func twoTaskFixture(n1, n2 int, seed int64) ([][][]float64, [][]float64) {
 func TestLCMFitDeterministicAcrossWorkers(t *testing.T) {
 	X, Y := twoTaskFixture(20, 6, 31)
 	fit := func(workers int) *Model {
-		m, err := Fit(X, Y, Options{Seed: 3, Restarts: 3, MaxIter: 15, Workers: workers})
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
+		m, err := Fit(X, Y, Options{Seed: 3, Restarts: 3, MaxIter: 15})
 		if err != nil {
 			t.Fatal(err)
 		}

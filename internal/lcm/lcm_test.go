@@ -159,14 +159,14 @@ func TestNLLGradientMatchesNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	theta := mm.initTheta(rng, false)
 	sc := mm.newFitScratch()
-	_, grad := mm.nllGrad(ys, theta, 1, sc)
+	_, grad := mm.nllGrad(ys, theta, sc)
 	const eps = 1e-6
 	for p := 0; p < len(theta); p += 3 { // spot-check a third of the params
 		tp := append([]float64(nil), theta...)
 		tp[p] += eps
-		fp, _ := mm.nllGrad(ys, tp, 1, sc)
+		fp, _ := mm.nllGrad(ys, tp, sc)
 		tp[p] -= 2 * eps
-		fm, _ := mm.nllGrad(ys, tp, 1, sc)
+		fm, _ := mm.nllGrad(ys, tp, sc)
 		num := (fp - fm) / (2 * eps)
 		if math.Abs(num-grad[p]) > 1e-4*(1+math.Abs(num)) {
 			t.Fatalf("grad[%d]: analytic %v vs numeric %v", p, grad[p], num)

@@ -93,22 +93,17 @@ func (m *Matrix) String() string {
 // the small covariance blocks that dominate this codebase.
 const matMulParallelFlops = 1 << 21
 
-// MatMul returns a*b, switching to row-parallel execution for large
-// products (see MatMulWorkers for the determinism argument).
+// MatMul returns a*b, switching to row-parallel execution on the
+// engine's worker count for large products. Each output row is produced
+// by exactly one worker with an unchanged inner accumulation order, so
+// the result is bit-identical for every worker count.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.rows*a.cols*b.cols >= matMulParallelFlops {
-		return MatMulWorkers(a, b, 0)
-	}
-	return MatMulWorkers(a, b, 1)
-}
-
-// MatMulWorkers returns a*b computed with the given worker count (<= 0
-// means the package default). Each output row is produced by exactly
-// one worker with an unchanged inner accumulation order, so the result
-// is bit-identical for every worker count.
-func MatMulWorkers(a, b *Matrix, workers int) *Matrix {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("linalg: MatMul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	workers := 1
+	if a.rows*a.cols*b.cols >= matMulParallelFlops {
+		workers = 0
 	}
 	c := NewMatrix(a.rows, b.cols)
 	// ikj loop order: stream through b's rows for cache friendliness.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"gptunecrowd/internal/parallel"
@@ -26,23 +27,25 @@ func randSPD(n int, seed int64) *Matrix {
 	return s
 }
 
+// Above matMulParallelFlops MatMul fans rows out over the engine's
+// workers; the product must not depend on how many there are.
 func TestMatMulWorkersBitIdentical(t *testing.T) {
-	a := randMatrix(33, 21, 1)
-	b := randMatrix(21, 17, 2)
-	ref := MatMulWorkers(a, b, 1)
+	a := randMatrix(160, 128, 1)
+	b := randMatrix(128, 129, 2)
+	if a.rows*a.cols*b.cols < matMulParallelFlops {
+		t.Fatal("fixture is below the parallel switch")
+	}
+	mul := func(workers int) *Matrix {
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
+		return MatMul(a, b)
+	}
+	ref := mul(1)
 	for _, w := range []int{2, 8} {
-		got := MatMulWorkers(a, b, w)
+		got := mul(w)
 		for i := range ref.data {
 			if ref.data[i] != got.data[i] {
 				t.Fatalf("workers=%d: element %d differs", w, i)
 			}
-		}
-	}
-	// The auto-switching MatMul must agree with the explicit variants.
-	got := MatMul(a, b)
-	for i := range ref.data {
-		if ref.data[i] != got.data[i] {
-			t.Fatalf("MatMul disagrees with MatMulWorkers at %d", i)
 		}
 	}
 }

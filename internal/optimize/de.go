@@ -18,16 +18,13 @@ type DEConfig struct {
 	Upper   []float64
 	Seeds   [][]float64 // optional points injected into the initial population
 	RandSrc *rand.Rand  // required
-	// Workers bounds the parallelism of the initial-population scoring
-	// (<= 0 means the engine default). f must then be safe for concurrent
-	// calls. Generations stay sequential — selection feedback within a
-	// generation is part of the DE/rand/1/bin semantics — so the search
-	// trajectory is identical for every worker count.
-	Workers int
 }
 
 // DifferentialEvolution minimizes f over the box [Lower, Upper] using
-// DE/rand/1/bin with clamped bounds.
+// DE/rand/1/bin with clamped bounds. The initial population is scored
+// concurrently, so f must be safe for concurrent calls; generations stay
+// sequential (within-generation selection is part of DE/rand/1/bin), so
+// the trajectory is identical for every worker count.
 func DifferentialEvolution(f func([]float64) float64, cfg DEConfig) Result {
 	dim := len(cfg.Lower)
 	if dim == 0 || len(cfg.Upper) != dim {
@@ -79,7 +76,7 @@ func DifferentialEvolution(f func([]float64) float64, cfg DEConfig) Result {
 		}
 		pop[i] = x
 	}
-	parallel.For(cfg.Pop, cfg.Workers, func(i int) {
+	parallel.For(cfg.Pop, 0, func(i int) {
 		v := f(pop[i])
 		if math.IsNaN(v) {
 			v = math.Inf(1)

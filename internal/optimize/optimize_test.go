@@ -3,7 +3,10 @@ package optimize
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
+
+	"gptunecrowd/internal/parallel"
 )
 
 func sphere(x []float64) float64 {
@@ -153,7 +156,8 @@ func TestMultiStart(t *testing.T) {
 		return math.Min(a*a+1, b*b) // global min 0 at x=3
 	}
 	run := func(workers int) Result {
-		return MultiStartParallel([][]float64{{-2.1}, {2.9}}, workers, func(_ int, x0 []float64) Result {
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
+		return MultiStartParallel([][]float64{{-2.1}, {2.9}}, func(_ int, x0 []float64) Result {
 			return LBFGS(NumericGradient(f, 1e-6), x0, LBFGSConfig{})
 		})
 	}

@@ -34,9 +34,9 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Resolve maps a per-call worker option to an effective count: values
-// <= 0 mean "use the default", anything else is taken as-is.
-func Resolve(workers int) int {
+// resolve maps a worker argument to an effective count: values <= 0
+// mean "use the default", anything else is taken as-is.
+func resolve(workers int) int {
 	if workers > 0 {
 		return workers
 	}
@@ -52,7 +52,7 @@ func For(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Resolve(workers)
+	workers = resolve(workers)
 	if workers > n {
 		workers = n
 	}
@@ -88,7 +88,7 @@ func ForEachWorker[T any](n, workers int, newCtx func() T, fn func(ctx T, i int)
 	if n <= 0 {
 		return
 	}
-	workers = Resolve(workers)
+	workers = resolve(workers)
 	if workers > n {
 		workers = n
 	}

@@ -53,14 +53,14 @@ func TestForEachWorkerDisjointScratch(t *testing.T) {
 }
 
 func TestResolve(t *testing.T) {
-	if got := Resolve(7); got != 7 {
-		t.Fatalf("Resolve(7) = %d", got)
+	if got := resolve(7); got != 7 {
+		t.Fatalf("resolve(7) = %d", got)
 	}
-	if got := Resolve(0); got != DefaultWorkers() {
-		t.Fatalf("Resolve(0) = %d, want default %d", got, DefaultWorkers())
+	if got := resolve(0); got != DefaultWorkers() {
+		t.Fatalf("resolve(0) = %d, want default %d", got, DefaultWorkers())
 	}
-	if got := Resolve(-1); got != DefaultWorkers() {
-		t.Fatalf("Resolve(-1) = %d, want default %d", got, DefaultWorkers())
+	if got := resolve(-1); got != DefaultWorkers() {
+		t.Fatalf("resolve(-1) = %d, want default %d", got, DefaultWorkers())
 	}
 }
 

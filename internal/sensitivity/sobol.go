@@ -69,14 +69,6 @@ type Options struct {
 	Seed  int64   // bootstrap RNG seed
 	Skip  int     // Sobol' sequence skip (default 0)
 	Alpha float64 // confidence level complement (default 0.05 → 95%)
-	// Workers bounds the parallelism of the N·(dim+2) objective
-	// evaluations over the Saltelli design. <= 0 means the engine
-	// default: GPTUNE_WORKERS when set, else GOMAXPROCS. f must then be
-	// safe for concurrent calls (surrogate predictions and the analytic
-	// application models are). Each design point writes its own output
-	// slot and the estimators run serially afterwards, so results are
-	// bit-identical for every worker count.
-	Workers int
 }
 
 func (o *Options) defaults() {
@@ -92,6 +84,9 @@ func (o *Options) defaults() {
 }
 
 // Analyze computes Sobol' indices of f over the unit hypercube [0,1)^dim.
+// The N·(dim+2) evaluations of f run concurrently, so f must be safe
+// for concurrent calls; each writes its own slot and the estimators run
+// serially, so results are bit-identical for every worker count.
 func Analyze(f func(u []float64) float64, dim int, names []string, opts Options) (*Result, error) {
 	opts.defaults()
 	if dim < 1 {
@@ -119,7 +114,7 @@ func Analyze(f func(u []float64) float64, dim int, names []string, opts Options)
 	for d := 0; d < dim; d++ {
 		yAB[d] = make([]float64, opts.N)
 	}
-	parallel.For(opts.N*(dim+2), opts.Workers, func(e int) {
+	parallel.For(opts.N*(dim+2), 0, func(e int) {
 		i := e % opts.N
 		switch block := e / opts.N; {
 		case block == 0:

@@ -2,7 +2,10 @@ package sensitivity
 
 import (
 	"math"
+	"strconv"
 	"testing"
+
+	"gptunecrowd/internal/parallel"
 )
 
 // Every design point writes its own output slot and the estimators run
@@ -12,7 +15,8 @@ func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 		return math.Sin(2*math.Pi*u[0]) + 7*math.Sin(2*math.Pi*u[1])*math.Sin(2*math.Pi*u[1]) + 0.1*u[2]
 	}
 	run := func(workers int) *Result {
-		r, err := Analyze(f, 3, nil, Options{N: 128, NBoot: 20, Seed: 4, Workers: workers})
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
+		r, err := Analyze(f, 3, nil, Options{N: 128, NBoot: 20, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,9 +41,6 @@ type Options struct {
 	Restarts    int
 	MaxIter     int
 	Seed        int64
-	// Workers bounds the fit's parallelism (<= 0 means the engine
-	// default). Results are bit-identical for every worker count.
-	Workers int
 }
 
 func (o *Options) defaults() {
@@ -102,7 +99,7 @@ func Fit(X [][]float64, y []float64, opts Options) (*SGP, error) {
 	eg, err := gp.Fit(subX, subY, gp.Options{
 		Kernel: opts.Kernel, Categorical: opts.Categorical,
 		Restarts: opts.Restarts, MaxIter: opts.MaxIter,
-		Seed: opts.Seed, Workers: opts.Workers,
+		Seed: opts.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sgp: hyperparameter fit: %w", err)
@@ -112,20 +109,20 @@ func Fit(X [][]float64, y []float64, opts Options) (*SGP, error) {
 	if m > n {
 		m = n
 	}
-	Z := farthestPoints(X, m, opts.Workers)
+	Z := farthestPoints(X, m)
 	dim := len(X[0])
 	kt := opts.Kernel
 	if kt == kernel.Auto {
 		kt = kernel.Matern52 // mirror gp.Fit's default
 	}
 	kern := &kernel.Kernel{Type: kt, Dim: dim, Categorical: opts.Categorical}
-	return FitFixed(X, y, kern, eg.Hyper(), eg.NoiseVar(), Z, opts.Workers)
+	return FitFixed(X, y, kern, eg.Hyper(), eg.NoiseVar(), Z)
 }
 
 // FitFixed builds a sparse GP with given hyperparameters, noise
 // variance (standardized units) and inducing points Z — the test and
 // refit entry point that skips hyperparameter optimization.
-func FitFixed(X [][]float64, y []float64, kern *kernel.Kernel, hyper *kernel.Hyper, noiseVar float64, Z [][]float64, workers int) (*SGP, error) {
+func FitFixed(X [][]float64, y []float64, kern *kernel.Kernel, hyper *kernel.Hyper, noiseVar float64, Z [][]float64) (*SGP, error) {
 	n := len(X)
 	if n == 0 || len(Z) == 0 {
 		return nil, ErrNoData
@@ -140,18 +137,18 @@ func FitFixed(X [][]float64, y []float64, kern *kernel.Kernel, hyper *kernel.Hyp
 	mean, sd, ys := stat.Standardize(y)
 	s := &SGP{kern: kern, hyper: hyper, noiseVar: noiseVar, z: Z, meanY: mean, stdY: sd, n: n}
 
-	kuu := kern.MatrixWorkers(Z, hyper, workers)
+	kuu := kern.Matrix(Z, hyper)
 	cholKuu, err := linalg.NewCholesky(kuu)
 	if err != nil {
 		return nil, fmt.Errorf("sgp: Kuu factorization: %w", err)
 	}
-	kuf := kern.CrossMatrixWorkers(Z, X, hyper, workers)
+	kuf := kern.CrossMatrixWorkers(Z, X, hyper, 0)
 
 	// A = Kuu + σ⁻²·Kuf·Kfu, assembled from length-n row dots so each
 	// entry has a fixed summation order (bit-identical across workers).
 	a := linalg.NewMatrix(m, m)
 	invNoise := 1 / noiseVar
-	parallel.For(m, workers, func(i int) {
+	parallel.For(m, 0, func(i int) {
 		ri := kuf.Row(i)
 		for j := i; j < m; j++ {
 			v := kuu.At(i, j) + invNoise*linalg.Dot(ri, kuf.Row(j))
@@ -290,7 +287,7 @@ func subsampleIndices(n, max int) []int {
 // point selection: start from row 0, then repeatedly add the point
 // with the largest distance to the chosen set (ties broken by lowest
 // index, so the result is deterministic for every worker count).
-func farthestPoints(X [][]float64, m, workers int) [][]float64 {
+func farthestPoints(X [][]float64, m int) [][]float64 {
 	n := len(X)
 	if m >= n {
 		return X
@@ -304,7 +301,7 @@ func farthestPoints(X [][]float64, m, workers int) [][]float64 {
 	for len(chosen) < m {
 		p := X[next]
 		chosen = append(chosen, p)
-		parallel.For(n, workers, func(i int) {
+		parallel.For(n, 0, func(i int) {
 			if d := sqDist(X[i], p); d < minDist[i] {
 				minDist[i] = d
 			}

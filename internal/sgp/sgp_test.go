@@ -3,11 +3,13 @@ package sgp
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"gptunecrowd/internal/gp"
 	"gptunecrowd/internal/kernel"
 	"gptunecrowd/internal/linalg"
+	"gptunecrowd/internal/parallel"
 )
 
 func smooth(x []float64) float64 {
@@ -47,7 +49,7 @@ func TestAgreesWithExactGPAtFullInducing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := FitFixed(X, Y, kern, h, noiseVar, X, 0)
+	sparse, err := FitFixed(X, Y, kern, h, noiseVar, X)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +84,8 @@ func TestObserveMatchesRefit(t *testing.T) {
 	sd = math.Sqrt(sd / float64(len(Y)))
 
 	kern, h := testHyper()
-	Z := farthestPoints(X, 12, 0)
-	inc, err := FitFixed(X, Y, kern, h, 1e-3, Z, 0)
+	Z := farthestPoints(X, 12)
+	inc, err := FitFixed(X, Y, kern, h, 1e-3, Z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestObserveMatchesRefit(t *testing.T) {
 		allX = append(allX, x)
 		allY = append(allY, y)
 	}
-	refit, err := FitFixed(allX, allY, kern, h, 1e-3, Z, 0)
+	refit, err := FitFixed(allX, allY, kern, h, 1e-3, Z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestBatchMatchesPointwiseAllWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	X, Y := sampleSmooth(120, rng)
 	kern, h := testHyper()
-	m, err := FitFixed(X, Y, kern, h, 1e-3, farthestPoints(X, 16, 0), 0)
+	m, err := FitFixed(X, Y, kern, h, 1e-3, farthestPoints(X, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestPredictVarianceMatchesTwoSolveForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	X, Y := sampleSmooth(150, rng)
 	kern, h := testHyper()
-	m, err := FitFixed(X, Y, kern, h, 1e-3, farthestPoints(X, 24, 0), 0)
+	m, err := FitFixed(X, Y, kern, h, 1e-3, farthestPoints(X, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +219,13 @@ func TestFarthestPointsDeterministicAcrossWorkers(t *testing.T) {
 	for i := range X {
 		X[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	want := farthestPoints(X, 20, 1)
+	pick := func(workers int) [][]float64 {
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
+		return farthestPoints(X, 20)
+	}
+	want := pick(1)
 	for _, workers := range []int{2, 4, 9} {
-		got := farthestPoints(X, 20, workers)
+		got := pick(workers)
 		for i := range want {
 			for d := range want[i] {
 				if got[i][d] != want[i][d] {
@@ -229,8 +235,32 @@ func TestFarthestPointsDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// m >= n is the identity.
-	if got := farthestPoints(X[:5], 10, 0); len(got) != 5 {
+	if got := farthestPoints(X[:5], 10); len(got) != 5 {
 		t.Fatalf("overshoot returned %d points", len(got))
+	}
+
+	// The whole fit — subsample hyperparameters, inducing points and
+	// the Kuu/Kuf/A assembly — is bit-identical at 1 and 4 workers.
+	Y := make([]float64, len(X))
+	for i, x := range X {
+		Y[i] = smooth(x) + x[2]*x[2]
+	}
+	fit := func(workers int) *SGP {
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
+		m, err := Fit(X, Y, Options{MaxInducing: 24, HyperSubsample: 48, Restarts: 2, MaxIter: 15, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ref, par := fit(1), fit(4)
+	for i := 0; i < 20; i++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		m1, s1 := ref.Predict(x)
+		m4, s4 := par.Predict(x)
+		if m1 != m4 || s1 != s4 {
+			t.Fatalf("probe %d: Fit at 4 workers predicts (%v, %v), at 1 worker (%v, %v)", i, m4, s4, m1, s1)
+		}
 	}
 }
 
@@ -257,12 +287,12 @@ func TestErrors(t *testing.T) {
 		t.Fatal("length mismatch should fail")
 	}
 	kern, h := testHyper()
-	if _, err := FitFixed([][]float64{{0, 0}}, []float64{1, 2}, kern, h, 1e-3, [][]float64{{0, 0}}, 0); err == nil {
+	if _, err := FitFixed([][]float64{{0, 0}}, []float64{1, 2}, kern, h, 1e-3, [][]float64{{0, 0}}); err == nil {
 		t.Fatal("FitFixed length mismatch should fail")
 	}
 	rng := rand.New(rand.NewSource(6))
 	X, Y := sampleSmooth(20, rng)
-	m, err := FitFixed(X, Y, kern, h, 1e-3, X[:4], 0)
+	m, err := FitFixed(X, Y, kern, h, 1e-3, X[:4])
 	if err != nil {
 		t.Fatal(err)
 	}

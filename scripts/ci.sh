@@ -102,6 +102,35 @@ if ! grep -q '^func SearchNext(surr BatchPredictor,' internal/core/search.go; th
     exit 1
 fi
 
+# One parallelism knob: inside the numeric stack every worker count
+# comes from GPTUNE_WORKERS, else GOMAXPROCS (parallel.DefaultWorkers).
+# The per-call Workers options of the fits, the Sobol' analysis, the
+# acquisition search and DE stay deleted, and so do MatMulWorkers and
+# the worker argument of MultiStartParallel. The workers arguments left
+# on the kernel assemblies and PredictBatchInto are what bench/ calls.
+echo "== GPTUNE_WORKERS is the one parallelism knob: no per-call Workers option"
+for spec in internal/gp/gp.go:Options internal/lcm/lcm.go:Options internal/sgp/sgp.go:Options \
+    internal/sensitivity/sobol.go:Options internal/core/search.go:SearchOptions internal/optimize/de.go:DEConfig; do
+    file=${spec%%:*} typ=${spec##*:}
+    body=$(awk "/^type $typ struct/,/^}/" "$file")
+    if [ -z "$body" ]; then
+        echo "FAIL: type $typ not found in $file" >&2
+        exit 1
+    fi
+    if echo "$body" | grep -nE '^\s*([A-Za-z_][A-Za-z0-9_]*,\s*)*Workers\b'; then
+        echo "FAIL: $typ in $file has a Workers field again" >&2
+        exit 1
+    fi
+done
+if grep -rnE '\bMatMulWorkers\b|\bparallel\.Resolve\b' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: MatMulWorkers or the exported parallel.Resolve is back" >&2
+    exit 1
+fi
+if ! grep -q '^func MultiStartParallel(starts \[\]\[\]float64, minimize func' internal/optimize/multistart.go; then
+    echo "FAIL: MultiStartParallel takes a worker count again" >&2
+    exit 1
+fi
+
 # One loop, one model door, one problem builder: every tuning run goes
 # through core.Session (the standalone multi-fidelity loop is deleted),
 # every exact-GP fit outside the model packages through surrogate.New,
