@@ -454,9 +454,7 @@ func suggestBenchSnapshot(n int) *suggest.Snapshot {
 }
 
 func BenchmarkSuggestHotPath(b *testing.B) {
-	svc := suggest.New(benchSuggestSource{suggestBenchSnapshot(64)}, suggest.Config{
-		Seed: 9, Candidates: 64, DEGens: 8,
-	})
+	svc := suggest.New(benchSuggestSource{suggestBenchSnapshot(64)}, suggest.Config{Seed: 9})
 	ctx := context.Background()
 	req := suggest.Request{Problem: "bench"}
 	if _, err := svc.Suggest(ctx, req); err != nil {
@@ -480,9 +478,7 @@ func BenchmarkSuggestHotPath(b *testing.B) {
 // in scripts/ci.sh (batch serving is clone-per-request by design, so
 // its budget is far above the single-proposal gate, but still fixed).
 func BenchmarkSuggestBatchHotPath(b *testing.B) {
-	svc := suggest.New(benchSuggestSource{suggestBenchSnapshot(64)}, suggest.Config{
-		Seed: 9, Candidates: 64, DEGens: 8,
-	})
+	svc := suggest.New(benchSuggestSource{suggestBenchSnapshot(64)}, suggest.Config{Seed: 9})
 	ctx := context.Background()
 	req := suggest.Request{Problem: "bench", Batch: 8}
 	if _, err := svc.Suggest(ctx, req); err != nil {

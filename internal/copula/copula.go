@@ -32,29 +32,16 @@ type Source struct {
 	Y    []float64
 }
 
-// Options tunes the copula fit.
-type Options struct {
-	// Shrinkage scales the off-diagonal covariance entries by (1 -
-	// Shrinkage), regularizing the joint Gaussian toward independent
-	// marginals. 0 means the default 0.05; use a negative value for no
-	// shrinkage.
-	Shrinkage float64
-	// StdFloor is the minimum predictive standard deviation in
-	// objective units (default 1e-6), keeping acquisitions well defined
-	// when the conditional collapses.
-	StdFloor float64
-}
-
-func (o *Options) defaults() {
-	if o.Shrinkage == 0 {
-		o.Shrinkage = 0.05
-	} else if o.Shrinkage < 0 {
-		o.Shrinkage = 0
-	}
-	if o.StdFloor <= 0 {
-		o.StdFloor = 1e-6
-	}
-}
+const (
+	// shrinkage scales the off-diagonal covariance entries by (1 -
+	// shrinkage), regularizing the joint Gaussian toward independent
+	// marginals.
+	shrinkage = 0.05
+	// stdFloor is the minimum predictive standard deviation in
+	// objective units, keeping acquisitions well defined when the
+	// conditional collapses.
+	stdFloor = 1e-6
+)
 
 // Model is the Gaussian-copula transfer surrogate. It satisfies
 // core.Surrogate. After Fit returns, Predict and PredictBatchInto are
@@ -62,7 +49,6 @@ func (o *Options) defaults() {
 type Model struct {
 	dim     int
 	sources []Source
-	opts    Options
 
 	srcRows int // pooled source row count, for Cost
 
@@ -81,15 +67,14 @@ type Model struct {
 // New returns an unfitted model over a dim-dimensional canonical
 // parameter space with the given related-task histories (nil for a
 // single-task fit).
-func New(dim int, sources []Source, opts Options) *Model {
-	opts.defaults()
+func New(dim int, sources []Source) *Model {
 	rows := 0
 	for _, s := range sources {
 		if len(s.Y) >= 2 {
 			rows += len(s.Y)
 		}
 	}
-	return &Model{dim: dim, sources: sources, opts: opts, srcRows: rows}
+	return &Model{dim: dim, sources: sources, srcRows: rows}
 }
 
 // Name identifies the surrogate kind.
@@ -178,7 +163,7 @@ func (m *Model) refit() error {
 		}
 	}
 	norm := 1.0 / float64(len(rows)-1)
-	keep := 1 - m.opts.Shrinkage
+	keep := 1 - shrinkage
 	for i := 0; i <= d; i++ {
 		for j := i; j <= d; j++ {
 			v := cov.At(i, j) * norm
@@ -256,8 +241,8 @@ func (m *Model) Predict(x []float64) (mean, std float64) {
 	lo := m.inv.Value(z - m.condStd)
 	hi := m.inv.Value(z + m.condStd)
 	std = (hi - lo) / 2
-	if std < m.opts.StdFloor {
-		std = m.opts.StdFloor
+	if std < stdFloor {
+		std = stdFloor
 	}
 	return mean, std
 }

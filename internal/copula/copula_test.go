@@ -94,7 +94,7 @@ func sampleTask(n int, rng *rand.Rand) ([][]float64, []float64) {
 func TestTransferPrediction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sx, sy := sampleTask(200, rng)
-	m := New(1, []Source{{Name: "src", X: sx, Y: sy}}, Options{})
+	m := New(1, []Source{{Name: "src", X: sx, Y: sy}})
 	tx, ty := sampleTask(5, rng)
 	if err := m.Fit(tx, ty); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestTransferPrediction(t *testing.T) {
 func TestFewShotNoTargetSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sx, sy := sampleTask(100, rng)
-	m := New(1, []Source{{Name: "src", X: sx, Y: sy}}, Options{})
+	m := New(1, []Source{{Name: "src", X: sx, Y: sy}})
 	if err := m.Fit(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFewShotNoTargetSamples(t *testing.T) {
 func TestObserveRefits(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sx, sy := sampleTask(80, rng)
-	m := New(1, []Source{{X: sx, Y: sy}}, Options{})
+	m := New(1, []Source{{X: sx, Y: sy}})
 	if err := m.Fit(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestObserveRefits(t *testing.T) {
 func TestBatchMatchesPointwiseAllWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	sx, sy := sampleTask(150, rng)
-	m := New(1, []Source{{X: sx, Y: sy}}, Options{})
+	m := New(1, []Source{{X: sx, Y: sy}})
 	tx, ty := sampleTask(8, rng)
 	if err := m.Fit(tx, ty); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestBatchMatchesPointwiseAllWorkerCounts(t *testing.T) {
 }
 
 func TestErrorsAndPrior(t *testing.T) {
-	m := New(2, nil, Options{})
+	m := New(2, nil)
 	if mean, std := m.Predict([]float64{0, 0}); mean != 0 || std != 1 {
 		t.Fatalf("unfitted prior = (%v, %v), want (0, 1)", mean, std)
 	}
@@ -214,7 +214,7 @@ func TestErrorsAndPrior(t *testing.T) {
 func TestCostMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sx, sy := sampleTask(50, rng)
-	m := New(3, []Source{{X: sx, Y: sy}}, Options{})
+	m := New(3, []Source{{X: sx, Y: sy}})
 	prev := 0.0
 	for _, n := range []int{0, 10, 100, 1000, 10000} {
 		c := m.Cost(n)

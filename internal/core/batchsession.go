@@ -180,13 +180,13 @@ func (s *Session) proposeOne(rctx context.Context) (*pendingEntry, error) {
 	// Proposers that do not consult the history (pure space-filling)
 	// can repeat a pending point; retry with random draws before
 	// accepting the duplicate (exhausted discrete spaces must not hang).
-	if scratch.Contains(u, s.search.DedupTol) {
+	if scratch.Contains(u, dedupTol) {
 		for i := 0; i < 64; i++ {
 			c := s.problem.ParamSpace.Canonicalize(RandomPoint(s.problem.ParamSpace, s.rng))
 			if s.search.Feasible != nil && !s.search.Feasible(c) {
 				continue
 			}
-			if !scratch.Contains(c, s.search.DedupTol) {
+			if !scratch.Contains(c, dedupTol) {
 				u = c
 				break
 			}

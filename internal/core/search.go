@@ -64,8 +64,6 @@ var canonPool = sync.Pool{New: func() interface{} { b := make([]float64, 0, 32);
 type SearchOptions struct {
 	Candidates int // random candidate pool size (default 256)
 	DEGens     int // differential-evolution generations (default 30)
-	DEPop      int // DE population (default 0 → heuristic)
-	DedupTol   float64
 	// Feasible, when set, restricts the search to normalized points it
 	// accepts (populated by the loop from Problem.Constraints).
 	Feasible func(u []float64) bool
@@ -78,10 +76,11 @@ func (o *SearchOptions) defaults() {
 	if o.DEGens == 0 {
 		o.DEGens = 30
 	}
-	if o.DedupTol == 0 {
-		o.DedupTol = 1e-9
-	}
 }
+
+// dedupTol is the per-coordinate distance within which a proposal
+// repeats a point already in the history.
+const dedupTol = 1e-9
 
 // SearchNext maximizes the acquisition over the normalized parameter
 // space and returns a canonicalized point not yet present in the
@@ -173,12 +172,11 @@ func SearchNext(surr BatchPredictor, sp *space.Space, acq Acquisition, h *Histor
 		Lower:   lo,
 		Upper:   hi,
 		MaxGen:  opts.DEGens,
-		Pop:     opts.DEPop,
 		Seeds:   seeds,
 		RandSrc: rng,
 	})
 	u := sp.Canonicalize(res.X)
-	if !h.Contains(u, opts.DedupTol) {
+	if !h.Contains(u, dedupTol) {
 		return u
 	}
 	// The optimum was already evaluated (common on small discrete
@@ -191,7 +189,7 @@ func SearchNext(surr BatchPredictor, sp *space.Space, acq Acquisition, h *Histor
 			continue // infeasible or unscoreable candidate
 		}
 		c := sp.Canonicalize(s.u)
-		if h.Contains(c, opts.DedupTol) {
+		if h.Contains(c, dedupTol) {
 			continue
 		}
 		if bestAlt == nil || s.f < bestF {
@@ -210,7 +208,7 @@ func SearchNext(surr BatchPredictor, sp *space.Space, acq Acquisition, h *Histor
 		if opts.Feasible != nil && !opts.Feasible(c) {
 			continue
 		}
-		if !h.Contains(c, opts.DedupTol) {
+		if !h.Contains(c, dedupTol) {
 			return c
 		}
 	}

@@ -280,3 +280,36 @@ func TestVersionRangeOpenEnds(t *testing.T) {
 		t.Fatal("absent software should not match")
 	}
 }
+
+// TestUploadUnreadableSampleRefused: cores_per_node -9223372036854775700
+// is stored as a float that rounds past int64, so no query could return
+// it. The upload must refuse it rather than acknowledge a sample that
+// every read skips.
+func TestUploadUnreadableSampleRefused(t *testing.T) {
+	_, alice, _ := testServer(t)
+	fe := sampleEval("edge", 100, 1.0, "private")
+	fe.Machine.CoresPerNode = -9223372036854775700
+	ids, err := alice.Upload([]FuncEval{fe})
+	if err == nil {
+		got, qerr := alice.Query(QueryRequest{TuningProblemName: "edge"})
+		if qerr != nil {
+			t.Fatal(qerr)
+		}
+		if len(got) != len(ids) {
+			t.Fatalf("upload acknowledged %d samples, the owner's query returns %d", len(ids), len(got))
+		}
+	}
+	// The rest of the upload surface is unchanged: the same sample with
+	// an ordinary core count is stored and returned.
+	fe.Machine.CoresPerNode = 32
+	if _, err := alice.Upload([]FuncEval{fe}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := alice.Query(QueryRequest{TuningProblemName: "edge"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Machine.CoresPerNode != 32 {
+		t.Fatalf("query after a valid upload: %+v", got)
+	}
+}

@@ -50,13 +50,8 @@ type Config struct {
 	// every authenticated user may (the single-operator deployment).
 	AdminUsers []string
 
-	// Suggestion-service tuning (zero values select the suggest package
-	// defaults): how many appended samples a model absorbs incrementally
-	// before a full refit, how far behind the history a served model may
-	// lag, and the fit / search RNG seed.
-	SuggestRefitEvery int
-	SuggestMaxStale   int
-	SuggestSeed       int64
+	// SuggestSeed seeds the suggestion service's fits and searches.
+	SuggestSeed int64
 }
 
 // Defaults for the zero Config.
@@ -182,11 +177,9 @@ func NewServerWith(cfg Config) *Server {
 	s.models().IndexBy(problemField)
 	s.registerDerivedMetrics()
 	s.suggest = suggest.New(storeSource{s}, suggest.Config{
-		RefitEvery: cfg.SuggestRefitEvery,
-		MaxStale:   cfg.SuggestMaxStale,
-		Seed:       cfg.SuggestSeed,
-		Registry:   s.metrics.reg,
-		Logger:     s.slog,
+		Seed:     cfg.SuggestSeed,
+		Registry: s.metrics.reg,
+		Logger:   s.slog,
 	})
 	mux := http.NewServeMux()
 	for _, e := range Endpoints() {
@@ -555,6 +548,7 @@ func (s *Server) applyUpload(req *UploadRequest, user string) (int, interface{})
 	if dup := checkDuplicateIDs(req.FuncEvals); dup != nil {
 		return http.StatusBadRequest, errorResponse{Error: dup.Error(), Code: "duplicate_ids"}
 	}
+	stored := make([]historydb.Document, len(req.FuncEvals))
 	for i := range req.FuncEvals {
 		fe := &req.FuncEvals[i]
 		if err := fe.Validate(); err != nil {
@@ -565,6 +559,17 @@ func (s *Server) applyUpload(req *UploadRequest, user string) (int, interface{})
 			fe.Accessibility = "public"
 		}
 		fe.Machine = fe.Machine.Normalize()
+		doc, err := toDocument(fe)
+		if err != nil {
+			return fail(http.StatusBadRequest, "sample %d: %v", i, err)
+		}
+		// Queries read the stored form with funcEvalOf. A sample it
+		// cannot read (an integer the float round trip pushes past
+		// int64) would be acknowledged and then skipped by every query.
+		if _, ok := funcEvalOf(doc); !ok {
+			return fail(http.StatusBadRequest, "sample %d: a field does not survive storage (integer out of range)", i)
+		}
+		stored[i] = doc
 	}
 
 	var (
@@ -582,11 +587,7 @@ func (s *Server) applyUpload(req *UploadRequest, user string) (int, interface{})
 			quarantined = append(quarantined, QuarantineReport{Index: i, Reason: reason, Detail: detail})
 			continue
 		}
-		doc, err := toDocument(fe)
-		if err != nil {
-			return fail(http.StatusBadRequest, "sample %d: %v", i, err)
-		}
-		docs = append(docs, doc)
+		docs = append(docs, stored[i])
 		accepted = append(accepted, fe)
 	}
 	var ids []string

@@ -94,24 +94,23 @@ func parseFitLines(t *testing.T, logText string) []fitLine {
 // TestSuggestEndToEndConcurrent drives the full stack under -race: 32
 // concurrent clients hammer POST /api/v1/suggest while an uploader
 // keeps appending samples. It checks the consistency contract (no
-// proposal lags the uploads it could have seen by MaxStale or more),
+// proposal lags the uploads it could have seen by the service's
+// staleness bound or more),
 // the single-flight fit economy (fit count stays near the number of
 // history versions instead of scaling with request count), and
 // client→server→fit-log trace propagation.
 func TestSuggestEndToEndConcurrent(t *testing.T) {
 	const (
-		maxStale     = 4
+		maxStale     = 16 // the suggest service's staleness bound
 		nClients     = 32
 		perClient    = 4
 		seedBatch    = 8
-		extraUploads = 24
+		extraUploads = 40 // more than maxStale: the bound is crossed
 	)
 	var logBuf syncBuffer
 	srv := NewServerWith(Config{
-		SuggestMaxStale:   maxStale,
-		SuggestRefitEvery: 6,
-		SuggestSeed:       7,
-		Slog:              obs.NewLogger(&logBuf, obs.LogOptions{JSON: true, Level: slog.LevelInfo}),
+		SuggestSeed: 7,
+		Slog:        obs.NewLogger(&logBuf, obs.LogOptions{JSON: true, Level: slog.LevelInfo}),
 	})
 	srv.RegisterProblemPolicy("qr", ProblemPolicy{Space: suggestE2ESpace(t)})
 	ts := httptest.NewServer(srv)
@@ -165,7 +164,7 @@ func TestSuggestEndToEndConcurrent(t *testing.T) {
 				}
 				// Consistency contract: the serving model may lag the
 				// uploads completed before this request by fewer than
-				// MaxStale samples.
+				// maxStale samples.
 				if int64(resp.ModelVersion)+maxStale <= before-1 {
 					errs <- fmt.Errorf("stale proposal: model version %d while %d samples were uploaded (max stale %d)",
 						resp.ModelVersion, before, maxStale)

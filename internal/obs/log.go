@@ -33,9 +33,9 @@ func (h traceHandler) WithGroup(name string) slog.Handler {
 	return traceHandler{Handler: h.Handler.WithGroup(name)}
 }
 
-// WithTraceAttrs wraps a handler so records carry the context's trace
+// withTraceAttrs wraps a handler so records carry the context's trace
 // ID as a "trace" attribute.
-func WithTraceAttrs(h slog.Handler) slog.Handler { return traceHandler{Handler: h} }
+func withTraceAttrs(h slog.Handler) slog.Handler { return traceHandler{Handler: h} }
 
 // LogOptions configures NewLogger.
 type LogOptions struct {
@@ -54,7 +54,7 @@ func NewLogger(w io.Writer, opts LogOptions) *slog.Logger {
 	} else {
 		h = slog.NewTextHandler(w, hopts)
 	}
-	return slog.New(WithTraceAttrs(h))
+	return slog.New(withTraceAttrs(h))
 }
 
 // ParseLevel maps the usual flag spellings ("debug", "info", "warn",

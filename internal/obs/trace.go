@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"time"
 )
 
 // TraceHeader is the HTTP header that carries the trace ID between the
@@ -29,15 +28,6 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// NewSpanID returns a fresh 64-bit span ID as 16 hex characters.
-func NewSpanID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand failure is unrecoverable
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // WithTrace returns ctx carrying the trace ID.
 func WithTrace(ctx context.Context, id string) context.Context {
 	if id == "" {
@@ -50,16 +40,6 @@ func WithTrace(ctx context.Context, id string) context.Context {
 func TraceID(ctx context.Context) string {
 	id, _ := ctx.Value(traceKey{}).(string)
 	return id
-}
-
-// EnsureTrace returns ctx guaranteed to carry a trace ID, generating
-// one when absent, plus the ID.
-func EnsureTrace(ctx context.Context) (context.Context, string) {
-	if id := TraceID(ctx); id != "" {
-		return ctx, id
-	}
-	id := NewTraceID()
-	return WithTrace(ctx, id), id
 }
 
 // ValidTraceID reports whether an externally supplied trace ID is safe
@@ -79,34 +59,4 @@ func ValidTraceID(id string) bool {
 		}
 	}
 	return true
-}
-
-// Span is a lightweight timed operation inside a trace: a name, its own
-// span ID, and a start time. It carries no parent linkage — just enough
-// structure to stamp log lines and observe stage durations.
-type Span struct {
-	Trace string
-	ID    string
-	Name  string
-	start time.Time
-}
-
-// StartSpan opens a span under the context's trace (generating a trace
-// ID if the context has none) and returns the derived context.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	ctx, trace := EnsureTrace(ctx)
-	return ctx, &Span{Trace: trace, ID: NewSpanID(), Name: name, start: time.Now()}
-}
-
-// Duration returns the time elapsed since the span started.
-func (s *Span) Duration() time.Duration { return time.Since(s.start) }
-
-// End finishes the span, observing its duration into hist (when
-// non-nil) and returning it.
-func (s *Span) End(hist *Histogram) time.Duration {
-	d := s.Duration()
-	if hist != nil {
-		hist.Observe(d.Seconds())
-	}
-	return d
 }

@@ -8,17 +8,20 @@ import (
 )
 
 // DEConfig controls the differential-evolution global optimizer used for
-// acquisition-function maximization over normalized box domains.
+// acquisition-function maximization over normalized box domains. The
+// population is max(15, 5·dim).
 type DEConfig struct {
-	Pop     int     // population size (default max(15, 5·dim))
-	MaxGen  int     // generations (default 60)
-	F       float64 // differential weight (default 0.7)
-	CR      float64 // crossover probability (default 0.9)
+	MaxGen  int // generations (default 60)
 	Lower   []float64
 	Upper   []float64
 	Seeds   [][]float64 // optional points injected into the initial population
 	RandSrc *rand.Rand  // required
 }
+
+const (
+	deF  = 0.7 // differential weight
+	deCR = 0.9 // crossover probability
+)
 
 // DifferentialEvolution minimizes f over the box [Lower, Upper] using
 // DE/rand/1/bin with clamped bounds. The initial population is scored
@@ -33,20 +36,9 @@ func DifferentialEvolution(f func([]float64) float64, cfg DEConfig) Result {
 	if cfg.RandSrc == nil {
 		panic("optimize: DE requires RandSrc")
 	}
-	if cfg.Pop == 0 {
-		cfg.Pop = 5 * dim
-		if cfg.Pop < 15 {
-			cfg.Pop = 15
-		}
-	}
+	np := max(15, 5*dim)
 	if cfg.MaxGen == 0 {
 		cfg.MaxGen = 60
-	}
-	if cfg.F == 0 {
-		cfg.F = 0.7
-	}
-	if cfg.CR == 0 {
-		cfg.CR = 0.9
 	}
 	rng := cfg.RandSrc
 	evals := 0
@@ -62,8 +54,8 @@ func DifferentialEvolution(f func([]float64) float64, cfg DEConfig) Result {
 	// The initial population is drawn sequentially (fixed RNG stream),
 	// then scored in parallel into per-slot fitness values: evaluations
 	// consume no randomness, so this is bit-identical to serial scoring.
-	pop := make([][]float64, cfg.Pop)
-	fit := make([]float64, cfg.Pop)
+	pop := make([][]float64, np)
+	fit := make([]float64, np)
 	for i := range pop {
 		x := make([]float64, dim)
 		if i < len(cfg.Seeds) {
@@ -76,23 +68,23 @@ func DifferentialEvolution(f func([]float64) float64, cfg DEConfig) Result {
 		}
 		pop[i] = x
 	}
-	parallel.For(cfg.Pop, 0, func(i int) {
+	parallel.For(np, 0, func(i int) {
 		v := f(pop[i])
 		if math.IsNaN(v) {
 			v = math.Inf(1)
 		}
 		fit[i] = v
 	})
-	evals += cfg.Pop
+	evals += np
 
 	trial := make([]float64, dim)
 	for gen := 0; gen < cfg.MaxGen; gen++ {
 		for i := range pop {
-			a, b, c := distinct3(rng, cfg.Pop, i)
+			a, b, c := distinct3(rng, np, i)
 			jrand := rng.Intn(dim)
 			for d := 0; d < dim; d++ {
-				if d == jrand || rng.Float64() < cfg.CR {
-					trial[d] = pop[a][d] + cfg.F*(pop[b][d]-pop[c][d])
+				if d == jrand || rng.Float64() < deCR {
+					trial[d] = pop[a][d] + deF*(pop[b][d]-pop[c][d])
 				} else {
 					trial[d] = pop[i][d]
 				}

@@ -64,12 +64,15 @@ func (r *Result) MostSensitive(stThreshold float64) []string {
 
 // Options controls the analysis.
 type Options struct {
-	N     int     // base samples (model evaluations = N·(dim+2)); default 1024
-	NBoot int     // bootstrap replicates for confidence intervals; default 100
-	Seed  int64   // bootstrap RNG seed
-	Skip  int     // Sobol' sequence skip (default 0)
-	Alpha float64 // confidence level complement (default 0.05 → 95%)
+	N     int   // base samples (model evaluations = N·(dim+2)); default 1024
+	NBoot int   // bootstrap replicates for confidence intervals; default 100
+	Seed  int64 // bootstrap RNG seed
 }
+
+const (
+	sobolSkip = 0    // leading Sobol' points skipped
+	alpha     = 0.05 // confidence level complement: 95 % intervals
+)
 
 func (o *Options) defaults() {
 	if o.N == 0 {
@@ -77,9 +80,6 @@ func (o *Options) defaults() {
 	}
 	if o.NBoot == 0 {
 		o.NBoot = 100
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.05
 	}
 }
 
@@ -101,7 +101,7 @@ func Analyze(f func(u []float64) float64, dim int, names []string, opts Options)
 	if len(names) != dim {
 		return nil, fmt.Errorf("sensitivity: %d names for %d dimensions", len(names), dim)
 	}
-	design, err := sample.NewSaltelli(opts.N, dim, opts.Skip)
+	design, err := sample.NewSaltelli(opts.N, dim, sobolSkip)
 	if err != nil {
 		return nil, err
 	}
@@ -173,8 +173,8 @@ func estimate(yA, yB []float64, yAB [][]float64, names []string, opts Options) *
 		res.ST[d] = stEst(d, full)
 		s1Reps := stat.Bootstrap(n, opts.NBoot, rng, func(idx []int) float64 { return s1Est(d, idx) })
 		stReps := stat.Bootstrap(n, opts.NBoot, rng, func(idx []int) float64 { return stEst(d, idx) })
-		res.S1Conf[d] = stat.BootstrapConf(s1Reps, opts.Alpha)
-		res.STConf[d] = stat.BootstrapConf(stReps, opts.Alpha)
+		res.S1Conf[d] = stat.BootstrapConf(s1Reps, alpha)
+		res.STConf[d] = stat.BootstrapConf(stReps, alpha)
 	}
 	return res
 }

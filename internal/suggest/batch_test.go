@@ -9,9 +9,11 @@ import (
 )
 
 // batchService builds a service whose every request fully syncs first
-// (MaxStale 1), so liar bookkeeping is deterministic in tests.
+// (maxStale 1), so liar bookkeeping is deterministic in tests; liars
+// expire after ttl problem generations.
 func batchService(src Source, ttl int) *Service {
-	s, _ := newKindService(src, Config{Seed: 1, MaxStale: 1, LiarTTL: ttl})
+	s, _ := newKindService(src, Config{Seed: 1})
+	s.maxStale, s.liarTTL = 1, ttl
 	return s
 }
 
@@ -30,7 +32,7 @@ func TestSuggestBatchDistinctProposals(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k servedKind) {
 		src := newFakeSource()
 		seedHistory(src, "app", 10)
-		s := batchService(src, 0)
+		s := batchService(src, 4)
 		ctx := context.Background()
 
 		r, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name, Batch: 4})
@@ -68,7 +70,8 @@ func TestSuggestBatchDistinctProposals(t *testing.T) {
 func TestSuggestBatchOversizeRejected(t *testing.T) {
 	src := newFakeSource()
 	seedHistory(src, "app", 6)
-	s := New(src, Config{Seed: 1, MaxBatch: 4})
+	s := New(src, Config{Seed: 1})
+	s.maxBatch = 4
 	if _, err := s.Suggest(context.Background(), Request{Problem: "app", Batch: 5}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("oversize batch: got %v, want ErrBadRequest", err)
 	}
@@ -77,7 +80,7 @@ func TestSuggestBatchOversizeRejected(t *testing.T) {
 func TestSuggestBatchColdStartSpaceFill(t *testing.T) {
 	src := newFakeSource()
 	src.add("app", []float64{0.5, 0.5}, 1) // 1 row: below the 2-sample surrogate floor
-	s := batchService(src, 0)
+	s := batchService(src, 4)
 	r, err := s.Suggest(context.Background(), Request{Problem: "app", Batch: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +144,7 @@ func TestSuggestLiarRetiredExactlyOnce(t *testing.T) {
 }
 
 // TestSuggestLiarExpiry: liars the crowd never reports back expire
-// after LiarTTL problem generations instead of haunting every batch.
+// after liarTTL problem generations instead of haunting every batch.
 func TestSuggestLiarExpiry(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k servedKind) {
 		src := newFakeSource()
@@ -199,7 +202,8 @@ func auditLiarBooks(t *testing.T, s *Service) {
 // nothing can retire them any more.
 func TestSuggestEvictionSettlesLiars(t *testing.T) {
 	src := newFakeSource()
-	s := New(src, Config{Seed: 1, CacheSize: 2})
+	s := New(src, Config{Seed: 1})
+	s.cacheSize = 2
 	for i := 0; i < 4; i++ {
 		problem := fmt.Sprintf("app%d", i)
 		seedHistory(src, problem, 6)
@@ -234,7 +238,7 @@ func TestSuggestEvictionSettlesLiars(t *testing.T) {
 func TestSuggestStalenessClockMonotone(t *testing.T) {
 	src := newFakeSource()
 	seedHistory(src, "app", 10)
-	s := batchService(src, 0)
+	s := batchService(src, 4)
 	ctx := context.Background()
 
 	s.NotifyAppend("app", 10)
@@ -271,7 +275,8 @@ func TestSuggestConcurrentUploadsAndBatches(t *testing.T) {
 	for _, p := range problems {
 		seedHistory(src, p, 10)
 	}
-	s := New(src, Config{Seed: 1, MaxStale: 4, LiarTTL: 1000, CacheSize: 2})
+	s := New(src, Config{Seed: 1})
+	s.maxStale, s.liarTTL, s.cacheSize = 4, 1000, 2
 	ctx := context.Background()
 	if _, err := s.Suggest(ctx, Request{Problem: "app"}); err != nil {
 		t.Fatal(err)
@@ -321,7 +326,7 @@ func TestSuggestConcurrentUploadsAndBatches(t *testing.T) {
 func TestSuggestBatchStatsOmitsSingles(t *testing.T) {
 	src := newFakeSource()
 	seedHistory(src, "app", 8)
-	s := batchService(src, 0)
+	s := batchService(src, 4)
 	for i := 0; i < 3; i++ {
 		if _, err := s.Suggest(context.Background(), Request{Problem: "app"}); err != nil {
 			t.Fatal(err)

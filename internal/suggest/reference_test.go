@@ -18,9 +18,10 @@ import (
 // with it bit for bit. It is a reference, not a golden file: the digits
 // may differ between platforms, the equality may not.
 type reference struct {
-	cfg  Config
-	sp   *space.Space
-	mask []bool
+	seed                int64
+	refitEvery, liarTTL int
+	sp                  *space.Space
+	mask                []bool
 
 	model    *gp.GP
 	n        int
@@ -42,7 +43,7 @@ func (r *reference) sync(t *testing.T, src *fakeSource, problem string) {
 		// The refit budget and the drift reference are read off the GP
 		// itself; the service has to keep the same numbers on its own.
 		var next *gp.GP
-		if r.model != nil && r.model.ObservedSinceFit()+len(X)-prev < r.cfg.RefitEvery && !r.drifted(Y[prev:]) {
+		if r.model != nil && r.model.ObservedSinceFit()+len(X)-prev < r.refitEvery && !r.drifted(Y[prev:]) {
 			next = r.model.Clone()
 			for i := prev; i < len(X); i++ {
 				if err := next.Observe(X[i], Y[i]); err != nil {
@@ -53,7 +54,7 @@ func (r *reference) sync(t *testing.T, src *fakeSource, problem string) {
 		}
 		if next == nil {
 			var err error
-			next, err = gp.Fit(X, Y, gp.Options{Seed: r.cfg.Seed, Categorical: r.mask})
+			next, err = gp.Fit(X, Y, gp.Options{Seed: r.seed, Categorical: r.mask})
 			if err != nil {
 				t.Fatalf("reference fit: %v", err)
 			}
@@ -71,7 +72,7 @@ func (r *reference) sync(t *testing.T, src *fakeSource, problem string) {
 	}
 	kept := r.liars[:0]
 	for _, l := range r.liars {
-		if uint64(r.gen)-l.born <= uint64(r.cfg.LiarTTL) {
+		if uint64(r.gen)-l.born <= uint64(r.liarTTL) {
 			kept = append(kept, l)
 		}
 	}
@@ -95,8 +96,8 @@ func (r *reference) drifted(newY []float64) bool {
 // propose returns the k points the service must serve next.
 func (r *reference) propose(k int) [][]float64 {
 	r.seq++
-	rng := rand.New(rand.NewSource(r.cfg.Seed ^ (0x9e3779b9 * r.seq)))
-	opts := core.SearchOptions{Candidates: r.cfg.Candidates, DEGens: r.cfg.DEGens}
+	rng := rand.New(rand.NewSource(r.seed ^ (0x9e3779b9 * r.seq)))
+	opts := core.SearchOptions{Candidates: candidates, DEGens: deGens}
 	if k == 1 && len(r.liars) == 0 {
 		return [][]float64{core.SearchNext(r.model, r.sp, core.EI{}, r.hist, rng, opts)}
 	}
@@ -124,9 +125,9 @@ func (r *reference) propose(k int) [][]float64 {
 	return out
 }
 
-func newReference(cfg Config, sp *space.Space) *reference {
-	cfg.defaults()
-	return &reference{cfg: cfg, sp: sp, mask: sp.CategoricalMask()}
+// newReference follows s's seed and limits.
+func newReference(s *Service, sp *space.Space) *reference {
+	return &reference{seed: s.cfg.Seed, refitEvery: s.refitEvery, liarTTL: s.liarTTL, sp: sp, mask: sp.CategoricalMask()}
 }
 
 // TestSuggestDefaultPathIdentity drives the default kind through a
@@ -137,11 +138,11 @@ func newReference(cfg Config, sp *space.Space) *reference {
 func TestSuggestDefaultPathIdentity(t *testing.T) {
 	src := newFakeSource()
 	seedHistory(src, "app", 40)
-	// MaxStale 1: every request after an upload waits for its sync, so
+	// maxStale 1: every request after an upload waits for its sync, so
 	// the schedule of fits is the script's, not the scheduler's.
-	cfg := Config{Seed: 5, MaxStale: 1}
-	s := New(src, cfg)
-	ref := newReference(cfg, testSpace)
+	s := New(src, Config{Seed: 5})
+	s.maxStale, s.liarTTL = 1, 4
+	ref := newReference(s, testSpace)
 	ctx := context.Background()
 	objective := func(u []float64) float64 { return math.Sin(3*u[0]) + u[1]*u[1] }
 
@@ -204,12 +205,12 @@ func TestSuggestCategoricalMaskReachesModel(t *testing.T) {
 		shift := []float64{0, 0.3, 0.1, 0.2}[i%4]
 		src.add("cat", u, 2*(w-0.3-shift)*(w-0.3-shift)+0.1*shift)
 	}
-	cfg := Config{Seed: 3}
-	got, err := New(src, cfg).Suggest(context.Background(), Request{Problem: "cat"})
+	s := New(src, Config{Seed: 3})
+	got, err := s.Suggest(context.Background(), Request{Problem: "cat"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newReference(cfg, sp)
+	ref := newReference(s, sp)
 	if ref.mask == nil {
 		t.Fatal("space reports no categorical dimension")
 	}

@@ -9,8 +9,8 @@
 // "repository serves the models" division of labor.
 //
 // Consistency contract: a served proposal may lag the newest uploads by
-// fewer than MaxStale samples for its problem (serve-while-stale, with
-// a background refresh in flight); once the lag reaches MaxStale the
+// fewer than maxStale (16) samples for its problem (serve-while-stale,
+// with a background refresh in flight); once the lag reaches it the
 // request blocks until the model is resynchronized. Every history
 // version triggers at most one fit across all concurrent requests.
 package suggest
@@ -78,49 +78,32 @@ type Source interface {
 	History(ctx context.Context, problem string, task map[string]interface{}) (*Snapshot, error)
 }
 
+// Serving limits. Every deployment runs with these; New copies the
+// ones tests shrink into the Service.
+const (
+	cacheSize  = 64  // fitted-model LRU capacity
+	refitEvery = 16  // full refit after this many incremental updates
+	maxStale   = 16  // a request blocks when its model lags this many uploads
+	candidates = 128 // acquisition prescreen pool
+	deGens     = 12  // DE generations per suggestion
+	maxBatch   = 16  // largest Request.Batch
+	// liarTTL is how many problem generations an unretired liar point
+	// survives. A liar is retired early when a matching real sample is
+	// absorbed.
+	liarTTL = 4 * maxStale
+)
+
+// A batch must fit the liar ledger (compile-time check).
+const _ uint = maxLiarsPerEntry - maxBatch
+
 // Config tunes the service.
 type Config struct {
-	CacheSize  int // fitted-model LRU capacity (default 64)
-	RefitEvery int // full refit after this many incremental updates (default 16)
-	MaxStale   int // block when a model lags this many uploads (default RefitEvery)
-	Candidates int // acquisition prescreen pool (default 128)
-	DEGens     int // DE generations per suggestion (default 12)
-	// MaxBatch caps Request.Batch (default 16, hard limit 64).
-	MaxBatch int
-	// LiarTTL is how many problem generations an unretired liar point
-	// survives before it is dropped (default 4×MaxStale). A liar is
-	// retired early when a matching real sample is absorbed.
-	LiarTTL  int
 	Seed     int64
 	Registry *obs.Registry // metrics sink (default: private registry)
 	Logger   *slog.Logger  // fit/error log (default: discard)
 }
 
 func (c *Config) defaults() {
-	if c.CacheSize <= 0 {
-		c.CacheSize = 64
-	}
-	if c.RefitEvery <= 0 {
-		c.RefitEvery = 16
-	}
-	if c.MaxStale <= 0 {
-		c.MaxStale = c.RefitEvery
-	}
-	if c.Candidates <= 0 {
-		c.Candidates = 128
-	}
-	if c.DEGens <= 0 {
-		c.DEGens = 12
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.MaxBatch > maxLiarsPerEntry {
-		c.MaxBatch = maxLiarsPerEntry
-	}
-	if c.LiarTTL <= 0 {
-		c.LiarTTL = 4 * c.MaxStale
-	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
@@ -231,6 +214,9 @@ type entry struct {
 type Service struct {
 	cfg Config
 	src Source
+	// The serving limits, from the package constants; in-package tests
+	// lower them to reach eviction, staleness and expiry quickly.
+	cacheSize, refitEvery, maxStale, maxBatch, liarTTL int
 	// newModel builds an unfitted surrogate of a kind (surrogate.New;
 	// tests substitute stubs).
 	newModel func(kind string, cfg surrogate.Config) (core.Surrogate, error)
@@ -266,7 +252,10 @@ type liar struct {
 // under the suggest_* families.
 func New(src Source, cfg Config) *Service {
 	cfg.defaults()
-	s := &Service{cfg: cfg, src: src, newModel: surrogate.New, entries: make(map[string]*entry), log: cfg.Logger}
+	s := &Service{
+		cfg: cfg, src: src, newModel: surrogate.New, entries: make(map[string]*entry), log: cfg.Logger,
+		cacheSize: cacheSize, refitEvery: refitEvery, maxStale: maxStale, maxBatch: maxBatch, liarTTL: liarTTL,
+	}
 	r := cfg.Registry
 	s.latency = r.Histogram("suggest_latency_seconds", "Suggestion latency from request to proposal.", nil)
 	s.fitSeconds = r.Histogram("suggest_fit_seconds", "Wall time of surrogate fits (full and incremental syncs).", nil)
@@ -276,7 +265,7 @@ func New(src Source, cfg Config) *Service {
 	r.CounterFunc("suggest_fits_total", "Full surrogate refits.", func() float64 { return float64(s.fullFits.Load()) }, obs.L("kind", "full"))
 	r.CounterFunc("suggest_fits_total", "Incremental posterior updates.", func() float64 { return float64(s.incrObs.Load()) }, obs.L("kind", "incremental"))
 	r.CounterFunc("suggest_cache_evictions_total", "Fitted surrogates evicted from the LRU cache.", func() float64 { return float64(s.evictions.Load()) })
-	r.CounterFunc("suggest_stale_waits_total", "Requests blocked on a resynchronizing fit (staleness >= MaxStale).", func() float64 { return float64(s.staleWaits.Load()) })
+	r.CounterFunc("suggest_stale_waits_total", "Requests blocked on a resynchronizing fit (staleness >= 16 uploads).", func() float64 { return float64(s.staleWaits.Load()) })
 	r.GaugeFunc("suggest_cache_entries", "Surrogates currently cached.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -358,7 +347,7 @@ func (s *Service) entryFor(key, problem string, task map[string]interface{}, kin
 		e = &entry{key: key, problem: problem, task: task, kind: kind}
 		s.entries[key] = e
 		s.lruPush(e)
-		for len(s.entries) > s.cfg.CacheSize {
+		for len(s.entries) > s.cacheSize {
 			victim := s.tail
 			s.lruRemove(victim)
 			delete(s.entries, victim.key)
@@ -442,8 +431,8 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 	if k <= 0 {
 		k = 1
 	}
-	if k > s.cfg.MaxBatch {
-		return nil, fmt.Errorf("%w: batch size %d exceeds the maximum %d", ErrBadRequest, k, s.cfg.MaxBatch)
+	if k > s.maxBatch {
+		return nil, fmt.Errorf("%w: batch size %d exceeds the maximum %d", ErrBadRequest, k, s.maxBatch)
 	}
 	key := req.Problem + "\x1f" + TaskKey(req.Task) + "\x1f" + kind
 	e := s.entryFor(key, req.Problem, req.Task, kind)
@@ -455,7 +444,7 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 	gap := gen.Load() - lastSeen
 	hit := true
 	switch {
-	case !fetched, gap >= uint64(s.cfg.MaxStale):
+	case !fetched, gap >= uint64(s.maxStale):
 		// Cold entry or stale beyond the consistency bound: block until
 		// the in-flight (or newly started) sync completes.
 		hit = false
@@ -508,7 +497,7 @@ func (s *Service) Suggest(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	resp := &Response{ModelVersion: version, CacheHit: hit}
-	searchOpts := core.SearchOptions{Candidates: s.cfg.Candidates, DEGens: s.cfg.DEGens}
+	searchOpts := core.SearchOptions{Candidates: candidates, DEGens: deGens}
 	switch {
 	case model == nil:
 		// Cold start: too little history for a surrogate; space-fill.
@@ -751,7 +740,7 @@ func (s *Service) apply(ctx context.Context, e *entry, snap *Snapshot, g0 uint64
 		// Not enough history for a surrogate; space-fill (below).
 	default:
 		if c, ok := model.(cloner); ok && nsucc > prevN &&
-			sinceFit+(nsucc-prevN) < s.cfg.RefitEvery && !drifted(yMean, yStd, snap.Y[prevN:]) {
+			sinceFit+(nsucc-prevN) < s.refitEvery && !drifted(yMean, yStd, snap.Y[prevN:]) {
 			next = c.Clone()
 			for i := prevN; i < nsucc; i++ {
 				if err := next.Observe(snap.X[i], snap.Y[i]); err != nil {
@@ -800,7 +789,7 @@ func (s *Service) apply(ctx context.Context, e *entry, snap *Snapshot, g0 uint64
 			s.liarsRetired.Add(int64(retired))
 		}
 	}
-	if expired := expireLiars(e, g0, uint64(s.cfg.LiarTTL)); expired > 0 {
+	if expired := expireLiars(e, g0, uint64(s.liarTTL)); expired > 0 {
 		s.liarsActive.Add(-int64(expired))
 		s.liarsExpired.Add(int64(expired))
 	}

@@ -173,16 +173,17 @@ func TestSuggestSingleFlight(t *testing.T) {
 }
 
 // TestSuggestIncrementalThenPeriodicRefit pins the sync rule: a model
-// that offers a copy observes new rows on it until the RefitEvery
+// that offers a copy observes new rows on it until the refitEvery
 // budget is spent, any other is rebuilt on every sync — and either way
-// a request at the MaxStale bound waits for the sync.
+// a request at the maxStale bound waits for the sync.
 func TestSuggestIncrementalThenPeriodicRefit(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k servedKind) {
 		src := newFakeSource()
 		seedHistory(src, "app", 6)
-		// MaxStale=1 makes every post-upload request block on a sync, so the
+		// maxStale=1 makes every post-upload request block on a sync, so the
 		// fit kinds are deterministic.
-		s, _ := newKindService(src, Config{Seed: 1, RefitEvery: 3, MaxStale: 1})
+		s, _ := newKindService(src, Config{Seed: 1})
+		s.refitEvery, s.maxStale, s.liarTTL = 3, 1, 4
 		ctx := context.Background()
 
 		if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name}); err != nil {
@@ -195,7 +196,7 @@ func TestSuggestIncrementalThenPeriodicRefit(t *testing.T) {
 		wantIncr := []int64{0, 0, 0}
 		wantFull := []int64{2, 3, 4}
 		if k.clones {
-			wantIncr = []int64{1, 2, 2} // third upload crosses RefitEvery=3 → full refit
+			wantIncr = []int64{1, 2, 2} // third upload crosses refitEvery=3 → full refit
 			wantFull = []int64{1, 1, 2}
 		}
 		for i := 0; i < 3; i++ {
@@ -207,7 +208,7 @@ func TestSuggestIncrementalThenPeriodicRefit(t *testing.T) {
 				t.Fatalf("round %d: %v", i, err)
 			}
 			if want := uint64(7 + i); r.ModelVersion != want {
-				t.Fatalf("round %d: ModelVersion = %d, want %d (no stale serving under MaxStale=1)", i, r.ModelVersion, want)
+				t.Fatalf("round %d: ModelVersion = %d, want %d (no stale serving under maxStale=1)", i, r.ModelVersion, want)
 			}
 			if r.ModelSamples != 7+i {
 				t.Fatalf("round %d: ModelSamples = %d, want %d", i, r.ModelSamples, 7+i)
@@ -239,7 +240,8 @@ func TestSuggestDriftAndFailedObserveForceFullFit(t *testing.T) {
 		t.Run(tc.name+"/"+tc.kind, func(t *testing.T) {
 			src := newFakeSource()
 			seedHistory(src, "app", 10)
-			s, ctl := newKindService(src, Config{Seed: 1, MaxStale: 1})
+			s, ctl := newKindService(src, Config{Seed: 1})
+			s.maxStale, s.liarTTL = 1, 4
 			ctx := context.Background()
 			if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: tc.kind}); err != nil {
 				t.Fatal(err)
@@ -262,12 +264,13 @@ func TestSuggestDriftAndFailedObserveForceFullFit(t *testing.T) {
 func TestSuggestServeWhileStale(t *testing.T) {
 	src := newFakeSource()
 	seedHistory(src, "app", 6)
-	s := New(src, Config{Seed: 1, RefitEvery: 8, MaxStale: 5})
+	s := New(src, Config{Seed: 1})
+	s.refitEvery, s.maxStale, s.liarTTL = 8, 5, 20
 	ctx := context.Background()
 	if _, err := s.Suggest(ctx, Request{Problem: "app"}); err != nil {
 		t.Fatal(err)
 	}
-	// One upload: below MaxStale, so the next request must serve the
+	// One upload: below maxStale, so the next request must serve the
 	// cached (now one-behind) model immediately as a hit and refresh in
 	// the background.
 	src.add("app", []float64{0.9, 0.9}, 1.5)
@@ -302,7 +305,8 @@ func TestSuggestLRUEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		seedHistory(src, fmt.Sprintf("app%d", i), 5)
 	}
-	s := New(src, Config{Seed: 1, CacheSize: 2})
+	s := New(src, Config{Seed: 1})
+	s.cacheSize = 2
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := s.Suggest(ctx, Request{Problem: fmt.Sprintf("app%d", i)}); err != nil {

@@ -212,7 +212,8 @@ func TestSuggestSurrogateStaysFresh(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k servedKind) {
 		src := newFakeSource()
 		seedHistory(src, "app", 12)
-		s, _ := newKindService(src, Config{Seed: 3, MaxStale: 1})
+		s, _ := newKindService(src, Config{Seed: 3})
+		s.maxStale, s.liarTTL = 1, 4
 		ctx := context.Background()
 
 		if _, err := s.Suggest(ctx, Request{Problem: "app", Surrogate: k.name}); err != nil {

@@ -102,7 +102,7 @@ func New(kind string, cfg Config) (core.Surrogate, error) {
 	case KindGP:
 		return &GPSurrogate{cfg: cfg}, nil
 	case KindCopula:
-		return copula.New(cfg.Dim, copulaSources(cfg.Sources), copula.Options{}), nil
+		return copula.New(cfg.Dim, copulaSources(cfg.Sources)), nil
 	case KindSGP:
 		return &SGPSurrogate{cfg: cfg}, nil
 	}

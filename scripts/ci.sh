@@ -131,6 +131,47 @@ if ! grep -q '^func MultiStartParallel(starts \[\]\[\]float64, minimize func' in
     exit 1
 fi
 
+# Every option has a caller: a field that only tests set is a package
+# constant. Each struct below has exactly the fields a caller outside
+# tests sets (cmd/, examples/, bench/, the root API); a new field needs
+# a caller, a deleted one stays deleted. copula.New takes no options.
+# LBFGSConfig's four test-only fields stay for now: shrinking the struct
+# moves the numeric packages' code by 32 bytes mod 64, which measurably
+# slows suggest_hot_n256 (ROADMAP item 5).
+echo "== every option has a caller: the options structs hold only fields their callers set"
+struct_fields() { # file type: the struct's field names, sorted, one line
+    awk "/^type $2 struct/,/^}/" "$1" | sed -e 's://.*$::' -e '1d;$d' |
+        grep -oE '^\s+[A-Za-z_][A-Za-z0-9_]*(\s*,\s*[A-Za-z_][A-Za-z0-9_]*)*\s' |
+        tr ',' '\n' | tr -d ' \t' | grep -v '^$' | sort | tr '\n' ' '
+}
+for spec in \
+    'internal/suggest/suggest.go:Config:Logger Registry Seed ' \
+    'internal/sensitivity/sobol.go:Options:N NBoot Seed ' \
+    'internal/optimize/lbfgs.go:LBFGSConfig:InitStep MaxIter Memory TolF TolGrad ' \
+    'internal/optimize/de.go:DEConfig:Lower MaxGen RandSrc Seeds Upper ' \
+    'internal/core/search.go:SearchOptions:Candidates DEGens Feasible '; do
+    file=${spec%%:*} rest=${spec#*:}
+    typ=${rest%%:*} want=${rest#*:}
+    got=$(struct_fields "$file" "$typ")
+    if [ "$got" != "$want" ]; then
+        echo "FAIL: $typ in $file has fields [$got], want [$want]" >&2
+        exit 1
+    fi
+done
+if grep -rnE '\bSuggest(RefitEvery|MaxStale)\b|\bcopula\.Options\b|\bDedupTol\b|\bDEPop\b' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: a deleted suggest, crowd, copula or search option is back" >&2
+    exit 1
+fi
+if grep -nE '^type Options\b' internal/copula/*.go; then
+    echo "FAIL: copula.Options is back" >&2
+    exit 1
+fi
+if grep -rnE '\b(StartSpan|EnsureTrace|NewSpanID|WithTraceAttrs)\b|\bobs\.Span\b' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "FAIL: the span API nothing called is back" >&2
+    exit 1
+fi
+
 # One loop, one model door, one problem builder: every tuning run goes
 # through core.Session (the standalone multi-fidelity loop is deleted),
 # every exact-GP fit outside the model packages through surrogate.New,
