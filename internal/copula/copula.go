@@ -50,8 +50,6 @@ type Model struct {
 	dim     int
 	sources []Source
 
-	srcRows int // pooled source row count, for Cost
-
 	// target history (copies; appended to by Observe)
 	tx [][]float64
 	ty []float64
@@ -68,28 +66,11 @@ type Model struct {
 // parameter space with the given related-task histories (nil for a
 // single-task fit).
 func New(dim int, sources []Source) *Model {
-	rows := 0
-	for _, s := range sources {
-		if len(s.Y) >= 2 {
-			rows += len(s.Y)
-		}
-	}
-	return &Model{dim: dim, sources: sources, srcRows: rows}
+	return &Model{dim: dim, sources: sources}
 }
 
 // Name identifies the surrogate kind.
 func (m *Model) Name() string { return "copula" }
-
-// Cost returns a deterministic estimate of the work to fit and query
-// the model with n target samples, in arbitrary but cross-surrogate
-// consistent units (≈seconds). It deliberately ignores wall-clock
-// measurements so that bandit arm selection stays a pure function of
-// the history.
-func (m *Model) Cost(n int) float64 {
-	d := float64(m.dim + 1)
-	rows := float64(n + m.srcRows)
-	return 1e-8 * (rows*d*d + d*d*d)
-}
 
 // Fit replaces the target history with (X, Y) and refits the joint
 // Gaussian over the pooled source and target score rows. X may be

@@ -210,21 +210,3 @@ func TestErrorsAndPrior(t *testing.T) {
 		t.Fatalf("Name = %q", m.Name())
 	}
 }
-
-func TestCostMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	sx, sy := sampleTask(50, rng)
-	m := New(3, []Source{{X: sx, Y: sy}})
-	prev := 0.0
-	for _, n := range []int{0, 10, 100, 1000, 10000} {
-		c := m.Cost(n)
-		if c <= prev {
-			t.Fatalf("Cost(%d) = %v not increasing past %v", n, c, prev)
-		}
-		prev = c
-	}
-	// Identical inputs must give identical estimates (determinism).
-	if m.Cost(500) != m.Cost(500) {
-		t.Fatal("Cost is not deterministic")
-	}
-}

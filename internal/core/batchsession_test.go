@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -382,5 +383,45 @@ func TestSingleProposeInteropWithBatch(t *testing.T) {
 		if got := s.History().Samples[i].Y; got != want {
 			t.Fatalf("sample %d: Y=%v, want %v (id-order commit)", i, got, want)
 		}
+	}
+}
+
+// nearRepeatProposer proposes first, then the first committed point
+// shifted by 1e-12 on its continuous first coordinate.
+type nearRepeatProposer struct{ first []float64 }
+
+func (nearRepeatProposer) Name() string { return "near-repeat" }
+
+func (p nearRepeatProposer) Propose(ctx *ProposeContext) ([]float64, error) {
+	if ctx.History.Len() == 0 {
+		return p.first, nil
+	}
+	u := append([]float64(nil), ctx.History.Samples[0].ParamU...)
+	u[0] += 1e-12
+	return u, nil
+}
+
+// TestBatchRedrawsNearRepeat pins the dedup tolerance the batch path
+// shares with SearchNext: a proposal within it of a committed point is
+// redrawn, though the two are not bit-equal.
+func TestBatchRedrawsNearRepeat(t *testing.T) {
+	s, err := NewSession(quadProblem(t), nil, nearRepeatProposer{first: []float64{0.37, 0.61}},
+		SessionOptions{Budget: 4, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	props, err := s.ProposeBatch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ObserveProposal(props[0].ID, evalU(props[0].ParamU), nil); err != nil {
+		t.Fatal(err)
+	}
+	if props, err = s.ProposeBatch(1); err != nil {
+		t.Fatal(err)
+	}
+	committed, got := s.History().Samples[0].ParamU, props[0].ParamU
+	if math.Abs(got[0]-committed[0]) <= 1e-9 && math.Abs(got[1]-committed[1]) <= 1e-9 {
+		t.Fatalf("proposal %v repeats the committed %v within 1e-9; want a redraw", got, committed)
 	}
 }

@@ -28,10 +28,9 @@ type BatchPredictor interface {
 
 // Surrogate is a first-class posterior model with a full lifecycle:
 // fit on a history, absorb single observations incrementally, predict
-// (pointwise and batched), and report its identity and fit cost so a
-// selector can choose between models. Every model family — the exact
-// GP, the LCM, the Gaussian copula, the sparse GP and the Table I
-// transfer models — is built by surrogate.New.
+// (pointwise and batched), and report its identity. Every model family
+// — the exact GP, the LCM, the Gaussian copula, the sparse GP and the
+// Table I transfer models — is built by surrogate.New.
 type Surrogate interface {
 	BatchPredictor
 	// Fit (re)trains the model on inputs X (rows in the unit hypercube)
@@ -44,12 +43,6 @@ type Surrogate interface {
 	// Name identifies the model family: the kind surrogate.New built it
 	// from ("gp", "lcm", "Stacking", ...).
 	Name() string
-	// Cost estimates the fit cost for n samples in arbitrary but
-	// mutually comparable units (the exact GP is n³). The bandit
-	// selector uses these estimates — not wall-clock timings — so that
-	// selection stays a deterministic function of the history and the
-	// RNG stream, which the checkpoint/replay test wall requires.
-	Cost(n int) float64
 }
 
 // SurrogateFunc adapts a pointwise function to the BatchPredictor

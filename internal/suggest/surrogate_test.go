@@ -28,8 +28,7 @@ type stubCtl struct {
 	failFit, failObserve   atomic.Bool
 }
 
-func (m *stub) Name() string       { return "stub" }
-func (m *stub) Cost(n int) float64 { return float64(n) }
+func (m *stub) Name() string { return "stub" }
 
 func (m *stub) Fit(X [][]float64, Y []float64) error {
 	if m.ctl.failFit.Load() {

@@ -93,7 +93,6 @@ func (p *Pool) ensureBuilt(ctx *core.ProposeContext) error {
 	var arms []Arm
 	for _, k := range p.row.Arms {
 		var s core.Surrogate
-		arm := Arm{Name: armSpace, Cost: func(int) float64 { return 0 }}
 		if k != armSpace {
 			var err error
 			if s, err = New(k, cfg); errors.Is(err, tla.ErrNoSources) && !p.row.SourceFed {
@@ -101,11 +100,10 @@ func (p *Pool) ensureBuilt(ctx *core.ProposeContext) error {
 			} else if err != nil {
 				return err
 			}
-			arm = Arm{Name: s.Name(), Cost: s.Cost}
 		}
 		p.arms = append(p.arms, s)
 		p.names = append(p.names, k)
-		arms = append(arms, arm)
+		arms = append(arms, Arm{Name: k, Cost: func(n int) float64 { return armCost(k, cfg, n) }})
 	}
 	if p.row.Warmup == 0 {
 		var err error

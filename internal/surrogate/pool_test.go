@@ -193,26 +193,55 @@ func TestPoolWithoutSourcesSkipsLCM(t *testing.T) {
 
 // TestPoolBeatsAlwaysLCM is the regret test: on a seeded transfer
 // workload the auto pool must reach (or beat) the always-LCM incumbent
-// within the same evaluation budget, averaged over seeds.
+// within the same evaluation budget, averaged over three seeds. The
+// three-source race logs its six incumbents to full precision, the
+// evidence the auto row is judged by.
 func TestPoolBeatsAlwaysLCM(t *testing.T) {
-	var poolSum, lcmSum float64
 	const repeats = 3
-	const budget = 8
-	for r := 0; r < repeats; r++ {
-		p, task, sources := demoSetup(t, 60, int64(20+r))
-		cfg := PoolConfig{Config: Config{Sources: sources}}
-		for kind, sum := range map[string]*float64{KindAuto: &poolSum, KindLCM: &lcmSum} {
-			prop, err := NewProposer(kind, cfg)
-			if err != nil {
-				t.Fatal(err)
+	race := func(t *testing.T, budget int, tol float64, sources func(r int) []*tla.Source, seed func(r int) int64) {
+		var pool, lcm [repeats]float64
+		var poolMean, lcmMean float64
+		p, task := synth.DemoProblem(), map[string]interface{}{"t": 1.0}
+		for r := 0; r < repeats; r++ {
+			cfg := PoolConfig{Config: Config{Sources: sources(r)}}
+			for kind, best := range map[string]*float64{KindAuto: &pool[r], KindLCM: &lcm[r]} {
+				prop, err := NewProposer(kind, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				*best = bestY(t, runProposer(t, p, task, prop, budget, seed(r)))
 			}
-			*sum += bestY(t, runProposer(t, p, task, prop, budget, int64(30+r)))
+			poolMean += pool[r] / repeats
+			lcmMean += lcm[r] / repeats
+		}
+		t.Logf("pool %v (mean %v), always-LCM %v (mean %v)", pool, poolMean, lcm, lcmMean)
+		if poolMean > lcmMean+tol {
+			t.Fatalf("pool (%v) worse than always-LCM (%v) by more than %v at equal budget", poolMean, lcmMean, tol)
 		}
 	}
-	if poolSum/repeats > lcmSum/repeats+0.1 {
-		t.Fatalf("pool (%v) clearly worse than always-LCM (%v) at equal budget",
-			poolSum/repeats, lcmSum/repeats)
-	}
+	t.Run("one_source", func(t *testing.T) {
+		race(t, 8, 0.1, func(r int) []*tla.Source {
+			_, _, sources := demoSetup(t, 60, int64(20+r))
+			return sources
+		}, func(r int) int64 { return int64(30 + r) })
+	})
+	t.Run("three_sources", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("about 30 s of LCM fits; the race detector multiplies that")
+		}
+		race(t, 16, 0.05, func(r int) []*tla.Source {
+			rng := rand.New(rand.NewSource(int64(9 + 100 + r)))
+			var sources []*tla.Source
+			for _, tv := range []float64{0.6, 0.8, 0.9} {
+				X, Y, err := synth.CollectSamples(synth.DemoProblem(), map[string]interface{}{"t": tv}, 200, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sources = append(sources, tla.NewSource(fmt.Sprintf("t=%.1f", tv), X, Y))
+			}
+			return sources
+		}, func(r int) int64 { return int64(9 + 200 + r) })
+	})
 }
 
 func TestPoolStateRoundTrip(t *testing.T) {

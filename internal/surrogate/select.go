@@ -216,6 +216,40 @@ func (s *Selector) pickByUCB(n int, budgetFrac float64) int {
 	return best
 }
 
+// armCost estimates what fitting an arm of the given kind on n target
+// samples costs, in ≈seconds; Pool hands it to the selector as the
+// arm's Cost. Only the auto row's kinds are priced: any other kind is
+// an arm of a one-arm row, which is always chosen, or of a row whose
+// policy reads no cost, so it (like the model-free space arm) costs 0.
+func armCost(kind string, cfg Config, n int) float64 {
+	cfg.defaults()
+	fn := float64(n)
+	switch kind {
+	case KindGP: // the O(n³) exact fit
+		return 1e-9*fn*fn*fn + 1e-6*fn*fn
+	case KindLCM: // the O((Σnᵢ)³) stacked fit over the capped source counts
+		total := fn
+		for _, s := range cfg.Sources {
+			total += float64(min(s.Len(), cfg.MaxSourceSamples))
+		}
+		return 3e-9 * total * total * total
+	case KindCopula: // one covariance pass over the pooled score rows
+		rows := n
+		for _, s := range cfg.Sources {
+			if len(s.Y) >= 2 { // the copula drops a source without an empirical CDF
+				rows += len(s.Y)
+			}
+		}
+		d := float64(cfg.Dim + 1)
+		return 1e-8 * (float64(rows)*d*d + d*d*d)
+	case KindSGP: // O(n·m²) over m = 128 inducing points, plus the capped hyperparameter fit
+		const m = 128.0
+		sub := min(fn, 256)
+		return 1e-9*fn*m*m + 1e-9*sub*sub*sub
+	}
+	return 0
+}
+
 // Credit records the outcome of the most recent pull of arm i: the
 // (non-negative, normalized) incumbent improvement its proposal
 // achieved, and the objective y it evaluated to (+Inf for a failed

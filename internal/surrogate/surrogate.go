@@ -7,11 +7,12 @@
 // tuner name to (policy, arms, warm-up). FitGP and Sensitivity are the
 // same door for a GP fitted outside a tuning loop.
 //
-// Every model's Cost method returns a deterministic estimate (a pure
-// function of the sample count) — never a wall-clock measurement — so
-// that arm selection, and therefore every proposal, stays a
-// deterministic function of the history and the session RNG. Observed
-// fit durations feed only metrics and benchmarks.
+// The auto row's UCB rule prices each arm by armCost (select.go), a
+// deterministic estimate from the arm's kind, its Config and the sample
+// count — never a wall-clock measurement — so that arm selection, and
+// therefore every proposal, stays a deterministic function of the
+// history and the session RNG. Observed fit durations feed only metrics
+// and benchmarks.
 package surrogate
 
 import (
@@ -182,12 +183,6 @@ func (g *GPSurrogate) MarshalJSON() ([]byte, error) {
 // Name implements core.Surrogate.
 func (g *GPSurrogate) Name() string { return KindGP }
 
-// Cost estimates the O(n³) exact fit deterministically.
-func (g *GPSurrogate) Cost(n int) float64 {
-	fn := float64(n)
-	return 1e-9*fn*fn*fn + 1e-6*fn*fn
-}
-
 // Fit implements core.Surrogate.
 func (g *GPSurrogate) Fit(X [][]float64, Y []float64) error {
 	m, err := gp.Fit(X, Y, gp.Options{
@@ -251,18 +246,6 @@ func (s *SGPSurrogate) SetSeed(seed int64) { s.seed = seed }
 
 // Name implements core.Surrogate.
 func (s *SGPSurrogate) Name() string { return KindSGP }
-
-// Cost estimates the O(n·m²) sparse fit over the sgp default of m = 128
-// inducing points plus the capped-subsample hyperparameter fit
-// deterministically.
-func (s *SGPSurrogate) Cost(n int) float64 {
-	const m = 128.0
-	sub := float64(n)
-	if sub > 256 {
-		sub = 256
-	}
-	return 1e-9*float64(n)*m*m + 1e-9*sub*sub*sub
-}
 
 // Fit implements core.Surrogate. The hyperparameter sub-fit runs a
 // single short multi-start over a reduced subsample: as the cheap

@@ -31,7 +31,6 @@ var ErrSourceOnly = errors.New("tla: target fit failed, predicting from the sour
 type Model struct {
 	name string
 	fit  func(X [][]float64, Y []float64, seed int64) (core.Predictor, error)
-	cost func(n int) float64 // nil = one cubic target-side fit
 
 	seed int64
 	x    [][]float64
@@ -44,16 +43,6 @@ func (m *Model) Name() string { return m.name }
 
 // SetSeed reseeds the next Fit.
 func (m *Model) SetSeed(seed int64) { m.seed = seed }
-
-// Cost implements core.Surrogate: every Table I model refits a cubic
-// target-side model per round.
-func (m *Model) Cost(n int) float64 {
-	if m.cost != nil {
-		return m.cost(n)
-	}
-	fn := float64(n)
-	return 1e-9 * fn * fn * fn
-}
 
 // Fit implements core.Surrogate. An error wrapping ErrSourceOnly
 // leaves the model fitted on the sources alone.

@@ -72,15 +72,6 @@ func NewTrueSampleLCM(sources []*Source, maxSamples int, mask []bool) *TrueSampl
 		}
 		return lcmSlice{m: model, task: len(sources)}, nil
 	}}
-	// The O((Σnᵢ)³) stacked fit, over the capped per-source counts
-	// actually fed to the LCM.
-	m.cost = func(n int) float64 {
-		total := float64(n)
-		for _, s := range sources {
-			total += float64(min(s.Len(), maxSamples))
-		}
-		return 3e-9 * total * total * total
-	}
 	return m
 }
 

@@ -86,7 +86,7 @@ awk '
 END { exit bad }' /tmp/cover.txt
 
 echo "== bench smoke"
-go test -run '^$' -bench 'Parallel|GPFit100|LCMFitTwoTasks|SaltelliSensitivity' \
+go test -run '^$' -bench 'Parallel|GPFit100|LCMFitTwoTasks|SaltelliSensitivity|SuggestEndpoint' \
     -benchtime 1x -benchmem .
 
 echo "== repository read-path bench smoke (stores of 1k and 10k documents)"

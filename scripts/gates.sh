@@ -81,6 +81,10 @@ gone  all  SubmitTask LeaseTask HeartbeatTask CompleteTask FailTask ListTasks Up
 
 == dccd676  stored samples are read by funcEvalOf, not a JSON round trip
 gone  src  fromDocument\[FuncEval\]  fromDocument[FuncEval](doc)
+
+== after 15987a2  one benchmark system (bench/); arm fit costs live beside the UCB rule, their one reader
+gone  all  transferbench BENCH_transfer
+only-in  all  \bCost\(n int\)|\barmCost\(  internal/surrogate/select.go internal/surrogate/pool.go internal/surrogate/surrogate_test.go
 ROWS
 }
 
