@@ -297,17 +297,17 @@ func (g *GP) factorize(ys []float64) error {
 }
 
 // crossCov fills a pooled buffer, grown if Observe has outgrown it, with
-// k(x, x_i) over the training rows; the caller Puts it back.
+// k(x, x_i) over the training rows; the caller Puts it back. The tail
+// past the row is the kernel's length-scale scratch.
 func (g *GP) crossCov(x []float64) *[]float64 {
+	n, dim := len(g.x), g.kern.Dim
 	buf, _ := g.predictPool.Get().(*[]float64)
-	if buf == nil || cap(*buf) < len(g.x) {
-		b := make([]float64, len(g.x))
+	if buf == nil || cap(*buf) < n+dim {
+		b := make([]float64, n+dim)
 		buf = &b
 	}
-	ks := (*buf)[:len(g.x)]
-	for i, xi := range g.x {
-		ks[i] = g.kern.Eval(x, xi, g.hyper)
-	}
+	ks := (*buf)[:n]
+	g.kern.RowInto(x, g.x, g.hyper, ks, (*buf)[n:n+dim])
 	*buf = ks
 	return buf
 }

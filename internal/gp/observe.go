@@ -38,10 +38,9 @@ func (g *GP) Observe(x []float64, y float64) error {
 	}
 
 	n := len(g.x)
-	ks := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ks[i] = g.kern.Eval(x, g.x[i], g.hyper)
-	}
+	buf := make([]float64, n+dim) // k(x, ·), then the kernel's length-scale scratch
+	ks := buf[:n]
+	g.kern.RowInto(x, g.x, g.hyper, ks, buf[n:])
 	d := g.kern.Diag(g.hyper) + math.Exp(g.lnoise)
 	if err := g.chol.AppendRow(ks, d); err != nil {
 		return fmt.Errorf("gp: incremental update lost positive definiteness: %w", err)

@@ -12,9 +12,7 @@ import (
 // prior − k·K⁻¹k, before the clamp.
 func (g *GP) twoSolveVariance(x []float64) float64 {
 	ks := make([]float64, len(g.x))
-	for i := range ks {
-		ks[i] = g.kern.Eval(x, g.x[i], g.hyper)
-	}
+	g.kern.RowInto(x, g.x, g.hyper, ks, make([]float64, g.kern.Dim))
 	return g.kern.Diag(g.hyper) - linalg.Dot(ks, g.chol.SolveVec(ks))
 }
 

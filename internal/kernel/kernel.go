@@ -92,11 +92,22 @@ func (h *Hyper) Unpack(src []float64) {
 	h.LogVar = src[len(h.LogLength)]
 }
 
-// scaledSq returns u_d = (dist_d / ℓ_d)² accumulated over dimensions
-// along with the per-dimension contributions in buf (reused).
-func (k *Kernel) scaledSq(x, y []float64, h *Hyper, buf []float64) (float64, []float64) {
+// lengths fills ell (length Dim) with ℓ_d = exp(LogLength[d]). Every
+// site computes ℓ once per call instead of once per pair, and never
+// caches it in Hyper, so no site can read a length scale that is stale
+// after Unpack or a clamp.
+func (h *Hyper) lengths(ell []float64) []float64 {
+	for d := range ell {
+		ell[d] = math.Exp(h.LogLength[d])
+	}
+	return ell
+}
+
+// scaledSq returns r² = Σ_d u_d with u_d = (dist_d / ℓ_d)², storing each
+// u_d in buf when buf is not nil.
+func (k *Kernel) scaledSq(x, y, ell, buf []float64) float64 {
 	var r2 float64
-	for d := 0; d < k.Dim; d++ {
+	for d, l := range ell {
 		var dist float64
 		if k.Categorical != nil && k.Categorical[d] {
 			if x[d] != y[d] {
@@ -105,29 +116,33 @@ func (k *Kernel) scaledSq(x, y []float64, h *Hyper, buf []float64) (float64, []f
 		} else {
 			dist = x[d] - y[d]
 		}
-		l := math.Exp(h.LogLength[d])
-		u := (dist / l) * (dist / l)
+		u := (dist / l) * (dist / l) // not dist·(1/ℓ): that rounds differently
 		if buf != nil {
 			buf[d] = u
 		}
 		r2 += u
 	}
-	return r2, buf
+	return r2
 }
 
-// Eval returns k(x, y).
-func (k *Kernel) Eval(x, y []float64, h *Hyper) float64 {
-	r2, _ := k.scaledSq(x, y, h, nil)
-	sf2 := math.Exp(h.LogVar)
+// profile returns k = σ²·g(r) at r² = r2, and the factor f with
+// dk/dlogℓ_d = f·u_d.
+func (k *Kernel) profile(r2, sf2 float64) (val, f float64) {
 	switch k.Type {
 	case RBF:
-		return sf2 * math.Exp(-0.5*r2)
+		// dk/dlogℓ_d = k·u_d
+		val = sf2 * math.Exp(-0.5*r2)
+		return val, val
 	case Matern32:
 		r := math.Sqrt(r2)
-		return sf2 * (1 + math.Sqrt(3)*r) * math.Exp(-math.Sqrt(3)*r)
+		e := math.Exp(-math.Sqrt(3) * r)
+		// dk/dlogℓ_d = 3·σ²·u_d·e^{−√3 r}
+		return sf2 * (1 + math.Sqrt(3)*r) * e, 3 * sf2 * e
 	case Matern52:
 		r := math.Sqrt(r2)
-		return sf2 * (1 + math.Sqrt(5)*r + 5*r2/3) * math.Exp(-math.Sqrt(5)*r)
+		e := math.Exp(-math.Sqrt(5) * r)
+		// dk/dlogℓ_d = (5/3)·σ²·u_d·(1+√5 r)·e^{−√5 r}
+		return sf2 * (1 + math.Sqrt(5)*r + 5*r2/3) * e, (5.0 / 3.0) * sf2 * (1 + math.Sqrt(5)*r) * e
 	}
 	panic("kernel: unknown type")
 }
@@ -137,54 +152,30 @@ func (k *Kernel) Eval(x, y []float64, h *Hyper) float64 {
 // per-dimension distance loop on the Gram diagonal.
 func (k *Kernel) Diag(h *Hyper) float64 { return math.Exp(h.LogVar) }
 
-// EvalGrad returns k(x, y) and its gradient with respect to the packed
-// hyperparameters [LogLength..., LogVar].
-func (k *Kernel) EvalGrad(x, y []float64, h *Hyper, grad []float64) float64 {
-	return k.evalGradBuf(x, y, h, grad, make([]float64, k.Dim))
-}
-
-// evalGradBuf is EvalGrad with a caller-provided scratch buffer of
-// length Dim, so hot loops avoid one allocation per pair.
-func (k *Kernel) evalGradBuf(x, y []float64, h *Hyper, grad, buf []float64) float64 {
-	r2, _ := k.scaledSq(x, y, h, buf)
-	sf2 := math.Exp(h.LogVar)
-	var val, lenFactor float64
-	switch k.Type {
-	case RBF:
-		val = sf2 * math.Exp(-0.5*r2)
-		// dk/dlogℓ_d = val · u_d
-		lenFactor = val
-	case Matern32:
-		r := math.Sqrt(r2)
-		e := math.Exp(-math.Sqrt(3) * r)
-		val = sf2 * (1 + math.Sqrt(3)*r) * e
-		// dk/dlogℓ_d = 3·σ²·u_d·e^{−√3 r}
-		lenFactor = 3 * sf2 * e
-		// (expressed per-u_d below; the r-dependence cancels)
-		for d := 0; d < k.Dim; d++ {
-			grad[d] = lenFactor * buf[d]
-		}
-		grad[k.Dim] = val
-		return val
-	case Matern52:
-		r := math.Sqrt(r2)
-		e := math.Exp(-math.Sqrt(5) * r)
-		val = sf2 * (1 + math.Sqrt(5)*r + 5*r2/3) * e
-		// dk/dlogℓ_d = (5/3)·σ²·u_d·(1+√5 r)·e^{−√5 r}
-		f := (5.0 / 3.0) * sf2 * (1 + math.Sqrt(5)*r) * e
-		for d := 0; d < k.Dim; d++ {
-			grad[d] = f * buf[d]
-		}
-		grad[k.Dim] = val
-		return val
-	default:
-		panic("kernel: unknown type")
-	}
-	for d := 0; d < k.Dim; d++ {
-		grad[d] = lenFactor * buf[d]
+// evalGrad returns k(x, y) and fills grad with its gradient with respect
+// to the packed hyperparameters [LogLength..., LogVar]; buf is scratch
+// of length Dim.
+func (k *Kernel) evalGrad(x, y, ell []float64, sf2 float64, grad, buf []float64) float64 {
+	val, f := k.profile(k.scaledSq(x, y, ell, buf), sf2)
+	for d, u := range buf {
+		grad[d] = f * u
 	}
 	grad[k.Dim] = val // dk/dlogσ² = k
 	return val
+}
+
+// row fills dst[i] = k(x, X[i]) from precomputed length scales.
+func (k *Kernel) row(x []float64, X [][]float64, ell []float64, sf2 float64, dst []float64) {
+	for i, xi := range X {
+		dst[i], _ = k.profile(k.scaledSq(x, xi, ell, nil), sf2)
+	}
+}
+
+// RowInto fills dst[i] = k(x, X[i]) over the rows of X. ell is scratch
+// of length Dim that receives the length scales, so a caller with
+// pooled scratch evaluates a covariance row without allocating.
+func (k *Kernel) RowInto(x []float64, X [][]float64, h *Hyper, dst, ell []float64) {
+	k.row(x, X, h.lengths(ell), k.Diag(h), dst)
 }
 
 // Matrix returns the n×n Gram matrix over the rows of X, using the
@@ -209,15 +200,13 @@ func (k *Kernel) MatrixWorkers(X [][]float64, h *Hyper, workers int) *linalg.Mat
 // (reused storage in fit loops).
 func (k *Kernel) MatrixInto(X [][]float64, h *Hyper, m *linalg.Matrix, workers int) {
 	n := len(X)
-	diag := k.Diag(h)
+	ell, diag := h.lengths(make([]float64, k.Dim)), k.Diag(h)
 	parallel.For(n, workers, func(i int) {
 		row := m.Row(i)
 		row[i] = diag
-		xi := X[i]
+		k.row(X[i], X[i+1:], ell, diag, row[i+1:])
 		for j := i + 1; j < n; j++ {
-			v := k.Eval(xi, X[j], h)
-			row[j] = v
-			m.Set(j, i, v)
+			m.Set(j, i, row[j])
 		}
 	})
 }
@@ -227,11 +216,9 @@ func (k *Kernel) MatrixInto(X [][]float64, h *Hyper, m *linalg.Matrix, workers i
 // package default).
 func (k *Kernel) CrossMatrixWorkers(A, B [][]float64, h *Hyper, workers int) *linalg.Matrix {
 	m := linalg.NewMatrix(len(A), len(B))
+	ell, sf2 := h.lengths(make([]float64, k.Dim)), k.Diag(h)
 	parallel.For(len(A), workers, func(i int) {
-		row := m.Row(i)
-		for j := range B {
-			row[j] = k.Eval(A[i], B[j], h)
-		}
+		k.row(A[i], B, ell, sf2, m.Row(i))
 	})
 	return m
 }
@@ -253,12 +240,13 @@ func (k *Kernel) MatrixGradsWorkers(X [][]float64, h *Hyper, workers int) (*lina
 
 // gradScratch is the per-worker state of MatrixGradsInto.
 type gradScratch struct {
-	g, buf []float64
+	g, buf, ell []float64
 }
 
 // MatrixGradsInto fills preallocated K and grads matrices. Each worker
-// carries its own scratch, so the hot pair loop performs no allocation;
-// each symmetric pair is evaluated once and mirrored. On the diagonal
+// carries its own scratch and length scales, so the hot pair loop
+// performs no allocation; each symmetric pair is evaluated once and
+// mirrored. On the diagonal
 // (r = 0) the value is the signal variance, the length-scale gradients
 // vanish and dK/dlogσ² equals the value itself.
 func (k *Kernel) MatrixGradsInto(X [][]float64, h *Hyper, K *linalg.Matrix, grads []*linalg.Matrix, workers int) {
@@ -266,7 +254,8 @@ func (k *Kernel) MatrixGradsInto(X [][]float64, h *Hyper, K *linalg.Matrix, grad
 	np := h.NumParams()
 	diag := k.Diag(h)
 	parallel.ForEachWorker(n, workers, func() *gradScratch {
-		return &gradScratch{g: make([]float64, np), buf: make([]float64, k.Dim)}
+		b := make([]float64, np+2*k.Dim)
+		return &gradScratch{g: b[:np], buf: b[np : np+k.Dim], ell: h.lengths(b[np+k.Dim:])}
 	}, func(sc *gradScratch, i int) {
 		K.Set(i, i, diag)
 		for p := 0; p < np-1; p++ {
@@ -275,7 +264,7 @@ func (k *Kernel) MatrixGradsInto(X [][]float64, h *Hyper, K *linalg.Matrix, grad
 		grads[np-1].Set(i, i, diag)
 		xi := X[i]
 		for j := i + 1; j < n; j++ {
-			v := k.evalGradBuf(xi, X[j], h, sc.g, sc.buf)
+			v := k.evalGrad(xi, X[j], sc.ell, diag, sc.g, sc.buf)
 			K.Set(i, j, v)
 			K.Set(j, i, v)
 			for p := 0; p < np; p++ {

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -73,30 +75,96 @@ func TestMatrixGradsWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// The symmetry + diagonal shortcut must agree with direct evaluation.
-func TestMatrixMatchesPairwiseEval(t *testing.T) {
-	for _, typ := range []Type{RBF, Matern32, Matern52} {
-		k := New(typ, 2)
-		k.Categorical = []bool{false, true}
-		h := NewHyper(2)
-		h.LogLength[0] = 0.4
-		h.LogVar = -0.5
-		X := randPoints(9, 2, 3)
-		m := k.Matrix(X, h)
-		for i := range X {
-			for j := range X {
-				if got, want := m.At(i, j), k.Eval(X[i], X[j], h); got != want {
-					t.Fatalf("%s: (%d,%d) = %v, pairwise %v", typ, i, j, got, want)
-				}
+// refEvalGrad is the per-pair formula, with exp taken of every log
+// hyperparameter at every pair, that each kernel form must reproduce
+// bit for bit. It returns k(x, y) and its packed gradient.
+func refEvalGrad(k *Kernel, x, y []float64, h *Hyper) (float64, []float64) {
+	u := make([]float64, k.Dim)
+	var r2 float64
+	for d := range u {
+		dist := x[d] - y[d]
+		if k.Categorical != nil && k.Categorical[d] {
+			dist = 0
+			if x[d] != y[d] {
+				dist = 1
 			}
 		}
-		if got, want := k.Diag(h), k.Eval(X[0], X[0], h); got != want {
-			t.Fatalf("%s: Diag %v vs Eval(x,x) %v", typ, got, want)
+		l := math.Exp(h.LogLength[d])
+		u[d] = (dist / l) * (dist / l)
+		r2 += u[d]
+	}
+	sf2 := math.Exp(h.LogVar)
+	var val, f float64
+	switch k.Type {
+	case RBF:
+		val = sf2 * math.Exp(-0.5*r2)
+		f = val
+	case Matern32:
+		r := math.Sqrt(r2)
+		val = sf2 * (1 + math.Sqrt(3)*r) * math.Exp(-math.Sqrt(3)*r)
+		f = 3 * sf2 * math.Exp(-math.Sqrt(3)*r)
+	case Matern52:
+		r := math.Sqrt(r2)
+		val = sf2 * (1 + math.Sqrt(5)*r + 5*r2/3) * math.Exp(-math.Sqrt(5)*r)
+		f = (5.0 / 3.0) * sf2 * (1 + math.Sqrt(5)*r) * math.Exp(-math.Sqrt(5)*r)
+	}
+	grad := make([]float64, k.Dim+1)
+	for d := range u {
+		grad[d] = f * u[d]
+	}
+	grad[k.Dim] = val
+	return val, grad
+}
+
+// Every form (RowInto, the Gram and cross matrices, the gradient
+// matrices) computes the length scales once per call, and each must
+// equal refEvalGrad's per-pair exp bit for bit, for every family, with
+// and without a categorical mask; the Gram diagonal is the closed form
+// Diag.
+func TestMatrixMatchesPairwiseEval(t *testing.T) {
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s = %v, per-pair %v", what, got, want)
+		}
+	}
+	for _, typ := range []Type{RBF, Matern32, Matern52} {
+		for _, mask := range [][]bool{nil, {false, true, false}} {
+			k := &Kernel{Type: typ, Dim: 3, Categorical: mask}
+			h := randHyper(rand.New(rand.NewSource(int64(typ))), 3)
+			X := randPoints(11, 3, 3)
+			for i := range X {
+				X[i][1] = float64(i%3) / 2 // repeated codes, so both Hamming cases occur
+			}
+			A := randPoints(4, 3, 5)
+			K := k.Matrix(X, h)
+			G, grads := k.MatrixGradsWorkers(X, h, 0)
+			C := k.CrossMatrixWorkers(A, X, h, 0)
+			row, ell := make([]float64, len(X)), make([]float64, k.Dim)
+			for a, x := range A {
+				k.RowInto(x, X, h, row, ell)
+				for j, y := range X {
+					want, _ := refEvalGrad(k, x, y, h)
+					same(fmt.Sprintf("%v/%v: RowInto(a%d)[%d]", typ, mask, a, j), row[j], want)
+					same(fmt.Sprintf("%v/%v: Cross(%d,%d)", typ, mask, a, j), C.At(a, j), want)
+				}
+			}
+			for i, x := range X {
+				for j, y := range X {
+					want, wantGrad := refEvalGrad(k, x, y, h)
+					same(fmt.Sprintf("%v/%v: Matrix(%d,%d)", typ, mask, i, j), K.At(i, j), want)
+					same(fmt.Sprintf("%v/%v: MatrixGrads K(%d,%d)", typ, mask, i, j), G.At(i, j), want)
+					for p, g := range wantGrad {
+						same(fmt.Sprintf("%v/%v: dK%d(%d,%d)", typ, mask, p, i, j), grads[p].At(i, j), g)
+					}
+				}
+			}
+			same(fmt.Sprintf("%v/%v: Diag", typ, mask), k.Diag(h), K.At(0, 0))
 		}
 	}
 }
 
-// The diagonal of MatrixGradsWorkers must match EvalGrad at identical points:
+// The diagonal of MatrixGradsWorkers must match evalGrad at identical points:
 // zero length-scale gradients, dK/dlogσ² equal to the variance.
 func TestMatrixGradsDiagonal(t *testing.T) {
 	k := New(Matern52, 2)
@@ -106,9 +174,9 @@ func TestMatrixGradsDiagonal(t *testing.T) {
 	K, G := k.MatrixGradsWorkers(X, h, 0)
 	g := make([]float64, h.NumParams())
 	for i := range X {
-		v := k.EvalGrad(X[i], X[i], h, g)
+		v := evalGradAt(k, X[i], X[i], h, g)
 		if K.At(i, i) != v {
-			t.Fatalf("diag value %v vs EvalGrad %v", K.At(i, i), v)
+			t.Fatalf("diag value %v vs evalGrad %v", K.At(i, i), v)
 		}
 		for p := range g {
 			if G[p].At(i, i) != g[p] {

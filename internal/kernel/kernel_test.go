@@ -18,13 +18,24 @@ func randHyper(rng *rand.Rand, dim int) *Hyper {
 	return h
 }
 
+// evalAt returns k(x, y) for one pair.
+func evalAt(k *Kernel, x, y []float64, h *Hyper) float64 {
+	v, _ := k.profile(k.scaledSq(x, y, h.lengths(make([]float64, k.Dim)), nil), k.Diag(h))
+	return v
+}
+
+// evalGradAt is evalGrad with its length scales and scratch allocated.
+func evalGradAt(k *Kernel, x, y []float64, h *Hyper, grad []float64) float64 {
+	return k.evalGrad(x, y, h.lengths(make([]float64, k.Dim)), k.Diag(h), grad, make([]float64, k.Dim))
+}
+
 func TestEvalDiagonalIsVariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, typ := range []Type{RBF, Matern32, Matern52} {
 		k := New(typ, 3)
 		h := randHyper(rng, 3)
 		x := []float64{0.1, 0.5, 0.9}
-		got := k.Eval(x, x, h)
+		got := evalAt(k, x, x, h)
 		want := math.Exp(h.LogVar)
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("%v: k(x,x) = %v, want %v", typ, got, want)
@@ -37,11 +48,11 @@ func TestEvalSymmetryAndDecay(t *testing.T) {
 	h := NewHyper(2)
 	x := []float64{0.2, 0.3}
 	y := []float64{0.8, 0.9}
-	if k.Eval(x, y, h) != k.Eval(y, x, h) {
+	if evalAt(k, x, y, h) != evalAt(k, y, x, h) {
 		t.Fatal("kernel not symmetric")
 	}
-	near := k.Eval(x, []float64{0.25, 0.35}, h)
-	far := k.Eval(x, []float64{0.9, 0.95}, h)
+	near := evalAt(k, x, []float64{0.25, 0.35}, h)
+	far := evalAt(k, x, []float64{0.9, 0.95}, h)
 	if near <= far {
 		t.Fatalf("kernel does not decay: near=%v far=%v", near, far)
 	}
@@ -51,12 +62,12 @@ func TestCategoricalHamming(t *testing.T) {
 	k := &Kernel{Type: RBF, Dim: 2, Categorical: []bool{false, true}}
 	h := NewHyper(2)
 	// Categorical dim: any two distinct codes are equally distant.
-	a := k.Eval([]float64{0.5, 0.1}, []float64{0.5, 0.9}, h)
-	b := k.Eval([]float64{0.5, 0.1}, []float64{0.5, 0.3}, h)
+	a := evalAt(k, []float64{0.5, 0.1}, []float64{0.5, 0.9}, h)
+	b := evalAt(k, []float64{0.5, 0.1}, []float64{0.5, 0.3}, h)
 	if math.Abs(a-b) > 1e-15 {
 		t.Fatalf("categorical distance not Hamming: %v vs %v", a, b)
 	}
-	same := k.Eval([]float64{0.5, 0.1}, []float64{0.5, 0.1}, h)
+	same := evalAt(k, []float64{0.5, 0.1}, []float64{0.5, 0.1}, h)
 	if same <= a {
 		t.Fatal("identical categories should covary more")
 	}
@@ -71,7 +82,7 @@ func TestEvalGradMatchesNumeric(t *testing.T) {
 		y := []float64{0.3, 0.2, 0.9}
 		np := h.NumParams()
 		grad := make([]float64, np)
-		k.EvalGrad(x, y, h, grad)
+		evalGradAt(k, x, y, h, grad)
 		packed := pack(h)
 		const eps = 1e-6
 		for p := 0; p < np; p++ {
@@ -79,10 +90,10 @@ func TestEvalGradMatchesNumeric(t *testing.T) {
 			pp := append([]float64(nil), packed...)
 			pp[p] += eps
 			hp.Unpack(pp)
-			fp := k.Eval(x, y, hp)
+			fp := evalAt(k, x, y, hp)
 			pp[p] -= 2 * eps
 			hp.Unpack(pp)
-			fm := k.Eval(x, y, hp)
+			fm := evalAt(k, x, y, hp)
 			num := (fp - fm) / (2 * eps)
 			if math.Abs(num-grad[p]) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("%v grad[%d]: analytic %v vs numeric %v", typ, p, grad[p], num)
@@ -98,7 +109,7 @@ func TestEvalGradAtZeroDistance(t *testing.T) {
 		h := NewHyper(2)
 		grad := make([]float64, 3)
 		x := []float64{0.5, 0.5}
-		v := k.EvalGrad(x, x, h, grad)
+		v := evalGradAt(k, x, x, h, grad)
 		if math.IsNaN(v) {
 			t.Fatalf("%v: NaN value at zero distance", typ)
 		}
@@ -154,9 +165,9 @@ func TestMatrixGradsConsistent(t *testing.T) {
 		}
 	}
 	g := make([]float64, h.NumParams())
-	v := k.EvalGrad(X[0], X[1], h, g)
+	v := evalGradAt(k, X[0], X[1], h, g)
 	if math.Abs(v-K.At(0, 1)) > 1e-15 {
-		t.Fatal("EvalGrad value mismatch")
+		t.Fatal("evalGrad value mismatch")
 	}
 	for p := range g {
 		if math.Abs(grads[p].At(0, 1)-g[p]) > 1e-15 {

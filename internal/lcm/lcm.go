@@ -333,13 +333,8 @@ func (m *Model) nllGrad(ys []float64, theta []float64, sc *fitScratch) (float64,
 	}
 	// Coregionalization blocks B_q (tiny, serial).
 	bq := sc.bq
-	for q := 0; q < m.q; q++ {
-		B := bq[q]
-		for i := 0; i < m.numTasks; i++ {
-			for j := 0; j < m.numTasks; j++ {
-				B.Set(i, j, ps.bAt(q, i, j))
-			}
-		}
+	for q, B := range bq {
+		ps.fillB(q, B)
 	}
 	// Assemble the stacked covariance row-parallel: each row is owned by
 	// one worker and accumulated in a fixed (q, b) order.
@@ -455,14 +450,16 @@ func (m *Model) nllGrad(ys []float64, theta []float64, sc *fitScratch) (float64,
 func (m *Model) factorize(ys []float64) error {
 	n := len(ys)
 	K := linalg.NewMatrix(n, n)
+	B := linalg.NewMatrix(m.numTasks, m.numTasks)
 	for q := 0; q < m.q; q++ {
+		m.fillB(q, B)
 		Kq := m.kerns[q].Matrix(m.x, m.hyper[q])
 		parallel.For(n, 0, func(a int) {
 			ta := m.task[a]
 			row := K.Row(a)
 			kqa := Kq.Row(a)
 			for b := 0; b < n; b++ {
-				row[b] += m.bAt(q, ta, m.task[b]) * kqa[b]
+				row[b] += B.At(ta, m.task[b]) * kqa[b]
 			}
 		})
 	}
@@ -487,6 +484,15 @@ func (p *lcmParams) bAt(q, i, j int) float64 {
 	return v
 }
 
+// fillB writes the T×T block B_q into B, one exp per diagonal entry.
+func (p *lcmParams) fillB(q int, B *linalg.Matrix) {
+	for i := range p.aq[q] {
+		for j := range p.aq[q] {
+			B.Set(i, j, p.bAt(q, i, j))
+		}
+	}
+}
+
 // NumTasks returns the number of tasks the model was trained over.
 func (m *Model) NumTasks() int { return m.numTasks }
 
@@ -505,28 +511,28 @@ func (m *Model) Predict(t int, x []float64) (mean, std float64, err error) {
 	if len(x) != m.dim {
 		return 0, 0, fmt.Errorf("lcm: input has dimension %d, want %d", len(x), m.dim)
 	}
+	n := len(m.x)
 	buf, _ := m.predictPool.Get().(*[]float64)
 	if buf == nil {
-		b := make([]float64, len(m.x)+m.q*m.numTasks)
+		b := make([]float64, 2*n+m.numTasks+m.dim)
 		buf = &b
 	}
 	defer m.predictPool.Put(buf)
-	// ks is the cross-covariance, then L⁻¹·ks in place; bt[q·T+s] is
-	// B_q[t, s].
-	ks, bt := (*buf)[:len(m.x)], (*buf)[len(m.x):]
+	// ks is the cross-covariance, accumulated over q in a fixed order and
+	// then L⁻¹·ks in place; kq is k_q(x, ·); bt[s] is B_q[t, s]; ell is
+	// the length-scale scratch.
+	ks, kq, bt, ell := (*buf)[:n], (*buf)[n:2*n], (*buf)[2*n:2*n+m.numTasks], (*buf)[2*n+m.numTasks:]
+	clear(ks)
 	prior := 0.0
-	for q := 0; q < m.q; q++ {
-		for s := 0; s < m.numTasks; s++ {
-			bt[q*m.numTasks+s] = m.bAt(q, t, s)
+	for q, kern := range m.kerns {
+		for s := range bt {
+			bt[s] = m.bAt(q, t, s)
 		}
-		prior += bt[q*m.numTasks+t]
-	}
-	for b, xb := range m.x {
-		var k float64
-		for q, kern := range m.kerns {
-			k += bt[q*m.numTasks+m.task[b]] * kern.Eval(x, xb, m.hyper[q])
+		prior += bt[t]
+		kern.RowInto(x, m.x, m.hyper[q], kq, ell)
+		for b, k := range kq {
+			ks[b] += bt[m.task[b]] * k
 		}
-		ks[b] = k
 	}
 	mu := linalg.Dot(ks, m.alpha)
 	m.chol.ForwardSolveInto(ks, ks)

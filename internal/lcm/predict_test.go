@@ -13,9 +13,11 @@ import (
 func (m *Model) twoSolveVariance(t int, x []float64) float64 {
 	ks := make([]float64, len(m.x))
 	prior := 0.0
+	kq := make([]float64, len(m.x))
 	for q, kern := range m.kerns {
+		kern.RowInto(x, m.x, m.hyper[q], kq, make([]float64, m.dim))
 		for b := range ks {
-			ks[b] += m.bAt(q, t, m.task[b]) * kern.Eval(x, m.x[b], m.hyper[q])
+			ks[b] += m.bAt(q, t, m.task[b]) * kq[b]
 		}
 		prior += m.bAt(q, t, t)
 	}

@@ -64,27 +64,52 @@ func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
 	n := a.rows
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j) + jitter
 		lrowj := l.Row(j)
-		for k := 0; k < j; k++ {
-			d -= lrowj[k] * lrowj[k]
-		}
+		lj := lrowj[:j]
+		d := subDot(a.At(j, j)+jitter, lj, lj)
 		if d <= 0 || math.IsNaN(d) {
 			return nil, false
 		}
 		d = math.Sqrt(d)
 		lrowj[j] = d
 		inv := 1 / d
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
+		i := j + 1
+		for ; i+3 < n; i += 4 {
+			r0, r1, r2, r3 := l.Row(i), l.Row(i+1), l.Row(i+2), l.Row(i+3)
+			s0, s1, s2, s3 := subDot4(a.At(i, j), a.At(i+1, j), a.At(i+2, j), a.At(i+3, j), r0, r1, r2, r3, lj)
+			r0[j], r1[j], r2[j], r3[j] = s0*inv, s1*inv, s2*inv, s3*inv
+		}
+		for ; i < n; i++ {
 			lrowi := l.Row(i)
-			for k := 0; k < j; k++ {
-				s -= lrowi[k] * lrowj[k]
-			}
-			lrowi[j] = s * inv
+			lrowi[j] = subDot(a.At(i, j), lrowi, lj) * inv
 		}
 	}
 	return l, true
+}
+
+// subDot returns s − Σ_k r[k]·v[k], subtracting in ascending k.
+func subDot(s float64, r, v []float64) float64 {
+	r = r[:len(v)]
+	for k, x := range v {
+		s -= r[k] * x
+	}
+	return s
+}
+
+// subDot4 is subDot for four rows against one v: each row keeps its own
+// accumulator and its exact subtraction order, so every result is bit
+// for bit subDot's while the four dependency chains overlap. The
+// triangular kernels block over independent rows this way and never
+// split or reorder one sum.
+func subDot4(s0, s1, s2, s3 float64, r0, r1, r2, r3, v []float64) (float64, float64, float64, float64) {
+	r0, r1, r2, r3 = r0[:len(v)], r1[:len(v)], r2[:len(v)], r3[:len(v)]
+	for k, x := range v {
+		s0 -= r0[k] * x
+		s1 -= r1[k] * x
+		s2 -= r2[k] * x
+		s3 -= r3[k] * x
+	}
+	return s0, s1, s2, s3
 }
 
 // SolveVec solves A·x = b given A = L·Lᵀ.
@@ -178,13 +203,26 @@ func forwardSubstInto(l *Matrix, b, y []float64) {
 	if len(b) != n || len(y) != n {
 		panic("linalg: forward substitution dimension mismatch")
 	}
-	for i := 0; i < n; i++ {
-		s := b[i]
+	// Four rows per pass over the solved prefix y[:i], then the 4×4
+	// triangle in row order.
+	i := 0
+	for ; i+3 < n; i += 4 {
+		r0, r1, r2, r3 := l.Row(i), l.Row(i+1), l.Row(i+2), l.Row(i+3)
+		s0, s1, s2, s3 := subDot4(b[i], b[i+1], b[i+2], b[i+3], r0, r1, r2, r3, y[:i])
+		y0 := s0 / r0[i]
+		s1 -= r1[i] * y0
+		y1 := s1 / r1[i+1]
+		s2 -= r2[i] * y0
+		s2 -= r2[i+1] * y1
+		y2 := s2 / r2[i+2]
+		s3 -= r3[i] * y0
+		s3 -= r3[i+1] * y1
+		s3 -= r3[i+2] * y2
+		y[i], y[i+1], y[i+2], y[i+3] = y0, y1, y2, s3/r3[i+3]
+	}
+	for ; i < n; i++ {
 		row := l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * y[k]
-		}
-		y[i] = s / row[i]
+		y[i] = subDot(b[i], row, y[:i]) / row[i]
 	}
 }
 

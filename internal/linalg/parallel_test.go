@@ -149,3 +149,81 @@ func TestForwardSolveIntoMatchesSolveVec(t *testing.T) {
 		t.Fatal("in-place ForwardSolveInto differs")
 	}
 }
+
+// refForwardSubst and refTryCholesky are the one-row loops the blocked
+// kernels must reproduce bit for bit.
+func refForwardSubst(l *Matrix, b, y []float64) {
+	for i := range y {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l.At(i, k) * y[k]
+		}
+		y[i] = s / l.At(i, i)
+	}
+}
+
+func refTryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
+	n := a.rows
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j) + jitter
+		for k := 0; k < j; k++ {
+			d -= l.At(j, k) * l.At(j, k)
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil, false
+		}
+		d = math.Sqrt(d)
+		l.Set(j, j, d)
+		inv := 1 / d
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s*inv)
+		}
+	}
+	return l, true
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// tryCholesky and forwardSubstInto run four independent rows per pass
+// and finish the 4×4 triangle in order; every sum keeps its one-row
+// order, so the results equal the one-row loops bit for bit at every
+// size around and across the block edge, with y aliasing b or not.
+func TestBlockedTriangularKernelsMatchOneRowLoops(t *testing.T) {
+	factor := func(name string, a *Matrix, jitter float64) {
+		t.Helper()
+		got, ok := tryCholesky(a, jitter)
+		want, wantOK := refTryCholesky(a, jitter)
+		if ok != wantOK || ok && !sameBits(got.data, want.data) {
+			t.Fatalf("%s jitter=%v: tryCholesky differs from the one-row loop", name, jitter)
+		}
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 257} {
+		a := randSPD(n, int64(n))
+		for _, jitter := range []float64{0, 1e-3} {
+			factor(fmt.Sprintf("n=%d", n), a, jitter)
+		}
+		l, _ := tryCholesky(a, 0)
+		b := randMatrix(1, n, int64(n)+1).data
+		want := make([]float64, n)
+		refForwardSubst(l, b, want)
+		y := make([]float64, n)
+		forwardSubstInto(l, b, y)
+		if !sameBits(y, want) {
+			t.Fatalf("n=%d: forwardSubstInto differs from the one-row loop", n)
+		}
+		forwardSubstInto(l, b, b)
+		if !sameBits(b, want) {
+			t.Fatalf("n=%d: in-place forwardSubstInto differs from the one-row loop", n)
+		}
+	}
+	a := randSPD(9, 3)
+	a.Set(6, 6, -1)
+	factor("negative pivot", a, 0)
+}

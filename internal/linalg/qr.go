@@ -85,11 +85,7 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 	// Back substitution with R (strict upper triangle of qr + rdiag).
 	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= f.qr.At(i, j) * x[j]
-		}
-		x[i] = s / f.rdiag[i]
+		x[i] = subDot(y[i], f.qr.Row(i)[i+1:], x[i+1:]) / f.rdiag[i]
 	}
 	return x, nil
 }

@@ -72,7 +72,7 @@ type SGP struct {
 }
 
 type predictScratch struct {
-	ku, v []float64
+	ku, v, ell []float64
 }
 
 // Fit trains a sparse GP on inputs X (rows in the unit hypercube) and
@@ -171,7 +171,7 @@ func FitFixed(X [][]float64, y []float64, kern *kernel.Kernel, hyper *kernel.Hyp
 	s.b = b
 	s.refreshAlpha()
 	s.predictPool.New = func() interface{} {
-		return &predictScratch{ku: make([]float64, m), v: make([]float64, m)}
+		return &predictScratch{ku: make([]float64, m), v: make([]float64, m), ell: make([]float64, kern.Dim)}
 	}
 	return s, nil
 }
@@ -194,10 +194,9 @@ func (s *SGP) Observe(x []float64, y float64) error {
 		return fmt.Errorf("sgp: non-finite observation %v", y)
 	}
 	m := len(s.z)
-	ku := make([]float64, m)
-	for i, zi := range s.z {
-		ku[i] = s.kern.Eval(x, zi, s.hyper)
-	}
+	buf := make([]float64, m+s.kern.Dim) // k(x, ·), then the kernel's length-scale scratch
+	ku := buf[:m]
+	s.kern.RowInto(x, s.z, s.hyper, ku, buf[m:])
 	ysNew := (y - s.meanY) / s.stdY
 	// A += σ⁻²·ku·kuᵀ  ⇔  rank-1 update with v = ku/σ.
 	v := make([]float64, m)
@@ -238,9 +237,7 @@ func (s *SGP) Predict(x []float64) (mean, std float64) {
 	sc := s.predictPool.Get().(*predictScratch)
 	defer s.predictPool.Put(sc)
 	ku := sc.ku
-	for i, zi := range s.z {
-		ku[i] = s.kern.Eval(x, zi, s.hyper)
-	}
+	s.kern.RowInto(x, s.z, s.hyper, ku, sc.ell)
 	mu := linalg.Dot(ku, s.alpha)
 	// var = k** − k*ᵀ·Kuu⁻¹·k* + k*ᵀ·A⁻¹·k*, each quadratic form the
 	// squared norm of one forward substitution.

@@ -187,7 +187,8 @@ func TestBatchMatchesPointwiseAllWorkerCounts(t *testing.T) {
 
 // Both variance terms are squared norms of one forward substitution;
 // together they must match the two-solve form
-// k** − k·Kuu⁻¹k + k·A⁻¹k to 1e-10 relative to the prior.
+// k** − k·Kuu⁻¹k + k·A⁻¹k to 1e-10 relative to the prior, and a warm
+// Predict must not allocate.
 func TestPredictVarianceMatchesTwoSolveForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	X, Y := sampleSmooth(150, rng)
@@ -200,9 +201,7 @@ func TestPredictVarianceMatchesTwoSolveForm(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
 		ku := make([]float64, len(m.z))
-		for j, z := range m.z {
-			ku[j] = kern.Eval(x, z, h)
-		}
+		kern.RowInto(x, m.z, h, ku, make([]float64, kern.Dim))
 		want := prior - linalg.Dot(ku, m.cholKuu.SolveVec(ku)) + linalg.Dot(ku, m.cholA.SolveVec(ku))
 		want = math.Max(want, 1e-12)
 		_, std := m.Predict(x)
@@ -210,6 +209,10 @@ func TestPredictVarianceMatchesTwoSolveForm(t *testing.T) {
 		if math.Abs(got-want) > 1e-10*prior {
 			t.Fatalf("point %d: variance %v, two-solve form %v", i, got, want)
 		}
+	}
+	x := []float64{0.3, 0.6}
+	if allocs := testing.AllocsPerRun(100, func() { m.Predict(x) }); allocs != 0 {
+		t.Fatalf("warm Predict allocates %v times", allocs)
 	}
 }
 

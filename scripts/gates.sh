@@ -85,6 +85,10 @@ gone  src  fromDocument\[FuncEval\]  fromDocument[FuncEval](doc)
 == after 15987a2  one benchmark system (bench/); arm fit costs live beside the UCB rule, their one reader
 gone  all  transferbench BENCH_transfer
 only-in  all  \bCost\(n int\)|\barmCost\(  internal/surrogate/select.go internal/surrogate/pool.go internal/surrogate/surrogate_test.go
+
+== after ac4043e  ℓ and σ² are exp'd once per kernel call (the length-scale helper and Diag), never per pair
+only-in  src  math\.Exp\(h\.Log(Length|Var)  internal/kernel/kernel.go:2
+gone  all  func \(k \*Kernel\) Eval(Grad)?\(  func (k *Kernel) EvalGrad(
 ROWS
 }
 
