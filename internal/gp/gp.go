@@ -189,21 +189,16 @@ func clampHyper(h *kernel.Hyper) {
 }
 
 // fitScratch holds the buffers one optimizer run reuses across
-// objective evaluations: the kernel Gram matrix and its per-parameter
-// derivative matrices dominate the fit loop's allocation churn.
+// objective evaluations: the kernel Gram matrix and its length-scale
+// factors (kernel.MatrixFactorInto), two n×n matrices whatever the
+// dimension.
 type fitScratch struct {
-	h   *kernel.Hyper
-	K   *linalg.Matrix
-	dKs []*linalg.Matrix
+	h    *kernel.Hyper
+	K, F *linalg.Matrix
 }
 
 func newFitScratch(dim, n int) *fitScratch {
-	sc := &fitScratch{h: kernel.NewHyper(dim), K: linalg.NewMatrix(n, n)}
-	sc.dKs = make([]*linalg.Matrix, dim+1)
-	for p := range sc.dKs {
-		sc.dKs[p] = linalg.NewMatrix(n, n)
-	}
-	return sc
+	return &fitScratch{h: kernel.NewHyper(dim), K: linalg.NewMatrix(n, n), F: linalg.NewMatrix(n, n)}
 }
 
 // nllGrad evaluates the penalized negative log marginal likelihood and
@@ -238,8 +233,9 @@ func (g *GP) nllGrad(ys []float64, theta []float64, sc *fitScratch) (float64, []
 	pen(dim, theta[dim], logVarLo, logVarHi)
 	pen(dim+1, logNoise, logNoiseLo, logNoiseHi)
 
-	K, dKs := sc.K, sc.dKs
-	g.kern.MatrixGradsInto(g.x, h, K, dKs, 0)
+	K, F := sc.K, sc.F
+	g.kern.MatrixFactorInto(g.x, h, K, F, 0)
+	sf2 := g.kern.Diag(h)
 	noiseVar := math.Exp(logNoise)
 	K.AddDiag(noiseVar)
 	ch, err := linalg.NewCholesky(K)
@@ -251,24 +247,37 @@ func (g *GP) nllGrad(ys []float64, theta []float64, sc *fitScratch) (float64, []
 	nll := 0.5*linalg.Dot(ys, alpha) + 0.5*ch.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
 
 	Kinv := ch.Inverse()
-	// d nll/dθ = 0.5·tr(K⁻¹ dK) − 0.5·αᵀ dK α. Parameters are
-	// independent, so the reduction fans out over p; within one p the
+	// d nll/dθ = 0.5·tr(K⁻¹ dK) − 0.5·αᵀ dK α. dK is read, never built:
+	// dK/dlogℓ_d = F∘U_d with a zero diagonal, and dK/dlogσ² is K off the
+	// diagonal (noise only touches the diagonal) and σ² on it. Parameters
+	// are independent, so the reduction fans out over p; within one p the
 	// summation order is fixed, and both Kinv and dK are symmetric, so
 	// only the upper triangle is visited.
 	parallel.For(dim+1, 0, func(p int) {
-		dK := dKs[p]
+		dii, l := sf2, 0.0
+		if p < dim {
+			dii, l = 0, h.Length(p)
+		}
 		var tr, quad float64
 		for i := 0; i < n; i++ {
 			rowK := Kinv.Row(i)
-			rowD := dK.Row(i)
+			rowG, rowF, xi := K.Row(i), F.Row(i), g.x[i]
 			ai := alpha[i]
 			var trOff, quadOff float64
-			for j := i + 1; j < n; j++ {
-				trOff += rowK[j] * rowD[j]
-				quadOff += rowD[j] * alpha[j]
+			if p == dim {
+				for j := i + 1; j < n; j++ {
+					trOff += rowK[j] * rowG[j]
+					quadOff += rowG[j] * alpha[j]
+				}
+			} else {
+				for j := i + 1; j < n; j++ {
+					dij := rowF[j] * g.kern.ScaledSqTerm(xi, g.x[j], p, l)
+					trOff += rowK[j] * dij
+					quadOff += dij * alpha[j]
+				}
 			}
-			tr += rowK[i]*rowD[i] + 2*trOff
-			quad += ai * (rowD[i]*ai + 2*quadOff)
+			tr += rowK[i]*dii + 2*trOff
+			quad += ai * (dii*ai + 2*quadOff)
 		}
 		grad[p] += 0.5*tr - 0.5*quad
 	})

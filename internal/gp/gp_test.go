@@ -234,30 +234,3 @@ func TestPredictBatchAgreesWithPredict(t *testing.T) {
 		t.Fatal("PredictMean mismatch")
 	}
 }
-
-func TestNLLGradientMatchesNumeric(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n, dim := 12, 2
-	X := make([][]float64, n)
-	ys := make([]float64, n)
-	for i := range X {
-		X[i] = []float64{rng.Float64(), rng.Float64()}
-		ys[i] = rng.NormFloat64()
-	}
-	g := &GP{kern: kernel.New(kernel.Matern52, dim), x: X}
-	theta := []float64{math.Log(0.4), math.Log(0.8), 0.2, math.Log(1e-2)}
-	sc := newFitScratch(dim, n)
-	_, grad := g.nllGrad(ys, theta, sc)
-	const eps = 1e-6
-	for p := range theta {
-		tp := append([]float64(nil), theta...)
-		tp[p] += eps
-		fp, _ := g.nllGrad(ys, tp, sc)
-		tp[p] -= 2 * eps
-		fm, _ := g.nllGrad(ys, tp, sc)
-		num := (fp - fm) / (2 * eps)
-		if math.Abs(num-grad[p]) > 1e-4*(1+math.Abs(num)) {
-			t.Fatalf("grad[%d]: analytic %v vs numeric %v", p, grad[p], num)
-		}
-	}
-}

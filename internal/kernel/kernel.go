@@ -98,31 +98,37 @@ func (h *Hyper) Unpack(src []float64) {
 // after Unpack or a clamp.
 func (h *Hyper) lengths(ell []float64) []float64 {
 	for d := range ell {
-		ell[d] = math.Exp(h.LogLength[d])
+		ell[d] = h.Length(d)
 	}
 	return ell
 }
 
-// scaledSq returns r² = Σ_d u_d with u_d = (dist_d / ℓ_d)², storing each
-// u_d in buf when buf is not nil.
-func (k *Kernel) scaledSq(x, y, ell, buf []float64) float64 {
+// Length returns ℓ_d = exp(LogLength[d]), the value every kernel form
+// computes for dimension d.
+func (h *Hyper) Length(d int) float64 { return math.Exp(h.LogLength[d]) }
+
+// scaledSq returns r² = Σ_d u_d, summed in dimension order.
+func (k *Kernel) scaledSq(x, y, ell []float64) float64 {
 	var r2 float64
 	for d, l := range ell {
-		var dist float64
-		if k.Categorical != nil && k.Categorical[d] {
-			if x[d] != y[d] {
-				dist = 1
-			}
-		} else {
-			dist = x[d] - y[d]
-		}
-		u := (dist / l) * (dist / l) // not dist·(1/ℓ): that rounds differently
-		if buf != nil {
-			buf[d] = u
-		}
-		r2 += u
+		r2 += k.ScaledSqTerm(x, y, d, l)
 	}
 	return r2
+}
+
+// ScaledSqTerm returns u_d = (dist_d / ℓ)², the d-th term of r², at
+// ℓ = h.Length(d); with f from MatrixFactorInto, dk/dlogℓ_d = f·u_d.
+// dist_d is x_d − y_d, or the Hamming 0/1 on a categorical dimension.
+func (k *Kernel) ScaledSqTerm(x, y []float64, d int, l float64) float64 {
+	var dist float64
+	if k.Categorical != nil && k.Categorical[d] {
+		if x[d] != y[d] {
+			dist = 1
+		}
+	} else {
+		dist = x[d] - y[d]
+	}
+	return (dist / l) * (dist / l) // not dist·(1/ℓ): that rounds differently
 }
 
 // profile returns k = σ²·g(r) at r² = r2, and the factor f with
@@ -152,22 +158,10 @@ func (k *Kernel) profile(r2, sf2 float64) (val, f float64) {
 // per-dimension distance loop on the Gram diagonal.
 func (k *Kernel) Diag(h *Hyper) float64 { return math.Exp(h.LogVar) }
 
-// evalGrad returns k(x, y) and fills grad with its gradient with respect
-// to the packed hyperparameters [LogLength..., LogVar]; buf is scratch
-// of length Dim.
-func (k *Kernel) evalGrad(x, y, ell []float64, sf2 float64, grad, buf []float64) float64 {
-	val, f := k.profile(k.scaledSq(x, y, ell, buf), sf2)
-	for d, u := range buf {
-		grad[d] = f * u
-	}
-	grad[k.Dim] = val // dk/dlogσ² = k
-	return val
-}
-
 // row fills dst[i] = k(x, X[i]) from precomputed length scales.
 func (k *Kernel) row(x []float64, X [][]float64, ell []float64, sf2 float64, dst []float64) {
 	for i, xi := range X {
-		dst[i], _ = k.profile(k.scaledSq(x, xi, ell, nil), sf2)
+		dst[i], _ = k.profile(k.scaledSq(x, xi, ell), sf2)
 	}
 }
 
@@ -223,54 +217,47 @@ func (k *Kernel) CrossMatrixWorkers(A, B [][]float64, h *Hyper, workers int) *li
 	return m
 }
 
-// MatrixGradsWorkers returns the Gram matrix and, for each packed
-// hyperparameter, the elementwise derivative matrix dK/dθ, with the
-// given worker count. The slices share no storage with the Gram matrix.
-func (k *Kernel) MatrixGradsWorkers(X [][]float64, h *Hyper, workers int) (*linalg.Matrix, []*linalg.Matrix) {
+// MatrixFactorInto fills the preallocated n×n matrices K with the Gram
+// matrix and F with each pair's profile factor f, dk/dlogℓ_d = f·u_d
+// with u_d from ScaledSqTerm; F is mirrored and its diagonal is 0, and
+// dk/dlogσ² is K itself. A likelihood gradient reads K and F and never
+// builds a derivative matrix. Each pair is evaluated once and mirrored,
+// so the result is bit-identical for every worker count.
+func (k *Kernel) MatrixFactorInto(X [][]float64, h *Hyper, K, F *linalg.Matrix, workers int) {
 	n := len(X)
-	np := h.NumParams()
-	K := linalg.NewMatrix(n, n)
-	grads := make([]*linalg.Matrix, np)
-	for p := range grads {
-		grads[p] = linalg.NewMatrix(n, n)
-	}
-	k.MatrixGradsInto(X, h, K, grads, workers)
-	return K, grads
-}
-
-// gradScratch is the per-worker state of MatrixGradsInto.
-type gradScratch struct {
-	g, buf, ell []float64
-}
-
-// MatrixGradsInto fills preallocated K and grads matrices. Each worker
-// carries its own scratch and length scales, so the hot pair loop
-// performs no allocation; each symmetric pair is evaluated once and
-// mirrored. On the diagonal
-// (r = 0) the value is the signal variance, the length-scale gradients
-// vanish and dK/dlogσ² equals the value itself.
-func (k *Kernel) MatrixGradsInto(X [][]float64, h *Hyper, K *linalg.Matrix, grads []*linalg.Matrix, workers int) {
-	n := len(X)
-	np := h.NumParams()
-	diag := k.Diag(h)
-	parallel.ForEachWorker(n, workers, func() *gradScratch {
-		b := make([]float64, np+2*k.Dim)
-		return &gradScratch{g: b[:np], buf: b[np : np+k.Dim], ell: h.lengths(b[np+k.Dim:])}
-	}, func(sc *gradScratch, i int) {
-		K.Set(i, i, diag)
-		for p := 0; p < np-1; p++ {
-			grads[p].Set(i, i, 0)
-		}
-		grads[np-1].Set(i, i, diag)
-		xi := X[i]
+	ell, diag := h.lengths(make([]float64, k.Dim)), k.Diag(h)
+	parallel.For(n, workers, func(i int) {
+		krow, frow := K.Row(i), F.Row(i)
+		krow[i], frow[i] = diag, 0
 		for j := i + 1; j < n; j++ {
-			v := k.evalGrad(xi, X[j], sc.ell, diag, sc.g, sc.buf)
-			K.Set(i, j, v)
+			v, f := k.profile(k.scaledSq(X[i], X[j], ell), diag)
+			krow[j], frow[j] = v, f
 			K.Set(j, i, v)
-			for p := 0; p < np; p++ {
-				grads[p].Set(i, j, sc.g[p])
-				grads[p].Set(j, i, sc.g[p])
-			}
+			F.Set(j, i, f)
 		}
 	})
+}
+
+// MatrixGradsWorkers returns the Gram matrix and, for each packed
+// hyperparameter, the elementwise derivative matrix dK/dθ, materialised
+// from MatrixFactorInto: dK/dlogℓ_d = F∘U_d and dK/dlogσ² = K. No fit
+// calls it; it is the reference the tests contract against, and what
+// bench/probes.go times. The slices share no storage with the Gram
+// matrix.
+func (k *Kernel) MatrixGradsWorkers(X [][]float64, h *Hyper, workers int) (*linalg.Matrix, []*linalg.Matrix) {
+	n := len(X)
+	K, F := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+	k.MatrixFactorInto(X, h, K, F, workers)
+	grads := make([]*linalg.Matrix, h.NumParams())
+	for d := 0; d < k.Dim; d++ {
+		G, l := linalg.NewMatrix(n, n), h.Length(d)
+		parallel.For(n, workers, func(i int) {
+			for j, f := range F.Row(i) {
+				G.Set(i, j, f*k.ScaledSqTerm(X[i], X[j], d, l))
+			}
+		})
+		grads[d] = G
+	}
+	grads[k.Dim] = K.Clone()
+	return K, grads
 }

@@ -164,7 +164,7 @@ func TestMatrixMatchesPairwiseEval(t *testing.T) {
 	}
 }
 
-// The diagonal of MatrixGradsWorkers must match evalGrad at identical points:
+// The diagonal of MatrixGradsWorkers must match evalGradAt at identical points:
 // zero length-scale gradients, dK/dlogσ² equal to the variance.
 func TestMatrixGradsDiagonal(t *testing.T) {
 	k := New(Matern52, 2)
@@ -176,7 +176,7 @@ func TestMatrixGradsDiagonal(t *testing.T) {
 	for i := range X {
 		v := evalGradAt(k, X[i], X[i], h, g)
 		if K.At(i, i) != v {
-			t.Fatalf("diag value %v vs evalGrad %v", K.At(i, i), v)
+			t.Fatalf("diag value %v vs evalGradAt %v", K.At(i, i), v)
 		}
 		for p := range g {
 			if G[p].At(i, i) != g[p] {

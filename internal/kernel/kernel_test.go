@@ -20,13 +20,21 @@ func randHyper(rng *rand.Rand, dim int) *Hyper {
 
 // evalAt returns k(x, y) for one pair.
 func evalAt(k *Kernel, x, y []float64, h *Hyper) float64 {
-	v, _ := k.profile(k.scaledSq(x, y, h.lengths(make([]float64, k.Dim)), nil), k.Diag(h))
+	v, _ := k.profile(k.scaledSq(x, y, h.lengths(make([]float64, k.Dim))), k.Diag(h))
 	return v
 }
 
-// evalGradAt is evalGrad with its length scales and scratch allocated.
+// evalGradAt returns k(x, y) and fills grad with its gradient with
+// respect to the packed hyperparameters [LogLength..., LogVar], one
+// pair at a time: dk/dlogℓ_d = f·u_d and dk/dlogσ² = k.
 func evalGradAt(k *Kernel, x, y []float64, h *Hyper, grad []float64) float64 {
-	return k.evalGrad(x, y, h.lengths(make([]float64, k.Dim)), k.Diag(h), grad, make([]float64, k.Dim))
+	ell := h.lengths(make([]float64, k.Dim))
+	val, f := k.profile(k.scaledSq(x, y, ell), k.Diag(h))
+	for d, l := range ell {
+		grad[d] = f * k.ScaledSqTerm(x, y, d, l)
+	}
+	grad[k.Dim] = val
+	return val
 }
 
 func TestEvalDiagonalIsVariance(t *testing.T) {
@@ -167,7 +175,7 @@ func TestMatrixGradsConsistent(t *testing.T) {
 	g := make([]float64, h.NumParams())
 	v := evalGradAt(k, X[0], X[1], h, g)
 	if math.Abs(v-K.At(0, 1)) > 1e-15 {
-		t.Fatal("evalGrad value mismatch")
+		t.Fatal("evalGradAt value mismatch")
 	}
 	for p := range g {
 		if math.Abs(grads[p].At(0, 1)-g[p]) > 1e-15 {

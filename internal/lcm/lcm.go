@@ -238,16 +238,16 @@ func (p *lcmParams) unpack(theta []float64) {
 }
 
 // fitScratch holds the per-restart buffers of the LCM objective: latent
-// kernel matrices and their gradients, the stacked covariance and the
-// coregionalization blocks. Reusing them removes the dominant
-// allocations from the fit loop; each optimizer run owns one scratch,
-// so concurrent restarts never contend.
+// kernel matrices and their length-scale factors, the stacked
+// covariance and the coregionalization blocks. Reusing them removes the
+// dominant allocations from the fit loop; each optimizer run owns one
+// scratch, so concurrent restarts never contend.
 type fitScratch struct {
 	params *lcmParams
-	baseK  []*linalg.Matrix   // [q] latent Gram matrices
-	baseG  [][]*linalg.Matrix // [q][dim+1] derivative matrices (variance slot unused)
-	K      *linalg.Matrix     // stacked covariance
-	bq     []*linalg.Matrix   // [q] T×T coregionalization blocks
+	baseK  []*linalg.Matrix // [q] latent Gram matrices
+	baseF  []*linalg.Matrix // [q] factors f, dk_q/dlogℓ_d = f·u_d
+	K      *linalg.Matrix   // stacked covariance
+	bq     []*linalg.Matrix // [q] T×T coregionalization blocks
 }
 
 func (m *Model) newFitScratch() *fitScratch {
@@ -255,16 +255,13 @@ func (m *Model) newFitScratch() *fitScratch {
 	sc := &fitScratch{
 		params: newLCMParams(m.q, m.dim, m.numTasks),
 		baseK:  make([]*linalg.Matrix, m.q),
-		baseG:  make([][]*linalg.Matrix, m.q),
+		baseF:  make([]*linalg.Matrix, m.q),
 		K:      linalg.NewMatrix(n, n),
 		bq:     make([]*linalg.Matrix, m.q),
 	}
 	for q := 0; q < m.q; q++ {
 		sc.baseK[q] = linalg.NewMatrix(n, n)
-		sc.baseG[q] = make([]*linalg.Matrix, m.dim+1)
-		for d := range sc.baseG[q] {
-			sc.baseG[q][d] = linalg.NewMatrix(n, n)
-		}
+		sc.baseF[q] = linalg.NewMatrix(n, n)
 		sc.bq[q] = linalg.NewMatrix(m.numTasks, m.numTasks)
 	}
 	return sc
@@ -324,12 +321,12 @@ func (m *Model) nllGrad(ys []float64, theta []float64, sc *fitScratch) (float64,
 	ps := sc.params
 	ps.unpack(theta)
 
-	// Base latent kernel matrices and their length-scale gradients
-	// (row-parallel inside MatrixGradsInto).
+	// Base latent kernel matrices and their length-scale factors
+	// (row-parallel inside MatrixFactorInto).
 	baseK := sc.baseK // k_q(x_a, x_b)
-	baseG := sc.baseG // per loglen dimension (+ unused variance slot)
+	baseF := sc.baseF // dk_q/dlogℓ_d = baseF∘U_d, never materialised
 	for q := 0; q < m.q; q++ {
-		m.kerns[q].MatrixGradsInto(m.x, ps.hyper[q], baseK[q], baseG[q], 0)
+		m.kerns[q].MatrixFactorInto(m.x, ps.hyper[q], baseK[q], baseF[q], 0)
 	}
 	// Coregionalization blocks B_q (tiny, serial).
 	bq := sc.bq
@@ -394,16 +391,16 @@ func (m *Model) nllGrad(ys []float64, theta []float64, sc *fitScratch) (float64,
 		switch r := p % qBlock; {
 		case r < m.dim:
 			// Length scales.
-			d := r
+			d, l := r, ps.hyper[q].Length(r)
 			var s float64
-			G := baseG[q][d]
+			F, kern := baseF[q], m.kerns[q]
 			B := bq[q]
 			for a := 0; a < n; a++ {
 				wa := W.Row(a)
-				ga := G.Row(a)
+				fa, xa := F.Row(a), m.x[a]
 				ta := m.task[a]
 				for b := 0; b < n; b++ {
-					s += wa[b] * B.At(ta, m.task[b]) * ga[b]
+					s += wa[b] * B.At(ta, m.task[b]) * (fa[b] * kern.ScaledSqTerm(xa, m.x[b], d, l))
 				}
 			}
 			grad[p] += 0.5 * s

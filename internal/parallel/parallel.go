@@ -79,41 +79,3 @@ func For(n, workers int, fn func(i int)) {
 	}
 	wg.Wait()
 }
-
-// ForEachWorker executes fn(i) like For, but routes every index through
-// a per-worker context created by newCtx (e.g. a scratch buffer), so fn
-// can reuse allocations without synchronization. newCtx is called once
-// per participating worker, fn(ctx, i) exactly once per index.
-func ForEachWorker[T any](n, workers int, newCtx func() T, fn func(ctx T, i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = resolve(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		ctx := newCtx()
-		for i := 0; i < n; i++ {
-			fn(ctx, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ctx := newCtx()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(ctx, i)
-			}
-		}()
-	}
-	wg.Wait()
-}

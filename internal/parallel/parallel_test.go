@@ -30,28 +30,6 @@ func TestForZeroAndNegativeN(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerDisjointScratch(t *testing.T) {
-	n := 64
-	out := make([]int, n)
-	var ctxs atomic.Int32
-	ForEachWorker(n, 4, func() *[]int {
-		ctxs.Add(1)
-		buf := make([]int, 1)
-		return &buf
-	}, func(ctx *[]int, i int) {
-		(*ctx)[0] = i * i // scratch usable without races
-		out[i] = (*ctx)[0]
-	})
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("index %d: got %d", i, v)
-		}
-	}
-	if c := ctxs.Load(); c < 1 || c > 4 {
-		t.Fatalf("expected 1..4 contexts, got %d", c)
-	}
-}
-
 func TestResolve(t *testing.T) {
 	if got := resolve(7); got != 7 {
 		t.Fatalf("resolve(7) = %d", got)

@@ -89,6 +89,10 @@ only-in  all  \bCost\(n int\)|\barmCost\(  internal/surrogate/select.go internal
 == after ac4043e  ℓ and σ² are exp'd once per kernel call (the length-scale helper and Diag), never per pair
 only-in  src  math\.Exp\(h\.Log(Length|Var)  internal/kernel/kernel.go:2
 gone  all  func \(k \*Kernel\) Eval(Grad)?\(  func (k *Kernel) EvalGrad(
+
+== after afa0206  fits read K and the length-scale factors and never build dK; parallel.For is the one fan-out
+gone  all  ForEachWorker gradScratch MatrixGradsInto dKs baseG
+only-in  src:!bench  MatrixGradsWorkers\(  internal/kernel/kernel.go
 ROWS
 }
 
