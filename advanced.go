@@ -15,20 +15,20 @@ import (
 
 // --- Suggest-only API (drive your own evaluation loop).
 
-// SuggestNext proposes the next configuration to evaluate for the given
-// history, without evaluating anything — for users who run their
-// application out-of-band (batch queues, manual runs) and feed results
-// back via ReportResult. Thin wrapper over SuggestNextContext with
-// context.Background().
+// SuggestNext is SuggestNextContext with context.Background(). It stays
+// only because bench/ calls it.
 func SuggestNext(p *Problem, h *History, algorithm string, sources []*SourceTask, seed int64) (map[string]interface{}, error) {
 	return SuggestNextContext(context.Background(), p, h, algorithm, sources, seed)
 }
 
-// SuggestNextContext is SuggestNext with cooperative cancellation,
-// checked between the proposal's stages for every algorithm: before
-// the surrogate fit and between the fit and the acquisition search. A
-// stage that has started runs to its end, so a cancel costs at most one
-// fit or one search before it surfaces as the context error.
+// SuggestNextContext proposes the next configuration to evaluate for
+// the given history, without evaluating anything — for users who run
+// their application out-of-band (batch queues, manual runs) and feed
+// results back via ReportResult. Cancellation is checked between the
+// proposal's stages for every algorithm: before the surrogate fit and
+// between the fit and the acquisition search. A stage that has started
+// runs to its end, so a cancel costs at most one fit or one search
+// before it surfaces as the context error.
 func SuggestNextContext(ctx context.Context, p *Problem, h *History, algorithm string, sources []*SourceTask, seed int64) (map[string]interface{}, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -83,17 +83,11 @@ type BatchTuneOptions struct {
 	Workers int
 }
 
-// TuneBatch runs the batched tuning loop: useful when the allocation
-// can evaluate several trial configurations at once. Thin wrapper over
-// TuneBatchContext with context.Background().
-func TuneBatch(p *Problem, task map[string]interface{}, opts BatchTuneOptions) (*Result, error) {
-	return TuneBatchContext(context.Background(), p, task, opts)
-}
-
-// TuneBatchContext is TuneBatch with cooperative cancellation: the same
-// session as TuneContext, driven by TuningSession.RunBatchContext, so
-// every TuneOptions field applies and a cancel returns a partial Result
-// with a resumable Checkpoint.
+// TuneBatchContext runs the batched tuning loop: useful when the
+// allocation can evaluate several trial configurations at once. It is
+// the same session as TuneContext, driven by
+// TuningSession.RunBatchContext, so every TuneOptions field applies and
+// a cancel returns a partial Result with a resumable Checkpoint.
 func TuneBatchContext(ctx context.Context, p *Problem, task map[string]interface{}, opts BatchTuneOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -138,16 +132,10 @@ func NewRobustEvaluator(inner Evaluator, repeats int) *RobustEvaluator {
 // SurrogateModelDoc is a stored pre-trained surrogate model envelope.
 type SurrogateModelDoc = crowd.SurrogateModelDoc
 
-// UploadSurrogateModel fits a GP to the successful samples of a history
-// and stores it on the crowd server as a pre-trained model for the
-// problem/task, returning the stored id.
-func UploadSurrogateModel(c *CrowdClient, d *MetaDescription, task map[string]interface{}, h *History,
-	machine MachineConfiguration, accessibility string) (string, error) {
-	return UploadSurrogateModelContext(context.Background(), c, d, task, h, machine, accessibility)
-}
-
-// UploadSurrogateModelContext is UploadSurrogateModel with
-// request-scoped cancellation covering the upload and its retries.
+// UploadSurrogateModelContext fits a GP to the successful samples of a
+// history and stores it on the crowd server as a pre-trained model for
+// the problem/task, returning the stored id. The context covers the
+// upload and its retries.
 func UploadSurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaDescription, task map[string]interface{}, h *History,
 	machine MachineConfiguration, accessibility string) (string, error) {
 	X, Y := h.XY()
@@ -177,15 +165,10 @@ func UploadSurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaDes
 	return ids[0], nil
 }
 
-// DownloadSurrogateModel fetches the most recently stored pre-trained
-// model for the problem and returns it as a black-box SurrogateModel
-// over decoded configurations.
-func DownloadSurrogateModel(c *CrowdClient, d *MetaDescription) (SurrogateModel, error) {
-	return DownloadSurrogateModelContext(context.Background(), c, d)
-}
-
-// DownloadSurrogateModelContext is DownloadSurrogateModel with
-// request-scoped cancellation covering the query and its retries.
+// DownloadSurrogateModelContext fetches the most recently stored
+// pre-trained model for the problem and returns it as a black-box
+// SurrogateModel over decoded configurations. The context covers the
+// query and its retries.
 func DownloadSurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaDescription) (SurrogateModel, error) {
 	models, err := c.QueryModelsContext(ctx, d.TuningProblemName, 0)
 	if err != nil {
@@ -203,11 +186,5 @@ func DownloadSurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaD
 	if model.Dim() != ps.Dim() {
 		return nil, fmt.Errorf("gptunecrowd: stored model has dimension %d, parameter space has %d", model.Dim(), ps.Dim())
 	}
-	return func(cfg map[string]interface{}) (float64, float64) {
-		u, err := ps.Encode(cfg)
-		if err != nil {
-			return 0, 0
-		}
-		return model.Predict(ps.Canonicalize(u))
-	}, nil
+	return surrogateOver(ps, model.Predict), nil
 }

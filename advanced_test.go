@@ -68,7 +68,7 @@ func TestSuggestNextWithSources(t *testing.T) {
 func TestTuneBatch(t *testing.T) {
 	p := demoProblem()
 	task := map[string]interface{}{"t": 1.0}
-	res, err := TuneBatch(p, task, BatchTuneOptions{
+	res, err := TuneBatchContext(context.Background(), p, task, BatchTuneOptions{
 		TuneOptions: TuneOptions{Budget: 9, Seed: 2},
 		BatchSize:   3,
 	})
@@ -82,16 +82,16 @@ func TestTuneBatch(t *testing.T) {
 		t.Fatalf("result %+v", res)
 	}
 
-	// TuneBatch is the same session as Tune, so every TuneOptions field
-	// applies to it.
-	res, err = TuneBatch(p, task, BatchTuneOptions{
+	// TuneBatchContext is the same session as TuneContext, so every
+	// TuneOptions field applies to it.
+	res, err = TuneBatchContext(context.Background(), p, task, BatchTuneOptions{
 		TuneOptions: TuneOptions{Budget: 6, Seed: 2, Surrogate: "gp"},
 		BatchSize:   3,
 	})
 	if err != nil || res.Algorithm != "Surrogate(gp)" {
 		t.Fatalf("Surrogate gp: algorithm %v, err %v", res, err)
 	}
-	if _, err := TuneBatch(p, task, BatchTuneOptions{
+	if _, err := TuneBatchContext(context.Background(), p, task, BatchTuneOptions{
 		TuneOptions: TuneOptions{Budget: 6, Algorithm: "NoTLA", Surrogate: "gp"},
 	}); err == nil {
 		t.Fatal("Algorithm and Surrogate together accepted")
@@ -105,7 +105,7 @@ func TestTuneBatch(t *testing.T) {
 		}
 		return p.Evaluator.Evaluate(task, params)
 	})
-	res, err = TuneBatch(&nan, task, BatchTuneOptions{TuneOptions: TuneOptions{Budget: 6, Seed: 2}, BatchSize: 2, Workers: 1})
+	res, err = TuneBatchContext(context.Background(), &nan, task, BatchTuneOptions{TuneOptions: TuneOptions{Budget: 6, Seed: 2}, BatchSize: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTuneBatch(t *testing.T) {
 		}}}
 	res, err = TuneBatchContext(ctx, p, task, opts)
 	if !errors.Is(err, context.Canceled) || res == nil || res.Checkpoint == nil || res.History.Len() != 4 {
-		t.Fatalf("cancelled TuneBatch: result %+v, err %v", res, err)
+		t.Fatalf("cancelled TuneBatchContext: result %+v, err %v", res, err)
 	}
 	resumed, err := ResumeTuningSession(p, task, opts.TuneOptions, res.Checkpoint)
 	if err != nil {
@@ -168,14 +168,14 @@ func TestSurrogateModelShareRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	machine := MachineConfiguration{MachineName: "Cori", Partition: "haswell"}
-	id, err := UploadSurrogateModel(c, d, map[string]interface{}{"t": 1.0}, res.History, machine, "public")
+	id, err := UploadSurrogateModelContext(context.Background(), c, d, map[string]interface{}{"t": 1.0}, res.History, machine, "public")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id == "" {
 		t.Fatal("no id")
 	}
-	surr, err := DownloadSurrogateModel(c, d)
+	surr, err := DownloadSurrogateModelContext(context.Background(), c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +195,14 @@ func TestSurrogateModelShareRoundTrip(t *testing.T) {
 
 // TestUploadSurrogateModelPayloadUnchanged pins the stored model
 // payload: gp's portable JSON of a GP fitted with restart seed 1, the
-// form DownloadSurrogateModel and other crowd clients read back.
+// form DownloadSurrogateModelContext and other crowd clients read back.
 func TestUploadSurrogateModelPayloadUnchanged(t *testing.T) {
 	c, d := crowdFixture(t)
 	res, err := Tune(demoProblem(), map[string]interface{}{"t": 1.0}, TuneOptions{Budget: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UploadSurrogateModel(c, d, nil, res.History, MachineConfiguration{}, "public"); err != nil {
+	if _, err := UploadSurrogateModelContext(context.Background(), c, d, nil, res.History, MachineConfiguration{}, "public"); err != nil {
 		t.Fatal(err)
 	}
 	models, err := c.QueryModelsContext(context.Background(), d.TuningProblemName, 0)
@@ -235,7 +235,7 @@ func TestUploadSurrogateModelPayloadUnchanged(t *testing.T) {
 
 func TestDownloadSurrogateModelMissing(t *testing.T) {
 	c, d := crowdFixture(t)
-	if _, err := DownloadSurrogateModel(c, d); err == nil {
+	if _, err := DownloadSurrogateModelContext(context.Background(), c, d); err == nil {
 		t.Fatal("expected no-models error")
 	}
 }
@@ -244,7 +244,7 @@ func TestUploadSurrogateModelNeedsSamples(t *testing.T) {
 	c, d := crowdFixture(t)
 	h := &History{}
 	h.Append(Sample{ParamU: []float64{0.5}, Params: map[string]interface{}{"x": 0.5}, Y: 1})
-	if _, err := UploadSurrogateModel(c, d, nil, h, MachineConfiguration{}, "public"); err == nil {
+	if _, err := UploadSurrogateModelContext(context.Background(), c, d, nil, h, MachineConfiguration{}, "public"); err == nil {
 		t.Fatal("expected too-few-samples error")
 	}
 }

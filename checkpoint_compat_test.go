@@ -33,7 +33,7 @@ func (c checkpointCase) drive(t *testing.T, p *Problem, s *TuningSession, ops in
 	t.Helper()
 	for ; ops != 0 && !s.Done(); ops-- {
 		if c.batch == 0 {
-			if err := s.Step(); err != nil {
+			if err := s.StepContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -41,7 +41,7 @@ func (c checkpointCase) drive(t *testing.T, p *Problem, s *TuningSession, ops in
 		pending := s.PendingProposals()
 		if len(pending) == 0 {
 			var err error
-			if pending, err = s.ProposeBatch(c.batch); err != nil {
+			if pending, err = s.ProposeBatchContext(context.Background(), c.batch); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -54,10 +54,13 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, obs.LogOptions{Level: level, JSON: *logFormat == "json"})
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	c := crowd.NewClient(*server, *apiKey)
 	c.Logger = logger
 	if *register != "" {
-		if _, err := c.Register(*register, ""); err != nil {
+		if _, err := c.RegisterContext(ctx, *register, ""); err != nil {
 			log.Fatalf("crowdworker: register %q: %v", *register, err)
 		}
 		log.Printf("crowdworker: registered as %q", *register)
@@ -98,8 +101,6 @@ func main() {
 		log.Printf("crowdworker debug server (pprof + /metrics) on %s", dbg.Addr)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	log.Printf("crowdworker %s polling %s (machine=%q partition=%q)", *name, *server, *machineName, *partition)
 	w.Run(ctx)
 

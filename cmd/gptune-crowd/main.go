@@ -101,8 +101,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		client = gptunecrowd.ConnectMeta(desc)
-		client.Logger = logger
+		client = gptunecrowd.ConnectWith(gptunecrowd.ConnectOptions{URL: desc.CrowdRepoURL, APIKey: desc.APIKey, Logger: logger})
 		evals, err := gptunecrowd.QueryFunctionEvaluationsContext(ctx, client, desc)
 		if err != nil {
 			log.Fatalf("crowd query: %v", err)

@@ -43,23 +43,20 @@ type (
 	MetaDescription = meta.Description
 	// SurrogateModel predicts mean and standard deviation for a decoded
 	// configuration — the black-box model returned by
-	// QuerySurrogateModel.
+	// QuerySurrogateModelContext and DownloadSurrogateModelContext. A
+	// configuration that does not encode into the parameter space (a
+	// missing parameter, a value of the wrong type, an integer out of
+	// range, an unknown category) answers (0, 0);
+	// QueryPredictOutputContext reports the encoding error instead.
 	SurrogateModel func(cfg map[string]interface{}) (mean, std float64)
 	// SensitivityResult holds Sobol' indices (S1/ST with confidence
 	// half-widths).
 	SensitivityResult = sensitivity.Result
 )
 
-// Connect returns a client for the shared database at url with default
-// timeout and retry behaviour. It is a compatibility wrapper over
-// ConnectWith; use ConnectWith when any knob needs turning.
-func Connect(url, apiKey string) *CrowdClient {
-	return ConnectWith(ConnectOptions{URL: url, APIKey: apiKey})
-}
-
 // ConnectOptions configures a crowd-database client. The zero value of
 // every field selects the library default, so populating only URL and
-// APIKey reproduces Connect.
+// APIKey gives default timeout and retry behaviour.
 type ConnectOptions struct {
 	// URL is the server base URL (required).
 	URL string
@@ -96,20 +93,10 @@ func ConnectWith(opts ConnectOptions) *CrowdClient {
 	return c
 }
 
-// ConnectMeta returns a client configured from a meta description.
-func ConnectMeta(d *MetaDescription) *CrowdClient {
-	return crowd.NewClient(d.CrowdRepoURL, d.APIKey)
-}
-
-// QueryFunctionEvaluations downloads the samples selected by the meta
-// description — the paper's QueryFunctionEvaluations utility.
-func QueryFunctionEvaluations(c *CrowdClient, d *MetaDescription) ([]FuncEval, error) {
-	return QueryFunctionEvaluationsContext(context.Background(), c, d)
-}
-
-// QueryFunctionEvaluationsContext is QueryFunctionEvaluations with
-// request-scoped cancellation: the context bounds the whole download,
-// including the client's internal retries.
+// QueryFunctionEvaluationsContext downloads the samples selected by the
+// meta description — the paper's QueryFunctionEvaluations utility. The
+// context bounds the whole download, including the client's internal
+// retries.
 func QueryFunctionEvaluationsContext(ctx context.Context, c *CrowdClient, d *MetaDescription) ([]FuncEval, error) {
 	return c.QueryContext(ctx, d.QueryRequest())
 }
@@ -129,14 +116,16 @@ func (o SurrogateOptions) kernelType() (kernel.Type, error) {
 	return kernel.ParseType(o.Kernel)
 }
 
-// QuerySurrogateModelOpts is QuerySurrogateModel with an explicit
-// modeling technique.
-func QuerySurrogateModelOpts(c *CrowdClient, d *MetaDescription, opts SurrogateOptions) (SurrogateModel, error) {
+// QuerySurrogateModelContext downloads the selected samples and returns
+// a black-box surrogate over decoded configurations — the paper's
+// QuerySurrogateModel utility. opts selects the modeling technique; its
+// zero value fits a Matérn 5/2 GP.
+func QuerySurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaDescription, opts SurrogateOptions) (SurrogateModel, error) {
 	kt, err := opts.kernelType()
 	if err != nil {
 		return nil, err
 	}
-	evals, err := QueryFunctionEvaluations(c, d)
+	evals, err := QueryFunctionEvaluationsContext(ctx, c, d)
 	if err != nil {
 		return nil, err
 	}
@@ -149,13 +138,19 @@ func QuerySurrogateModelOpts(c *CrowdClient, d *MetaDescription, opts SurrogateO
 	if err != nil {
 		return nil, err
 	}
+	return surrogateOver(ps, model.Predict), nil
+}
+
+// surrogateOver adapts a model over the canonical space to a
+// SurrogateModel over decoded configurations.
+func surrogateOver(ps *Space, predict func(u []float64) (float64, float64)) SurrogateModel {
 	return func(cfg map[string]interface{}) (float64, float64) {
 		u, err := ps.Encode(cfg)
 		if err != nil {
 			return 0, 0
 		}
-		return model.Predict(ps.Canonicalize(u))
-	}, nil
+		return predict(ps.Canonicalize(u))
+	}
 }
 
 // evalsXY encodes the successful downloaded crowd samples over the given
@@ -183,18 +178,16 @@ func evalsXY(ps *Space, evals []FuncEval) ([][]float64, []float64, error) {
 	return X, Y, nil
 }
 
-// QuerySurrogateModel downloads the selected samples and returns a
-// black-box surrogate over decoded configurations — the paper's
-// QuerySurrogateModel utility.
-func QuerySurrogateModel(c *CrowdClient, d *MetaDescription) (SurrogateModel, error) {
-	return QuerySurrogateModelOpts(c, d, SurrogateOptions{})
-}
-
-// QueryPredictOutput predicts the output for one configuration using a
-// surrogate fitted to the queried samples — the paper's
-// QueryPredictOutput utility.
-func QueryPredictOutput(c *CrowdClient, d *MetaDescription, cfg map[string]interface{}) (float64, error) {
-	surr, err := QuerySurrogateModel(c, d)
+// QueryPredictOutputContext predicts the output for one configuration
+// using a surrogate fitted to the queried samples — the paper's
+// QueryPredictOutput utility. A configuration that does not encode into
+// the parameter space returns the encoding error before anything is
+// downloaded.
+func QueryPredictOutputContext(ctx context.Context, c *CrowdClient, d *MetaDescription, cfg map[string]interface{}) (float64, error) {
+	if _, err := d.ProblemSpace.ParameterSpace.Encode(cfg); err != nil {
+		return 0, err
+	}
+	surr, err := QuerySurrogateModelContext(ctx, c, d, SurrogateOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -202,19 +195,19 @@ func QueryPredictOutput(c *CrowdClient, d *MetaDescription, cfg map[string]inter
 	return mean, nil
 }
 
-// SensitivityOptions tunes QuerySensitivityAnalysis.
+// SensitivityOptions tunes QuerySensitivityAnalysisContext.
 type SensitivityOptions struct {
 	N     int // Saltelli base samples (default 1024)
 	NBoot int // bootstrap replicates (default 100)
 	Seed  int64
 }
 
-// QuerySensitivityAnalysis downloads the selected samples, fits a
-// surrogate, and runs a Sobol' sensitivity analysis over it — the
+// QuerySensitivityAnalysisContext downloads the selected samples, fits
+// a surrogate, and runs a Sobol' sensitivity analysis over it — the
 // paper's QuerySensitivityAnalysis utility (the workflow behind Tables
 // IV and V).
-func QuerySensitivityAnalysis(c *CrowdClient, d *MetaDescription, opts SensitivityOptions) (*SensitivityResult, error) {
-	evals, err := QueryFunctionEvaluations(c, d)
+func QuerySensitivityAnalysisContext(ctx context.Context, c *CrowdClient, d *MetaDescription, opts SensitivityOptions) (*SensitivityResult, error) {
+	evals, err := QueryFunctionEvaluationsContext(ctx, c, d)
 	if err != nil {
 		return nil, err
 	}
@@ -238,17 +231,10 @@ func SensitivityFromFunc(f func(cfg map[string]interface{}) float64, ps *Space, 
 	return sensitivity.AnalyzeSpace(f, ps, sensitivity.Options{N: opts.N, NBoot: opts.NBoot, Seed: opts.Seed})
 }
 
-// UploadHistory pushes a tuning run's evaluations to the shared
+// UploadHistoryContext pushes a tuning run's evaluations to the shared
 // database under the meta description's environment (the
-// sync_crowd_repo="yes" path).
-func UploadHistory(c *CrowdClient, d *MetaDescription, task map[string]interface{}, h *History,
-	machine MachineConfiguration, software []SoftwareConfiguration, accessibility string) ([]string, error) {
-	return UploadHistoryContext(context.Background(), c, d, task, h, machine, software, accessibility)
-}
-
-// UploadHistoryContext is UploadHistory with request-scoped
-// cancellation. The upload is sent as one idempotent batch, so client
-// retries never store a sample twice.
+// sync_crowd_repo="yes" path). The upload is sent as one idempotent
+// batch, so client retries never store a sample twice.
 func UploadHistoryContext(ctx context.Context, c *CrowdClient, d *MetaDescription, task map[string]interface{}, h *History,
 	machine MachineConfiguration, software []SoftwareConfiguration, accessibility string) ([]string, error) {
 	if len(h.Samples) == 0 {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -17,14 +18,16 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// --- The shared database (gptune.lbl.gov's role).
 	server := httptest.NewServer(crowd.NewServer())
 	defer server.Close()
 	fmt.Println("shared database listening at", server.URL)
 
 	// --- User A collects data for their task and uploads it.
-	alice := gptunecrowd.Connect(server.URL, "")
-	if _, err := alice.Register("alice", "alice@hpc.example"); err != nil {
+	alice := gptunecrowd.ConnectWith(gptunecrowd.ConnectOptions{URL: server.URL})
+	if _, err := alice.RegisterContext(ctx, "alice", "alice@hpc.example"); err != nil {
 		log.Fatal(err)
 	}
 	problem := synth.DemoProblem()
@@ -47,14 +50,14 @@ func main() {
 			Accessibility:     "public",
 		})
 	}
-	if _, err := alice.Upload(evals); err != nil {
+	if _, err := alice.UploadContext(ctx, evals); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("alice uploaded %d samples for task t=0.8\n", len(evals))
 
 	// --- User B arrives later with only a meta description.
-	bob := gptunecrowd.Connect(server.URL, "")
-	bobKey, err := bob.Register("bob", "bob@hpc.example")
+	bob := gptunecrowd.ConnectWith(gptunecrowd.ConnectOptions{URL: server.URL})
+	bobKey, err := bob.RegisterContext(ctx, "bob", "bob@hpc.example")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	downloaded, err := gptunecrowd.QueryFunctionEvaluations(bob, desc)
+	downloaded, err := gptunecrowd.QueryFunctionEvaluationsContext(ctx, bob, desc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,13 +107,13 @@ func main() {
 
 	// --- And gives back: uploads his run for the next user.
 	machineCfg := gptunecrowd.MachineConfiguration{MachineName: "Cori", Partition: "haswell", Nodes: 1}
-	ids, err := gptunecrowd.UploadHistory(bob, desc, bobTask, res.History, machineCfg, nil, "public")
+	ids, err := gptunecrowd.UploadHistoryContext(ctx, bob, desc, bobTask, res.History, machineCfg, nil, "public")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("bob uploaded %d new samples back to the crowd\n", len(ids))
 
-	problems, err := bob.Problems()
+	problems, err := bob.ProblemsContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -74,7 +75,7 @@ func main() {
 
 	// --- Batched parallel tuning: 4 proposals per round, evaluated
 	// concurrently (useful when the allocation can fit several trials).
-	batched, err := gptunecrowd.TuneBatch(problem, task, gptunecrowd.BatchTuneOptions{
+	batched, err := gptunecrowd.TuneBatchContext(context.Background(), problem, task, gptunecrowd.BatchTuneOptions{
 		TuneOptions: gptunecrowd.TuneOptions{Budget: 12, Seed: 2},
 		BatchSize:   4,
 	})

@@ -163,20 +163,19 @@ func NewProposer(algorithm string, sources []*SourceTask, maxSourceSamples int) 
 	return resolveProposer(TuneOptions{Algorithm: algorithm, Sources: sources, MaxSourceSamples: maxSourceSamples})
 }
 
-// Tune runs the tuning loop for the given task and returns the best
-// configuration found. It is a thin wrapper over TuneContext with
-// context.Background(); prefer TuneContext when the run should be
-// cancellable.
+// Tune is TuneContext with context.Background(). It stays only because
+// bench/ calls it.
 func Tune(p *Problem, task map[string]interface{}, opts TuneOptions) (*Result, error) {
 	return TuneContext(context.Background(), p, task, opts)
 }
 
-// TuneContext is Tune with cooperative cancellation. The context is
-// checked between iterations and between a proposal's stages, and raced
-// against the application evaluation, so a cancel takes effect even
-// mid-evaluation. On cancellation it returns
-// the wrapped context error together with a partial Result whose
-// Checkpoint field resumes the run via ResumeTuningSession.
+// TuneContext runs the tuning loop for the given task and returns the
+// best configuration found. The context is checked between iterations
+// and between a proposal's stages, and raced against the application
+// evaluation, so a cancel takes effect even mid-evaluation. On
+// cancellation it returns the wrapped context error together with a
+// partial Result whose Checkpoint field resumes the run via
+// ResumeTuningSession.
 func TuneContext(ctx context.Context, p *Problem, task map[string]interface{}, opts TuneOptions) (*Result, error) {
 	return TuneBatchContext(ctx, p, task, BatchTuneOptions{TuneOptions: opts, BatchSize: 1})
 }

@@ -1,6 +1,8 @@
 package gptunecrowd
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -97,7 +99,7 @@ func crowdFixture(t *testing.T) (*CrowdClient, *MetaDescription) {
 	t.Helper()
 	srv := httptest.NewServer(crowd.NewServer())
 	t.Cleanup(srv.Close)
-	c := Connect(srv.URL, "")
+	c := ConnectWith(ConnectOptions{URL: srv.URL})
 	if _, err := c.Register("tester", "t@example.com"); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestCrowdEndToEnd(t *testing.T) {
 	seedCrowd(t, c, 1.2, 30, 6)
 
 	// QueryFunctionEvaluations.
-	evals, err := QueryFunctionEvaluations(c, d)
+	evals, err := QueryFunctionEvaluationsContext(context.Background(), c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestCrowdEndToEnd(t *testing.T) {
 	}
 
 	// QuerySurrogateModel returns a usable black box.
-	surr, err := QuerySurrogateModel(c, d)
+	surr, err := QuerySurrogateModelContext(context.Background(), c, d, SurrogateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestCrowdEndToEnd(t *testing.T) {
 	}
 
 	// QueryPredictOutput agrees with the surrogate mean.
-	pred, err := QueryPredictOutput(c, d, map[string]interface{}{"x": 0.4})
+	pred, err := QueryPredictOutputContext(context.Background(), c, d, map[string]interface{}{"x": 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestCrowdEndToEnd(t *testing.T) {
 	}
 
 	// QuerySensitivityAnalysis produces indices for the lone parameter.
-	res, err := QuerySensitivityAnalysis(c, d, SensitivityOptions{N: 128, NBoot: 10, Seed: 7})
+	res, err := QuerySensitivityAnalysisContext(context.Background(), c, d, SensitivityOptions{N: 128, NBoot: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +210,14 @@ func TestCrowdEndToEnd(t *testing.T) {
 		t.Log("unexpected: no slurm requested")
 	}
 	machine = MachineConfiguration{MachineName: "Cori", Partition: "haswell", Nodes: 1}
-	ids, err := UploadHistory(c, d, map[string]interface{}{"t": 1.0}, tuned.History, machine, nil, "public")
+	ids, err := UploadHistoryContext(context.Background(), c, d, map[string]interface{}{"t": 1.0}, tuned.History, machine, nil, "public")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 5 {
 		t.Fatalf("uploaded %d of 5", len(ids))
 	}
-	after, err := QueryFunctionEvaluations(c, d)
+	after, err := QueryFunctionEvaluationsContext(context.Background(), c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestCrowdEndToEnd(t *testing.T) {
 
 func TestUploadHistoryEmpty(t *testing.T) {
 	c, d := crowdFixture(t)
-	_, err := UploadHistory(c, d, nil, &History{}, MachineConfiguration{}, nil, "public")
+	_, err := UploadHistoryContext(context.Background(), c, d, nil, &History{}, MachineConfiguration{}, nil, "public")
 	if err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("expected empty-history error, got %v", err)
 	}
@@ -256,7 +258,7 @@ func TestQuerySurrogateModelOpts(t *testing.T) {
 	c, d := crowdFixture(t)
 	seedCrowd(t, c, 1.0, 40, 11)
 	for _, kern := range []string{"", "rbf", "matern32", "matern52"} {
-		surr, err := QuerySurrogateModelOpts(c, d, SurrogateOptions{Kernel: kern, Seed: 1})
+		surr, err := QuerySurrogateModelContext(context.Background(), c, d, SurrogateOptions{Kernel: kern, Seed: 1})
 		if err != nil {
 			t.Fatalf("kernel %q: %v", kern, err)
 		}
@@ -265,7 +267,75 @@ func TestQuerySurrogateModelOpts(t *testing.T) {
 			t.Fatalf("kernel %q: prediction %v ± %v", kern, mean, std)
 		}
 	}
-	if _, err := QuerySurrogateModelOpts(c, d, SurrogateOptions{Kernel: "spline"}); err == nil {
+	if _, err := QuerySurrogateModelContext(context.Background(), c, d, SurrogateOptions{Kernel: "spline"}); err == nil {
 		t.Fatal("unknown kernel should fail")
+	}
+}
+
+// TestQueryPredictOutputRejectsUnencodable: a configuration the
+// parameter space cannot encode is an error, not a prediction of 0.
+// The SurrogateModel closure answers such input with (0, 0).
+func TestQueryPredictOutputRejectsUnencodable(t *testing.T) {
+	c, d := crowdFixture(t)
+	seedCrowd(t, c, 1.0, 20, 3)
+	ctx := context.Background()
+	surr, err := QuerySurrogateModelContext(ctx, c, d, SurrogateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []map[string]interface{}{{}, {"x": "bogus"}, {"y": 0.3}} {
+		if pred, err := QueryPredictOutputContext(ctx, c, d, cfg); err == nil {
+			t.Errorf("%v: predicted %v with a nil error", cfg, pred)
+		}
+		if mean, std := surr(cfg); mean != 0 || std != 0 {
+			t.Errorf("%v: surrogate answered %v ± %v, want 0 ± 0", cfg, mean, std)
+		}
+	}
+}
+
+// TestCrowdUtilitiesHonourCancel calls every root function that reaches
+// the crowd server with an already-cancelled context.
+func TestCrowdUtilitiesHonourCancel(t *testing.T) {
+	c, d := crowdFixture(t)
+	seedCrowd(t, c, 1.0, 20, 4)
+	p := demoProblem()
+	h := &History{}
+	for _, x := range []float64{0.2, 0.7} {
+		if err := ReportResult(p, h, map[string]interface{}{"x": x}, x*x, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	task := map[string]interface{}{"t": 1.0}
+	machine := MachineConfiguration{MachineName: "Cori"}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"QueryFunctionEvaluationsContext", func() error { _, err := QueryFunctionEvaluationsContext(ctx, c, d); return err }},
+		{"QuerySurrogateModelContext", func() error { _, err := QuerySurrogateModelContext(ctx, c, d, SurrogateOptions{}); return err }},
+		{"QueryPredictOutputContext", func() error {
+			_, err := QueryPredictOutputContext(ctx, c, d, map[string]interface{}{"x": 0.4})
+			return err
+		}},
+		{"QuerySensitivityAnalysisContext", func() error {
+			_, err := QuerySensitivityAnalysisContext(ctx, c, d, SensitivityOptions{N: 64, NBoot: 2})
+			return err
+		}},
+		{"UploadHistoryContext", func() error {
+			_, err := UploadHistoryContext(ctx, c, d, task, h, machine, nil, "public")
+			return err
+		}},
+		{"UploadSurrogateModelContext", func() error {
+			_, err := UploadSurrogateModelContext(ctx, c, d, task, h, machine, "public")
+			return err
+		}},
+		{"DownloadSurrogateModelContext", func() error { _, err := DownloadSurrogateModelContext(ctx, c, d); return err }},
+	}
+	for _, tc := range cases {
+		if err := tc.call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -85,7 +86,7 @@ func FuzzBatchObserve(f *testing.F) {
 			switch op % 5 {
 			case 0: // propose a small batch
 				k := 1 + int(arg%4)
-				if _, err := s.ProposeBatch(k); err != nil && !errors.Is(err, ErrBudgetExhausted) {
+				if _, err := s.ProposeBatchContext(context.Background(), k); err != nil && !errors.Is(err, ErrBudgetExhausted) {
 					t.Fatalf("propose %d: %v", k, err)
 				}
 			case 1: // observe a pending proposal (arbitrary position)

@@ -94,11 +94,6 @@ func (s *Session) scratchHistory() *History {
 	return scratch
 }
 
-// ProposeBatch is ProposeBatchContext with a background context.
-func (s *Session) ProposeBatch(k int) ([]PendingProposal, error) {
-	return s.ProposeBatchContext(context.Background(), k)
-}
-
 // ProposeBatchContext issues up to k new proposals on top of whatever
 // is already pending, so a crowd of workers can evaluate several points
 // of the same session concurrently. k is clamped to the remaining

@@ -42,7 +42,7 @@ func runBatched(t *testing.T, rounds, k int, perm func(n, round int) []int) ([]b
 	t.Helper()
 	s := newBatchSession(t, rounds*k+k)
 	for round := 0; round < rounds; round++ {
-		props, err := s.ProposeBatch(k)
+		props, err := s.ProposeBatchContext(context.Background(), k)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -66,7 +66,7 @@ func runBatched(t *testing.T, rounds, k int, perm func(n, round int) []int) ([]b
 			t.Fatalf("round %d: %d still in flight after full ingestion", round, s.InFlight())
 		}
 	}
-	next, err := s.ProposeBatch(k)
+	next, err := s.ProposeBatchContext(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestBatchProposalsDistinct(t *testing.T) {
 		t.Run("workers="+workers, func(t *testing.T) {
 			t.Setenv("GPTUNE_WORKERS", workers)
 			s := newBatchSession(t, 16)
-			props, err := s.ProposeBatch(6)
+			props, err := s.ProposeBatchContext(context.Background(), 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +200,7 @@ func TestBatchProposalsDistinct(t *testing.T) {
 // committed one each get their own sentinel and leave state untouched.
 func TestBatchObserveErrors(t *testing.T) {
 	s := newBatchSession(t, 10)
-	props, err := s.ProposeBatch(3)
+	props, err := s.ProposeBatchContext(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestBatchCheckpointResumePending(t *testing.T) {
 	}
 
 	s := newBatchSession(t, 8)
-	props, err := s.ProposeBatch(4)
+	props, err := s.ProposeBatchContext(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,22 +298,22 @@ func TestBatchCheckpointResumePending(t *testing.T) {
 // remaining room, and a full ledger surfaces ErrBudgetExhausted.
 func TestProposeBatchBudget(t *testing.T) {
 	s := newBatchSession(t, 5)
-	props, err := s.ProposeBatch(8)
+	props, err := s.ProposeBatchContext(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(props) != 5 {
 		t.Fatalf("clamp: got %d proposals, want 5", len(props))
 	}
-	if _, err := s.ProposeBatch(1); !errors.Is(err, ErrBudgetExhausted) {
+	if _, err := s.ProposeBatchContext(context.Background(), 1); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("full ledger: got %v, want ErrBudgetExhausted", err)
 	}
-	if _, err := s.ProposeBatch(0); err == nil {
+	if _, err := s.ProposeBatchContext(context.Background(), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	// Single-proposal Propose stays idempotent: with the ledger full it
 	// re-issues the oldest unobserved point instead of erroring.
-	params, err := s.Propose()
+	params, err := s.ProposeContext(context.Background())
 	if err != nil {
 		t.Fatalf("idempotent propose with full ledger: %v", err)
 	}
@@ -338,7 +338,7 @@ func TestProposeBatchCancellation(t *testing.T) {
 		t.Fatalf("cancelled before the first point: %d returned, %d in flight", len(props), s.InFlight())
 	}
 	// A live context proposes normally afterwards.
-	props, err = s.ProposeBatch(2)
+	props, err = s.ProposeBatchContext(context.Background(), 2)
 	if err != nil || len(props) != 2 {
 		t.Fatalf("after cancel: %d proposals, err %v", len(props), err)
 	}
@@ -348,17 +348,17 @@ func TestProposeBatchCancellation(t *testing.T) {
 // share one ledger — mixed use keeps ids and ordering coherent.
 func TestSingleProposeInteropWithBatch(t *testing.T) {
 	s := newBatchSession(t, 6)
-	if _, err := s.Propose(); err != nil {
+	if _, err := s.ProposeContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Propose is idempotent while its point is outstanding.
-	if _, err := s.Propose(); err != nil {
+	if _, err := s.ProposeContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.InFlight() != 1 {
 		t.Fatalf("in flight %d after idempotent Propose, want 1", s.InFlight())
 	}
-	props, err := s.ProposeBatch(2)
+	props, err := s.ProposeBatchContext(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,14 +410,14 @@ func TestBatchRedrawsNearRepeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	props, err := s.ProposeBatch(1)
+	props, err := s.ProposeBatchContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ObserveProposal(props[0].ID, evalU(props[0].ParamU), nil); err != nil {
 		t.Fatal(err)
 	}
-	if props, err = s.ProposeBatch(1); err != nil {
+	if props, err = s.ProposeBatchContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	committed, got := s.History().Samples[0].ParamU, props[0].ParamU

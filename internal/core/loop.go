@@ -115,5 +115,5 @@ func RunLoop(p *Problem, task map[string]interface{}, proposer Proposer, opts Se
 	if err != nil {
 		return nil, err
 	}
-	return s.Run()
+	return s.RunContext(context.Background())
 }

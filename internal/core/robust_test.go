@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -179,7 +180,7 @@ func TestSessionStatsTrackRobustIngestion(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		fail = i == 2 // one failure after warm-up
-		if err := sess.Step(); err != nil {
+		if err := sess.StepContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

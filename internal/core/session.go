@@ -29,18 +29,19 @@ type SessionOptions struct {
 }
 
 // Session is a suspendable tuning run: the propose → evaluate → record
-// loop of RunLoop, decomposed into explicit Propose/Observe steps whose
+// loop of RunLoop, decomposed into explicit propose/observe steps whose
 // full state (history, iteration, RNG, outstanding proposal) can be
 // serialized with Checkpoint and restored with ResumeSession, resuming
 // bit-identically to an uninterrupted run.
 //
-// Decoupling Propose from Observe is also what lets a driver hand
-// individual function evaluations to remote workers: call Propose, ship
-// the configuration out, and Observe the result whenever it lands.
+// Decoupling proposing from observing is also what lets a driver hand
+// individual function evaluations to remote workers: call
+// ProposeContext, ship the configuration out, and Observe the result
+// whenever it lands.
 //
 // The surrogate (GP/LCM hyperparameters, evaluated points) is refit
 // deterministically from the history and the RNG stream on every
-// Propose, so the checkpoint never stores model weights — history +
+// proposal, so the checkpoint never stores model weights — history +
 // RNG state + iteration is the complete search state.
 type Session struct {
 	problem  *Problem
@@ -55,8 +56,8 @@ type Session struct {
 	iter int // evaluations committed to the history so far
 
 	// ledger holds issued-but-uncommitted proposals in id order; see
-	// batchsession.go. The single-proposal Propose/Observe pair is the
-	// k=1 special case of the same machinery.
+	// batchsession.go. The single-proposal ProposeContext/Observe pair
+	// is the k=1 special case of the same machinery.
 	ledger     []*pendingEntry
 	nextPropID uint64
 
@@ -66,7 +67,8 @@ type Session struct {
 
 // NewSession validates the problem and returns a fresh session. Unlike
 // RunLoop, the problem's Evaluator may be nil as long as only
-// Propose/Observe (not Step/Run) are used — the remote-evaluation mode.
+// ProposeContext/Observe (not StepContext/RunContext) are used — the
+// remote-evaluation mode.
 func NewSession(p *Problem, task map[string]interface{}, proposer Proposer, opts SessionOptions) (*Session, error) {
 	if err := validateSessionProblem(p); err != nil {
 		return nil, err
@@ -130,21 +132,18 @@ func (s *Session) History() *History { return s.h }
 // resumed session starts its counters at zero.
 func (s *Session) Stats() RobustStats { return s.stats }
 
-// Propose returns the next configuration to evaluate. It is idempotent
-// while a proposal is outstanding: calling it again (e.g. after a
-// resume) returns the same configuration without consuming randomness.
-func (s *Session) Propose() (map[string]interface{}, error) {
-	return s.ProposeContext(context.Background())
-}
-
-// ProposeContext is Propose with cooperative cancellation: the context
-// is checked between the proposal's stages (before the surrogate fit,
-// between fit and acquisition search), so a cancelled context stops the
-// proposal without corrupting the session — no randomness beyond the
-// interrupted stage is consumed and Checkpoint stays valid.
+// ProposeContext returns the next configuration to evaluate. It is
+// idempotent while a proposal is outstanding: calling it again (e.g.
+// after a resume) returns the same configuration without consuming
+// randomness. The context is checked between the proposal's stages
+// (before the surrogate fit, between fit and acquisition search), so a
+// cancelled context stops the proposal without corrupting the session —
+// no randomness beyond the interrupted stage is consumed and Checkpoint
+// stays valid.
 //
-// Propose/Observe are the k=1 special case of the batch ledger: an
-// outstanding unobserved proposal (from either path) is returned as-is.
+// ProposeContext/Observe are the k=1 special case of the batch ledger:
+// an outstanding unobserved proposal (from either path) is returned
+// as-is.
 func (s *Session) ProposeContext(ctx context.Context) (map[string]interface{}, error) {
 	batch := s.PendingProposals()
 	if len(batch) == 0 {
@@ -169,32 +168,21 @@ func (s *Session) Observe(y float64, evalErr error) error {
 	return errors.New("core: Observe without an outstanding proposal")
 }
 
-// Step proposes the next point and evaluates it inline with the
-// problem's Evaluator.
-func (s *Session) Step() error {
-	return s.StepContext(context.Background())
-}
-
-// StepContext is Step with cooperative cancellation. Cancellation
-// during the proposal stops between stages; cancellation during the
-// evaluation abandons the in-flight Evaluate call (its goroutine may
-// finish in the background, but its result is discarded) and leaves the
-// proposal outstanding, so a resumed session re-evaluates the same
-// point instead of losing it.
+// StepContext proposes the next point and evaluates it inline with the
+// problem's Evaluator. Cancellation during the proposal stops between
+// stages; cancellation during the evaluation abandons the in-flight
+// Evaluate call (its goroutine may finish in the background, but its
+// result is discarded) and leaves the proposal outstanding, so a
+// resumed session re-evaluates the same point instead of losing it.
 func (s *Session) StepContext(ctx context.Context) error {
 	return s.stepBatch(ctx, 1, 1)
 }
 
-// Run steps until the budget is consumed and returns the history. A
-// session that was partially run (or resumed from a checkpoint) simply
-// continues.
-func (s *Session) Run() (*History, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunContext is Run with cooperative cancellation; on cancellation it
-// returns the history accumulated so far with the wrapped context
-// error, and the session remains checkpointable and resumable.
+// RunContext steps until the budget is consumed and returns the
+// history. A session that was partially run (or resumed from a
+// checkpoint) simply continues. On cancellation it returns the history
+// accumulated so far with the wrapped context error, and the session
+// remains checkpointable and resumable.
 func (s *Session) RunContext(ctx context.Context) (*History, error) {
 	return s.RunBatchContext(ctx, 1, 1)
 }

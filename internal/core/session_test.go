@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -43,7 +44,7 @@ func TestSessionMatchesItselfRunToRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := s.Run()
+		h, err := s.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func checkpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uninterrupted, err := full.Run()
+	uninterrupted, err := full.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func checkpointResumeBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < k; i++ {
-				if err := s.Step(); err != nil {
+				if err := s.StepContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -104,7 +105,7 @@ func checkpointResumeBitIdentical(t *testing.T) {
 			if r.Iter() != k {
 				t.Fatalf("resumed iter %d, want %d", r.Iter(), k)
 			}
-			h, err := r.Run()
+			h, err := r.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,18 +124,18 @@ func TestSessionCheckpointWithPendingProposal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uninterrupted, err := full.Run()
+	uninterrupted, err := full.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s, _ := NewSession(p, nil, newTestProposer(), opts)
 	for i := 0; i < 3; i++ {
-		if err := s.Step(); err != nil {
+		if err := s.StepContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	params, err := s.Propose()
+	params, err := s.ProposeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +149,14 @@ func TestSessionCheckpointWithPendingProposal(t *testing.T) {
 	}
 	// The resumed session re-proposes the identical pending point
 	// without consuming randomness.
-	params2, err := r.Propose()
+	params2, err := r.ProposeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(params, params2) {
 		t.Fatalf("pending proposal drifted: %v vs %v", params, params2)
 	}
-	h, err := r.Run()
+	h, err := r.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +175,11 @@ func TestSessionProposeObserveRemoteMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Step(); err == nil {
+	if err := s.StepContext(context.Background()); err == nil {
 		t.Fatal("Step without evaluator must fail")
 	}
 	for !s.Done() {
-		params, err := s.Propose()
+		params, err := s.ProposeContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +199,7 @@ func TestSessionRecordsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Propose(); err != nil {
+	if _, err := s.ProposeContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Observe(0, errors.New("oom")); err != nil {
@@ -229,7 +230,7 @@ func TestSessionValidation(t *testing.T) {
 func TestResumeSessionRejectsMismatches(t *testing.T) {
 	p := quadProblem(t)
 	s, _ := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 4, Seed: 1})
-	s.Step()
+	s.StepContext(context.Background())
 	cp, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestResumeSessionRejectsMismatches(t *testing.T) {
 func TestResumeSessionExtendsBudget(t *testing.T) {
 	p := quadProblem(t)
 	s, _ := NewSession(p, nil, newTestProposer(), SessionOptions{Budget: 3, Seed: 5})
-	if _, err := s.Run(); err != nil {
+	if _, err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cp, _ := s.Checkpoint()
@@ -266,7 +267,7 @@ func TestResumeSessionExtendsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := r.Run()
+	h, err := r.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

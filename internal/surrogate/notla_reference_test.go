@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -105,7 +106,7 @@ func runSession(t *testing.T, p *core.Problem, task map[string]interface{}, prop
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.Run()
+	h, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("%s: %v", prop.Name(), err)
 	}
@@ -231,7 +232,7 @@ func TestPoolDegradesOnFitFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := sess.Run()
+	h, err := sess.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("session died on fit failure: %v", err)
 	}

@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -91,7 +92,7 @@ func tunerContract(t *testing.T, mk func() core.Proposer, split int) {
 		t.Fatal(err)
 	}
 	for i := 0; i < split; i++ {
-		if err := half.Step(); err != nil {
+		if err := half.StepContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +104,7 @@ func tunerContract(t *testing.T, mk func() core.Proposer, split int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resumed.Run(); err != nil {
+	if _, err := resumed.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sameHistory(t, fmt.Sprintf("resumed at %d", split), full, resumed.History())

@@ -1,6 +1,7 @@
 package tla_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -54,7 +55,7 @@ func degradedRun(t *testing.T, name string, budget int, seed int64) (core.Robust
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := sess.Run()
+	h, err := sess.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("session died on a fit failure: %v", err)
 	}

@@ -88,7 +88,7 @@ func TestHostileCrowdEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sess.Run()
+		res, err := sess.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -197,7 +197,7 @@ func TestEndToEndCrowdTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Run()
+	res, err := sess.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

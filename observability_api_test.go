@@ -44,7 +44,7 @@ func TestTuneContextCancellationCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := sess.Run()
+	full, err := sess.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestBudgetSentinelLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Step(); err != nil {
+	if err := sess.StepContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, err = sess.Propose()
+	_, err = sess.ProposeContext(context.Background())
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}

@@ -93,6 +93,12 @@ gone  all  func \(k \*Kernel\) Eval(Grad)?\(  func (k *Kernel) EvalGrad(
 == after afa0206  fits read K and the length-scale factors and never build dK; parallel.For is the one fan-out
 gone  all  ForEachWorker gradScratch MatrixGradsInto dKs baseG
 only-in  src:!bench  MatrixGradsWorkers\(  internal/kernel/kernel.go
+
+== after b7fe3cf  one form per verb, taking a context; the context-less forms left are the ones bench/ calls
+gone  all  (func |\.)(TuneBatch|QueryFunctionEvaluations|UploadHistory|UploadSurrogateModel|DownloadSurrogateModel|QuerySurrogateModel(Opts)?|QueryPredictOutput|QuerySensitivityAnalysis|Connect(Meta)?)\(  gptunecrowd.Connect(url, key)
+gone  all:!bench  func \(s \*(Session|TuningSession)\) (Propose|ProposeBatch|Run)\(|func \(s \*Session\) Step\(|\.ProposeBatch\(|\.Propose\(\)|(?<!\bm)\.Run\(\)|\.Step\(\)  func (s *Session) Run() (*History, error) {
+only-in  src:!bench  \.(Register|Upload|Query|QueryWithParamFilter|Problems)\(  internal/crowd/client.go:1
+fields  crowdapi.go:SurrogateOptions  Kernel Seed
 ROWS
 }
 

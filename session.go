@@ -36,7 +36,7 @@ func sessionOptions(opts TuneOptions) core.SessionOptions {
 //
 //   - stop/resume: a worker can be killed after any evaluation and a
 //     different worker can pick the run up from the checkpoint;
-//   - remote evaluation: call Propose, ship the configuration to
+//   - remote evaluation: call ProposeContext, ship the configuration to
 //     wherever the application runs, and Observe the measurement when
 //     it lands (the Problem's Evaluator may be nil in this mode).
 type TuningSession struct {
@@ -94,16 +94,13 @@ func resolveProposer(opts TuneOptions) (Proposer, error) {
 	})
 }
 
-// Propose returns the next configuration to evaluate. It is idempotent
-// while a proposal is outstanding: calling it again (e.g. after a
-// resume) returns the same configuration without consuming randomness.
-// Thin wrapper over ProposeContext with context.Background().
-func (s *TuningSession) Propose() (map[string]interface{}, error) { return s.inner.Propose() }
-
-// ProposeContext is Propose with cooperative cancellation: the context
-// threads into surrogate fitting and acquisition search, and a cancel
-// surfaces as the wrapped context error without consuming budget or
-// randomness — the session stays checkpointable and resumable.
+// ProposeContext returns the next configuration to evaluate. It is
+// idempotent while a proposal is outstanding: calling it again (e.g.
+// after a resume) returns the same configuration without consuming
+// randomness. The context threads into surrogate fitting and
+// acquisition search, and a cancel surfaces as the wrapped context
+// error without consuming budget or randomness — the session stays
+// checkpointable and resumable.
 func (s *TuningSession) ProposeContext(ctx context.Context) (map[string]interface{}, error) {
 	return s.inner.ProposeContext(ctx)
 }
@@ -148,11 +145,6 @@ func publicProposals(in []core.PendingProposal) []Proposal {
 	return out
 }
 
-// ProposeBatch is ProposeBatchContext with a background context.
-func (s *TuningSession) ProposeBatch(k int) ([]Proposal, error) {
-	return s.ProposeBatchContext(context.Background(), k)
-}
-
 // ProposeBatchContext issues up to k new proposals on top of whatever
 // is already in flight, so several workers can evaluate points of the
 // same session concurrently. k is clamped to the remaining budget minus
@@ -184,26 +176,21 @@ func (s *TuningSession) PendingProposals() []Proposal {
 // to the history.
 func (s *TuningSession) InFlight() int { return s.inner.InFlight() }
 
-// Step proposes and evaluates one point with the problem's Evaluator.
-// Thin wrapper over StepContext with context.Background().
-func (s *TuningSession) Step() error { return s.inner.Step() }
+// Step is StepContext with context.Background(). It stays only because
+// bench/ calls it.
+func (s *TuningSession) Step() error { return s.inner.StepContext(context.Background()) }
 
-// StepContext is Step with cooperative cancellation. A cancel mid-
-// evaluation abandons the measurement but keeps the proposal pending,
-// so a resumed (or simply retried) session re-evaluates the same point
-// rather than skipping it.
+// StepContext proposes and evaluates one point with the problem's
+// Evaluator. A cancel mid-evaluation abandons the measurement but keeps
+// the proposal pending, so a resumed (or simply retried) session
+// re-evaluates the same point rather than skipping it.
 func (s *TuningSession) StepContext(ctx context.Context) error { return s.inner.StepContext(ctx) }
 
-// Run steps until the budget is consumed, then reports the result like
-// Tune. A partially run or resumed session simply continues. Thin
-// wrapper over RunContext with context.Background().
-func (s *TuningSession) Run() (*Result, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunContext is Run with cooperative cancellation. On cancellation it
-// returns the wrapped context error together with a partial Result
-// whose Checkpoint field resumes the run via ResumeTuningSession.
+// RunContext steps until the budget is consumed, then reports the
+// result like TuneContext. A partially run or resumed session simply
+// continues. On cancellation it returns the wrapped context error
+// together with a partial Result whose Checkpoint field resumes the run
+// via ResumeTuningSession.
 func (s *TuningSession) RunContext(ctx context.Context) (*Result, error) {
 	return s.RunBatchContext(ctx, 1, 1)
 }

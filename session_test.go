@@ -1,6 +1,7 @@
 package gptunecrowd
 
 import (
+	"context"
 	"testing"
 
 	"gptunecrowd/internal/core"
@@ -48,7 +49,7 @@ func TestTuningSessionMatchesTune(t *testing.T) {
 	if s.Algorithm() != "NoTLA" {
 		t.Fatalf("algorithm %q", s.Algorithm())
 	}
-	res, err := s.Run()
+	res, err := s.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestTuningSessionMatchesTune(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameHistory(t, "Tune vs TuningSession.Run", res.History, tuned.History)
-	batched, err := TuneBatch(p, nil, BatchTuneOptions{TuneOptions: opts, BatchSize: 1})
+	batched, err := TuneBatchContext(context.Background(), p, nil, BatchTuneOptions{TuneOptions: opts, BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +82,14 @@ func TestTuningSessionCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.Run()
+	want, err := full.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s, _ := NewTuningSession(p, nil, opts)
 	for i := 0; i < 3; i++ {
-		if err := s.Step(); err != nil {
+		if err := s.StepContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +104,7 @@ func TestTuningSessionCheckpointResume(t *testing.T) {
 	if r.Iter() != 3 || r.Done() {
 		t.Fatalf("resumed at iter %d done=%v", r.Iter(), r.Done())
 	}
-	got, err := r.Run()
+	got, err := r.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestTuningSessionRemoteEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for !s.Done() {
-		params, err := s.Propose()
+		params, err := s.ProposeContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestTuningSessionRemoteEvaluation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.Run() // already done: just reports
+	res, err := s.RunContext(context.Background()) // already done: just reports
 	if err != nil {
 		t.Fatal(err)
 	}

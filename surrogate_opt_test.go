@@ -1,6 +1,7 @@
 package gptunecrowd
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -79,7 +80,7 @@ func TestTuneSurrogateCheckpointResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			for split := 1; split < opts.Budget; split++ {
-				if err := s.Step(); err != nil {
+				if err := s.StepContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				cp, err := s.Checkpoint()
@@ -90,7 +91,7 @@ func TestTuneSurrogateCheckpointResume(t *testing.T) {
 				if err != nil {
 					t.Fatalf("split %d: %v", split, err)
 				}
-				res, err := resumed.Run()
+				res, err := resumed.RunContext(context.Background())
 				if err != nil {
 					t.Fatalf("split %d: %v", split, err)
 				}

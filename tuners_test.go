@@ -82,7 +82,7 @@ func TestSourceFedTunersIngestRobustly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Run(); err != nil {
+			if _, err := s.RunContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			if st := s.Stats(); st.LastImputed != 1 {
