@@ -138,6 +138,9 @@ type SurrogateModelDoc = crowd.SurrogateModelDoc
 // upload and its retries.
 func UploadSurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaDescription, task map[string]interface{}, h *History,
 	machine MachineConfiguration, accessibility string) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
 	X, Y := h.XY()
 	if len(X) < 2 {
 		return "", fmt.Errorf("gptunecrowd: need at least 2 successful samples to fit a model")

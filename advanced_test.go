@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"net/http"
 	"sync/atomic"
 	"testing"
 
+	"gptunecrowd/internal/crowd"
 	"gptunecrowd/internal/gp"
 )
 
@@ -246,5 +249,62 @@ func TestUploadSurrogateModelNeedsSamples(t *testing.T) {
 	h.Append(Sample{ParamU: []float64{0.5}, Params: map[string]interface{}{"x": 0.5}, Y: 1})
 	if _, err := UploadSurrogateModelContext(context.Background(), c, d, nil, h, MachineConfiguration{}, "public"); err == nil {
 		t.Fatal("expected too-few-samples error")
+	}
+}
+
+func TestUploadSurrogateModelCancelled(t *testing.T) {
+	c, d := crowdFixture(t)
+	h := &History{}
+	h.Append(Sample{ParamU: []float64{0.5}, Params: map[string]interface{}{"x": 0.5}, Y: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := UploadSurrogateModelContext(ctx, c, d, nil, h, MachineConfiguration{}, "public"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled before any fit", err)
+	}
+}
+
+// cancelOnReply cancels a context once a reply to path has been read in
+// full: the caller holds the reply, but its context is done.
+type cancelOnReply struct {
+	path   string
+	cancel context.CancelFunc
+}
+
+func (t cancelOnReply) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.URL.Path != t.path {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	t.cancel()
+	return resp, nil
+}
+
+func TestQueryUtilitiesCancelledAfterDownload(t *testing.T) {
+	c, d := crowdFixture(t)
+	seedCrowd(t, c, 0.8, 20, 5)
+	for name, query := range map[string]func(context.Context, *CrowdClient) error{
+		"QuerySurrogateModelContext": func(ctx context.Context, c *CrowdClient) error {
+			_, err := QuerySurrogateModelContext(ctx, c, d, SurrogateOptions{})
+			return err
+		},
+		"QuerySensitivityAnalysisContext": func(ctx context.Context, c *CrowdClient) error {
+			_, err := QuerySensitivityAnalysisContext(ctx, c, d, SensitivityOptions{N: 64, NBoot: 4})
+			return err
+		},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelling := ConnectWith(ConnectOptions{URL: c.BaseURL, APIKey: c.APIKey,
+			Transport: cancelOnReply{path: crowd.PathFuncEvalQuery, cancel: cancel}})
+		err := query(ctx, cancelling)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled once the download is in", name, err)
+		}
 	}
 }

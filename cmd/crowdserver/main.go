@@ -9,11 +9,12 @@
 //
 //   - Node (default): one replica of one shard. Every durable state
 //     machine (the document collections and the task pool) sits on an
-//     internal/replog segmented log under <data>/logs. A leader (-role leader, the default) accepts writes and
-//     streams its logs to the followers named by -replicas; a follower
-//     (-role follower) applies the stream, serves bounded-staleness
-//     reads, and bounces writes to its leader with 307. A standalone
-//     server is simply a shard of one with no replicas.
+//     internal/replog segmented log under <data>/logs. A leader (-role
+//     leader, the default) serves reads and writes and streams its logs
+//     to the followers named by -replicas; a follower (-role follower)
+//     applies the stream and stands by, bouncing every public read and
+//     write to its leader with 307. A standalone server is simply a
+//     shard of one with no replicas.
 //
 //   - Coordinator (-coordinator): the stateless routing front door. It
 //     consistent-hashes tuning problems onto shards and proxies the

@@ -129,6 +129,9 @@ func QuerySurrogateModelContext(ctx context.Context, c *CrowdClient, d *MetaDesc
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil { // the download may outlast the caller
+		return nil, err
+	}
 	ps := d.ProblemSpace.ParameterSpace
 	X, Y, err := evalsXY(ps, evals)
 	if err != nil {
@@ -209,6 +212,9 @@ type SensitivityOptions struct {
 func QuerySensitivityAnalysisContext(ctx context.Context, c *CrowdClient, d *MetaDescription, opts SensitivityOptions) (*SensitivityResult, error) {
 	evals, err := QueryFunctionEvaluationsContext(ctx, c, d)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil { // the download may outlast the caller
 		return nil, err
 	}
 	return SensitivityFromEvals(d.ProblemSpace.ParameterSpace, evals, opts)

@@ -63,7 +63,6 @@ func newChaosNode(t *testing.T, net *chaos.Network, shard string, leader bool, p
 		Leader:            leader,
 		Token:             testToken,
 		CommitTimeout:     2 * time.Second,
-		StalenessWindow:   time.Second,
 		HeartbeatInterval: 50 * time.Millisecond,
 		PushTimeout:       250 * time.Millisecond,
 		InternalClient:    net.Client(host),

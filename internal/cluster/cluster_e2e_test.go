@@ -57,12 +57,11 @@ type testShard struct {
 func newTestNode(t *testing.T, shard string, leader bool, problems []string, sp *space.Space) (*Node, *httptest.Server) {
 	t.Helper()
 	n, err := NewNode(NodeConfig{
-		Shard:           shard,
-		Leader:          leader,
-		Token:           testToken,
-		CommitTimeout:   5 * time.Second,
-		StalenessWindow: time.Minute,
-		Crowd:           crowd.Config{SuggestSeed: 11},
+		Shard:         shard,
+		Leader:        leader,
+		Token:         testToken,
+		CommitTimeout: 5 * time.Second,
+		Crowd:         crowd.Config{SuggestSeed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +234,8 @@ func TestClusterStressFailover(t *testing.T) {
 		}(pi, p)
 	}
 
-	// Suggest clients: hammer the read path (served by follower
-	// replicas through the coordinator) across all problems.
+	// Suggest clients: hammer the read path (served by the shard
+	// leaders through the coordinator) across all problems.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -195,12 +195,11 @@ func TestStaleLeaderStepsDownWhenFenced(t *testing.T) {
 	sp := testSpace(t)
 	mk := func(leader bool) (*Node, *httptest.Server) {
 		n, err := NewNode(NodeConfig{
-			Shard:           "s0",
-			Leader:          leader,
-			Token:           testToken,
-			CommitTimeout:   300 * time.Millisecond,
-			StalenessWindow: time.Minute,
-			Crowd:           crowd.Config{SuggestSeed: 11},
+			Shard:         "s0",
+			Leader:        leader,
+			Token:         testToken,
+			CommitTimeout: 300 * time.Millisecond,
+			Crowd:         crowd.Config{SuggestSeed: 11},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"gptunecrowd/internal/crowd"
+	"gptunecrowd/internal/obs"
 	"gptunecrowd/internal/taskpool"
 )
 
@@ -60,7 +61,7 @@ func TestEndpointContract(t *testing.T) {
 	}
 	coordTS, shards := newTestCluster(t, 2, contractProblems)
 	coord := coordTS.Config.Handler
-	leader, fresh := shards[0].leaderTS.Config.Handler, shards[0].followerTS.Config.Handler
+	leader, follower := shards[0].leaderTS.Config.Handler, shards[0].followerTS.Config.Handler
 
 	// One account everywhere; on the cluster it replicates to followers
 	// and teaches them who leads.
@@ -71,29 +72,19 @@ func TestEndpointContract(t *testing.T) {
 		}
 	}
 
-	// A follower whose leader went quiet past its staleness window, and
-	// one that never heard from a leader.
-	staleNode, err := NewNode(NodeConfig{Shard: "s0", Token: testToken, StalenessWindow: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	staleTS := httptest.NewServer(staleNode)
-	t.Cleanup(func() { staleTS.Close(); staleNode.Close() })
+	// A follower whose leader is gone, and one that never heard from a
+	// leader.
+	_, desertedTS := newTestNode(t, "s0", false, nil, sp)
 	gone := httptest.NewServer(http.NotFoundHandler())
 	goneLeader := gone.URL
 	gone.Close()
-	heartbeatAs(t, staleTS.URL, goneLeader, 1)
-	for deadline := time.Now().Add(5 * time.Second); staleNode.freshEnough(); time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("follower never went stale")
-		}
-	}
+	heartbeatAs(t, desertedTS.URL, goneLeader, 1)
 	_, orphanTS := newTestNode(t, "s0", false, nil, sp)
-	stale, orphan := staleTS.Config.Handler, orphanTS.Config.Handler
+	deserted, orphan := desertedTS.Config.Handler, orphanTS.Config.Handler
 
 	everyTier := map[string]http.Handler{
-		"server": bare, "leader": leader, "fresh follower": fresh,
-		"stale follower": stale, "leaderless follower": orphan, "coordinator": coord,
+		"server": bare, "leader": leader, "follower": follower,
+		"deserted follower": deserted, "leaderless follower": orphan, "coordinator": coord,
 	}
 	for _, e := range crowd.Endpoints() {
 		body := probeBody(e)
@@ -115,10 +106,11 @@ func TestEndpointContract(t *testing.T) {
 
 		// 401 iff the row requires a key; a valid key gets past auth
 		// (whatever the handler then thinks of the probe body). A follower
-		// bounces writes before auth, so it answers for its reads only.
+		// bounces reads and writes before auth, so it answers for its
+		// local rows only.
 		authTiers := map[string]http.Handler{"server": bare, "leader": leader, "coordinator": coord}
-		if e.Class != crowd.ClassWrite {
-			authTiers["fresh follower"] = fresh
+		if e.Class == crowd.ClassLocal {
+			authTiers["follower"] = follower
 		}
 		for name, h := range authTiers {
 			for _, key := range []string{"", "not-a-registered-key"} {
@@ -133,13 +125,14 @@ func TestEndpointContract(t *testing.T) {
 			}
 		}
 
-		// The role gate reads Class.
+		// The role gate reads Class: a follower bounces reads as it
+		// bounces writes.
 		switch e.Class {
-		case crowd.ClassWrite:
+		case crowd.ClassWrite, crowd.ClassRead:
 			for name, tier := range map[string]struct {
 				h      http.Handler
 				leader string
-			}{"fresh follower": {fresh, shards[0].leaderTS.URL}, "stale follower": {stale, goneLeader}} {
+			}{"follower": {follower, shards[0].leaderTS.URL}, "deserted follower": {deserted, goneLeader}} {
 				rec := contractCall(tier.h, http.MethodPost, e.Path, contractKey, body)
 				if rec.Code != http.StatusTemporaryRedirect ||
 					rec.Header().Get(crowd.ShardLeaderHeader) != tier.leader ||
@@ -150,14 +143,6 @@ func TestEndpointContract(t *testing.T) {
 			}
 			if rec := contractCall(orphan, http.MethodPost, e.Path, contractKey, body); rec.Code != http.StatusMisdirectedRequest {
 				t.Errorf("leaderless follower: POST %s = %d, want 421", e.Path, rec.Code)
-			}
-		case crowd.ClassFreshRead:
-			rec := contractCall(stale, http.MethodPost, e.Path, contractKey, body)
-			if rec.Code != http.StatusPreconditionFailed || rec.Header().Get(crowd.ShardLeaderHeader) != goneLeader {
-				t.Errorf("stale follower: POST %s = %d, leader %q; want 412 naming the leader", e.Path, rec.Code, rec.Header().Get(crowd.ShardLeaderHeader))
-			}
-			if rec := contractCall(orphan, http.MethodPost, e.Path, contractKey, body); rec.Code != http.StatusPreconditionFailed {
-				t.Errorf("leaderless follower: POST %s = %d, want 412", e.Path, rec.Code)
 			}
 		case crowd.ClassLocal:
 			for name, h := range everyTier {
@@ -197,6 +182,17 @@ func TestEndpointContract(t *testing.T) {
 	for i := range single {
 		if i >= len(merged) || single[i] != merged[i] {
 			t.Errorf("script step %d differs:\n  server:      %s\n  coordinator: %s", i, single[i], at(merged, i))
+		}
+	}
+	// Every step, reads included, reached a shard leader: no follower's
+	// crowd server answered one.
+	for _, s := range shards {
+		var served int64
+		for _, code := range []string{"2xx", "4xx", "5xx"} {
+			served += s.follower.Server().Registry().Counter("crowd_http_requests_total", "", obs.L("code", code)).Value()
+		}
+		if served != 0 {
+			t.Errorf("shard %s: its follower served %d requests of the coordinator script", s.id, served)
 		}
 	}
 	for _, s := range shards {

@@ -4,8 +4,8 @@ package cluster
 // shard topology, consistent-hashes every tuning problem onto a shard
 // (internal/shardring), and serves the same /api/v1 surface as a
 // single crowd server by proxying: single-shard requests go to the
-// owning shard (writes to its leader, reads to a replica with a
-// leader fallback), cross-shard requests fan out and merge (proxy.go).
+// owning shard's leader (reads and writes alike), cross-shard requests
+// fan out and merge (proxy.go).
 
 import (
 	"bytes"
@@ -143,9 +143,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	client := cfg.HTTP
 	if client == nil {
 		// Surface 307s instead of transparently following them:
-		// writeToShard turns a redirect into an adoptLeader + retry, so
+		// toLeader turns a redirect into an adoptLeader + retry, so
 		// the topology converges on the new leader rather than paying a
-		// stale-leader bounce on every write forever.
+		// stale-leader bounce on every request forever.
 		client = &http.Client{
 			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 		}
@@ -443,12 +443,12 @@ func (c *Coordinator) probeLeader(orig *http.Request, id string) (string, uint64
 	return bestURL, bestEpoch
 }
 
-// writeToShard sends a mutating request to the shard's leader, chasing
+// toLeader sends a read or write to the shard's leader, chasing
 // leadership changes bounded by routeAttempts: 307/421 hints are
 // verified by an info probe (adoption is epoch-fenced) and failed
 // attempts back off with jittered exponential delays so a failover
 // window does not trigger a synchronized retry herd.
-func (c *Coordinator) writeToShard(orig *http.Request, id, path string, body []byte) (*shardReply, error) {
+func (c *Coordinator) toLeader(orig *http.Request, id, path string, body []byte) (*shardReply, error) {
 	info, ok := c.shardInfo(id)
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown shard %q", id)
@@ -498,53 +498,6 @@ func (c *Coordinator) writeToShard(orig *http.Request, id, path string, body []b
 		return rep, nil
 	}
 	return nil, lastErr
-}
-
-// readFromShard serves a read from the shard, preferring follower
-// replicas (round-robin) and falling back to the leader when replicas
-// are stale (412), redirecting, or down.
-func (c *Coordinator) readFromShard(orig *http.Request, id, path string, body []byte) (*shardReply, error) {
-	info, ok := c.shardInfo(id)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown shard %q", id)
-	}
-	var order []string
-	if n := len(info.Replicas); n > 0 {
-		start := int(c.rr.Add(1)) % n
-		for i := 0; i < n; i++ {
-			order = append(order, info.Replicas[(start+i)%n])
-		}
-	}
-	if info.Leader != "" {
-		order = append(order, info.Leader)
-	}
-	var lastErr error
-	for _, url := range order {
-		rep, err := c.do(orig, url, path, body)
-		if err != nil {
-			lastErr = err
-			c.metrics.retries.Inc()
-			continue
-		}
-		if rep.status == http.StatusPreconditionFailed {
-			c.metrics.staleReads.Inc()
-			continue
-		}
-		if rep.status == http.StatusTemporaryRedirect || rep.status == http.StatusMisdirectedRequest {
-			c.metrics.retries.Inc()
-			continue
-		}
-		return rep, nil
-	}
-	// Last resort: the write path's leader chase.
-	rep, err := c.writeToShard(orig, id, path, body)
-	if err != nil {
-		if lastErr != nil {
-			return nil, lastErr
-		}
-		return nil, err
-	}
-	return rep, nil
 }
 
 // ReplicaStatus is one replica's reachability in the stats view.

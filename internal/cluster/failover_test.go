@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -86,10 +85,10 @@ func TestReadyzStates(t *testing.T) {
 		t.Fatalf("orphan follower readyz: HTTP %d %v", status, body)
 	}
 
-	// After a leader heartbeat it is in sync.
+	// After a leader heartbeat it is a ready follower.
 	heartbeatAs(t, followerTS.URL, leaderTS.URL, 1)
-	if status, body := getReadyz(t, followerTS.URL); status != http.StatusOK || body["state"] != "in_sync" {
-		t.Fatalf("in-sync follower readyz: HTTP %d %v", status, body)
+	if status, body := getReadyz(t, followerTS.URL); status != http.StatusOK || body["state"] != "follower" {
+		t.Fatalf("follower readyz: HTTP %d %v", status, body)
 	}
 
 	// A deposed leader awaiting resync reports fenced and is not ready.
@@ -101,38 +100,6 @@ func TestReadyzStates(t *testing.T) {
 	}
 	if status, body := getReadyz(t, followerTS.URL); status != http.StatusServiceUnavailable || body["state"] != "fenced" {
 		t.Fatalf("fenced readyz: HTTP %d %v", status, body)
-	}
-}
-
-func TestReadyzStale(t *testing.T) {
-	n, err := NewNode(NodeConfig{
-		Shard:           "s0",
-		Leader:          false,
-		Token:           testToken,
-		CommitTimeout:   time.Second,
-		StalenessWindow: 50 * time.Millisecond,
-		Crowd:           crowd.Config{SuggestSeed: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(n)
-	n.SetAdvertise(ts.URL)
-	t.Cleanup(func() {
-		ts.Close()
-		n.Close()
-	})
-	heartbeatAs(t, ts.URL, "http://leader.example", 1)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		status, body := getReadyz(t, ts.URL)
-		if status == http.StatusServiceUnavailable && body["state"] == "stale" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never went stale: HTTP %d %v", status, body)
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -267,7 +267,9 @@ func TestAppliesParentPush(t *testing.T) {
 			t.Errorf("%s acknowledged at %d, the leader's head is %d", name, ack.Acked[name], b.Head)
 		}
 	}
-	checkParentState(t, follower, followerTS.Config.Handler)
+	// A follower bounces public reads to its leader; the state it applied
+	// is read from the crowd server it wraps.
+	checkParentState(t, follower, follower.Server())
 	if got := follower.LeaderURL(); got != sent.Leader {
 		t.Fatalf("follower's leader = %q, the push names %q", got, sent.Leader)
 	}

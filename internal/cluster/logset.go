@@ -204,17 +204,6 @@ func (s *logSet) behind(acked func(name string) uint64) bool {
 	return false
 }
 
-// lagging reports whether any log trails the head the leader's push
-// advertises for it by more than maxLag entries.
-func (s *logSet) lagging(batches map[string]*applyLogBatch) bool {
-	for _, row := range s.rows {
-		if b := batches[row.name]; b != nil && b.Head > row.j.Log().LastIndex()+maxLag {
-			return true
-		}
-	}
-	return false
-}
-
 // forced reports whether a push is a truncation resync.
 func forced(batches map[string]*applyLogBatch) bool {
 	for _, b := range batches {

@@ -16,7 +16,6 @@ type nodeMetrics struct {
 	commitTimeouts  *obs.Counter
 	replicationErrs *obs.Counter
 	followerDeaths  *obs.Counter
-	staleRejects    *obs.Counter
 	stepDowns       *obs.Counter
 	promotions      *obs.Counter
 	resyncs         *obs.Counter
@@ -33,8 +32,6 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 			"Failed replication pushes (send errors and per-log apply failures)."),
 		followerDeaths: reg.Counter("cluster_follower_deaths_total",
 			"Followers dropped from the commit quorum after consecutive push failures."),
-		staleRejects: reg.Counter("cluster_stale_reads_total",
-			"Reads refused with 412 because this replica lagged its leader."),
 		stepDowns: reg.Counter("cluster_stepdowns_total",
 			"Stale leaders demoted to follower after a promoted node fenced their stream."),
 		promotions: reg.Counter("cluster_promotions_total",
@@ -94,7 +91,6 @@ type coordMetrics struct {
 	fanouts            *obs.Counter
 	retries            *obs.Counter
 	failovers          *obs.Counter
-	staleReads         *obs.Counter
 	detectorProbes     *obs.Counter
 	detectorMisses     *obs.Counter
 	detectorPromotions *obs.Counter
@@ -108,11 +104,9 @@ func newCoordMetrics(reg *obs.Registry, c *Coordinator) *coordMetrics {
 		fanouts: reg.Counter("cluster_fanout_requests_total",
 			"Requests fanned out to every shard (problems, task list, stats, register)."),
 		retries: reg.Counter("cluster_route_retries_total",
-			"Shard requests retried on another replica or refreshed leader."),
+			"Shard requests retried on a refreshed leader."),
 		failovers: reg.Counter("cluster_failovers_total",
 			"Leader changes adopted after probing a shard's replicas."),
-		staleReads: reg.Counter("cluster_stale_reads_total",
-			"Replica reads refused with 412 and re-served from another node."),
 		detectorProbes: reg.Counter("cluster_detector_probes_total",
 			"Supervisor health probes of shard leaders."),
 		detectorMisses: reg.Counter("cluster_detector_misses_total",

@@ -41,12 +41,6 @@ const (
 	// DefaultCommitTimeout bounds how long an acknowledged write may
 	// wait for follower replication before the leader gives up with 503.
 	DefaultCommitTimeout = 5 * time.Second
-	// DefaultStalenessWindow is how recently a follower must have heard
-	// from its leader to serve reads.
-	DefaultStalenessWindow = 5 * time.Second
-	// maxLag is how many log entries a follower may trail the leader's
-	// head before refusing reads with 412.
-	maxLag = 256
 )
 
 // TokenHeader authenticates intra-cluster requests (replication apply,
@@ -78,9 +72,8 @@ type NodeConfig struct {
 	// Token, when non-empty, gates the intra-cluster endpoints: apply,
 	// promote and join requests must carry it in X-Cluster-Token.
 	Token string
-	// CommitTimeout, StalenessWindow: see the package defaults.
-	CommitTimeout   time.Duration
-	StalenessWindow time.Duration
+	// CommitTimeout: see the package defaults.
+	CommitTimeout time.Duration
 	// HeartbeatInterval bounds how long a healthy follower goes without a
 	// replication push when the shard is idle (DefaultHeartbeatInterval
 	// when zero).
@@ -102,9 +95,9 @@ type NodeConfig struct {
 
 // Node is one replica of one shard: a crowd.Server whose durable state
 // machines are driven by replicated logs, plus the role logic — a
-// leader accepts writes and streams them to followers; a follower
-// applies the stream, serves bounded-staleness reads, and bounces
-// writes to the leader with 307 + X-Shard-Leader.
+// leader serves reads and writes and streams the writes to followers;
+// a follower applies the stream and bounces every public read and
+// write to the leader with 307 + X-Shard-Leader.
 type Node struct {
 	cfg NodeConfig
 	srv *crowd.Server
@@ -114,8 +107,6 @@ type Node struct {
 	epoch       uint64 // promotion epoch of the leadership this node holds or follows
 	advertise   string
 	leaderURL   string        // follower: last leader that contacted us
-	lastContact time.Time     // follower: time of that contact
-	lagging     bool          // follower: trailed the leader's heads beyond maxLag at its last push
 	replicators []*Replicator // leader: one per follower
 	needResync  bool          // demoted leader awaiting truncation resync (fenced)
 
@@ -283,7 +274,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 		}
 	}
 	def(&c.CommitTimeout, DefaultCommitTimeout)
-	def(&c.StalenessWindow, DefaultStalenessWindow)
 	def(&c.HeartbeatInterval, DefaultHeartbeatInterval)
 	def(&c.PushTimeout, DefaultPushTimeout)
 	if c.InternalClient == nil {
@@ -296,11 +286,10 @@ func (c NodeConfig) withDefaults() NodeConfig {
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.mux.ServeHTTP(w, r) }
 
 // route is the role gate in front of the wrapped crowd.Server, resolved
-// per row from its Class: writes run on the leader behind the commit
-// barrier, bounce off followers and are refused by a node whose journal
-// failed; fresh reads 412 on a stale follower
-// so the caller (coordinator or redirect-following client) falls back
-// to the leader; local diagnostics are always served.
+// per row from its Class: writes and reads run on the leader alone and
+// bounce off followers; writes also run behind the commit barrier and
+// are refused by a node whose journal failed; local diagnostics are
+// always served.
 func (n *Node) route(class crowd.Class) http.HandlerFunc {
 	switch class {
 	case crowd.ClassWrite:
@@ -314,15 +303,10 @@ func (n *Node) route(class crowd.Class) http.HandlerFunc {
 			}
 			n.serveWriteBarrier(w, r)
 		}
-	case crowd.ClassFreshRead:
+	case crowd.ClassRead:
 		return func(w http.ResponseWriter, r *http.Request) {
-			if n.Role() != RoleLeader && !n.freshEnough() {
-				n.metrics.staleRejects.Inc()
-				if leader := n.LeaderURL(); leader != "" {
-					w.Header().Set(crowd.ShardLeaderHeader, leader)
-				}
-				crowd.WriteErr(w, http.StatusPreconditionFailed, "stale_replica",
-					"replica lags its leader beyond the staleness bound")
+			if n.Role() != RoleLeader {
+				n.redirectToLeader(w, r)
 				return
 			}
 			n.srv.ServeHTTP(w, r)
@@ -331,7 +315,7 @@ func (n *Node) route(class crowd.Class) http.HandlerFunc {
 	return n.srv.ServeHTTP
 }
 
-// redirectToLeader bounces a write off a follower: 307 with the leader
+// redirectToLeader bounces a request off a follower: 307 with the leader
 // address when known, 421 when the follower has never heard from one.
 func (n *Node) redirectToLeader(w http.ResponseWriter, r *http.Request) {
 	leader := n.LeaderURL()
@@ -343,7 +327,7 @@ func (n *Node) redirectToLeader(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(crowd.ShardLeaderHeader, leader)
 	w.Header().Set("Location", leader+r.URL.Path)
 	crowd.WriteErr(w, http.StatusTemporaryRedirect, "wrong_shard",
-		"shard %s writes go to the leader at %s", n.cfg.Shard, leader)
+		"shard %s is served by the leader at %s", n.cfg.Shard, leader)
 }
 
 // journalFailed is the fail-stop gate: once a journal has failed a log
@@ -484,21 +468,6 @@ func (n *Node) stepDown(newLeader string, newEpoch uint64) {
 	for _, r := range reps {
 		r.signalStop()
 	}
-}
-
-// freshEnough reports whether a follower may serve gated reads: it is
-// not a fenced ex-leader, heard from its leader within the staleness
-// window, and trails each log head by at most maxLag entries.
-func (n *Node) freshEnough() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.needResync {
-		return false
-	}
-	if time.Since(n.lastContact) > n.cfg.StalenessWindow {
-		return false
-	}
-	return !n.lagging
 }
 
 // PromoteEpoch turns a follower into its shard's leader: fence the old
@@ -670,9 +639,9 @@ func (n *Node) handleAttach(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe: distinguishes a usable node
-// (leader, in-sync follower) from one that is merely up (stale or
-// fenced follower, failed journal), so load balancers and the failure
-// detector can route around replicas that would answer reads with 412.
+// (leader, or a follower that knows its leader) from one that is merely
+// up (fenced or leaderless follower, failed journal), so load balancers
+// and the failure detector can route around it.
 func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	failed := n.journalFailed(nil)
 	n.mu.Lock()
@@ -692,12 +661,10 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		out.State, out.Leader, status = "leader", "", http.StatusOK
 	case fenced:
 		out.State = "fenced"
-	case n.freshEnough():
-		out.State, status = "in_sync", http.StatusOK
 	case leader == "":
 		out.State = "no_leader"
 	default:
-		out.State = "stale"
+		out.State, status = "follower", http.StatusOK
 	}
 	crowd.WriteJSON(w, status, out)
 }
@@ -826,20 +793,17 @@ func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
 	crowd.WriteJSON(w, http.StatusOK, resp)
 }
 
-// noteLeaderContact records a (gate-passing) leader push: its address,
-// epoch and how far its heads are ahead (a follower's logs move only
-// when a push applies), and the freshness clock gated reads check.
+// noteLeaderContact records a (gate-passing) leader push: its address
+// and epoch.
 func (n *Node) noteLeaderContact(req *applyRequest) {
 	n.mu.Lock()
 	n.leaderURL = req.Leader
-	n.lastContact = time.Now()
 	bumped := false
 	if req.Epoch > n.epoch {
 		n.epoch = req.Epoch
 		bumped = true
 	}
 	epoch := n.epoch
-	n.lagging = n.logs.lagging(req.Logs)
 	n.mu.Unlock()
 	if bumped {
 		n.logs.setTerm(epoch)

@@ -85,16 +85,12 @@ var endpointHooks = map[string]hooks{
 // proxy resolves one row of the API table into its handler. Route plans
 // the legs — forward (one shard, by problem or by id), split (one per
 // owning shard), gather (every shard) or first-non-empty (every shard,
-// round-robin, until a reply rewrites) — Class sends each to the leader
-// or a replica, and the row's hooks turn the replies into the client's.
+// round-robin, until a reply rewrites) — each goes to the shard's
+// leader, and the row's hooks turn the replies into the client's.
 func (c *Coordinator) proxy(e crowd.Endpoint) http.HandlerFunc {
 	h := endpointHooks[e.Path]
 	if e.Route == crowd.RouteSelf {
 		return func(w http.ResponseWriter, r *http.Request) { h.self(c, w, r) }
-	}
-	send := c.readFromShard
-	if e.Class == crowd.ClassWrite {
-		send = c.writeToShard
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, ok := readBody(w, r)
@@ -117,7 +113,7 @@ func (c *Coordinator) proxy(e crowd.Endpoint) http.HandlerFunc {
 		var last *shardReply
 		var parts []leg
 		for _, l := range legs {
-			rep, err := send(r, l.shard, e.Path, l.body)
+			rep, err := c.toLeader(r, l.shard, e.Path, l.body)
 			if err != nil {
 				routeFailed(w, err)
 				return

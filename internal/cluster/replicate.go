@@ -6,8 +6,8 @@ package cluster
 // follower's /api/v1/cluster/apply endpoint and feeds the acknowledged
 // indexes back into the leader's commit computation. The write barrier
 // in node.go kicks the loop so acknowledgements arrive at write
-// latency, not heartbeat latency; the heartbeat keeps follower
-// freshness windows open when the shard is idle.
+// latency, not heartbeat latency; the heartbeat keeps an idle shard's
+// followers told who leads and lets the leader notice a dead one.
 
 import (
 	"bytes"
@@ -28,7 +28,8 @@ import (
 // single-digit-millisecond pushes dominate production.
 const (
 	// DefaultHeartbeatInterval bounds how long a healthy follower goes
-	// without hearing from its leader (its read-freshness clock).
+	// without hearing from its leader on an idle shard, and so how soon
+	// an idle leader notices a dead or fencing follower.
 	DefaultHeartbeatInterval = 500 * time.Millisecond
 	// deadAfterFailures is how many consecutive push failures mark a
 	// follower dead and drop it from the commit quorum.
@@ -49,11 +50,11 @@ type wireRecord struct {
 }
 
 // applyLogBatch carries one log's replication payload: the leader's
-// head (for follower staleness accounting), an optional base snapshot,
-// and the records after the follower's acknowledged index. Force marks
-// a truncation-resync batch: the follower discards its own log —
-// including any diverged tail it appended as a deposed leader — and
-// rebuilds from this snapshot.
+// head (a follower whose log runs past it has diverged), an optional
+// base snapshot, and the records after the follower's acknowledged
+// index. Force marks a truncation-resync batch: the follower discards
+// its own log — including any diverged tail it appended as a deposed
+// leader — and rebuilds from this snapshot.
 type applyLogBatch struct {
 	Head          uint64       `json:"head"`
 	SnapshotIndex uint64       `json:"snapshot_index,omitempty"`

@@ -171,7 +171,7 @@ func newBatchID() string {
 // post sends a JSON request, retrying retryable failures with backoff,
 // and decodes the JSON response into out. The request body is marshaled
 // once, so every attempt (including its batch id, if any) is identical.
-// A 307 + X-Shard-Leader answer — a cluster follower bouncing a write
+// A 307 + X-Shard-Leader answer — a cluster follower bouncing a request
 // to its leader — switches the base URL for the rest of the call and
 // does not consume a retry; more than DefaultMaxRedirects hops yields
 // ErrWrongShard (the topology is churning faster than we can chase it).

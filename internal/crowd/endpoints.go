@@ -48,9 +48,9 @@ const (
 	// behind the commit barrier. tasks/lease and tasks/complete mutate
 	// too (lease tokens, result samples), so workers talk to leaders.
 	ClassWrite Class = "write"
-	// ClassFreshRead is follower-servable while the replica is within
-	// its staleness bound; a stale replica answers 412.
-	ClassFreshRead Class = "fresh-read"
+	// ClassRead reads replicated state: leader only, with no commit
+	// barrier. Followers bounce it as they bounce a write.
+	ClassRead Class = "read"
 	// ClassLocal is diagnostics about the answering process itself.
 	ClassLocal Class = "local"
 )
@@ -94,18 +94,18 @@ func Endpoints() []Endpoint {
 	return []Endpoint{
 		{PathRegister, post, false, ClassWrite, RouteEveryShard, with((*Server).handleRegister)},
 		{PathFuncEvalUpload, post, true, ClassWrite, RouteSplit, with((*Server).handleUpload)},
-		{PathFuncEvalQuery, post, true, ClassFreshRead, RouteByProblem, with((*Server).handleQuery)},
-		{PathProblems, getOrPost, true, ClassFreshRead, RouteEveryShard, bodiless((*Server).handleProblems)},
+		{PathFuncEvalQuery, post, true, ClassRead, RouteByProblem, with((*Server).handleQuery)},
+		{PathProblems, getOrPost, true, ClassRead, RouteEveryShard, bodiless((*Server).handleProblems)},
 		{PathSurrogateUpload, post, true, ClassWrite, RouteSplit, with((*Server).handleModelUpload)},
-		{PathSurrogateQuery, post, true, ClassFreshRead, RouteByProblem, with((*Server).handleModelQuery)},
-		{PathSuggest, post, true, ClassFreshRead, RouteByProblem, with((*Server).handleSuggest)},
+		{PathSurrogateQuery, post, true, ClassRead, RouteByProblem, with((*Server).handleModelQuery)},
+		{PathSuggest, post, true, ClassRead, RouteByProblem, with((*Server).handleSuggest)},
 		{PathTaskSubmit, post, true, ClassWrite, RouteByProblem, with((*Server).handleTaskSubmit)},
 		{PathTaskLease, post, true, ClassWrite, RouteFirstNonEmpty, with((*Server).handleTaskLease)},
 		{PathTaskHeartbeat, post, true, ClassWrite, RouteByID, with((*Server).handleTaskHeartbeat)},
 		{PathTaskComplete, post, true, ClassWrite, RouteByID, with((*Server).handleTaskComplete)},
 		{PathTaskFail, post, true, ClassWrite, RouteByID, with((*Server).handleTaskFail)},
-		{PathTaskList, post, true, ClassFreshRead, RouteEveryShard, with((*Server).handleTaskList)},
-		{PathQuarantine, post, true, ClassFreshRead, RouteEveryShard, with((*Server).handleQuarantineList)},
+		{PathTaskList, post, true, ClassRead, RouteEveryShard, with((*Server).handleTaskList)},
+		{PathQuarantine, post, true, ClassRead, RouteEveryShard, with((*Server).handleQuarantineList)},
 		{PathQuarantineRelease, post, true, ClassWrite, RouteByID, with((*Server).handleQuarantineRelease)},
 		{PathStats, getOrPost, false, ClassLocal, RouteSelf, bodiless((*Server).handleStats)},
 		{PathHealthz, getOrPost, false, ClassLocal, RouteSelf, bodiless((*Server).handleHealthz)},

@@ -99,6 +99,11 @@ gone  all  (func |\.)(TuneBatch|QueryFunctionEvaluations|UploadHistory|UploadSur
 gone  all:!bench  func \(s \*(Session|TuningSession)\) (Propose|ProposeBatch|Run)\(|func \(s \*Session\) Step\(|\.ProposeBatch\(|\.Propose\(\)|(?<!\bm)\.Run\(\)|\.Step\(\)  func (s *Session) Run() (*History, error) {
 only-in  src:!bench  \.(Register|Upload|Query|QueryWithParamFilter|Problems)\(  internal/crowd/client.go:1
 fields  crowdapi.go:SurrogateOptions  Kernel Seed
+
+== after 231989e  every public read goes to the shard leader; followers replicate, stand by and bounce reads as writes
+gone  all  freshEnough StalenessWindow DefaultStalenessWindow readFromShard ClassFreshRead staleRejects staleReads maxLag lastContact stale_replica
+gone  all  func \(s \*logSet\) lagging\(  func (s *logSet) lagging(
+gone  src  "cluster_stale_reads_total"  "cluster_stale_reads_total"
 ROWS
 }
 
