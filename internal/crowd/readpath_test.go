@@ -19,6 +19,7 @@ import (
 	"gptunecrowd/internal/envparse"
 	"gptunecrowd/internal/historydb"
 	"gptunecrowd/internal/replog"
+	"gptunecrowd/internal/space"
 	"gptunecrowd/internal/suggest"
 )
 
@@ -415,11 +416,83 @@ func TestReadPathsMatchReference(t *testing.T) {
 	}
 }
 
-// TestQueryParentDataDir: samples an older release's node wrote
-// (internal/cluster/testdata/parent_pr20) are served on the wire byte
-// for byte as the fromDocument reference decodes them, to their owner
-// and to a stranger, for every stored problem.
-func TestQueryParentDataDir(t *testing.T) {
+// historyMatchesRef holds History on (problem, task) to refHistory and
+// returns the snapshot.
+func historyMatchesRef(t *testing.T, s *Server, problem string, task map[string]interface{}) *suggest.Snapshot {
+	t.Helper()
+	got, err := storeSource{s}.History(context.Background(), problem, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := refHistory(t, s, problem, task)
+	if got.Version != ref.Version || !reflect.DeepEqual(got.X, ref.X) || !reflect.DeepEqual(got.Y, ref.Y) {
+		t.Fatalf("History(%s, %v): version %d, X %v, Y %v; reference version %d, X %v, Y %v", problem, task, got.Version, got.X, got.Y, ref.Version, ref.X, ref.Y)
+	}
+	return got
+}
+
+// TestHistoryEdgeTasks holds History to refHistory where the task key
+// is easiest to get wrong: absent, null and empty tasks; -0 beside 0;
+// a number beside its string; nested values; failed samples, malformed
+// documents and parameters outside the space.
+func TestHistoryEdgeTasks(t *testing.T) {
+	srv := NewServer()
+	srv.RegisterProblemPolicy("e", ProblemPolicy{Space: trustSpace(t)})
+	nested := map[string]interface{}{"m": map[string]interface{}{"a": []interface{}{1.0, "b", nil}}}
+	doc := func(task interface{}, edit func(historydb.Document)) historydb.Document {
+		d := historydb.Document{"tuning_problem_name": "e", "owner": "alice", "accessibility": "public",
+			"tuning_parameters": goodParams(), "evaluation_result": 2.5}
+		if task != "absent" {
+			d["task_parameters"] = task
+		}
+		if edit != nil {
+			edit(d)
+		}
+		return d
+	}
+	m := func(v interface{}) map[string]interface{} { return map[string]interface{}{"m": v} }
+	docs := []historydb.Document{
+		doc("absent", nil), doc(nil, nil), doc(map[string]interface{}{}, nil),
+		doc(m(math.Copysign(0, -1)), nil), doc(m(0), nil),
+		doc(m(1000), nil), doc(m("1000"), nil), doc(nested, nil),
+		doc(m(1000), func(d historydb.Document) { d["failed"] = true }),
+		doc(m(1000), func(d historydb.Document) { d["owner"] = 7.0 }),
+		doc(m(1000), func(d historydb.Document) {
+			d["tuning_parameters"] = map[string]interface{}{"x": 0.5, "n": 4, "alg": "z"}
+		}),
+		doc(m(1000), func(d historydb.Document) { d["evaluation_result"] = "fast" }),
+		doc("not a map", nil),
+		doc(m(1000), func(d historydb.Document) { d["tuning_problem_name"] = "other" }),
+		doc(m(1000), func(d historydb.Document) { delete(d, "tuning_problem_name") }),
+	}
+	if _, err := srv.funcEvals().InsertMany(docs); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		task             map[string]interface{}
+		version, encoded int
+	}{
+		{nil, 3, 3},
+		{map[string]interface{}{}, 3, 3},
+		{m(math.Copysign(0, -1)), 1, 1},
+		{m(0), 1, 1},
+		{m(1000), 3, 1}, // one failed, one outside the space; owner 7 and result "fast" do not read
+		{m(1000.0), 3, 1},
+		{m("1000"), 1, 1},
+		{nested, 1, 1},
+		{m(2000), 0, 0},
+	} {
+		got := historyMatchesRef(t, srv, "e", tc.task)
+		if got.Version != uint64(tc.version) || len(got.X) != tc.encoded {
+			t.Errorf("History(e, %v): version %d with %d points, want %d with %d", tc.task, got.Version, len(got.X), tc.version, tc.encoded)
+		}
+	}
+}
+
+// loadParentDataDir opens the logs an older release's node wrote
+// (internal/cluster/testdata/parent_pr20) into a fresh server.
+func loadParentDataDir(t *testing.T) *Server {
+	t.Helper()
 	const fixtures = "../cluster/testdata/parent_pr20/"
 	dir := t.TempDir()
 	err := filepath.WalkDir(fixtures+"datadir", func(path string, e fs.DirEntry, err error) error {
@@ -450,7 +523,43 @@ func TestQueryParentDataDir(t *testing.T) {
 	if err := srv.RebuildUserIndex(); err != nil {
 		t.Fatal(err)
 	}
-	key, err := os.ReadFile(fixtures + "api_key.txt")
+	return srv
+}
+
+// TestHistoryParentDataDir: every (problem, task) an older release
+// stored reads back through History as through refHistory.
+func TestHistoryParentDataDir(t *testing.T) {
+	srv := loadParentDataDir(t)
+	sp, err := space.New(space.Param{Name: "x", Kind: space.Real, Lo: 0, Hi: 1}, space.Param{Name: "y", Kind: space.Real, Lo: 0, Hi: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen, versions := map[string]bool{}, uint64(0)
+	for _, fe := range refDecodeAll(t, srv) {
+		key := fe.TuningProblemName + "\x1f" + suggest.TaskKey(fe.TaskParams)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		srv.RegisterProblemPolicy(fe.TuningProblemName, ProblemPolicy{Space: sp})
+		got := historyMatchesRef(t, srv, fe.TuningProblemName, fe.TaskParams)
+		if len(got.X) == 0 {
+			t.Errorf("History(%s, %v) encoded none of its %d samples", fe.TuningProblemName, fe.TaskParams, got.Version)
+		}
+		versions += got.Version
+	}
+	if len(seen) != 3 || versions != 11 {
+		t.Fatalf("the parent's 11 samples read back as %d over %d (problem, task) pairs", versions, len(seen))
+	}
+}
+
+// TestQueryParentDataDir: samples an older release's node wrote are
+// served on the wire byte for byte as the fromDocument reference
+// decodes them, to their owner and to a stranger, for every stored
+// problem.
+func TestQueryParentDataDir(t *testing.T) {
+	srv := loadParentDataDir(t)
+	key, err := os.ReadFile("../cluster/testdata/parent_pr20/api_key.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,13 +677,36 @@ func TestStoreGrowthGuard(t *testing.T) {
 		t.Fatalf("a limit-2 query of A examined %d documents, want 2", got)
 	}
 
-	base = scanned("suggest")
-	if _, err := alice.SuggestRemote(context.Background(), SuggestRequest{TuningProblemName: "A", TaskParams: map[string]interface{}{"m": 1000}}); err != nil {
+	// A suggest miss syncs once (nothing uploads while it runs) and
+	// examines its own task's samples: of A's 5, the 3 with m=1000. More
+	// samples of A's other tasks do not change that.
+	suggestScans := func(stored string) {
+		t.Helper()
+		base := scanned("suggest")
+		if _, err := alice.SuggestRemote(context.Background(), SuggestRequest{TuningProblemName: "A", TaskParams: map[string]interface{}{"m": 1000}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := scanned("suggest") - base; got != 3 {
+			t.Fatalf("a suggest miss on A's task m=1000 (3 of %s stored) examined %d documents, want 3", stored, got)
+		}
+	}
+	suggestScans("5")
+	var others []historydb.Document
+	for i := 0; i < 5000; i++ {
+		fe := trustEval(goodParams(), 2)
+		fe.TuningProblemName, fe.Owner, fe.Accessibility = "A", "bob", "public"
+		fe.TaskParams = map[string]interface{}{"m": 2000 + 1000*(i%3)}
+		d, err := toDocument(&fe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, d)
+	}
+	if _, err := srv.funcEvals().InsertMany(others); err != nil {
 		t.Fatal(err)
 	}
-	if got := scanned("suggest") - base; got == 0 || got%5 != 0 || got > 50 {
-		t.Fatalf("a suggest on A (5 stored) examined %d documents", got)
-	}
+	srv.NotifyProblemAppend("A", len(others)) // far past the staleness bound: the next suggest misses
+	suggestScans("5005")
 
 	// Listings cost O(#problems): one visible sample per partition ends
 	// that partition's scan.

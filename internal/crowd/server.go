@@ -172,9 +172,10 @@ func NewServerWith(cfg Config) *Server {
 	}
 	// Every read of these two collections pins the problem name, so they
 	// are partitioned by it: a request walks its own problem's documents
-	// and none of the others'.
-	s.funcEvals().IndexBy(problemField)
-	s.models().IndexBy(problemField)
+	// and none of the others'. A suggest fit also pins the task, so each
+	// func_evals partition is split further by task key.
+	s.funcEvals().IndexBy(problemField, taskKey)
+	s.models().IndexBy(problemField, nil)
 	s.registerDerivedMetrics()
 	s.suggest = suggest.New(storeSource{s}, suggest.Config{
 		Seed:     cfg.SuggestSeed,

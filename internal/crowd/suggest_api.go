@@ -58,22 +58,31 @@ type SuggestResponse struct {
 // raw samples.
 type storeSource struct{ s *Server }
 
-// History implements suggest.Source. Version counts every sample
-// matching (problem, task) — including failed evaluations and samples
-// whose parameters no longer encode — so it advances exactly in step
-// with NotifyAppend.
+// taskKey is func_evals' sub-key: the canonical task key of every
+// sample History can read, computed once when the sample is stored, so
+// a (problem, task) sub-bucket holds exactly History's samples.
+func taskKey(d historydb.Document) (string, bool) {
+	m, ok := readMeasurement(d)
+	if !ok {
+		return "", false
+	}
+	return suggest.TaskKey(m.task), true
+}
+
+// History implements suggest.Source. It walks the (problem, task)
+// sub-bucket only. Version counts every sample there — including
+// failed evaluations and samples whose parameters no longer encode —
+// so it advances exactly in step with NotifyAppend.
 func (src storeSource) History(ctx context.Context, problem string, task map[string]interface{}) (*suggest.Snapshot, error) {
 	policy, ok := src.s.policies.get(problem)
 	if !ok || policy.Space == nil {
 		return nil, suggest.ErrUnknownProblem
 	}
-	want := suggest.TaskKey(task)
 	snap := &suggest.Snapshot{Space: policy.Space}
-	scanned, err := src.s.funcEvals().Scan(ctx, historydb.Eq(problemField, problem), func(d historydb.Document) bool {
-		m, ok := readMeasurement(d)
-		if !ok || suggest.TaskKey(m.task) != want {
-			return true
-		}
+	evals := src.s.funcEvals()
+	q := historydb.And(historydb.Eq(problemField, problem), evals.Sub(suggest.TaskKey(task)))
+	scanned, err := evals.Scan(ctx, q, func(d historydb.Document) bool {
+		m, _ := readMeasurement(d)
 		snap.Version++
 		if m.failed {
 			return true

@@ -36,7 +36,7 @@ func TestPredictVarianceMatchesTwoSolveForm(t *testing.T) {
 			t.Fatalf("point %d: variance %v, two-solve form %v", i, got, want)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { g.Predict(P[0]) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { g.Predict(P[0]) }); allocs != 0 && !raceEnabled {
 		t.Fatalf("warm Predict allocates %v times", allocs)
 	}
 }

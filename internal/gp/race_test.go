@@ -1,0 +1,8 @@
+//go:build race
+
+package gp
+
+// raceEnabled reports a build with the race detector, which drops
+// sync.Pool items at random: a warm Predict may then allocate, so its
+// zero-allocation check runs only without it.
+const raceEnabled = true

@@ -35,12 +35,12 @@ type Document = map[string]interface{}
 // one document by id); matching runs outside the lock, so large scans
 // never starve writers.
 //
-// Every slice a reader can hold — docs and each index bucket — is
-// append-only between rebuilds: an append past a reader's length is
-// invisible to it, and anything that would move or replace an element
-// (Delete, Update, ReadJSONL, a replayed upsert) builds fresh slices
-// and a fresh index instead of touching the ones readers may still be
-// walking.
+// Every slice a reader can hold — docs, each index bucket and each
+// sub-bucket — is append-only between rebuilds: an append past a
+// reader's length is invisible to it, and anything that would move or
+// replace an element (Delete, Update, ReadJSONL, a replayed upsert)
+// builds fresh slices and a fresh index instead of touching the ones
+// readers may still be walking.
 type Collection struct {
 	mu      sync.RWMutex
 	name    string
@@ -48,6 +48,7 @@ type Collection struct {
 	byID    map[string]int // _id → position in docs (first one, should ids repeat)
 	dupIDs  bool           // a loaded file repeated an _id: byID cannot answer Eq("_id")
 	index   *partition     // nil until IndexBy
+	sub     *subKey        // IndexBy's sub-key, nil without one
 	nextID  int64
 	journal *replog.Journal
 }
@@ -55,14 +56,40 @@ type Collection struct {
 // partition is the collection's one secondary index: the stored
 // documents grouped by the scalar value of one field, each bucket in
 // insertion order. Documents without the field, or holding a
-// non-scalar there, are in no bucket — Eq never matches them.
+// non-scalar there, are in no bucket — Eq never matches them. Each
+// bucket is split further by the sub-key, if any, into sub-buckets.
 type partition struct {
 	field   string
 	buckets map[interface{}][]Document
+	subs    map[subSlot][]Document
 	values  []interface{} // bucket keys in order of first appearance
 }
 
-func (p *partition) add(d Document) {
+type subSlot struct {
+	value interface{} // the bucket's key
+	key   string
+}
+
+// subKey holds IndexBy's sub-key function; the planner uses a
+// sub-bucket only for a Sub query holding this very pointer.
+type subKey struct{ of func(Document) (string, bool) }
+
+type subKeyed struct {
+	key string
+	ok  bool // false: in no sub-bucket
+}
+
+// keysOf computes the sub-keys of docs; a nil sub gives none.
+func (sub *subKey) keysOf(docs ...Document) []subKeyed {
+	keys := make([]subKeyed, len(docs))
+	for i := 0; sub != nil && i < len(docs); i++ {
+		keys[i].key, keys[i].ok = sub.of(docs[i])
+	}
+	return keys
+}
+
+// add enters d under its bucket and, when sk.ok, its sub-bucket.
+func (p *partition) add(d Document, sk subKeyed) {
 	v, ok := Lookup(d, p.field)
 	if !ok {
 		return
@@ -76,6 +103,10 @@ func (p *partition) add(d Document) {
 		p.values = append(p.values, k)
 	}
 	p.buckets[k] = append(b, d)
+	if sk.ok {
+		slot := subSlot{k, sk.key}
+		p.subs[slot] = append(p.subs[slot], d)
+	}
 }
 
 // indexKey folds a scalar to the form buckets are keyed by, so that a
@@ -113,11 +144,29 @@ func (c *Collection) Len() int {
 // the field with Eq — alone or inside And — then walks one bucket
 // instead of the collection. A collection has one partition index; a
 // second call replaces it.
-func (c *Collection) IndexBy(field string) {
+//
+// A non-nil sub splits each bucket by a second key, derived from the
+// stored document but not its "_id" (assigned after the key), and kept
+// in memory only; a document it returns false for is in no sub-bucket.
+// An And of Eq on the field and the collection's Sub walks one. Index
+// rebuilds run sub under the write lock: it must not call back into
+// the collection.
+func (c *Collection) IndexBy(field string, sub func(Document) (string, bool)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.index = &partition{field: field}
+	c.index, c.sub = &partition{field: field}, nil
+	if sub != nil {
+		c.sub = &subKey{sub}
+	}
 	c.setDocsLocked(c.docs)
+}
+
+// Sub matches the documents whose sub-key (see IndexBy) is key; without
+// a sub-key, none. Its wire form does not parse back.
+func (c *Collection) Sub(key string) Query {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return subQuery{c.sub, key}
 }
 
 // IndexValues returns the distinct values the indexed field takes
@@ -132,15 +181,16 @@ func (c *Collection) IndexValues() []interface{} {
 	return append([]interface{}(nil), c.index.values...)
 }
 
-// appendLocked stores one more (already copied, id-carrying) document.
-func (c *Collection) appendLocked(d Document) {
+// appendLocked stores one more (already copied, id-carrying) document
+// with its sub-key.
+func (c *Collection) appendLocked(d Document, sk subKeyed) {
 	c.docs = append(c.docs, d)
-	c.noteLocked(len(c.docs)-1, d)
+	c.noteLocked(len(c.docs)-1, d, sk)
 }
 
-// noteLocked enters the document at position i into the id map and the
-// partition index.
-func (c *Collection) noteLocked(i int, d Document) {
+// noteLocked enters the document at position i into the id map and,
+// with its sub-key, the partition index.
+func (c *Collection) noteLocked(i int, d Document, sk subKeyed) {
 	if id := docID(d); id != "" {
 		if _, dup := c.byID[id]; dup {
 			c.dupIDs = true
@@ -149,7 +199,7 @@ func (c *Collection) noteLocked(i int, d Document) {
 		}
 	}
 	if c.index != nil {
-		c.index.add(d)
+		c.index.add(d, sk)
 	}
 }
 
@@ -161,10 +211,11 @@ func (c *Collection) setDocsLocked(docs []Document) {
 	c.byID = make(map[string]int, len(docs))
 	c.dupIDs = false
 	if c.index != nil {
-		c.index = &partition{field: c.index.field, buckets: make(map[interface{}][]Document)}
+		c.index = &partition{field: c.index.field, buckets: make(map[interface{}][]Document), subs: make(map[subSlot][]Document)}
 	}
+	keys := c.sub.keysOf(docs...)
 	for i, d := range docs {
-		c.noteLocked(i, d)
+		c.noteLocked(i, d, keys[i])
 	}
 }
 
@@ -180,8 +231,8 @@ func (c *Collection) Insert(doc Document) (string, error) {
 // InsertMany stores deep copies of docs atomically: either every
 // document is inserted (with consecutive ids, in order) or none is, and
 // no concurrent reader ever observes a partially applied batch. The
-// deep copies are taken before the write lock so their cost is not paid
-// under contention.
+// deep copies and their sub-keys are taken before the write lock so
+// their cost is not paid under contention.
 func (c *Collection) InsertMany(docs []Document) ([]string, error) {
 	cps := make([]Document, len(docs))
 	for i, d := range docs {
@@ -191,8 +242,15 @@ func (c *Collection) InsertMany(docs []Document) ([]string, error) {
 		}
 		cps[i] = cp
 	}
+	c.mu.RLock()
+	sub := c.sub
+	c.mu.RUnlock()
+	keys := sub.keysOf(cps...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.sub != sub { // IndexBy ran in between
+		keys = c.sub.keysOf(cps...)
+	}
 	ids := make([]string, len(cps))
 	for i, cp := range cps {
 		ids[i] = strconv.FormatInt(c.nextID+int64(i), 10)
@@ -205,17 +263,18 @@ func (c *Collection) InsertMany(docs []Document) ([]string, error) {
 		}
 	}
 	c.nextID = next
-	for _, cp := range cps {
-		c.appendLocked(cp)
+	for i, cp := range cps {
+		c.appendLocked(cp, keys[i])
 	}
 	return ids, nil
 }
 
 // planLocked is the query planner: the smallest stored slice guaranteed
 // to hold every match of q — one document for Eq("_id"), one bucket for
-// Eq on the indexed field, either of those found inside an And — or
-// false for "walk the collection". The caller still runs q.Match on
-// each candidate.
+// Eq on the indexed field, either of those found inside an And, one
+// sub-bucket for an And holding both an Eq on the indexed field and a
+// Sub of the collection's own sub-key — or false for "walk the
+// collection". The caller still runs q.Match on each candidate.
 func (c *Collection) planLocked(q Query) ([]Document, bool) {
 	switch q := q.(type) {
 	case eqQuery:
@@ -232,6 +291,9 @@ func (c *Collection) planLocked(q Query) ([]Document, bool) {
 			return nil, true // Eq on a non-scalar matches nothing
 		}
 	case andQuery:
+		if docs, ok := c.planSubLocked(q.subs); ok {
+			return docs, true
+		}
 		for _, sub := range q.subs {
 			if docs, ok := c.planLocked(sub); ok {
 				return docs, true
@@ -239,6 +301,36 @@ func (c *Collection) planLocked(q Query) ([]Document, bool) {
 		}
 	}
 	return nil, false
+}
+
+// planSubLocked finds, among an And's sub-queries, an Eq on the indexed
+// field and a Sub of the collection's sub-key: any such pair picks a
+// sub-bucket holding every match.
+func (c *Collection) planSubLocked(subs []Query) ([]Document, bool) {
+	if c.sub == nil {
+		return nil, false
+	}
+	var eq *eqQuery
+	var sub *subQuery
+	for _, q := range subs {
+		switch q := q.(type) {
+		case eqQuery:
+			if q.field == c.index.field {
+				eq = &q
+			}
+		case subQuery:
+			if q.by == c.sub {
+				sub = &q
+			}
+		}
+	}
+	if eq == nil || sub == nil {
+		return nil, false
+	}
+	if k, ok := indexKey(eq.value); ok {
+		return c.index.subs[subSlot{k, sub.key}], true
+	}
+	return nil, true // Eq on a non-scalar matches nothing
 }
 
 // Scan calls fn with every stored document matching q, in insertion

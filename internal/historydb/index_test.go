@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -90,6 +91,52 @@ func randomDoc(rng *rand.Rand) Document {
 	return d
 }
 
+// kKey is the sub-key the randomized tests index by: the "k" field as
+// text, except that k = 3 and a non-number have none.
+func kKey(d Document) (string, bool) {
+	k, ok := d["k"].(float64)
+	if !ok || k == 3 {
+		return "", false
+	}
+	return strconv.FormatFloat(k, 'g', -1, 64), true
+}
+
+// checkSubBuckets holds every sub-bucket to a filtered walk of the whole
+// collection, in insertion order, and checks that a document without a
+// sub-key or without a partition value is in none.
+func checkSubBuckets(t *testing.T, c *Collection, what string) {
+	t.Helper()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	want := map[subSlot][]Document{}
+	for _, d := range c.docs {
+		v, ok := Lookup(d, c.index.field)
+		if !ok {
+			continue
+		}
+		bk, ok := indexKey(v)
+		key, hasKey := kKey(d)
+		if ok && hasKey {
+			slot := subSlot{bk, key}
+			want[slot] = append(want[slot], d)
+		}
+	}
+	if len(c.index.subs) != len(want) {
+		t.Fatalf("%s: %d sub-buckets, a filtered scan finds %d", what, len(c.index.subs), len(want))
+	}
+	for slot, docs := range want {
+		got := c.index.subs[slot]
+		if len(got) != len(docs) {
+			t.Fatalf("%s: sub-bucket %v holds %d documents, a filtered scan finds %d", what, slot, len(got), len(docs))
+		}
+		for i := range docs {
+			if reflect.ValueOf(got[i]).UnsafePointer() != reflect.ValueOf(docs[i]).UnsafePointer() {
+				t.Fatalf("%s: sub-bucket %v position %d is %v, a filtered scan has %v", what, slot, i, got[i], docs[i])
+			}
+		}
+	}
+}
+
 // TestPlannerMatchesBruteForce drives random mutation sequences —
 // including log replay into a second collection, compaction and JSONL
 // reloads with repeated ids — and after every step holds Find, Count,
@@ -98,19 +145,19 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		leader := NewCollection("leader")
-		leader.IndexBy("p")
+		leader.IndexBy("p", kKey)
 		if err := leader.Journal().Open(t.TempDir(), replog.Options{Name: "prop"}); err != nil {
 			t.Fatal(err)
 		}
 		lg := leader.Journal().Log()
 		follower := NewCollection("follower")
-		follower.IndexBy("p")
+		follower.IndexBy("p", kKey)
 		applied := uint64(0)
 		// restart loads a fresh follower from the log, as a process
 		// restart or a snapshot resync does.
 		restart := func() {
 			follower = NewCollection("follower")
-			follower.IndexBy("p")
+			follower.IndexBy("p", kKey)
 			var snap strings.Builder
 			idx, ok, err := lg.Snapshot(&snap)
 			if err != nil {
@@ -126,10 +173,17 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 
 		check := func(c *Collection, step int, op string) {
 			t.Helper()
-			for i := 0; i < 12; i++ {
+			checkSubBuckets(t, c, fmt.Sprintf("seed %d step %d (%s) on %s", seed, step, op, c.name))
+			for i := 0; i < 16; i++ {
 				q := randomQuery(rng, 2)
-				if i == 0 {
+				switch {
+				case i == 0:
 					q = nil
+				case i >= 12: // one sub-bucket, or (i = 15) a Sub the planner cannot pin
+					q = And(q, c.Sub(fmt.Sprint(rng.Intn(4))), Eq("p", fmt.Sprintf("p%d", rng.Intn(5))))
+					if i == 15 {
+						q = Or(c.Sub("1"), c.Sub("2"))
+					}
 				}
 				want := bruteFind(c, q)
 				got, err := c.Find(q)
@@ -212,7 +266,7 @@ func TestPlannerMatchesBruteForce(t *testing.T) {
 					buf.WriteByte('\n')
 				}
 				scratch := NewCollection("loaded")
-				scratch.IndexBy("p")
+				scratch.IndexBy("p", kKey)
 				if err := scratch.ReadJSONL(strings.NewReader(buf.String())); err != nil {
 					t.Fatal(err)
 				}
@@ -274,7 +328,7 @@ func TestScanExaminesOnlyItsPartition(t *testing.T) {
 	if n := scanned(Eq("p", "p1")); n != 1000 {
 		t.Fatalf("without an index Eq examined %d documents, want 1000", n)
 	}
-	c.IndexBy("p") // builds from the stored documents
+	c.IndexBy("p", nil) // builds from the stored documents
 	for _, tc := range []struct {
 		q    Query
 		want int
@@ -321,13 +375,78 @@ func TestScanExaminesOnlyItsPartition(t *testing.T) {
 	}
 }
 
+// TestSubBucketScans counts what a sub-bucket scan examines, and holds
+// the Sub query on a collection with no index (or no sub-key) to the
+// same answers through Match alone.
+func TestSubBucketScans(t *testing.T) {
+	var batch []Document
+	for i := 0; i < 1000; i++ {
+		batch = append(batch, Document{"p": fmt.Sprintf("p%d", i%4), "k": i % 5})
+	}
+	batch = append(batch, Document{"k": 1}, Document{"p": "p1"}, Document{"p": []interface{}{"p1"}, "k": 1})
+	c, plain, noSub := NewCollection("x"), NewCollection("plain"), NewCollection("nosub")
+	for _, c := range []*Collection{c, plain, noSub} {
+		if _, err := c.InsertMany(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.IndexBy("p", kKey)
+	noSub.IndexBy("p", nil)
+	checkSubBuckets(t, c, "after IndexBy")
+	scanned := func(c *Collection, q Query) (int, []Document) {
+		var out []Document
+		n, err := c.Scan(context.Background(), q, func(d Document) bool { out = append(out, d); return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, out
+	}
+	for _, tc := range []struct {
+		q    Query
+		want int
+	}{
+		{And(Eq("p", "p1"), c.Sub("1")), 50},
+		{And(c.Sub("1"), Range("k", 0, 9), Eq("p", "p1")), 50},
+		{And(Eq("p", "p1"), c.Sub("3")), 0}, // k = 3 has no sub-key
+		{And(Eq("p", "p1"), c.Sub("9")), 0},
+		{And(Eq("p", []interface{}{"p1"}), c.Sub("1")), 0},
+		{And(Eq("p", "p1"), noSub.Sub("1")), 251}, // another key function: one bucket
+		{And(Eq("k", 1), c.Sub("1")), 1003},
+		{c.Sub("1"), 1003},
+	} {
+		n, got := scanned(c, tc.q)
+		wire, _ := MarshalQuery(tc.q)
+		if n != tc.want {
+			t.Errorf("%s examined %d documents, want %d", wire, n, tc.want)
+		}
+		if n, want := scanned(plain, tc.q); n != len(batch) || len(got) != len(want) {
+			t.Errorf("%s: %d matches through the sub-bucket, %d through Match on an unindexed collection", wire, len(got), len(want))
+		} else {
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s: match %d is %v, without an index %v", wire, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	for _, q := range []Query{plain.Sub("1"), noSub.Sub("1"), And(Eq("p", "p1"), noSub.Sub("1"))} {
+		if n := noSub.Count(q); n != 0 {
+			wire, _ := MarshalQuery(q)
+			t.Errorf("%s on collections without a sub-key matched %d documents", wire, n)
+		}
+	}
+	if _, err := UnmarshalQuery([]byte(`{"op":"sub","key":"1"}`)); err == nil {
+		t.Error("a Sub query's wire form parsed back without its key function")
+	}
+}
+
 // TestScanIsolationUnderWriters (run with -race): readers walking
-// buckets and the whole collection while writers insert batches, delete
-// and update never see part of a batch, a document change under them,
-// or a bucket out of insertion order.
+// buckets, sub-buckets and the whole collection while writers insert
+// batches, delete and update never see part of a batch, a document
+// change under them, or a bucket out of insertion order.
 func TestScanIsolationUnderWriters(t *testing.T) {
 	c := NewCollection("x")
-	c.IndexBy("p")
+	c.IndexBy("p", func(d Document) (string, bool) { return fmt.Sprint(d["round"].(float64) >= 60), true })
 	const batch = 7
 	stop := make(chan struct{})
 	var writers, readers sync.WaitGroup
@@ -357,12 +476,15 @@ func TestScanIsolationUnderWriters(t *testing.T) {
 			}
 		}(w)
 	}
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 6; r++ {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
 			q := Query(nil)
-			if r%2 == 0 {
+			switch {
+			case r >= 4:
+				q = And(Eq("p", fmt.Sprintf("p%d", r%2)), c.Sub(fmt.Sprint(r == 5)))
+			case r%2 == 0:
 				q = Eq("p", fmt.Sprintf("p%d", r/2))
 			}
 			for {
@@ -407,7 +529,7 @@ func TestScanIsolationUnderWriters(t *testing.T) {
 // FindOne a copy the caller owns.
 func TestFindStillCopies(t *testing.T) {
 	c := NewCollection("x")
-	c.IndexBy("p")
+	c.IndexBy("p", nil)
 	c.Insert(Document{"p": "a", "nested": map[string]interface{}{"v": 1}})
 	for name, find := range map[string]func() Document{
 		"Find":    func() Document { docs, _ := c.Find(Eq("p", "a")); return docs[0] },

@@ -89,18 +89,19 @@ func docID(d Document) string {
 // carries. The first replacement moves the collection to a fresh copy
 // of the slice (copy-on-write: concurrent readers never observe an
 // element change); plain appends — the follower and restart-replay hot
-// path — cost one map lookup each.
+// path — cost one map lookup and one sub-key each.
 func (c *Collection) upsertLocked(docs []Document, insert bool) {
 	replaced := false
-	for _, d := range docs {
-		if i, ok := c.byID[docID(d)]; ok {
+	keys := c.sub.keysOf(docs...)
+	for i, d := range docs {
+		if at, ok := c.byID[docID(d)]; ok {
 			if !replaced {
 				c.docs = append([]Document(nil), c.docs...)
 				replaced = true
 			}
-			c.docs[i] = d
+			c.docs[at] = d
 		} else if insert {
-			c.appendLocked(d)
+			c.appendLocked(d, keys[i])
 		}
 	}
 	if replaced {

@@ -89,6 +89,23 @@ func (q eqQuery) json() map[string]interface{} {
 	return map[string]interface{}{"op": "eq", "field": q.field, "value": q.value}
 }
 
+type subQuery struct {
+	by  *subKey
+	key string
+}
+
+func (q subQuery) Match(d Document) bool {
+	if q.by == nil {
+		return false
+	}
+	k, ok := q.by.of(d)
+	return ok && k == q.key
+}
+
+func (q subQuery) json() map[string]interface{} {
+	return map[string]interface{}{"op": "sub", "key": q.key}
+}
+
 type rangeQuery struct {
 	field  string
 	lo, hi float64

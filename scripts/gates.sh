@@ -104,6 +104,9 @@ fields  crowdapi.go:SurrogateOptions  Kernel Seed
 gone  all  freshEnough StalenessWindow DefaultStalenessWindow readFromShard ClassFreshRead staleRejects staleReads maxLag lastContact stale_replica
 gone  all  func \(s \*logSet\) lagging\(  func (s *logSet) lagging(
 gone  src  "cluster_stale_reads_total"  "cluster_stale_reads_total"
+
+== after 80bd823  func_evals keys each sample's task once, at insert; a suggest miss walks its (problem, task) sub-bucket
+only-in  src  \bTaskKey\(  internal/suggest/suggest.go internal/crowd/suggest_api.go:2
 ROWS
 }
 
